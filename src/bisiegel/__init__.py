@@ -23,7 +23,6 @@ from .errors import (
     DegeneratePair,
     DomainViolation,
     GeometryError,
-    MalformedBlocks,
     NonPositiveMu,
     NotInHatGroup,
     NotPositiveDefinite,
@@ -88,7 +87,6 @@ from .numkit import (
     SYMPLECTIC_FORM,
     Tolerance,
     approx_eq,
-    mat2c_inverse,
     max_abs_diff,
 )
 from .verify import CheckResult, run_suite

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 
@@ -114,24 +115,36 @@ def _parse_mat4(doc) -> Mat4R:
     ):
         raise ValidationError('"m" must be 4 rows of 4 numbers')
     try:
-        return Mat4R(tuple(tuple(float(x) for x in row) for row in rows))
+        entries = tuple(tuple(float(x) for x in row) for row in rows)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"bad matrix entries: {exc}") from exc
+    if not all(math.isfinite(x) for row in entries for x in row):
+        raise ValidationError('"m" entries must be finite numbers')
+    return Mat4R(entries)
 
 
 def _parse_motion(doc) -> MotionMatrix:
     motion = classify(_parse_mat4(doc))
-    if isinstance(doc, dict) and "eps" in doc and int(doc["eps"]) != motion.eps:
-        raise ValidationError(
-            f"declared eps={doc['eps']} contradicts detected eps={motion.eps}"
-        )
+    if "eps" in doc:
+        try:
+            declared = int(doc["eps"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f'"eps" must be 1 or -1, got {doc["eps"]!r}') from exc
+        if declared != motion.eps:
+            raise ValidationError(
+                f"declared eps={doc['eps']} contradicts detected eps={motion.eps}"
+            )
     return motion
 
 
 def _parse_sl2(doc) -> Sl2Matrix:
     if not isinstance(doc, dict) or any(k not in doc for k in "abcd"):
         raise ValidationError('2x2 factor JSON needs fields "a", "b", "c", "d"')
-    return Sl2Matrix(float(doc["a"]), float(doc["b"]), float(doc["c"]), float(doc["d"]))
+    try:
+        entries = [float(doc[k]) for k in "abcd"]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad factor entries: {exc}") from exc
+    return Sl2Matrix(*entries)
 
 
 def _parse_unit(text: str, what: str) -> complex:

@@ -20,13 +20,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DomainViolation
-from .numkit import (
-    DEFAULT_TOL,
-    Block2,
-    Mat2C,
-    Mat4R,
-    Tolerance,
-)
+from .numkit import DEFAULT_TOL, Mat2C, Mat4R, Tolerance
 
 __all__ = [
     "HPoint",
@@ -40,60 +34,17 @@ __all__ = [
     "sigma_inv",
     "random_hpoint",
     "EXCHANGE_2",
-    "DIAG_ROT_2",
     "EXCHANGE_4",
-    "DIAG_ROT_4",
-    "SIGNATURE_4",
-    "BLOCK_SWAP_4",
-    "CAYLEY_L",
-    "CAYLEY_L_INV",
 ]
 
 
 # Exchange involution: swaps the two coordinates; squares to the identity.
 EXCHANGE_2 = Mat2C(0.0, 1.0, 1.0, 0.0)
 
-# Rotation by 45 degrees; conjugation by it diagonalizes every bi-symmetric
-# 2x2 matrix, sending [[t, z], [z, t]] to diag(t + z, t - z).
-_S = 1.0 / math.sqrt(2.0)
-DIAG_ROT_2 = Mat2C(_S, -_S, _S, _S)
-
 EXCHANGE_4 = Mat4R.from_blocks(EXCHANGE_2, Mat2C.zero(), Mat2C.zero(), EXCHANGE_2)
-DIAG_ROT_4 = Mat4R.from_blocks(DIAG_ROT_2, Mat2C.zero(), Mat2C.zero(), DIAG_ROT_2)
-
-# diag(-I, I): the signature the Cayley conjugator carries the symplectic
-# form's Hermitian companion to.
-SIGNATURE_4 = Mat4R(
-    (
-        (-1.0, 0.0, 0.0, 0.0),
-        (0.0, -1.0, 0.0, 0.0),
-        (0.0, 0.0, 1.0, 0.0),
-        (0.0, 0.0, 0.0, 1.0),
-    )
-)
-
-# [[0, I], [I, 0]]: product of the symplectic form with the signature matrix.
-BLOCK_SWAP_4 = Mat4R(
-    (
-        (0.0, 0.0, 1.0, 0.0),
-        (0.0, 0.0, 0.0, 1.0),
-        (1.0, 0.0, 0.0, 0.0),
-        (0.0, 1.0, 0.0, 0.0),
-    )
-)
 
 _I2 = Mat2C.identity()
 _iI2 = _I2.scale(1j)
-
-#: Cayley conjugator [[iI, iI], [-I, I]] bridging the half-space and disc
-#: models; stored as 2x2 blocks because it is genuinely complex.
-CAYLEY_L: Block2 = ((_iI2, _iI2), (-_I2, _I2))
-
-#: Closed-form inverse (1/2) [[-iI, -I], [-iI, I]].
-CAYLEY_L_INV: Block2 = (
-    (_iI2.scale(-0.5), _I2.scale(-0.5)),
-    (_iI2.scale(-0.5), _I2.scale(0.5)),
-)
 
 
 def h_contains(tau: complex, z: complex, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -30,10 +30,6 @@ class NotInHatGroup(ValidationError):
     """Symplectic matrix neither commutes nor anticommutes with the exchange involution."""
 
 
-class MalformedBlocks(ValidationError):
-    """2x2 blocks of a motion matrix violate the sign-patterned layout."""
-
-
 class NotUnimodular(ValidationError):
     """Real 2x2 matrix does not have determinant one."""
 

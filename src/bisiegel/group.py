@@ -1,17 +1,23 @@
 """The motion group of the bi-symmetric half-space.
 
-Motions are real symplectic 4x4 matrices that commute or anticommute with the
-exchange involution; the sign is carried alongside the matrix as ``eps``.
-Every block of such a matrix has the patterned form ``[[x1, x2], [eps*x2,
-eps*x1]]``, which makes the whole group a glued pair of real Moebius groups:
-``split``/``assemble`` translate between a motion and its two 2x2 unimodular
-factors, with ``eps = -1`` additionally swapping the two half-plane factors
-of the space.
+In the factor coordinates ``(tau + z, tau - z)`` the space is a product of
+two upper half-planes, and a motion is a pair of real Moebius maps
+``(m1, m2)`` together with an exchange sign ``eps``: for ``eps = +1`` the
+factors act on the two coordinates in order, for ``eps = -1`` the two images
+are swapped.  Composition, inverse, the action, stabilizers, transports and
+pair reduction are all 2x2 work on the stored factors.
+
+The real symplectic 4x4 matrix of a motion appears only at the boundary.
+``classify`` validates a raw 4x4 (symplectic, commuting or anticommuting
+with the exchange involution) and reads the factors off the top rows of its
+blocks, which have the pattern ``[[x1, x2], [eps*x2, eps*x1]]`` with
+``x1 +- x2`` the entries of ``m1`` and ``m2``; ``MotionMatrix.m`` builds the
+4x4 back for JSON output and for the literal action ``(AZ + B)(CZ + D)^-1``
+that ``verify`` checks the factor action against.
 
 The disc-model motions (complex blocks ``[[A0, B0], [conj B0, conj A0]]``)
-are what the transitivity and stabilizer constructions naturally produce;
-they are converted back to real matrices by conjugating with the Cayley
-blocks and dropping an imaginary residue that must vanish up to tolerance.
+are kept for the bounded model; their half-space counterparts are built
+directly in factor form.
 """
 
 from __future__ import annotations
@@ -21,16 +27,8 @@ import random
 from dataclasses import dataclass
 from math import cos, exp, pi, sin, sqrt
 
-from .domain import (
-    CAYLEY_L,
-    CAYLEY_L_INV,
-    EXCHANGE_4,
-    EPoint,
-    HPoint,
-    cayley_to_disc,
-)
+from .domain import EXCHANGE_4, EPoint, HPoint
 from .errors import (
-    MalformedBlocks,
     NotInHatGroup,
     NotPositiveDefinite,
     NotSymplectic,
@@ -40,17 +38,8 @@ from .errors import (
     UnitModulusViolation,
     ValidationError,
 )
-from .numkit import (
-    DEFAULT_TOL,
-    SYMPLECTIC_FORM,
-    Block2,
-    Mat2C,
-    Mat4R,
-    Tolerance,
-    block_mul,
-    block_real_mat4r,
-    max_abs_diff,
-)
+from .geometry import _factor_dilation
+from .numkit import DEFAULT_TOL, SYMPLECTIC_FORM, Mat2C, Mat4R, Tolerance, max_abs_diff
 
 __all__ = [
     "Sl2Matrix",
@@ -87,7 +76,8 @@ class Sl2Matrix:
         for n, v in zip("abcd", vals):
             object.__setattr__(self, n, v)
         det = vals[0] * vals[3] - vals[1] * vals[2]
-        if abs(det - 1.0) > DEFAULT_TOL.abs_eps:
+        # Written so that a NaN or infinite determinant is rejected too.
+        if not abs(det - 1.0) <= DEFAULT_TOL.abs_eps:
             raise NotUnimodular(f"det={det!r} differs from 1 beyond tolerance")
 
     @classmethod
@@ -108,51 +98,60 @@ class Sl2Matrix:
     def to_json_dict(self) -> dict:
         return {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Sl2Matrix":
-        return cls(doc["a"], doc["b"], doc["c"], doc["d"])
-
-
-def _commutation_residues(m: Mat4R) -> tuple[float, float]:
-    mq = m @ EXCHANGE_4
-    qm = EXCHANGE_4 @ m
-    return max_abs_diff(mq, qm), (mq + qm).max_abs()
-
 
 @dataclass(frozen=True)
 class MotionMatrix:
-    """A motion: real symplectic 4x4 matrix plus its exchange sign."""
+    """A motion: two Moebius factors and the exchange sign.
 
-    m: Mat4R
+    On factor coordinates ``(w1, w2)`` it acts as ``(m1 w1, m2 w2)`` for
+    ``eps = +1`` and as ``(m2 w2, m1 w1)`` for ``eps = -1``.
+    """
+
+    m1: Sl2Matrix
+    m2: Sl2Matrix
     eps: int
 
     def __post_init__(self) -> None:
         if self.eps not in (1, -1):
             raise ValidationError(f"eps must be +1 or -1, got {self.eps!r}")
         object.__setattr__(self, "eps", int(self.eps))
-        j = SYMPLECTIC_FORM
-        sym_res = max_abs_diff(self.m.transpose() @ j @ self.m, j)
-        if sym_res > DEFAULT_TOL.abs_eps:
-            raise NotSymplectic(f"symplectic residual {sym_res:.3e}")
-        commute, anticommute = _commutation_residues(self.m)
-        res = commute if self.eps == 1 else anticommute
-        if res > DEFAULT_TOL.abs_eps:
-            raise NotInHatGroup(f"exchange-commutation residual {res:.3e} for eps={self.eps}")
 
     @classmethod
     def identity(cls) -> "MotionMatrix":
-        return cls(Mat4R.identity(), 1)
+        return cls(Sl2Matrix.identity(), Sl2Matrix.identity(), 1)
 
-    def blocks(self) -> tuple[Mat2C, Mat2C, Mat2C, Mat2C]:
-        return self.m.blocks()
+    @property
+    def m(self) -> Mat4R:
+        """The real symplectic 4x4 matrix, for JSON output and the verify reference.
+
+        Each block is ``[[x1, x2], [eps*x2, eps*x1]]`` with ``x1 +- x2`` the
+        matching entries of ``m1`` and ``m2``.
+        """
+        e = self.eps
+        (a1, a2), (b1, b2), (c1, c2), (d1, d2) = (
+            ((p + q) / 2.0, (p - q) / 2.0)
+            for p, q in zip(
+                (self.m1.a, self.m1.b, self.m1.c, self.m1.d),
+                (self.m2.a, self.m2.b, self.m2.c, self.m2.d),
+            )
+        )
+        return Mat4R(
+            (
+                (a1, a2, b1, b2),
+                (e * a2, e * a1, e * b2, e * b1),
+                (c1, c2, d1, d2),
+                (e * c2, e * c1, e * d2, e * d1),
+            )
+        )
 
     def __matmul__(self, other: "MotionMatrix") -> "MotionMatrix":
-        return MotionMatrix(self.m @ other.m, self.eps * other.eps)
+        # Under an exchanging right factor, each left factor meets the other one.
+        p1, p2 = (self.m1, self.m2) if other.eps == 1 else (self.m2, self.m1)
+        return MotionMatrix(p1 @ other.m1, p2 @ other.m2, self.eps * other.eps)
 
     def inverse(self) -> "MotionMatrix":
-        # For symplectic M the inverse is -J M^T J; the sign is preserved.
-        j = SYMPLECTIC_FORM
-        return MotionMatrix((j @ self.m.transpose() @ j).scale(-1.0), self.eps)
+        i1, i2 = self.m1.inverse(), self.m2.inverse()
+        return MotionMatrix(i1, i2, 1) if self.eps == 1 else MotionMatrix(i2, i1, -1)
 
     def __call__(self, point: HPoint, tol: Tolerance = DEFAULT_TOL) -> HPoint:
         return apply(self, point, tol)
@@ -160,88 +159,68 @@ class MotionMatrix:
     def to_json_dict(self) -> dict:
         return {"m": [list(row) for row in self.m.rows], "eps": self.eps}
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "MotionMatrix":
-        m = Mat4R(tuple(tuple(row) for row in doc["m"]))
-        detected = classify(m)
-        if "eps" in doc and int(doc["eps"]) != detected.eps:
-            raise ValidationError(
-                f"declared eps={doc['eps']} contradicts detected eps={detected.eps}"
-            )
-        return detected
-
 
 def classify(m: Mat4R, tol: Tolerance = DEFAULT_TOL) -> MotionMatrix:
-    """Validate a raw 4x4 matrix as a motion and detect its exchange sign.
+    """Validate a raw 4x4 matrix as a motion and read off its factors.
 
     The sign is the one with the smaller commutation residual; an exact tie
-    resolves to +1 (only near-kernel matrices come close to a tie).
+    resolves to +1 (only near-kernel matrices come close to a tie).  Each
+    factor entry is the sum (``m1``) or difference (``m2``) of the top row
+    of the matching block.
     """
     j = SYMPLECTIC_FORM
     sym_res = max_abs_diff(m.transpose() @ j @ m, j)
     if sym_res > tol.abs_eps:
         raise NotSymplectic(f"symplectic residual {sym_res:.3e} exceeds {tol.abs_eps}")
-    commute, anticommute = _commutation_residues(m)
+    mq = m @ EXCHANGE_4
+    qm = EXCHANGE_4 @ m
+    commute, anticommute = max_abs_diff(mq, qm), (mq + qm).max_abs()
     eps = 1 if commute <= anticommute else -1
     if min(commute, anticommute) > tol.abs_eps:
         raise NotInHatGroup(
             f"commutation residuals ({commute:.3e}, {anticommute:.3e}) both exceed {tol.abs_eps}"
         )
-    return MotionMatrix(m, eps)
+    (a1, a2, b1, b2), _, (c1, c2, d1, d2), _ = m.rows
+    return MotionMatrix(
+        Sl2Matrix(a1 + a2, b1 + b2, c1 + c2, d1 + d2),
+        Sl2Matrix(a1 - a2, b1 - b2, c1 - c2, d1 - d2),
+        eps,
+    )
 
 
 def apply(motion: MotionMatrix, point: HPoint, tol: Tolerance = DEFAULT_TOL) -> HPoint:
-    """Act on a half-space point: (A Z + B)(C Z + D)^-1."""
-    a, b, c, d = motion.blocks()
-    zm = point.as_matrix()
-    den = c @ zm + d
-    if abs(den.det()) <= tol.dom_eps:
-        raise SingularMatrix(f"action denominator |det|={abs(den.det()):.3e}")
-    w = (a @ zm + b) @ den.inverse(tol)
-    # The image of a bi-symmetric point is bi-symmetric; averaging removes
-    # the rounding skew.
-    return HPoint((w.a + w.d) / 2.0, (w.b + w.c) / 2.0)
+    """Act on a half-space point: one Moebius map per factor coordinate.
+
+    The product of the two denominators is det(CZ + D) of the 4x4 action up
+    to sign, and is guarded the same way.
+    """
+    m1, m2 = motion.m1, motion.m2
+    w1, w2 = point.factors()
+    den1 = m1.c * w1 + m1.d
+    den2 = m2.c * w2 + m2.d
+    if abs(den1 * den2) <= tol.dom_eps:
+        raise SingularMatrix(f"action denominator |det|={abs(den1 * den2):.3e}")
+    g1 = (m1.a * w1 + m1.b) / den1
+    g2 = (m2.a * w2 + m2.b) / den2
+    return HPoint.from_factors(g1, g2) if motion.eps == 1 else HPoint.from_factors(g2, g1)
+
+
+def split(motion: MotionMatrix) -> tuple[Sl2Matrix, Sl2Matrix]:
+    """The two unimodular factors of a motion.
+
+    They act on the half-plane coordinates (tau + z, tau - z), in that order
+    for eps = +1 and with the images swapped for eps = -1.
+    """
+    return motion.m1, motion.m2
+
+
+def assemble(m1: Sl2Matrix, m2: Sl2Matrix, eps: int) -> MotionMatrix:
+    """Glue two unimodular factors (and a sign) into a motion."""
+    return MotionMatrix(m1, m2, eps)
 
 
 def _block_pattern_residual(block: Mat2C, eps: int) -> float:
     return max(abs(block.c - eps * block.b), abs(block.d - eps * block.a))
-
-
-def split(motion: MotionMatrix, tol: Tolerance = DEFAULT_TOL) -> tuple[Sl2Matrix, Sl2Matrix]:
-    """Unglue a motion into its two unimodular 2x2 factors.
-
-    Reads the top row of each patterned block; the factors act on the two
-    half-plane coordinates (tau + z, tau - z), in that order for eps = +1 and
-    swapped for eps = -1.
-    """
-    blocks = motion.blocks()
-    res = max(_block_pattern_residual(blk, motion.eps) for blk in blocks)
-    if res > tol.abs_eps:
-        raise MalformedBlocks(f"block pattern residual {res:.3e} for eps={motion.eps}")
-    a, b, c, d = blocks
-    try:
-        m1 = Sl2Matrix(
-            (a.a + a.b).real, (b.a + b.b).real, (c.a + c.b).real, (d.a + d.b).real
-        )
-        m2 = Sl2Matrix(
-            (a.a - a.b).real, (b.a - b.b).real, (c.a - c.b).real, (d.a - d.b).real
-        )
-    except NotUnimodular as exc:
-        raise MalformedBlocks(f"factor determinant drifted from 1: {exc}") from exc
-    return m1, m2
-
-
-def assemble(m1: Sl2Matrix, m2: Sl2Matrix, eps: int, tol: Tolerance = DEFAULT_TOL) -> MotionMatrix:
-    """Glue two unimodular factors (and a sign) back into a motion."""
-
-    def patterned(x1: float, x2: float) -> Mat2C:
-        return Mat2C(x1, x2, eps * x2, eps * x1)
-
-    a = patterned((m1.a + m2.a) / 2.0, (m1.a - m2.a) / 2.0)
-    b = patterned((m1.b + m2.b) / 2.0, (m1.b - m2.b) / 2.0)
-    c = patterned((m1.c + m2.c) / 2.0, (m1.c - m2.c) / 2.0)
-    d = patterned((m1.d + m2.d) / 2.0, (m1.d - m2.d) / 2.0)
-    return MotionMatrix(Mat4R.from_blocks(a, b, c, d), eps)
 
 
 @dataclass(frozen=True)
@@ -285,9 +264,6 @@ class DiscMotion:
         if pat > DEFAULT_TOL.abs_eps:
             raise NotInHatGroup(f"disc-model exchange pattern violated by {pat:.3e}")
 
-    def matrix_blocks(self) -> Block2:
-        return ((self.a0, self.b0), (self.b0.conj(), self.a0.conj()))
-
     def apply(self, point: EPoint, tol: Tolerance = DEFAULT_TOL) -> EPoint:
         zm = point.as_matrix()
         den = self.b0.conj() @ zm + self.a0.conj()
@@ -295,19 +271,6 @@ class DiscMotion:
             raise SingularMatrix(f"disc action denominator |det|={abs(den.det()):.3e}")
         w = (self.a0 @ zm + self.b0) @ den.inverse(tol)
         return EPoint((w.a + w.d) / 2.0, (w.b + w.c) / 2.0)
-
-    def to_halfspace(self, tol: Tolerance = DEFAULT_TOL) -> MotionMatrix:
-        """Conjugate by the Cayley blocks into a real motion matrix.
-
-        The product is real up to rounding; the imaginary residue is checked
-        against ``abs_eps`` before it is dropped.
-        """
-        conj = block_mul(block_mul(CAYLEY_L, self.matrix_blocks()), CAYLEY_L_INV)
-        m4 = block_real_mat4r(conj, tol)
-        try:
-            return MotionMatrix(m4, self.eps)
-        except ValidationError as exc:
-            raise NumericalBreakdown(f"conjugated motion failed validation: {exc}") from exc
 
     def to_json_dict(self) -> dict:
         def entries(m: Mat2C) -> list:
@@ -332,9 +295,18 @@ def stabilizer_of_center(params: StabilizerParams, tol: Tolerance = DEFAULT_TOL)
     return DiscMotion(a0, Mat2C.zero(), params.eps)
 
 
-def stabilizer_of_iI(params: StabilizerParams, tol: Tolerance = DEFAULT_TOL) -> MotionMatrix:
-    """Real motion fixing the base point iI of the half-space model."""
-    return stabilizer_of_center(params, tol).to_halfspace(tol)
+def stabilizer_of_iI(params: StabilizerParams) -> MotionMatrix:
+    """Real motion fixing the base point iI: a rotation about i per factor.
+
+    The factors are ``[[Re xi, Im xi], [-Im xi, Re xi]]`` for xi1 and xi2;
+    conjugated by the Cayley map they are the disc rotations of
+    ``stabilizer_of_center`` with the same parameters.
+    """
+
+    def rotation(xi: complex) -> Sl2Matrix:
+        return Sl2Matrix(xi.real, xi.imag, -xi.imag, xi.real)
+
+    return MotionMatrix(rotation(params.xi1), rotation(params.xi2), params.eps)
 
 
 def bisym_normalizer(k1: float, k2: float, eps: int = 1, tol: Tolerance = DEFAULT_TOL) -> Mat2C:
@@ -373,9 +345,26 @@ def transport_to_center(point: EPoint, tol: Tolerance = DEFAULT_TOL) -> DiscMoti
         raise NumericalBreakdown(f"transport failed validation: {exc}") from exc
 
 
-def transport_to_iI(point: HPoint, tol: Tolerance = DEFAULT_TOL) -> MotionMatrix:
-    """Real motion sending the given half-space point to iI (identity at iI)."""
-    return transport_to_center(cayley_to_disc(point, tol), tol).to_halfspace(tol)
+def _transvection_to_i(w: complex) -> Sl2Matrix:
+    """The symmetric positive factor sending w = x + iy to i.
+
+    It is the square root of A = [[1/y, -x/y], [-x/y, (x^2 + y^2)/y]], whose
+    determinant is one, so the root is (A + I) / sqrt(tr A + 2).
+    """
+    x, y = w.real, w.imag
+    a11, a12, a22 = 1.0 / y, -x / y, (x * x + y * y) / y
+    s = sqrt(a11 + a22 + 2.0)
+    return Sl2Matrix((a11 + 1.0) / s, a12 / s, a12 / s, (a22 + 1.0) / s)
+
+
+def transport_to_iI(point: HPoint) -> MotionMatrix:
+    """Real motion sending the given half-space point to iI (identity at iI).
+
+    It is the Cayley conjugate of ``transport_to_center``, the canonical
+    disc transport.
+    """
+    w1, w2 = point.factors()
+    return MotionMatrix(_transvection_to_i(w1), _transvection_to_i(w2), 1)
 
 
 @dataclass(frozen=True)
@@ -408,14 +397,6 @@ def _half_conj_phase(w: complex) -> complex:
     return cmath.exp(-0.5j * cmath.phase(w))
 
 
-def _pair_dilation(h1: complex, h2: complex) -> float:
-    """Dilation >= 1 carrying the half-plane pair (h1, h2) to (i, lam*i)."""
-    ratio = (h1.imag ** 2 + h2.imag ** 2 + (h1.real - h2.real) ** 2) / (
-        h1.imag * h2.imag
-    )
-    return max((ratio + sqrt(max(ratio * ratio - 4.0, 0.0))) / 2.0, 1.0)
-
-
 def reduce_pair(z_base: HPoint, z_other: HPoint, tol: Tolerance = DEFAULT_TOL) -> ReducedPair:
     """Reduce an ordered pair of half-space points to canonical position.
 
@@ -432,7 +413,7 @@ def reduce_pair(z_base: HPoint, z_other: HPoint, tol: Tolerance = DEFAULT_TOL) -
     where 1 - r has cancelled to the last few bits; they are independent of
     every internal choice.
     """
-    mover_a = transport_to_iI(z_base, tol)
+    mover_a = transport_to_iI(z_base)
     moved = apply(mover_a, z_other, tol)
     # Scalar per-factor Cayley transform for the aligning phases; deliberately
     # not routed through the bounded-model membership gate so near-boundary
@@ -442,8 +423,8 @@ def reduce_pair(z_base: HPoint, z_other: HPoint, tol: Tolerance = DEFAULT_TOL) -
     f_minus = (h_minus - 1j) / (h_minus + 1j)
     b_plus, b_minus = z_base.factors()
     o_plus, o_minus = z_other.factors()
-    lam_plus = _pair_dilation(b_plus, o_plus)
-    lam_minus = _pair_dilation(b_minus, o_minus)
+    lam_plus = _factor_dilation(b_plus, o_plus)[1]
+    lam_minus = _factor_dilation(b_minus, o_minus)[1]
     swap = lam_plus < lam_minus
     lam_big, lam_small = (lam_minus, lam_plus) if swap else (lam_plus, lam_minus)
     r_big = (lam_big - 1.0) / (lam_big + 1.0)
@@ -452,7 +433,7 @@ def reduce_pair(z_base: HPoint, z_other: HPoint, tol: Tolerance = DEFAULT_TOL) -
     params = StabilizerParams(
         _half_conj_phase(f_plus), _half_conj_phase(f_minus), -1 if swap else 1
     )
-    mover = stabilizer_of_iI(params, tol) @ mover_a
+    mover = stabilizer_of_iI(params) @ mover_a
     return ReducedPair(mover, (lam_big + lam_small) / 2.0, (lam_big - lam_small) / 2.0)
 
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainViolation, NonPositiveMu, ZeroParameter
-from .group import Sl2Matrix
 from .numkit import DEFAULT_TOL
 
 __all__ = [
@@ -43,14 +42,19 @@ class HalfPlanePoint:
         return complex(self.x, self.y)
 
 
-def mobius(m: Sl2Matrix, z: HalfPlanePoint) -> HalfPlanePoint:
-    """Linear fractional action (a z + b) / (c z + d)."""
-    w = (m.a * z.as_complex() + m.b) / (m.c * z.as_complex() + m.d)
+#: A real 2x2 matrix [[a, b], [c, d]] as the tuple (a, b, c, d).
+Matrix2 = tuple[float, float, float, float]
+
+
+def mobius(m: Matrix2, z: HalfPlanePoint) -> HalfPlanePoint:
+    """Linear fractional action (a z + b) / (c z + d) of m = (a, b, c, d)."""
+    a, b, c, d = m
+    w = (a * z.as_complex() + b) / (c * z.as_complex() + d)
     return HalfPlanePoint(w.real, w.imag)
 
 
-def map_to_imaginary(z: HalfPlanePoint, mu: float, theta: float = 0.0) -> Sl2Matrix:
-    """Unimodular matrix sending z to mu*i.
+def map_to_imaginary(z: HalfPlanePoint, mu: float, theta: float = 0.0) -> Matrix2:
+    """Unimodular matrix (a, b, c, d) sending z to mu*i.
 
     The family of all such matrices is a dilation times a rotation about i
     times the normalizing shear of z; ``theta`` selects the rotation.
@@ -62,7 +66,7 @@ def map_to_imaginary(z: HalfPlanePoint, mu: float, theta: float = 0.0) -> Sl2Mat
     ct, st = math.cos(theta), math.sin(theta)
     ry = math.sqrt(z.y)
     # diag(rmu, 1/rmu) @ [[ct, st], [-st, ct]] @ [[1/ry, -x/ry], [0, ry]]
-    return Sl2Matrix(
+    return (
         rmu * ct / ry,
         rmu * (-ct * z.x / ry + st * ry),
         -st / (rmu * ry),

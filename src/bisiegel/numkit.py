@@ -2,8 +2,7 @@
 
 Everything is immutable and pure.  Inverses of 2x2 matrices use the closed
 adjugate formula guarded by a determinant threshold; there is deliberately no
-general linear algebra here.  Complex 4x4 matrices only ever appear as 2x2
-grids of :class:`Mat2C` blocks, for which a few helpers are provided.
+general linear algebra here.
 """
 
 from __future__ import annotations
@@ -19,15 +18,8 @@ __all__ = [
     "Mat2C",
     "Mat4R",
     "SYMPLECTIC_FORM",
-    "mat2c_inverse",
     "approx_eq",
     "max_abs_diff",
-    "block_mul",
-    "block_transpose",
-    "block_scale",
-    "block_max_imag",
-    "block_real_mat4r",
-    "block_from_mat4r",
 ]
 
 
@@ -133,19 +125,12 @@ class Mat2C:
     def max_imag(self) -> float:
         return max(abs(self.a.imag), abs(self.b.imag), abs(self.c.imag), abs(self.d.imag))
 
-    def real_part(self) -> "Mat2C":
-        return Mat2C(self.a.real, self.b.real, self.c.real, self.d.real)
-
     def inverse(self, tol: Tolerance = DEFAULT_TOL) -> "Mat2C":
         """Closed-form adjugate inverse; rejects |det| at or below the guard."""
         det = self.det()
         if abs(det) <= tol.dom_eps:
             raise SingularMatrix(f"2x2 inverse with |det|={abs(det):.3e} <= {tol.dom_eps}")
         return Mat2C(self.d / det, -self.b / det, -self.c / det, self.a / det)
-
-
-def mat2c_inverse(m: Mat2C, tol: Tolerance = DEFAULT_TOL) -> Mat2C:
-    return m.inverse(tol)
 
 
 _Row4 = tuple[float, float, float, float]
@@ -254,47 +239,3 @@ def approx_eq(x, y, tol: Tolerance = DEFAULT_TOL) -> bool:
 def max_abs_diff(x, y) -> float:
     """Max entrywise modulus of x - y; works for Mat2C and Mat4R alike."""
     return (x - y).max_abs()
-
-
-# ---------------------------------------------------------------------------
-# Complex 4x4 matrices as 2x2 grids of Mat2C blocks.
-
-Block2 = tuple[tuple[Mat2C, Mat2C], tuple[Mat2C, Mat2C]]
-
-
-def block_from_mat4r(m: Mat4R) -> Block2:
-    ul, ur, ll, lr = m.blocks()
-    return ((ul, ur), (ll, lr))
-
-
-def block_mul(x: Block2, y: Block2) -> Block2:
-    return (
-        (x[0][0] @ y[0][0] + x[0][1] @ y[1][0], x[0][0] @ y[0][1] + x[0][1] @ y[1][1]),
-        (x[1][0] @ y[0][0] + x[1][1] @ y[1][0], x[1][0] @ y[0][1] + x[1][1] @ y[1][1]),
-    )
-
-
-def block_transpose(x: Block2) -> Block2:
-    return (
-        (x[0][0].transpose(), x[1][0].transpose()),
-        (x[0][1].transpose(), x[1][1].transpose()),
-    )
-
-
-def block_scale(s: complex, x: Block2) -> Block2:
-    return ((x[0][0].scale(s), x[0][1].scale(s)), (x[1][0].scale(s), x[1][1].scale(s)))
-
-
-def block_max_imag(x: Block2) -> float:
-    return max(blk.max_imag() for row in x for blk in row)
-
-
-def block_real_mat4r(x: Block2, tol: Tolerance = DEFAULT_TOL) -> Mat4R:
-    """Real part of a block matrix whose imaginary residue must stay below ``abs_eps``."""
-    residue = block_max_imag(x)
-    if residue > tol.abs_eps:
-        raise NumericalBreakdown(f"imaginary residue {residue:.3e} exceeds {tol.abs_eps}")
-    (ul, ur), (ll, lr) = x
-    return Mat4R.from_blocks(
-        ul.real_part(), ur.real_part(), ll.real_part(), lr.real_part()
-    )

@@ -10,6 +10,11 @@ def hp(w: complex) -> HalfPlanePoint:
     return HalfPlanePoint(w.real, w.imag)
 
 
+def entries(m) -> tuple[float, float, float, float]:
+    """A 2x2 factor as the (a, b, c, d) tuple the half-plane oracle takes."""
+    return (m.a, m.b, m.c, m.d)
+
+
 def point_gap(p: HPoint, q: HPoint) -> float:
     return max(abs(p.tau - q.tau), abs(p.z - q.z))
 

@@ -14,11 +14,11 @@ import pytest
 from bisiegel import (
     HPoint,
     Mat4R,
-    MotionMatrix,
     apply,
     assemble,
     cayley_to_disc,
     cayley_to_halfspace,
+    classify,
     connect,
     cross_ratio,
     cross_ratio_eigenvalues,
@@ -37,9 +37,9 @@ from bisiegel import (
 from bisiegel.cli import main as cli_main
 from bisiegel.domain import EXCHANGE_4
 from bisiegel.geometry import Tangent
-from bisiegel.hyperbolic import HalfPlanePoint, mobius
+from bisiegel.hyperbolic import mobius
 
-from conftest import hp, point_gap
+from conftest import entries, hp, point_gap
 
 I_H = HPoint(1j, 0.0)
 TWO_I = HPoint(2j, 0.0)
@@ -67,10 +67,10 @@ def test_criterion_02_kernel_and_closure():
     rng = random.Random(1002)
     start = time.perf_counter()
     kernel = [
-        MotionMatrix(Mat4R.identity(), 1),
-        MotionMatrix(Mat4R.identity().scale(-1.0), 1),
-        MotionMatrix(EXCHANGE_4, 1),
-        MotionMatrix(EXCHANGE_4.scale(-1.0), 1),
+        classify(Mat4R.identity()),
+        classify(Mat4R.identity().scale(-1.0)),
+        classify(EXCHANGE_4),
+        classify(EXCHANGE_4.scale(-1.0)),
     ]
     worst = 0.0
     for _ in range(100):
@@ -112,8 +112,8 @@ def test_criterion_04_factorization():
         z = random_hpoint(rng)
         m1, m2 = split(m)
         f_plus, f_minus = z.factors()
-        g_plus = mobius(m1, HalfPlanePoint(f_plus.real, f_plus.imag)).as_complex()
-        g_minus = mobius(m2, HalfPlanePoint(f_minus.real, f_minus.imag)).as_complex()
+        g_plus = mobius(entries(m1), hp(f_plus)).as_complex()
+        g_minus = mobius(entries(m2), hp(f_minus)).as_complex()
         if m.eps == -1:
             g_plus, g_minus = g_minus, g_plus
         w_plus, w_minus = apply(m, z).factors()

@@ -181,10 +181,11 @@ def test_random_motion_is_valid_and_deterministic(capsys):
     assert code == 0
     code, second, _ = run(capsys, ["random", "motion", "--seed", "7", "--count", "5"])
     assert first == second
-    from bisiegel import MotionMatrix
+    from bisiegel import Mat4R, classify
 
     for line in first.splitlines():
-        MotionMatrix.from_json_dict(json.loads(line))  # validates
+        doc = json.loads(line)
+        assert classify(Mat4R(tuple(tuple(row) for row in doc["m"]))).eps == doc["eps"]
 
 
 def test_verify_small_run_passes(capsys):
@@ -214,6 +215,26 @@ def test_exit_code_validation_errors(files, capsys):
     p = files("p.json", I_JSON)
     code, _, err = run(capsys, ["act", "--matrix", wrong_eps, "--point", p])
     assert code == 2 and "contradicts" in err
+
+
+def test_non_numeric_factor_entry_is_validation_error(files, capsys):
+    m1 = files("m1.json", '{"a":"x","b":0,"c":0,"d":1}')
+    m2 = files("m2.json", '{"a":1,"b":0,"c":0,"d":1}')
+    code, out, err = run(capsys, ["assemble", "--m1", m1, "--m2", m2, "--eps", "1"])
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_non_integer_eps_is_validation_error(files, capsys):
+    m = files("m.json", '{"m":[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]],"eps":"x"}')
+    p = files("p.json", I_JSON)
+    code, out, err = run(capsys, ["act", "--matrix", m, "--point", p])
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_nan_matrix_entry_is_validation_error(files, capsys):
+    m = files("m.json", '{"m":[[NaN,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]}')
+    code, out, err = run(capsys, ["check", "matrix", m])
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_exit_code_numerical_breakdown(files, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -19,23 +20,8 @@ from bisiegel import (
     sigma,
     sigma_inv,
 )
-from bisiegel.domain import (
-    BLOCK_SWAP_4,
-    CAYLEY_L,
-    CAYLEY_L_INV,
-    DIAG_ROT_2,
-    DIAG_ROT_4,
-    EXCHANGE_2,
-    EXCHANGE_4,
-    SIGNATURE_4,
-)
-from bisiegel.numkit import (
-    block_from_mat4r,
-    block_mul,
-    block_scale,
-    block_transpose,
-    max_abs_diff,
-)
+from bisiegel.domain import EXCHANGE_2, EXCHANGE_4
+from bisiegel.numkit import max_abs_diff
 
 from conftest import point_gap
 
@@ -55,32 +41,19 @@ def test_exchange_matrices_are_involutions():
 
 
 def test_diag_rot_is_orthogonal_and_diagonalizes():
-    assert approx_eq(DIAG_ROT_2 @ DIAG_ROT_2.transpose(), Mat2C.identity())
+    # The 45-degree rotation behind the factor coordinates (tau + z, tau - z).
+    r = 1.0 / math.sqrt(2.0)
+    rot = Mat2C(r, -r, r, r)
+    assert approx_eq(rot @ rot.transpose(), Mat2C.identity())
     z = Mat2C.bisym(2j, 1j)
-    d = DIAG_ROT_2.transpose() @ z @ DIAG_ROT_2
+    d = rot.transpose() @ z @ rot
     assert abs(d.b) < 1e-15 and abs(d.c) < 1e-15
     assert abs(d.a - 3j) < 1e-15 and abs(d.d - 1j) < 1e-15
 
 
 def test_block_constants_are_symplectic():
     j = SYMPLECTIC_FORM
-    for m in (DIAG_ROT_4, EXCHANGE_4):
-        assert max_abs_diff(m.transpose() @ j @ m, j) < 1e-15
-
-
-def test_cayley_conjugator_identities():
-    j = block_from_mat4r(SYMPLECTIC_FORM)
-    lhs = block_mul(block_mul(block_transpose(CAYLEY_L), j), CAYLEY_L)
-    assert _block_gap(lhs, block_scale(2j, j)) < 1e-15
-    ident = block_mul(CAYLEY_L, CAYLEY_L_INV)
-    assert _block_gap(ident, block_from_mat4r(Mat4R.identity())) < 1e-15
-    assert max_abs_diff(SYMPLECTIC_FORM @ SIGNATURE_4, BLOCK_SWAP_4) == 0.0
-
-
-def _block_gap(x, y) -> float:
-    return max(
-        max_abs_diff(x[i][j], y[i][j]) for i in range(2) for j in range(2)
-    )
+    assert max_abs_diff(EXCHANGE_4.transpose() @ j @ EXCHANGE_4, j) == 0.0
 
 
 # --------------------------------------------------------------------------

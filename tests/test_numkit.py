@@ -3,17 +3,9 @@ import random
 
 import pytest
 
-from bisiegel import Mat2C, Mat4R, SingularMatrix, Tolerance, approx_eq, mat2c_inverse
+from bisiegel import Mat2C, Mat4R, SingularMatrix, Tolerance, approx_eq
 from bisiegel.errors import NumericalBreakdown
-from bisiegel.numkit import (
-    block_from_mat4r,
-    block_max_imag,
-    block_mul,
-    block_real_mat4r,
-    block_scale,
-    block_transpose,
-    max_abs_diff,
-)
+from bisiegel.numkit import max_abs_diff
 
 
 def test_tolerance_defaults_and_validation():
@@ -26,22 +18,22 @@ def test_tolerance_defaults_and_validation():
 
 
 def test_inverse_identity():
-    assert approx_eq(mat2c_inverse(Mat2C.identity()), Mat2C.identity())
+    assert approx_eq(Mat2C.identity().inverse(), Mat2C.identity())
 
 
 def test_inverse_scalar_diagonal():
     m = Mat2C.diag(2j, 2j)
-    assert approx_eq(mat2c_inverse(m), Mat2C.diag(-0.5j, -0.5j))
+    assert approx_eq(m.inverse(), Mat2C.diag(-0.5j, -0.5j))
 
 
 def test_inverse_unipotent():
     m = Mat2C(1, 1, 0, 1)
-    assert approx_eq(mat2c_inverse(m), Mat2C(1, -1, 0, 1))
+    assert approx_eq(m.inverse(), Mat2C(1, -1, 0, 1))
 
 
 def test_inverse_rejects_singular():
     with pytest.raises(SingularMatrix):
-        mat2c_inverse(Mat2C(1, 1, 1, 1))
+        Mat2C(1, 1, 1, 1).inverse()
 
 
 def test_inverse_involution_property():
@@ -51,7 +43,7 @@ def test_inverse_involution_property():
         m = Mat2C(*(complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(4)))
         if abs(m.det()) < 1e-3:
             continue
-        assert max_abs_diff(mat2c_inverse(mat2c_inverse(m)), m) <= 10 * tol.abs_eps
+        assert max_abs_diff(m.inverse().inverse(), m) <= 10 * tol.abs_eps
 
 
 def test_det_multiplicative():
@@ -91,27 +83,6 @@ def test_mat4r_blocks_roundtrip():
     rng = random.Random(404)
     m = Mat4R(tuple(tuple(rng.uniform(-1, 1) for _ in range(4)) for _ in range(4)))
     assert max_abs_diff(Mat4R.from_blocks(*m.blocks()), m) == 0.0
-
-
-def test_block_algebra_matches_mat4r():
-    rng = random.Random(505)
-    a = Mat4R(tuple(tuple(rng.uniform(-1, 1) for _ in range(4)) for _ in range(4)))
-    b = Mat4R(tuple(tuple(rng.uniform(-1, 1) for _ in range(4)) for _ in range(4)))
-    via_blocks = block_real_mat4r(block_mul(block_from_mat4r(a), block_from_mat4r(b)))
-    assert max_abs_diff(via_blocks, a @ b) < 1e-13
-    assert (
-        max_abs_diff(
-            block_real_mat4r(block_transpose(block_from_mat4r(a))), a.transpose()
-        )
-        == 0.0
-    )
-
-
-def test_block_scale_and_imag_guard():
-    blk = block_scale(1j, block_from_mat4r(Mat4R.identity()))
-    assert block_max_imag(blk) == 1.0
-    with pytest.raises(NumericalBreakdown):
-        block_real_mat4r(blk)
 
 
 def test_bisym_constructor():
