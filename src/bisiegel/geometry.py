@@ -3,24 +3,22 @@ volume density.
 
 The invariant metric is tr(Y^-1 dZ Y^-1 d(conj Z)) at Z = X + iY.  In the
 factor coordinates (tau + z, tau - z) it splits into two half-plane metrics
-|dw|^2 / (Im w)^2, which is what all the closed forms below exploit: the
-distance combines the two per-factor dilations, and a geodesic is a pair of
-half-plane geodesics traversed with a common arc-length parameter.
+|dw|^2 / (Im w)^2, and every closed form below is computed per factor from
+one quantity, the chord s = |w - w'| / (2 sqrt(y y')) = sinh(d/2) of the
+half-plane distance d: the distance is the root-sum-square of the two
+2 asinh(s), the cross ratio has the eigenvalues tanh^2(d/2), and a geodesic
+is a pair of half-plane geodesics traversed with a common arc-length
+parameter.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .domain import HPoint
-from .errors import (
-    DegeneratePair,
-    DomainViolation,
-    NumericalBreakdown,
-    OutOfRange,
-)
+from .errors import DegeneratePair, DomainViolation, NumericalBreakdown, OutOfRange
 from .numkit import DEFAULT_TOL, Mat2C, Tolerance
 
 __all__ = [
@@ -57,145 +55,155 @@ class Tangent:
         object.__setattr__(self, "dtau", dtau)
         object.__setattr__(self, "dz", dz)
 
-    def as_matrix(self) -> Mat2C:
-        return Mat2C.bisym(self.dtau, self.dz)
-
     def factors(self) -> tuple[complex, complex]:
         return (self.dtau + self.dz, self.dtau - self.dz)
 
 
-def cross_ratio(z: HPoint, z1: HPoint, tol: Tolerance = DEFAULT_TOL) -> Mat2C:
+def _chord(w1: complex, w2: complex) -> float:
+    """sinh(d/2) for the half-plane distance d between two factor coordinates.
+
+    |w1 - w2| / (2 sqrt(y1 y2)) (Beardon, The Geometry of Discrete Groups,
+    1983, 7.2): no cancellation for near pairs; inf past the float range.
+    """
+    return abs(w1 - w2) / (2.0 * math.sqrt(w1.imag) * math.sqrt(w2.imag))
+
+
+def _half_distance(w1: complex, w2: complex) -> float:
+    """d/2 = asinh(s) for the chord s; where s overflows, log(2 s) in logs."""
+    s = _chord(w1, w2)
+    if s < math.inf:
+        return math.asinh(s)
+    return math.log(abs(w1 / 2.0 - w2 / 2.0)) + math.log(4.0 / (w1.imag * w2.imag)) / 2.0
+
+
+def _chords(z1: HPoint, z2: HPoint) -> tuple[float, float]:
+    (a1, a2), (b1, b2) = z1.factors(), z2.factors()
+    return _chord(a1, b1), _chord(a2, b2)
+
+
+def _tanh_sq(s: float) -> float:
+    """|w - w1|^2 / |w - conj w1|^2 = tanh^2(d/2) from the chord s = sinh(d/2)."""
+    return (s / math.hypot(1.0, s)) ** 2 if s < math.inf else 1.0
+
+
+def cross_ratio(z: HPoint, z1: HPoint) -> Mat2C:
     """Matrix cross ratio (Z-Z1)(Z-conj Z1)^-1 (conj Z-conj Z1)(conj Z-Z1)^-1.
 
-    Its eigenvalues lie in [0, 1) and classify the pair up to a motion.
+    It is bi-symmetric and assembled from its eigenvalues, the per-factor
+    cross ratios, which lie in [0, 1) and classify the pair up to a motion.
     """
-    a = z.as_matrix()
-    b = z1.as_matrix()
-    ac, bc = a.conj(), b.conj()
-    return (a - b) @ (a - bc).inverse(tol) @ (ac - bc) @ (ac - b).inverse(tol)
+    rho_plus, rho_minus = (_tanh_sq(s) for s in _chords(z, z1))
+    return Mat2C.bisym((rho_plus + rho_minus) / 2.0, (rho_plus - rho_minus) / 2.0)
 
 
-def cross_ratio_eigenvalues(
-    z: HPoint, z1: HPoint, tol: Tolerance = DEFAULT_TOL
-) -> tuple[float, float]:
-    """Eigenvalues of the cross ratio, descending.
-
-    A bi-symmetric matrix diagonalizes by the fixed 45-degree rotation, so
-    the eigenvalues are just sum and difference of the two distinct entries;
-    no general eigensolver is involved.  The imaginary residue must vanish.
-    """
-    r = cross_ratio(z, z1, tol)
-    on_diag = (r.a + r.d) / 2.0
-    off_diag = (r.b + r.c) / 2.0
-    ev = (on_diag + off_diag, on_diag - off_diag)
-    residue = max(abs(v.imag) for v in ev)
-    if residue > tol.abs_eps:
-        raise NumericalBreakdown(f"cross ratio eigenvalue imaginary residue {residue:.3e}")
-    lo, hi = sorted((ev[0].real, ev[1].real))
+def cross_ratio_eigenvalues(z: HPoint, z1: HPoint) -> tuple[float, float]:
+    """Eigenvalues of the cross ratio, descending: tanh^2(d/2) per factor."""
+    lo, hi = sorted(_tanh_sq(s) for s in _chords(z, z1))
     return (hi, lo)
 
 
-def metric_form(point: HPoint, d: Tangent, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Squared length tr(Y^-1 dZ Y^-1 d(conj Z)) of a tangent displacement."""
-    y_inv = point.imag_matrix().inverse(tol)
-    dz = d.as_matrix()
-    val = (y_inv @ dz @ y_inv @ dz.conj()).trace()
-    return max(val.real, 0.0)
+def metric_form(point: HPoint, d: Tangent) -> float:
+    """Squared length tr(Y^-1 dZ Y^-1 d(conj Z)) of a tangent displacement,
+    summed over the factors as |dw|^2 / (Im w)^2."""
+    h = math.hypot(*(abs(dw) / w.imag for w, dw in zip(point.factors(), d.factors())))
+    return h * h
 
 
-def _factor_dilation(f1: complex, f2: complex) -> tuple[float, float]:
-    """Per-factor invariants: the chordal ratio and its dilation >= 1."""
-    x, y = f1.real, f1.imag
-    u, v = f2.real, f2.imag
-    big = (y * y + v * v + (x - u) ** 2) / (y * v)
-    if big < 2.0 - 1e-9:
-        # >= 2 by the arithmetic-geometric inequality; only garbage gets here
-        raise NumericalBreakdown(f"chordal ratio {big!r} below 2")
-    big = max(big, 2.0)
-    lam = (big + math.sqrt(max(big * big - 4.0, 0.0))) / 2.0
-    return big, lam
+def distance_params(z1: HPoint, z2: HPoint) -> tuple[float, ...]:
+    """The two per-factor ratios 2 cosh d = 2 + 4 sinh^2(d/2) (each >= 2)."""
+    out = tuple(2.0 + 4.0 * s * s for s in _chords(z1, z2))
+    if not max(out) < math.inf:
+        raise NumericalBreakdown(f"2 cosh d overflows: {out!r}")
+    return out
 
 
-def distance_params(z1: HPoint, z2: HPoint) -> tuple[float, float]:
-    """The two per-factor ratios (each >= 2) entering the distance."""
-    a1, a2 = z1.factors()
-    b1, b2 = z2.factors()
-    return _factor_dilation(a1, b1)[0], _factor_dilation(a2, b2)[0]
+def _factor_distances(z1: HPoint, z2: HPoint) -> tuple[float, ...]:
+    (a1, a2), (b1, b2) = z1.factors(), z2.factors()
+    return 2.0 * _half_distance(a1, b1), 2.0 * _half_distance(a2, b2)
 
 
-def distance(z1: HPoint, z2: HPoint, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Invariant distance: root-sum-square of the two factor log-dilations.
+def distance(z1: HPoint, z2: HPoint) -> float:
+    """Invariant distance: root-sum-square of the two factor distances."""
+    return math.hypot(*_factor_distances(z1, z2))
 
-    Exactly zero when both factor coordinates coincide within ``dom_eps``,
-    bypassing logs of values barely above 1.
+
+def _legs(f1: complex, f2: complex) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Constants of the half-plane geodesic between f1 and f2, one tuple from
+    each end: (x, y, dx, v, d, expm1(-2d), e^{d/2}) for the start x + iy, the
+    offset dx and height v of the other end, and the length d, with
+    e^{d/2} = s + sqrt(1 + s^2) for the chord s."""
+    s = _chord(f1, f2)
+    d, m = 2.0 * math.asinh(s), s + math.hypot(1.0, s)
+    if m == math.inf:
+        raise NumericalBreakdown(f"e^(d/2) overflows for the factor chord {s!r}")
+    shared = (d, math.expm1(-2.0 * d), m)
+    return ((f1.real, f1.imag, f2.real - f1.real, f2.imag) + shared,
+            (f2.real, f2.imag, f1.real - f2.real, f1.imag) + shared)
+
+
+def _leg_point(leg: tuple[float, ...], t: float) -> complex:
+    """Point at fraction t <= 1/2 of a half-plane geodesic leg.
+
+    With sig(t) = sinh(dt) / sinh(d) the point is x + y (dx sig(t) + i v) /
+    (y sig(t) + v sig(1 - t)).  Numerator and denominator are scaled by
+    e^{dt} = (e^{d/2})^{2t}, which keeps a = e^{dt} sig(1 - t) in [1/2, 1],
+    b = e^{dt} sig(t) in [0, 1] and e^{dt} / (a + b y / v) below 2 e^{d/2}:
+    only r = b y / v can overflow, and only where y / v itself does.
     """
-    a1, a2 = z1.factors()
-    b1, b2 = z2.factors()
-    if abs(a1 - b1) <= tol.dom_eps and abs(a2 - b2) <= tol.dom_eps:
-        return 0.0
-    _, lam = _factor_dilation(a1, b1)
-    _, lam_tilde = _factor_dilation(a2, b2)
-    return math.hypot(math.log(lam), math.log(lam_tilde))
-
-
-def _unit_drift(u: float, t: float) -> float:
-    """(lam^{2t} - 1) / (lam^2 - 1) for u = log lam, stable near u = 0."""
-    if u < 1e-9:
-        # Unit-dilation branch: the moving terms this multiplies vanish at
-        # the same rate, so the continuity limit t is exact enough.
-        return t
-    return math.expm1(2.0 * u * t) / math.expm1(2.0 * u)
-
-
-def _factor_geodesic(f1: complex, f2: complex, lam: float, t: float) -> complex:
-    """Point at fraction t of the half-plane geodesic from f1 to f2.
-
-    Closed form: the start-normalizing shear pulls the segment onto the
-    vertical line i -> lam*i, which is traversed as lam^t.
-    """
-    x, y = f1.real, f1.imag
-    u, v = f2.real, f2.imag
-    if lam <= 1.0 + 1e-9:
-        return complex(x, y * lam**t)
-    g = _unit_drift(math.log(lam), t)
-    num = lam * (u - x) * g + 1j * v * lam**t
-    den = (lam * y - v) * g + v
-    return x + y * num / den
+    x, y, dx, v, d, em, m = leg
+    if dx == 0.0:
+        # A vertical leg is y^(1-t) v^t, with fewer roundings.
+        return complex(x, y ** (1.0 - t) * v**t)
+    if d < 1e-16:
+        # The t-dependence of a and b beyond 1 - t and t is below rounding
+        # (and d = 0 would divide by expm1(0) = 0).
+        a, b, c = 1.0 - t, t, 1.0
+    else:
+        a = math.expm1(-2.0 * d * (1.0 - t)) / em
+        b = m ** (4.0 * t - 2.0) * math.expm1(-2.0 * d * t) / em
+        c = m ** (2.0 * t)
+    r = b * y / v
+    k = a + r
+    return complex(x + dx * (r / k), y * (c / k))
 
 
 @dataclass(frozen=True)
 class GeodesicSpec:
-    """Endpoint data of a geodesic segment: points, length, factor dilations."""
+    """Endpoint data of a geodesic segment: points, length, factor distances."""
 
     z1: HPoint
     z2: HPoint
     s0: float
-    lam: float
-    lam_tilde: float
+    d1: float
+    d2: float
+    _legs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.lam < 1.0 or self.lam_tilde < 1.0:
-            raise ValueError("factor dilations must be >= 1")
-        a1, a2 = self.z1.factors()
-        b1, b2 = self.z2.factors()
+        if not (self.d1 >= 0.0 and self.d2 >= 0.0):
+            raise ValueError("factor distances must be >= 0")
+        (a1, a2), (b1, b2) = self.z1.factors(), self.z2.factors()
+        (fwd1, bwd1), (fwd2, bwd2) = _legs(a1, b1), _legs(a2, b2)
         drift = max(
-            abs(self.lam - _factor_dilation(a1, b1)[1]),
-            abs(self.lam_tilde - _factor_dilation(a2, b2)[1]),
-            abs(self.s0 - math.hypot(math.log(self.lam), math.log(self.lam_tilde))),
+            abs(self.d1 - fwd1[4]),
+            abs(self.d2 - fwd2[4]),
+            abs(self.s0 - math.hypot(self.d1, self.d2)),
         )
-        if drift > DEFAULT_TOL.abs_eps * max(1.0, self.lam, self.lam_tilde):
+        if drift > DEFAULT_TOL.abs_eps * max(1.0, self.s0):
             raise ValueError(f"endpoint data inconsistent with the endpoints (drift {drift:.3e})")
+        # Forward legs serve t <= 1/2, backward legs (from z2) the rest.
+        object.__setattr__(self, "_legs", (fwd1, fwd2, bwd1, bwd2))
 
     def line_point(self, s: float) -> HPoint:
         """Point on the full geodesic line at arc length s from the first
-        endpoint (s may leave [0, s0]; the segment endpoints are at 0 and s0)."""
+        endpoint (s may leave [0, s0]; the segment endpoints are at 0 and s0).
+
+        Both factors move the same fraction t = s / s0 of their distance.
+        """
         t = s / self.s0
-        a1, a2 = self.z1.factors()
-        b1, b2 = self.z2.factors()
-        return HPoint.from_factors(
-            _factor_geodesic(a1, b1, self.lam, t),
-            _factor_geodesic(a2, b2, self.lam_tilde, t),
-        )
+        fwd1, fwd2, bwd1, bwd2 = self._legs
+        if t <= 0.5:
+            return HPoint.from_factors(_leg_point(fwd1, t), _leg_point(fwd2, t))
+        return HPoint.from_factors(_leg_point(bwd1, 1.0 - t), _leg_point(bwd2, 1.0 - t))
 
     def point(self, s: float, tol: Tolerance = DEFAULT_TOL) -> HPoint:
         if not (-tol.abs_eps <= s <= self.s0 + tol.abs_eps):
@@ -205,14 +213,11 @@ class GeodesicSpec:
 
 def connect(z1: HPoint, z2: HPoint, tol: Tolerance = DEFAULT_TOL) -> GeodesicSpec:
     """Geodesic segment data for a pair of distinct points."""
-    s0 = distance(z1, z2, tol)
+    d1, d2 = _factor_distances(z1, z2)
+    s0 = math.hypot(d1, d2)
     if s0 < tol.dom_eps:
         raise DegeneratePair("geodesic through coincident points is undetermined")
-    a1, a2 = z1.factors()
-    b1, b2 = z2.factors()
-    _, lam = _factor_dilation(a1, b1)
-    _, lam_tilde = _factor_dilation(a2, b2)
-    return GeodesicSpec(z1, z2, s0, lam, lam_tilde)
+    return GeodesicSpec(z1, z2, s0, d1, d2)
 
 
 def geodesic(z1: HPoint, z2: HPoint, s: float, tol: Tolerance = DEFAULT_TOL) -> HPoint:
@@ -275,16 +280,14 @@ def simpson(f: Callable[[float], float], a: float, b: float, panels: int) -> flo
     return total * h / 3.0
 
 
-def path_speed(
-    curve: Callable[[float], HPoint], s: float, h: float, tol: Tolerance = DEFAULT_TOL
-) -> float:
+def path_speed(curve: Callable[[float], HPoint], s: float, h: float) -> float:
     """Metric speed of a curve at s, tangent taken by central differences."""
     z_plus = curve(s + h)
     z_minus = curve(s - h)
     d = Tangent(
         (z_plus.tau - z_minus.tau) / (2.0 * h), (z_plus.z - z_minus.z) / (2.0 * h)
     )
-    return math.sqrt(metric_form(curve(s), d, tol))
+    return math.sqrt(metric_form(curve(s), d))
 
 
 def path_length(
@@ -292,11 +295,10 @@ def path_length(
     s_from: float,
     s_to: float,
     panels: int = 10_000,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> float:
     """Simpson-integrated metric length of a curve between two parameters."""
     h = max(abs(s_to - s_from), 1.0) * 1e-5
-    return simpson(lambda s: path_speed(curve, s, h, tol), s_from, s_to, panels)
+    return simpson(lambda s: path_speed(curve, s, h), s_from, s_to, panels)
 
 
 def volume_density(point: HPoint) -> float:

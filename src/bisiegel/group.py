@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import random
 from dataclasses import dataclass
-from math import cos, exp, pi, sin, sqrt
+from math import cos, exp, hypot, pi, sin, sqrt
 
 from .domain import EXCHANGE_4, EPoint, HPoint
 from .errors import (
@@ -38,7 +38,7 @@ from .errors import (
     UnitModulusViolation,
     ValidationError,
 )
-from .geometry import _factor_dilation
+from .geometry import _chords
 from .numkit import DEFAULT_TOL, SYMPLECTIC_FORM, Mat2C, Mat4R, Tolerance, max_abs_diff
 
 __all__ = [
@@ -62,6 +62,11 @@ __all__ = [
 ]
 
 
+#: Determinant rounding allowed per unit of |ad| + |bc| (8 ulps; transvections
+#: and rescaled products measure up to 3), and its cap, hit at entries near 1e6.
+_DET_ULPS, _DET_CAP = 8.0 * 2.0**-53, 2.0**-10
+
+
 @dataclass(frozen=True)
 class Sl2Matrix:
     """Real 2x2 matrix of determinant one (a Moebius factor)."""
@@ -75,22 +80,27 @@ class Sl2Matrix:
         vals = tuple(float(getattr(self, n)) for n in "abcd")
         for n, v in zip("abcd", vals):
             object.__setattr__(self, n, v)
-        det = vals[0] * vals[3] - vals[1] * vals[2]
-        # Written so that a NaN or infinite determinant is rejected too.
-        if not abs(det - 1.0) <= DEFAULT_TOL.abs_eps:
-            raise NotUnimodular(f"det={det!r} differs from 1 beyond tolerance")
+        ad, bc = vals[0] * vals[3], vals[1] * vals[2]
+        # The bound grows with the determinant's rounding but stays far below
+        # 1, so det 0 or det < 0 never passes; `not <=` rejects NaN.
+        bound = min(max(DEFAULT_TOL.abs_eps, _DET_ULPS * (abs(ad) + abs(bc))), _DET_CAP)
+        if not abs(ad - bc - 1.0) <= bound:
+            raise NotUnimodular(f"det={ad - bc!r} differs from 1 by more than {bound:.3e}")
 
     @classmethod
     def identity(cls) -> "Sl2Matrix":
         return cls(1.0, 0.0, 0.0, 1.0)
 
     def __matmul__(self, other: "Sl2Matrix") -> "Sl2Matrix":
-        return Sl2Matrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        a = self.a * other.a + self.b * other.c
+        b = self.a * other.b + self.b * other.d
+        c = self.c * other.a + self.d * other.c
+        d = self.c * other.b + self.d * other.d
+        # Rounding is relative to the operands' entries, which may far exceed
+        # the product's: rescale to det 1 (the Moebius map does not change).
+        det = a * d - b * c
+        k = 1.0 / sqrt(det) if det > 0.0 else 1.0
+        return Sl2Matrix(a * k, b * k, c * k, d * k)
 
     def inverse(self) -> "Sl2Matrix":
         return Sl2Matrix(self.d, -self.b, -self.c, self.a)
@@ -127,13 +137,10 @@ class MotionMatrix:
         Each block is ``[[x1, x2], [eps*x2, eps*x1]]`` with ``x1 +- x2`` the
         matching entries of ``m1`` and ``m2``.
         """
-        e = self.eps
+        e, m1, m2 = self.eps, self.m1, self.m2
         (a1, a2), (b1, b2), (c1, c2), (d1, d2) = (
             ((p + q) / 2.0, (p - q) / 2.0)
-            for p, q in zip(
-                (self.m1.a, self.m1.b, self.m1.c, self.m1.d),
-                (self.m2.a, self.m2.b, self.m2.c, self.m2.d),
-            )
+            for p, q in ((m1.a, m2.a), (m1.b, m2.b), (m1.c, m2.c), (m1.d, m2.d))
         )
         return Mat4R(
             (
@@ -318,10 +325,8 @@ def bisym_normalizer(k1: float, k2: float, eps: int = 1, tol: Tolerance = DEFAUL
     k1, k2 = float(k1), float(k2)
     if not k1 > abs(k2) + tol.dom_eps:
         raise NotPositiveDefinite(f"k1={k1!r} must exceed |k2|={abs(k2)!r}")
-    s_plus = 1.0 / sqrt(k1 + k2)
-    s_minus = 1.0 / sqrt(k1 - k2)
-    x1 = (s_plus + s_minus) / 2.0
-    x2 = (s_plus - s_minus) / 2.0
+    s_plus, s_minus = 1.0 / sqrt(k1 + k2), 1.0 / sqrt(k1 - k2)
+    x1, x2 = (s_plus + s_minus) / 2.0, (s_plus - s_minus) / 2.0
     return Mat2C(x1, x2, eps * x2, eps * x1)
 
 
@@ -335,8 +340,7 @@ def transport_to_center(point: EPoint, tol: Tolerance = DEFAULT_TOL) -> DiscMoti
     k = Mat2C.identity() - zm @ zm.conj()
     if k.max_imag() > tol.abs_eps:
         raise NumericalBreakdown(f"Gram matrix imaginary residue {k.max_imag():.3e}")
-    k1 = (k.a.real + k.d.real) / 2.0
-    k2 = (k.b.real + k.c.real) / 2.0
+    k1, k2 = (k.a.real + k.d.real) / 2.0, (k.b.real + k.c.real) / 2.0
     a0 = bisym_normalizer(k1, k2, 1, tol)
     b0 = -(a0 @ zm)
     try:
@@ -421,15 +425,14 @@ def reduce_pair(z_base: HPoint, z_other: HPoint, tol: Tolerance = DEFAULT_TOL) -
     h_plus, h_minus = moved.factors()
     f_plus = (h_plus - 1j) / (h_plus + 1j)
     f_minus = (h_minus - 1j) / (h_minus + 1j)
-    b_plus, b_minus = z_base.factors()
-    o_plus, o_minus = z_other.factors()
-    lam_plus = _factor_dilation(b_plus, o_plus)[1]
-    lam_minus = _factor_dilation(b_minus, o_minus)[1]
-    swap = lam_plus < lam_minus
-    lam_big, lam_small = (lam_minus, lam_plus) if swap else (lam_plus, lam_minus)
-    r_big = (lam_big - 1.0) / (lam_big + 1.0)
-    if r_big >= 1.0 - tol.dom_eps:
+    s_plus, s_minus = _chords(z_base, z_other)
+    swap = s_plus < s_minus
+    s_big, s_small = (s_minus, s_plus) if swap else (s_plus, s_minus)
+    # For the chord s = sinh(d/2): r = tanh(d/2) and the dilation is e^d.
+    r_big = s_big / hypot(1.0, s_big)
+    if not r_big < 1.0 - tol.dom_eps:
         raise NumericalBreakdown(f"factor radius {r_big!r} too close to the boundary")
+    lam_big, lam_small = ((s + hypot(1.0, s)) ** 2 for s in (s_big, s_small))
     params = StabilizerParams(
         _half_conj_phase(f_plus), _half_conj_phase(f_minus), -1 if swap else 1
     )

@@ -5,9 +5,9 @@ check name), measures a worst-case residual over the requested number of
 trials, and compares it against the tolerance pinned for that invariant.
 The CLI renders the results as a pass/fail table.
 
-Motions act through their two Moebius factors; the literal 4x4 action
-``(AZ + B)(CZ + D)^-1`` lives here only as the reference that the factor
-action is checked against.
+Motions and the geometry are computed per factor; the literal 4x4 action
+``(AZ + B)(CZ + D)^-1`` and matrix cross ratio live here only as the
+references that the factor forms are checked against.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .group import (
     split,
 )
 from .hyperbolic import HalfPlanePoint, hyp_distance
-from .numkit import DEFAULT_TOL, Mat4R
+from .numkit import DEFAULT_TOL, Mat2C, Mat4R, max_abs_diff
 
 __all__ = ["CheckResult", "run_suite", "SUITE"]
 
@@ -87,6 +87,14 @@ def _reference_apply(m: Mat4R, point: HPoint) -> HPoint:
     # The image of a bi-symmetric point is bi-symmetric; averaging removes
     # the rounding skew.
     return HPoint((w.a + w.d) / 2.0, (w.b + w.c) / 2.0)
+
+
+def _reference_cross_ratio(z: HPoint, z1: HPoint) -> Mat2C:
+    """The matrix cross ratio (Z-Z1)(Z-conj Z1)^-1 (conj Z-conj Z1)(conj Z-Z1)^-1,
+    computed literally."""
+    a, b = z.as_matrix(), z1.as_matrix()
+    ac, bc = a.conj(), b.conj()
+    return (a - b) @ (a - bc).inverse() @ (ac - bc) @ (ac - b).inverse()
 
 
 def _check_cayley_roundtrip(rng: random.Random, trials: int) -> float:
@@ -153,13 +161,7 @@ def _check_split_assemble(rng: random.Random, trials: int) -> float:
         eps = 1 if rng.random() < 0.5 else -1
         r1, r2 = split(classify(assemble(m1, m2, eps).m))
         for got, want in ((r1, m1), (r2, m2)):
-            worst = max(
-                worst,
-                abs(got.a - want.a),
-                abs(got.b - want.b),
-                abs(got.c - want.c),
-                abs(got.d - want.d),
-            )
+            worst = max(worst, *(abs(getattr(got, n) - getattr(want, n)) for n in "abcd"))
     return worst
 
 
@@ -217,13 +219,9 @@ def _check_pythagoras(rng: random.Random, trials: int) -> float:
     for _ in range(trials):
         z1 = random_hpoint(rng)
         z2 = random_hpoint(rng)
-        a1, a2 = z1.factors()
-        b1, b2 = z2.factors()
-        d_plus = hyp_distance(
-            HalfPlanePoint(a1.real, a1.imag), HalfPlanePoint(b1.real, b1.imag)
-        )
-        d_minus = hyp_distance(
-            HalfPlanePoint(a2.real, a2.imag), HalfPlanePoint(b2.real, b2.imag)
+        d_plus, d_minus = (
+            hyp_distance(HalfPlanePoint(a.real, a.imag), HalfPlanePoint(b.real, b.imag))
+            for a, b in zip(z1.factors(), z2.factors())
         )
         worst = max(worst, abs(distance(z1, z2) ** 2 - d_plus**2 - d_minus**2))
     return worst
@@ -239,6 +237,7 @@ def _check_cross_ratio_invariance(rng: random.Random, trials: int) -> float:
         worst = max(
             worst,
             abs(cross_ratio(z1, z2).trace() - cross_ratio(w1, w2).trace()),
+            max_abs_diff(cross_ratio(z1, z2), _reference_cross_ratio(z1, z2)),
         )
         ev = cross_ratio_eigenvalues(z1, z2)
         ev_m = cross_ratio_eigenvalues(w1, w2)
@@ -340,12 +339,8 @@ def _check_volume_jacobian(rng: random.Random, trials: int) -> float:
         base = (z.tau.real, z.z.real, z.tau.imag, z.z.imag)
         jac = np.empty((4, 4))
         for j in range(4):
-            bumped_plus = list(base)
-            bumped_minus = list(base)
-            bumped_plus[j] += h
-            bumped_minus[j] -= h
-            f_plus = coords(*bumped_plus)
-            f_minus = coords(*bumped_minus)
+            f_plus = coords(*(x + h if k == j else x for k, x in enumerate(base)))
+            f_minus = coords(*(x - h if k == j else x for k, x in enumerate(base)))
             for i in range(4):
                 jac[i, j] = (f_plus[i] - f_minus[i]) / (2.0 * h)
         w = apply(m, z)

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import pytest
 
@@ -33,6 +34,43 @@ def test_distance_golden(files, capsys):
     code, out, _ = run(capsys, ["distance", "--z1", z1, "--z2", z2])
     assert code == 0
     assert out == '{"rho":0.980258143468547,"A":2.5,"B":2.5}\n'
+
+
+def test_far_pair_distance_and_geodesic(files, capsys):
+    # The factor heights differ by 1e160, so their squares overflow; the
+    # distance and the geodesic must not go through them.
+    z1 = files("z1.json", I_JSON)
+    z2 = files("z2.json", '{"tau":[0,1e160],"z":[0,0]}')
+    code, out, _ = run(capsys, ["distance", "--z1", z1, "--z2", z2])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["rho"] == pytest.approx(2.0 * math.sqrt(2.0) * math.log(1e80), rel=1e-12)
+    assert math.isfinite(doc["A"]) and math.isfinite(doc["B"])
+    code, out, _ = run(capsys, ["geodesic", "--z1", z1, "--z2", z2, "--samples", "3"])
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+    assert rows[0][1:] == [0.0, 1.0, 0.0, 0.0]
+    assert rows[1][0] == pytest.approx(doc["rho"] / 2.0, rel=1e-12)
+    assert rows[1][2] == pytest.approx(1e80, rel=1e-12)
+    assert rows[2][1:] == [0.0, 1e160, 0.0, 0.0]
+
+
+def test_pair_beyond_the_float_range_of_cosh(files, capsys):
+    # The chord overflows while the distance is near 2000: no "inf" output,
+    # and no traceback.
+    z1 = files("z1.json", I_JSON)
+    z2 = files("z2.json", '{"tau":[1e304,2e-11],"z":[0,0]}')
+    for cmd in ("distance", "geodesic"):
+        code, out, err = run(capsys, [cmd, "--z1", z1, "--z2", z2])
+        assert code == 3 and out == "" and "overflows" in err
+
+
+def test_singular_and_reflecting_factors_are_rejected(files, capsys):
+    m2 = files("m2.json", '{"a":1,"b":0,"c":0,"d":1}')
+    for doc in ('{"a":1e6,"b":1e6,"c":1e6,"d":1e6}', '{"a":1000001,"b":1e6,"c":1e6,"d":999999}'):
+        m1 = files("m1.json", doc)
+        code, out, err = run(capsys, ["assemble", "--m1", m1, "--m2", m2, "--eps", "1"])
+        assert code == 2 and out == "" and "det=" in err
 
 
 def test_volume_golden(files, capsys):

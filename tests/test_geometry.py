@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from bisiegel import (
     DegeneratePair,
     HalfPlanePoint,
     HPoint,
+    Mat2C,
     OutOfRange,
     Tangent,
     apply,
@@ -28,7 +30,8 @@ from bisiegel import (
     simpson,
     volume_density,
 )
-from bisiegel.errors import DomainViolation
+from bisiegel.errors import DomainViolation, NumericalBreakdown
+from bisiegel.verify import _reference_cross_ratio
 
 from conftest import hp, point_gap
 
@@ -71,7 +74,7 @@ def test_cross_ratio_eigenvalues_against_general_solver(rng):
     for _ in range(100):
         z1 = random_hpoint(rng)
         z2 = random_hpoint(rng)
-        r = cross_ratio(z1, z2)
+        r = _reference_cross_ratio(z1, z2)
         ours = cross_ratio_eigenvalues(z1, z2)
         theirs = np.linalg.eigvals(np.array(r.rows(), dtype=complex))
         theirs = sorted(theirs.real, reverse=True)
@@ -124,6 +127,18 @@ def test_metric_factor_decomposition(rng):
         assert metric_form(z, d) == pytest.approx(expected, rel=1e-12)
 
 
+def test_metric_form_matches_literal_trace(rng):
+    # tr(Y^-1 dZ Y^-1 conj(dZ)) with the 2x2 matrices, computed literally.
+    for _ in range(200):
+        z = random_hpoint(rng)
+        d = random_tangent(rng)
+        y_inv = z.imag_matrix().inverse()
+        dz = Mat2C.bisym(d.dtau, d.dz)
+        literal = (y_inv @ dz @ y_inv @ dz.conj()).trace()
+        assert abs(literal.imag) <= 1e-12 * abs(literal)
+        assert metric_form(z, d) == pytest.approx(literal.real, rel=1e-12)
+
+
 def test_metric_positivity(rng):
     for _ in range(1000):
         z = random_hpoint(rng)
@@ -173,6 +188,135 @@ def test_distance_params_values():
     big_a, big_b = distance_params(I_H, MIXED)
     assert big_a == pytest.approx(10.0 / 3.0, abs=1e-15)
     assert big_b == 2.0
+
+
+U = 2.0**-53  # unit roundoff
+
+
+def _from_factors(plus, minus):
+    return HPoint((plus + minus) / 2.0, (plus - minus) / 2.0)
+
+
+def near_pair(rng, lo=-12.0, hi=-3.0):
+    """A sampler point and a copy whose factors move by a relative 10^[lo, hi]."""
+    base = random_hpoint(rng)
+    rel = 10.0 ** rng.uniform(lo, hi)
+    moved = []
+    for f in base.factors():
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        moved.append(f + rel * f.imag * complex(math.cos(theta), math.sin(theta)))
+    return base, _from_factors(*moved)
+
+
+def wide_pair(rng):
+    """Two points with factor heights 10^[-6, 6] and offsets in [-5, 5]."""
+    return tuple(
+        _from_factors(
+            *(complex(rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-6.0, 6.0)) for _ in range(2))
+        )
+        for _ in range(2)
+    )
+
+
+def exact_chords(z1, z2):
+    """sinh(d/2) per factor to 50 digits, from the factor coordinates the
+    library works with."""
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for a, b in zip(z1.factors(), z2.factors()):
+            dx, dy = Decimal(a.real) - Decimal(b.real), Decimal(a.imag) - Decimal(b.imag)
+            out.append((dx * dx + dy * dy).sqrt() / (2 * (Decimal(a.imag) * Decimal(b.imag)).sqrt()))
+    return out
+
+
+def exact_distance(z1, z2):
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ds = [2 * (s + (s * s + 1).sqrt()).ln() for s in exact_chords(z1, z2)]
+        return float((ds[0] ** 2 + ds[1] ** 2).sqrt())
+
+
+def test_distance_of_near_pairs_has_no_cancellation():
+    # Shifts of 1e-12..1e-3, where any form through cosh(d) - 1 cancels.
+    rng = random.Random(11)
+    for _ in range(300):
+        z1, z2 = near_pair(rng)
+        want = exact_distance(z1, z2)
+        assert abs(distance(z1, z2) - want) <= 8 * U * want
+
+
+def test_cross_ratio_eigenvalues_of_wide_pairs(rng):
+    # tanh^2(d/2) = s^2 / (1 + s^2) per factor.  Read off the matrix, the
+    # small eigenvalue of a wide pair is a difference of entries near 1.
+    for _ in range(300):
+        z1, z2 = wide_pair(rng)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want = sorted((float(s * s / (1 + s * s)) for s in exact_chords(z1, z2)), reverse=True)
+        for got, rho in zip(cross_ratio_eigenvalues(z1, z2), want):
+            assert abs(got - rho) <= 16 * U * rho
+
+
+def test_far_pair_distance_and_geodesic_stay_finite():
+    far = HPoint(complex(3.0, 1e160), complex(-1.0, 0.0))
+    d = distance(I_H, far)
+    assert d == pytest.approx(2.0 * math.sqrt(2.0) * math.log(1e80), rel=1e-12)
+    assert all(math.isfinite(v) for v in distance_params(I_H, far))
+    spec = connect(I_H, far)
+    mid = spec.point(spec.s0 / 2)
+    for f in mid.factors():
+        assert f.imag == pytest.approx(1e80, rel=1e-12)
+    assert point_gap(spec.point(spec.s0), far) <= 8 * U * (abs(far.tau) + abs(far.z))
+    # Offsets of 1e300 give factor distances near 1381, where e^d overflows.
+    wide = HPoint(1j, 1e300)
+    spec = connect(I_H, wide)
+    tops = [spec.point(spec.s0 * k / 10).factors()[0].imag for k in range(11)]
+    assert tops[5] == pytest.approx(5e299, rel=1e-12)
+    assert point_gap(spec.point(spec.s0), wide) <= 8 * U * (abs(wide.tau) + abs(wide.z))
+
+
+def test_distance_where_the_chord_overflows():
+    # Offsets near 1e307 over heights of 1e-11..1e-4: the chord exceeds the
+    # float range, the distance (about 1450) does not.
+    rng = random.Random(13)
+    for _ in range(200):
+        z1, z2 = (
+            _from_factors(
+                *(complex(sign * 10.0 ** rng.uniform(306.0, 307.9), 10.0 ** rng.uniform(-11.0, -4.0))
+                  for _ in range(2))
+            )
+            for sign in (1.0, -1.0)
+        )
+        want = exact_distance(z1, z2)
+        assert abs(distance(z1, z2) - want) <= 8 * U * want
+        assert cross_ratio_eigenvalues(z1, z2) == (1.0, 1.0)
+        with pytest.raises(NumericalBreakdown):
+            distance_params(z1, z2)
+        with pytest.raises(NumericalBreakdown):
+            connect(z1, z2)
+
+
+def test_geodesic_with_an_underflowing_factor_chord():
+    # Offsets one ulp apart at height 8e307: the chord underflows to 0 while
+    # the offset is not 0, so that factor must stay put without 0 / 0.
+    z1 = HPoint.from_factors(complex(1.0, 8e307), complex(0.0, 8e307))
+    z2 = HPoint.from_factors(complex(1.0 + 2.0**-52, 8e307), complex(0.0, 4e307))
+    spec = connect(z1, z2)
+    assert spec.d1 == 0.0
+    for frac in (1 / 3, 0.5, 0.9):
+        w = spec.point(frac * spec.s0).factors()[0]
+        assert abs(w - z1.factors()[0]) <= 4 * U * abs(w)
+
+
+@pytest.mark.parametrize("recipe", [near_pair, wide_pair])
+def test_geodesic_endpoints_within_rounding(recipe):
+    rng = random.Random(12)
+    for _ in range(300):
+        z1, z2 = recipe(rng)
+        spec = connect(z1, z2)
+        for p, z in ((spec.point(0.0), z1), (spec.point(spec.s0), z2)):
+            assert point_gap(p, z) <= 8 * U * (abs(z.tau) + abs(z.z))
 
 
 def test_distance_pythagoras_against_oracle(rng):
@@ -375,7 +519,13 @@ def test_tangent_rejects_nonfinite():
 def test_geodesic_spec_rejects_inconsistent_data():
     spec = connect(I_H, MIXED)
     with pytest.raises(ValueError):
-        type(spec)(spec.z1, spec.z2, spec.s0 * 2.0, spec.lam, spec.lam_tilde)
+        type(spec)(spec.z1, spec.z2, spec.s0 * 2.0, spec.d1, spec.d2)
+    # Swapped factor distances keep s0 but contradict the endpoints.
+    with pytest.raises(ValueError):
+        type(spec)(spec.z1, spec.z2, spec.s0, spec.d2, spec.d1)
+    with pytest.raises(ValueError):
+        type(spec)(spec.z1, spec.z2, spec.s0, -spec.d1, spec.d2)
+    assert type(spec)(spec.z1, spec.z2, spec.s0, spec.d1, spec.d2) == spec
 
 
 def test_volume_density_values():

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import pytest
@@ -12,6 +13,7 @@ from bisiegel import (
     NotInHatGroup,
     NotPositiveDefinite,
     NotSymplectic,
+    NotUnimodular,
     NumericalBreakdown,
     SYMPLECTIC_FORM,
     Sl2Matrix,
@@ -415,6 +417,39 @@ def test_reduce_pair_invariant_under_premotion(rng):
         assert abs(red.lambda1 - red_m.lambda1) <= 1e-8
         assert abs(red.lambda2 - red_m.lambda2) <= 1e-8
 
+
+def test_unimodular_gate_scales_with_the_entries():
+    # The 20-draw chain reaches entries near 790.
+    rng = random.Random(3)
+    chain = MotionMatrix.identity()
+    for _ in range(20):
+        chain = chain @ random_motion(rng)
+    assert chain.m.max_abs() > 500.0
+    # The transvection of a factor at height 8e-9 has entry products near
+    # 1e8, so its determinant rounds by about 1e-8, beyond an absolute 1e-10.
+    z = HPoint.from_factors(complex(-1.0829920053445565, 8.360873858970653e-09), 1j)
+    assert point_gap(apply(transport_to_iI(z), z), I_H) <= 1e-6
+    # The mover of this pair multiplies a rotation by that transvection: the
+    # product cancels to entries near 1 and keeps the operands' rounding.
+    red = reduce_pair(z, I_H)
+    assert red.lambda1 >= red.lambda2 + 1.0
+    # A determinant off by far more than its rounding is still rejected.
+    with pytest.raises(NotUnimodular):
+        Sl2Matrix(1e4, 1e4, (1e8 - 1.1) / 1e4, 1e4)
+    with pytest.raises(NotUnimodular):
+        Sl2Matrix(1.0, 0.0, 0.0, 1.0 + 2e-10)
+
+
+def test_unimodular_gate_rejects_singular_and_reflecting_factors():
+    n = 1e6
+    Sl2Matrix(n, n - 1.0, n + 1.0, n)  # det 1 exactly, entry products 1e12
+    for entries in ((n, n, n, n), (n + 1.0, n, n, n - 1.0), (1e8, 1e8, 1e8, 1e8)):
+        with pytest.raises(NotUnimodular):
+            Sl2Matrix(*entries)
+    # Rounding the determinant of entries near 1e10 costs about 1e4: it is not
+    # resolved, and the gate rejects rather than guesses.
+    with pytest.raises(NotUnimodular):
+        Sl2Matrix(1e10, 1e10 - 1.0, 1e10 + 1.0, 1e10)
 
 def test_reduce_pair_breaks_down_at_extreme_separation():
     with pytest.raises(NumericalBreakdown):
