@@ -8,12 +8,12 @@ are swapped.  Composition, inverse, the action, stabilizers, transports and
 pair reduction are all 2x2 work on the stored factors.
 
 The real symplectic 4x4 matrix of a motion appears only at the boundary.
-``classify`` validates a raw 4x4 (symplectic, commuting or anticommuting
-with the exchange involution) and reads the factors off the top rows of its
-blocks, which have the pattern ``[[x1, x2], [eps*x2, eps*x1]]`` with
-``x1 +- x2`` the entries of ``m1`` and ``m2``; ``MotionMatrix.m`` builds the
-4x4 back for JSON output and for the literal action ``(AZ + B)(CZ + D)^-1``
-that ``verify`` checks the factor action against.
+``classify`` validates a raw 4x4 in closed form, as scalar identities in its 16
+entries (symplectic; commuting or anticommuting with the exchange involution),
+and reads the factors off the top rows of its blocks, which have the pattern
+``[[x1, x2], [eps*x2, eps*x1]]`` with ``x1 +- x2`` the entries of ``m1`` and
+``m2``; ``MotionMatrix.m`` builds the 4x4 back for JSON output and for the
+literal action ``(AZ + B)(CZ + D)^-1`` that ``verify`` checks against.
 
 The disc-model motions (complex blocks ``[[A0, B0], [conj B0, conj A0]]``)
 are kept for the bounded model; their half-space counterparts are built
@@ -25,9 +25,9 @@ from __future__ import annotations
 import cmath
 import random
 from dataclasses import dataclass
-from math import cos, exp, hypot, pi, sin, sqrt
+from math import cos, exp, hypot, isfinite, pi, sin, sqrt
 
-from .domain import EXCHANGE_4, EPoint, HPoint
+from .domain import EPoint, HPoint
 from .errors import (
     NotInHatGroup,
     NotPositiveDefinite,
@@ -77,10 +77,9 @@ class Sl2Matrix:
     d: float
 
     def __post_init__(self) -> None:
-        vals = tuple(float(getattr(self, n)) for n in "abcd")
-        for n, v in zip("abcd", vals):
-            object.__setattr__(self, n, v)
-        ad, bc = vals[0] * vals[3], vals[1] * vals[2]
+        a, b, c, d = float(self.a), float(self.b), float(self.c), float(self.d)
+        vars(self).update(a=a, b=b, c=c, d=d)  # frozen: bypass __setattr__
+        ad, bc = a * d, b * c
         # The bound grows with the determinant's rounding but stays far below
         # 1, so det 0 or det < 0 never passes; `not <=` rejects NaN.
         bound = min(max(DEFAULT_TOL.abs_eps, _DET_ULPS * (abs(ad) + abs(bc))), _DET_CAP)
@@ -168,31 +167,39 @@ class MotionMatrix:
 
 
 def classify(m: Mat4R, tol: Tolerance = DEFAULT_TOL) -> MotionMatrix:
-    """Validate a raw 4x4 matrix as a motion and read off its factors.
+    """Validate a raw 4x4 in closed form as a motion and read off its factors.
 
-    The sign is the one with the smaller commutation residual; an exact tie
-    resolves to +1 (only near-kernel matrices come close to a tie).  Each
-    factor entry is the sum (``m1``) or difference (``m2``) of the top row
-    of the matching block.
+    Entry (i, j) of ``M^T J M`` is ``-r2i r0j - r3i r1j + r0i r2j + r1i r3j`` for rows
+    ``r0..r3``, summed as ``Mat4R.__matmul__`` sums, so the residuals match its products
+    bit for bit; ``MQ``, ``QM`` swap columns, rows, within pairs.  ``eps`` has the smaller
+    commutation residual (+1 on an exact tie, met only near the kernel).
     """
-    j = SYMPLECTIC_FORM
-    sym_res = max_abs_diff(m.transpose() @ j @ m, j)
-    if sym_res > tol.abs_eps:
+    rows, cols = m.rows, tuple(zip(*m.rows))
+    sym = [
+        abs(-(c * p) - d * q + a * s + b * t - j)
+        for (a, b, c, d), jrow in zip(cols, SYMPLECTIC_FORM.rows)
+        for (p, q, s, t), j in zip(cols, jrow)
+    ]
+    if not all(map(isfinite, sym)):
+        raise NumericalBreakdown("non-finite symplectic residual: the 4x4 products overflow")
+    if not (sym_res := max(sym)) <= tol.abs_eps:
         raise NotSymplectic(f"symplectic residual {sym_res:.3e} exceeds {tol.abs_eps}")
-    mq = m @ EXCHANGE_4
-    qm = EXCHANGE_4 @ m
-    commute, anticommute = max_abs_diff(mq, qm), (mq + qm).max_abs()
+    swaps = [(r[k ^ 1], rows[i ^ 1][k]) for i, r in enumerate(rows) for k in range(4)]
+    commute, anticommute = max(abs(x - y) for x, y in swaps), max(abs(x + y) for x, y in swaps)
+    if not isfinite(max(commute, anticommute)):
+        raise NumericalBreakdown("non-finite commutation residual: the 4x4 entries overflow")
     eps = 1 if commute <= anticommute else -1
-    if min(commute, anticommute) > tol.abs_eps:
+    if not min(commute, anticommute) <= tol.abs_eps:
         raise NotInHatGroup(
             f"commutation residuals ({commute:.3e}, {anticommute:.3e}) both exceed {tol.abs_eps}"
         )
-    (a1, a2, b1, b2), _, (c1, c2, d1, d2), _ = m.rows
-    return MotionMatrix(
-        Sl2Matrix(a1 + a2, b1 + b2, c1 + c2, d1 + d2),
-        Sl2Matrix(a1 - a2, b1 - b2, c1 - c2, d1 - d2),
-        eps,
-    )
+    (a1, a2, b1, b2), _, (c1, c2, d1, d2), _ = rows
+    try:
+        m1 = Sl2Matrix(a1 + a2, b1 + b2, c1 + c2, d1 + d2)
+        m2 = Sl2Matrix(a1 - a2, b1 - b2, c1 - c2, d1 - d2)
+    except NotUnimodular as exc:  # in this pattern: unimodular factors <=> symplectic
+        raise NotSymplectic(f"factor of the patterned matrix: {exc}") from exc
+    return MotionMatrix(m1, m2, eps)
 
 
 def apply(motion: MotionMatrix, point: HPoint, tol: Tolerance = DEFAULT_TOL) -> HPoint:
@@ -358,6 +365,8 @@ def _transvection_to_i(w: complex) -> Sl2Matrix:
     x, y = w.real, w.imag
     a11, a12, a22 = 1.0 / y, -x / y, (x * x + y * y) / y
     s = sqrt(a11 + a22 + 2.0)
+    if not isfinite(s):  # no entry of A exceeds tr A: all entries are finite with s
+        raise NumericalBreakdown(f"transvection of {w!r} to i overflows")
     return Sl2Matrix((a11 + 1.0) / s, a12 / s, a12 / s, (a22 + 1.0) / s)
 
 

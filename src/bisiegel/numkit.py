@@ -138,7 +138,7 @@ _Row4 = tuple[float, float, float, float]
 
 @dataclass(frozen=True)
 class Mat4R:
-    """4x4 real matrix stored as a tuple of row tuples."""
+    """4x4 real matrix stored as a tuple of row tuples; products sum left to right."""
 
     rows: tuple[_Row4, _Row4, _Row4, _Row4]
 
@@ -181,7 +181,8 @@ class Mat4R:
         cols = tuple(zip(*other.rows))
         return Mat4R(
             tuple(
-                tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in self.rows
+                tuple(a * e + b * f + c * g + d * h for e, f, g, h in cols)
+                for a, b, c, d in self.rows
             )
         )
 

@@ -117,6 +117,15 @@ def test_check_point_and_matrix(files, capsys):
     code, out, _ = run(capsys, ["check", "matrix", outside])
     assert code == 0 and out == '{"symplectic":true,"motion":false,"eps":null}\n'
 
+    # Glued from diag(1 + 1.5e-10, 1) and I: the symplectic residual passes
+    # its gate, the first factor's determinant does not.  Both say the same.
+    glued = files(
+        "u.json",
+        '{"m":[[1.000000000075,7.5e-11,0,0],[7.5e-11,1.000000000075,0,0],[0,0,1,0],[0,0,0,1]]}',
+    )
+    code, out, _ = run(capsys, ["check", "matrix", glued])
+    assert code == 0 and out == '{"symplectic":false,"motion":false,"eps":null}\n'
+
 
 def test_cayley_both_ways(files, capsys):
     p = files("p.json", MIXED_JSON)
@@ -280,6 +289,15 @@ def test_exit_code_numerical_breakdown(files, capsys):
     far = files("far.json", '{"tau":[0,1e14],"z":[0,0]}')
     code, _, err = run(capsys, ["reduce", "--z1", z1, "--z", far])
     assert code == 3 and "boundary" in err
+
+
+def test_reduce_of_a_point_past_the_transvection_range(files, capsys):
+    # Factor coordinates near 1e183 overflow the transport's entries: a
+    # numerical failure (exit 3), not bad input, and no traceback.
+    z1 = files("z1.json", '{"tau":[1.5e183,1e183],"z":[-5e182,0]}')
+    z = files("z.json", I_JSON)
+    code, out, err = run(capsys, ["reduce", "--z1", z1, "--z", z])
+    assert code == 3 and out == "" and err.startswith("numerical error:") and "overflows" in err
 
 
 def test_seed_and_count_validation(capsys):

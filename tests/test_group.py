@@ -6,6 +6,7 @@ import pytest
 
 from bisiegel import (
     EPoint,
+    GeometryError,
     HPoint,
     Mat2C,
     Mat4R,
@@ -18,6 +19,7 @@ from bisiegel import (
     SYMPLECTIC_FORM,
     Sl2Matrix,
     StabilizerParams,
+    Tolerance,
     UnitModulusViolation,
     apply,
     approx_eq,
@@ -38,7 +40,7 @@ from bisiegel import (
 )
 from bisiegel.domain import EXCHANGE_4
 from bisiegel.hyperbolic import HalfPlanePoint, mobius
-from bisiegel.numkit import max_abs_diff
+from bisiegel.numkit import DEFAULT_TOL, max_abs_diff
 from bisiegel.verify import _reference_apply
 
 from conftest import entries, point_gap
@@ -99,6 +101,139 @@ def test_classify_rejects_symplectic_outside_subgroup():
     )
     with pytest.raises(NotInHatGroup):
         classify(m)
+
+
+def literal_classify(m: Mat4R) -> MotionMatrix:
+    """``classify`` through the literal 4x4 products: the reference for its closed form."""
+    j, tol = SYMPLECTIC_FORM, DEFAULT_TOL.abs_eps
+    sym_res = max_abs_diff(m.transpose() @ j @ m, j)
+    if sym_res > tol:
+        raise NotSymplectic(f"symplectic residual {sym_res:.3e} exceeds {tol}")
+    mq, qm = m @ EXCHANGE_4, EXCHANGE_4 @ m
+    commute, anticommute = max_abs_diff(mq, qm), (mq + qm).max_abs()
+    if min(commute, anticommute) > tol:
+        raise NotInHatGroup(
+            f"commutation residuals ({commute:.3e}, {anticommute:.3e}) both exceed {tol}"
+        )
+    (a1, a2, b1, b2), _, (c1, c2, d1, d2), _ = m.rows
+    try:
+        m1 = Sl2Matrix(a1 + a2, b1 + b2, c1 + c2, d1 + d2)
+        m2 = Sl2Matrix(a1 - a2, b1 - b2, c1 - c2, d1 - d2)
+    except NotUnimodular:
+        raise NotSymplectic("unimodular factors are the symplectic condition") from None
+    return MotionMatrix(m1, m2, 1 if commute <= anticommute else -1)
+
+
+def classify_outcome(f, m: Mat4R):
+    """The motion, or the error class with the message of a residual gate."""
+    try:
+        return f(m)
+    except GeometryError as exc:
+        gate = str(exc).startswith(("symplectic residual ", "commutation residuals ("))
+        return type(exc), str(exc) if gate else None
+
+
+def perturbed(m: Mat4R, rng: random.Random) -> Mat4R:
+    """One entry moved by 1e-12 to 1e-8 of its size (at least 1)."""
+    rows = [list(r) for r in m.rows]
+    i, k = rng.randrange(4), rng.randrange(4)
+    step = 10.0 ** rng.uniform(-12.0, -8.0) * rng.choice((-1.0, 1.0))
+    rows[i][k] += step * max(1.0, abs(rows[i][k]))
+    return Mat4R(tuple(map(tuple, rows)))
+
+
+def symplectic_unpatterned(rng: random.Random) -> Mat4R:
+    """diag(A, A^-T) or [[I, S], [0, I]] with S symmetric: symplectic, rarely patterned."""
+    u = [rng.uniform(-3.0, 3.0) for _ in range(4)]
+    if rng.random() < 0.5:
+        a, b, c, d = u
+        det = a * d - b * c
+        return Mat4R(
+            ((a, b, 0, 0), (c, d, 0, 0), (0, 0, d / det, -c / det), (0, 0, -b / det, a / det))
+        )
+    return Mat4R(((1, 0, u[0], u[1]), (0, 1, u[1], u[2]), (0, 0, 1, 0), (0, 0, 0, 1)))
+
+
+REGIMES = {
+    "patterned": lambda rng: random_motion(rng).m,
+    "perturbed": lambda rng: perturbed(random_motion(rng).m, rng),
+    "scaled": lambda rng: random_motion(rng).m.scale(10.0 ** rng.uniform(-150.0, 150.0)),
+    "unpatterned": lambda rng: Mat4R(
+        tuple(tuple(rng.uniform(-5.0, 5.0) for _ in range(4)) for _ in range(4))
+    ),
+    "symplectic_unpatterned": symplectic_unpatterned,
+    "overflowing": lambda rng: random_motion(rng).m.scale(10.0 ** rng.uniform(159.0, 161.0)),
+}
+
+
+def symplectic_gate_passes(m: Mat4R, abs_eps: float) -> bool:
+    """Whether ``classify``'s symplectic gate lets m through at this threshold."""
+    try:
+        classify(m, Tolerance(abs_eps, min(abs_eps, 1e-12)))
+    except NotSymplectic as exc:
+        return not str(exc).startswith("symplectic residual ")
+    except GeometryError:
+        pass
+    return True
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_closed_form_classify_matches_literal_products(regime):
+    # Same motion, or same error class and gate message, as the literal products.
+    rng = random.Random(f"classify:{regime}")
+    seen = set()
+    for _ in range(400):
+        m = REGIMES[regime](rng)
+        want = classify_outcome(literal_classify, m)
+        assert classify_outcome(classify, m) == want, m
+        seen.add(want.eps if isinstance(want, MotionMatrix) else want[0])
+        try:
+            res = max_abs_diff(m.transpose() @ SYMPLECTIC_FORM @ m, SYMPLECTIC_FORM)
+        except NumericalBreakdown:
+            continue
+        # Bit for bit: the gate passes at the literal residual, fails one ulp below.
+        if 1e-300 < res < 1.0:
+            assert symplectic_gate_passes(m, res), m
+            assert not symplectic_gate_passes(m, math.nextafter(res, 0.0)), m
+    # Each regime reaches the outcomes it is there for.
+    expected = {
+        "patterned": {1, -1},
+        "perturbed": {1, -1, NotSymplectic},
+        "scaled": {NotSymplectic},
+        "unpatterned": {NotSymplectic},
+        "symplectic_unpatterned": {NotInHatGroup},
+        "overflowing": {NumericalBreakdown},
+    }[regime]
+    assert expected <= seen
+
+
+def test_closed_form_classify_edge_cases():
+    # The only non-finite symplectic residual is a NaN after finite ones,
+    # which max() skips; an overflowing commutation residual behind a passing
+    # symplectic gate.  Both break down on both paths.
+    big = 1.5e308
+    cases = [
+        Mat4R(((1, 1e160, 0, 0), (0, 1, 0, 0), (0, 1e160, 1, 0), (0, 0, 0, 1))),
+        Mat4R(((big, 0, 0, 0), (0, -big, 0, 0), (0, 0, 1 / big, 0), (0, 0, 0, -1 / big))),
+    ]
+    for m in cases:
+        assert classify_outcome(literal_classify, m)[0] is NumericalBreakdown
+        assert classify_outcome(classify, m)[0] is NumericalBreakdown
+
+
+def test_classify_symplectic_and_determinant_gates_agree():
+    # Glued from diag(1 + d, 1) and I: the symplectic residual is d/2, within
+    # the gate, but the first factor's determinant is off by d, beyond it.
+    for d in (1.5e-10, 1.9e-10):
+        h = d / 2.0
+        m = Mat4R(((1 + h, h, 0, 0), (h, 1 + h, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+        with pytest.raises(NotSymplectic) as info:
+            classify(m)
+        assert isinstance(info.value.__cause__, NotUnimodular)
+    # The same glue within the determinant bound is a motion.
+    h = 0.5e-10 / 2.0
+    m = Mat4R(((1 + h, h, 0, 0), (h, 1 + h, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    assert classify(m).eps == 1
 
 
 # --------------------------------------------------------------------------
@@ -454,6 +589,19 @@ def test_unimodular_gate_rejects_singular_and_reflecting_factors():
 def test_reduce_pair_breaks_down_at_extreme_separation():
     with pytest.raises(NumericalBreakdown):
         reduce_pair(I_H, HPoint(1e14j, 0.0))
+
+
+def test_transvection_overflow_is_a_numerical_breakdown():
+    # Factor coordinates past about 1e154: x*x + y*y overflows, which made the
+    # determinant NaN and the failure a NotUnimodular (bad input).
+    z = HPoint.from_factors(1e183 + 1e183j, 2e183 + 1e183j)
+    w = HPoint.from_factors(1e160 + 1e150j, 1e160 + 2e150j)
+    for p in (z, w):
+        with pytest.raises(NumericalBreakdown, match="overflows"):
+            transport_to_iI(p)
+    for p, q in ((z, w), (w, z), (z, I_H), (I_H, z)):
+        with pytest.raises(NumericalBreakdown):
+            reduce_pair(p, q)
 
 
 # --------------------------------------------------------------------------
