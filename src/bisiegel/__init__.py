@@ -8,7 +8,6 @@ every factor-decomposed result.
 """
 
 from .domain import (
-    BidiscPoint,
     EPoint,
     HPoint,
     cayley_to_disc,
@@ -16,8 +15,6 @@ from .domain import (
     e_contains,
     h_contains,
     random_hpoint,
-    sigma,
-    sigma_inv,
 )
 from .errors import (
     DegeneratePair,

@@ -255,12 +255,8 @@ def _cmd_geodesic(args) -> int:
     for k in range(args.samples):
         s = spec.s0 * k / (args.samples - 1)
         p = spec.point(s)
-        out.append(
-            ",".join(
-                _fmt_float(v)
-                for v in (s, p.tau.real, p.tau.imag, p.z.real, p.z.imag)
-            )
-        )
+        tau, z = p.tau, p.z
+        out.append(",".join(_fmt_float(v) for v in (s, tau.real, tau.imag, z.real, z.imag)))
     sys.stdout.write("\n".join(out) + "\n")
     return 0
 

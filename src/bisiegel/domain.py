@@ -4,13 +4,16 @@ A point of the half-space model is a bi-symmetric complex 2x2 matrix
 ``[[tau, z], [z, tau]]`` whose imaginary part is positive definite, which for
 bi-symmetric matrices reads ``Im tau > |Im z|``.  The bounded (disc) model
 consists of bi-symmetric ``[[z1, z2], [z2, z1]]`` with ``I - Z0 conj(Z0)``
-positive definite, equivalently ``|z1 + z2| < 1`` and ``|z1 - z2| < 1``.  The
-two are exchanged by the Cayley maps ``Z -> (Z - iI)(Z + iI)^-1`` and
-``Z0 -> i(I + Z0)(I - Z0)^-1``.
+positive definite, equivalently ``|z1 + z2| < 1`` and ``|z1 - z2| < 1``.
 
-The coordinates ``(z1 + z2, z1 - z2)`` identify the bounded model with a
-product of two unit discs; most closed forms in this package are two copies
-of a one-disc (or one half-plane) formula glued through that identification.
+Points of both models are stored by their factor coordinates, the two
+eigenvalues ``(tau + z, tau - z)`` and ``(z1 + z2, z1 - z2)``.  They identify
+the half-space with a product of two upper half-planes and the bounded model
+with a product of two unit discs, and every closed form in this package is
+two copies of a one-plane (or one-disc) formula.  ``(tau, z)`` and
+``(z1, z2)`` are derived from the factors, for JSON and the matrix form.
+The Cayley maps ``Z -> (Z - iI)(Z + iI)^-1`` and ``Z0 -> i(I + Z0)(I - Z0)^-1``
+are, per factor, ``w -> (w - i)/(w + i)`` and ``u -> i(1 + u)/(1 - u)``.
 """
 
 from __future__ import annotations
@@ -19,19 +22,16 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import DomainViolation
+from .errors import DomainViolation, SingularMatrix
 from .numkit import DEFAULT_TOL, Mat2C, Mat4R, Tolerance
 
 __all__ = [
     "HPoint",
     "EPoint",
-    "BidiscPoint",
     "h_contains",
     "e_contains",
     "cayley_to_disc",
     "cayley_to_halfspace",
-    "sigma",
-    "sigma_inv",
     "random_hpoint",
     "EXCHANGE_2",
     "EXCHANGE_4",
@@ -43,39 +43,66 @@ EXCHANGE_2 = Mat2C(0.0, 1.0, 1.0, 0.0)
 
 EXCHANGE_4 = Mat4R.from_blocks(EXCHANGE_2, Mat2C.zero(), Mat2C.zero(), EXCHANGE_2)
 
-_I2 = Mat2C.identity()
-_iI2 = _I2.scale(1j)
+
+def _in_half_plane(w: complex, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Factor membership: finite, with Im w above the margin."""
+    return tol.dom_eps < w.imag < math.inf and math.isfinite(w.real)
+
+
+def _in_disc(u: complex, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Factor membership: |u| below 1 - margin (false for NaN and inf)."""
+    return abs(u) < 1.0 - tol.dom_eps
 
 
 def h_contains(tau: complex, z: complex, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Half-space membership: Im tau exceeds |Im z| by more than the margin."""
+    """Half-space membership: Im tau exceeds |Im z| by more than the margin,
+    that is both factors tau +- z lie above it (and are finite)."""
     tau, z = complex(tau), complex(z)
-    if not all(map(math.isfinite, (tau.real, tau.imag, z.real, z.imag))):
-        return False
-    return tau.imag - abs(z.imag) > tol.dom_eps
+    return _in_half_plane(tau + z, tol) and _in_half_plane(tau - z, tol)
 
 
 def e_contains(z1: complex, z2: complex, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Disc-model membership: both factor coordinates strictly inside the unit disc."""
     z1, z2 = complex(z1), complex(z2)
-    if not all(map(math.isfinite, (z1.real, z1.imag, z2.real, z2.imag))):
-        return False
-    return abs(z1 + z2) < 1.0 - tol.dom_eps and abs(z1 - z2) < 1.0 - tol.dom_eps
+    return _in_disc(z1 + z2, tol) and _in_disc(z1 - z2, tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HPoint:
-    """Half-space point, stored by its two complex freedoms (tau, z)."""
+    """Half-space point, stored by its factor coordinates (w1, w2) = (tau + z, tau - z).
 
-    tau: complex
-    z: complex
+    ``HPoint(tau, z)`` converts once; ``from_factors`` stores its arguments
+    as given.  ``tau``, ``z`` and the JSON form are derived from the factors:
+    each rounds by u = 2^-53 of the larger factor, so a JSON round trip moves
+    the real (imaginary) part of a factor by at most 2u times the larger real
+    (imaginary) part of the two.
+    """
 
-    def __post_init__(self) -> None:
-        tau, z = complex(self.tau), complex(self.z)
+    w1: complex
+    w2: complex
+
+    tau = property(lambda self: (self.w1 + self.w2) / 2.0)
+    z = property(lambda self: (self.w1 - self.w2) / 2.0)
+
+    def __init__(self, tau: complex, z: complex) -> None:
+        tau, z = complex(tau), complex(z)
         if not h_contains(tau, z):
             raise DomainViolation(f"(tau={tau!r}, z={z!r}) is outside the half-space model")
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "z", z)
+        vars(self).update(w1=tau + z, w2=tau - z)  # frozen: bypass __setattr__
+
+    @classmethod
+    def from_factors(cls, w1: complex, w2: complex) -> "HPoint":
+        """The point with these factor coordinates (each finite, Im w > dom_eps)."""
+        w1, w2 = complex(w1), complex(w2)
+        if not (_in_half_plane(w1) and _in_half_plane(w2)):
+            raise DomainViolation(f"factors ({w1!r}, {w2!r}) are outside the half-space model")
+        point = object.__new__(cls)
+        vars(point).update(w1=w1, w2=w2)
+        return point
+
+    def factors(self) -> tuple[complex, complex]:
+        """Coordinates (tau + z, tau - z) in the two half-plane factors."""
+        return (self.w1, self.w2)
 
     def as_matrix(self) -> Mat2C:
         return Mat2C.bisym(self.tau, self.z)
@@ -83,93 +110,79 @@ class HPoint:
     def imag_matrix(self) -> Mat2C:
         return Mat2C.bisym(self.tau.imag, self.z.imag)
 
-    def factors(self) -> tuple[complex, complex]:
-        """Coordinates (tau + z, tau - z) in the two half-plane factors."""
-        return (self.tau + self.z, self.tau - self.z)
-
-    @classmethod
-    def from_factors(cls, plus: complex, minus: complex) -> "HPoint":
-        return cls((plus + minus) / 2.0, (plus - minus) / 2.0)
-
     def to_json_dict(self) -> dict:
-        return {"tau": [self.tau.real, self.tau.imag], "z": [self.z.real, self.z.imag]}
+        tau, z = self.tau, self.z
+        return {"tau": [tau.real, tau.imag], "z": [z.real, z.imag]}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "HPoint":
         return cls(complex(*doc["tau"]), complex(*doc["z"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EPoint:
-    """Bounded-model point, stored by its two complex freedoms (z1, z2)."""
+    """Bounded-model point, stored by its factor coordinates (u1, u2) = (z1 + z2, z1 - z2).
 
-    z1: complex
-    z2: complex
+    ``EPoint(z1, z2)`` converts once; ``from_factors`` stores its arguments
+    as given.  ``z1``, ``z2`` and the JSON form are derived, as for ``HPoint``.
+    """
 
-    def __post_init__(self) -> None:
-        z1, z2 = complex(self.z1), complex(self.z2)
+    u1: complex
+    u2: complex
+
+    z1 = property(lambda self: (self.u1 + self.u2) / 2.0)
+    z2 = property(lambda self: (self.u1 - self.u2) / 2.0)
+
+    def __init__(self, z1: complex, z2: complex) -> None:
+        z1, z2 = complex(z1), complex(z2)
         if not e_contains(z1, z2):
             raise DomainViolation(f"(z1={z1!r}, z2={z2!r}) is outside the bounded model")
-        object.__setattr__(self, "z1", z1)
-        object.__setattr__(self, "z2", z2)
+        vars(self).update(u1=z1 + z2, u2=z1 - z2)  # frozen: bypass __setattr__
+
+    @classmethod
+    def from_factors(cls, u1: complex, u2: complex) -> "EPoint":
+        """The point with these factor coordinates (each of modulus below 1 - dom_eps)."""
+        u1, u2 = complex(u1), complex(u2)
+        if not (_in_disc(u1) and _in_disc(u2)):
+            raise DomainViolation(f"factors ({u1!r}, {u2!r}) are outside the bounded model")
+        point = object.__new__(cls)
+        vars(point).update(u1=u1, u2=u2)
+        return point
+
+    def factors(self) -> tuple[complex, complex]:
+        """Coordinates (z1 + z2, z1 - z2) in the two disc factors."""
+        return (self.u1, self.u2)
 
     def as_matrix(self) -> Mat2C:
         return Mat2C.bisym(self.z1, self.z2)
 
-    def factors(self) -> tuple[complex, complex]:
-        """Coordinates (z1 + z2, z1 - z2) in the two disc factors."""
-        return (self.z1 + self.z2, self.z1 - self.z2)
-
-    @classmethod
-    def from_factors(cls, plus: complex, minus: complex) -> "EPoint":
-        return cls((plus + minus) / 2.0, (plus - minus) / 2.0)
-
     def to_json_dict(self) -> dict:
-        return {"z1": [self.z1.real, self.z1.imag], "z2": [self.z2.real, self.z2.imag]}
+        z1, z2 = self.z1, self.z2
+        return {"z1": [z1.real, z1.imag], "z2": [z2.real, z2.imag]}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "EPoint":
         return cls(complex(*doc["z1"]), complex(*doc["z2"]))
 
 
-@dataclass(frozen=True)
-class BidiscPoint:
-    """A point of the product of two unit discs."""
-
-    w1: complex
-    w2: complex
-
-    def __post_init__(self) -> None:
-        w1, w2 = complex(self.w1), complex(self.w2)
-        if not (abs(w1) < 1.0 and abs(w2) < 1.0):
-            raise DomainViolation(f"({w1!r}, {w2!r}) is outside the bidisc")
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "w2", w2)
-
-
 def cayley_to_disc(point: HPoint, tol: Tolerance = DEFAULT_TOL) -> EPoint:
-    """Map the half-space model onto the bounded model, (Z - iI)(Z + iI)^-1."""
-    zm = point.as_matrix()
-    w = (zm - _iI2) @ (zm + _iI2).inverse(tol)
-    return EPoint((w.a + w.d) / 2.0, (w.b + w.c) / 2.0)
+    """Map the half-space model onto the bounded model, (Z - iI)(Z + iI)^-1:
+    (w - i)/(w + i) per factor, guarded on det(Z + iI) as the matrix inverse."""
+    w1, w2 = point.factors()
+    d1, d2 = w1 + 1j, w2 + 1j
+    if abs(d1 * d2) <= tol.dom_eps:
+        raise SingularMatrix(f"Cayley denominator |det|={abs(d1 * d2):.3e} <= {tol.dom_eps}")
+    return EPoint.from_factors((w1 - 1j) / d1, (w2 - 1j) / d2)
 
 
 def cayley_to_halfspace(point: EPoint, tol: Tolerance = DEFAULT_TOL) -> HPoint:
-    """Inverse Cayley map, i(I + Z0)(I - Z0)^-1."""
-    zm = point.as_matrix()
-    w = ((_I2 + zm) @ (_I2 - zm).inverse(tol)).scale(1j)
-    return HPoint((w.a + w.d) / 2.0, (w.b + w.c) / 2.0)
-
-
-def sigma(point: EPoint) -> BidiscPoint:
-    """Factor coordinates of a bounded-model point: (z1 + z2, z1 - z2)."""
-    plus, minus = point.factors()
-    return BidiscPoint(plus, minus)
-
-
-def sigma_inv(point: BidiscPoint) -> EPoint:
-    """Bounded-model point with the given factor coordinates."""
-    return EPoint((point.w1 + point.w2) / 2.0, (point.w1 - point.w2) / 2.0)
+    """Inverse Cayley map, i(I + Z0)(I - Z0)^-1: i(1 + u)/(1 - u) per factor,
+    guarded on det(I - Z0) as the matrix inverse."""
+    u1, u2 = point.factors()
+    d1, d2 = 1.0 - u1, 1.0 - u2
+    if abs(d1 * d2) <= tol.dom_eps:
+        raise SingularMatrix(f"Cayley denominator |det|={abs(d1 * d2):.3e} <= {tol.dom_eps}")
+    return HPoint.from_factors(1j * (1.0 + u1) / d1, 1j * (1.0 + u2) / d2)
 
 
 def random_hpoint(rng: random.Random) -> HPoint:

@@ -77,8 +77,7 @@ def _half_distance(w1: complex, w2: complex) -> float:
 
 
 def _chords(z1: HPoint, z2: HPoint) -> tuple[float, float]:
-    (a1, a2), (b1, b2) = z1.factors(), z2.factors()
-    return _chord(a1, b1), _chord(a2, b2)
+    return _chord(z1.w1, z2.w1), _chord(z1.w2, z2.w2)
 
 
 def _tanh_sq(s: float) -> float:
@@ -118,8 +117,7 @@ def distance_params(z1: HPoint, z2: HPoint) -> tuple[float, ...]:
 
 
 def _factor_distances(z1: HPoint, z2: HPoint) -> tuple[float, ...]:
-    (a1, a2), (b1, b2) = z1.factors(), z2.factors()
-    return 2.0 * _half_distance(a1, b1), 2.0 * _half_distance(a2, b2)
+    return 2.0 * _half_distance(z1.w1, z2.w1), 2.0 * _half_distance(z1.w2, z2.w2)
 
 
 def distance(z1: HPoint, z2: HPoint) -> float:
@@ -148,7 +146,9 @@ def _leg_point(leg: tuple[float, ...], t: float) -> complex:
     (y sig(t) + v sig(1 - t)).  Numerator and denominator are scaled by
     e^{dt} = (e^{d/2})^{2t}, which keeps a = e^{dt} sig(1 - t) in [1/2, 1],
     b = e^{dt} sig(t) in [0, 1] and e^{dt} / (a + b y / v) below 2 e^{d/2}:
-    only r = b y / v can overflow, and only where y / v itself does.
+    only r = b y / v can overflow, and only where y / v itself does.  There
+    the same point is taken as (b / v, c) / (a / y + b / v), which stays in
+    range for heights above dom_eps.
     """
     x, y, dx, v, d, em, m = leg
     if dx == 0.0:
@@ -163,6 +163,10 @@ def _leg_point(leg: tuple[float, ...], t: float) -> complex:
         b = m ** (4.0 * t - 2.0) * math.expm1(-2.0 * d * t) / em
         c = m ** (2.0 * t)
     r = b * y / v
+    if r == math.inf:
+        q = b / v
+        k = a / y + q
+        return complex(x + dx * (q / k), c / k)
     k = a + r
     return complex(x + dx * (r / k), y * (c / k))
 
@@ -181,8 +185,7 @@ class GeodesicSpec:
     def __post_init__(self) -> None:
         if not (self.d1 >= 0.0 and self.d2 >= 0.0):
             raise ValueError("factor distances must be >= 0")
-        (a1, a2), (b1, b2) = self.z1.factors(), self.z2.factors()
-        (fwd1, bwd1), (fwd2, bwd2) = _legs(a1, b1), _legs(a2, b2)
+        (fwd1, bwd1), (fwd2, bwd2) = _legs(self.z1.w1, self.z2.w1), _legs(self.z1.w2, self.z2.w2)
         drift = max(
             abs(self.d1 - fwd1[4]),
             abs(self.d2 - fwd2[4]),
@@ -281,13 +284,10 @@ def simpson(f: Callable[[float], float], a: float, b: float, panels: int) -> flo
 
 
 def path_speed(curve: Callable[[float], HPoint], s: float, h: float) -> float:
-    """Metric speed of a curve at s, tangent taken by central differences."""
-    z_plus = curve(s + h)
-    z_minus = curve(s - h)
-    d = Tangent(
-        (z_plus.tau - z_minus.tau) / (2.0 * h), (z_plus.z - z_minus.z) / (2.0 * h)
-    )
-    return math.sqrt(metric_form(curve(s), d))
+    """Metric speed of a curve at s: per factor |dw| / Im w, with dw taken by
+    central differences."""
+    ends = zip(curve(s + h).factors(), curve(s - h).factors(), curve(s).factors())
+    return math.hypot(*(abs(wp - wm) / (2.0 * h) / w.imag for wp, wm, w in ends))
 
 
 def path_length(
@@ -307,5 +307,4 @@ def volume_density(point: HPoint) -> float:
     Equal to 4 / ((y1 + y2)^2 (y1 - y2)^2) for y1 = Im tau, y2 = Im z; the
     product of the two squared factor heights in disguise.
     """
-    f_plus, f_minus = point.factors()
-    return 4.0 / (f_plus.imag**2 * f_minus.imag**2)
+    return 4.0 / (point.w1.imag**2 * point.w2.imag**2)

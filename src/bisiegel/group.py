@@ -233,10 +233,6 @@ def assemble(m1: Sl2Matrix, m2: Sl2Matrix, eps: int) -> MotionMatrix:
     return MotionMatrix(m1, m2, eps)
 
 
-def _block_pattern_residual(block: Mat2C, eps: int) -> float:
-    return max(abs(block.c - eps * block.b), abs(block.d - eps * block.a))
-
-
 @dataclass(frozen=True)
 class StabilizerParams:
     """Two unit-circle rotation parameters and an exchange sign."""
@@ -274,7 +270,8 @@ class DiscMotion:
         rel2 = max_abs_diff(a0 @ b0.transpose(), b0 @ a0.transpose())
         if max(rel1, rel2) > DEFAULT_TOL.abs_eps:
             raise NotSymplectic(f"disc-model block relations violated by {max(rel1, rel2):.3e}")
-        pat = max(_block_pattern_residual(a0, self.eps), _block_pattern_residual(b0, self.eps))
+        e = self.eps  # each block must read [[x1, x2], [e x2, e x1]]
+        pat = max(max(abs(k.c - e * k.b), abs(k.d - e * k.a)) for k in (a0, b0))
         if pat > DEFAULT_TOL.abs_eps:
             raise NotInHatGroup(f"disc-model exchange pattern violated by {pat:.3e}")
 
@@ -376,8 +373,7 @@ def transport_to_iI(point: HPoint) -> MotionMatrix:
     It is the Cayley conjugate of ``transport_to_center``, the canonical
     disc transport.
     """
-    w1, w2 = point.factors()
-    return MotionMatrix(_transvection_to_i(w1), _transvection_to_i(w2), 1)
+    return MotionMatrix(_transvection_to_i(point.w1), _transvection_to_i(point.w2), 1)
 
 
 @dataclass(frozen=True)

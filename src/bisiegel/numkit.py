@@ -74,16 +74,9 @@ class Mat2C:
         return cls(0.0, 0.0, 0.0, 0.0)
 
     @classmethod
-    def diag(cls, x: complex, y: complex) -> "Mat2C":
-        return cls(x, 0.0, 0.0, y)
-
-    @classmethod
     def bisym(cls, on_diag: complex, off_diag: complex) -> "Mat2C":
         """Matrix with equal diagonal and equal off-diagonal entries."""
         return cls(on_diag, off_diag, off_diag, on_diag)
-
-    def rows(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-        return ((self.a, self.b), (self.c, self.d))
 
     def __add__(self, other: "Mat2C") -> "Mat2C":
         return Mat2C(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
@@ -155,10 +148,6 @@ class Mat4R:
     @classmethod
     def identity(cls) -> "Mat4R":
         return cls(tuple(tuple(1.0 if i == j else 0.0 for j in range(4)) for i in range(4)))
-
-    @classmethod
-    def zero(cls) -> "Mat4R":
-        return cls(tuple((0.0, 0.0, 0.0, 0.0) for _ in range(4)))
 
     def __add__(self, other: "Mat4R") -> "Mat4R":
         return Mat4R(

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from bisiegel import (
-    BidiscPoint,
     Mat4R,
     DomainViolation,
     EPoint,
@@ -17,11 +16,10 @@ from bisiegel import (
     e_contains,
     h_contains,
     random_hpoint,
-    sigma,
-    sigma_inv,
 )
 from bisiegel.domain import EXCHANGE_2, EXCHANGE_4
 from bisiegel.numkit import max_abs_diff
+from bisiegel.verify import _reference_cayley
 
 from conftest import point_gap
 
@@ -84,7 +82,12 @@ def test_point_constructors_enforce_membership():
     with pytest.raises(DomainViolation):
         EPoint(0.6, 0.6)
     with pytest.raises(DomainViolation):
-        BidiscPoint(1.0, 0.0)
+        EPoint.from_factors(1.0, 0.0)
+    for w in (1e-13j, complex(math.inf, 1.0), complex(0.0, math.inf), complex(math.nan, 1.0)):
+        with pytest.raises(DomainViolation):
+            HPoint.from_factors(1j, w)
+    with pytest.raises(DomainViolation):
+        HPoint(complex(1e308, 1.0), complex(1e308, 0.0))  # tau + z overflows
 
 
 # --------------------------------------------------------------------------
@@ -119,12 +122,13 @@ def test_cayley_derived_value_against_factor_oracle():
 
 
 def test_cayley_matches_factor_oracle_randomly(rng):
+    # The library map is the scalar one per factor; the reference is the
+    # literal matrix map (Z - iI)(Z + iI)^-1.
     for _ in range(300):
         z = random_hpoint(rng)
-        plus, minus = z.factors()
-        got = cayley_to_disc(z)
-        assert abs((got.z1 + got.z2) - scalar_cayley(plus)) < 1e-12
-        assert abs((got.z1 - got.z2) - scalar_cayley(minus)) < 1e-12
+        got, want = cayley_to_disc(z), _reference_cayley(z)
+        for g, w in zip(got.factors(), want.factors()):
+            assert abs(g - w) < 1e-12
 
 
 def test_cayley_roundtrip_seeded():
@@ -146,7 +150,7 @@ def test_cayley_preserves_membership(rng):
 
 
 # --------------------------------------------------------------------------
-# Bidisc coordinates
+# Factor coordinates
 
 
 @pytest.mark.parametrize(
@@ -157,22 +161,36 @@ def test_cayley_preserves_membership(rng):
         (0.3, -0.1, 0.2, 0.4),
     ],
 )
-def test_sigma_examples(z1, z2, w1, w2):
-    w = sigma(EPoint(z1, z2))
-    assert w.w1 == pytest.approx(w1, abs=1e-15)
-    assert w.w2 == pytest.approx(w2, abs=1e-15)
-    back = sigma_inv(BidiscPoint(w1, w2))
+def test_disc_factor_examples(z1, z2, w1, w2):
+    w = EPoint(z1, z2).factors()
+    assert w[0] == pytest.approx(w1, abs=1e-15)
+    assert w[1] == pytest.approx(w2, abs=1e-15)
+    back = EPoint.from_factors(w1, w2)
     assert abs(back.z1 - z1) < 1e-15 and abs(back.z2 - z2) < 1e-15
 
 
-def test_sigma_roundtrips(rng):
+def test_disc_factors_roundtrip(rng):
     for _ in range(200):
         z = cayley_to_disc(random_hpoint(rng))
-        there = sigma(z)
-        back = sigma_inv(there)
+        there = z.factors()
+        assert EPoint.from_factors(*there) == z
+        back = EPoint(z.z1, z.z2)
         assert abs(back.z1 - z.z1) < 1e-15 and abs(back.z2 - z.z2) < 1e-15
-        again = sigma(back)
-        assert abs(again.w1 - there.w1) < 1e-15 and abs(again.w2 - there.w2) < 1e-15
+        again = back.factors()
+        assert abs(again[0] - there[0]) < 1e-15 and abs(again[1] - there[1]) < 1e-15
+
+
+def test_from_factors_stores_its_arguments():
+    # Heights 20 orders apart: through (tau, z) the smaller factor kept only
+    # the digits above the larger factor's rounding.
+    rng = random.Random(3)
+    for _ in range(200):
+        w1 = complex(rng.uniform(-5.0, 5.0), 1.0)
+        w2 = complex(rng.uniform(-5.0, 5.0), 1e20)
+        for pair in ((w1, w2), (w2, w1)):
+            assert HPoint.from_factors(*pair).factors() == pair
+    u = (complex(0.3, 1e-17), complex(-0.9, 0.1))
+    assert EPoint.from_factors(*u).factors() == u
 
 
 # --------------------------------------------------------------------------
@@ -182,8 +200,31 @@ def test_sigma_roundtrips(rng):
 def test_json_roundtrip():
     z = HPoint(complex(0.5, 2.0), complex(-0.25, 1.0))
     assert HPoint.from_json_dict(z.to_json_dict()) == z
-    w = EPoint(complex(0.1, -0.2), complex(0.05, 0.15))
+    # Exact where z1 +- z2 round to nothing; otherwise see the next test.
+    w = EPoint(complex(0.125, -0.25), complex(0.0625, 0.1875))
     assert EPoint.from_json_dict(w.to_json_dict()) == w
+
+
+def test_json_roundtrip_moves_factors_by_rounding_only():
+    # JSON carries (tau, z): each rounds by u of the larger factor, and the
+    # sum read back by u more, so each real and imaginary part of a factor
+    # moves by at most 2u times that part's larger value over the two factors.
+    u = 2.0**-53
+    rng = random.Random(8)
+    for _ in range(3000):
+        w = [
+            complex(rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0))
+            for _ in range(2)
+        ]
+        p = HPoint.from_factors(*w)
+        e = EPoint.from_factors(*(f / (1.0 + abs(f)) for f in w))
+        for q in (p, e):
+            back = type(q).from_json_dict(q.to_json_dict()).factors()
+            re_max = max(abs(f.real) for f in q.factors())
+            im_max = max(abs(f.imag) for f in q.factors())
+            for got, want in zip(back, q.factors()):
+                assert abs(got.real - want.real) <= 2 * u * re_max
+                assert abs(got.imag - want.imag) <= 2 * u * im_max
 
 
 def test_random_hpoint_is_deterministic_and_in_range():

@@ -76,7 +76,7 @@ def test_cross_ratio_eigenvalues_against_general_solver(rng):
         z2 = random_hpoint(rng)
         r = _reference_cross_ratio(z1, z2)
         ours = cross_ratio_eigenvalues(z1, z2)
-        theirs = np.linalg.eigvals(np.array(r.rows(), dtype=complex))
+        theirs = np.linalg.eigvals(np.array([[r.a, r.b], [r.c, r.d]], dtype=complex))
         theirs = sorted(theirs.real, reverse=True)
         assert ours[0] == pytest.approx(theirs[0], abs=1e-10)
         assert ours[1] == pytest.approx(theirs[1], abs=1e-10)
@@ -307,6 +307,47 @@ def test_geodesic_with_an_underflowing_factor_chord():
     for frac in (1 / 3, 0.5, 0.9):
         w = spec.point(frac * spec.s0).factors()[0]
         assert abs(w - z1.factors()[0]) <= 4 * U * abs(w)
+
+
+def test_geodesic_where_the_factor_height_ratio_overflows():
+    # Along the second factor y / v is about 1e316: the leg's b y / v is inf,
+    # and its quotient with a + b y / v gave NaN.
+    z1 = HPoint.from_factors(
+        complex(4.783348423734651e123, 7.596168695594492e236),
+        complex(-1.9001027973444516e69, 1.35491843579998e305),
+    )
+    z2 = HPoint.from_factors(
+        complex(-1.2448513369994617e297, 5.097072511562359e142),
+        complex(5.057270999871668e263, 2.344276530463557e-11),
+    )
+    spec = connect(z1, z2)
+    for k in range(11):
+        s = spec.s0 * k / 10
+        p = spec.point(s)
+        assert abs(distance(p, z1) - s) <= 1e-14 * spec.s0
+        assert abs(distance(p, z2) - (spec.s0 - s)) <= 1e-14 * spec.s0
+
+
+def test_geodesics_between_extreme_factor_pairs():
+    # Factor heights and offsets 10^[-11.5, 307.5]: every pair is a valid
+    # pair of points, and every sample point of its geodesic is a point
+    # (a numerical breakdown is the only failure allowed).
+    def draw():
+        sign = rng.choice((-1.0, 1.0))
+        return complex(sign * 10.0 ** rng.uniform(-11.5, 307.5), 10.0 ** rng.uniform(-11.5, 307.5))
+
+    rng = random.Random(5)
+    done = 0
+    for _ in range(3000):
+        z1, z2 = (HPoint.from_factors(draw(), draw()) for _ in range(2))
+        try:
+            spec = connect(z1, z2)
+            points = [spec.point(spec.s0 * k / 8) for k in range(9)]
+        except NumericalBreakdown:
+            continue
+        assert points[0] == z1
+        done += 1
+    assert done >= 2900
 
 
 @pytest.mark.parametrize("recipe", [near_pair, wide_pair])

@@ -365,6 +365,24 @@ def test_factorwise_action_including_swap(rng):
         assert abs(w_minus - g_minus) <= 1e-9
 
 
+def test_apply_keeps_the_smaller_factor_to_its_own_rounding(rng):
+    # Factor heights 1e3..1e5 against 0.1..1: each image is the Moebius image
+    # of its own factor to rounding relative to that image, which the
+    # (tau, z) storage exceeded by the larger factor's rounding.
+    for _ in range(300):
+        m = random_motion(rng)
+        big = complex(rng.uniform(-5e4, 5e4), 10.0 ** rng.uniform(3.0, 5.0))
+        small = complex(rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-1.0, 0.0))
+        z = HPoint.from_factors(*((big, small) if rng.random() < 0.5 else (small, big)))
+        m1, m2 = split(m)
+        images = [mobius(entries(f), HalfPlanePoint(w.real, w.imag)).as_complex()
+                  for f, w in zip((m1, m2), z.factors())]
+        if m.eps == -1:
+            images.reverse()
+        for got, want in zip(apply(m, z).factors(), images):
+            assert abs(got - want) <= 4 * U * abs(want)
+
+
 def test_factor_path_matches_4x4_reference(rng):
     # Composition, inverse, action and factor read-off of the stored factors
     # against the same operations on the 4x4 matrices, for every sign pair.
