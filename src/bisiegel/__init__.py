@@ -20,9 +20,7 @@ from .errors import (
     DegeneratePair,
     DomainViolation,
     GeometryError,
-    NonPositiveMu,
     NotInHatGroup,
-    NotPositiveDefinite,
     NotSymplectic,
     NotUnimodular,
     NumericalBreakdown,
@@ -31,7 +29,6 @@ from .errors import (
     SingularMatrix,
     UnitModulusViolation,
     ValidationError,
-    ZeroParameter,
 )
 from .geometry import (
     GeodesicSpec,
@@ -58,7 +55,6 @@ from .group import (
     StabilizerParams,
     apply,
     assemble,
-    bisym_normalizer,
     classify,
     random_motion,
     random_sl2,
@@ -71,9 +67,7 @@ from .group import (
 )
 from .hyperbolic import (
     HalfPlanePoint,
-    dilation_link_residual,
     hyp_distance,
-    map_to_imaginary,
     mobius,
     pair_lambda,
 )
@@ -83,7 +77,6 @@ from .numkit import (
     Mat4R,
     SYMPLECTIC_FORM,
     Tolerance,
-    approx_eq,
     max_abs_diff,
 )
 from .verify import CheckResult, run_suite

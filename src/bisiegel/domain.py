@@ -11,9 +11,11 @@ eigenvalues ``(tau + z, tau - z)`` and ``(z1 + z2, z1 - z2)``.  They identify
 the half-space with a product of two upper half-planes and the bounded model
 with a product of two unit discs, and every closed form in this package is
 two copies of a one-plane (or one-disc) formula.  ``(tau, z)`` and
-``(z1, z2)`` are derived from the factors, for JSON and the matrix form.
-The Cayley maps ``Z -> (Z - iI)(Z + iI)^-1`` and ``Z0 -> i(I + Z0)(I - Z0)^-1``
-are, per factor, ``w -> (w - i)/(w + i)`` and ``u -> i(1 + u)/(1 - u)``.
+``(z1, z2)`` are derived from the factors, for JSON and the matrix
+references in ``verify``.  The Cayley maps ``Z -> (Z - iI)(Z + iI)^-1`` and
+``Z0 -> i(I + Z0)(I - Z0)^-1`` are, per factor, ``w -> (w - i)/(w + i)`` and
+``u -> i(1 + u)/(1 - u)``.  The image of a valid point that falls inside the
+other model's ``dom_eps`` margin is a numerical limit, not bad input.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import DomainViolation, SingularMatrix
-from .numkit import DEFAULT_TOL, Mat2C, Mat4R, Tolerance
+from .errors import DomainViolation, NumericalBreakdown, SingularMatrix
+from .numkit import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "HPoint",
@@ -33,15 +35,7 @@ __all__ = [
     "cayley_to_disc",
     "cayley_to_halfspace",
     "random_hpoint",
-    "EXCHANGE_2",
-    "EXCHANGE_4",
 ]
-
-
-# Exchange involution: swaps the two coordinates; squares to the identity.
-EXCHANGE_2 = Mat2C(0.0, 1.0, 1.0, 0.0)
-
-EXCHANGE_4 = Mat4R.from_blocks(EXCHANGE_2, Mat2C.zero(), Mat2C.zero(), EXCHANGE_2)
 
 
 def _in_half_plane(w: complex, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -104,12 +98,6 @@ class HPoint:
         """Coordinates (tau + z, tau - z) in the two half-plane factors."""
         return (self.w1, self.w2)
 
-    def as_matrix(self) -> Mat2C:
-        return Mat2C.bisym(self.tau, self.z)
-
-    def imag_matrix(self) -> Mat2C:
-        return Mat2C.bisym(self.tau.imag, self.z.imag)
-
     def to_json_dict(self) -> dict:
         tau, z = self.tau, self.z
         return {"tau": [tau.real, tau.imag], "z": [z.real, z.imag]}
@@ -153,9 +141,6 @@ class EPoint:
         """Coordinates (z1 + z2, z1 - z2) in the two disc factors."""
         return (self.u1, self.u2)
 
-    def as_matrix(self) -> Mat2C:
-        return Mat2C.bisym(self.z1, self.z2)
-
     def to_json_dict(self) -> dict:
         z1, z2 = self.z1, self.z2
         return {"z1": [z1.real, z1.imag], "z2": [z2.real, z2.imag]}
@@ -165,6 +150,14 @@ class EPoint:
         return cls(complex(*doc["z1"]), complex(*doc["z2"]))
 
 
+def _cayley_image(model: type, f1: complex, f2: complex):
+    """Store the Cayley image of a valid point, which can fall inside the margin."""
+    try:
+        return model.from_factors(f1, f2)
+    except DomainViolation as exc:
+        raise NumericalBreakdown(f"Cayley image not resolved at the dom_eps margin: {exc}") from exc
+
+
 def cayley_to_disc(point: HPoint, tol: Tolerance = DEFAULT_TOL) -> EPoint:
     """Map the half-space model onto the bounded model, (Z - iI)(Z + iI)^-1:
     (w - i)/(w + i) per factor, guarded on det(Z + iI) as the matrix inverse."""
@@ -172,7 +165,7 @@ def cayley_to_disc(point: HPoint, tol: Tolerance = DEFAULT_TOL) -> EPoint:
     d1, d2 = w1 + 1j, w2 + 1j
     if abs(d1 * d2) <= tol.dom_eps:
         raise SingularMatrix(f"Cayley denominator |det|={abs(d1 * d2):.3e} <= {tol.dom_eps}")
-    return EPoint.from_factors((w1 - 1j) / d1, (w2 - 1j) / d2)
+    return _cayley_image(EPoint, (w1 - 1j) / d1, (w2 - 1j) / d2)
 
 
 def cayley_to_halfspace(point: EPoint, tol: Tolerance = DEFAULT_TOL) -> HPoint:
@@ -182,7 +175,7 @@ def cayley_to_halfspace(point: EPoint, tol: Tolerance = DEFAULT_TOL) -> HPoint:
     d1, d2 = 1.0 - u1, 1.0 - u2
     if abs(d1 * d2) <= tol.dom_eps:
         raise SingularMatrix(f"Cayley denominator |det|={abs(d1 * d2):.3e} <= {tol.dom_eps}")
-    return HPoint.from_factors(1j * (1.0 + u1) / d1, 1j * (1.0 + u2) / d2)
+    return _cayley_image(HPoint, 1j * (1.0 + u1) / d1, 1j * (1.0 + u2) / d2)
 
 
 def random_hpoint(rng: random.Random) -> HPoint:

@@ -31,15 +31,11 @@ class NotInHatGroup(ValidationError):
 
 
 class NotUnimodular(ValidationError):
-    """Real 2x2 matrix does not have determinant one."""
+    """A 2x2 factor (real Moebius or SU(1,1)) does not have determinant one."""
 
 
 class UnitModulusViolation(ValidationError):
     """Rotation parameter does not lie on the unit circle."""
-
-
-class NotPositiveDefinite(ValidationError):
-    """Bi-symmetric matrix is not positive definite."""
 
 
 class OutOfRange(ValidationError):
@@ -48,14 +44,6 @@ class OutOfRange(ValidationError):
 
 class DegeneratePair(ValidationError):
     """Two points coincide where distinct points are required."""
-
-
-class NonPositiveMu(ValidationError):
-    """Target height on the imaginary axis must be positive."""
-
-
-class ZeroParameter(ValidationError):
-    """A parameter that must be nonzero is zero."""
 
 
 class SingularMatrix(NumericalError):

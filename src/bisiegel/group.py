@@ -15,9 +15,11 @@ and reads the factors off the top rows of its blocks, which have the pattern
 ``m2``; ``MotionMatrix.m`` builds the 4x4 back for JSON output and for the
 literal action ``(AZ + B)(CZ + D)^-1`` that ``verify`` checks against.
 
-The disc-model motions (complex blocks ``[[A0, B0], [conj B0, conj A0]]``)
-are kept for the bounded model; their half-space counterparts are built
-directly in factor form.
+The bounded model is a product of two unit discs, and a disc motion is a
+pair of SU(1,1) maps ``u -> (a u + b)/(conj(b) u + conj(a))`` with
+``|a|^2 - |b|^2 = 1`` and the same exchange sign.  Its complex blocks
+``A0``, ``B0`` of ``[[A0, B0], [conj B0, conj A0]]`` are built from the
+factor entries, in the same pattern, only for JSON output.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from math import cos, exp, hypot, isfinite, pi, sin, sqrt
 from .domain import EPoint, HPoint
 from .errors import (
     NotInHatGroup,
-    NotPositiveDefinite,
     NotSymplectic,
     NotUnimodular,
     NumericalBreakdown,
@@ -39,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import _chords
-from .numkit import DEFAULT_TOL, SYMPLECTIC_FORM, Mat2C, Mat4R, Tolerance, max_abs_diff
+from .numkit import DEFAULT_TOL, SYMPLECTIC_FORM, Mat4R, Tolerance
 
 __all__ = [
     "Sl2Matrix",
@@ -53,7 +54,6 @@ __all__ = [
     "assemble",
     "stabilizer_of_center",
     "stabilizer_of_iI",
-    "bisym_normalizer",
     "transport_to_center",
     "transport_to_iI",
     "reduce_pair",
@@ -65,6 +65,15 @@ __all__ = [
 #: Determinant rounding allowed per unit of |ad| + |bc| (8 ulps; transvections
 #: and rescaled products measure up to 3), and its cap, hit at entries near 1e6.
 _DET_ULPS, _DET_CAP = 8.0 * 2.0**-53, 2.0**-10
+
+
+def _det_bound(scale: float) -> float:
+    """Allowed |det - 1| for a factor whose determinant sums terms of this size.
+
+    It grows with the determinant's rounding but stays far below 1, so det 0
+    or det < 0 never passes.
+    """
+    return min(max(DEFAULT_TOL.abs_eps, _DET_ULPS * scale), _DET_CAP)
 
 
 @dataclass(frozen=True)
@@ -80,10 +89,8 @@ class Sl2Matrix:
         a, b, c, d = float(self.a), float(self.b), float(self.c), float(self.d)
         vars(self).update(a=a, b=b, c=c, d=d)  # frozen: bypass __setattr__
         ad, bc = a * d, b * c
-        # The bound grows with the determinant's rounding but stays far below
-        # 1, so det 0 or det < 0 never passes; `not <=` rejects NaN.
-        bound = min(max(DEFAULT_TOL.abs_eps, _DET_ULPS * (abs(ad) + abs(bc))), _DET_CAP)
-        if not abs(ad - bc - 1.0) <= bound:
+        bound = _det_bound(abs(ad) + abs(bc))
+        if not abs(ad - bc - 1.0) <= bound:  # `not <=` rejects NaN
             raise NotUnimodular(f"det={ad - bc!r} differs from 1 by more than {bound:.3e}")
 
     @classmethod
@@ -255,55 +262,68 @@ class StabilizerParams:
 
 @dataclass(frozen=True)
 class DiscMotion:
-    """Disc-model motion [[A0, B0], [conj B0, conj A0]] with exchange sign."""
+    """A disc-model motion: two SU(1,1) factor maps and the exchange sign.
 
-    a0: Mat2C
-    b0: Mat2C
+    Factor k is ``u -> (ak u + bk)/(conj(bk) u + conj(ak))`` with
+    ``|ak|^2 - |bk|^2 = 1``.  On factor coordinates ``(u1, u2)`` it acts as
+    the two maps in order for ``eps = +1`` and with the images swapped for
+    ``eps = -1``, as ``MotionMatrix`` does.
+    """
+
+    a1: complex
+    b1: complex
+    a2: complex
+    b2: complex
     eps: int
 
     def __post_init__(self) -> None:
         if self.eps not in (1, -1):
             raise ValidationError(f"eps must be +1 or -1, got {self.eps!r}")
-        object.__setattr__(self, "eps", int(self.eps))
-        a0, b0 = self.a0, self.b0
-        rel1 = max_abs_diff(a0 @ a0.conj().transpose() - b0 @ b0.conj().transpose(), Mat2C.identity())
-        rel2 = max_abs_diff(a0 @ b0.transpose(), b0 @ a0.transpose())
-        if max(rel1, rel2) > DEFAULT_TOL.abs_eps:
-            raise NotSymplectic(f"disc-model block relations violated by {max(rel1, rel2):.3e}")
-        e = self.eps  # each block must read [[x1, x2], [e x2, e x1]]
-        pat = max(max(abs(k.c - e * k.b), abs(k.d - e * k.a)) for k in (a0, b0))
-        if pat > DEFAULT_TOL.abs_eps:
-            raise NotInHatGroup(f"disc-model exchange pattern violated by {pat:.3e}")
+        a1, b1, a2, b2 = complex(self.a1), complex(self.b1), complex(self.a2), complex(self.b2)
+        # frozen: bypass __setattr__
+        vars(self).update(a1=a1, b1=b1, a2=a2, b2=b2, eps=int(self.eps))
+        for a, b in ((a1, b1), (a2, b2)):
+            aa, bb = abs(a) ** 2, abs(b) ** 2
+            bound = _det_bound(aa + bb)
+            if not abs(aa - bb - 1.0) <= bound:  # `not <=` rejects NaN
+                raise NotUnimodular(f"det={aa - bb!r} differs from 1 by more than {bound:.3e}")
+
+    def _block(self, x1: complex, x2: complex) -> tuple:
+        h1, h2 = (x1 + x2) / 2.0, (x1 - x2) / 2.0
+        return ((h1, h2), (self.eps * h2, self.eps * h1))
+
+    # The complex blocks of [[A0, B0], [conj B0, conj A0]], for JSON output:
+    # each reads [[x1, x2], [eps*x2, eps*x1]] with x1 +- x2 the factor entries.
+    a0 = property(lambda self: self._block(self.a1, self.a2))
+    b0 = property(lambda self: self._block(self.b1, self.b2))
 
     def apply(self, point: EPoint, tol: Tolerance = DEFAULT_TOL) -> EPoint:
-        zm = point.as_matrix()
-        den = self.b0.conj() @ zm + self.a0.conj()
-        if abs(den.det()) <= tol.dom_eps:
-            raise SingularMatrix(f"disc action denominator |det|={abs(den.det()):.3e}")
-        w = (self.a0 @ zm + self.b0) @ den.inverse(tol)
-        return EPoint((w.a + w.d) / 2.0, (w.b + w.c) / 2.0)
+        """Act on a bounded-model point, one SU(1,1) map per factor coordinate;
+        the product of the two denominators is guarded as in ``apply``."""
+        u1, u2 = point.factors()
+        den1 = self.b1.conjugate() * u1 + self.a1.conjugate()
+        den2 = self.b2.conjugate() * u2 + self.a2.conjugate()
+        if abs(den1 * den2) <= tol.dom_eps:
+            raise SingularMatrix(f"disc action denominator |det|={abs(den1 * den2):.3e}")
+        g1 = (self.a1 * u1 + self.b1) / den1
+        g2 = (self.a2 * u2 + self.b2) / den2
+        return EPoint.from_factors(g1, g2) if self.eps == 1 else EPoint.from_factors(g2, g1)
 
     def to_json_dict(self) -> dict:
-        def entries(m: Mat2C) -> list:
-            return [
-                [[m.a.real, m.a.imag], [m.b.real, m.b.imag]],
-                [[m.c.real, m.c.imag], [m.d.real, m.d.imag]],
-            ]
+        def entries(block: tuple) -> list:
+            return [[[x.real, x.imag] for x in row] for row in block]
 
         return {"a0": entries(self.a0), "b0": entries(self.b0), "eps": self.eps}
 
 
-def stabilizer_of_center(params: StabilizerParams, tol: Tolerance = DEFAULT_TOL) -> DiscMotion:
+def stabilizer_of_center(params: StabilizerParams) -> DiscMotion:
     """Disc-model motion fixing the center of the bounded model.
 
-    In factor coordinates it rotates the two discs by xi1^2 and xi2^2
-    (swapped when eps = -1); the parameters themselves are the entries of
-    the patterned unitary block, two-to-one onto the rotations.
+    Its factors are ``u -> xi u / conj(xi)``, so it rotates the two discs by
+    xi1^2 and xi2^2 (swapped when eps = -1); the parameters are two-to-one
+    onto the rotations.
     """
-    half_sum = (params.xi1 + params.xi2) / 2.0
-    half_diff = (params.xi1 - params.xi2) / 2.0
-    a0 = Mat2C(half_sum, half_diff, params.eps * half_diff, params.eps * half_sum)
-    return DiscMotion(a0, Mat2C.zero(), params.eps)
+    return DiscMotion(params.xi1, 0j, params.xi2, 0j, params.eps)
 
 
 def stabilizer_of_iI(params: StabilizerParams) -> MotionMatrix:
@@ -320,37 +340,21 @@ def stabilizer_of_iI(params: StabilizerParams) -> MotionMatrix:
     return MotionMatrix(rotation(params.xi1), rotation(params.xi2), params.eps)
 
 
-def bisym_normalizer(k1: float, k2: float, eps: int = 1, tol: Tolerance = DEFAULT_TOL) -> Mat2C:
-    """Real patterned K0 with K0 K K0^T = I for K = [[k1, k2], [k2, k1]] > 0.
-
-    Uses the canonical positive branch of the two square roots; ``eps`` picks
-    the sign pattern of the bottom row.
-    """
-    k1, k2 = float(k1), float(k2)
-    if not k1 > abs(k2) + tol.dom_eps:
-        raise NotPositiveDefinite(f"k1={k1!r} must exceed |k2|={abs(k2)!r}")
-    s_plus, s_minus = 1.0 / sqrt(k1 + k2), 1.0 / sqrt(k1 - k2)
-    x1, x2 = (s_plus + s_minus) / 2.0, (s_plus - s_minus) / 2.0
-    return Mat2C(x1, x2, eps * x2, eps * x1)
-
-
-def transport_to_center(point: EPoint, tol: Tolerance = DEFAULT_TOL) -> DiscMotion:
+def transport_to_center(point: EPoint) -> DiscMotion:
     """Disc-model motion sending the given bounded-model point to the center.
 
-    A0 normalizes I - Z0 conj(Z0) and B0 = -A0 Z0; the result is the
-    canonical (eps = +1, positive-branch) transport used everywhere else.
+    Per factor it is ``u -> (u - c)/(1 - conj(c) u)``, scaled into SU(1,1)
+    by ``a = 1/sqrt((1 - |c|)(1 + |c|))`` and ``b = -c a``; it is the Cayley
+    conjugate of ``transport_to_iI``.
     """
-    zm = point.as_matrix()
-    k = Mat2C.identity() - zm @ zm.conj()
-    if k.max_imag() > tol.abs_eps:
-        raise NumericalBreakdown(f"Gram matrix imaginary residue {k.max_imag():.3e}")
-    k1, k2 = (k.a.real + k.d.real) / 2.0, (k.b.real + k.c.real) / 2.0
-    a0 = bisym_normalizer(k1, k2, 1, tol)
-    b0 = -(a0 @ zm)
-    try:
-        return DiscMotion(a0, b0, 1)
-    except ValidationError as exc:
-        raise NumericalBreakdown(f"transport failed validation: {exc}") from exc
+
+    def factor(c: complex) -> tuple[float, complex]:
+        r = abs(c)
+        a = 1.0 / sqrt((1.0 - r) * (1.0 + r))
+        return a, -c * a
+
+    (a1, b1), (a2, b2) = factor(point.u1), factor(point.u2)
+    return DiscMotion(a1, b1, a2, b2, 1)
 
 
 def _transvection_to_i(w: complex) -> Sl2Matrix:

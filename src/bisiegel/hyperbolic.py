@@ -11,16 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainViolation, NonPositiveMu, ZeroParameter
+from .errors import DomainViolation
 from .numkit import DEFAULT_TOL
 
 __all__ = [
     "HalfPlanePoint",
     "mobius",
-    "map_to_imaginary",
     "pair_lambda",
     "hyp_distance",
-    "dilation_link_residual",
 ]
 
 
@@ -53,27 +51,6 @@ def mobius(m: Matrix2, z: HalfPlanePoint) -> HalfPlanePoint:
     return HalfPlanePoint(w.real, w.imag)
 
 
-def map_to_imaginary(z: HalfPlanePoint, mu: float, theta: float = 0.0) -> Matrix2:
-    """Unimodular matrix (a, b, c, d) sending z to mu*i.
-
-    The family of all such matrices is a dilation times a rotation about i
-    times the normalizing shear of z; ``theta`` selects the rotation.
-    """
-    mu = float(mu)
-    if not mu > 0.0:
-        raise NonPositiveMu(f"mu={mu!r} must be positive")
-    rmu = math.sqrt(mu)
-    ct, st = math.cos(theta), math.sin(theta)
-    ry = math.sqrt(z.y)
-    # diag(rmu, 1/rmu) @ [[ct, st], [-st, ct]] @ [[1/ry, -x/ry], [0, ry]]
-    return (
-        rmu * ct / ry,
-        rmu * (-ct * z.x / ry + st * ry),
-        -st / (rmu * ry),
-        (st * z.x / ry + ct * ry) / rmu,
-    )
-
-
 def pair_lambda(z1: HalfPlanePoint, z2: HalfPlanePoint) -> float:
     """The dilation >= 1 carrying (z1, z2) to (i, lambda*i) along a common motion.
 
@@ -87,19 +64,3 @@ def pair_lambda(z1: HalfPlanePoint, z2: HalfPlanePoint) -> float:
 def hyp_distance(z1: HalfPlanePoint, z2: HalfPlanePoint) -> float:
     """Hyperbolic distance, the log of the pair dilation."""
     return math.log(pair_lambda(z1, z2))
-
-
-def dilation_link_residual(l1: float, l2: float, mu1: float, mu2: float, lam: float) -> float:
-    """Residual of the identity linking two rotation-shear routes to one matrix.
-
-    If rot(t1) [[l1, mu1], [0, 1/l1]] equals diag(lam, 1/lam) rot(t2)
-    [[l2, mu2], [0, 1/l2]] for some angles t1, t2, the dilation satisfies
-    lam^2 + lam^-2 = (l2/l1)^2 + (l1/l2)^2 + (l1 mu2 - l2 mu1)^2; this
-    returns |lhs - rhs| as a verification utility.
-    """
-    for name, v in (("l1", l1), ("l2", l2), ("lam", lam)):
-        if float(v) == 0.0:
-            raise ZeroParameter(f"{name} must be nonzero")
-    lhs = lam * lam + 1.0 / (lam * lam)
-    rhs = (l2 / l1) ** 2 + (l1 / l2) ** 2 + (l1 * mu2 - l2 * mu1) ** 2
-    return abs(lhs - rhs)

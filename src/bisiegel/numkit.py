@@ -1,8 +1,11 @@
-"""Fixed-shape matrix kernel: 2x2 complex and 4x4 real.
+"""Tolerances and the fixed-shape matrix types: 2x2 complex and 4x4 real.
 
-Everything is immutable and pure.  Inverses of 2x2 matrices use the closed
-adjugate formula guarded by a determinant threshold; there is deliberately no
-general linear algebra here.
+The library computes in factor coordinates.  ``Mat4R`` is the boundary type
+of a motion's 4x4 matrix (JSON, ``classify``); ``Mat2C`` is the return type
+of ``cross_ratio`` and the type of the literal matrix references in
+``verify``.  Everything is immutable and pure.  Inverses of 2x2 matrices use
+the closed adjugate formula guarded by a determinant threshold; there is
+deliberately no general linear algebra here.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ __all__ = [
     "Mat2C",
     "Mat4R",
     "SYMPLECTIC_FORM",
-    "approx_eq",
+    "EXCHANGE_4",
     "max_abs_diff",
 ]
 
@@ -70,10 +73,6 @@ class Mat2C:
         return cls(1.0, 0.0, 0.0, 1.0)
 
     @classmethod
-    def zero(cls) -> "Mat2C":
-        return cls(0.0, 0.0, 0.0, 0.0)
-
-    @classmethod
     def bisym(cls, on_diag: complex, off_diag: complex) -> "Mat2C":
         """Matrix with equal diagonal and equal off-diagonal entries."""
         return cls(on_diag, off_diag, off_diag, on_diag)
@@ -83,9 +82,6 @@ class Mat2C:
 
     def __sub__(self, other: "Mat2C") -> "Mat2C":
         return Mat2C(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
-
-    def __neg__(self) -> "Mat2C":
-        return Mat2C(-self.a, -self.b, -self.c, -self.d)
 
     def __matmul__(self, other: "Mat2C") -> "Mat2C":
         return Mat2C(
@@ -114,9 +110,6 @@ class Mat2C:
 
     def max_abs(self) -> float:
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-
-    def max_imag(self) -> float:
-        return max(abs(self.a.imag), abs(self.b.imag), abs(self.c.imag), abs(self.d.imag))
 
     def inverse(self, tol: Tolerance = DEFAULT_TOL) -> "Mat2C":
         """Closed-form adjugate inverse; rejects |det| at or below the guard."""
@@ -149,22 +142,12 @@ class Mat4R:
     def identity(cls) -> "Mat4R":
         return cls(tuple(tuple(1.0 if i == j else 0.0 for j in range(4)) for i in range(4)))
 
-    def __add__(self, other: "Mat4R") -> "Mat4R":
-        return Mat4R(
-            tuple(
-                tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)
-            )
-        )
-
     def __sub__(self, other: "Mat4R") -> "Mat4R":
         return Mat4R(
             tuple(
                 tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)
             )
         )
-
-    def __neg__(self) -> "Mat4R":
-        return Mat4R(tuple(tuple(-x for x in row) for row in self.rows))
 
     def __matmul__(self, other: "Mat4R") -> "Mat4R":
         cols = tuple(zip(*other.rows))
@@ -194,21 +177,6 @@ class Mat4R:
             Mat2C(r[2][2], r[2][3], r[3][2], r[3][3]),
         )
 
-    @classmethod
-    def from_blocks(cls, ul: Mat2C, ur: Mat2C, ll: Mat2C, lr: Mat2C) -> "Mat4R":
-        """Assemble from real-valued 2x2 blocks (imaginary parts must be exact zeros)."""
-        for blk in (ul, ur, ll, lr):
-            if blk.max_imag() != 0.0:
-                raise NumericalBreakdown("from_blocks got a block with nonzero imaginary part")
-        return cls(
-            (
-                (ul.a.real, ul.b.real, ur.a.real, ur.b.real),
-                (ul.c.real, ul.d.real, ur.c.real, ur.d.real),
-                (ll.a.real, ll.b.real, lr.a.real, lr.b.real),
-                (ll.c.real, ll.d.real, lr.c.real, lr.d.real),
-            )
-        )
-
 
 #: Standard symplectic form on R^4: [[0, I], [-I, 0]] in 2x2 blocks.
 SYMPLECTIC_FORM = Mat4R(
@@ -220,10 +188,16 @@ SYMPLECTIC_FORM = Mat4R(
     )
 )
 
-
-def approx_eq(x, y, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Entrywise comparison: max modulus of the difference at most ``abs_eps``."""
-    return max_abs_diff(x, y) <= tol.abs_eps
+#: Exchange involution on R^4: swaps the two coordinates of each half;
+#: squares to the identity.
+EXCHANGE_4 = Mat4R(
+    (
+        (0.0, 1.0, 0.0, 0.0),
+        (1.0, 0.0, 0.0, 0.0),
+        (0.0, 0.0, 0.0, 1.0),
+        (0.0, 0.0, 1.0, 0.0),
+    )
+)
 
 
 def max_abs_diff(x, y) -> float:

@@ -19,7 +19,6 @@ from typing import Callable
 import numpy as np
 
 from .domain import (
-    EXCHANGE_4,
     EPoint,
     HPoint,
     cayley_to_disc,
@@ -47,7 +46,7 @@ from .group import (
     split,
 )
 from .hyperbolic import HalfPlanePoint, hyp_distance
-from .numkit import DEFAULT_TOL, Mat2C, Mat4R, max_abs_diff
+from .numkit import DEFAULT_TOL, EXCHANGE_4, Mat2C, Mat4R, max_abs_diff
 
 __all__ = ["CheckResult", "run_suite", "SUITE"]
 
@@ -82,7 +81,7 @@ def _points_gap(p: HPoint, q: HPoint) -> float:
 def _reference_apply(m: Mat4R, point: HPoint) -> HPoint:
     """The 4x4 action (A Z + B)(C Z + D)^-1, computed literally."""
     a, b, c, d = m.blocks()
-    zm = point.as_matrix()
+    zm = Mat2C.bisym(point.tau, point.z)
     w = (a @ zm + b) @ (c @ zm + d).inverse()
     # The image of a bi-symmetric point is bi-symmetric; averaging removes
     # the rounding skew.
@@ -92,14 +91,14 @@ def _reference_apply(m: Mat4R, point: HPoint) -> HPoint:
 def _reference_cross_ratio(z: HPoint, z1: HPoint) -> Mat2C:
     """The matrix cross ratio (Z-Z1)(Z-conj Z1)^-1 (conj Z-conj Z1)(conj Z-Z1)^-1,
     computed literally."""
-    a, b = z.as_matrix(), z1.as_matrix()
+    a, b = Mat2C.bisym(z.tau, z.z), Mat2C.bisym(z1.tau, z1.z)
     ac, bc = a.conj(), b.conj()
     return (a - b) @ (a - bc).inverse() @ (ac - bc) @ (ac - b).inverse()
 
 
 def _reference_cayley(z: HPoint) -> EPoint:
     """The Cayley map (Z - iI)(Z + iI)^-1, computed literally."""
-    zm, i_i = z.as_matrix(), Mat2C.identity().scale(1j)
+    zm, i_i = Mat2C.bisym(z.tau, z.z), Mat2C.identity().scale(1j)
     w = (zm - i_i) @ (zm + i_i).inverse()
     return EPoint((w.a + w.d) / 2.0, (w.b + w.c) / 2.0)
 

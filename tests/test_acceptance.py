@@ -35,7 +35,7 @@ from bisiegel import (
     split,
 )
 from bisiegel.cli import main as cli_main
-from bisiegel.domain import EXCHANGE_4
+from bisiegel.numkit import EXCHANGE_4
 from bisiegel.geometry import Tangent
 from bisiegel.hyperbolic import mobius
 

@@ -138,6 +138,23 @@ def test_cayley_both_ways(files, capsys):
     assert json.loads(out) == {"tau": [0, 2], "z": [0, 1]}
 
 
+def test_cayley_to_disc_inside_the_margin_exits_3(files, capsys):
+    # A valid point whose disc image lies within dom_eps of the unit circle.
+    p = files("p.json", '{"tau":[1e7,1],"z":[0,0]}')
+    code, out, err = run(capsys, ["cayley", "--to", "disc", "--point", p])
+    assert code == 3 and out == "" and err.startswith("numerical error:")
+    assert "Traceback" not in err
+
+
+def test_cayley_to_halfspace_inside_the_margin_exits_3(files, capsys):
+    # A valid point whose image has a factor height of 7.5e-13 < dom_eps.
+    z = repr(-(1.0 - 1.5e-12) / 2.0)
+    e = files("e.json", f'{{"z1":[{z},0],"z2":[{z},0]}}')
+    code, out, err = run(capsys, ["cayley", "--to", "halfspace", "--point", e])
+    assert code == 3 and out == "" and err.startswith("numerical error:")
+    assert "Traceback" not in err
+
+
 def test_stdin_input(files, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(I_JSON))
     code, out, _ = run(capsys, ["volume", "--point", "-"])
@@ -208,6 +225,33 @@ def test_stabilizer_models(capsys):
     doc = json.loads(out)
     assert doc["a0"] == [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
     assert doc["eps"] == 1
+
+
+@pytest.mark.parametrize(
+    "eps,expected",
+    [
+        (
+            "1",
+            '{"a0":[[[0.52015115293407,0.853748194296168],[-0.0201511529340698,0.012277209488271]],'
+            '[[-0.0201511529340698,0.012277209488271],[0.52015115293407,0.853748194296168]]],'
+            '"b0":[[[0,0],[0,0]],[[0,0],[0,0]]],"eps":1}\n',
+        ),
+        (
+            "-1",
+            '{"a0":[[[0.52015115293407,0.853748194296168],[-0.0201511529340698,0.012277209488271]],'
+            '[[0.0201511529340698,-0.012277209488271],[-0.52015115293407,-0.853748194296168]]],'
+            '"b0":[[[0,0],[0,0]],[[0,0],[0,0]]],"eps":-1}\n',
+        ),
+    ],
+    ids=["plus", "minus"],
+)
+def test_stabilizer_disc_golden(capsys, eps, expected):
+    # xi1 at pi/3 and xi2 at 1 rad: the blocks mix both parameters, and for
+    # eps = -1 the bottom rows change sign.
+    xi1 = f"--xi1={math.cos(math.pi / 3)!r},{math.sin(math.pi / 3)!r}"
+    xi2 = f"--xi2={math.cos(1.0)!r},{math.sin(1.0)!r}"
+    code, out, _ = run(capsys, ["stabilizer", xi1, xi2, "--eps", eps, "--model", "disc"])
+    assert code == 0 and out == expected
 
 
 def test_random_point_golden_and_determinism(capsys):

@@ -9,16 +9,15 @@ from bisiegel import (
     EPoint,
     HPoint,
     Mat2C,
+    NumericalBreakdown,
     SYMPLECTIC_FORM,
-    approx_eq,
     cayley_to_disc,
     cayley_to_halfspace,
     e_contains,
     h_contains,
     random_hpoint,
 )
-from bisiegel.domain import EXCHANGE_2, EXCHANGE_4
-from bisiegel.numkit import max_abs_diff
+from bisiegel.numkit import DEFAULT_TOL, EXCHANGE_4, max_abs_diff
 from bisiegel.verify import _reference_cayley
 
 from conftest import point_gap
@@ -34,15 +33,19 @@ def scalar_cayley(w: complex) -> complex:
 
 
 def test_exchange_matrices_are_involutions():
-    assert approx_eq(EXCHANGE_2 @ EXCHANGE_2, Mat2C.identity())
+    exchange_2 = Mat2C(0.0, 1.0, 1.0, 0.0)
+    assert max_abs_diff(exchange_2 @ exchange_2, Mat2C.identity()) == 0.0
     assert max_abs_diff(EXCHANGE_4 @ EXCHANGE_4, Mat4R.identity()) == 0.0
+    # Each 2x2 block of the 4x4 involution is the 2x2 exchange or zero.
+    ul, ur, ll, lr = EXCHANGE_4.blocks()
+    assert ul == lr == exchange_2 and ur.max_abs() == ll.max_abs() == 0.0
 
 
 def test_diag_rot_is_orthogonal_and_diagonalizes():
     # The 45-degree rotation behind the factor coordinates (tau + z, tau - z).
     r = 1.0 / math.sqrt(2.0)
     rot = Mat2C(r, -r, r, r)
-    assert approx_eq(rot @ rot.transpose(), Mat2C.identity())
+    assert max_abs_diff(rot @ rot.transpose(), Mat2C.identity()) <= DEFAULT_TOL.abs_eps
     z = Mat2C.bisym(2j, 1j)
     d = rot.transpose() @ z @ rot
     assert abs(d.b) < 1e-15 and abs(d.c) < 1e-15
@@ -147,6 +150,25 @@ def test_cayley_preserves_membership(rng):
         assert e_contains(w.z1, w.z2)
         back = cayley_to_halfspace(w)
         assert h_contains(back.tau, back.z)
+
+
+def test_cayley_to_disc_inside_the_margin_is_numerical():
+    # |w|^2 / Im w = 1e14: the image factor lies 2e-14 inside the unit circle,
+    # within the dom_eps margin.  The point is valid, so this is a numerical
+    # limit.
+    with pytest.raises(NumericalBreakdown, match="dom_eps margin"):
+        cayley_to_disc(HPoint(1e7 + 1j, 0.0))
+    with pytest.raises(DomainViolation):
+        HPoint(1e7 + 1e-13j, 0.0)  # invalid input stays a validation error
+
+
+def test_cayley_to_halfspace_inside_the_margin_is_numerical():
+    # A factor at radius 1 - 1.5e-12 maps to height 7.5e-13, below dom_eps.
+    z = -(1.0 - 1.5e-12) / 2.0
+    with pytest.raises(NumericalBreakdown, match="dom_eps margin"):
+        cayley_to_halfspace(EPoint(z, z))
+    with pytest.raises(DomainViolation):
+        EPoint(0.5, 0.5)  # invalid input stays a validation error
 
 
 # --------------------------------------------------------------------------

@@ -132,7 +132,7 @@ def test_metric_form_matches_literal_trace(rng):
     for _ in range(200):
         z = random_hpoint(rng)
         d = random_tangent(rng)
-        y_inv = z.imag_matrix().inverse()
+        y_inv = Mat2C.bisym(z.tau.imag, z.z.imag).inverse()
         dz = Mat2C.bisym(d.dtau, d.dz)
         literal = (y_inv @ dz @ y_inv @ dz.conj()).trace()
         assert abs(literal.imag) <= 1e-12 * abs(literal)
@@ -508,6 +508,31 @@ def test_ode_residual_second_order_decay(z1, z2):
         r_half = geodesic_ode_residual(spec.line_point, s, 5e-4)
         assert r_h > 1e-8
         assert 3.5 <= r_h / r_half <= 4.5
+
+
+def literal_ode_residual(curve, s: float, h: float) -> float:
+    """Largest entry of Z'' + i Z' Y^-1 Z' by central differences on the 2x2 matrices."""
+    zm, z, zp = (Mat2C.bisym(p.tau, p.z) for p in (curve(s - h), curve(s), curve(s + h)))
+    y = Mat2C.bisym(z.a.imag, z.b.imag)
+    second = (zp - z.scale(2.0) + zm).scale(1.0 / (h * h))
+    first = (zp - zm).scale(1.0 / (2.0 * h))
+    return (second + (first @ y.inverse() @ first).scale(1j)).max_abs()
+
+
+def test_ode_residual_bounds_the_matrix_form(rng):
+    # The matrix residual is bi-symmetric with entries (r1 +- r2) / 2 for the
+    # factor residuals r1, r2, so the larger factor residual lies between its
+    # largest entry and twice that.  Off-geodesic curves keep both O(1).
+    for _ in range(100):
+        w1, w2 = (complex(rng.uniform(-3, 3), rng.uniform(0.5, 3)) for _ in range(2))
+        v1, v2 = rng.uniform(0.5, 2.0), rng.uniform(-2.0, -0.5)
+
+        def curve(t: float) -> HPoint:  # horizontal lines: residual v^2 / Im w per factor
+            return HPoint.from_factors(w1 + t * v1, w2 + t * v2)
+
+        factor = geodesic_ode_residual(curve, 0.0, 1e-3)
+        literal = literal_ode_residual(curve, 0.0, 1e-3)
+        assert literal * (1.0 - 1e-6) <= factor <= 2.0 * literal * (1.0 + 1e-6)
 
 
 def test_ode_residual_rejects_bad_step():

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import sys
@@ -5,6 +6,7 @@ import sys
 import pytest
 
 from bisiegel import (
+    DiscMotion,
     EPoint,
     GeometryError,
     HPoint,
@@ -12,7 +14,6 @@ from bisiegel import (
     Mat4R,
     MotionMatrix,
     NotInHatGroup,
-    NotPositiveDefinite,
     NotSymplectic,
     NotUnimodular,
     NumericalBreakdown,
@@ -21,10 +22,9 @@ from bisiegel import (
     StabilizerParams,
     Tolerance,
     UnitModulusViolation,
+    ValidationError,
     apply,
-    approx_eq,
     assemble,
-    bisym_normalizer,
     cayley_to_disc,
     classify,
     distance,
@@ -38,9 +38,8 @@ from bisiegel import (
     transport_to_center,
     transport_to_iI,
 )
-from bisiegel.domain import EXCHANGE_4
 from bisiegel.hyperbolic import HalfPlanePoint, mobius
-from bisiegel.numkit import DEFAULT_TOL, max_abs_diff
+from bisiegel.numkit import DEFAULT_TOL, EXCHANGE_4, max_abs_diff
 from bisiegel.verify import _reference_apply
 
 from conftest import entries, point_gap
@@ -110,7 +109,8 @@ def literal_classify(m: Mat4R) -> MotionMatrix:
     if sym_res > tol:
         raise NotSymplectic(f"symplectic residual {sym_res:.3e} exceeds {tol}")
     mq, qm = m @ EXCHANGE_4, EXCHANGE_4 @ m
-    commute, anticommute = max_abs_diff(mq, qm), (mq + qm).max_abs()
+    # mq - (-qm) rounds exactly as mq + qm.
+    commute, anticommute = max_abs_diff(mq, qm), max_abs_diff(mq, qm.scale(-1.0))
     if min(commute, anticommute) > tol:
         raise NotInHatGroup(
             f"commutation residuals ({commute:.3e}, {anticommute:.3e}) both exceed {tol}"
@@ -330,7 +330,7 @@ def test_split_exchange_pinned_to_plus_branch():
 def test_assemble_shear_example():
     m = assemble(Sl2Matrix(1.0, 1.0, 0.0, 1.0), Sl2Matrix.identity(), 1)
     b_block = m.m.blocks()[1]
-    assert approx_eq(b_block, Mat2C.bisym(0.5, 0.5))
+    assert max_abs_diff(b_block, Mat2C.bisym(0.5, 0.5)) <= DEFAULT_TOL.abs_eps
     j = SYMPLECTIC_FORM
     assert max_abs_diff(m.m.transpose() @ j @ m.m, j) < 1e-15
 
@@ -412,14 +412,20 @@ def test_factor_path_matches_4x4_reference(rng):
 # stabilizers
 
 
+def block(rows) -> Mat2C:
+    """A derived block ``a0`` or ``b0`` of a disc motion as a 2x2 matrix."""
+    (a, b), (c, d) = rows
+    return Mat2C(a, b, c, d)
+
+
 def test_stabilizer_of_center_examples():
-    assert approx_eq(stabilizer_of_center(StabilizerParams(1, 1, 1)).a0, Mat2C.identity())
-    assert approx_eq(
-        stabilizer_of_center(StabilizerParams(1j, 1j, 1)).a0, Mat2C.identity().scale(1j)
-    )
-    assert approx_eq(
-        stabilizer_of_center(StabilizerParams(1, -1, 1)).a0, Mat2C(0, 1, 1, 0)
-    )
+    tol = DEFAULT_TOL.abs_eps
+    a0 = block(stabilizer_of_center(StabilizerParams(1, 1, 1)).a0)
+    assert max_abs_diff(a0, Mat2C.identity()) <= tol
+    a0 = block(stabilizer_of_center(StabilizerParams(1j, 1j, 1)).a0)
+    assert max_abs_diff(a0, Mat2C.identity().scale(1j)) <= tol
+    a0 = block(stabilizer_of_center(StabilizerParams(1, -1, 1)).a0)
+    assert max_abs_diff(a0, Mat2C(0, 1, 1, 0)) <= tol
 
 
 def test_stabilizer_params_validation():
@@ -437,8 +443,9 @@ def test_stabilizer_of_center_fixes_center(rng):
         img = m0.apply(center)
         assert abs(img.z1) < 1e-15 and abs(img.z2) < 1e-15
         # unitary block relation with vanishing translation part
-        assert approx_eq(m0.a0 @ m0.a0.conj().transpose(), Mat2C.identity())
-        assert m0.b0.max_abs() == 0.0
+        a0 = block(m0.a0)
+        assert max_abs_diff(a0 @ a0.conj().transpose(), Mat2C.identity()) <= DEFAULT_TOL.abs_eps
+        assert block(m0.b0).max_abs() == 0.0
 
 
 def test_stabilizer_of_iI_identity_case():
@@ -465,45 +472,66 @@ def test_stabilizer_of_iI_is_isometric_rotation():
 
 
 # --------------------------------------------------------------------------
-# normalizer and transports
+# disc motions and transports
 
 
-def test_bisym_normalizer_examples():
-    assert approx_eq(bisym_normalizer(1.0, 0.0), Mat2C.identity())
-    assert approx_eq(bisym_normalizer(4.0, 0.0), Mat2C.identity().scale(0.5))
-    k0 = bisym_normalizer(2.0, 1.0)
-    x1 = 0.5 * (1.0 / math.sqrt(3.0) + 1.0)
-    x2 = 0.5 * (1.0 / math.sqrt(3.0) - 1.0)
-    assert approx_eq(k0, Mat2C.bisym(x1, x2))
-    assert approx_eq(k0 @ Mat2C.bisym(2.0, 1.0) @ k0.transpose(), Mat2C.identity())
+def literal_disc_action(m: DiscMotion, p: EPoint) -> EPoint:
+    """The block action (A0 Z + B0)(conj(B0) Z + conj(A0))^-1, computed literally."""
+    a0, b0, zm = block(m.a0), block(m.b0), Mat2C.bisym(p.z1, p.z2)
+    w = (a0 @ zm + b0) @ (b0.conj() @ zm + a0.conj()).inverse()
+    return EPoint((w.a + w.d) / 2.0, (w.b + w.c) / 2.0)
 
 
-def test_bisym_normalizer_property(rng):
-    from bisiegel.domain import EXCHANGE_2
+def random_su11(rng) -> tuple[complex, complex]:
+    """(a, b) = (cosh t e^{i alpha}, sinh t e^{i beta}) with t > 0, so b != 0."""
+    t = rng.uniform(0.05, 2.0)
+    return (
+        cmath.rect(math.cosh(t), rng.uniform(0, 2 * math.pi)),
+        cmath.rect(math.sinh(t), rng.uniform(0, 2 * math.pi)),
+    )
 
-    for _ in range(100):
-        k2 = rng.uniform(-3, 3)
-        k1 = abs(k2) + rng.uniform(0.01, 3)
+
+def test_disc_motion_matches_literal_block_action():
+    # The factor maps, with the images swapped for eps = -1, must act as the
+    # complex blocks they derive: this pins the swap convention.
+    rng = random.Random(606)
+    signs = set()
+    for _ in range(300):
+        (a1, b1), (a2, b2) = random_su11(rng), random_su11(rng)
         eps = 1 if rng.random() < 0.5 else -1
-        k0 = bisym_normalizer(k1, k2, eps)
-        assert approx_eq(k0 @ Mat2C.bisym(k1, k2) @ k0.transpose(), Mat2C.identity())
-        assert approx_eq(EXCHANGE_2 @ k0, (k0 @ EXCHANGE_2).scale(eps))
+        signs.add(eps)
+        m = DiscMotion(a1, b1, a2, b2, eps)
+        p = EPoint.from_factors(
+            *(cmath.rect(rng.uniform(0, 0.9), rng.uniform(0, 2 * math.pi)) for _ in "12")
+        )
+        got, want = m.apply(p), literal_disc_action(m, p)
+        assert max(abs(x - y) for x, y in zip(got.factors(), want.factors())) <= 1e-12
+    assert signs == {1, -1}
 
 
-def test_bisym_normalizer_rejects_indefinite():
-    with pytest.raises(NotPositiveDefinite):
-        bisym_normalizer(1.0, 1.0)
-    with pytest.raises(NotPositiveDefinite):
-        bisym_normalizer(0.5, 2.0)
+def test_disc_motion_rejects_non_su11_factors():
+    with pytest.raises(NotUnimodular):
+        DiscMotion(2.0, 0.0, 1.0, 0.0, 1)
+    with pytest.raises(NotUnimodular):
+        DiscMotion(1.0, 0.0, 1.0, 1.0, -1)  # |a|^2 - |b|^2 = 0
+    with pytest.raises(NotUnimodular):
+        DiscMotion(float("nan"), 0.0, 1.0, 0.0, 1)
+    with pytest.raises(ValidationError):
+        DiscMotion(1.0, 0.0, 1.0, 0.0, 0)
+    # The gate scales with |a|^2 + |b|^2: a transport factor near the boundary passes.
+    a = 1.0 / math.sqrt(1e-11 * (2.0 - 1e-11))
+    DiscMotion(a, -(1.0 - 1e-11) * a, 1.0, 0.0, 1)
 
 
 def test_transport_to_center_examples():
+    tol = DEFAULT_TOL.abs_eps
     ident = transport_to_center(EPoint(0, 0))
-    assert approx_eq(ident.a0, Mat2C.identity()) and ident.b0.max_abs() == 0.0
+    assert max_abs_diff(block(ident.a0), Mat2C.identity()) <= tol
+    assert block(ident.b0).max_abs() == 0.0
     m0 = transport_to_center(EPoint(1.0 / 3.0, 0))
     scale = math.sqrt(9.0 / 8.0)
-    assert approx_eq(m0.a0, Mat2C.identity().scale(scale))
-    assert approx_eq(m0.b0, Mat2C.identity().scale(-scale / 3.0))
+    assert max_abs_diff(block(m0.a0), Mat2C.identity().scale(scale)) <= tol
+    assert max_abs_diff(block(m0.b0), Mat2C.identity().scale(-scale / 3.0)) <= tol
     img = m0.apply(EPoint(1.0 / 3.0, 0))
     assert abs(img.z1) < 1e-15 and abs(img.z2) < 1e-15
 
@@ -513,6 +541,21 @@ def test_transport_to_center_property(rng):
         z0 = cayley_to_disc(random_hpoint(rng))
         img = transport_to_center(z0).apply(z0)
         assert max(abs(img.z1), abs(img.z2)) <= 1e-10
+
+
+def test_transport_to_center_near_the_boundary():
+    # Factor radii 1 - 10^-[1, 11] at any phase: the transport is a valid
+    # motion and sends the point to the center.
+    rng = random.Random(11)
+    for _ in range(2000):
+        p = EPoint.from_factors(
+            *(
+                cmath.rect(1.0 - 10.0 ** -rng.uniform(1, 11), rng.uniform(0, 2 * math.pi))
+                for _ in "12"
+            )
+        )
+        img = transport_to_center(p).apply(p)
+        assert max(abs(u) for u in img.factors()) <= 1e-10
 
 
 def test_transport_to_iI_examples(rng):
@@ -657,7 +700,6 @@ def test_motion_json_roundtrip_and_eps_check(rng):
         assert max(sl2_gap(back.m1, m.m1), sl2_gap(back.m2, m.m2)) <= 2 * U * m.m.max_abs()
         assert max_abs_diff(back.m, m.m) <= 2 * U * m.m.max_abs()
     # The command-line reader is the one place a declared eps is checked.
-    from bisiegel import ValidationError
     from bisiegel.cli import _parse_motion
 
     doc["eps"] = -doc["eps"]

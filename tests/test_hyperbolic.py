@@ -5,11 +5,7 @@ import pytest
 
 from bisiegel import (
     HalfPlanePoint,
-    NonPositiveMu,
-    ZeroParameter,
-    dilation_link_residual,
     hyp_distance,
-    map_to_imaginary,
     mobius,
     pair_lambda,
     random_sl2,
@@ -42,39 +38,6 @@ def test_mobius_height_transform(rng):
         w = mobius(entries(m), z)
         denom = m.c * z.as_complex() + m.d
         assert w.y == pytest.approx(z.y / abs(denom) ** 2, rel=1e-12)
-
-
-@pytest.mark.parametrize(
-    "z,mu",
-    [(1j, 1.0), (2j, 2.0), (1 + 1j, 1.0)],
-)
-def test_map_to_imaginary_examples(z, mu):
-    m = map_to_imaginary(hp(z), mu)
-    a, b, c, d = m
-    assert abs(a * d - b * c - 1.0) < 1e-12
-    assert abs(mobius(m, hp(z)).as_complex() - mu * 1j) < 1e-12
-
-
-def test_map_to_imaginary_trivial_matrices():
-    assert map_to_imaginary(hp(1j), 1.0) == (1.0, 0.0, 0.0, 1.0)
-    assert map_to_imaginary(hp(2j), 2.0) == pytest.approx((1.0, 0.0, 0.0, 1.0), abs=1e-15)
-    assert map_to_imaginary(hp(1 + 1j), 1.0) == pytest.approx((1.0, -1.0, 0.0, 1.0), abs=1e-15)
-
-
-def test_map_to_imaginary_with_rotation(rng):
-    for _ in range(100):
-        z = hp(complex(rng.uniform(-3, 3), rng.uniform(0.1, 5)))
-        mu = rng.uniform(0.1, 5)
-        theta = rng.uniform(0, 2 * math.pi)
-        m = map_to_imaginary(z, mu, theta)
-        assert abs(mobius(m, z).as_complex() - mu * 1j) < 1e-10
-
-
-def test_map_to_imaginary_rejects_bad_mu():
-    with pytest.raises(NonPositiveMu):
-        map_to_imaginary(hp(1j), 0.0)
-    with pytest.raises(NonPositiveMu):
-        map_to_imaginary(hp(1j), -2.0)
 
 
 def test_pair_lambda_examples():
@@ -126,39 +89,11 @@ def test_pair_realization_through_normalizing_map(rng):
     for _ in range(200):
         z1 = hp(complex(rng.uniform(-3, 3), rng.uniform(0.1, 5)))
         z2 = hp(complex(rng.uniform(-3, 3), rng.uniform(0.1, 5)))
-        w = mobius(map_to_imaginary(z1, 1.0), z2).as_complex()
+        ry = math.sqrt(z1.y)
+        shear = (1.0 / ry, -z1.x / ry, 0.0, ry)  # z -> (z - x1) / y1, unimodular
+        assert abs(mobius(shear, z1).as_complex() - 1j) <= 1e-13
+        w = mobius(shear, z2).as_complex()
         r = abs((w - 1j) / (w + 1j))
         realized = (1.0 + r) / (1.0 - r)
         assert abs(realized - pair_lambda(z1, z2)) <= 1e-9
 
-
-def test_dilation_link_residual_examples():
-    assert dilation_link_residual(1.0, 1.0, 0.0, 0.0, 1.0) == 0.0
-    # l1=1, l2=2, no shears: lam^2 + lam^-2 = 4 + 1/4 at lam = 2
-    assert dilation_link_residual(1.0, 2.0, 0.0, 0.0, 2.0) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ZeroParameter):
-        dilation_link_residual(0.0, 1.0, 0.0, 0.0, 1.0)
-
-
-def _rotation_shear_decompose(g):
-    """G = rot(theta) @ [[l, mu], [0, 1/l]] with l > 0."""
-    l = math.hypot(g[0][0], g[1][0])
-    ct, st = g[0][0] / l, -g[1][0] / l
-    mu = ct * g[0][1] - st * g[1][1]
-    return l, mu
-
-
-def test_dilation_link_residual_on_consistent_tuples(rng):
-    for _ in range(200):
-        lam = math.exp(rng.uniform(0.05, 1.5))
-        theta2 = rng.uniform(0, 2 * math.pi)
-        l2 = math.exp(rng.uniform(-1, 1))
-        mu2 = rng.uniform(-2, 2)
-        ct, st = math.cos(theta2), math.sin(theta2)
-        # G = diag(lam, 1/lam) @ rot(theta2) @ [[l2, mu2], [0, 1/l2]]
-        g = (
-            (lam * ct * l2, lam * (ct * mu2 + st / l2)),
-            (-st * l2 / lam, (-st * mu2 + ct / l2) / lam),
-        )
-        l1, mu1 = _rotation_shear_decompose(g)
-        assert dilation_link_residual(l1, l2, mu1, mu2, lam) <= 1e-10

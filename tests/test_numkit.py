@@ -3,9 +3,11 @@ import random
 
 import pytest
 
-from bisiegel import Mat2C, Mat4R, SingularMatrix, Tolerance, approx_eq
+from bisiegel import Mat2C, Mat4R, SingularMatrix, Tolerance
 from bisiegel.errors import NumericalBreakdown
-from bisiegel.numkit import max_abs_diff
+from bisiegel.numkit import DEFAULT_TOL, max_abs_diff
+
+TOL = DEFAULT_TOL.abs_eps
 
 
 def test_tolerance_defaults_and_validation():
@@ -18,17 +20,17 @@ def test_tolerance_defaults_and_validation():
 
 
 def test_inverse_identity():
-    assert approx_eq(Mat2C.identity().inverse(), Mat2C.identity())
+    assert max_abs_diff(Mat2C.identity().inverse(), Mat2C.identity()) <= TOL
 
 
 def test_inverse_scalar_diagonal():
     m = Mat2C(2j, 0, 0, 2j)
-    assert approx_eq(m.inverse(), Mat2C(-0.5j, 0, 0, -0.5j))
+    assert max_abs_diff(m.inverse(), Mat2C(-0.5j, 0, 0, -0.5j)) <= TOL
 
 
 def test_inverse_unipotent():
     m = Mat2C(1, 1, 0, 1)
-    assert approx_eq(m.inverse(), Mat2C(1, -1, 0, 1))
+    assert max_abs_diff(m.inverse(), Mat2C(1, -1, 0, 1)) <= TOL
 
 
 def test_inverse_rejects_singular():
@@ -56,11 +58,13 @@ def test_det_multiplicative():
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
-def test_approx_eq_examples():
+def test_max_abs_diff_examples():
     eye = Mat2C.identity()
-    assert approx_eq(eye, eye)
-    assert not approx_eq(eye, eye + Mat2C.identity().scale(1e-6))
-    assert approx_eq(Mat2C.zero(), Mat2C.identity().scale(1e-12))
+    assert max_abs_diff(eye, eye) == 0.0
+    assert max_abs_diff(eye, eye + Mat2C.identity().scale(1e-6)) == pytest.approx(1e-6)
+    assert max_abs_diff(Mat2C.identity().scale(1e-12), Mat2C.identity().scale(2e-12)) <= TOL
+    m = Mat4R(((0.0, 3.0, 0.0, 0.0),) + ((0.0, 0.0, 0.0, 0.0),) * 3)
+    assert max_abs_diff(m, Mat4R.identity()) == 3.0
 
 
 def test_nonfinite_entries_rejected():
@@ -82,7 +86,14 @@ def test_mat4r_product_and_transpose():
 def test_mat4r_blocks_roundtrip():
     rng = random.Random(404)
     m = Mat4R(tuple(tuple(rng.uniform(-1, 1) for _ in range(4)) for _ in range(4)))
-    assert max_abs_diff(Mat4R.from_blocks(*m.blocks()), m) == 0.0
+    ul, ur, ll, lr = m.blocks()
+    rows = (
+        (ul.a, ul.b, ur.a, ur.b),
+        (ul.c, ul.d, ur.c, ur.d),
+        (ll.a, ll.b, lr.a, lr.b),
+        (ll.c, ll.d, lr.c, lr.d),
+    )
+    assert tuple(tuple(x.real for x in row) for row in rows) == m.rows
 
 
 def test_bisym_constructor():
