@@ -39,7 +39,6 @@ from .geometry import (
     distance,
     distance_params,
     geodesic,
-    geodesic_central,
     geodesic_ode_residual,
     metric_form,
     path_length,

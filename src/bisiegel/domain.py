@@ -85,10 +85,10 @@ class HPoint:
         vars(self).update(w1=tau + z, w2=tau - z)  # frozen: bypass __setattr__
 
     @classmethod
-    def from_factors(cls, w1: complex, w2: complex) -> "HPoint":
+    def from_factors(cls, w1: complex, w2: complex, tol: Tolerance = DEFAULT_TOL) -> "HPoint":
         """The point with these factor coordinates (each finite, Im w > dom_eps)."""
         w1, w2 = complex(w1), complex(w2)
-        if not (_in_half_plane(w1) and _in_half_plane(w2)):
+        if not (_in_half_plane(w1, tol) and _in_half_plane(w2, tol)):
             raise DomainViolation(f"factors ({w1!r}, {w2!r}) are outside the half-space model")
         point = object.__new__(cls)
         vars(point).update(w1=w1, w2=w2)
@@ -128,10 +128,10 @@ class EPoint:
         vars(self).update(u1=z1 + z2, u2=z1 - z2)  # frozen: bypass __setattr__
 
     @classmethod
-    def from_factors(cls, u1: complex, u2: complex) -> "EPoint":
+    def from_factors(cls, u1: complex, u2: complex, tol: Tolerance = DEFAULT_TOL) -> "EPoint":
         """The point with these factor coordinates (each of modulus below 1 - dom_eps)."""
         u1, u2 = complex(u1), complex(u2)
-        if not (_in_disc(u1) and _in_disc(u2)):
+        if not (_in_disc(u1, tol) and _in_disc(u2, tol)):
             raise DomainViolation(f"factors ({u1!r}, {u2!r}) are outside the bounded model")
         point = object.__new__(cls)
         vars(point).update(u1=u1, u2=u2)
@@ -150,12 +150,13 @@ class EPoint:
         return cls(complex(*doc["z1"]), complex(*doc["z2"]))
 
 
-def _cayley_image(model: type, f1: complex, f2: complex):
-    """Store the Cayley image of a valid point, which can fall inside the margin."""
+def _image(model: type, f1: complex, f2: complex, tol: Tolerance):
+    """Store the image of a valid point under a map of the space (a Cayley map
+    or a motion), which can fall inside the margin: a numerical limit."""
     try:
-        return model.from_factors(f1, f2)
+        return model.from_factors(f1, f2, tol)
     except DomainViolation as exc:
-        raise NumericalBreakdown(f"Cayley image not resolved at the dom_eps margin: {exc}") from exc
+        raise NumericalBreakdown(f"image not resolved at the dom_eps margin: {exc}") from exc
 
 
 def cayley_to_disc(point: HPoint, tol: Tolerance = DEFAULT_TOL) -> EPoint:
@@ -165,7 +166,7 @@ def cayley_to_disc(point: HPoint, tol: Tolerance = DEFAULT_TOL) -> EPoint:
     d1, d2 = w1 + 1j, w2 + 1j
     if abs(d1 * d2) <= tol.dom_eps:
         raise SingularMatrix(f"Cayley denominator |det|={abs(d1 * d2):.3e} <= {tol.dom_eps}")
-    return _cayley_image(EPoint, (w1 - 1j) / d1, (w2 - 1j) / d2)
+    return _image(EPoint, (w1 - 1j) / d1, (w2 - 1j) / d2, tol)
 
 
 def cayley_to_halfspace(point: EPoint, tol: Tolerance = DEFAULT_TOL) -> HPoint:
@@ -175,7 +176,7 @@ def cayley_to_halfspace(point: EPoint, tol: Tolerance = DEFAULT_TOL) -> HPoint:
     d1, d2 = 1.0 - u1, 1.0 - u2
     if abs(d1 * d2) <= tol.dom_eps:
         raise SingularMatrix(f"Cayley denominator |det|={abs(d1 * d2):.3e} <= {tol.dom_eps}")
-    return _cayley_image(HPoint, 1j * (1.0 + u1) / d1, 1j * (1.0 + u2) / d2)
+    return _image(HPoint, 1j * (1.0 + u1) / d1, 1j * (1.0 + u2) / d2, tol)
 
 
 def random_hpoint(rng: random.Random) -> HPoint:

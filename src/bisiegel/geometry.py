@@ -19,7 +19,7 @@ from typing import Callable
 
 from .domain import HPoint
 from .errors import DegeneratePair, DomainViolation, NumericalBreakdown, OutOfRange
-from .numkit import DEFAULT_TOL, Mat2C, Tolerance
+from .numkit import _FIXED_EPS, DEFAULT_TOL, Mat2C, Tolerance
 
 __all__ = [
     "Tangent",
@@ -31,7 +31,6 @@ __all__ = [
     "distance_params",
     "connect",
     "geodesic",
-    "geodesic_central",
     "geodesic_ode_residual",
     "path_speed",
     "path_length",
@@ -191,7 +190,7 @@ class GeodesicSpec:
             abs(self.d2 - fwd2[4]),
             abs(self.s0 - math.hypot(self.d1, self.d2)),
         )
-        if drift > DEFAULT_TOL.abs_eps * max(1.0, self.s0):
+        if drift > _FIXED_EPS * max(1.0, self.s0):
             raise ValueError(f"endpoint data inconsistent with the endpoints (drift {drift:.3e})")
         # Forward legs serve t <= 1/2, backward legs (from z2) the rest.
         object.__setattr__(self, "_legs", (fwd1, fwd2, bwd1, bwd2))
@@ -226,30 +225,6 @@ def connect(z1: HPoint, z2: HPoint, tol: Tolerance = DEFAULT_TOL) -> GeodesicSpe
 def geodesic(z1: HPoint, z2: HPoint, s: float, tol: Tolerance = DEFAULT_TOL) -> HPoint:
     """Point at arc length s on the geodesic segment from z1 to z2."""
     return connect(z1, z2, tol).point(s, tol)
-
-
-def geodesic_central(
-    lambda1: float, lambda2: float, s: float, tol: Tolerance = DEFAULT_TOL
-) -> HPoint:
-    """Arc-length point on the canonical geodesic from iI towards
-    i*[[lambda1, lambda2], [lambda2, lambda1]].
-
-    Both factors are vertical half-plane geodesics: the factor coordinates at
-    arc length s are i*(lambda1 + lambda2)^{s/s0} and
-    i*(lambda1 - lambda2)^{s/s0}.
-    """
-    l1, l2 = float(lambda1), float(lambda2)
-    if l2 < -tol.abs_eps or l1 < l2 + 1.0 - tol.abs_eps:
-        raise DomainViolation(f"invalid canonical pair (lambda1={l1!r}, lambda2={l2!r})")
-    s0 = math.hypot(math.log(l1 + l2), math.log(l1 - l2))
-    if s0 < tol.dom_eps:
-        if abs(s) > tol.abs_eps:
-            raise OutOfRange("degenerate canonical pair admits only s = 0")
-        return HPoint(1j, 0.0)
-    if not (-tol.abs_eps <= s <= s0 + tol.abs_eps):
-        raise OutOfRange(f"arc length s={s!r} outside [0, {s0!r}]")
-    t = s / s0
-    return HPoint.from_factors(1j * (l1 + l2) ** t, 1j * (l1 - l2) ** t)
 
 
 def geodesic_ode_residual(curve: Callable[[float], HPoint], s: float, h: float) -> float:

@@ -20,6 +20,11 @@ pair of SU(1,1) maps ``u -> (a u + b)/(conj(b) u + conj(a))`` with
 ``|a|^2 - |b|^2 = 1`` and the same exchange sign.  Its complex blocks
 ``A0``, ``B0`` of ``[[A0, B0], [conj B0, conj A0]]`` are built from the
 factor entries, in the same pattern, only for JSON output.
+
+Motions are validated once, at the boundary: ``classify`` (with the caller's
+``Tolerance``) and the public constructors.  What the library computes from
+validated values is built by ``_sl2`` and ``_motion`` and trusted; only
+products and transvections re-run the determinant gate, with a fixed bound.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import random
 from dataclasses import dataclass
 from math import cos, exp, hypot, isfinite, pi, sin, sqrt
 
-from .domain import EPoint, HPoint
+from .domain import EPoint, HPoint, _image
 from .errors import (
     NotInHatGroup,
     NotSymplectic,
@@ -40,7 +45,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import _chords
-from .numkit import DEFAULT_TOL, SYMPLECTIC_FORM, Mat4R, Tolerance
+from .numkit import _FIXED_EPS, DEFAULT_TOL, SYMPLECTIC_FORM, Mat4R, Tolerance
 
 __all__ = [
     "Sl2Matrix",
@@ -67,13 +72,20 @@ __all__ = [
 _DET_ULPS, _DET_CAP = 8.0 * 2.0**-53, 2.0**-10
 
 
-def _det_bound(scale: float) -> float:
+def _det_bound(scale: float, floor: float) -> float:
     """Allowed |det - 1| for a factor whose determinant sums terms of this size.
 
-    It grows with the determinant's rounding but stays far below 1, so det 0
-    or det < 0 never passes.
+    It grows with the determinant's rounding above the floor but stays far
+    below 1, so det 0 or det < 0 never passes.
     """
-    return min(max(DEFAULT_TOL.abs_eps, _DET_ULPS * scale), _DET_CAP)
+    return min(max(floor, _DET_ULPS * scale), _DET_CAP)
+
+
+def _check_det(ad: float, bc: float, floor: float = _FIXED_EPS) -> None:
+    """Reject a factor whose determinant ad - bc is not 1 to its rounding."""
+    bound = _det_bound(abs(ad) + abs(bc), floor)
+    if not abs(ad - bc - 1.0) <= bound:  # `not <=` rejects NaN
+        raise NotUnimodular(f"det={ad - bc!r} differs from 1 by more than {bound:.3e}")
 
 
 @dataclass(frozen=True)
@@ -88,14 +100,7 @@ class Sl2Matrix:
     def __post_init__(self) -> None:
         a, b, c, d = float(self.a), float(self.b), float(self.c), float(self.d)
         vars(self).update(a=a, b=b, c=c, d=d)  # frozen: bypass __setattr__
-        ad, bc = a * d, b * c
-        bound = _det_bound(abs(ad) + abs(bc))
-        if not abs(ad - bc - 1.0) <= bound:  # `not <=` rejects NaN
-            raise NotUnimodular(f"det={ad - bc!r} differs from 1 by more than {bound:.3e}")
-
-    @classmethod
-    def identity(cls) -> "Sl2Matrix":
-        return cls(1.0, 0.0, 0.0, 1.0)
+        _check_det(a * d, b * c)
 
     def __matmul__(self, other: "Sl2Matrix") -> "Sl2Matrix":
         a = self.a * other.a + self.b * other.c
@@ -106,10 +111,10 @@ class Sl2Matrix:
         # the product's: rescale to det 1 (the Moebius map does not change).
         det = a * d - b * c
         k = 1.0 / sqrt(det) if det > 0.0 else 1.0
-        return Sl2Matrix(a * k, b * k, c * k, d * k)
+        return _gated(a * k, b * k, c * k, d * k)
 
     def inverse(self) -> "Sl2Matrix":
-        return Sl2Matrix(self.d, -self.b, -self.c, self.a)
+        return _sl2(self.d, -self.b, -self.c, self.a)
 
     def to_json_dict(self) -> dict:
         return {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
@@ -131,10 +136,6 @@ class MotionMatrix:
         if self.eps not in (1, -1):
             raise ValidationError(f"eps must be +1 or -1, got {self.eps!r}")
         object.__setattr__(self, "eps", int(self.eps))
-
-    @classmethod
-    def identity(cls) -> "MotionMatrix":
-        return cls(Sl2Matrix.identity(), Sl2Matrix.identity(), 1)
 
     @property
     def m(self) -> Mat4R:
@@ -160,17 +161,34 @@ class MotionMatrix:
     def __matmul__(self, other: "MotionMatrix") -> "MotionMatrix":
         # Under an exchanging right factor, each left factor meets the other one.
         p1, p2 = (self.m1, self.m2) if other.eps == 1 else (self.m2, self.m1)
-        return MotionMatrix(p1 @ other.m1, p2 @ other.m2, self.eps * other.eps)
+        return _motion(p1 @ other.m1, p2 @ other.m2, self.eps * other.eps)
 
     def inverse(self) -> "MotionMatrix":
         i1, i2 = self.m1.inverse(), self.m2.inverse()
-        return MotionMatrix(i1, i2, 1) if self.eps == 1 else MotionMatrix(i2, i1, -1)
-
-    def __call__(self, point: HPoint, tol: Tolerance = DEFAULT_TOL) -> HPoint:
-        return apply(self, point, tol)
+        return _motion(i1, i2, 1) if self.eps == 1 else _motion(i2, i1, -1)
 
     def to_json_dict(self) -> dict:
         return {"m": [list(row) for row in self.m.rows], "eps": self.eps}
+
+
+def _sl2(a: float, b: float, c: float, d: float) -> Sl2Matrix:
+    """Trusted factor: float entries computed from validated values, stored unchecked."""
+    m = object.__new__(Sl2Matrix)
+    vars(m).update(a=a, b=b, c=c, d=d)
+    return m
+
+
+def _gated(a: float, b: float, c: float, d: float, floor: float = _FIXED_EPS) -> Sl2Matrix:
+    """A factor computed in floats, stored after the determinant gate."""
+    _check_det(a * d, b * c, floor)
+    return _sl2(a, b, c, d)
+
+
+def _motion(m1: Sl2Matrix, m2: Sl2Matrix, eps: int) -> MotionMatrix:
+    """Trusted motion: validated factors and an int sign of +1 or -1, stored unchecked."""
+    motion = object.__new__(MotionMatrix)
+    vars(motion).update(m1=m1, m2=m2, eps=eps)
+    return motion
 
 
 def classify(m: Mat4R, tol: Tolerance = DEFAULT_TOL) -> MotionMatrix:
@@ -202,18 +220,19 @@ def classify(m: Mat4R, tol: Tolerance = DEFAULT_TOL) -> MotionMatrix:
         )
     (a1, a2, b1, b2), _, (c1, c2, d1, d2), _ = rows
     try:
-        m1 = Sl2Matrix(a1 + a2, b1 + b2, c1 + c2, d1 + d2)
-        m2 = Sl2Matrix(a1 - a2, b1 - b2, c1 - c2, d1 - d2)
+        m1 = _gated(a1 + a2, b1 + b2, c1 + c2, d1 + d2, tol.abs_eps)
+        m2 = _gated(a1 - a2, b1 - b2, c1 - c2, d1 - d2, tol.abs_eps)
     except NotUnimodular as exc:  # in this pattern: unimodular factors <=> symplectic
         raise NotSymplectic(f"factor of the patterned matrix: {exc}") from exc
-    return MotionMatrix(m1, m2, eps)
+    return _motion(m1, m2, eps)
 
 
 def apply(motion: MotionMatrix, point: HPoint, tol: Tolerance = DEFAULT_TOL) -> HPoint:
     """Act on a half-space point: one Moebius map per factor coordinate.
 
     The product of the two denominators is det(CZ + D) of the 4x4 action up
-    to sign, and is guarded the same way.
+    to sign, and is guarded the same way.  An image inside the ``dom_eps``
+    margin is a numerical limit (``NumericalBreakdown``).
     """
     m1, m2 = motion.m1, motion.m2
     w1, w2 = point.factors()
@@ -223,7 +242,7 @@ def apply(motion: MotionMatrix, point: HPoint, tol: Tolerance = DEFAULT_TOL) -> 
         raise SingularMatrix(f"action denominator |det|={abs(den1 * den2):.3e}")
     g1 = (m1.a * w1 + m1.b) / den1
     g2 = (m2.a * w2 + m2.b) / den2
-    return HPoint.from_factors(g1, g2) if motion.eps == 1 else HPoint.from_factors(g2, g1)
+    return _image(HPoint, g1, g2, tol) if motion.eps == 1 else _image(HPoint, g2, g1, tol)
 
 
 def split(motion: MotionMatrix) -> tuple[Sl2Matrix, Sl2Matrix]:
@@ -240,6 +259,13 @@ def assemble(m1: Sl2Matrix, m2: Sl2Matrix, eps: int) -> MotionMatrix:
     return MotionMatrix(m1, m2, eps)
 
 
+def _check_unit(name: str, xi: complex) -> None:
+    """|xi|^2 = 1 under the factor gate: it is the stabilizer factors' determinant."""
+    sq = abs(xi) ** 2
+    if not abs(sq - 1.0) <= _det_bound(sq, _FIXED_EPS):  # `not <=` rejects NaN
+        raise UnitModulusViolation(f"|{name}|={abs(xi)!r} is not 1")
+
+
 @dataclass(frozen=True)
 class StabilizerParams:
     """Two unit-circle rotation parameters and an exchange sign."""
@@ -250,9 +276,8 @@ class StabilizerParams:
 
     def __post_init__(self) -> None:
         xi1, xi2 = complex(self.xi1), complex(self.xi2)
-        for name, xi in (("xi1", xi1), ("xi2", xi2)):
-            if abs(abs(xi) - 1.0) > DEFAULT_TOL.abs_eps:
-                raise UnitModulusViolation(f"|{name}|={abs(xi)!r} is not 1")
+        _check_unit("xi1", xi1)
+        _check_unit("xi2", xi2)
         if self.eps not in (1, -1):
             raise ValidationError(f"eps must be +1 or -1, got {self.eps!r}")
         object.__setattr__(self, "xi1", xi1)
@@ -283,10 +308,7 @@ class DiscMotion:
         # frozen: bypass __setattr__
         vars(self).update(a1=a1, b1=b1, a2=a2, b2=b2, eps=int(self.eps))
         for a, b in ((a1, b1), (a2, b2)):
-            aa, bb = abs(a) ** 2, abs(b) ** 2
-            bound = _det_bound(aa + bb)
-            if not abs(aa - bb - 1.0) <= bound:  # `not <=` rejects NaN
-                raise NotUnimodular(f"det={aa - bb!r} differs from 1 by more than {bound:.3e}")
+            _check_det(abs(a) ** 2, abs(b) ** 2)
 
     def _block(self, x1: complex, x2: complex) -> tuple:
         h1, h2 = (x1 + x2) / 2.0, (x1 - x2) / 2.0
@@ -307,7 +329,7 @@ class DiscMotion:
             raise SingularMatrix(f"disc action denominator |det|={abs(den1 * den2):.3e}")
         g1 = (self.a1 * u1 + self.b1) / den1
         g2 = (self.a2 * u2 + self.b2) / den2
-        return EPoint.from_factors(g1, g2) if self.eps == 1 else EPoint.from_factors(g2, g1)
+        return _image(EPoint, g1, g2, tol) if self.eps == 1 else _image(EPoint, g2, g1, tol)
 
     def to_json_dict(self) -> dict:
         def entries(block: tuple) -> list:
@@ -333,11 +355,12 @@ def stabilizer_of_iI(params: StabilizerParams) -> MotionMatrix:
     conjugated by the Cayley map they are the disc rotations of
     ``stabilizer_of_center`` with the same parameters.
     """
+    return _motion(_rotation(params.xi1), _rotation(params.xi2), params.eps)
 
-    def rotation(xi: complex) -> Sl2Matrix:
-        return Sl2Matrix(xi.real, xi.imag, -xi.imag, xi.real)
 
-    return MotionMatrix(rotation(params.xi1), rotation(params.xi2), params.eps)
+def _rotation(xi: complex) -> Sl2Matrix:
+    """The rotation about i with parameter xi; ``_check_unit`` gates its determinant."""
+    return _sl2(xi.real, xi.imag, -xi.imag, xi.real)
 
 
 def transport_to_center(point: EPoint) -> DiscMotion:
@@ -361,14 +384,15 @@ def _transvection_to_i(w: complex) -> Sl2Matrix:
     """The symmetric positive factor sending w = x + iy to i.
 
     It is the square root of A = [[1/y, -x/y], [-x/y, (x^2 + y^2)/y]], whose
-    determinant is one, so the root is (A + I) / sqrt(tr A + 2).
+    determinant is one, so the root is (A + I) / sqrt(tr A + 2).  Its entry
+    products grow like x^2 / y, so the determinant gate runs on it.
     """
     x, y = w.real, w.imag
     a11, a12, a22 = 1.0 / y, -x / y, (x * x + y * y) / y
     s = sqrt(a11 + a22 + 2.0)
     if not isfinite(s):  # no entry of A exceeds tr A: all entries are finite with s
         raise NumericalBreakdown(f"transvection of {w!r} to i overflows")
-    return Sl2Matrix((a11 + 1.0) / s, a12 / s, a12 / s, (a22 + 1.0) / s)
+    return _gated((a11 + 1.0) / s, a12 / s, a12 / s, (a22 + 1.0) / s)
 
 
 def transport_to_iI(point: HPoint) -> MotionMatrix:
@@ -377,7 +401,7 @@ def transport_to_iI(point: HPoint) -> MotionMatrix:
     It is the Cayley conjugate of ``transport_to_center``, the canonical
     disc transport.
     """
-    return MotionMatrix(_transvection_to_i(point.w1), _transvection_to_i(point.w2), 1)
+    return _motion(_transvection_to_i(point.w1), _transvection_to_i(point.w2), 1)
 
 
 @dataclass(frozen=True)
@@ -391,7 +415,7 @@ class ReducedPair:
 
     def __post_init__(self) -> None:
         l1, l2 = float(self.lambda1), float(self.lambda2)
-        if l2 < -DEFAULT_TOL.abs_eps or l1 < l2 + 1.0 - DEFAULT_TOL.abs_eps:
+        if l2 < -_FIXED_EPS or l1 < l2 + 1.0 - _FIXED_EPS:
             raise ValidationError(f"invalid canonical pair (lambda1={l1!r}, lambda2={l2!r})")
         object.__setattr__(self, "lambda1", l1)
         object.__setattr__(self, "lambda2", l2)
@@ -424,16 +448,17 @@ def reduce_pair(z_base: HPoint, z_other: HPoint, tol: Tolerance = DEFAULT_TOL) -
 
     are computed from the dilations of the raw pair, which stay accurate
     where 1 - r has cancelled to the last few bits; they are independent of
-    every internal choice.
+    every internal choice.  The mover is ``stabilizer_of_iI(params) @
+    transport_to_iI(z_base)``, built per factor as one product ``R(xi) @ T``.
     """
-    mover_a = transport_to_iI(z_base)
-    moved = apply(mover_a, z_other, tol)
+    t1, t2 = _transvection_to_i(z_base.w1), _transvection_to_i(z_base.w2)
     # Scalar per-factor Cayley transform for the aligning phases; deliberately
     # not routed through the bounded-model membership gate so near-boundary
     # radii surface as a numerical breakdown rather than a domain violation.
-    h_plus, h_minus = moved.factors()
-    f_plus = (h_plus - 1j) / (h_plus + 1j)
-    f_minus = (h_minus - 1j) / (h_minus + 1j)
+    xi1, xi2 = (
+        _half_conj_phase((h - 1j) / (h + 1j))
+        for h in apply(_motion(t1, t2, 1), z_other, tol).factors()
+    )
     s_plus, s_minus = _chords(z_base, z_other)
     swap = s_plus < s_minus
     s_big, s_small = (s_minus, s_plus) if swap else (s_plus, s_minus)
@@ -442,10 +467,9 @@ def reduce_pair(z_base: HPoint, z_other: HPoint, tol: Tolerance = DEFAULT_TOL) -
     if not r_big < 1.0 - tol.dom_eps:
         raise NumericalBreakdown(f"factor radius {r_big!r} too close to the boundary")
     lam_big, lam_small = ((s + hypot(1.0, s)) ** 2 for s in (s_big, s_small))
-    params = StabilizerParams(
-        _half_conj_phase(f_plus), _half_conj_phase(f_minus), -1 if swap else 1
-    )
-    mover = stabilizer_of_iI(params) @ mover_a
+    _check_unit("xi1", xi1)
+    _check_unit("xi2", xi2)
+    mover = _motion(_rotation(xi1) @ t1, _rotation(xi2) @ t2, -1 if swap else 1)
     return ReducedPair(mover, (lam_big + lam_small) / 2.0, (lam_big - lam_small) / 2.0)
 
 
@@ -460,7 +484,7 @@ def random_sl2(rng: random.Random) -> Sl2Matrix:
     mu = rng.uniform(-2.0, 2.0)
     ct, st = cos(theta), sin(theta)
     # [[ct, st], [-st, ct]] @ [[lam, mu], [0, 1/lam]]
-    return Sl2Matrix(ct * lam, ct * mu + st / lam, -st * lam, -st * mu + ct / lam)
+    return _sl2(ct * lam, ct * mu + st / lam, -st * lam, -st * mu + ct / lam)
 
 
 def random_motion(rng: random.Random) -> MotionMatrix:

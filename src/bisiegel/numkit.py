@@ -51,6 +51,12 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 
+#: Slack of the gates that take no caller tolerance: the public factor and
+#: parameter constructors, and the values the library computes itself
+#: (products, reductions, geodesic data).  It equals the default ``abs_eps``,
+#: so no result moves, but a caller's ``Tolerance`` does not change it.
+_FIXED_EPS = 1e-10
+
 
 @dataclass(frozen=True)
 class Mat2C:
@@ -99,9 +105,6 @@ class Mat2C:
 
     def trace(self) -> complex:
         return self.a + self.d
-
-    def transpose(self) -> "Mat2C":
-        return Mat2C(self.a, self.c, self.b, self.d)
 
     def conj(self) -> "Mat2C":
         return Mat2C(
@@ -160,9 +163,6 @@ class Mat4R:
 
     def scale(self, s: float) -> "Mat4R":
         return Mat4R(tuple(tuple(s * x for x in row) for row in self.rows))
-
-    def transpose(self) -> "Mat4R":
-        return Mat4R(tuple(zip(*self.rows)))
 
     def max_abs(self) -> float:
         return max(abs(x) for row in self.rows for x in row)

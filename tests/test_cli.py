@@ -155,6 +155,30 @@ def test_cayley_to_halfspace_inside_the_margin_exits_3(files, capsys):
     assert "Traceback" not in err
 
 
+def test_act_image_inside_the_margin_exits_3(files, capsys):
+    # The motion glued from diag(1e-7, 1e7) and I sends iI to factor height
+    # 1e-14: a valid point the half-space model cannot resolve at dom_eps.
+    m = files(
+        "m.json",
+        '{"m":[[0.50000005,-0.49999995,0,0],[-0.49999995,0.50000005,0,0],'
+        '[0,0,5000000.5,4999999.5],[0,0,4999999.5,5000000.5]],"eps":1}',
+    )
+    p = files("p.json", I_JSON)
+    code, out, err = run(capsys, ["act", "--matrix", m, "--point", p])
+    assert code == 3 and out == "" and err.startswith("numerical error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("model", ["halfspace", "disc"])
+def test_stabilizer_parameter_gate_matches_the_factor_gate(capsys, model):
+    # |xi1|^2 - 1 = 1.4e-10: the factor determinant gate would reject the
+    # factors, so the parameter gate rejects the parameter, in both models.
+    argv = ["stabilizer", "--xi1", "1.00000000007,0", "--xi2", "1,0", "--model", model]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: |xi1|=1.00000000007 is not 1\n"
+
+
 def test_stdin_input(files, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(I_JSON))
     code, out, _ = run(capsys, ["volume", "--point", "-"])

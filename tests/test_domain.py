@@ -20,7 +20,7 @@ from bisiegel import (
 from bisiegel.numkit import DEFAULT_TOL, EXCHANGE_4, max_abs_diff
 from bisiegel.verify import _reference_cayley
 
-from conftest import point_gap
+from conftest import point_gap, transpose
 
 
 def scalar_cayley(w: complex) -> complex:
@@ -45,16 +45,16 @@ def test_diag_rot_is_orthogonal_and_diagonalizes():
     # The 45-degree rotation behind the factor coordinates (tau + z, tau - z).
     r = 1.0 / math.sqrt(2.0)
     rot = Mat2C(r, -r, r, r)
-    assert max_abs_diff(rot @ rot.transpose(), Mat2C.identity()) <= DEFAULT_TOL.abs_eps
+    assert max_abs_diff(rot @ transpose(rot), Mat2C.identity()) <= DEFAULT_TOL.abs_eps
     z = Mat2C.bisym(2j, 1j)
-    d = rot.transpose() @ z @ rot
+    d = transpose(rot) @ z @ rot
     assert abs(d.b) < 1e-15 and abs(d.c) < 1e-15
     assert abs(d.a - 3j) < 1e-15 and abs(d.d - 1j) < 1e-15
 
 
 def test_block_constants_are_symplectic():
     j = SYMPLECTIC_FORM
-    assert max_abs_diff(EXCHANGE_4.transpose() @ j @ EXCHANGE_4, j) == 0.0
+    assert max_abs_diff(transpose(EXCHANGE_4) @ j @ EXCHANGE_4, j) == 0.0
 
 
 # --------------------------------------------------------------------------

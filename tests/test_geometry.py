@@ -19,7 +19,6 @@ from bisiegel import (
     distance,
     distance_params,
     geodesic,
-    geodesic_central,
     geodesic_ode_residual,
     hyp_distance,
     metric_form,
@@ -389,28 +388,6 @@ def test_distance_isometry(rng):
 # geodesics
 
 
-def test_geodesic_central_examples():
-    assert point_gap(geodesic_central(1.0, 0.0, 0.0), I_H) == 0.0
-    s0 = math.hypot(math.log(3.0), math.log(1.0))
-    end = geodesic_central(2.0, 1.0, s0)
-    assert point_gap(end, MIXED) < 1e-12
-    mid = geodesic_central(2.0, 1.0, s0 / 2)
-    root3 = math.sqrt(3.0)
-    assert abs(mid.tau - 1j * (root3 + 1) / 2) < 1e-14
-    assert abs(mid.z - 1j * (root3 - 1) / 2) < 1e-14
-
-
-def test_geodesic_central_validation():
-    with pytest.raises(OutOfRange):
-        geodesic_central(2.0, 0.0, -0.5)
-    with pytest.raises(OutOfRange):
-        geodesic_central(2.0, 0.0, 10.0)
-    with pytest.raises(OutOfRange):
-        geodesic_central(1.0, 0.0, 0.5)  # degenerate pair admits only s=0
-    with pytest.raises(DomainViolation):
-        geodesic_central(1.0, 0.5, 0.0)  # lambda1 < lambda2 + 1
-
-
 def test_geodesic_midpoint_on_diagonal_ray():
     s0 = distance(I_H, TWO_I)
     mid = geodesic(I_H, TWO_I, s0 / 2)
@@ -431,10 +408,16 @@ def test_geodesic_endpoints_and_range():
 
 
 def test_geodesic_matches_central_on_canonical_pair():
+    # From iI towards i[[l1, l2], [l2, l1]] both factors are vertical: at
+    # arc length s they are i (l1 +- l2)^(s / s0), here with (l1, l2) = (2, 1).
     spec = connect(I_H, MIXED)
+    assert abs(spec.s0 - math.log(3.0)) <= 1e-15
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        s = frac * spec.s0
-        assert point_gap(spec.point(s), geodesic_central(2.0, 1.0, s)) <= 1e-12
+        central = HPoint.from_factors(1j * 3.0**frac, 1j * 1.0**frac)
+        assert point_gap(spec.point(frac * spec.s0), central) <= 1e-12
+    mid, root3 = spec.point(spec.s0 / 2), math.sqrt(3.0)
+    assert abs(mid.tau - 1j * (root3 + 1) / 2) < 1e-14
+    assert abs(mid.z - 1j * (root3 - 1) / 2) < 1e-14
 
 
 def test_geodesic_endpoint_reproduction(rng):

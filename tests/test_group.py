@@ -7,6 +7,7 @@ import pytest
 
 from bisiegel import (
     DiscMotion,
+    DomainViolation,
     EPoint,
     GeometryError,
     HPoint,
@@ -42,10 +43,12 @@ from bisiegel.hyperbolic import HalfPlanePoint, mobius
 from bisiegel.numkit import DEFAULT_TOL, EXCHANGE_4, max_abs_diff
 from bisiegel.verify import _reference_apply
 
-from conftest import entries, point_gap
+from conftest import entries, point_gap, transpose
 
 I_H = HPoint(1j, 0.0)
 U = sys.float_info.epsilon
+I2 = Sl2Matrix(1.0, 0.0, 0.0, 1.0)
+IDENTITY = MotionMatrix(I2, I2, 1)
 
 
 def sl2_gap(a: Sl2Matrix, b: Sl2Matrix) -> float:
@@ -105,7 +108,7 @@ def test_classify_rejects_symplectic_outside_subgroup():
 def literal_classify(m: Mat4R) -> MotionMatrix:
     """``classify`` through the literal 4x4 products: the reference for its closed form."""
     j, tol = SYMPLECTIC_FORM, DEFAULT_TOL.abs_eps
-    sym_res = max_abs_diff(m.transpose() @ j @ m, j)
+    sym_res = max_abs_diff(transpose(m) @ j @ m, j)
     if sym_res > tol:
         raise NotSymplectic(f"symplectic residual {sym_res:.3e} exceeds {tol}")
     mq, qm = m @ EXCHANGE_4, EXCHANGE_4 @ m
@@ -188,7 +191,7 @@ def test_closed_form_classify_matches_literal_products(regime):
         assert classify_outcome(classify, m) == want, m
         seen.add(want.eps if isinstance(want, MotionMatrix) else want[0])
         try:
-            res = max_abs_diff(m.transpose() @ SYMPLECTIC_FORM @ m, SYMPLECTIC_FORM)
+            res = max_abs_diff(transpose(m) @ SYMPLECTIC_FORM @ m, SYMPLECTIC_FORM)
         except NumericalBreakdown:
             continue
         # Bit for bit: the gate passes at the literal residual, fails one ulp below.
@@ -236,13 +239,51 @@ def test_classify_symplectic_and_determinant_gates_agree():
     assert classify(m).eps == 1
 
 
+def test_classify_honours_the_callers_tolerance_in_the_factor_gate():
+    # Glued from diag(1 + 1e-8, 1) and I: the symplectic residual is 5e-9 and
+    # the first factor's determinant is off by 1e-8.
+    h = 1e-8 / 2.0
+    m = Mat4R(((1 + h, h, 0, 0), (h, 1 + h, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    motion = classify(m, Tolerance(1e-6, 1e-12))
+    assert (motion.m1.a, motion.m1.d, motion.eps) == ((1 + h) + h, 1.0, 1)
+    with pytest.raises(NotSymplectic):
+        classify(m)
+
+
+def test_default_tolerance_is_read_only_as_a_default_argument():
+    # Gates either take the caller's Tolerance or a fixed rounding bound; a
+    # read of DEFAULT_TOL anywhere else would be a hidden global.
+    import ast
+    import pathlib
+
+    import bisiegel
+
+    root = pathlib.Path(bisiegel.__file__).parent
+    for name in ("group.py", "domain.py", "geometry.py"):
+        tree = ast.parse((root / name).read_text())
+        defaults = {
+            id(d)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.arguments)
+            for d in node.defaults + node.kw_defaults
+        }
+        reads = [
+            node.lineno
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == "DEFAULT_TOL")
+            or (isinstance(node, ast.Attribute) and node.attr == "DEFAULT_TOL")
+            if id(node) not in defaults
+        ]
+        assert reads == [], f"{name} reads DEFAULT_TOL at lines {reads}"
+
+
 # --------------------------------------------------------------------------
 # apply
 
 
 def test_apply_identity():
     z = HPoint(2j, 1j)
-    assert point_gap(apply(MotionMatrix.identity(), z), z) == 0.0
+    assert point_gap(apply(IDENTITY, z), z) == 0.0
 
 
 def test_apply_exchange_fixes_every_point(rng):
@@ -307,9 +348,9 @@ def test_kernel_fixes_everything_nonkernel_does_not(rng):
 
 
 def test_split_identity():
-    m1, m2 = split(MotionMatrix.identity())
-    assert sl2_gap(m1, Sl2Matrix.identity()) == 0.0
-    assert sl2_gap(m2, Sl2Matrix.identity()) == 0.0
+    m1, m2 = split(IDENTITY)
+    assert sl2_gap(m1, I2) == 0.0
+    assert sl2_gap(m2, I2) == 0.0
 
 
 def test_split_symplectic_form():
@@ -323,20 +364,20 @@ def test_split_exchange_pinned_to_plus_branch():
     # factor pair (I, -I); both act trivially, consistent with it fixing
     # every point.
     m1, m2 = split(classify(EXCHANGE_4))
-    assert sl2_gap(m1, Sl2Matrix.identity()) == 0.0
+    assert sl2_gap(m1, I2) == 0.0
     assert sl2_gap(m2, Sl2Matrix(-1.0, 0.0, 0.0, -1.0)) == 0.0
 
 
 def test_assemble_shear_example():
-    m = assemble(Sl2Matrix(1.0, 1.0, 0.0, 1.0), Sl2Matrix.identity(), 1)
+    m = assemble(Sl2Matrix(1.0, 1.0, 0.0, 1.0), I2, 1)
     b_block = m.m.blocks()[1]
     assert max_abs_diff(b_block, Mat2C.bisym(0.5, 0.5)) <= DEFAULT_TOL.abs_eps
     j = SYMPLECTIC_FORM
-    assert max_abs_diff(m.m.transpose() @ j @ m.m, j) < 1e-15
+    assert max_abs_diff(transpose(m.m) @ j @ m.m, j) < 1e-15
 
 
 def test_assemble_identity():
-    m = assemble(Sl2Matrix.identity(), Sl2Matrix.identity(), 1)
+    m = assemble(I2, I2, 1)
     assert max_abs_diff(m.m, Mat4R.identity()) == 0.0
 
 
@@ -398,7 +439,7 @@ def test_factor_path_matches_4x4_reference(rng):
         # A 4x4 product entry sums four terms: error <= 4u * 4 |P|max |O|max.
         assert max_abs_diff(prod.m, p.m @ o.m) <= 16 * U * p.m.max_abs() * o.m.max_abs()
         # -J M^T J only permutes and negates entries, as the adjugates do.
-        assert max_abs_diff(p.inverse().m, (j @ p.m.transpose() @ j).scale(-1.0)) == 0.0
+        assert max_abs_diff(p.inverse().m, (j @ transpose(p.m) @ j).scale(-1.0)) == 0.0
         assert p.inverse().eps == p.eps
         assert point_gap(apply(p, z), _reference_apply(p.m, z)) <= 1e-9
         back = classify(p.m)
@@ -431,6 +472,17 @@ def test_stabilizer_of_center_examples():
 def test_stabilizer_params_validation():
     with pytest.raises(UnitModulusViolation):
         StabilizerParams(2.0, 1.0, 1)
+    # |xi|^2 - 1 = 1.4e-10 is beyond the factor gate's bound of 1e-10, so the
+    # parameter gate rejects it (it passed |xi| - 1 = 7e-11 before).
+    with pytest.raises(UnitModulusViolation, match=r"\|xi1\|=1.00000000007 is not 1"):
+        StabilizerParams(1.00000000007, 1.0, 1)
+    with pytest.raises(UnitModulusViolation):
+        StabilizerParams(1.0, complex(float("nan"), 0.0), 1)
+    # A parameter the gate accepts builds factors both stabilizers accept.
+    for xi in (1.0 + 4.9e-11, 1.0 - 4.9e-11, complex(0.6, 0.8)):
+        params = StabilizerParams(xi, 1.0, -1)
+        stabilizer_of_center(params)
+        assert split(stabilizer_of_iI(params))[0].a == xi.real
 
 
 def test_stabilizer_of_center_fixes_center(rng):
@@ -444,7 +496,7 @@ def test_stabilizer_of_center_fixes_center(rng):
         assert abs(img.z1) < 1e-15 and abs(img.z2) < 1e-15
         # unitary block relation with vanishing translation part
         a0 = block(m0.a0)
-        assert max_abs_diff(a0 @ a0.conj().transpose(), Mat2C.identity()) <= DEFAULT_TOL.abs_eps
+        assert max_abs_diff(a0 @ transpose(a0.conj()), Mat2C.identity()) <= DEFAULT_TOL.abs_eps
         assert block(m0.b0).max_abs() == 0.0
 
 
@@ -507,6 +559,21 @@ def test_disc_motion_matches_literal_block_action():
         got, want = m.apply(p), literal_disc_action(m, p)
         assert max(abs(x - y) for x, y in zip(got.factors(), want.factors())) <= 1e-12
     assert signs == {1, -1}
+
+
+def test_image_inside_the_margin_is_a_numerical_breakdown():
+    # Valid points whose images the models cannot resolve at dom_eps: the
+    # glued diag(1e-7, 1e7), I sends iI to factor height 1e-14, and the
+    # boost with tanh(14.5) = 1 - 5e-13 sends the center next to the circle.
+    shrink = assemble(Sl2Matrix(1e-7, 0.0, 0.0, 1e7), I2, 1)
+    with pytest.raises(NumericalBreakdown, match="dom_eps margin"):
+        apply(shrink, I_H)
+    boost = DiscMotion(math.cosh(14.5), math.sinh(14.5), 1.0, 0.0, -1)
+    with pytest.raises(NumericalBreakdown, match="dom_eps margin"):
+        boost.apply(EPoint(0.0, 0.0))
+    # Invalid input is still a domain violation.
+    with pytest.raises(DomainViolation):
+        HPoint.from_factors(1e-13j, 1j)
 
 
 def test_disc_motion_rejects_non_su11_factors():
@@ -617,7 +684,7 @@ def test_reduce_pair_invariant_under_premotion(rng):
 def test_unimodular_gate_scales_with_the_entries():
     # The 20-draw chain reaches entries near 790.
     rng = random.Random(3)
-    chain = MotionMatrix.identity()
+    chain = IDENTITY
     for _ in range(20):
         chain = chain @ random_motion(rng)
     assert chain.m.max_abs() > 500.0
@@ -650,6 +717,56 @@ def test_unimodular_gate_rejects_singular_and_reflecting_factors():
 def test_reduce_pair_breaks_down_at_extreme_separation():
     with pytest.raises(NumericalBreakdown):
         reduce_pair(I_H, HPoint(1e14j, 0.0))
+    # The transport of 1e6 i moves 1e-7 i to height 1e-13, inside the margin.
+    with pytest.raises(NumericalBreakdown, match="dom_eps margin"):
+        reduce_pair(HPoint.from_factors(1e6j, 1e6j), HPoint.from_factors(1e-7j, 1j))
+
+
+def composed_reduce_pair(z_base: HPoint, z_other: HPoint):
+    """``reduce_pair`` through the public motions: the reference for its fused form."""
+    from bisiegel.geometry import _chords
+    from bisiegel.group import _half_conj_phase
+
+    transport = transport_to_iI(z_base)
+    xi1, xi2 = (_half_conj_phase((h - 1j) / (h + 1j)) for h in apply(transport, z_other).factors())
+    s_plus, s_minus = _chords(z_base, z_other)
+    if max(s_plus, s_minus) / math.hypot(1.0, max(s_plus, s_minus)) >= 1.0 - DEFAULT_TOL.dom_eps:
+        raise NumericalBreakdown("factor radius too close to the boundary")
+    params = StabilizerParams(xi1, xi2, -1 if s_plus < s_minus else 1)
+    lam_big, lam_small = sorted(((s + math.hypot(1.0, s)) ** 2 for s in (s_plus, s_minus)))[::-1]
+    return stabilizer_of_iI(params) @ transport, (lam_big + lam_small) / 2, (lam_big - lam_small) / 2
+
+
+def reduction_outcome(f, z_base: HPoint, z_other: HPoint):
+    """The mover's entries and the lambdas, or the error class."""
+    try:
+        mover, l1, l2 = f(z_base, z_other)
+    except GeometryError as exc:
+        return type(exc)
+    return entries(mover.m1), entries(mover.m2), mover.eps, l1, l2
+
+
+def test_fused_reduce_pair_matches_the_composed_motions():
+    def fused(p, q):
+        red = reduce_pair(p, q)
+        return red.mover, red.lambda1, red.lambda2
+
+    rng = random.Random(2024)
+    pairs = [(random_hpoint(rng), random_hpoint(rng)) for _ in range(2000)]
+
+    def wide() -> complex:
+        return complex(rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-6.0, 6.0))
+
+    pairs += [
+        (HPoint.from_factors(wide(), wide()), HPoint.from_factors(wide(), wide()))
+        for _ in range(2000)
+    ]
+    raised = 0
+    for p, q in pairs:
+        want = reduction_outcome(composed_reduce_pair, p, q)
+        assert reduction_outcome(fused, p, q) == want  # bit for bit
+        raised += isinstance(want, type)
+    assert raised < 100
 
 
 def test_transvection_overflow_is_a_numerical_breakdown():

@@ -7,6 +7,8 @@ from bisiegel import Mat2C, Mat4R, SingularMatrix, Tolerance
 from bisiegel.errors import NumericalBreakdown
 from bisiegel.numkit import DEFAULT_TOL, max_abs_diff
 
+from conftest import transpose
+
 TOL = DEFAULT_TOL.abs_eps
 
 
@@ -79,7 +81,7 @@ def test_mat4r_product_and_transpose():
     a = Mat4R(tuple(tuple(rng.uniform(-1, 1) for _ in range(4)) for _ in range(4)))
     b = Mat4R(tuple(tuple(rng.uniform(-1, 1) for _ in range(4)) for _ in range(4)))
     # (AB)^T = B^T A^T
-    assert max_abs_diff((a @ b).transpose(), b.transpose() @ a.transpose()) < 1e-14
+    assert max_abs_diff(transpose(a @ b), transpose(b) @ transpose(a)) < 1e-14
     assert max_abs_diff(a @ Mat4R.identity(), a) == 0.0
 
 
