@@ -34,7 +34,6 @@ from .geometry import (
     GeodesicSpec,
     Tangent,
     connect,
-    cross_ratio,
     cross_ratio_eigenvalues,
     distance,
     distance_params,
@@ -72,11 +71,9 @@ from .hyperbolic import (
 )
 from .numkit import (
     DEFAULT_TOL,
-    Mat2C,
     Mat4R,
     SYMPLECTIC_FORM,
     Tolerance,
-    max_abs_diff,
 )
 from .verify import CheckResult, run_suite
 

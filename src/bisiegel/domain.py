@@ -102,10 +102,6 @@ class HPoint:
         tau, z = self.tau, self.z
         return {"tau": [tau.real, tau.imag], "z": [z.real, z.imag]}
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "HPoint":
-        return cls(complex(*doc["tau"]), complex(*doc["z"]))
-
 
 @dataclass(frozen=True, init=False)
 class EPoint:
@@ -144,10 +140,6 @@ class EPoint:
     def to_json_dict(self) -> dict:
         z1, z2 = self.z1, self.z2
         return {"z1": [z1.real, z1.imag], "z2": [z2.real, z2.imag]}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "EPoint":
-        return cls(complex(*doc["z1"]), complex(*doc["z2"]))
 
 
 def _image(model: type, f1: complex, f2: complex, tol: Tolerance):

@@ -1,14 +1,15 @@
-"""Metric structure: cross ratio, invariant metric, distance, geodesics,
-volume density.
+"""Metric structure: cross-ratio eigenvalues, invariant metric, distance,
+geodesics, volume density.
 
 The invariant metric is tr(Y^-1 dZ Y^-1 d(conj Z)) at Z = X + iY.  In the
 factor coordinates (tau + z, tau - z) it splits into two half-plane metrics
 |dw|^2 / (Im w)^2, and every closed form below is computed per factor from
 one quantity, the chord s = |w - w'| / (2 sqrt(y y')) = sinh(d/2) of the
 half-plane distance d: the distance is the root-sum-square of the two
-2 asinh(s), the cross ratio has the eigenvalues tanh^2(d/2), and a geodesic
-is a pair of half-plane geodesics traversed with a common arc-length
-parameter.
+2 asinh(s), the matrix cross ratio has the eigenvalues tanh^2(d/2), and a
+geodesic is a pair of half-plane geodesics traversed with a common arc-length
+parameter.  The matrix cross ratio itself is computed only by the literal
+reference in ``verify``.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ from typing import Callable
 
 from .domain import HPoint
 from .errors import DegeneratePair, DomainViolation, NumericalBreakdown, OutOfRange
-from .numkit import _FIXED_EPS, DEFAULT_TOL, Mat2C, Tolerance
+from .numkit import _FIXED_EPS, DEFAULT_TOL, Tolerance
 
 __all__ = [
     "Tangent",
     "GeodesicSpec",
-    "cross_ratio",
     "cross_ratio_eigenvalues",
     "metric_form",
     "distance",
@@ -84,18 +84,10 @@ def _tanh_sq(s: float) -> float:
     return (s / math.hypot(1.0, s)) ** 2 if s < math.inf else 1.0
 
 
-def cross_ratio(z: HPoint, z1: HPoint) -> Mat2C:
-    """Matrix cross ratio (Z-Z1)(Z-conj Z1)^-1 (conj Z-conj Z1)(conj Z-Z1)^-1.
-
-    It is bi-symmetric and assembled from its eigenvalues, the per-factor
-    cross ratios, which lie in [0, 1) and classify the pair up to a motion.
-    """
-    rho_plus, rho_minus = (_tanh_sq(s) for s in _chords(z, z1))
-    return Mat2C.bisym((rho_plus + rho_minus) / 2.0, (rho_plus - rho_minus) / 2.0)
-
-
 def cross_ratio_eigenvalues(z: HPoint, z1: HPoint) -> tuple[float, float]:
-    """Eigenvalues of the cross ratio, descending: tanh^2(d/2) per factor."""
+    """Eigenvalues, descending, of the matrix cross ratio (Z-Z1)(Z-conj Z1)^-1
+    (conj Z-conj Z1)(conj Z-Z1)^-1: the per-factor tanh^2(d/2), which lie in
+    [0, 1) and classify the pair up to a motion."""
     lo, hi = sorted(_tanh_sq(s) for s in _chords(z, z1))
     return (hi, lo)
 

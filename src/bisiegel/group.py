@@ -195,9 +195,10 @@ def classify(m: Mat4R, tol: Tolerance = DEFAULT_TOL) -> MotionMatrix:
     """Validate a raw 4x4 in closed form as a motion and read off its factors.
 
     Entry (i, j) of ``M^T J M`` is ``-r2i r0j - r3i r1j + r0i r2j + r1i r3j`` for rows
-    ``r0..r3``, summed as ``Mat4R.__matmul__`` sums, so the residuals match its products
-    bit for bit; ``MQ``, ``QM`` swap columns, rows, within pairs.  ``eps`` has the smaller
-    commutation residual (+1 on an exact tie, met only near the kernel).
+    ``r0..r3``, summed left to right as the tests' literal 4x4 products sum, so the
+    residuals match theirs bit for bit; ``MQ``, ``QM`` swap columns, rows, within pairs.
+    ``eps`` has the smaller commutation residual (+1 on an exact tie, met only near the
+    kernel).
     """
     rows, cols = m.rows, tuple(zip(*m.rows))
     sym = [

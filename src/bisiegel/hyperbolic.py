@@ -3,7 +3,7 @@
 One hyperbolic plane, scalar formulas only.  The half-space geometry
 factors through two copies of this plane, so every factor-decomposed result
 in the package can be cross-checked against these routines, which share no
-code with the matrix side.
+code with the factor geometry.
 """
 
 from __future__ import annotations
@@ -51,16 +51,19 @@ def mobius(m: Matrix2, z: HalfPlanePoint) -> HalfPlanePoint:
     return HalfPlanePoint(w.real, w.imag)
 
 
-def pair_lambda(z1: HalfPlanePoint, z2: HalfPlanePoint) -> float:
-    """The dilation >= 1 carrying (z1, z2) to (i, lambda*i) along a common motion.
+def _lambda_minus_one(z1: HalfPlanePoint, z2: HalfPlanePoint) -> float:
+    """lambda - 1 = q/2 + sqrt(q) sqrt(1 + q/4) for the pair dilation lambda and
+    q = ((x1 - x2)^2 + (y1 - y2)^2) / (y1 y2) = lambda + 1/lambda - 2, which
+    is >= 0: no cancellation for near pairs."""
+    q = ((z1.x - z2.x) ** 2 + (z1.y - z2.y) ** 2) / (z1.y * z2.y)
+    return q / 2.0 + math.sqrt(q) * math.sqrt(1.0 + q / 4.0)
 
-    lambda + 1/lambda equals y1/y2 + y2/y1 + (x1 - x2)^2/(y1 y2), which is
-    always >= 2; the root >= 1 is returned.
-    """
-    rhs = z1.y / z2.y + z2.y / z1.y + (z1.x - z2.x) ** 2 / (z1.y * z2.y)
-    return (rhs + math.sqrt(max(rhs * rhs - 4.0, 0.0))) / 2.0
+
+def pair_lambda(z1: HalfPlanePoint, z2: HalfPlanePoint) -> float:
+    """The dilation >= 1 carrying (z1, z2) to (i, lambda*i) along a common motion."""
+    return 1.0 + _lambda_minus_one(z1, z2)
 
 
 def hyp_distance(z1: HalfPlanePoint, z2: HalfPlanePoint) -> float:
-    """Hyperbolic distance, the log of the pair dilation."""
-    return math.log(pair_lambda(z1, z2))
+    """Hyperbolic distance, the log of the pair dilation, as log1p(lambda - 1)."""
+    return math.log1p(_lambda_minus_one(z1, z2))

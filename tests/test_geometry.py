@@ -9,12 +9,10 @@ from bisiegel import (
     DegeneratePair,
     HalfPlanePoint,
     HPoint,
-    Mat2C,
     OutOfRange,
     Tangent,
     apply,
     connect,
-    cross_ratio,
     cross_ratio_eigenvalues,
     distance,
     distance_params,
@@ -39,6 +37,10 @@ TWO_I = HPoint(2j, 0.0)
 MIXED = HPoint(2j, 1j)
 
 
+def bisym(p: complex, q: complex) -> np.ndarray:
+    return np.array([[p, q], [q, p]], dtype=complex)
+
+
 def random_tangent(rng):
     return Tangent(
         complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
@@ -51,14 +53,13 @@ def random_tangent(rng):
 
 
 def test_cross_ratio_vanishes_on_the_diagonal():
-    assert cross_ratio(MIXED, MIXED).max_abs() < 1e-15
+    assert max(cross_ratio_eigenvalues(MIXED, MIXED)) < 1e-15
 
 
 def test_cross_ratio_closed_value():
-    r = cross_ratio(I_H, TWO_I)
-    assert abs(r.a - 1.0 / 9.0) < 1e-15
-    assert abs(r.d - 1.0 / 9.0) < 1e-15
-    assert abs(r.b) < 1e-15 and abs(r.c) < 1e-15
+    # Both eigenvalues 1/9: the bi-symmetric cross ratio is I/9.
+    for rho in cross_ratio_eigenvalues(I_H, TWO_I):
+        assert abs(rho - 1.0 / 9.0) < 1e-15
 
 
 def test_cross_ratio_eigenvalues_match_canonical_form():
@@ -75,7 +76,7 @@ def test_cross_ratio_eigenvalues_against_general_solver(rng):
         z2 = random_hpoint(rng)
         r = _reference_cross_ratio(z1, z2)
         ours = cross_ratio_eigenvalues(z1, z2)
-        theirs = np.linalg.eigvals(np.array([[r.a, r.b], [r.c, r.d]], dtype=complex))
+        theirs = np.linalg.eigvals(np.array(r, dtype=complex).reshape(2, 2))
         theirs = sorted(theirs.real, reverse=True)
         assert ours[0] == pytest.approx(theirs[0], abs=1e-10)
         assert ours[1] == pytest.approx(theirs[1], abs=1e-10)
@@ -88,9 +89,10 @@ def test_cross_ratio_trace_and_eigenvalue_invariance(rng):
         z2 = random_hpoint(rng)
         m = random_motion(rng)
         w1, w2 = apply(m, z1), apply(m, z2)
-        assert abs(cross_ratio(z1, z2).trace() - cross_ratio(w1, w2).trace()) <= 1e-8
         e_before = cross_ratio_eigenvalues(z1, z2)
         e_after = cross_ratio_eigenvalues(w1, w2)
+        # The trace is the eigenvalue sum.
+        assert abs(sum(e_before) - sum(e_after)) <= 1e-8
         assert abs(e_before[0] - e_after[0]) <= 1e-8
         assert abs(e_before[1] - e_after[1]) <= 1e-8
 
@@ -131,9 +133,9 @@ def test_metric_form_matches_literal_trace(rng):
     for _ in range(200):
         z = random_hpoint(rng)
         d = random_tangent(rng)
-        y_inv = Mat2C.bisym(z.tau.imag, z.z.imag).inverse()
-        dz = Mat2C.bisym(d.dtau, d.dz)
-        literal = (y_inv @ dz @ y_inv @ dz.conj()).trace()
+        y_inv = np.linalg.inv(bisym(z.tau.imag, z.z.imag))
+        dz = bisym(d.dtau, d.dz)
+        literal = np.trace(y_inv @ dz @ y_inv @ dz.conj())
         assert abs(literal.imag) <= 1e-12 * abs(literal)
         assert metric_form(z, d) == pytest.approx(literal.real, rel=1e-12)
 
@@ -495,11 +497,10 @@ def test_ode_residual_second_order_decay(z1, z2):
 
 def literal_ode_residual(curve, s: float, h: float) -> float:
     """Largest entry of Z'' + i Z' Y^-1 Z' by central differences on the 2x2 matrices."""
-    zm, z, zp = (Mat2C.bisym(p.tau, p.z) for p in (curve(s - h), curve(s), curve(s + h)))
-    y = Mat2C.bisym(z.a.imag, z.b.imag)
-    second = (zp - z.scale(2.0) + zm).scale(1.0 / (h * h))
-    first = (zp - zm).scale(1.0 / (2.0 * h))
-    return (second + (first @ y.inverse() @ first).scale(1j)).max_abs()
+    zm, z, zp = (bisym(p.tau, p.z) for p in (curve(s - h), curve(s), curve(s + h)))
+    second = (zp - 2.0 * z + zm) / (h * h)
+    first = (zp - zm) / (2.0 * h)
+    return float(np.max(np.abs(second + 1j * (first @ np.linalg.inv(z.imag) @ first))))
 
 
 def test_ode_residual_bounds_the_matrix_form(rng):

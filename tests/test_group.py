@@ -3,6 +3,7 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from bisiegel import (
@@ -11,7 +12,6 @@ from bisiegel import (
     EPoint,
     GeometryError,
     HPoint,
-    Mat2C,
     Mat4R,
     MotionMatrix,
     NotInHatGroup,
@@ -40,10 +40,21 @@ from bisiegel import (
     transport_to_iI,
 )
 from bisiegel.hyperbolic import HalfPlanePoint, mobius
-from bisiegel.numkit import DEFAULT_TOL, EXCHANGE_4, max_abs_diff
+from bisiegel.numkit import DEFAULT_TOL
 from bisiegel.verify import _reference_apply
 
-from conftest import entries, point_gap, transpose
+from conftest import (
+    EXCHANGE_4,
+    IDENTITY_4,
+    KERNEL_4,
+    entries,
+    gap4,
+    max_abs4,
+    mul4,
+    point_gap,
+    scale4,
+    transpose,
+)
 
 I_H = HPoint(1j, 0.0)
 U = sys.float_info.epsilon
@@ -65,7 +76,7 @@ def coordinate_rounding(z: HPoint) -> float:
 
 
 def test_classify_identity_and_exchange():
-    assert classify(Mat4R.identity()).eps == 1
+    assert classify(IDENTITY_4).eps == 1
     assert classify(EXCHANGE_4).eps == 1
 
 
@@ -88,7 +99,7 @@ def test_classify_detects_anticommuting_sign():
 
 def test_classify_rejects_non_symplectic():
     with pytest.raises(NotSymplectic):
-        classify(Mat4R.identity().scale(2.0))
+        classify(scale4(IDENTITY_4, 2.0))
 
 
 def test_classify_rejects_symplectic_outside_subgroup():
@@ -108,12 +119,12 @@ def test_classify_rejects_symplectic_outside_subgroup():
 def literal_classify(m: Mat4R) -> MotionMatrix:
     """``classify`` through the literal 4x4 products: the reference for its closed form."""
     j, tol = SYMPLECTIC_FORM, DEFAULT_TOL.abs_eps
-    sym_res = max_abs_diff(transpose(m) @ j @ m, j)
+    sym_res = gap4(mul4(transpose(m), j, m), j)
     if sym_res > tol:
         raise NotSymplectic(f"symplectic residual {sym_res:.3e} exceeds {tol}")
-    mq, qm = m @ EXCHANGE_4, EXCHANGE_4 @ m
+    mq, qm = mul4(m, EXCHANGE_4), mul4(EXCHANGE_4, m)
     # mq - (-qm) rounds exactly as mq + qm.
-    commute, anticommute = max_abs_diff(mq, qm), max_abs_diff(mq, qm.scale(-1.0))
+    commute, anticommute = gap4(mq, qm), gap4(mq, scale4(qm, -1.0))
     if min(commute, anticommute) > tol:
         raise NotInHatGroup(
             f"commutation residuals ({commute:.3e}, {anticommute:.3e}) both exceed {tol}"
@@ -160,12 +171,12 @@ def symplectic_unpatterned(rng: random.Random) -> Mat4R:
 REGIMES = {
     "patterned": lambda rng: random_motion(rng).m,
     "perturbed": lambda rng: perturbed(random_motion(rng).m, rng),
-    "scaled": lambda rng: random_motion(rng).m.scale(10.0 ** rng.uniform(-150.0, 150.0)),
+    "scaled": lambda rng: scale4(random_motion(rng).m, 10.0 ** rng.uniform(-150.0, 150.0)),
     "unpatterned": lambda rng: Mat4R(
         tuple(tuple(rng.uniform(-5.0, 5.0) for _ in range(4)) for _ in range(4))
     ),
     "symplectic_unpatterned": symplectic_unpatterned,
-    "overflowing": lambda rng: random_motion(rng).m.scale(10.0 ** rng.uniform(159.0, 161.0)),
+    "overflowing": lambda rng: scale4(random_motion(rng).m, 10.0 ** rng.uniform(159.0, 161.0)),
 }
 
 
@@ -191,7 +202,7 @@ def test_closed_form_classify_matches_literal_products(regime):
         assert classify_outcome(classify, m) == want, m
         seen.add(want.eps if isinstance(want, MotionMatrix) else want[0])
         try:
-            res = max_abs_diff(transpose(m) @ SYMPLECTIC_FORM @ m, SYMPLECTIC_FORM)
+            res = gap4(mul4(transpose(m), SYMPLECTIC_FORM, m), SYMPLECTIC_FORM)
         except NumericalBreakdown:
             continue
         # Bit for bit: the gate passes at the literal residual, fails one ulp below.
@@ -319,17 +330,12 @@ def test_apply_closure(rng):
 def test_motion_inverse(rng):
     for _ in range(50):
         m = random_motion(rng)
-        assert max_abs_diff((m @ m.inverse()).m, Mat4R.identity()) < 1e-12
+        assert gap4((m @ m.inverse()).m, IDENTITY_4) < 1e-12
         assert m.inverse().eps == m.eps
 
 
 def test_kernel_fixes_everything_nonkernel_does_not(rng):
-    kernel = [
-        classify(Mat4R.identity()),
-        classify(Mat4R.identity().scale(-1.0)),
-        classify(EXCHANGE_4),
-        classify(EXCHANGE_4.scale(-1.0)),
-    ]
+    kernel = [classify(m) for m in KERNEL_4]
     probes = [random_hpoint(rng) for _ in range(20)]
     for m in kernel:
         assert m.eps == 1
@@ -370,15 +376,15 @@ def test_split_exchange_pinned_to_plus_branch():
 
 def test_assemble_shear_example():
     m = assemble(Sl2Matrix(1.0, 1.0, 0.0, 1.0), I2, 1)
-    b_block = m.m.blocks()[1]
-    assert max_abs_diff(b_block, Mat2C.bisym(0.5, 0.5)) <= DEFAULT_TOL.abs_eps
+    (_, _, *b_top), (_, _, *b_bottom), _, _ = m.m.rows
+    assert max(abs(x - 0.5) for x in b_top + b_bottom) <= DEFAULT_TOL.abs_eps
     j = SYMPLECTIC_FORM
-    assert max_abs_diff(transpose(m.m) @ j @ m.m, j) < 1e-15
+    assert gap4(mul4(transpose(m.m), j, m.m), j) < 1e-15
 
 
 def test_assemble_identity():
     m = assemble(I2, I2, 1)
-    assert max_abs_diff(m.m, Mat4R.identity()) == 0.0
+    assert gap4(m.m, IDENTITY_4) == 0.0
 
 
 @pytest.mark.parametrize("eps", [1, -1])
@@ -437,15 +443,15 @@ def test_factor_path_matches_4x4_reference(rng):
         prod = p @ o
         assert prod.eps == p.eps * o.eps
         # A 4x4 product entry sums four terms: error <= 4u * 4 |P|max |O|max.
-        assert max_abs_diff(prod.m, p.m @ o.m) <= 16 * U * p.m.max_abs() * o.m.max_abs()
+        assert gap4(prod.m, mul4(p.m, o.m)) <= 16 * U * max_abs4(p.m) * max_abs4(o.m)
         # -J M^T J only permutes and negates entries, as the adjugates do.
-        assert max_abs_diff(p.inverse().m, (j @ transpose(p.m) @ j).scale(-1.0)) == 0.0
+        assert gap4(p.inverse().m, scale4(mul4(j, transpose(p.m), j), -1.0)) == 0.0
         assert p.inverse().eps == p.eps
         assert point_gap(apply(p, z), _reference_apply(p.m, z)) <= 1e-9
         back = classify(p.m)
         assert back.eps == p.eps
         for got, want in zip(split(back), split(p)):
-            assert sl2_gap(got, want) <= 2 * U * p.m.max_abs()
+            assert sl2_gap(got, want) <= 2 * U * max_abs4(p.m)
     assert signs == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
 
 
@@ -453,20 +459,26 @@ def test_factor_path_matches_4x4_reference(rng):
 # stabilizers
 
 
-def block(rows) -> Mat2C:
+def block(rows) -> np.ndarray:
     """A derived block ``a0`` or ``b0`` of a disc motion as a 2x2 matrix."""
-    (a, b), (c, d) = rows
-    return Mat2C(a, b, c, d)
+    return np.array(rows, dtype=complex)
+
+
+def max_abs(x) -> float:
+    return float(np.max(np.abs(x)))
+
+
+EYE_2 = np.eye(2, dtype=complex)
 
 
 def test_stabilizer_of_center_examples():
     tol = DEFAULT_TOL.abs_eps
     a0 = block(stabilizer_of_center(StabilizerParams(1, 1, 1)).a0)
-    assert max_abs_diff(a0, Mat2C.identity()) <= tol
+    assert max_abs(a0 - EYE_2) <= tol
     a0 = block(stabilizer_of_center(StabilizerParams(1j, 1j, 1)).a0)
-    assert max_abs_diff(a0, Mat2C.identity().scale(1j)) <= tol
+    assert max_abs(a0 - 1j * EYE_2) <= tol
     a0 = block(stabilizer_of_center(StabilizerParams(1, -1, 1)).a0)
-    assert max_abs_diff(a0, Mat2C(0, 1, 1, 0)) <= tol
+    assert max_abs(a0 - block(((0, 1), (1, 0)))) <= tol
 
 
 def test_stabilizer_params_validation():
@@ -496,13 +508,13 @@ def test_stabilizer_of_center_fixes_center(rng):
         assert abs(img.z1) < 1e-15 and abs(img.z2) < 1e-15
         # unitary block relation with vanishing translation part
         a0 = block(m0.a0)
-        assert max_abs_diff(a0 @ transpose(a0.conj()), Mat2C.identity()) <= DEFAULT_TOL.abs_eps
-        assert block(m0.b0).max_abs() == 0.0
+        assert max_abs(a0 @ a0.conj().T - EYE_2) <= DEFAULT_TOL.abs_eps
+        assert max_abs(block(m0.b0)) == 0.0
 
 
 def test_stabilizer_of_iI_identity_case():
     m = stabilizer_of_iI(StabilizerParams(1, 1, 1))
-    assert max_abs_diff(m.m, Mat4R.identity()) < 1e-15
+    assert gap4(m.m, IDENTITY_4) < 1e-15
 
 
 def test_stabilizer_of_iI_fixes_base_point(rng):
@@ -529,9 +541,9 @@ def test_stabilizer_of_iI_is_isometric_rotation():
 
 def literal_disc_action(m: DiscMotion, p: EPoint) -> EPoint:
     """The block action (A0 Z + B0)(conj(B0) Z + conj(A0))^-1, computed literally."""
-    a0, b0, zm = block(m.a0), block(m.b0), Mat2C.bisym(p.z1, p.z2)
-    w = (a0 @ zm + b0) @ (b0.conj() @ zm + a0.conj()).inverse()
-    return EPoint((w.a + w.d) / 2.0, (w.b + w.c) / 2.0)
+    a0, b0, zm = block(m.a0), block(m.b0), block(((p.z1, p.z2), (p.z2, p.z1)))
+    w = (a0 @ zm + b0) @ np.linalg.inv(b0.conj() @ zm + a0.conj())
+    return EPoint((w[0, 0] + w[1, 1]) / 2.0, (w[0, 1] + w[1, 0]) / 2.0)
 
 
 def random_su11(rng) -> tuple[complex, complex]:
@@ -593,12 +605,12 @@ def test_disc_motion_rejects_non_su11_factors():
 def test_transport_to_center_examples():
     tol = DEFAULT_TOL.abs_eps
     ident = transport_to_center(EPoint(0, 0))
-    assert max_abs_diff(block(ident.a0), Mat2C.identity()) <= tol
-    assert block(ident.b0).max_abs() == 0.0
+    assert max_abs(block(ident.a0) - EYE_2) <= tol
+    assert max_abs(block(ident.b0)) == 0.0
     m0 = transport_to_center(EPoint(1.0 / 3.0, 0))
     scale = math.sqrt(9.0 / 8.0)
-    assert max_abs_diff(block(m0.a0), Mat2C.identity().scale(scale)) <= tol
-    assert max_abs_diff(block(m0.b0), Mat2C.identity().scale(-scale / 3.0)) <= tol
+    assert max_abs(block(m0.a0) - scale * EYE_2) <= tol
+    assert max_abs(block(m0.b0) + scale / 3.0 * EYE_2) <= tol
     img = m0.apply(EPoint(1.0 / 3.0, 0))
     assert abs(img.z1) < 1e-15 and abs(img.z2) < 1e-15
 
@@ -626,7 +638,7 @@ def test_transport_to_center_near_the_boundary():
 
 
 def test_transport_to_iI_examples(rng):
-    assert max_abs_diff(transport_to_iI(I_H).m, Mat4R.identity()) < 1e-15
+    assert gap4(transport_to_iI(I_H).m, IDENTITY_4) < 1e-15
     for z in (HPoint(2j, 0.0), HPoint(2j, 1j)):
         assert point_gap(apply(transport_to_iI(z), z), I_H) <= 1e-12
     for _ in range(200):
@@ -687,7 +699,7 @@ def test_unimodular_gate_scales_with_the_entries():
     chain = IDENTITY
     for _ in range(20):
         chain = chain @ random_motion(rng)
-    assert chain.m.max_abs() > 500.0
+    assert max_abs4(chain.m) > 500.0
     # The transvection of a factor at height 8e-9 has entry products near
     # 1e8, so its determinant rounds by about 1e-8, beyond an absolute 1e-10.
     z = HPoint.from_factors(complex(-1.0829920053445565, 8.360873858970653e-09), 1j)
@@ -814,8 +826,8 @@ def test_motion_json_roundtrip_and_eps_check(rng):
         back = classify(Mat4R(tuple(tuple(row) for row in doc["m"])))
         assert back.eps == doc["eps"] == m.eps
         # Factors are read back as sums and differences of halved entries.
-        assert max(sl2_gap(back.m1, m.m1), sl2_gap(back.m2, m.m2)) <= 2 * U * m.m.max_abs()
-        assert max_abs_diff(back.m, m.m) <= 2 * U * m.m.max_abs()
+        assert max(sl2_gap(back.m1, m.m1), sl2_gap(back.m2, m.m2)) <= 2 * U * max_abs4(m.m)
+        assert gap4(back.m, m.m) <= 2 * U * max_abs4(m.m)
     # The command-line reader is the one place a declared eps is checked.
     from bisiegel.cli import _parse_motion
 

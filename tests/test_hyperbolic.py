@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -71,6 +72,27 @@ def test_hyp_distance_matches_arccosh_form(rng):
         z2 = hp(complex(rng.uniform(-3, 3), rng.uniform(0.1, 5)))
         r = z1.y / z2.y + z2.y / z1.y + (z1.x - z2.x) ** 2 / (z1.y * z2.y)
         assert hyp_distance(z1, z2) == pytest.approx(math.acosh(r / 2.0), abs=1e-11)
+
+
+def test_hyp_distance_is_accurate_for_near_and_far_pairs():
+    # Against a 60-digit reference ln(1 + q/2 + sqrt(q + q^2/4)), for shifts
+    # from 1e-12 to 1e8 along each axis and diagonally: within 4 units of
+    # rounding relative, so near pairs do not cancel to 0.
+    u = 2.0**-53
+    for k in range(-12, 9):
+        for shift in (10.0**k, 3.7 * 10.0**k):
+            for z1, z2 in (
+                (hp(1j), hp(complex(shift, 1.0))),
+                (hp(1j), hp(complex(0.0, 1.0 + shift))),
+                (hp(0.3 + 2j), hp(complex(0.3 + shift, 2.0 + shift))),
+            ):
+                with localcontext() as ctx:
+                    ctx.prec = 60
+                    x1, y1, x2, y2 = map(Decimal, (z1.x, z1.y, z2.x, z2.y))
+                    q = ((x1 - x2) ** 2 + (y1 - y2) ** 2) / (y1 * y2)
+                    ref = (1 + q / 2 + (q + q * q / 4).sqrt()).ln()
+                    err = abs(Decimal(hyp_distance(z1, z2)) - ref) / ref
+                assert err <= 4 * u, (z1, z2, float(err) / u)
 
 
 def test_mobius_invariance_of_distance(rng):

@@ -1,15 +1,34 @@
-import math
+"""Tolerances, the 4x4 record, and the literal matrix algebra of the
+references: ``verify``'s 2x2 helpers and the tests' 4x4 helpers."""
+
 import random
 
+import numpy as np
 import pytest
 
-from bisiegel import Mat2C, Mat4R, SingularMatrix, Tolerance
+from bisiegel import Mat4R, Tolerance, random_hpoint, random_motion
 from bisiegel.errors import NumericalBreakdown
-from bisiegel.numkit import DEFAULT_TOL, max_abs_diff
+from bisiegel.numkit import DEFAULT_TOL
+from bisiegel.verify import (
+    _inv,
+    _mul,
+    _reference_apply,
+    _reference_cayley,
+    _reference_cross_ratio,
+)
 
-from conftest import transpose
+from conftest import IDENTITY_4, gap4, mul4, scale4, transpose
 
 TOL = DEFAULT_TOL.abs_eps
+EYE = (1.0, 0.0, 0.0, 1.0)
+
+
+def gap2(x, y) -> float:
+    return max(abs(p - q) for p, q in zip(x, y))
+
+
+def det2(x) -> complex:
+    return x[0] * x[3] - x[1] * x[2]
 
 
 def test_tolerance_defaults_and_validation():
@@ -22,58 +41,54 @@ def test_tolerance_defaults_and_validation():
 
 
 def test_inverse_identity():
-    assert max_abs_diff(Mat2C.identity().inverse(), Mat2C.identity()) <= TOL
+    assert gap2(_inv(EYE), EYE) <= TOL
 
 
 def test_inverse_scalar_diagonal():
-    m = Mat2C(2j, 0, 0, 2j)
-    assert max_abs_diff(m.inverse(), Mat2C(-0.5j, 0, 0, -0.5j)) <= TOL
+    assert gap2(_inv((2j, 0, 0, 2j)), (-0.5j, 0, 0, -0.5j)) <= TOL
 
 
 def test_inverse_unipotent():
-    m = Mat2C(1, 1, 0, 1)
-    assert max_abs_diff(m.inverse(), Mat2C(1, -1, 0, 1)) <= TOL
-
-
-def test_inverse_rejects_singular():
-    with pytest.raises(SingularMatrix):
-        Mat2C(1, 1, 1, 1).inverse()
+    assert gap2(_inv((1, 1, 0, 1)), (1, -1, 0, 1)) <= TOL
 
 
 def test_inverse_involution_property():
     rng = random.Random(101)
-    tol = Tolerance()
     for _ in range(200):
-        m = Mat2C(*(complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(4)))
-        if abs(m.det()) < 1e-3:
+        m = tuple(complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(4))
+        if abs(det2(m)) < 1e-3:
             continue
-        assert max_abs_diff(m.inverse().inverse(), m) <= 10 * tol.abs_eps
+        assert gap2(_inv(_inv(m)), m) <= 10 * TOL
+        assert gap2(_mul(m, _inv(m)), EYE) <= 10 * TOL
 
 
 def test_det_multiplicative():
     rng = random.Random(202)
     for _ in range(200):
-        a = Mat2C(*(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4)))
-        b = Mat2C(*(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4)))
-        lhs = (a @ b).det()
-        rhs = a.det() * b.det()
+        a = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4))
+        b = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4))
+        lhs = det2(_mul(a, b))
+        rhs = det2(a) * det2(b)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
 def test_max_abs_diff_examples():
-    eye = Mat2C.identity()
-    assert max_abs_diff(eye, eye) == 0.0
-    assert max_abs_diff(eye, eye + Mat2C.identity().scale(1e-6)) == pytest.approx(1e-6)
-    assert max_abs_diff(Mat2C.identity().scale(1e-12), Mat2C.identity().scale(2e-12)) <= TOL
+    assert gap4(IDENTITY_4, IDENTITY_4) == 0.0
+    assert gap4(IDENTITY_4, scale4(IDENTITY_4, 1.0 + 1e-6)) == pytest.approx(1e-6)
+    assert gap4(scale4(IDENTITY_4, 1e-12), scale4(IDENTITY_4, 2e-12)) <= TOL
     m = Mat4R(((0.0, 3.0, 0.0, 0.0),) + ((0.0, 0.0, 0.0, 0.0),) * 3)
-    assert max_abs_diff(m, Mat4R.identity()) == 3.0
+    assert gap4(m, IDENTITY_4) == 3.0
+    # A difference past the float range breaks down, as the record's entries do.
+    big = scale4(IDENTITY_4, 1.5e308)
+    with pytest.raises(NumericalBreakdown):
+        gap4(big, scale4(big, -1.0))
 
 
 def test_nonfinite_entries_rejected():
     with pytest.raises(NumericalBreakdown):
-        Mat2C(float("nan"), 0, 0, 1)
-    with pytest.raises(NumericalBreakdown):
         Mat4R(((float("inf"), 0, 0, 0),) + ((0.0, 0.0, 0.0, 0.0),) * 3)
+    with pytest.raises(ValueError):
+        Mat4R(((1.0, 0.0, 0.0),) * 4)
 
 
 def test_mat4r_product_and_transpose():
@@ -81,25 +96,56 @@ def test_mat4r_product_and_transpose():
     a = Mat4R(tuple(tuple(rng.uniform(-1, 1) for _ in range(4)) for _ in range(4)))
     b = Mat4R(tuple(tuple(rng.uniform(-1, 1) for _ in range(4)) for _ in range(4)))
     # (AB)^T = B^T A^T
-    assert max_abs_diff(transpose(a @ b), transpose(b) @ transpose(a)) < 1e-14
-    assert max_abs_diff(a @ Mat4R.identity(), a) == 0.0
+    assert gap4(transpose(mul4(a, b)), mul4(transpose(b), transpose(a))) < 1e-14
+    assert gap4(mul4(a, IDENTITY_4), a) == 0.0
+    assert gap4(mul4(a, b), Mat4R(tuple(map(tuple, np.array(a.rows) @ np.array(b.rows))))) < 1e-14
 
 
-def test_mat4r_blocks_roundtrip():
-    rng = random.Random(404)
-    m = Mat4R(tuple(tuple(rng.uniform(-1, 1) for _ in range(4)) for _ in range(4)))
-    ul, ur, ll, lr = m.blocks()
-    rows = (
-        (ul.a, ul.b, ur.a, ur.b),
-        (ul.c, ul.d, ur.c, ur.d),
-        (ll.a, ll.b, lr.a, lr.b),
-        (ll.c, ll.d, lr.c, lr.d),
-    )
-    assert tuple(tuple(x.real for x in row) for row in rows) == m.rows
+# --------------------------------------------------------------------------
+# The references against the same formulas evaluated with NumPy
 
 
-def test_bisym_constructor():
-    m = Mat2C.bisym(2j, 1j)
-    assert m.a == m.d == 2j and m.b == m.c == 1j
-    assert abs(m.trace() - 4j) == 0.0
-    assert math.isclose(abs(m.det() - (-3.0)), 0.0, abs_tol=1e-15)
+def bisym(p: complex, q: complex) -> np.ndarray:
+    return np.array([[p, q], [q, p]], dtype=complex)
+
+
+def rel_gap(got, want) -> float:
+    got, want = np.asarray(got, dtype=complex), np.asarray(want, dtype=complex)
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+def test_reference_apply_matches_numpy():
+    rng = random.Random(505)
+    for _ in range(500):
+        m, z = random_motion(rng), random_hpoint(rng)
+        rows = np.array(m.m.rows)
+        a, b, c, d = rows[:2, :2], rows[:2, 2:], rows[2:, :2], rows[2:, 2:]
+        zm = bisym(z.tau, z.z)
+        w = (a @ zm + b) @ np.linalg.inv(c @ zm + d)
+        got = _reference_apply(m.m, z)
+        want = ((w[0, 0] + w[1, 1]) / 2.0, (w[0, 1] + w[1, 0]) / 2.0)
+        assert rel_gap((got.tau, got.z), want) <= 1e-12
+
+
+def test_reference_cross_ratio_matches_numpy():
+    rng = random.Random(606)
+    inv = np.linalg.inv
+    for _ in range(500):
+        z, z1 = random_hpoint(rng), random_hpoint(rng)
+        a, b = bisym(z.tau, z.z), bisym(z1.tau, z1.z)
+        ac, bc = a.conj(), b.conj()
+        want = (a - b) @ inv(a - bc) @ (ac - bc) @ inv(ac - b)
+        assert rel_gap(_reference_cross_ratio(z, z1), want.reshape(4)) <= 1e-12
+
+
+def test_reference_cayley_matches_numpy():
+    rng = random.Random(707)
+    eye = np.eye(2)
+    for _ in range(500):
+        z = random_hpoint(rng)
+        zm = bisym(z.tau, z.z)
+        w = (zm - 1j * eye) @ np.linalg.inv(zm + 1j * eye)
+        got = _reference_cayley(z)
+        want = ((w[0, 0] + w[1, 1]) / 2.0, (w[0, 1] + w[1, 0]) / 2.0)
+        assert rel_gap((got.z1, got.z2), want) <= 1e-12
+
