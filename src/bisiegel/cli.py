@@ -3,14 +3,15 @@
 All inputs are JSON documents (a path or ``-`` for stdin); all outputs go to
 stdout with floats rendered as ``%.15g`` so identical invocations are
 byte-identical.  Exit codes: 0 success, 2 domain/validation error, 3
-numerical breakdown; ``verify`` exits 1 when a check fails.
+numerical breakdown; ``verify`` exits 1 when a check fails.  The argument
+parser is built once per process and reused by every ``main`` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import math
 import random
 import sys
 
@@ -23,7 +24,7 @@ from .domain import (
     h_contains,
     random_hpoint,
 )
-from .errors import NotSymplectic, NumericalError, ValidationError
+from .errors import NotSymplectic, NumericalBreakdown, NumericalError, ValidationError
 from .geometry import connect, distance, distance_params, volume_density
 from .group import (
     MotionMatrix,
@@ -44,28 +45,26 @@ from .verify import run_suite
 __all__ = ["main"]
 
 
-def _fmt_float(x: float) -> str:
-    if x == 0.0:
-        x = 0.0  # normalize -0.0 for byte-stable output
-    return "%.15g" % x
+_quote = json.encoder.encode_basestring_ascii  # the bytes json.dumps gives a str
 
 
 def _to_json_text(obj) -> str:
-    if isinstance(obj, bool):
+    t = type(obj)
+    if t is float:
+        return "%.15g" % (obj + 0.0)  # + 0.0 turns -0.0 into 0.0, for byte-stable output
+    if t is list or t is tuple:
+        return "[" + ",".join(map(_to_json_text, obj)) + "]"
+    if t is dict:
+        return "{" + ",".join(_quote(k) + ":" + _to_json_text(v) for k, v in obj.items()) + "}"
+    if t is bool:
         return "true" if obj else "false"
-    if isinstance(obj, int):
+    if t is int:
         return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
     if obj is None:
         return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        return "{" + ",".join(f"{json.dumps(k)}:{_to_json_text(v)}" for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_to_json_text(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    if t is str:
+        return _quote(obj)
+    raise TypeError(f"cannot serialize {t!r}")
 
 
 def _emit(obj) -> None:
@@ -91,7 +90,10 @@ def _pair(doc, what: str) -> complex:
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in doc)
     ):
         raise ValidationError(f"{what} must be a [re, im] pair of numbers")
-    return complex(float(doc[0]), float(doc[1]))
+    try:
+        return complex(float(doc[0]), float(doc[1]))
+    except OverflowError as exc:
+        raise ValidationError(f"bad {what}: {exc}") from exc
 
 
 def _parse_hpoint(doc) -> HPoint:
@@ -110,17 +112,16 @@ def _parse_mat4(doc) -> Mat4R:
     if not isinstance(doc, dict) or "m" not in doc:
         raise ValidationError('matrix JSON needs field "m" (4 rows of 4 numbers)')
     rows = doc["m"]
-    if not isinstance(rows, list) or len(rows) != 4 or any(
-        not isinstance(r, list) or len(r) != 4 for r in rows
+    if not isinstance(rows, (list, tuple)) or len(rows) != 4 or any(
+        not isinstance(r, (list, tuple)) or len(r) != 4 for r in rows
     ):
         raise ValidationError('"m" must be 4 rows of 4 numbers')
     try:
-        entries = tuple(tuple(float(x) for x in row) for row in rows)
-    except (TypeError, ValueError) as exc:
+        return Mat4R(rows)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad matrix entries: {exc}") from exc
-    if not all(math.isfinite(x) for row in entries for x in row):
-        raise ValidationError('"m" entries must be finite numbers')
-    return Mat4R(entries)
+    except NumericalBreakdown as exc:
+        raise ValidationError('"m" entries must be finite numbers') from exc
 
 
 def _parse_motion(doc) -> MotionMatrix:
@@ -142,7 +143,7 @@ def _parse_sl2(doc) -> Sl2Matrix:
         raise ValidationError('2x2 factor JSON needs fields "a", "b", "c", "d"')
     try:
         entries = [float(doc[k]) for k in "abcd"]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad factor entries: {exc}") from exc
     return Sl2Matrix(*entries)
 
@@ -256,7 +257,7 @@ def _cmd_geodesic(args) -> int:
         s = spec.s0 * k / (args.samples - 1)
         p = spec.point(s)
         tau, z = p.tau, p.z
-        out.append(",".join(_fmt_float(v) for v in (s, tau.real, tau.imag, z.real, z.imag)))
+        out.append(",".join(map(_to_json_text, (s, tau.real, tau.imag, z.real, z.imag))))
     sys.stdout.write("\n".join(out) + "\n")
     return 0
 
@@ -307,6 +308,7 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bisiegel",

@@ -168,7 +168,7 @@ class MotionMatrix:
         return _motion(i1, i2, 1) if self.eps == 1 else _motion(i2, i1, -1)
 
     def to_json_dict(self) -> dict:
-        return {"m": [list(row) for row in self.m.rows], "eps": self.eps}
+        return {"m": self.m.rows, "eps": self.eps}
 
 
 def _sl2(a: float, b: float, c: float, d: float) -> Sl2Matrix:

@@ -59,13 +59,13 @@ class Mat4R:
     rows: tuple[_Row4, _Row4, _Row4, _Row4]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(float(x) for x in row) for row in self.rows)
+        rows = tuple(tuple(map(float, row)) for row in self.rows)
         if len(rows) != 4 or any(len(row) != 4 for row in rows):
             raise ValueError("Mat4R needs exactly 4 rows of 4 entries")
-        for row in rows:
-            for x in row:
-                if not math.isfinite(x):
-                    raise NumericalBreakdown(f"non-finite entry {x!r} in 4x4 matrix")
+        entries = rows[0] + rows[1] + rows[2] + rows[3]
+        if not all(map(math.isfinite, entries)):
+            x = next(x for x in entries if not math.isfinite(x))
+            raise NumericalBreakdown(f"non-finite entry {x!r} in 4x4 matrix")
         object.__setattr__(self, "rows", rows)
 
 

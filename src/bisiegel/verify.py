@@ -9,7 +9,8 @@ Points, motions and the geometry are computed per factor; the literal 4x4
 action ``(AZ + B)(CZ + D)^-1``, matrix cross ratio and matrix Cayley map live
 here only, as the references that the factor forms are checked against, in
 plain complex arithmetic on 2x2 matrices held as row-major 4-tuples.  NumPy
-serves only the determinant of the volume check's Jacobian.
+serves only the determinant of the volume check's Jacobian, and is imported
+inside that check, so ``import bisiegel`` and the CLI do not load it.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .domain import (
     EPoint,
@@ -359,6 +358,8 @@ def _check_arc_length(rng: random.Random, trials: int) -> float:
 
 
 def _check_volume_jacobian(rng: random.Random, trials: int) -> float:
+    import numpy as np
+
     h = 1e-6
     worst = 0.0
     for _ in range(trials):

@@ -1,10 +1,15 @@
+import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from bisiegel.cli import main
+from bisiegel.cli import _build_parser, _to_json_text, main
 
 I_JSON = '{"tau":[0,1],"z":[0,0]}'
 TWO_I_JSON = '{"tau":[0,2],"z":[0,0]}'
@@ -352,6 +357,21 @@ def test_nan_matrix_entry_is_validation_error(files, capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+def test_integer_beyond_the_float_range_is_validation_error(files, capsys):
+    # JSON reads 1 followed by 400 zeros as an int that float() cannot take.
+    big = "1" + "0" * 400
+    p = files("p.json", '{"tau":[0,%s],"z":[0,0]}' % big)
+    m = files("m.json", '{"m":[[%s,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]}' % big)
+    f = files("f.json", '{"a":%s,"b":0,"c":0,"d":1}' % big)
+    for argv in (
+        ["volume", "--point", p],
+        ["check", "matrix", m],
+        ["assemble", "--m1", f, "--m2", f, "--eps", "1"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and err.startswith("error:") and "too large" in err
+
+
 def test_exit_code_numerical_breakdown(files, capsys):
     z1 = files("z1.json", I_JSON)
     far = files("far.json", '{"tau":[0,1e14],"z":[0,0]}')
@@ -390,3 +410,62 @@ def test_degenerate_geodesic_is_validation_error(files, capsys):
     z2 = files("z2.json", MIXED_JSON)
     code, _, err = run(capsys, ["geodesic", "--z1", z1, "--z2", z2])
     assert code == 2 and "coincident" in err
+
+
+@pytest.mark.parametrize(
+    "kind,digest",
+    [
+        ("motion", "300ad9a2d970eef33d195469168880c5f3eedea507af9b154eb36d72810c9467"),
+        ("point", "b19be85b1d4c3efe2f408aa468b8129b9dd8ed4a7dd5c073678361433f0415cc"),
+    ],
+)
+def test_random_output_bytes_are_pinned(capsys, kind, digest):
+    # SHA-256 of 100 seeded samples: the output bytes are part of the
+    # interface, however the JSON writer is built.
+    code, out, _ = run(capsys, ["random", kind, "--seed", "1", "--count", "100"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_json_writer_direct():
+    doc = {
+        "f": [-0.0, 0.1, 1e300, float("inf"), float("-inf")],
+        "t": (True, False, None, 7, -3),
+        "s": "caf\u00e9 \"q\"",
+        "n": {"e": [], "t": ((1.5, 2.0),)},
+    }
+    assert _to_json_text(doc) == (
+        '{"f":[0,0.1,1e+300,inf,-inf],"t":[true,false,null,7,-3],'
+        '"s":"caf\\u00e9 \\"q\\"","n":{"e":[],"t":[[1.5,2]]}}'
+    )
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"x", 1j, object()])
+def test_json_writer_rejects_unsupported_types(value):
+    with pytest.raises(TypeError):
+        _to_json_text({"k": [value]})
+
+
+def test_cached_parser_carries_no_state_between_calls(capsys):
+    assert _build_parser() is _build_parser()
+    _, alone, _ = run(capsys, ["random", "point", "--seed", "1"])
+    code, out, _ = run(capsys, ["random", "motion", "--seed", "1", "--count", "5"])
+    assert code == 0 and len(out.splitlines()) == 5
+    code, out, _ = run(capsys, ["random", "point", "--seed", "1"])
+    assert code == 0 and out == alone and len(out.splitlines()) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["random", "point", "--count", "3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, ["random", "point", "--seed", "1"])
+    assert code == 0 and out == alone
+
+
+def test_import_does_not_load_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import bisiegel, bisiegel.cli, sys; sys.exit('numpy' in sys.modules)"],
+        env=env,
+    )
+    assert proc.returncode == 0

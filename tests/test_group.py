@@ -831,7 +831,8 @@ def test_motion_json_roundtrip_and_eps_check(rng):
     # The command-line reader is the one place a declared eps is checked.
     from bisiegel.cli import _parse_motion
 
+    assert _parse_motion(doc) == classify(m.m)
     doc["eps"] = -doc["eps"]
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="contradicts"):
         _parse_motion(doc)
     assert dataclasses.asdict(m)["eps"] in (1, -1)
