@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import DomainViolation, NumericalBreakdown, SingularMatrix
 from .numkit import DEFAULT_TOL, Tolerance
@@ -38,30 +39,7 @@ __all__ = [
 ]
 
 
-def _in_half_plane(w: complex, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Factor membership: finite, with Im w above the margin."""
-    return tol.dom_eps < w.imag < math.inf and math.isfinite(w.real)
-
-
-def _in_disc(u: complex, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Factor membership: |u| below 1 - margin (false for NaN and inf)."""
-    return abs(u) < 1.0 - tol.dom_eps
-
-
-def h_contains(tau: complex, z: complex, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Half-space membership: Im tau exceeds |Im z| by more than the margin,
-    that is both factors tau +- z lie above it (and are finite)."""
-    tau, z = complex(tau), complex(z)
-    return _in_half_plane(tau + z, tol) and _in_half_plane(tau - z, tol)
-
-
-def e_contains(z1: complex, z2: complex, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Disc-model membership: both factor coordinates strictly inside the unit disc."""
-    z1, z2 = complex(z1), complex(z2)
-    return _in_disc(z1 + z2, tol) and _in_disc(z1 - z2, tol)
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class HPoint:
     """Half-space point, stored by its factor coordinates (w1, w2) = (tau + z, tau - z).
 
@@ -82,17 +60,13 @@ class HPoint:
         tau, z = complex(tau), complex(z)
         if not h_contains(tau, z):
             raise DomainViolation(f"(tau={tau!r}, z={z!r}) is outside the half-space model")
-        vars(self).update(w1=tau + z, w2=tau - z)  # frozen: bypass __setattr__
+        object.__setattr__(self, "w1", tau + z)  # frozen: bypass __setattr__
+        object.__setattr__(self, "w2", tau - z)
 
     @classmethod
     def from_factors(cls, w1: complex, w2: complex, tol: Tolerance = DEFAULT_TOL) -> "HPoint":
         """The point with these factor coordinates (each finite, Im w > dom_eps)."""
-        w1, w2 = complex(w1), complex(w2)
-        if not (_in_half_plane(w1, tol) and _in_half_plane(w2, tol)):
-            raise DomainViolation(f"factors ({w1!r}, {w2!r}) are outside the half-space model")
-        point = object.__new__(cls)
-        vars(point).update(w1=w1, w2=w2)
-        return point
+        return _hpoint(complex(w1), complex(w2), tol.dom_eps)
 
     def factors(self) -> tuple[complex, complex]:
         """Coordinates (tau + z, tau - z) in the two half-plane factors."""
@@ -103,7 +77,7 @@ class HPoint:
         return {"tau": [tau.real, tau.imag], "z": [z.real, z.imag]}
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class EPoint:
     """Bounded-model point, stored by its factor coordinates (u1, u2) = (z1 + z2, z1 - z2).
 
@@ -121,17 +95,13 @@ class EPoint:
         z1, z2 = complex(z1), complex(z2)
         if not e_contains(z1, z2):
             raise DomainViolation(f"(z1={z1!r}, z2={z2!r}) is outside the bounded model")
-        vars(self).update(u1=z1 + z2, u2=z1 - z2)  # frozen: bypass __setattr__
+        object.__setattr__(self, "u1", z1 + z2)  # frozen: bypass __setattr__
+        object.__setattr__(self, "u2", z1 - z2)
 
     @classmethod
     def from_factors(cls, u1: complex, u2: complex, tol: Tolerance = DEFAULT_TOL) -> "EPoint":
         """The point with these factor coordinates (each of modulus below 1 - dom_eps)."""
-        u1, u2 = complex(u1), complex(u2)
-        if not (_in_disc(u1, tol) and _in_disc(u2, tol)):
-            raise DomainViolation(f"factors ({u1!r}, {u2!r}) are outside the bounded model")
-        point = object.__new__(cls)
-        vars(point).update(u1=u1, u2=u2)
-        return point
+        return _epoint(complex(u1), complex(u2), tol.dom_eps)
 
     def factors(self) -> tuple[complex, complex]:
         """Coordinates (z1 + z2, z1 - z2) in the two disc factors."""
@@ -142,11 +112,54 @@ class EPoint:
         return {"z1": [z1.real, z1.imag], "z2": [z2.real, z2.imag]}
 
 
-def _image(model: type, f1: complex, f2: complex, tol: Tolerance):
-    """Store the image of a valid point under a map of the space (a Cayley map
-    or a motion), which can fall inside the margin: a numerical limit."""
+def _hpoint(w1: complex, w2: complex, dom_eps: float) -> HPoint:
+    """The point with complex factors w1, w2 (finite, Im w > dom_eps): the one membership test."""
+    if not (dom_eps < w1.imag < math.inf and dom_eps < w2.imag < math.inf
+            and math.isfinite(w1.real) and math.isfinite(w2.real)):
+        raise DomainViolation(f"factors ({w1!r}, {w2!r}) are outside the half-space model")
+    point = object.__new__(HPoint)
+    object.__setattr__(point, "w1", w1)
+    object.__setattr__(point, "w2", w2)
+    return point
+
+
+def _epoint(u1: complex, u2: complex, dom_eps: float) -> EPoint:
+    """The point with complex factors u1, u2 (|u| < 1 - dom_eps, which NaN and inf are not):
+    the one membership test."""
+    if not (abs(u1) < 1.0 - dom_eps and abs(u2) < 1.0 - dom_eps):
+        raise DomainViolation(f"factors ({u1!r}, {u2!r}) are outside the bounded model")
+    point = object.__new__(EPoint)
+    object.__setattr__(point, "u1", u1)
+    object.__setattr__(point, "u2", u2)
+    return point
+
+
+def h_contains(tau: complex, z: complex, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Half-space membership: Im tau exceeds |Im z| by more than the margin,
+    that is both factors tau +- z lie above it (and are finite)."""
+    tau, z = complex(tau), complex(z)
     try:
-        return model.from_factors(f1, f2, tol)
+        _hpoint(tau + z, tau - z, tol.dom_eps)
+    except DomainViolation:
+        return False
+    return True
+
+
+def e_contains(z1: complex, z2: complex, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Disc-model membership: both factor coordinates strictly inside the unit disc."""
+    z1, z2 = complex(z1), complex(z2)
+    try:
+        _epoint(z1 + z2, z1 - z2, tol.dom_eps)
+    except DomainViolation:
+        return False
+    return True
+
+
+def _image(make: Callable, f1: complex, f2: complex, tol: Tolerance):
+    """Build with ``make`` the image of a valid point under a map of the space
+    (a Cayley map or a motion), which can fall inside the margin: a numerical limit."""
+    try:
+        return make(f1, f2, tol.dom_eps)
     except DomainViolation as exc:
         raise NumericalBreakdown(f"image not resolved at the dom_eps margin: {exc}") from exc
 
@@ -158,7 +171,7 @@ def cayley_to_disc(point: HPoint, tol: Tolerance = DEFAULT_TOL) -> EPoint:
     d1, d2 = w1 + 1j, w2 + 1j
     if abs(d1 * d2) <= tol.dom_eps:
         raise SingularMatrix(f"Cayley denominator |det|={abs(d1 * d2):.3e} <= {tol.dom_eps}")
-    return _image(EPoint, (w1 - 1j) / d1, (w2 - 1j) / d2, tol)
+    return _image(_epoint, (w1 - 1j) / d1, (w2 - 1j) / d2, tol)
 
 
 def cayley_to_halfspace(point: EPoint, tol: Tolerance = DEFAULT_TOL) -> HPoint:
@@ -168,7 +181,7 @@ def cayley_to_halfspace(point: EPoint, tol: Tolerance = DEFAULT_TOL) -> HPoint:
     d1, d2 = 1.0 - u1, 1.0 - u2
     if abs(d1 * d2) <= tol.dom_eps:
         raise SingularMatrix(f"Cayley denominator |det|={abs(d1 * d2):.3e} <= {tol.dom_eps}")
-    return _image(HPoint, 1j * (1.0 + u1) / d1, 1j * (1.0 + u2) / d2, tol)
+    return _image(_hpoint, 1j * (1.0 + u1) / d1, 1j * (1.0 + u2) / d2, tol)
 
 
 def random_hpoint(rng: random.Random) -> HPoint:

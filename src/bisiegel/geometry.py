@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .domain import HPoint
+from .domain import HPoint, _hpoint
 from .errors import DegeneratePair, DomainViolation, NumericalBreakdown, OutOfRange
 from .numkit import _FIXED_EPS, DEFAULT_TOL, Tolerance
 
@@ -107,25 +107,21 @@ def distance_params(z1: HPoint, z2: HPoint) -> tuple[float, ...]:
     return out
 
 
-def _factor_distances(z1: HPoint, z2: HPoint) -> tuple[float, ...]:
-    return 2.0 * _half_distance(z1.w1, z2.w1), 2.0 * _half_distance(z1.w2, z2.w2)
-
-
 def distance(z1: HPoint, z2: HPoint) -> float:
     """Invariant distance: root-sum-square of the two factor distances."""
-    return math.hypot(*_factor_distances(z1, z2))
+    return math.hypot(2.0 * _half_distance(z1.w1, z2.w1), 2.0 * _half_distance(z1.w2, z2.w2))
 
 
 def _legs(f1: complex, f2: complex) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Constants of the half-plane geodesic between f1 and f2, one tuple from
-    each end: (x, y, dx, v, d, expm1(-2d), e^{d/2}) for the start x + iy, the
-    offset dx and height v of the other end, and the length d, with
-    e^{d/2} = s + sqrt(1 + s^2) for the chord s."""
+    each end: (x, y, dx, v, d, -2d, expm1(-2d), e^{d/2}) for the start x + iy,
+    the offset dx and height v of the other end, and the length d = 2 asinh(s),
+    with e^{d/2} = s + sqrt(1 + s^2) for the chord s."""
     s = _chord(f1, f2)
     d, m = 2.0 * math.asinh(s), s + math.hypot(1.0, s)
     if m == math.inf:
         raise NumericalBreakdown(f"e^(d/2) overflows for the factor chord {s!r}")
-    shared = (d, math.expm1(-2.0 * d), m)
+    shared = (d, -2.0 * d, math.expm1(-2.0 * d), m)
     return ((f1.real, f1.imag, f2.real - f1.real, f2.imag) + shared,
             (f2.real, f2.imag, f1.real - f2.real, f1.imag) + shared)
 
@@ -141,7 +137,7 @@ def _leg_point(leg: tuple[float, ...], t: float) -> complex:
     the same point is taken as (b / v, c) / (a / y + b / v), which stays in
     range for heights above dom_eps.
     """
-    x, y, dx, v, d, em, m = leg
+    x, y, dx, v, d, n, em, m = leg
     if dx == 0.0:
         # A vertical leg is y^(1-t) v^t, with fewer roundings.
         return complex(x, y ** (1.0 - t) * v**t)
@@ -150,8 +146,9 @@ def _leg_point(leg: tuple[float, ...], t: float) -> complex:
         # (and d = 0 would divide by expm1(0) = 0).
         a, b, c = 1.0 - t, t, 1.0
     else:
-        a = math.expm1(-2.0 * d * (1.0 - t)) / em
-        b = m ** (4.0 * t - 2.0) * math.expm1(-2.0 * d * t) / em
+        # n = -2d, as -2.0 * d * (1 - t) evaluates it.
+        a = math.expm1(n * (1.0 - t)) / em
+        b = m ** (4.0 * t - 2.0) * math.expm1(n * t) / em
         c = m ** (2.0 * t)
     r = b * y / v
     if r == math.inf:
@@ -176,42 +173,47 @@ class GeodesicSpec:
     def __post_init__(self) -> None:
         if not (self.d1 >= 0.0 and self.d2 >= 0.0):
             raise ValueError("factor distances must be >= 0")
-        (fwd1, bwd1), (fwd2, bwd2) = _legs(self.z1.w1, self.z2.w1), _legs(self.z1.w2, self.z2.w2)
-        drift = max(
-            abs(self.d1 - fwd1[4]),
-            abs(self.d2 - fwd2[4]),
-            abs(self.s0 - math.hypot(self.d1, self.d2)),
-        )
-        if drift > _FIXED_EPS * max(1.0, self.s0):
+        legs = _legs(self.z1.w1, self.z2.w1) + _legs(self.z1.w2, self.z2.w2)
+        drift = max(abs(self.d1 - legs[0][4]), abs(self.d2 - legs[2][4]),
+                    abs(self.s0 - math.hypot(self.d1, self.d2)))
+        # A NaN drift fails too; a non-finite s0 fails on its own.
+        if not (math.isfinite(self.s0) and drift <= _FIXED_EPS * max(1.0, self.s0)):
             raise ValueError(f"endpoint data inconsistent with the endpoints (drift {drift:.3e})")
-        # Forward legs serve t <= 1/2, backward legs (from z2) the rest.
-        object.__setattr__(self, "_legs", (fwd1, fwd2, bwd1, bwd2))
+        object.__setattr__(self, "_legs", legs)
 
-    def line_point(self, s: float) -> HPoint:
+    def line_point(self, s: float, tol: Tolerance = DEFAULT_TOL) -> HPoint:
         """Point on the full geodesic line at arc length s from the first
-        endpoint (s may leave [0, s0]; the segment endpoints are at 0 and s0).
+        endpoint (s may leave [0, s0]; the segment endpoints are at 0 and s0),
+        a point above the ``tol.dom_eps`` margin.
 
         Both factors move the same fraction t = s / s0 of their distance.
         """
         t = s / self.s0
-        fwd1, fwd2, bwd1, bwd2 = self._legs
+        # Forward legs (from z1) serve t <= 1/2, backward legs (from z2) the rest.
+        fwd1, bwd1, fwd2, bwd2 = self._legs
         if t <= 0.5:
-            return HPoint.from_factors(_leg_point(fwd1, t), _leg_point(fwd2, t))
-        return HPoint.from_factors(_leg_point(bwd1, 1.0 - t), _leg_point(bwd2, 1.0 - t))
+            return _hpoint(_leg_point(fwd1, t), _leg_point(fwd2, t), tol.dom_eps)
+        return _hpoint(_leg_point(bwd1, 1.0 - t), _leg_point(bwd2, 1.0 - t), tol.dom_eps)
 
     def point(self, s: float, tol: Tolerance = DEFAULT_TOL) -> HPoint:
+        """Point at arc length s of the segment: s within ``tol.abs_eps`` of
+        [0, s0], the point above the ``tol.dom_eps`` margin."""
         if not (-tol.abs_eps <= s <= self.s0 + tol.abs_eps):
             raise OutOfRange(f"arc length s={s!r} outside [0, {self.s0!r}]")
-        return self.line_point(s)
+        return self.line_point(s, tol)
 
 
 def connect(z1: HPoint, z2: HPoint, tol: Tolerance = DEFAULT_TOL) -> GeodesicSpec:
-    """Geodesic segment data for a pair of distinct points."""
-    d1, d2 = _factor_distances(z1, z2)
+    """Geodesic segment data for a pair of distinct points: each factor chord
+    is taken once, and the spec skips the constructor's check of its data."""
+    legs = _legs(z1.w1, z2.w1) + _legs(z1.w2, z2.w2)
+    d1, d2 = legs[0][4], legs[2][4]
     s0 = math.hypot(d1, d2)
     if s0 < tol.dom_eps:
         raise DegeneratePair("geodesic through coincident points is undetermined")
-    return GeodesicSpec(z1, z2, s0, d1, d2)
+    spec = object.__new__(GeodesicSpec)
+    vars(spec).update(z1=z1, z2=z2, s0=s0, d1=d1, d2=d2, _legs=legs)
+    return spec
 
 
 def geodesic(z1: HPoint, z2: HPoint, s: float, tol: Tolerance = DEFAULT_TOL) -> HPoint:

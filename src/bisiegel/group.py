@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass
 from math import cos, exp, hypot, isfinite, pi, sin, sqrt
 
-from .domain import EPoint, HPoint, _image
+from .domain import EPoint, HPoint, _epoint, _hpoint, _image
 from .errors import (
     NotInHatGroup,
     NotSymplectic,
@@ -243,7 +243,7 @@ def apply(motion: MotionMatrix, point: HPoint, tol: Tolerance = DEFAULT_TOL) -> 
         raise SingularMatrix(f"action denominator |det|={abs(den1 * den2):.3e}")
     g1 = (m1.a * w1 + m1.b) / den1
     g2 = (m2.a * w2 + m2.b) / den2
-    return _image(HPoint, g1, g2, tol) if motion.eps == 1 else _image(HPoint, g2, g1, tol)
+    return _image(_hpoint, g1, g2, tol) if motion.eps == 1 else _image(_hpoint, g2, g1, tol)
 
 
 def split(motion: MotionMatrix) -> tuple[Sl2Matrix, Sl2Matrix]:
@@ -330,7 +330,7 @@ class DiscMotion:
             raise SingularMatrix(f"disc action denominator |det|={abs(den1 * den2):.3e}")
         g1 = (self.a1 * u1 + self.b1) / den1
         g2 = (self.a2 * u2 + self.b2) / den2
-        return _image(EPoint, g1, g2, tol) if self.eps == 1 else _image(EPoint, g2, g1, tol)
+        return _image(_epoint, g1, g2, tol) if self.eps == 1 else _image(_epoint, g2, g1, tol)
 
     def to_json_dict(self) -> dict:
         def entries(block: tuple) -> list:

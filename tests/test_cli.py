@@ -469,3 +469,39 @@ def test_import_does_not_load_numpy():
         env=env,
     )
     assert proc.returncode == 0
+
+
+GEODESIC_PAIRS = {
+    # The first two points of ``random point --seed 1``.
+    "sampler": (
+        '{"tau":[0.0942182235801787,2.56932729747079],"z":[2.54352796618596,-2.38366296169001]}',
+        '{"tau":[2.20158161929138,0.885832973257096],"z":[-0.685651892063751,0.0933642520840022]}',
+    ),
+    # The first point and a copy moved by 1e-9 in Re tau and Im z.
+    "near": (
+        '{"tau":[0.0942182235801787,2.56932729747079],"z":[2.54352796618596,-2.38366296169001]}',
+        '{"tau":[0.0942182245801787,2.56932729747079],"z":[2.54352796618596,-2.38366296069001]}',
+    ),
+    # Factor heights 1e-6 and 1e6 at each end.
+    "wide": (
+        '{"tau":[-1.625,500000.0000005],"z":[1.875,-499999.9999995]}',
+        '{"tau":[2.75,500000.0000005],"z":[1.25,499999.9999995]}',
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind,digest",
+    [
+        ("sampler", "07f1d174b5895477dcd09d0017846d2c2922b0a4e06c2f029cee11a12fe6a8e3"),
+        ("near", "52ee5e1b7e13e8b584c29ca4edec22cfae6239b3d700ac256f75c3e8be296343"),
+        ("wide", "71f5eac5a534365045b0b775c2714c841f298962b915295e33e3efe5a95b1ea3"),
+    ],
+)
+def test_geodesic_output_bytes_are_pinned(files, capsys, kind, digest):
+    # SHA-256 of 101 samples: the geodesic CSV stays byte-identical however
+    # the per-point path is built.
+    z1, z2 = (files(f"{name}.json", text) for name, text in zip(("z1", "z2"), GEODESIC_PAIRS[kind]))
+    code, out, _ = run(capsys, ["geodesic", "--z1", z1, "--z2", z2, "--samples", "101"])
+    assert code == 0 and len(out.splitlines()) == 102
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -17,7 +18,8 @@ from bisiegel import (
     random_hpoint,
 )
 from bisiegel.cli import _parse_epoint, _parse_hpoint
-from bisiegel.numkit import DEFAULT_TOL
+from bisiegel.domain import _epoint, _hpoint
+from bisiegel.numkit import DEFAULT_TOL, Tolerance
 from bisiegel.verify import _reference_cayley
 
 from conftest import EXCHANGE_4, IDENTITY_4, gap4, mul4, point_gap, transpose
@@ -92,6 +94,71 @@ def test_point_constructors_enforce_membership():
             HPoint.from_factors(1j, w)
     with pytest.raises(DomainViolation):
         HPoint(complex(1e308, 1.0), complex(1e308, 0.0))  # tau + z overflows
+
+
+NONFINITE_PARTS = [
+    complex(math.nan, 1.0), complex(0.5, math.nan),
+    complex(math.inf, 1.0), complex(-math.inf, 1.0),
+    complex(0.5, math.inf), complex(0.5, -math.inf),
+]
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(1e-6, 1e-6)])
+def test_half_space_membership_on_each_side_of_the_margin(tol):
+    # h_contains, from_factors and the constructor answer through one test:
+    # a factor at Im w = dom_eps is out, the next float up is in.
+    eps = tol.dom_eps
+    cases = [(complex(0.5, eps), False), (complex(0.5, math.nextafter(eps, math.inf)), True)]
+    for w, inside in cases + [(w, False) for w in NONFINITE_PARTS]:
+        assert h_contains(w, 0.0, tol) is inside  # both factors are w
+        for pair in ((w, 1j), (1j, w)):
+            if inside:
+                assert HPoint.from_factors(*pair, tol).factors() == pair
+                assert _hpoint(*pair, eps).factors() == pair
+                continue
+            with pytest.raises(DomainViolation, match="outside the half-space model"):
+                HPoint.from_factors(*pair, tol)
+            with pytest.raises(DomainViolation, match="outside the half-space model"):
+                _hpoint(*pair, eps)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(1e-6, 1e-6)])
+def test_disc_membership_on_each_side_of_the_margin(tol):
+    # A factor at |u| = 1 - dom_eps is out, the next float down is in.
+    edge = 1.0 - tol.dom_eps
+    cases = [(complex(-edge, 0.0), False), (complex(-math.nextafter(edge, 0.0), 0.0), True)]
+    for u, inside in cases + [(u, False) for u in NONFINITE_PARTS]:
+        assert e_contains(u, 0.0, tol) is inside  # both factors are u
+        for pair in ((u, 0.5j), (0.5j, u)):
+            if inside:
+                assert EPoint.from_factors(*pair, tol).factors() == pair
+                assert _epoint(*pair, tol.dom_eps).factors() == pair
+                continue
+            with pytest.raises(DomainViolation, match="outside the bounded model"):
+                EPoint.from_factors(*pair, tol)
+            with pytest.raises(DomainViolation, match="outside the bounded model"):
+                _epoint(*pair, tol.dom_eps)
+
+
+def test_points_are_slotted_and_frozen():
+    points = (HPoint(2j, 1j), HPoint.from_factors(1j, 2j),
+              EPoint(0.25, 0.1), EPoint.from_factors(0.1, 0.2j))
+    for p in points:
+        assert not hasattr(p, "__dict__")
+        for f in dataclasses.fields(p):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, f.name, 0j)
+
+
+def test_point_from_tau_z_equals_point_from_factors(rng):
+    for _ in range(100):
+        tau = complex(rng.uniform(-5.0, 5.0), rng.uniform(2.0, 10.0))
+        z = complex(rng.uniform(-5.0, 5.0), rng.uniform(-1.0, 1.0))
+        p, q = HPoint(tau, z), HPoint.from_factors(tau + z, tau - z)
+        assert p == q and hash(p) == hash(q)
+        u1, u2 = complex(rng.uniform(-0.3, 0.3), 0.1), complex(0.2, rng.uniform(-0.3, 0.3))
+        e, f = EPoint(u1, u2), EPoint.from_factors(u1 + u2, u1 - u2)
+        assert e == f and hash(e) == hash(f)
 
 
 # --------------------------------------------------------------------------

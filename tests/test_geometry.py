@@ -7,10 +7,12 @@ import pytest
 
 from bisiegel import (
     DegeneratePair,
+    GeodesicSpec,
     HalfPlanePoint,
     HPoint,
     OutOfRange,
     Tangent,
+    Tolerance,
     apply,
     connect,
     cross_ratio_eigenvalues,
@@ -329,18 +331,23 @@ def test_geodesic_where_the_factor_height_ratio_overflows():
         assert abs(distance(p, z2) - (spec.s0 - s)) <= 1e-14 * spec.s0
 
 
-def test_geodesics_between_extreme_factor_pairs():
-    # Factor heights and offsets 10^[-11.5, 307.5]: every pair is a valid
-    # pair of points, and every sample point of its geodesic is a point
-    # (a numerical breakdown is the only failure allowed).
+def extreme_pair(rng):
+    """Two points with factor heights and offsets 10^[-11.5, 307.5], offsets of either sign."""
     def draw():
         sign = rng.choice((-1.0, 1.0))
         return complex(sign * 10.0 ** rng.uniform(-11.5, 307.5), 10.0 ** rng.uniform(-11.5, 307.5))
 
+    return tuple(HPoint.from_factors(draw(), draw()) for _ in range(2))
+
+
+def test_geodesics_between_extreme_factor_pairs():
+    # Every extreme pair is a valid pair of points, and every sample point
+    # of its geodesic is a point (a numerical breakdown is the only failure
+    # allowed).
     rng = random.Random(5)
     done = 0
     for _ in range(3000):
-        z1, z2 = (HPoint.from_factors(draw(), draw()) for _ in range(2))
+        z1, z2 = extreme_pair(rng)
         try:
             spec = connect(z1, z2)
             points = [spec.point(spec.s0 * k / 8) for k in range(9)]
@@ -349,6 +356,35 @@ def test_geodesics_between_extreme_factor_pairs():
         assert points[0] == z1
         done += 1
     assert done >= 2900
+
+
+def _bits(spec, s):
+    """The sample at s as exact text (repr tells -0.0 from 0.0), or the error."""
+    try:
+        return repr(spec.point(s).factors())
+    except NumericalBreakdown as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("recipe", [near_pair, wide_pair, extreme_pair])
+def test_connect_agrees_with_the_checked_constructor(recipe):
+    # connect builds its spec without the drift check of the public
+    # constructor; both must hold the same data and give the same samples,
+    # bit for bit.
+    rng = random.Random(14)
+    done = 0
+    for _ in range(300):
+        z1, z2 = recipe(rng)
+        try:
+            spec = connect(z1, z2)
+        except NumericalBreakdown:
+            continue
+        checked = GeodesicSpec(z1, z2, spec.s0, spec.d1, spec.d2)
+        assert checked == spec
+        for k in range(9):
+            assert _bits(checked, k * spec.s0 / 8) == _bits(spec, k * spec.s0 / 8)
+        done += 1
+    assert done >= 280
 
 
 @pytest.mark.parametrize("recipe", [near_pair, wide_pair])
@@ -575,7 +611,29 @@ def test_geodesic_spec_rejects_inconsistent_data():
         type(spec)(spec.z1, spec.z2, spec.s0, spec.d2, spec.d1)
     with pytest.raises(ValueError):
         type(spec)(spec.z1, spec.z2, spec.s0, -spec.d1, spec.d2)
+    # A NaN drift and an infinite bound must not pass the drift check.
+    for s0 in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            type(spec)(spec.z1, spec.z2, s0, spec.d1, spec.d2)
+    with pytest.raises(ValueError):
+        type(spec)(spec.z1, spec.z2, spec.s0, math.nan, spec.d2)
     assert type(spec)(spec.z1, spec.z2, spec.s0, spec.d1, spec.d2) == spec
+
+
+def test_geodesic_points_honour_the_callers_margin():
+    # The far end has factor heights 1e-8: a point at the default dom_eps,
+    # inside a dom_eps of 1e-6.
+    z1 = HPoint.from_factors(1j, 1j)
+    z2 = HPoint.from_factors(2 + 1e-8j, -1 + 1e-8j)
+    tol = Tolerance(1e-6, 1e-6)
+    spec = connect(z1, z2)
+    assert spec.point(0.0, tol) == z1
+    with pytest.raises(DomainViolation, match="outside the half-space model"):
+        spec.point(spec.s0, tol)
+    with pytest.raises(DomainViolation, match="outside the half-space model"):
+        spec.line_point(spec.s0, tol)
+    assert spec.point(spec.s0) == z2
+    assert spec.line_point(spec.s0) == z2
 
 
 def test_volume_density_values():

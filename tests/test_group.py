@@ -27,6 +27,7 @@ from bisiegel import (
     apply,
     assemble,
     cayley_to_disc,
+    cayley_to_halfspace,
     classify,
     distance,
     random_hpoint,
@@ -586,6 +587,21 @@ def test_image_inside_the_margin_is_a_numerical_breakdown():
     # Invalid input is still a domain violation.
     with pytest.raises(DomainViolation):
         HPoint.from_factors(1e-13j, 1j)
+
+
+def test_apply_image_inside_the_callers_margin_is_a_numerical_breakdown():
+    # The identity keeps a factor at height 1e-8: a point at the default
+    # margin, inside a dom_eps of 1e-6.
+    point = HPoint.from_factors(1j, 0.5 + 1e-8j)
+    tol = Tolerance(1e-6, 1e-6)
+    assert apply(assemble(I2, I2, 1), point) == point
+    for eps in (1, -1):
+        with pytest.raises(NumericalBreakdown, match="dom_eps margin") as exc:
+            apply(assemble(I2, I2, eps), point, tol)
+        assert isinstance(exc.value.__cause__, DomainViolation)
+    disc = cayley_to_disc(point)
+    with pytest.raises(NumericalBreakdown, match="dom_eps margin"):
+        cayley_to_halfspace(disc, tol)
 
 
 def test_disc_motion_rejects_non_su11_factors():
