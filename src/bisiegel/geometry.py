@@ -179,6 +179,8 @@ class GeodesicSpec:
         # A NaN drift fails too; a non-finite s0 fails on its own.
         if not (math.isfinite(self.s0) and drift <= _FIXED_EPS * max(1.0, self.s0)):
             raise ValueError(f"endpoint data inconsistent with the endpoints (drift {drift:.3e})")
+        if not self.s0 > 0.0:  # consistent data of coincident points: nothing to follow
+            raise DegeneratePair("geodesic through coincident points is undetermined")
         object.__setattr__(self, "_legs", legs)
 
     def line_point(self, s: float, tol: Tolerance = DEFAULT_TOL) -> HPoint:
@@ -186,14 +188,18 @@ class GeodesicSpec:
         endpoint (s may leave [0, s0]; the segment endpoints are at 0 and s0),
         a point above the ``tol.dom_eps`` margin.
 
-        Both factors move the same fraction t = s / s0 of their distance.
+        Both factors move the same fraction t = s / s0 of their distance.  Off
+        the segment a leg's denominator can vanish on wide pairs: a breakdown.
         """
         t = s / self.s0
         # Forward legs (from z1) serve t <= 1/2, backward legs (from z2) the rest.
         fwd1, bwd1, fwd2, bwd2 = self._legs
-        if t <= 0.5:
-            return _hpoint(_leg_point(fwd1, t), _leg_point(fwd2, t), tol.dom_eps)
-        return _hpoint(_leg_point(bwd1, 1.0 - t), _leg_point(bwd2, 1.0 - t), tol.dom_eps)
+        try:
+            if t <= 0.5:
+                return _hpoint(_leg_point(fwd1, t), _leg_point(fwd2, t), tol.dom_eps)
+            return _hpoint(_leg_point(bwd1, 1.0 - t), _leg_point(bwd2, 1.0 - t), tol.dom_eps)
+        except ZeroDivisionError:
+            raise NumericalBreakdown(f"point at s={s!r} of s0={self.s0!r} not resolved") from None
 
     def point(self, s: float, tol: Tolerance = DEFAULT_TOL) -> HPoint:
         """Point at arc length s of the segment: s within ``tol.abs_eps`` of
@@ -252,8 +258,9 @@ def simpson(f: Callable[[float], float], a: float, b: float, panels: int) -> flo
 def path_speed(curve: Callable[[float], HPoint], s: float, h: float) -> float:
     """Metric speed of a curve at s: per factor |dw| / Im w, with dw taken by
     central differences."""
-    ends = zip(curve(s + h).factors(), curve(s - h).factors(), curve(s).factors())
-    return math.hypot(*(abs(wp - wm) / (2.0 * h) / w.imag for wp, wm, w in ends))
+    zp, zm, z = curve(s + h), curve(s - h), curve(s)
+    dw1, dw2 = abs(zp.w1 - zm.w1) / (2.0 * h), abs(zp.w2 - zm.w2) / (2.0 * h)
+    return math.hypot(dw1 / z.w1.imag, dw2 / z.w2.imag)
 
 
 def path_length(

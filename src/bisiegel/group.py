@@ -33,6 +33,7 @@ import cmath
 import random
 from dataclasses import dataclass
 from math import cos, exp, hypot, isfinite, pi, sin, sqrt
+from operator import add, sub
 
 from .domain import EPoint, HPoint, _epoint, _hpoint, _image
 from .errors import (
@@ -45,7 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import _chords
-from .numkit import _FIXED_EPS, DEFAULT_TOL, SYMPLECTIC_FORM, Mat4R, Tolerance
+from .numkit import _FIXED_EPS, DEFAULT_TOL, Mat4R, Tolerance
 
 __all__ = [
     "Sl2Matrix",
@@ -72,18 +73,17 @@ __all__ = [
 _DET_ULPS, _DET_CAP = 8.0 * 2.0**-53, 2.0**-10
 
 
-def _det_bound(scale: float, floor: float) -> float:
-    """Allowed |det - 1| for a factor whose determinant sums terms of this size.
-
-    It grows with the determinant's rounding above the floor but stays far
-    below 1, so det 0 or det < 0 never passes.
-    """
-    return min(max(floor, _DET_ULPS * scale), _DET_CAP)
-
-
 def _check_det(ad: float, bc: float, floor: float = _FIXED_EPS) -> None:
-    """Reject a factor whose determinant ad - bc is not 1 to its rounding."""
-    bound = _det_bound(abs(ad) + abs(bc), floor)
+    """The one determinant gate: reject a factor whose ad - bc is not 1 to its rounding.
+
+    The bound grows with the rounding of |ad| + |bc| above the floor but stays far
+    below 1 (the cap), so det 0 or det < 0 never passes; a NaN scale takes the floor.
+    """
+    bound = _DET_ULPS * (abs(ad) + abs(bc))
+    if not bound > floor:
+        bound = floor
+    if bound > _DET_CAP:
+        bound = _DET_CAP
     if not abs(ad - bc - 1.0) <= bound:  # `not <=` rejects NaN
         raise NotUnimodular(f"det={ad - bc!r} differs from 1 by more than {bound:.3e}")
 
@@ -103,15 +103,7 @@ class Sl2Matrix:
         _check_det(a * d, b * c)
 
     def __matmul__(self, other: "Sl2Matrix") -> "Sl2Matrix":
-        a = self.a * other.a + self.b * other.c
-        b = self.a * other.b + self.b * other.d
-        c = self.c * other.a + self.d * other.c
-        d = self.c * other.b + self.d * other.d
-        # Rounding is relative to the operands' entries, which may far exceed
-        # the product's: rescale to det 1 (the Moebius map does not change).
-        det = a * d - b * c
-        k = 1.0 / sqrt(det) if det > 0.0 else 1.0
-        return _gated(a * k, b * k, c * k, d * k)
+        return _product(self.a, self.b, self.c, self.d, other)
 
     def inverse(self) -> "Sl2Matrix":
         return _sl2(self.d, -self.b, -self.c, self.a)
@@ -184,6 +176,19 @@ def _gated(a: float, b: float, c: float, d: float, floor: float = _FIXED_EPS) ->
     return _sl2(a, b, c, d)
 
 
+def _product(p: float, q: float, r: float, s: float, other: Sl2Matrix) -> Sl2Matrix:
+    """``[[p, q], [r, s]] @ other``, rescaled to det 1 and gated: the one factor product."""
+    a = p * other.a + q * other.c
+    b = p * other.b + q * other.d
+    c = r * other.a + s * other.c
+    d = r * other.b + s * other.d
+    # Rounding is relative to the operands' entries, which may far exceed
+    # the product's: rescale to det 1 (the Moebius map does not change).
+    det = a * d - b * c
+    k = 1.0 / sqrt(det) if det > 0.0 else 1.0
+    return _gated(a * k, b * k, c * k, d * k)
+
+
 def _motion(m1: Sl2Matrix, m2: Sl2Matrix, eps: int) -> MotionMatrix:
     """Trusted motion: validated factors and an int sign of +1 or -1, stored unchecked."""
     motion = object.__new__(MotionMatrix)
@@ -194,24 +199,41 @@ def _motion(m1: Sl2Matrix, m2: Sl2Matrix, eps: int) -> MotionMatrix:
 def classify(m: Mat4R, tol: Tolerance = DEFAULT_TOL) -> MotionMatrix:
     """Validate a raw 4x4 in closed form as a motion and read off its factors.
 
-    Entry (i, j) of ``M^T J M`` is ``-r2i r0j - r3i r1j + r0i r2j + r1i r3j`` for rows
-    ``r0..r3``, summed left to right as the tests' literal 4x4 products sum, so the
-    residuals match theirs bit for bit; ``MQ``, ``QM`` swap columns, rows, within pairs.
-    ``eps`` has the smaller commutation residual (+1 on an exact tie, met only near the
-    kernel).
+    For rows ``a, b, c, d`` of ``M``, entry (i, j) of ``M^T J M - J`` is the scalar
+    identity ``-(ci aj) - di bj + ai cj + bi dj - Jij``, written out and summed left to
+    right as the tests' literal 4x4 products sum, so the residuals match theirs bit for
+    bit (``J`` is ``SYMPLECTIC_FORM``; subtracting its zeros is exact and left out).
+    ``MQ``, ``QM`` swap columns, rows, within pairs.  ``eps`` has the smaller
+    commutation residual (+1 on an exact tie, met only near the kernel).
     """
-    rows, cols = m.rows, tuple(zip(*m.rows))
-    sym = [
-        abs(-(c * p) - d * q + a * s + b * t - j)
-        for (a, b, c, d), jrow in zip(cols, SYMPLECTIC_FORM.rows)
-        for (p, q, s, t), j in zip(cols, jrow)
-    ]
+    a, b, c, d = m.rows
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = a, b, c, d
+    sym = (
+        abs(-(c0 * a0) - d0 * b0 + a0 * c0 + b0 * d0),
+        abs(-(c0 * a1) - d0 * b1 + a0 * c1 + b0 * d1),
+        abs(-(c0 * a2) - d0 * b2 + a0 * c2 + b0 * d2 - 1.0),
+        abs(-(c0 * a3) - d0 * b3 + a0 * c3 + b0 * d3),
+        abs(-(c1 * a0) - d1 * b0 + a1 * c0 + b1 * d0),
+        abs(-(c1 * a1) - d1 * b1 + a1 * c1 + b1 * d1),
+        abs(-(c1 * a2) - d1 * b2 + a1 * c2 + b1 * d2),
+        abs(-(c1 * a3) - d1 * b3 + a1 * c3 + b1 * d3 - 1.0),
+        abs(-(c2 * a0) - d2 * b0 + a2 * c0 + b2 * d0 + 1.0),
+        abs(-(c2 * a1) - d2 * b1 + a2 * c1 + b2 * d1),
+        abs(-(c2 * a2) - d2 * b2 + a2 * c2 + b2 * d2),
+        abs(-(c2 * a3) - d2 * b3 + a2 * c3 + b2 * d3),
+        abs(-(c3 * a0) - d3 * b0 + a3 * c0 + b3 * d0),
+        abs(-(c3 * a1) - d3 * b1 + a3 * c1 + b3 * d1 + 1.0),
+        abs(-(c3 * a2) - d3 * b2 + a3 * c2 + b3 * d2),
+        abs(-(c3 * a3) - d3 * b3 + a3 * c3 + b3 * d3),
+    )
     if not all(map(isfinite, sym)):
         raise NumericalBreakdown("non-finite symplectic residual: the 4x4 products overflow")
     if not (sym_res := max(sym)) <= tol.abs_eps:
         raise NotSymplectic(f"symplectic residual {sym_res:.3e} exceeds {tol.abs_eps}")
-    swaps = [(r[k ^ 1], rows[i ^ 1][k]) for i, r in enumerate(rows) for k in range(4)]
-    commute, anticommute = max(abs(x - y) for x, y in swaps), max(abs(x + y) for x, y in swaps)
+    # Entry k ^ 1 of row i against entry k of row i ^ 1, in row order.
+    xs = (a1, a0, a3, a2, b1, b0, b3, b2, c1, c0, c3, c2, d1, d0, d3, d2)
+    ys = b + a + d + c
+    commute, anticommute = max(map(abs, map(sub, xs, ys))), max(map(abs, map(add, xs, ys)))
     if not isfinite(max(commute, anticommute)):
         raise NumericalBreakdown("non-finite commutation residual: the 4x4 entries overflow")
     eps = 1 if commute <= anticommute else -1
@@ -219,10 +241,10 @@ def classify(m: Mat4R, tol: Tolerance = DEFAULT_TOL) -> MotionMatrix:
         raise NotInHatGroup(
             f"commutation residuals ({commute:.3e}, {anticommute:.3e}) both exceed {tol.abs_eps}"
         )
-    (a1, a2, b1, b2), _, (c1, c2, d1, d2), _ = rows
+    # Rows a and c hold the top rows of the blocks A, B and C, D.
     try:
-        m1 = _gated(a1 + a2, b1 + b2, c1 + c2, d1 + d2, tol.abs_eps)
-        m2 = _gated(a1 - a2, b1 - b2, c1 - c2, d1 - d2, tol.abs_eps)
+        m1 = _gated(a0 + a1, a2 + a3, c0 + c1, c2 + c3, tol.abs_eps)
+        m2 = _gated(a0 - a1, a2 - a3, c0 - c1, c2 - c3, tol.abs_eps)
     except NotUnimodular as exc:  # in this pattern: unimodular factors <=> symplectic
         raise NotSymplectic(f"factor of the patterned matrix: {exc}") from exc
     return _motion(m1, m2, eps)
@@ -235,15 +257,17 @@ def apply(motion: MotionMatrix, point: HPoint, tol: Tolerance = DEFAULT_TOL) -> 
     to sign, and is guarded the same way.  An image inside the ``dom_eps``
     margin is a numerical limit (``NumericalBreakdown``).
     """
-    m1, m2 = motion.m1, motion.m2
-    w1, w2 = point.factors()
+    g1, g2 = _mobius_pair(motion.m1, motion.m2, point.w1, point.w2, tol)
+    return _image(_hpoint, g1, g2, tol) if motion.eps == 1 else _image(_hpoint, g2, g1, tol)
+
+
+def _mobius_pair(m1: Sl2Matrix, m2: Sl2Matrix, w1: complex, w2: complex, tol: Tolerance) -> tuple:
+    """The factor images ``m1 w1``, ``m2 w2`` behind the guard on det(CZ + D)."""
     den1 = m1.c * w1 + m1.d
     den2 = m2.c * w2 + m2.d
     if abs(den1 * den2) <= tol.dom_eps:
         raise SingularMatrix(f"action denominator |det|={abs(den1 * den2):.3e}")
-    g1 = (m1.a * w1 + m1.b) / den1
-    g2 = (m2.a * w2 + m2.b) / den2
-    return _image(_hpoint, g1, g2, tol) if motion.eps == 1 else _image(_hpoint, g2, g1, tol)
+    return (m1.a * w1 + m1.b) / den1, (m2.a * w2 + m2.b) / den2
 
 
 def split(motion: MotionMatrix) -> tuple[Sl2Matrix, Sl2Matrix]:
@@ -262,9 +286,10 @@ def assemble(m1: Sl2Matrix, m2: Sl2Matrix, eps: int) -> MotionMatrix:
 
 def _check_unit(name: str, xi: complex) -> None:
     """|xi|^2 = 1 under the factor gate: it is the stabilizer factors' determinant."""
-    sq = abs(xi) ** 2
-    if not abs(sq - 1.0) <= _det_bound(sq, _FIXED_EPS):  # `not <=` rejects NaN
-        raise UnitModulusViolation(f"|{name}|={abs(xi)!r} is not 1")
+    try:
+        _check_det(abs(xi) ** 2, 0.0)
+    except NotUnimodular:
+        raise UnitModulusViolation(f"|{name}|={abs(xi)!r} is not 1") from None
 
 
 @dataclass(frozen=True)
@@ -450,16 +475,18 @@ def reduce_pair(z_base: HPoint, z_other: HPoint, tol: Tolerance = DEFAULT_TOL) -
     are computed from the dilations of the raw pair, which stay accurate
     where 1 - r has cancelled to the last few bits; they are independent of
     every internal choice.  The mover is ``stabilizer_of_iI(params) @
-    transport_to_iI(z_base)``, built per factor as one product ``R(xi) @ T``.
+    transport_to_iI(z_base)``, built per factor as one product ``R(xi) @ T`` from
+    the entries of ``R(xi)``.  ``z_other`` is moved as its two factor images, under
+    ``apply``'s guard and membership test; no motion is built and no point kept.
     """
     t1, t2 = _transvection_to_i(z_base.w1), _transvection_to_i(z_base.w2)
+    h1, h2 = _mobius_pair(t1, t2, z_other.w1, z_other.w2, tol)
+    _image(_hpoint, h1, h2, tol)  # apply's membership test; the point is not kept
     # Scalar per-factor Cayley transform for the aligning phases; deliberately
     # not routed through the bounded-model membership gate so near-boundary
     # radii surface as a numerical breakdown rather than a domain violation.
-    xi1, xi2 = (
-        _half_conj_phase((h - 1j) / (h + 1j))
-        for h in apply(_motion(t1, t2, 1), z_other, tol).factors()
-    )
+    xi1 = _half_conj_phase((h1 - 1j) / (h1 + 1j))
+    xi2 = _half_conj_phase((h2 - 1j) / (h2 + 1j))
     s_plus, s_minus = _chords(z_base, z_other)
     swap = s_plus < s_minus
     s_big, s_small = (s_minus, s_plus) if swap else (s_plus, s_minus)
@@ -470,7 +497,9 @@ def reduce_pair(z_base: HPoint, z_other: HPoint, tol: Tolerance = DEFAULT_TOL) -
     lam_big, lam_small = ((s + hypot(1.0, s)) ** 2 for s in (s_big, s_small))
     _check_unit("xi1", xi1)
     _check_unit("xi2", xi2)
-    mover = _motion(_rotation(xi1) @ t1, _rotation(xi2) @ t2, -1 if swap else 1)
+    m1 = _product(xi1.real, xi1.imag, -xi1.imag, xi1.real, t1)  # _rotation(xi1) @ t1
+    m2 = _product(xi2.real, xi2.imag, -xi2.imag, xi2.real, t2)
+    mover = _motion(m1, m2, -1 if swap else 1)
     return ReducedPair(mover, (lam_big + lam_small) / 2.0, (lam_big - lam_small) / 2.0)
 
 

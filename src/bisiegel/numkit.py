@@ -3,8 +3,9 @@
 The library computes in factor coordinates, so it carries no matrix algebra.
 ``Mat4R`` is only the validated record of a motion's real 4x4 matrix, the
 type that ``classify`` reads, the CLI parses and ``MotionMatrix.m`` writes
-for JSON; ``SYMPLECTIC_FORM`` is the form ``classify`` checks against.  The
-literal matrix references live in ``verify``.
+for JSON.  ``SYMPLECTIC_FORM`` is the form ``J`` of the condition
+``M^T J M = J``; ``classify`` writes that condition out as scalar identities
+in the 16 entries, and the literal matrix references live in ``verify``.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ class Mat4R:
     rows: tuple[_Row4, _Row4, _Row4, _Row4]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(map(float, row)) for row in self.rows)
-        if len(rows) != 4 or any(len(row) != 4 for row in rows):
+        rows = tuple([tuple(map(float, row)) for row in self.rows])
+        if list(map(len, rows)) != [4, 4, 4, 4]:
             raise ValueError("Mat4R needs exactly 4 rows of 4 entries")
         entries = rows[0] + rows[1] + rows[2] + rows[3]
         if not all(map(math.isfinite, entries)):

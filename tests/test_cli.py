@@ -505,3 +505,68 @@ def test_geodesic_output_bytes_are_pinned(files, capsys, kind, digest):
     code, out, _ = run(capsys, ["geodesic", "--z1", z1, "--z2", z2, "--samples", "101"])
     assert code == 0 and len(out.splitlines()) == 102
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+REDUCE_PAIRS = {
+    "sampler": GEODESIC_PAIRS["sampler"],
+    "near": GEODESIC_PAIRS["near"],
+    # Factor chords near 5e6: the moved radius is inside the margin (exit 3).
+    "far": (I_JSON, '{"tau":[0,1e14],"z":[0,0]}'),
+}
+
+
+@pytest.mark.parametrize(
+    "kind,code,digest",
+    [
+        ("sampler", 0, "f6ffc16e256932c40371490702536c8f0a9d165459566ff0e0bf04b282c6ba3c"),
+        ("near", 0, "e4355bb7fd377129a7982acf764263883c1393d47b65767239e1c73d8b7e424b"),
+        ("far", 3, "6ceaf59d29d855ad3d5e25a22ade4a209594b2f95e3818fc3a01c0f1982ea4d2"),
+    ],
+)
+def test_reduce_output_bytes_are_pinned(files, capsys, kind, code, digest):
+    # SHA-256 of stdout and stderr: the lambdas, the mover and the error
+    # message stay byte-identical however reduce_pair is built.
+    z1, z = (files(f"{name}.json", text) for name, text in zip(("z1", "z"), REDUCE_PAIRS[kind]))
+    got, out, err = run(capsys, ["reduce", "--z1", z1, "--z", z])
+    assert got == code
+    assert hashlib.sha256((out + err).encode()).hexdigest() == digest
+
+
+CHECK_MATRICES = {
+    # The second motion of ``random motion --seed 3``.
+    "patterned": "[[0.632350925418163,-0.309557300093464,-0.30932091860977,-1.62562538064157],"
+    "[-0.309557300093464,0.632350925418163,-1.62562538064157,-0.30932091860977],"
+    "[0.276381093035259,0.250599993241582,0.518367622510415,-0.579335687313521],"
+    "[0.250599993241582,0.276381093035259,-0.579335687313521,0.518367622510415]]",
+    # The same with entry (0, 0) moved by 1e-9: symplectic residuals near
+    # 1e-9, beyond the default abs_eps.
+    "perturbed": "[[0.632350926418163,-0.309557300093464,-0.30932091860977,-1.62562538064157],"
+    "[-0.309557300093464,0.632350925418163,-1.62562538064157,-0.30932091860977],"
+    "[0.276381093035259,0.250599993241582,0.518367622510415,-0.579335687313521],"
+    "[0.250599993241582,0.276381093035259,-0.579335687313521,0.518367622510415]]",
+    # diag(A, A^-T) for the shear A = [[1, 1], [0, 1]]: symplectic, unpatterned.
+    "unpatterned": "[[1,1,0,0],[0,1,0,0],[0,0,1,0],[0,0,-1,1]]",
+}
+
+
+@pytest.mark.parametrize(
+    "kind,digest",
+    [
+        ("patterned", "fd07531e8065622b92df9656b8c3c48b6aa410f92dd1edf013083b26100430bc"),
+        ("perturbed", "5e986ed171b153c550530e178ecbd32add40d595286445075b932e772444338c"),
+        ("unpatterned", "466ad6aa20a11ab32745367946a8c956b475a09f26c1d46d8b273ca4c4bd155b"),
+    ],
+)
+def test_check_matrix_output_bytes_are_pinned(files, capsys, kind, digest):
+    m = files("m.json", '{"m":%s}' % CHECK_MATRICES[kind])
+    code, out, err = run(capsys, ["check", "matrix", m])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_output_bytes_are_pinned(capsys):
+    # SHA-256 of the report: every printed residual of the 19 checks stays
+    # the same however the group layer is built.
+    code, out, _ = run(capsys, ["verify", "--seed", "42", "--trials", "200"])
+    assert code == 0 and out.endswith("19/19 checks passed\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == "ba204919482d2df9fcbc0159b9a285e6b5d909dd0b173599470e39626227ba68"

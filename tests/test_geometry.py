@@ -29,7 +29,7 @@ from bisiegel import (
     simpson,
     volume_density,
 )
-from bisiegel.errors import DomainViolation, NumericalBreakdown
+from bisiegel.errors import DomainViolation, GeometryError, NumericalBreakdown
 from bisiegel.verify import _reference_cross_ratio
 
 from conftest import hp, point_gap
@@ -358,6 +358,26 @@ def test_geodesics_between_extreme_factor_pairs():
     assert done >= 2900
 
 
+def test_line_points_off_extreme_segments_raise_only_geometry_errors():
+    # Just past either end of a wide pair's segment a leg's scaled denominator
+    # can vanish (20 of these draws): a numerical breakdown, never a bare
+    # ZeroDivisionError.
+    rng = random.Random(99)
+    broke = 0
+    for _ in range(1500):
+        z1, z2 = extreme_pair(rng)
+        try:
+            spec = connect(z1, z2)
+        except NumericalBreakdown:
+            continue
+        for k in (-2, 34):
+            try:
+                spec.line_point(k * spec.s0 / 32)
+            except GeometryError as exc:
+                broke += isinstance(exc, NumericalBreakdown) and "not resolved" in str(exc)
+    assert broke > 0
+
+
 def _bits(spec, s):
     """The sample at s as exact text (repr tells -0.0 from 0.0), or the error."""
     try:
@@ -617,6 +637,12 @@ def test_geodesic_spec_rejects_inconsistent_data():
             type(spec)(spec.z1, spec.z2, s0, spec.d1, spec.d2)
     with pytest.raises(ValueError):
         type(spec)(spec.z1, spec.z2, spec.s0, math.nan, spec.d2)
+    # Coincident endpoints with consistent zero data: every point would divide
+    # by s0 = 0, so the constructor refuses the pair as connect does.
+    z = HPoint(2j, 1j)
+    for s0 in (0.0, -0.0):
+        with pytest.raises(DegeneratePair, match="coincident points"):
+            type(spec)(z, z, s0, 0.0, 0.0)
     assert type(spec)(spec.z1, spec.z2, spec.s0, spec.d1, spec.d2) == spec
 
 

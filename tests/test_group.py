@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 import sys
 
 import numpy as np
@@ -498,6 +499,22 @@ def test_stabilizer_params_validation():
         assert split(stabilizer_of_iI(params))[0].a == xi.real
 
 
+def test_stabilizer_params_on_each_side_of_the_unit_gate():
+    # |xi|^2 - 1 against the determinant gate's floor of 1e-10 (entries near 1
+    # are far below its cap), along two directions, and non-finite parameters.
+    for unit in (1.0, complex(0.6, 0.8)):
+        for rel in (0.49e-10, -0.49e-10):
+            xi = unit * (1.0 + rel)
+            assert StabilizerParams(1.0, xi, 1).xi2 == xi
+        for rel in (0.51e-10, -0.51e-10):
+            xi = unit * (1.0 + rel)
+            with pytest.raises(UnitModulusViolation, match=rf"^\|xi2\|={re.escape(repr(abs(xi)))} is not 1$"):
+                StabilizerParams(1.0, xi, 1)
+    for bad in (complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0)):
+        with pytest.raises(UnitModulusViolation, match=r"^\|xi1\|="):
+            StabilizerParams(bad, 1.0, -1)
+
+
 def test_stabilizer_of_center_fixes_center(rng):
     center = EPoint(0, 0)
     for _ in range(50):
@@ -758,19 +775,20 @@ def composed_reduce_pair(z_base: HPoint, z_other: HPoint):
     transport = transport_to_iI(z_base)
     xi1, xi2 = (_half_conj_phase((h - 1j) / (h + 1j)) for h in apply(transport, z_other).factors())
     s_plus, s_minus = _chords(z_base, z_other)
-    if max(s_plus, s_minus) / math.hypot(1.0, max(s_plus, s_minus)) >= 1.0 - DEFAULT_TOL.dom_eps:
-        raise NumericalBreakdown("factor radius too close to the boundary")
+    r_big = max(s_plus, s_minus) / math.hypot(1.0, max(s_plus, s_minus))
+    if r_big >= 1.0 - DEFAULT_TOL.dom_eps:
+        raise NumericalBreakdown(f"factor radius {r_big!r} too close to the boundary")
     params = StabilizerParams(xi1, xi2, -1 if s_plus < s_minus else 1)
     lam_big, lam_small = sorted(((s + math.hypot(1.0, s)) ** 2 for s in (s_plus, s_minus)))[::-1]
     return stabilizer_of_iI(params) @ transport, (lam_big + lam_small) / 2, (lam_big - lam_small) / 2
 
 
 def reduction_outcome(f, z_base: HPoint, z_other: HPoint):
-    """The mover's entries and the lambdas, or the error class."""
+    """The mover's entries and the lambdas, or the error class and message."""
     try:
         mover, l1, l2 = f(z_base, z_other)
     except GeometryError as exc:
-        return type(exc)
+        return f"{type(exc).__name__}: {exc}"
     return entries(mover.m1), entries(mover.m2), mover.eps, l1, l2
 
 
@@ -793,8 +811,24 @@ def test_fused_reduce_pair_matches_the_composed_motions():
     for p, q in pairs:
         want = reduction_outcome(composed_reduce_pair, p, q)
         assert reduction_outcome(fused, p, q) == want  # bit for bit
-        raised += isinstance(want, type)
+        raised += isinstance(want, str)
     assert raised < 100
+
+    # Factor heights and offsets 10^U[-k, k]: far pairs, most of which raise
+    # at the image margin or the radius test.
+    for k in (9.0, 12.0):
+
+        def far() -> complex:
+            sign = rng.choice((-1.0, 1.0))
+            return complex(sign * 10.0 ** rng.uniform(-k, k), 10.0 ** rng.uniform(-k, k))
+
+        raised = 0
+        for _ in range(1000):
+            p, q = HPoint.from_factors(far(), far()), HPoint.from_factors(far(), far())
+            want = reduction_outcome(composed_reduce_pair, p, q)
+            assert reduction_outcome(fused, p, q) == want  # bit for bit, messages too
+            raised += isinstance(want, str)
+        assert 0 < raised < 1000
 
 
 def test_transvection_overflow_is_a_numerical_breakdown():
