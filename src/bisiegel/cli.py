@@ -53,9 +53,10 @@ def _to_json_text(obj) -> str:
     if t is float:
         return "%.15g" % (obj + 0.0)  # + 0.0 turns -0.0 into 0.0, for byte-stable output
     if t is list or t is tuple:
-        return "[" + ",".join(map(_to_json_text, obj)) + "]"
+        items = ["%.15g" % (x + 0.0) if type(x) is float else _to_json_text(x) for x in obj]
+        return "[" + ",".join(items) + "]"  # float items formatted inline, as above
     if t is dict:
-        return "{" + ",".join(_quote(k) + ":" + _to_json_text(v) for k, v in obj.items()) + "}"
+        return "{" + ",".join([_quote(k) + ":" + _to_json_text(v) for k, v in obj.items()]) + "}"
     if t is bool:
         return "true" if obj else "false"
     if t is int:
@@ -283,11 +284,9 @@ def _cmd_random(args) -> int:
     rng = random.Random(_parse_seed(args.seed))
     if args.count < 1:
         raise ValidationError("--count must be positive")
+    sample = random_hpoint if args.kind == "point" else random_motion
     for _ in range(args.count):
-        if args.kind == "point":
-            _emit(random_hpoint(rng).to_json_dict())
-        else:
-            _emit(random_motion(rng).to_json_dict())
+        _emit(sample(rng).to_json_dict())
     return 0
 
 

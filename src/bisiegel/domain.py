@@ -166,12 +166,9 @@ def _image(make: Callable, f1: complex, f2: complex, tol: Tolerance):
 
 def cayley_to_disc(point: HPoint, tol: Tolerance = DEFAULT_TOL) -> EPoint:
     """Map the half-space model onto the bounded model, (Z - iI)(Z + iI)^-1:
-    (w - i)/(w + i) per factor, guarded on det(Z + iI) as the matrix inverse."""
+    (w - i)/(w + i) per factor.  No guard: for Im w > 0, |w + i| > 1."""
     w1, w2 = point.factors()
-    d1, d2 = w1 + 1j, w2 + 1j
-    if abs(d1 * d2) <= tol.dom_eps:
-        raise SingularMatrix(f"Cayley denominator |det|={abs(d1 * d2):.3e} <= {tol.dom_eps}")
-    return _image(_epoint, (w1 - 1j) / d1, (w2 - 1j) / d2, tol)
+    return _image(_epoint, (w1 - 1j) / (w1 + 1j), (w2 - 1j) / (w2 + 1j), tol)
 
 
 def cayley_to_halfspace(point: EPoint, tol: Tolerance = DEFAULT_TOL) -> HPoint:

@@ -12,8 +12,8 @@ The real symplectic 4x4 matrix of a motion appears only at the boundary.
 entries (symplectic; commuting or anticommuting with the exchange involution),
 and reads the factors off the top rows of its blocks, which have the pattern
 ``[[x1, x2], [eps*x2, eps*x1]]`` with ``x1 +- x2`` the entries of ``m1`` and
-``m2``; ``MotionMatrix.m`` builds the 4x4 back for JSON output and for the
-literal action ``(AZ + B)(CZ + D)^-1`` that ``verify`` checks against.
+``m2``; ``MotionMatrix._rows`` writes the 4x4 back for JSON output, and ``.m``
+is its ``Mat4R``, for the literal action ``(AZ + B)(CZ + D)^-1`` of ``verify``.
 
 The bounded model is a product of two unit discs, and a disc motion is a
 pair of SU(1,1) maps ``u -> (a u + b)/(conj(b) u + conj(a))`` with
@@ -22,9 +22,9 @@ pair of SU(1,1) maps ``u -> (a u + b)/(conj(b) u + conj(a))`` with
 factor entries, in the same pattern, only for JSON output.
 
 Motions are validated once, at the boundary: ``classify`` (with the caller's
-``Tolerance``) and the public constructors.  What the library computes from
-validated values is built by ``_sl2`` and ``_motion`` and trusted; only
-products and transvections re-run the determinant gate, with a fixed bound.
+``Tolerance``) and the public constructors.  Values computed from validated
+ones, and the seeded samples, are built by ``_sl2`` and ``_motion`` and trusted;
+only products and transvections re-run the determinant gate, with a fixed bound.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import _chords
-from .numkit import _FIXED_EPS, DEFAULT_TOL, Mat4R, Tolerance
+from .numkit import _FIXED_EPS, DEFAULT_TOL, Mat4R, Tolerance, _check_finite
 
 __all__ = [
     "Sl2Matrix",
@@ -131,23 +131,24 @@ class MotionMatrix:
 
     @property
     def m(self) -> Mat4R:
-        """The real symplectic 4x4 matrix, for JSON output and the verify reference.
+        """The real symplectic 4x4 matrix as a ``Mat4R``: the verify reference."""
+        return Mat4R(self._rows())
 
-        Each block is ``[[x1, x2], [eps*x2, eps*x1]]`` with ``x1 +- x2`` the
-        matching entries of ``m1`` and ``m2``.
-        """
+    def _rows(self) -> tuple:
+        """The rows of the 4x4 matrix, behind the finiteness gate.  Each block is
+        ``[[x1, x2], [eps*x2, eps*x1]]``, ``x1 +- x2`` the entries of ``m1``, ``m2``."""
         e, m1, m2 = self.eps, self.m1, self.m2
-        (a1, a2), (b1, b2), (c1, c2), (d1, d2) = (
-            ((p + q) / 2.0, (p - q) / 2.0)
-            for p, q in ((m1.a, m2.a), (m1.b, m2.b), (m1.c, m2.c), (m1.d, m2.d))
-        )
-        return Mat4R(
-            (
-                (a1, a2, b1, b2),
-                (e * a2, e * a1, e * b2, e * b1),
-                (c1, c2, d1, d2),
-                (e * c2, e * c1, e * d2, e * d1),
-            )
+        a1, a2 = (m1.a + m2.a) / 2.0, (m1.a - m2.a) / 2.0
+        b1, b2 = (m1.b + m2.b) / 2.0, (m1.b - m2.b) / 2.0
+        c1, c2 = (m1.c + m2.c) / 2.0, (m1.c - m2.c) / 2.0
+        d1, d2 = (m1.d + m2.d) / 2.0, (m1.d - m2.d) / 2.0
+        # Rows 1 and 3 are eps times rows 0 and 2, which hold the first non-finite entry.
+        _check_finite((a1, a2, b1, b2, c1, c2, d1, d2))
+        return (
+            (a1, a2, b1, b2),
+            (e * a2, e * a1, e * b2, e * b1),
+            (c1, c2, d1, d2),
+            (e * c2, e * c1, e * d2, e * d1),
         )
 
     def __matmul__(self, other: "MotionMatrix") -> "MotionMatrix":
@@ -160,7 +161,7 @@ class MotionMatrix:
         return _motion(i1, i2, 1) if self.eps == 1 else _motion(i2, i1, -1)
 
     def to_json_dict(self) -> dict:
-        return {"m": self.m.rows, "eps": self.eps}
+        return {"m": self._rows(), "eps": self.eps}
 
 
 def _sl2(a: float, b: float, c: float, d: float) -> Sl2Matrix:
@@ -518,8 +519,7 @@ def random_sl2(rng: random.Random) -> Sl2Matrix:
 
 
 def random_motion(rng: random.Random) -> MotionMatrix:
-    """Seeded motion sample: two factors then a fair exchange sign."""
+    """Seeded motion sample: two factors then a fair exchange sign, stored trusted."""
     m1 = random_sl2(rng)
     m2 = random_sl2(rng)
-    eps = 1 if rng.random() < 0.5 else -1
-    return assemble(m1, m2, eps)
+    return _motion(m1, m2, 1 if rng.random() < 0.5 else -1)

@@ -2,10 +2,11 @@
 
 The library computes in factor coordinates, so it carries no matrix algebra.
 ``Mat4R`` is only the validated record of a motion's real 4x4 matrix, the
-type that ``classify`` reads, the CLI parses and ``MotionMatrix.m`` writes
-for JSON.  ``SYMPLECTIC_FORM`` is the form ``J`` of the condition
-``M^T J M = J``; ``classify`` writes that condition out as scalar identities
-in the 16 entries, and the literal matrix references live in ``verify``.
+type that ``classify`` reads, the CLI parses and ``verify`` checks against;
+``_check_finite``, its finiteness gate, also guards a motion's JSON rows.
+``SYMPLECTIC_FORM`` is the form ``J`` of the condition ``M^T J M = J``;
+``classify`` writes that condition out as scalar identities in the 16
+entries, and the literal matrix references live in ``verify``.
 """
 
 from __future__ import annotations
@@ -63,11 +64,15 @@ class Mat4R:
         rows = tuple([tuple(map(float, row)) for row in self.rows])
         if list(map(len, rows)) != [4, 4, 4, 4]:
             raise ValueError("Mat4R needs exactly 4 rows of 4 entries")
-        entries = rows[0] + rows[1] + rows[2] + rows[3]
-        if not all(map(math.isfinite, entries)):
-            x = next(x for x in entries if not math.isfinite(x))
-            raise NumericalBreakdown(f"non-finite entry {x!r} in 4x4 matrix")
+        _check_finite(rows[0] + rows[1] + rows[2] + rows[3])
         object.__setattr__(self, "rows", rows)
+
+
+def _check_finite(entries: tuple) -> None:
+    """The one finiteness gate of 4x4 entries: name the first non-finite one."""
+    if not all(map(math.isfinite, entries)):
+        x = next(x for x in entries if not math.isfinite(x))
+        raise NumericalBreakdown(f"non-finite entry {x!r} in 4x4 matrix")
 
 
 #: Standard symplectic form on R^4: [[0, I], [-I, 0]] in 2x2 blocks.

@@ -19,6 +19,15 @@ def point_gap(p: HPoint, q: HPoint) -> float:
     return max(abs(p.tau - q.tau), abs(p.z - q.z))
 
 
+def extreme_pair(rng):
+    """Two points with factor heights and offsets 10^[-11.5, 307.5], offsets of either sign."""
+    def draw():
+        sign = rng.choice((-1.0, 1.0))
+        return complex(sign * 10.0 ** rng.uniform(-11.5, 307.5), 10.0 ** rng.uniform(-11.5, 307.5))
+
+    return tuple(HPoint.from_factors(draw(), draw()) for _ in range(2))
+
+
 # --------------------------------------------------------------------------
 # Literal 4x4 references.  The library stores only the 4x4 record; these
 # helpers compute on its rows and wrap each result in a Mat4R, so a

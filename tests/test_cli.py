@@ -438,12 +438,28 @@ def test_json_writer_direct():
         '{"f":[0,0.1,1e+300,inf,-inf],"t":[true,false,null,7,-3],'
         '"s":"caf\\u00e9 \\"q\\"","n":{"e":[],"t":[[1.5,2]]}}'
     )
+    # The list branch formats float items inline; every other item goes
+    # through the full dispatch, so bools, None and ints too big for a
+    # double keep their own forms, and a float subclass is still refused.
+    assert _to_json_text([-0.0, True, None, 7, 10**20, 2.5]) == "[0,true,null,7,100000000000000000000,2.5]"
+    assert _to_json_text(((1.0, -0.0), (1e-300, -2.5))) == "[[1,0],[1e-300,-2.5]]"
+    with pytest.raises(TypeError):
+        _to_json_text([1.0, type("F", (float,), {})(2.0)])
 
 
 @pytest.mark.parametrize("value", [{1, 2}, b"x", 1j, object()])
 def test_json_writer_rejects_unsupported_types(value):
     with pytest.raises(TypeError):
         _to_json_text({"k": [value]})
+
+
+def test_assemble_beyond_the_float_range_exits_3(files, capsys):
+    # The factors are unimodular, but the half-sum 1e308 + 1e308 of the 4x4
+    # entries overflows: the output rows meet the 4x4 finiteness gate.
+    big = files("big.json", '{"a":1e308,"b":0,"c":0,"d":1e-308}')
+    for eps in ("1", "-1"):
+        code, out, err = run(capsys, ["assemble", "--m1", big, "--m2", big, "--eps", eps])
+        assert (code, out, err) == (3, "", "numerical error: non-finite entry inf in 4x4 matrix\n")
 
 
 def test_cached_parser_carries_no_state_between_calls(capsys):
@@ -570,3 +586,60 @@ def test_verify_output_bytes_are_pinned(capsys):
     code, out, _ = run(capsys, ["verify", "--seed", "42", "--trials", "200"])
     assert code == 0 and out.endswith("19/19 checks passed\n")
     assert hashlib.sha256(out.encode()).hexdigest() == "ba204919482d2df9fcbc0159b9a285e6b5d909dd0b173599470e39626227ba68"
+
+
+SEED5_DOCS = {
+    # ``random motion --seed 5``.
+    "motion": '{"m":[[0.174706862315017,-1.33655518313314,0.0425209139132008,-1.31858849350857],'
+    "[-1.33655518313314,0.174706862315017,-1.31858849350857,0.0425209139132008],"
+    "[0.851603710643193,0.280005818467514,0.779331731237856,-0.397173212863695],"
+    '[0.280005818467514,0.851603710643193,-0.397173212863695,0.779331731237856]],"eps":1}',
+    # The two points of ``random point --seed 5 --count 2``.
+    "z1": '{"tau":[3.68821924671374,2.40304259025311],"z":[-0.736283591056769,-0.641864030594509]}',
+    "z2": '{"tau":[-2.5268605866914,5.00566177677478],"z":[-2.18308713047245,-1.9871202878138]}',
+    # The first factor of ``split`` of that motion, and ``cayley --to disc`` of z1.
+    "factor": '{"a":-1.16184832081812,"b":-1.27606757959537,"c":1.13160952911071,"d":0.382158518374161}',
+    "disc": '{"z1":[0.718442921176878,-0.303795405361428],"z2":[-0.0564492003575012,-0.057562169236208]}',
+}
+
+STABILIZER_ARGS = ["stabilizer", "--xi1", "0.6,0.8", "--xi2", "0,1", "--eps", "-1", "--model"]
+
+OUTPUT_CASES = {
+    # With two equal factors the off-diagonal half-differences are 0.0, and
+    # eps = -1 turns them into -0.0, which must print as 0.
+    "assemble_plus": ["assemble", "--m1", "@factor", "--m2", "@factor", "--eps", "1"],
+    "assemble_minus": ["assemble", "--m1", "@factor", "--m2", "@factor", "--eps", "-1"],
+    "split": ["split", "--matrix", "@motion"],
+    "act": ["act", "--matrix", "@motion", "--point", "@z1"],
+    "cayley_disc": ["cayley", "--to", "disc", "--point", "@z1"],
+    "cayley_halfspace": ["cayley", "--to", "halfspace", "--point", "@disc"],
+    "stabilizer_halfspace": STABILIZER_ARGS + ["halfspace"],
+    "stabilizer_disc": STABILIZER_ARGS + ["disc"],
+    "distance": ["distance", "--z1", "@z1", "--z2", "@z2"],
+    "volume": ["volume", "--point", "@z1"],
+    "check_point": ["check", "point", "@z1"],
+}
+
+
+@pytest.mark.parametrize(
+    "kind,digest",
+    [
+        ("assemble_plus", "ff16a2f8c913e2aaa273f4d0416a7b9249358b8ce71e56f3d6aed5c3d52e1f1d"),
+        ("assemble_minus", "c87371fb35e558659f6c182d1e8543cbc711a325a172a3e2de47704370f2b969"),
+        ("split", "1bb16e895a8a3666b8520ce6099d3b061e70aa8e9123c0af2df4ec4d962e35f6"),
+        ("act", "cf58d7c5d443346b3fa58dc6056a29d131b54d082e55bdc5c30fbee8aea860b4"),
+        ("cayley_disc", "09db17018a2269ac2da75d5cf16b7f94dc8e647ba7d117052b4587fa97dafbb1"),
+        ("cayley_halfspace", "17e952959f20523f03d7bf53e6b2ed94053fd8b48e5df0aaabd30d74afdada27"),
+        ("stabilizer_halfspace", "7dac8f14cb6a1134fa92612aa87c9f0e67b73e25c1f1df66cc1d5d568257bc12"),
+        ("stabilizer_disc", "ab8c73a07d13aef5da9e15ca2199c1fd7b43da1108395e3426e9aecf933db1a9"),
+        ("distance", "52d83b66eb655878af1330734a1d2b160c49f622560afdbcbd907124b41475b1"),
+        ("volume", "cc348645b2253bd3e16fb2fe770f5a1c56ae2fb5aa420b1b60e66c4ca0f6f116"),
+        ("check_point", "4bc0899dc9a8624ab5df9303e10eb309af49c60b69df10b0a3aa3faae75143ed"),
+    ],
+)
+def test_command_output_bytes_are_pinned(files, capsys, kind, digest):
+    # SHA-256 of the exit code, stdout and stderr on the seeded inputs: the
+    # output bytes stay the same however the motion rows and the writer are built.
+    argv = [files(f"{a[1:]}.json", SEED5_DOCS[a[1:]]) if a.startswith("@") else a for a in OUTPUT_CASES[kind]]
+    code, out, err = run(capsys, argv)
+    assert hashlib.sha256(f"{code}\n{out}{err}".encode()).hexdigest() == digest

@@ -22,7 +22,7 @@ from bisiegel.domain import _epoint, _hpoint
 from bisiegel.numkit import DEFAULT_TOL, Tolerance
 from bisiegel.verify import _reference_cayley
 
-from conftest import EXCHANGE_4, IDENTITY_4, gap4, mul4, point_gap, transpose
+from conftest import EXCHANGE_4, IDENTITY_4, extreme_pair, gap4, mul4, point_gap, transpose
 
 
 def scalar_cayley(w: complex) -> complex:
@@ -228,6 +228,24 @@ def test_cayley_to_disc_inside_the_margin_is_numerical():
         cayley_to_disc(HPoint(1e7 + 1j, 0.0))
     with pytest.raises(DomainViolation):
         HPoint(1e7 + 1e-13j, 0.0)  # invalid input stays a validation error
+
+
+def test_cayley_to_disc_denominator_exceeds_one():
+    # For Im w > 0, |w + i| > 1, so the product of the two factor denominators
+    # of cayley_to_disc exceeds 1 > dom_eps: a singularity guard there could
+    # never fire.  Checked in floats on sampler points and on extreme pairs
+    # (where the product may overflow to inf, or to a NaN part beside an
+    # infinite one, whose modulus is inf).
+    rng = random.Random(31)
+    points = [random_hpoint(rng) for _ in range(2000)]
+    points += [z for _ in range(1000) for z in extreme_pair(rng)]
+    for z in points:
+        w1, w2 = z.factors()
+        assert abs((w1 + 1j) * (w2 + 1j)) > 1.0
+        try:
+            cayley_to_disc(z)
+        except NumericalBreakdown as exc:  # an image inside the margin, never a singularity
+            assert "dom_eps margin" in str(exc)
 
 
 def test_cayley_to_halfspace_inside_the_margin_is_numerical():

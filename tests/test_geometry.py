@@ -32,7 +32,7 @@ from bisiegel import (
 from bisiegel.errors import DomainViolation, GeometryError, NumericalBreakdown
 from bisiegel.verify import _reference_cross_ratio
 
-from conftest import hp, point_gap
+from conftest import extreme_pair, hp, point_gap
 
 I_H = HPoint(1j, 0.0)
 TWO_I = HPoint(2j, 0.0)
@@ -329,15 +329,6 @@ def test_geodesic_where_the_factor_height_ratio_overflows():
         p = spec.point(s)
         assert abs(distance(p, z1) - s) <= 1e-14 * spec.s0
         assert abs(distance(p, z2) - (spec.s0 - s)) <= 1e-14 * spec.s0
-
-
-def extreme_pair(rng):
-    """Two points with factor heights and offsets 10^[-11.5, 307.5], offsets of either sign."""
-    def draw():
-        sign = rng.choice((-1.0, 1.0))
-        return complex(sign * 10.0 ** rng.uniform(-11.5, 307.5), 10.0 ** rng.uniform(-11.5, 307.5))
-
-    return tuple(HPoint.from_factors(draw(), draw()) for _ in range(2))
 
 
 def test_geodesics_between_extreme_factor_pairs():

@@ -886,3 +886,17 @@ def test_motion_json_roundtrip_and_eps_check(rng):
     with pytest.raises(ValidationError, match="contradicts"):
         _parse_motion(doc)
     assert dataclasses.asdict(m)["eps"] in (1, -1)
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize(
+    "a1,a2,text", [(1e308, 1e308, "inf"), (-1e308, -1e308, "-inf"), (1e308, -1e308, "inf")]
+)
+def test_motion_rows_beyond_the_float_range_meet_the_4x4_gate(eps, a1, a2, text):
+    # Unimodular factors whose half-sum or half-difference overflows: the JSON
+    # rows and the verify reference both name the first non-finite entry in
+    # row order (for eps = -1 row 1 holds -inf where row 0 holds inf).
+    motion = assemble(Sl2Matrix(a1, 0.0, 0.0, 1.0 / a1), Sl2Matrix(a2, 0.0, 0.0, 1.0 / a2), eps)
+    for read in (motion.to_json_dict, lambda: motion.m):
+        with pytest.raises(NumericalBreakdown, match=f"^non-finite entry {text} in 4x4 matrix$"):
+            read()
