@@ -30,6 +30,7 @@ from .group import (
     MotionMatrix,
     Sl2Matrix,
     StabilizerParams,
+    _sign,
     apply,
     assemble,
     classify,
@@ -129,8 +130,8 @@ def _parse_motion(doc) -> MotionMatrix:
     motion = classify(_parse_mat4(doc))
     if "eps" in doc:
         try:
-            declared = int(doc["eps"])
-        except (TypeError, ValueError, OverflowError) as exc:
+            declared = _sign(doc["eps"])
+        except ValidationError as exc:
             raise ValidationError(f'"eps" must be 1 or -1, got {doc["eps"]!r}') from exc
         if declared != motion.eps:
             raise ValidationError(

@@ -20,7 +20,7 @@ from typing import Callable
 
 from .domain import HPoint, _hpoint
 from .errors import DegeneratePair, DomainViolation, NumericalBreakdown, OutOfRange
-from .numkit import _FIXED_EPS, DEFAULT_TOL, Tolerance
+from .numkit import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "Tangent",
@@ -159,29 +159,19 @@ def _leg_point(leg: tuple[float, ...], t: float) -> complex:
     return complex(x + dx * (r / k), y * (c / k))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GeodesicSpec:
-    """Endpoint data of a geodesic segment: points, length, factor distances."""
+    """Endpoint data of a geodesic segment: points, length, factor distances.
+
+    ``connect`` is its only builder; it takes ``d1``, ``d2`` from the legs.
+    """
 
     z1: HPoint
     z2: HPoint
     s0: float
     d1: float
     d2: float
-    _legs: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not (self.d1 >= 0.0 and self.d2 >= 0.0):
-            raise ValueError("factor distances must be >= 0")
-        legs = _legs(self.z1.w1, self.z2.w1) + _legs(self.z1.w2, self.z2.w2)
-        drift = max(abs(self.d1 - legs[0][4]), abs(self.d2 - legs[2][4]),
-                    abs(self.s0 - math.hypot(self.d1, self.d2)))
-        # A NaN drift fails too; a non-finite s0 fails on its own.
-        if not (math.isfinite(self.s0) and drift <= _FIXED_EPS * max(1.0, self.s0)):
-            raise ValueError(f"endpoint data inconsistent with the endpoints (drift {drift:.3e})")
-        if not self.s0 > 0.0:  # consistent data of coincident points: nothing to follow
-            raise DegeneratePair("geodesic through coincident points is undetermined")
-        object.__setattr__(self, "_legs", legs)
+    _legs: tuple = field(repr=False, compare=False)
 
     def line_point(self, s: float, tol: Tolerance = DEFAULT_TOL) -> HPoint:
         """Point on the full geodesic line at arc length s from the first
@@ -211,7 +201,7 @@ class GeodesicSpec:
 
 def connect(z1: HPoint, z2: HPoint, tol: Tolerance = DEFAULT_TOL) -> GeodesicSpec:
     """Geodesic segment data for a pair of distinct points: each factor chord
-    is taken once, and the spec skips the constructor's check of its data."""
+    is taken once."""
     legs = _legs(z1.w1, z2.w1) + _legs(z1.w2, z2.w2)
     d1, d2 = legs[0][4], legs[2][4]
     s0 = math.hypot(d1, d2)

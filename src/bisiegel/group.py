@@ -4,8 +4,8 @@ In the factor coordinates ``(tau + z, tau - z)`` the space is a product of
 two upper half-planes, and a motion is a pair of real Moebius maps
 ``(m1, m2)`` together with an exchange sign ``eps``: for ``eps = +1`` the
 factors act on the two coordinates in order, for ``eps = -1`` the two images
-are swapped.  Composition, inverse, the action, stabilizers, transports and
-pair reduction are all 2x2 work on the stored factors.
+are swapped.  Composition, inverse, the action, stabilizers and pair
+reduction are all 2x2 work on the stored factors.
 
 The real symplectic 4x4 matrix of a motion appears only at the boundary.
 ``classify`` validates a raw 4x4 in closed form, as scalar identities in its 16
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from math import cos, exp, hypot, isfinite, pi, sin, sqrt
 from operator import add, sub
 
-from .domain import EPoint, HPoint, _epoint, _hpoint, _image
+from .domain import HPoint, _hpoint, _image
 from .errors import (
     NotInHatGroup,
     NotSymplectic,
@@ -60,8 +60,6 @@ __all__ = [
     "assemble",
     "stabilizer_of_center",
     "stabilizer_of_iI",
-    "transport_to_center",
-    "transport_to_iI",
     "reduce_pair",
     "random_sl2",
     "random_motion",
@@ -86,6 +84,13 @@ def _check_det(ad: float, bc: float, floor: float = _FIXED_EPS) -> None:
         bound = _DET_CAP
     if not abs(ad - bc - 1.0) <= bound:  # `not <=` rejects NaN
         raise NotUnimodular(f"det={ad - bc!r} differs from 1 by more than {bound:.3e}")
+
+
+def _sign(eps) -> int:
+    """The one exchange-sign gate: exactly the int +1 or -1 (no bool, no float)."""
+    if type(eps) is not int or eps not in (1, -1):
+        raise ValidationError(f"eps must be +1 or -1, got {eps!r}")
+    return eps
 
 
 @dataclass(frozen=True)
@@ -125,9 +130,7 @@ class MotionMatrix:
     eps: int
 
     def __post_init__(self) -> None:
-        if self.eps not in (1, -1):
-            raise ValidationError(f"eps must be +1 or -1, got {self.eps!r}")
-        object.__setattr__(self, "eps", int(self.eps))
+        _sign(self.eps)
 
     @property
     def m(self) -> Mat4R:
@@ -203,7 +206,7 @@ def classify(m: Mat4R, tol: Tolerance = DEFAULT_TOL) -> MotionMatrix:
     For rows ``a, b, c, d`` of ``M``, entry (i, j) of ``M^T J M - J`` is the scalar
     identity ``-(ci aj) - di bj + ai cj + bi dj - Jij``, written out and summed left to
     right as the tests' literal 4x4 products sum, so the residuals match theirs bit for
-    bit (``J`` is ``SYMPLECTIC_FORM``; subtracting its zeros is exact and left out).
+    bit (``J = [[0, I], [-I, 0]]``; subtracting its zeros is exact and left out).
     ``MQ``, ``QM`` swap columns, rows, within pairs.  ``eps`` has the smaller
     commutation residual (+1 on an exact tie, met only near the kernel).
     """
@@ -305,11 +308,9 @@ class StabilizerParams:
         xi1, xi2 = complex(self.xi1), complex(self.xi2)
         _check_unit("xi1", xi1)
         _check_unit("xi2", xi2)
-        if self.eps not in (1, -1):
-            raise ValidationError(f"eps must be +1 or -1, got {self.eps!r}")
+        _sign(self.eps)
         object.__setattr__(self, "xi1", xi1)
         object.__setattr__(self, "xi2", xi2)
-        object.__setattr__(self, "eps", int(self.eps))
 
 
 @dataclass(frozen=True)
@@ -317,9 +318,9 @@ class DiscMotion:
     """A disc-model motion: two SU(1,1) factor maps and the exchange sign.
 
     Factor k is ``u -> (ak u + bk)/(conj(bk) u + conj(ak))`` with
-    ``|ak|^2 - |bk|^2 = 1``.  On factor coordinates ``(u1, u2)`` it acts as
-    the two maps in order for ``eps = +1`` and with the images swapped for
-    ``eps = -1``, as ``MotionMatrix`` does.
+    ``|ak|^2 - |bk|^2 = 1``; the sign swaps the images as in ``MotionMatrix``.
+    It is the record that ``stabilizer --model disc`` writes as JSON; the
+    library does not act with it.
     """
 
     a1: complex
@@ -329,11 +330,9 @@ class DiscMotion:
     eps: int
 
     def __post_init__(self) -> None:
-        if self.eps not in (1, -1):
-            raise ValidationError(f"eps must be +1 or -1, got {self.eps!r}")
+        _sign(self.eps)
         a1, b1, a2, b2 = complex(self.a1), complex(self.b1), complex(self.a2), complex(self.b2)
-        # frozen: bypass __setattr__
-        vars(self).update(a1=a1, b1=b1, a2=a2, b2=b2, eps=int(self.eps))
+        vars(self).update(a1=a1, b1=b1, a2=a2, b2=b2)  # frozen: bypass __setattr__
         for a, b in ((a1, b1), (a2, b2)):
             _check_det(abs(a) ** 2, abs(b) ** 2)
 
@@ -345,18 +344,6 @@ class DiscMotion:
     # each reads [[x1, x2], [eps*x2, eps*x1]] with x1 +- x2 the factor entries.
     a0 = property(lambda self: self._block(self.a1, self.a2))
     b0 = property(lambda self: self._block(self.b1, self.b2))
-
-    def apply(self, point: EPoint, tol: Tolerance = DEFAULT_TOL) -> EPoint:
-        """Act on a bounded-model point, one SU(1,1) map per factor coordinate;
-        the product of the two denominators is guarded as in ``apply``."""
-        u1, u2 = point.factors()
-        den1 = self.b1.conjugate() * u1 + self.a1.conjugate()
-        den2 = self.b2.conjugate() * u2 + self.a2.conjugate()
-        if abs(den1 * den2) <= tol.dom_eps:
-            raise SingularMatrix(f"disc action denominator |det|={abs(den1 * den2):.3e}")
-        g1 = (self.a1 * u1 + self.b1) / den1
-        g2 = (self.a2 * u2 + self.b2) / den2
-        return _image(_epoint, g1, g2, tol) if self.eps == 1 else _image(_epoint, g2, g1, tol)
 
     def to_json_dict(self) -> dict:
         def entries(block: tuple) -> list:
@@ -390,23 +377,6 @@ def _rotation(xi: complex) -> Sl2Matrix:
     return _sl2(xi.real, xi.imag, -xi.imag, xi.real)
 
 
-def transport_to_center(point: EPoint) -> DiscMotion:
-    """Disc-model motion sending the given bounded-model point to the center.
-
-    Per factor it is ``u -> (u - c)/(1 - conj(c) u)``, scaled into SU(1,1)
-    by ``a = 1/sqrt((1 - |c|)(1 + |c|))`` and ``b = -c a``; it is the Cayley
-    conjugate of ``transport_to_iI``.
-    """
-
-    def factor(c: complex) -> tuple[float, complex]:
-        r = abs(c)
-        a = 1.0 / sqrt((1.0 - r) * (1.0 + r))
-        return a, -c * a
-
-    (a1, b1), (a2, b2) = factor(point.u1), factor(point.u2)
-    return DiscMotion(a1, b1, a2, b2, 1)
-
-
 def _transvection_to_i(w: complex) -> Sl2Matrix:
     """The symmetric positive factor sending w = x + iy to i.
 
@@ -420,15 +390,6 @@ def _transvection_to_i(w: complex) -> Sl2Matrix:
     if not isfinite(s):  # no entry of A exceeds tr A: all entries are finite with s
         raise NumericalBreakdown(f"transvection of {w!r} to i overflows")
     return _gated((a11 + 1.0) / s, a12 / s, a12 / s, (a22 + 1.0) / s)
-
-
-def transport_to_iI(point: HPoint) -> MotionMatrix:
-    """Real motion sending the given half-space point to iI (identity at iI).
-
-    It is the Cayley conjugate of ``transport_to_center``, the canonical
-    disc transport.
-    """
-    return _motion(_transvection_to_i(point.w1), _transvection_to_i(point.w2), 1)
 
 
 @dataclass(frozen=True)
@@ -475,9 +436,9 @@ def reduce_pair(z_base: HPoint, z_other: HPoint, tol: Tolerance = DEFAULT_TOL) -
 
     are computed from the dilations of the raw pair, which stay accurate
     where 1 - r has cancelled to the last few bits; they are independent of
-    every internal choice.  The mover is ``stabilizer_of_iI(params) @
-    transport_to_iI(z_base)``, built per factor as one product ``R(xi) @ T`` from
-    the entries of ``R(xi)``.  ``z_other`` is moved as its two factor images, under
+    every internal choice.  The mover is ``stabilizer_of_iI(params) @ T``, with
+    ``T`` the motion of the two factor transvections of ``z_base`` to ``i``,
+    built per factor as one product ``R(xi) @ T`` from the entries of ``R(xi)``.  ``z_other`` is moved as its two factor images, under
     ``apply``'s guard and membership test; no motion is built and no point kept.
     """
     t1, t2 = _transvection_to_i(z_base.w1), _transvection_to_i(z_base.w2)

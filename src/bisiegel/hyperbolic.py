@@ -17,7 +17,6 @@ from .numkit import DEFAULT_TOL
 __all__ = [
     "HalfPlanePoint",
     "mobius",
-    "pair_lambda",
     "hyp_distance",
 ]
 
@@ -51,19 +50,9 @@ def mobius(m: Matrix2, z: HalfPlanePoint) -> HalfPlanePoint:
     return HalfPlanePoint(w.real, w.imag)
 
 
-def _lambda_minus_one(z1: HalfPlanePoint, z2: HalfPlanePoint) -> float:
-    """lambda - 1 = q/2 + sqrt(q) sqrt(1 + q/4) for the pair dilation lambda and
-    q = ((x1 - x2)^2 + (y1 - y2)^2) / (y1 y2) = lambda + 1/lambda - 2, which
-    is >= 0: no cancellation for near pairs."""
-    q = ((z1.x - z2.x) ** 2 + (z1.y - z2.y) ** 2) / (z1.y * z2.y)
-    return q / 2.0 + math.sqrt(q) * math.sqrt(1.0 + q / 4.0)
-
-
-def pair_lambda(z1: HalfPlanePoint, z2: HalfPlanePoint) -> float:
-    """The dilation >= 1 carrying (z1, z2) to (i, lambda*i) along a common motion."""
-    return 1.0 + _lambda_minus_one(z1, z2)
-
-
 def hyp_distance(z1: HalfPlanePoint, z2: HalfPlanePoint) -> float:
-    """Hyperbolic distance, the log of the pair dilation, as log1p(lambda - 1)."""
-    return math.log1p(_lambda_minus_one(z1, z2))
+    """Hyperbolic distance, the log of the pair dilation lambda, as log1p(lambda - 1)
+    with lambda - 1 = q/2 + sqrt(q) sqrt(1 + q/4) for q = ((x1 - x2)^2 + (y1 - y2)^2)
+    / (y1 y2) = lambda + 1/lambda - 2 >= 0: no cancellation for near pairs."""
+    q = ((z1.x - z2.x) ** 2 + (z1.y - z2.y) ** 2) / (z1.y * z2.y)
+    return math.log1p(q / 2.0 + math.sqrt(q) * math.sqrt(1.0 + q / 4.0))

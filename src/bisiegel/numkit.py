@@ -4,9 +4,8 @@ The library computes in factor coordinates, so it carries no matrix algebra.
 ``Mat4R`` is only the validated record of a motion's real 4x4 matrix, the
 type that ``classify`` reads, the CLI parses and ``verify`` checks against;
 ``_check_finite``, its finiteness gate, also guards a motion's JSON rows.
-``SYMPLECTIC_FORM`` is the form ``J`` of the condition ``M^T J M = J``;
-``classify`` writes that condition out as scalar identities in the 16
-entries, and the literal matrix references live in ``verify``.
+``classify`` writes the symplectic condition out as scalar identities in the
+16 entries, and the literal matrix references live in ``verify``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "Mat4R",
-    "SYMPLECTIC_FORM",
 ]
 
 
@@ -73,14 +71,3 @@ def _check_finite(entries: tuple) -> None:
     if not all(map(math.isfinite, entries)):
         x = next(x for x in entries if not math.isfinite(x))
         raise NumericalBreakdown(f"non-finite entry {x!r} in 4x4 matrix")
-
-
-#: Standard symplectic form on R^4: [[0, I], [-I, 0]] in 2x2 blocks.
-SYMPLECTIC_FORM = Mat4R(
-    (
-        (0.0, 0.0, 1.0, 0.0),
-        (0.0, 0.0, 0.0, 1.0),
-        (-1.0, 0.0, 0.0, 0.0),
-        (0.0, -1.0, 0.0, 0.0),
-    )
-)

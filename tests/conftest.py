@@ -1,8 +1,21 @@
+import math
 import random
 
 import pytest
 
-from bisiegel import HalfPlanePoint, HPoint, Mat4R
+from bisiegel.domain import HPoint
+from bisiegel.errors import NumericalBreakdown
+from bisiegel.geometry import _chords
+from bisiegel.group import (
+    StabilizerParams,
+    _half_conj_phase,
+    _transvection_to_i,
+    apply,
+    assemble,
+    stabilizer_of_iI,
+)
+from bisiegel.hyperbolic import HalfPlanePoint
+from bisiegel.numkit import DEFAULT_TOL, Mat4R
 
 
 def hp(w: complex) -> HalfPlanePoint:
@@ -73,6 +86,32 @@ EXCHANGE_4 = Mat4R(((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)))
 
 #: +-I and +-Q: the 4x4 matrices that act as the identity.
 KERNEL_4 = (IDENTITY_4, scale4(IDENTITY_4, -1.0), EXCHANGE_4, scale4(EXCHANGE_4, -1.0))
+
+#: Standard symplectic form J on R^4, [[0, I], [-I, 0]] in 2x2 blocks: M^T J M = J.
+SYMPLECTIC_FORM = Mat4R(((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0)))
+
+
+# --------------------------------------------------------------------------
+# Pair-reduction references, through composed motions.
+
+
+def transport_to_iI(point: HPoint):
+    """The motion sending ``point`` to iI: the two factor transvections that
+    ``reduce_pair`` applies, glued with eps = +1."""
+    return assemble(_transvection_to_i(point.w1), _transvection_to_i(point.w2), 1)
+
+
+def composed_reduce_pair(z_base: HPoint, z_other: HPoint):
+    """``reduce_pair`` through composed motions: the reference for its fused form."""
+    transport = transport_to_iI(z_base)
+    xi1, xi2 = (_half_conj_phase((h - 1j) / (h + 1j)) for h in apply(transport, z_other).factors())
+    s_plus, s_minus = _chords(z_base, z_other)
+    r_big = max(s_plus, s_minus) / math.hypot(1.0, max(s_plus, s_minus))
+    if r_big >= 1.0 - DEFAULT_TOL.dom_eps:
+        raise NumericalBreakdown(f"factor radius {r_big!r} too close to the boundary")
+    params = StabilizerParams(xi1, xi2, -1 if s_plus < s_minus else 1)
+    lam_big, lam_small = sorted(((s + math.hypot(1.0, s)) ** 2 for s in (s_plus, s_minus)))[::-1]
+    return stabilizer_of_iI(params) @ transport, (lam_big + lam_small) / 2, (lam_big - lam_small) / 2
 
 
 @pytest.fixture

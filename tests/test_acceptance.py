@@ -11,30 +11,33 @@ import time
 
 import pytest
 
-from bisiegel import (
+from bisiegel.cli import main as cli_main
+from bisiegel.domain import (
     HPoint,
-    apply,
-    assemble,
     cayley_to_disc,
     cayley_to_halfspace,
-    classify,
+    h_contains,
+    random_hpoint,
+)
+from bisiegel.geometry import (
+    Tangent,
     connect,
     cross_ratio_eigenvalues,
     distance,
     geodesic_ode_residual,
-    h_contains,
-    hyp_distance,
     metric_form,
     path_length,
-    random_hpoint,
+)
+from bisiegel.group import (
+    apply,
+    assemble,
+    classify,
     random_motion,
     random_sl2,
     reduce_pair,
     split,
 )
-from bisiegel.cli import main as cli_main
-from bisiegel.geometry import Tangent
-from bisiegel.hyperbolic import mobius
+from bisiegel.hyperbolic import hyp_distance, mobius
 
 from conftest import KERNEL_4, entries, hp, point_gap
 
@@ -292,7 +295,7 @@ def test_criterion_11_volume_invariance():
             w = apply(m, HPoint(complex(x1, y1), complex(x2, y2)))
             return (w.tau.real, w.z.real, w.tau.imag, w.z.imag)
 
-        from bisiegel import volume_density
+        from bisiegel.geometry import volume_density
 
         base = (z.tau.real, z.z.real, z.tau.imag, z.z.imag)
         jac = np.empty((4, 4))

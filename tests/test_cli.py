@@ -351,6 +351,18 @@ def test_non_integer_eps_is_validation_error(files, capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "eps,shown", [("1.5", "1.5"), ("-1.5", "-1.5"), ("true", "True"), ('"1"', "'1'"), ("1.0", "1.0")]
+)
+def test_declared_eps_must_be_the_json_int_1_or_minus_1(files, capsys, eps, shown):
+    # The identity motion has eps = 1: a declared 1.0, true or "1" is not the
+    # int 1, and 1.5, -1.5 are no sign; each is refused, not rounded by int().
+    m = files("m.json", '{"m":[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]],"eps":%s}' % eps)
+    p = files("p.json", I_JSON)
+    code, out, err = run(capsys, ["act", "--matrix", m, "--point", p])
+    assert (code, out, err) == (2, "", f'error: "eps" must be 1 or -1, got {shown}\n')
+
+
 def test_nan_matrix_entry_is_validation_error(files, capsys):
     m = files("m.json", '{"m":[[NaN,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]}')
     code, out, err = run(capsys, ["check", "matrix", m])

@@ -5,24 +5,32 @@ import random
 import numpy as np
 import pytest
 
-from bisiegel import (
-    DomainViolation,
+from bisiegel.cli import _parse_epoint, _parse_hpoint
+from bisiegel.domain import (
     EPoint,
     HPoint,
-    NumericalBreakdown,
-    SYMPLECTIC_FORM,
+    _epoint,
+    _hpoint,
     cayley_to_disc,
     cayley_to_halfspace,
     e_contains,
     h_contains,
     random_hpoint,
 )
-from bisiegel.cli import _parse_epoint, _parse_hpoint
-from bisiegel.domain import _epoint, _hpoint
+from bisiegel.errors import DomainViolation, NumericalBreakdown
 from bisiegel.numkit import DEFAULT_TOL, Tolerance
 from bisiegel.verify import _reference_cayley
 
-from conftest import EXCHANGE_4, IDENTITY_4, extreme_pair, gap4, mul4, point_gap, transpose
+from conftest import (
+    EXCHANGE_4,
+    IDENTITY_4,
+    SYMPLECTIC_FORM,
+    extreme_pair,
+    gap4,
+    mul4,
+    point_gap,
+    transpose,
+)
 
 
 def scalar_cayley(w: complex) -> complex:

@@ -5,31 +5,31 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from bisiegel import (
+from bisiegel.domain import HPoint, random_hpoint
+from bisiegel.errors import (
     DegeneratePair,
-    GeodesicSpec,
-    HalfPlanePoint,
-    HPoint,
+    DomainViolation,
+    GeometryError,
+    NumericalBreakdown,
     OutOfRange,
+)
+from bisiegel.geometry import (
     Tangent,
-    Tolerance,
-    apply,
     connect,
     cross_ratio_eigenvalues,
     distance,
     distance_params,
     geodesic,
     geodesic_ode_residual,
-    hyp_distance,
     metric_form,
     path_length,
     path_speed,
-    random_hpoint,
-    random_motion,
     simpson,
     volume_density,
 )
-from bisiegel.errors import DomainViolation, GeometryError, NumericalBreakdown
+from bisiegel.group import apply, random_motion
+from bisiegel.hyperbolic import hyp_distance
+from bisiegel.numkit import Tolerance
 from bisiegel.verify import _reference_cross_ratio
 
 from conftest import extreme_pair, hp, point_gap
@@ -369,35 +369,6 @@ def test_line_points_off_extreme_segments_raise_only_geometry_errors():
     assert broke > 0
 
 
-def _bits(spec, s):
-    """The sample at s as exact text (repr tells -0.0 from 0.0), or the error."""
-    try:
-        return repr(spec.point(s).factors())
-    except NumericalBreakdown as exc:
-        return repr(exc)
-
-
-@pytest.mark.parametrize("recipe", [near_pair, wide_pair, extreme_pair])
-def test_connect_agrees_with_the_checked_constructor(recipe):
-    # connect builds its spec without the drift check of the public
-    # constructor; both must hold the same data and give the same samples,
-    # bit for bit.
-    rng = random.Random(14)
-    done = 0
-    for _ in range(300):
-        z1, z2 = recipe(rng)
-        try:
-            spec = connect(z1, z2)
-        except NumericalBreakdown:
-            continue
-        checked = GeodesicSpec(z1, z2, spec.s0, spec.d1, spec.d2)
-        assert checked == spec
-        for k in range(9):
-            assert _bits(checked, k * spec.s0 / 8) == _bits(spec, k * spec.s0 / 8)
-        done += 1
-    assert done >= 280
-
-
 @pytest.mark.parametrize("recipe", [near_pair, wide_pair])
 def test_geodesic_endpoints_within_rounding(recipe):
     rng = random.Random(12)
@@ -611,30 +582,6 @@ def test_geodesic_is_arclength_parameterized(rng):
 def test_tangent_rejects_nonfinite():
     with pytest.raises(DomainViolation):
         Tangent(float("nan"), 0.0)
-
-
-def test_geodesic_spec_rejects_inconsistent_data():
-    spec = connect(I_H, MIXED)
-    with pytest.raises(ValueError):
-        type(spec)(spec.z1, spec.z2, spec.s0 * 2.0, spec.d1, spec.d2)
-    # Swapped factor distances keep s0 but contradict the endpoints.
-    with pytest.raises(ValueError):
-        type(spec)(spec.z1, spec.z2, spec.s0, spec.d2, spec.d1)
-    with pytest.raises(ValueError):
-        type(spec)(spec.z1, spec.z2, spec.s0, -spec.d1, spec.d2)
-    # A NaN drift and an infinite bound must not pass the drift check.
-    for s0 in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            type(spec)(spec.z1, spec.z2, s0, spec.d1, spec.d2)
-    with pytest.raises(ValueError):
-        type(spec)(spec.z1, spec.z2, spec.s0, math.nan, spec.d2)
-    # Coincident endpoints with consistent zero data: every point would divide
-    # by s0 = 0, so the constructor refuses the pair as connect does.
-    z = HPoint(2j, 1j)
-    for s0 in (0.0, -0.0):
-        with pytest.raises(DegeneratePair, match="coincident points"):
-            type(spec)(z, z, s0, 0.0, 0.0)
-    assert type(spec)(spec.z1, spec.z2, spec.s0, spec.d1, spec.d2) == spec
 
 
 def test_geodesic_points_honour_the_callers_margin():

@@ -1,4 +1,3 @@
-import cmath
 import math
 import random
 import re
@@ -7,54 +6,56 @@ import sys
 import numpy as np
 import pytest
 
-from bisiegel import (
-    DiscMotion,
-    DomainViolation,
+from bisiegel.domain import (
     EPoint,
-    GeometryError,
     HPoint,
-    Mat4R,
-    MotionMatrix,
+    cayley_to_disc,
+    cayley_to_halfspace,
+    random_hpoint,
+)
+from bisiegel.errors import (
+    DomainViolation,
+    GeometryError,
     NotInHatGroup,
     NotSymplectic,
     NotUnimodular,
     NumericalBreakdown,
-    SYMPLECTIC_FORM,
-    Sl2Matrix,
-    StabilizerParams,
-    Tolerance,
     UnitModulusViolation,
     ValidationError,
+)
+from bisiegel.geometry import distance
+from bisiegel.group import (
+    DiscMotion,
+    MotionMatrix,
+    Sl2Matrix,
+    StabilizerParams,
     apply,
     assemble,
-    cayley_to_disc,
-    cayley_to_halfspace,
     classify,
-    distance,
-    random_hpoint,
     random_motion,
     random_sl2,
     reduce_pair,
     split,
     stabilizer_of_center,
     stabilizer_of_iI,
-    transport_to_center,
-    transport_to_iI,
 )
 from bisiegel.hyperbolic import HalfPlanePoint, mobius
-from bisiegel.numkit import DEFAULT_TOL
+from bisiegel.numkit import DEFAULT_TOL, Mat4R, Tolerance
 from bisiegel.verify import _reference_apply
 
 from conftest import (
     EXCHANGE_4,
     IDENTITY_4,
     KERNEL_4,
+    SYMPLECTIC_FORM,
+    composed_reduce_pair,
     entries,
     gap4,
     max_abs4,
     mul4,
     point_gap,
     scale4,
+    transport_to_iI,
     transpose,
 )
 
@@ -322,7 +323,7 @@ def test_apply_group_law(rng):
 
 
 def test_apply_closure(rng):
-    from bisiegel import h_contains
+    from bisiegel.domain import h_contains
 
     for _ in range(500):
         w = apply(random_motion(rng), random_hpoint(rng))
@@ -473,6 +474,13 @@ def max_abs(x) -> float:
 EYE_2 = np.eye(2, dtype=complex)
 
 
+def literal_disc_action(m: DiscMotion, p: EPoint) -> EPoint:
+    """The block action (A0 Z + B0)(conj(B0) Z + conj(A0))^-1, computed literally."""
+    a0, b0, zm = block(m.a0), block(m.b0), block(((p.z1, p.z2), (p.z2, p.z1)))
+    w = (a0 @ zm + b0) @ np.linalg.inv(b0.conj() @ zm + a0.conj())
+    return EPoint((w[0, 0] + w[1, 1]) / 2.0, (w[0, 1] + w[1, 0]) / 2.0)
+
+
 def test_stabilizer_of_center_examples():
     tol = DEFAULT_TOL.abs_eps
     a0 = block(stabilizer_of_center(StabilizerParams(1, 1, 1)).a0)
@@ -522,7 +530,7 @@ def test_stabilizer_of_center_fixes_center(rng):
         xi2 = complex(math.cos(b := rng.uniform(0, 2 * math.pi)), math.sin(b))
         eps = 1 if rng.random() < 0.5 else -1
         m0 = stabilizer_of_center(StabilizerParams(xi1, xi2, eps))
-        img = m0.apply(center)
+        img = literal_disc_action(m0, center)
         assert abs(img.z1) < 1e-15 and abs(img.z2) < 1e-15
         # unitary block relation with vanishing translation part
         a0 = block(m0.a0)
@@ -554,53 +562,15 @@ def test_stabilizer_of_iI_is_isometric_rotation():
 
 
 # --------------------------------------------------------------------------
-# disc motions and transports
-
-
-def literal_disc_action(m: DiscMotion, p: EPoint) -> EPoint:
-    """The block action (A0 Z + B0)(conj(B0) Z + conj(A0))^-1, computed literally."""
-    a0, b0, zm = block(m.a0), block(m.b0), block(((p.z1, p.z2), (p.z2, p.z1)))
-    w = (a0 @ zm + b0) @ np.linalg.inv(b0.conj() @ zm + a0.conj())
-    return EPoint((w[0, 0] + w[1, 1]) / 2.0, (w[0, 1] + w[1, 0]) / 2.0)
-
-
-def random_su11(rng) -> tuple[complex, complex]:
-    """(a, b) = (cosh t e^{i alpha}, sinh t e^{i beta}) with t > 0, so b != 0."""
-    t = rng.uniform(0.05, 2.0)
-    return (
-        cmath.rect(math.cosh(t), rng.uniform(0, 2 * math.pi)),
-        cmath.rect(math.sinh(t), rng.uniform(0, 2 * math.pi)),
-    )
-
-
-def test_disc_motion_matches_literal_block_action():
-    # The factor maps, with the images swapped for eps = -1, must act as the
-    # complex blocks they derive: this pins the swap convention.
-    rng = random.Random(606)
-    signs = set()
-    for _ in range(300):
-        (a1, b1), (a2, b2) = random_su11(rng), random_su11(rng)
-        eps = 1 if rng.random() < 0.5 else -1
-        signs.add(eps)
-        m = DiscMotion(a1, b1, a2, b2, eps)
-        p = EPoint.from_factors(
-            *(cmath.rect(rng.uniform(0, 0.9), rng.uniform(0, 2 * math.pi)) for _ in "12")
-        )
-        got, want = m.apply(p), literal_disc_action(m, p)
-        assert max(abs(x - y) for x, y in zip(got.factors(), want.factors())) <= 1e-12
-    assert signs == {1, -1}
+# disc motions, the sign gate and transports
 
 
 def test_image_inside_the_margin_is_a_numerical_breakdown():
-    # Valid points whose images the models cannot resolve at dom_eps: the
-    # glued diag(1e-7, 1e7), I sends iI to factor height 1e-14, and the
-    # boost with tanh(14.5) = 1 - 5e-13 sends the center next to the circle.
+    # A valid point whose image the model cannot resolve at dom_eps: the
+    # glued diag(1e-7, 1e7), I sends iI to factor height 1e-14.
     shrink = assemble(Sl2Matrix(1e-7, 0.0, 0.0, 1e7), I2, 1)
     with pytest.raises(NumericalBreakdown, match="dom_eps margin"):
         apply(shrink, I_H)
-    boost = DiscMotion(math.cosh(14.5), math.sinh(14.5), 1.0, 0.0, -1)
-    with pytest.raises(NumericalBreakdown, match="dom_eps margin"):
-        boost.apply(EPoint(0.0, 0.0))
     # Invalid input is still a domain violation.
     with pytest.raises(DomainViolation):
         HPoint.from_factors(1e-13j, 1j)
@@ -628,46 +598,25 @@ def test_disc_motion_rejects_non_su11_factors():
         DiscMotion(1.0, 0.0, 1.0, 1.0, -1)  # |a|^2 - |b|^2 = 0
     with pytest.raises(NotUnimodular):
         DiscMotion(float("nan"), 0.0, 1.0, 0.0, 1)
-    with pytest.raises(ValidationError):
-        DiscMotion(1.0, 0.0, 1.0, 0.0, 0)
-    # The gate scales with |a|^2 + |b|^2: a transport factor near the boundary passes.
+    # The gate scales with |a|^2 + |b|^2: an SU(1,1) factor with |b/a| = 1 - 1e-11 passes.
     a = 1.0 / math.sqrt(1e-11 * (2.0 - 1e-11))
     DiscMotion(a, -(1.0 - 1e-11) * a, 1.0, 0.0, 1)
 
 
-def test_transport_to_center_examples():
-    tol = DEFAULT_TOL.abs_eps
-    ident = transport_to_center(EPoint(0, 0))
-    assert max_abs(block(ident.a0) - EYE_2) <= tol
-    assert max_abs(block(ident.b0)) == 0.0
-    m0 = transport_to_center(EPoint(1.0 / 3.0, 0))
-    scale = math.sqrt(9.0 / 8.0)
-    assert max_abs(block(m0.a0) - scale * EYE_2) <= tol
-    assert max_abs(block(m0.b0) + scale / 3.0 * EYE_2) <= tol
-    img = m0.apply(EPoint(1.0 / 3.0, 0))
-    assert abs(img.z1) < 1e-15 and abs(img.z2) < 1e-15
-
-
-def test_transport_to_center_property(rng):
-    for _ in range(200):
-        z0 = cayley_to_disc(random_hpoint(rng))
-        img = transport_to_center(z0).apply(z0)
-        assert max(abs(img.z1), abs(img.z2)) <= 1e-10
-
-
-def test_transport_to_center_near_the_boundary():
-    # Factor radii 1 - 10^-[1, 11] at any phase: the transport is a valid
-    # motion and sends the point to the center.
-    rng = random.Random(11)
-    for _ in range(2000):
-        p = EPoint.from_factors(
-            *(
-                cmath.rect(1.0 - 10.0 ** -rng.uniform(1, 11), rng.uniform(0, 2 * math.pi))
-                for _ in "12"
-            )
-        )
-        img = transport_to_center(p).apply(p)
-        assert max(abs(u) for u in img.factors()) <= 1e-10
+def test_every_constructor_passes_its_sign_through_the_one_gate():
+    # MotionMatrix (so assemble), StabilizerParams and DiscMotion share
+    # group._sign: exactly the int +1 or -1; bool and float signs are refused.
+    builders = (
+        lambda e: MotionMatrix(I2, I2, e),
+        lambda e: StabilizerParams(1.0, 1.0, e),
+        lambda e: DiscMotion(1.0, 0.0, 1.0, 0.0, e),
+    )
+    for build in builders:
+        for eps in (1, -1):
+            assert type(build(eps).eps) is int
+        for eps in (0, 2, 1.0, -1.0, True, "1", None):
+            with pytest.raises(ValidationError, match=rf"^eps must be \+1 or -1, got {re.escape(repr(eps))}$"):
+                build(eps)
 
 
 def test_transport_to_iI_examples(rng):
@@ -767,22 +716,6 @@ def test_reduce_pair_breaks_down_at_extreme_separation():
         reduce_pair(HPoint.from_factors(1e6j, 1e6j), HPoint.from_factors(1e-7j, 1j))
 
 
-def composed_reduce_pair(z_base: HPoint, z_other: HPoint):
-    """``reduce_pair`` through the public motions: the reference for its fused form."""
-    from bisiegel.geometry import _chords
-    from bisiegel.group import _half_conj_phase
-
-    transport = transport_to_iI(z_base)
-    xi1, xi2 = (_half_conj_phase((h - 1j) / (h + 1j)) for h in apply(transport, z_other).factors())
-    s_plus, s_minus = _chords(z_base, z_other)
-    r_big = max(s_plus, s_minus) / math.hypot(1.0, max(s_plus, s_minus))
-    if r_big >= 1.0 - DEFAULT_TOL.dom_eps:
-        raise NumericalBreakdown(f"factor radius {r_big!r} too close to the boundary")
-    params = StabilizerParams(xi1, xi2, -1 if s_plus < s_minus else 1)
-    lam_big, lam_small = sorted(((s + math.hypot(1.0, s)) ** 2 for s in (s_plus, s_minus)))[::-1]
-    return stabilizer_of_iI(params) @ transport, (lam_big + lam_small) / 2, (lam_big - lam_small) / 2
-
-
 def reduction_outcome(f, z_base: HPoint, z_other: HPoint):
     """The mover's entries and the lambdas, or the error class and message."""
     try:
@@ -849,22 +782,16 @@ def test_transvection_overflow_is_a_numerical_breakdown():
 
 
 def test_disc_and_halfspace_actions_commute_with_cayley(rng):
-    # The half-space transport and stabilizer are the Cayley conjugates of
-    # the disc-model ones: acting in the bounded model then mapping up
-    # agrees with mapping up then acting in the half-space.
-    from bisiegel import cayley_to_halfspace
-
+    # The half-space stabilizer is the Cayley conjugate of the disc-model one:
+    # the literal block action in the bounded model, then mapping up, agrees
+    # with mapping up, then acting in the half-space.
     for _ in range(100):
         z = random_hpoint(rng)
-        base = random_hpoint(rng)
-        m0 = transport_to_center(cayley_to_disc(base))
-        via_disc = cayley_to_halfspace(m0.apply(cayley_to_disc(z)))
-        assert point_gap(via_disc, apply(transport_to_iI(base), z)) <= 1e-9
         xi1 = complex(math.cos(a := rng.uniform(0, 2 * math.pi)), math.sin(a))
         xi2 = complex(math.cos(b := rng.uniform(0, 2 * math.pi)), math.sin(b))
         params = StabilizerParams(xi1, xi2, 1 if rng.random() < 0.5 else -1)
-        via_disc = cayley_to_halfspace(stabilizer_of_center(params).apply(cayley_to_disc(z)))
-        assert point_gap(via_disc, apply(stabilizer_of_iI(params), z)) <= 1e-9
+        disc = literal_disc_action(stabilizer_of_center(params), cayley_to_disc(z))
+        assert point_gap(cayley_to_halfspace(disc), apply(stabilizer_of_iI(params), z)) <= 1e-9
 
 
 def test_motion_json_roundtrip_and_eps_check(rng):

@@ -6,9 +6,10 @@ import random
 import numpy as np
 import pytest
 
-from bisiegel import Mat4R, Tolerance, random_hpoint, random_motion
+from bisiegel.domain import random_hpoint
 from bisiegel.errors import NumericalBreakdown
-from bisiegel.numkit import DEFAULT_TOL
+from bisiegel.group import random_motion
+from bisiegel.numkit import DEFAULT_TOL, Mat4R, Tolerance
 from bisiegel.verify import (
     _inv,
     _mul,
