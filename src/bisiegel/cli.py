@@ -48,6 +48,12 @@ __all__ = ["main"]
 
 _quote = json.encoder.encode_basestring_ascii  # the bytes json.dumps gives a str
 
+#: A motion's 8 halves in one format call (+ 0.0 prints -0.0 as 0), and its to_json_dict()
+#: bytes: rows 0 and 2 are {0}-{7}; rows 1 and 3 are eps times them ({8}-{15}), pair-swapped.
+_HALVES = "%.15g,%.15g,%.15g,%.15g,%.15g,%.15g,%.15g,%.15g"
+_MOTION = ('{{"m":[[{0},{1},{2},{3}],[{9},{8},{11},{10}],'
+           '[{4},{5},{6},{7}],[{13},{12},{15},{14}]],"eps":{16}}}')
+
 
 def _to_json_text(obj) -> str:
     t = type(obj)
@@ -58,6 +64,11 @@ def _to_json_text(obj) -> str:
         return "[" + ",".join(items) + "]"  # float items formatted inline, as above
     if t is dict:
         return "{" + ",".join([_quote(k) + ":" + _to_json_text(v) for k, v in obj.items()]) + "}"
+    if t is MotionMatrix:
+        a1, a2, b1, b2, c1, c2, d1, d2 = obj._halves()
+        h = _HALVES % (a1 + 0.0, a2 + 0.0, b1 + 0.0, b2 + 0.0, c1 + 0.0, c2 + 0.0, d1 + 0.0, d2 + 0.0)
+        h = h.split(",")
+        return _MOTION.format(*h, *(h if obj.eps == 1 else map(_negated, h)), obj.eps)
     if t is bool:
         return "true" if obj else "false"
     if t is int:
@@ -67,6 +78,13 @@ def _to_json_text(obj) -> str:
     if t is str:
         return _quote(obj)
     raise TypeError(f"cannot serialize {t!r}")
+
+
+def _negated(text: str) -> str:
+    """%.15g of -x from %.15g of a finite x: "-" toggled, but a zero prints "0" at either sign."""
+    if text == "0":
+        return text
+    return text[1:] if text[0] == "-" else "-" + text
 
 
 def _emit(obj) -> None:
@@ -222,7 +240,7 @@ def _cmd_split(args) -> int:
 def _cmd_assemble(args) -> int:
     m1 = _parse_sl2(_read_doc(args.m1))
     m2 = _parse_sl2(_read_doc(args.m2))
-    _emit(assemble(m1, m2, args.eps).to_json_dict())
+    _emit(assemble(m1, m2, args.eps))
     return 0
 
 
@@ -234,7 +252,7 @@ def _cmd_reduce(args) -> int:
         {
             "lambda1": red.lambda1,
             "lambda2": red.lambda2,
-            "mover": red.mover.to_json_dict(),
+            "mover": red.mover,
         }
     )
     return 0
@@ -277,7 +295,7 @@ def _cmd_stabilizer(args) -> int:
     if args.model == "disc":
         _emit(stabilizer_of_center(params).to_json_dict())
     else:
-        _emit(stabilizer_of_iI(params).to_json_dict())
+        _emit(stabilizer_of_iI(params))
     return 0
 
 
@@ -285,9 +303,8 @@ def _cmd_random(args) -> int:
     rng = random.Random(_parse_seed(args.seed))
     if args.count < 1:
         raise ValidationError("--count must be positive")
-    sample = random_hpoint if args.kind == "point" else random_motion
     for _ in range(args.count):
-        _emit(sample(rng).to_json_dict())
+        _emit(random_motion(rng) if args.kind == "motion" else random_hpoint(rng).to_json_dict())
     return 0
 
 

@@ -44,17 +44,17 @@ class HPoint:
     """Half-space point, stored by its factor coordinates (w1, w2) = (tau + z, tau - z).
 
     ``HPoint(tau, z)`` converts once; ``from_factors`` stores its arguments
-    as given.  ``tau``, ``z`` and the JSON form are derived from the factors:
-    each rounds by u = 2^-53 of the larger factor, so a JSON round trip moves
-    the real (imaginary) part of a factor by at most 2u times the larger real
-    (imaginary) part of the two.
+    as given.  ``tau``, ``z`` and the JSON form are derived from the factors,
+    each halved first so that no readout overflows.  Each rounds by u = 2^-53
+    of the larger factor, so a JSON round trip moves the real (imaginary) part
+    of a factor by at most 2u times the larger real (imaginary) part of the two.
     """
 
     w1: complex
     w2: complex
 
-    tau = property(lambda self: (self.w1 + self.w2) / 2.0)
-    z = property(lambda self: (self.w1 - self.w2) / 2.0)
+    tau = property(lambda self: self.w1 / 2.0 + self.w2 / 2.0)
+    z = property(lambda self: self.w1 / 2.0 - self.w2 / 2.0)
 
     def __init__(self, tau: complex, z: complex) -> None:
         tau, z = complex(tau), complex(z)
@@ -88,8 +88,8 @@ class EPoint:
     u1: complex
     u2: complex
 
-    z1 = property(lambda self: (self.u1 + self.u2) / 2.0)
-    z2 = property(lambda self: (self.u1 - self.u2) / 2.0)
+    z1 = property(lambda self: self.u1 / 2.0 + self.u2 / 2.0)
+    z2 = property(lambda self: self.u1 / 2.0 - self.u2 / 2.0)
 
     def __init__(self, z1: complex, z2: complex) -> None:
         z1, z2 = complex(z1), complex(z2)

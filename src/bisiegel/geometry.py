@@ -178,8 +178,9 @@ class GeodesicSpec:
         endpoint (s may leave [0, s0]; the segment endpoints are at 0 and s0),
         a point above the ``tol.dom_eps`` margin.
 
-        Both factors move the same fraction t = s / s0 of their distance.  Off
-        the segment a leg's denominator can vanish on wide pairs: a breakdown.
+        Both factors move the same fraction t = s / s0 of their distance.  A point
+        inside the margin is bad input on the segment (an end is inside it) and a
+        breakdown off it, as is a leg denominator that vanishes on a wide pair.
         """
         t = s / self.s0
         # Forward legs (from z1) serve t <= 1/2, backward legs (from z2) the rest.
@@ -188,8 +189,10 @@ class GeodesicSpec:
             if t <= 0.5:
                 return _hpoint(_leg_point(fwd1, t), _leg_point(fwd2, t), tol.dom_eps)
             return _hpoint(_leg_point(bwd1, 1.0 - t), _leg_point(bwd2, 1.0 - t), tol.dom_eps)
-        except ZeroDivisionError:
-            raise NumericalBreakdown(f"point at s={s!r} of s0={self.s0!r} not resolved") from None
+        except (ZeroDivisionError, DomainViolation) as exc:
+            if 0.0 <= t <= 1.0 and isinstance(exc, DomainViolation):
+                raise
+            raise NumericalBreakdown(f"point at s={s!r} of s0={self.s0!r} not resolved: {exc}") from exc
 
     def point(self, s: float, tol: Tolerance = DEFAULT_TOL) -> HPoint:
         """Point at arc length s of the segment: s within ``tol.abs_eps`` of
@@ -270,4 +273,8 @@ def volume_density(point: HPoint) -> float:
     Equal to 4 / ((y1 + y2)^2 (y1 - y2)^2) for y1 = Im tau, y2 = Im z; the
     product of the two squared factor heights in disguise.
     """
-    return 4.0 / (point.w1.imag**2 * point.w2.imag**2)
+    h1, h2 = point.w1.imag, point.w2.imag
+    try:
+        return 4.0 / (h1**2 * h2**2)
+    except OverflowError:
+        raise NumericalBreakdown(f"squared factor heights {h1!r}, {h2!r} overflow") from None

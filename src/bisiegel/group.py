@@ -12,8 +12,8 @@ The real symplectic 4x4 matrix of a motion appears only at the boundary.
 entries (symplectic; commuting or anticommuting with the exchange involution),
 and reads the factors off the top rows of its blocks, which have the pattern
 ``[[x1, x2], [eps*x2, eps*x1]]`` with ``x1 +- x2`` the entries of ``m1`` and
-``m2``; ``MotionMatrix._rows`` writes the 4x4 back for JSON output, and ``.m``
-is its ``Mat4R``, for the literal action ``(AZ + B)(CZ + D)^-1`` of ``verify``.
+``m2``; ``MotionMatrix._halves`` gives the 8 ``x1``, ``x2`` that the CLI prints,
+``_rows`` the 4x4, and ``.m`` its ``Mat4R``, for ``verify``'s literal action.
 
 The bounded model is a product of two unit discs, and a disc motion is a
 pair of SU(1,1) maps ``u -> (a u + b)/(conj(b) u + conj(a))`` with
@@ -137,16 +137,20 @@ class MotionMatrix:
         """The real symplectic 4x4 matrix as a ``Mat4R``: the verify reference."""
         return Mat4R(self._rows())
 
-    def _rows(self) -> tuple:
-        """The rows of the 4x4 matrix, behind the finiteness gate.  Each block is
-        ``[[x1, x2], [eps*x2, eps*x1]]``, ``x1 +- x2`` the entries of ``m1``, ``m2``."""
-        e, m1, m2 = self.eps, self.m1, self.m2
+    def _halves(self) -> tuple:
+        """The 8 distinct 4x4 entries ``(a1, a2, b1, b2, c1, c2, d1, d2)``, rows 0 and 2,
+        behind the finiteness gate; ``x1 +- x2`` are the entries of ``m1``, ``m2``."""
+        m1, m2 = self.m1, self.m2
         a1, a2 = (m1.a + m2.a) / 2.0, (m1.a - m2.a) / 2.0
         b1, b2 = (m1.b + m2.b) / 2.0, (m1.b - m2.b) / 2.0
         c1, c2 = (m1.c + m2.c) / 2.0, (m1.c - m2.c) / 2.0
         d1, d2 = (m1.d + m2.d) / 2.0, (m1.d - m2.d) / 2.0
-        # Rows 1 and 3 are eps times rows 0 and 2, which hold the first non-finite entry.
-        _check_finite((a1, a2, b1, b2, c1, c2, d1, d2))
+        return _check_finite((a1, a2, b1, b2, c1, c2, d1, d2))
+
+    def _rows(self) -> tuple:
+        """The 4x4 rows: each block is ``[[x1, x2], [eps*x2, eps*x1]]`` (``_halves``)."""
+        e = self.eps
+        a1, a2, b1, b2, c1, c2, d1, d2 = self._halves()
         return (
             (a1, a2, b1, b2),
             (e * a2, e * a1, e * b2, e * b1),

@@ -66,8 +66,9 @@ class Mat4R:
         object.__setattr__(self, "rows", rows)
 
 
-def _check_finite(entries: tuple) -> None:
-    """The one finiteness gate of 4x4 entries: name the first non-finite one."""
+def _check_finite(entries: tuple) -> tuple:
+    """The one finiteness gate of 4x4 entries: name the first non-finite one, or return them."""
     if not all(map(math.isfinite, entries)):
         x = next(x for x in entries if not math.isfinite(x))
         raise NumericalBreakdown(f"non-finite entry {x!r} in 4x4 matrix")
+    return entries

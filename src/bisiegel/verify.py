@@ -8,9 +8,8 @@ The CLI renders the results as a pass/fail table.
 Points, motions and the geometry are computed per factor; the literal 4x4
 action ``(AZ + B)(CZ + D)^-1``, matrix cross ratio and matrix Cayley map live
 here only, as the references that the factor forms are checked against, in
-plain complex arithmetic on 2x2 matrices held as row-major 4-tuples.  NumPy
-serves only the determinant of the volume check's Jacobian, and is imported
-inside that check, so ``import bisiegel`` and the CLI do not load it.
+plain complex arithmetic on 2x2 matrices held as row-major 4-tuples, and the
+volume check's Jacobian determinant is a Laplace expansion: no NumPy.
 """
 
 from __future__ import annotations
@@ -357,9 +356,16 @@ def _check_arc_length(rng: random.Random, trials: int) -> float:
     return worst
 
 
-def _check_volume_jacobian(rng: random.Random, trials: int) -> float:
-    import numpy as np
+def _det4(m: list) -> float:
+    """4x4 determinant by Laplace expansion over the 2x2 minors of rows (0, 1) and (2, 3)."""
+    def minor(r: int, i: int, j: int) -> float:
+        return m[r][i] * m[r + 1][j] - m[r][j] * m[r + 1][i]
+    return (minor(0, 0, 1) * minor(2, 2, 3) - minor(0, 0, 2) * minor(2, 1, 3)
+            + minor(0, 0, 3) * minor(2, 1, 2) + minor(0, 1, 2) * minor(2, 0, 3)
+            - minor(0, 1, 3) * minor(2, 0, 2) + minor(0, 2, 3) * minor(2, 0, 1))
 
+
+def _check_volume_jacobian(rng: random.Random, trials: int) -> float:
     h = 1e-6
     worst = 0.0
     for _ in range(trials):
@@ -371,14 +377,14 @@ def _check_volume_jacobian(rng: random.Random, trials: int) -> float:
             return (w.tau.real, w.z.real, w.tau.imag, w.z.imag)
 
         base = (z.tau.real, z.z.real, z.tau.imag, z.z.imag)
-        jac = np.empty((4, 4))
+        jac = [[0.0] * 4 for _ in range(4)]
         for j in range(4):
             f_plus = coords(*(x + h if k == j else x for k, x in enumerate(base)))
             f_minus = coords(*(x - h if k == j else x for k, x in enumerate(base)))
             for i in range(4):
-                jac[i, j] = (f_plus[i] - f_minus[i]) / (2.0 * h)
+                jac[i][j] = (f_plus[i] - f_minus[i]) / (2.0 * h)
         w = apply(m, z)
-        lhs = volume_density(w) * abs(float(np.linalg.det(jac)))
+        lhs = volume_density(w) * abs(_det4(jac))
         rhs = volume_density(z)
         worst = max(worst, abs(lhs - rhs) / rhs)
     return worst

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from bisiegel.cli import _build_parser, _to_json_text, main
+from bisiegel.errors import NumericalBreakdown
+from bisiegel.group import MotionMatrix, Sl2Matrix, random_motion
 
 I_JSON = '{"tau":[0,1],"z":[0,0]}'
 TWO_I_JSON = '{"tau":[0,2],"z":[0,0]}'
@@ -474,6 +477,61 @@ def test_assemble_beyond_the_float_range_exits_3(files, capsys):
         assert (code, out, err) == (3, "", "numerical error: non-finite entry inf in 4x4 matrix\n")
 
 
+def test_motion_writer_gives_the_bytes_of_the_generic_writer():
+    # The motion branch formats the 8 halves once and fills rows 1 and 3
+    # with the same strings, negated for eps = -1; the reference is the
+    # generic writer on to_json_dict(), at both signs.
+    rng = random.Random(16)
+    pairs = [(m.m1, m.m2) for m in (random_motion(rng) for _ in range(2000))]
+    # Entries whose halves are 0 and -0 (m1 = m2 gives x2 = 0), subnormal,
+    # near the float range, printed as "2" or with an "e-05" exponent.
+    special = (0.0, -0.0, 5e-324, 1e300, -1e300, 2.0, 3.25e-05, -7e-06)
+    factors = [Sl2Matrix(x, 1.0, -1.0, 0.0) for x in special]
+    factors += [Sl2Matrix(1.0, 0.0, x, 1.0) for x in special]
+    factors.append(Sl2Matrix(2.0, 0.0, 0.0, 0.5))
+    pairs += [(f, g) for f in factors for g in factors]
+    for m1, m2 in pairs:
+        for eps in (1, -1):
+            m = MotionMatrix(m1, m2, eps)
+            assert _to_json_text(m) == _to_json_text(m.to_json_dict())
+    assert _to_json_text(MotionMatrix(factors[0], factors[0], -1)) == (
+        '{"m":[[0,0,1,0],[0,0,0,-1],[-1,0,0,0],[0,1,0,0]],"eps":-1}'
+    )
+
+
+def test_motion_writer_refuses_non_finite_halves_as_to_json_dict_does():
+    # The half-sums of entries near 1e308 overflow, in a1 or (first) in a2.
+    big, neg = Sl2Matrix(1e308, 0.0, 0.0, 1e-308), Sl2Matrix(-1e308, 0.0, 0.0, -1e-308)
+    for m1, m2 in ((big, big), (big, neg), (neg, neg), (neg, big)):
+        for eps in (1, -1):
+            m = MotionMatrix(m1, m2, eps)
+            with pytest.raises(NumericalBreakdown) as expected:
+                m.to_json_dict()
+            with pytest.raises(NumericalBreakdown) as got:
+                _to_json_text(m)
+            assert str(got.value) == str(expected.value)
+
+
+def test_geodesic_readouts_do_not_overflow(files, capsys):
+    # The far end's factors are +-1.7e308 + 1e200 i: their difference
+    # overflows, the difference of their halves does not.
+    z1 = files("z1.json", I_JSON)
+    z2 = files("z2.json", '{"tau":[0,1e200],"z":[1.7e308,0]}')
+    code, out, err = run(capsys, ["geodesic", "--z1", z1, "--z2", z2, "--samples", "2"])
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[1:]
+    assert len(rows) == 2
+    assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+    assert rows[-1].endswith(",0,1e+200,1.7e+308,0")
+
+
+def test_volume_past_the_float_range_exits_3(files, capsys):
+    point = files("p.json", '{"tau":[0,1e300],"z":[0,0.5]}')
+    code, out, err = run(capsys, ["volume", "--point", point])
+    assert (code, out) == (3, "")
+    assert err == "numerical error: squared factor heights 1e+300, 1e+300 overflow\n"
+
+
 def test_cached_parser_carries_no_state_between_calls(capsys):
     assert _build_parser() is _build_parser()
     _, alone, _ = run(capsys, ["random", "point", "--seed", "1"])
@@ -496,6 +554,14 @@ def test_import_does_not_load_numpy():
         [sys.executable, "-c", "import bisiegel, bisiegel.cli, sys; sys.exit('numpy' in sys.modules)"],
         env=env,
     )
+    assert proc.returncode == 0
+    # Nor does a verify run, volume check included.
+    script = (
+        "import sys; from bisiegel import cli\n"
+        "code = cli.main(['verify', '--seed', '42', '--trials', '50'])\n"
+        "sys.exit(code or 'numpy' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
     assert proc.returncode == 0
 
 

@@ -9,7 +9,6 @@ from bisiegel.domain import HPoint, random_hpoint
 from bisiegel.errors import (
     DegeneratePair,
     DomainViolation,
-    GeometryError,
     NumericalBreakdown,
     OutOfRange,
 )
@@ -351,10 +350,12 @@ def test_geodesics_between_extreme_factor_pairs():
 
 def test_line_points_off_extreme_segments_raise_only_geometry_errors():
     # Just past either end of a wide pair's segment a leg's scaled denominator
-    # can vanish (20 of these draws): a numerical breakdown, never a bare
-    # ZeroDivisionError.
+    # can vanish (20 of these 3000 calls), or the exact point of the line lie
+    # inside the dom_eps margin (676): the image of valid points, so a
+    # numerical breakdown naming s and s0, as for apply and the Cayley maps,
+    # never a bare ZeroDivisionError or a DomainViolation (bad input).
     rng = random.Random(99)
-    broke = 0
+    broke = {"margin": 0, "denominator": 0}
     for _ in range(1500):
         z1, z2 = extreme_pair(rng)
         try:
@@ -362,11 +363,13 @@ def test_line_points_off_extreme_segments_raise_only_geometry_errors():
         except NumericalBreakdown:
             continue
         for k in (-2, 34):
+            s = k * spec.s0 / 32
             try:
-                spec.line_point(k * spec.s0 / 32)
-            except GeometryError as exc:
-                broke += isinstance(exc, NumericalBreakdown) and "not resolved" in str(exc)
-    assert broke > 0
+                spec.line_point(s)
+            except NumericalBreakdown as exc:
+                assert f"point at s={s!r} of s0={spec.s0!r} not resolved" in str(exc)
+                broke["margin" if "outside the half-space" in str(exc) else "denominator"] += 1
+    assert broke["margin"] > 0 and broke["denominator"] > 0
 
 
 @pytest.mark.parametrize("recipe", [near_pair, wide_pair])
