@@ -3,8 +3,9 @@
 The library implements the half-space and bounded models of the space, the
 motion group acting on them, reduction of point pairs to canonical form, the
 invariant metric with closed-form distances and geodesics, the invariant
-volume density, and a scalar upper half-plane oracle used to cross-check
-every factor-decomposed result.  Other public names live in their modules.
+volume density, and a seeded self-verification suite (``verify``), which
+checks them against literal matrix references and a half-plane oracle
+(``hyperbolic``).  Other public names live in their modules.
 """
 
 from .domain import (

@@ -37,7 +37,6 @@ from .group import (
     random_motion,
     reduce_pair,
     split,
-    stabilizer_of_center,
     stabilizer_of_iI,
 )
 from .numkit import Mat4R
@@ -293,10 +292,22 @@ def _cmd_stabilizer(args) -> int:
         _parse_unit(args.xi1, "--xi1"), _parse_unit(args.xi2, "--xi2"), args.eps
     )
     if args.model == "disc":
-        _emit(stabilizer_of_center(params).to_json_dict())
+        _emit(_disc_stabilizer(params))
     else:
         _emit(stabilizer_of_iI(params))
     return 0
+
+
+def _disc_stabilizer(params: StabilizerParams) -> dict:
+    """The disc rotations u -> xi u / conj(xi) as the complex blocks of
+    [[A0, B0], [conj B0, conj A0]]: A0 = [[h1, h2], [eps*h2, eps*h1]] for
+    h1, h2 = (xi1 +- xi2) / 2, and B0 = 0."""
+    e, xi1, xi2 = params.eps, params.xi1, params.xi2
+    h1, h2 = (xi1 + xi2) / 2.0, (xi1 - xi2) / 2.0
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    return {"a0": [[[h1.real, h1.imag], [h2.real, h2.imag]],
+                   [[e * h2.real, e * h2.imag], [e * h1.real, e * h1.imag]]],
+            "b0": [zero, zero], "eps": e}
 
 
 def _cmd_random(args) -> int:

@@ -125,8 +125,12 @@ def _hpoint(w1: complex, w2: complex, dom_eps: float) -> HPoint:
 
 def _epoint(u1: complex, u2: complex, dom_eps: float) -> EPoint:
     """The point with complex factors u1, u2 (|u| < 1 - dom_eps, which NaN and inf are not):
-    the one membership test."""
-    if not (abs(u1) < 1.0 - dom_eps and abs(u2) < 1.0 - dom_eps):
+    the one membership test.  A finite factor whose modulus overflows is outside too."""
+    try:
+        inside = abs(u1) < 1.0 - dom_eps and abs(u2) < 1.0 - dom_eps
+    except OverflowError:
+        inside = False
+    if not inside:
         raise DomainViolation(f"factors ({u1!r}, {u2!r}) are outside the bounded model")
     point = object.__new__(EPoint)
     object.__setattr__(point, "u1", u1)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .domain import HPoint, _hpoint
 from .errors import DegeneratePair, DomainViolation, NumericalBreakdown, OutOfRange
@@ -31,10 +30,6 @@ __all__ = [
     "distance_params",
     "connect",
     "geodesic",
-    "geodesic_ode_residual",
-    "path_speed",
-    "path_length",
-    "simpson",
     "volume_density",
 ]
 
@@ -62,9 +57,13 @@ def _chord(w1: complex, w2: complex) -> float:
     """sinh(d/2) for the half-plane distance d between two factor coordinates.
 
     |w1 - w2| / (2 sqrt(y1 y2)) (Beardon, The Geometry of Discrete Groups,
-    1983, 7.2): no cancellation for near pairs; inf past the float range.
+    1983, 7.2): no cancellation for near pairs; inf past the float range.  Where
+    |w1 - w2| overflows though w1 - w2 does not, the chord is |w1/2 - w2/2| / sqrt(y1 y2).
     """
-    return abs(w1 - w2) / (2.0 * math.sqrt(w1.imag) * math.sqrt(w2.imag))
+    try:
+        return abs(w1 - w2) / (2.0 * math.sqrt(w1.imag) * math.sqrt(w2.imag))
+    except OverflowError:
+        return abs(w1 / 2.0 - w2 / 2.0) / (math.sqrt(w1.imag) * math.sqrt(w2.imag))
 
 
 def _half_distance(w1: complex, w2: complex) -> float:
@@ -220,61 +219,18 @@ def geodesic(z1: HPoint, z2: HPoint, s: float, tol: Tolerance = DEFAULT_TOL) -> 
     return connect(z1, z2, tol).point(s, tol)
 
 
-def geodesic_ode_residual(curve: Callable[[float], HPoint], s: float, h: float) -> float:
-    """Central-difference residual of the geodesic equation Z'' + i Z' Y^-1 Z' = 0,
-    which per factor is the half-plane equation w'' + i w'^2 / Im w = 0; the
-    larger of the two factor residuals.
-
-    For a true geodesic this decays like h^2; for a non-geodesic it stays
-    bounded away from zero as h -> 0.
-    """
-    if not h > 0.0:
-        raise OutOfRange(f"step h={h!r} must be positive")
-    ends = zip(curve(s - h).factors(), curve(s).factors(), curve(s + h).factors())
-    return max(
-        abs((wp - 2.0 * w + wm) / (h * h) + 1j * ((wp - wm) / (2.0 * h)) ** 2 / w.imag)
-        for wm, w, wp in ends
-    )
-
-
-def simpson(f: Callable[[float], float], a: float, b: float, panels: int) -> float:
-    """Composite Simpson rule with the given (even) number of panels."""
-    if panels < 2 or panels % 2 != 0:
-        raise ValueError("panels must be a positive even integer")
-    h = (b - a) / panels
-    total = f(a) + f(b)
-    for k in range(1, panels):
-        total += f(a + k * h) * (4.0 if k % 2 else 2.0)
-    return total * h / 3.0
-
-
-def path_speed(curve: Callable[[float], HPoint], s: float, h: float) -> float:
-    """Metric speed of a curve at s: per factor |dw| / Im w, with dw taken by
-    central differences."""
-    zp, zm, z = curve(s + h), curve(s - h), curve(s)
-    dw1, dw2 = abs(zp.w1 - zm.w1) / (2.0 * h), abs(zp.w2 - zm.w2) / (2.0 * h)
-    return math.hypot(dw1 / z.w1.imag, dw2 / z.w2.imag)
-
-
-def path_length(
-    curve: Callable[[float], HPoint],
-    s_from: float,
-    s_to: float,
-    panels: int = 10_000,
-) -> float:
-    """Simpson-integrated metric length of a curve between two parameters."""
-    h = max(abs(s_to - s_from), 1.0) * 1e-5
-    return simpson(lambda s: path_speed(curve, s, h), s_from, s_to, panels)
-
-
 def volume_density(point: HPoint) -> float:
     """Invariant volume density against dx1 dx2 dy1 dy2 at the point.
 
-    Equal to 4 / ((y1 + y2)^2 (y1 - y2)^2) for y1 = Im tau, y2 = Im z; the
-    product of the two squared factor heights in disguise.
+    Equal to 4 / ((y1 + y2)^2 (y1 - y2)^2) for y1 = Im tau, y2 = Im z; taken as
+    (2 / (h1 h2))^2 for the factor heights h1, h2, squared last so that it leaves
+    the float range only where the density itself does.
     """
     h1, h2 = point.w1.imag, point.w2.imag
     try:
-        return 4.0 / (h1**2 * h2**2)
-    except OverflowError:
-        raise NumericalBreakdown(f"squared factor heights {h1!r}, {h2!r} overflow") from None
+        density = (2.0 / (h1 * h2)) ** 2
+    except (OverflowError, ZeroDivisionError):  # heights far below the default margin
+        density = math.inf
+    if not 0.0 < density < math.inf:
+        raise NumericalBreakdown(f"volume density at factor heights {h1!r}, {h2!r} leaves the float range")
+    return density

@@ -15,11 +15,10 @@ and reads the factors off the top rows of its blocks, which have the pattern
 ``m2``; ``MotionMatrix._halves`` gives the 8 ``x1``, ``x2`` that the CLI prints,
 ``_rows`` the 4x4, and ``.m`` its ``Mat4R``, for ``verify``'s literal action.
 
-The bounded model is a product of two unit discs, and a disc motion is a
-pair of SU(1,1) maps ``u -> (a u + b)/(conj(b) u + conj(a))`` with
-``|a|^2 - |b|^2 = 1`` and the same exchange sign.  Its complex blocks
-``A0``, ``B0`` of ``[[A0, B0], [conj B0, conj A0]]`` are built from the
-factor entries, in the same pattern, only for JSON output.
+The stabilizer of the base point is given by two unit parameters ``xi1``,
+``xi2`` and a sign (``StabilizerParams``): ``stabilizer_of_iI`` is its motion,
+and its Cayley conjugate, the disc rotations ``u -> xi u / conj(xi)``, is
+written only as JSON, by the CLI.
 
 Motions are validated once, at the boundary: ``classify`` (with the caller's
 ``Tolerance``) and the public constructors.  Values computed from validated
@@ -32,7 +31,7 @@ from __future__ import annotations
 import cmath
 import random
 from dataclasses import dataclass
-from math import cos, exp, hypot, isfinite, pi, sin, sqrt
+from math import cos, exp, hypot, inf, isfinite, pi, sin, sqrt
 from operator import add, sub
 
 from .domain import HPoint, _hpoint, _image
@@ -51,14 +50,12 @@ from .numkit import _FIXED_EPS, DEFAULT_TOL, Mat4R, Tolerance, _check_finite
 __all__ = [
     "Sl2Matrix",
     "MotionMatrix",
-    "DiscMotion",
     "StabilizerParams",
     "ReducedPair",
     "classify",
     "apply",
     "split",
     "assemble",
-    "stabilizer_of_center",
     "stabilizer_of_iI",
     "reduce_pair",
     "random_sl2",
@@ -293,11 +290,16 @@ def assemble(m1: Sl2Matrix, m2: Sl2Matrix, eps: int) -> MotionMatrix:
 
 
 def _check_unit(name: str, xi: complex) -> None:
-    """|xi|^2 = 1 under the factor gate: it is the stabilizer factors' determinant."""
+    """|xi|^2 = 1 under the factor gate: it is the stabilizer factors' determinant.
+    A modulus or square past the float range is not 1 either."""
     try:
-        _check_det(abs(xi) ** 2, 0.0)
-    except NotUnimodular:
-        raise UnitModulusViolation(f"|{name}|={abs(xi)!r} is not 1") from None
+        r = abs(xi)
+    except OverflowError:
+        r = inf
+    try:
+        _check_det(r**2, 0.0)
+    except (NotUnimodular, OverflowError):
+        raise UnitModulusViolation(f"|{name}|={r!r} is not 1") from None
 
 
 @dataclass(frozen=True)
@@ -317,61 +319,12 @@ class StabilizerParams:
         object.__setattr__(self, "xi2", xi2)
 
 
-@dataclass(frozen=True)
-class DiscMotion:
-    """A disc-model motion: two SU(1,1) factor maps and the exchange sign.
-
-    Factor k is ``u -> (ak u + bk)/(conj(bk) u + conj(ak))`` with
-    ``|ak|^2 - |bk|^2 = 1``; the sign swaps the images as in ``MotionMatrix``.
-    It is the record that ``stabilizer --model disc`` writes as JSON; the
-    library does not act with it.
-    """
-
-    a1: complex
-    b1: complex
-    a2: complex
-    b2: complex
-    eps: int
-
-    def __post_init__(self) -> None:
-        _sign(self.eps)
-        a1, b1, a2, b2 = complex(self.a1), complex(self.b1), complex(self.a2), complex(self.b2)
-        vars(self).update(a1=a1, b1=b1, a2=a2, b2=b2)  # frozen: bypass __setattr__
-        for a, b in ((a1, b1), (a2, b2)):
-            _check_det(abs(a) ** 2, abs(b) ** 2)
-
-    def _block(self, x1: complex, x2: complex) -> tuple:
-        h1, h2 = (x1 + x2) / 2.0, (x1 - x2) / 2.0
-        return ((h1, h2), (self.eps * h2, self.eps * h1))
-
-    # The complex blocks of [[A0, B0], [conj B0, conj A0]], for JSON output:
-    # each reads [[x1, x2], [eps*x2, eps*x1]] with x1 +- x2 the factor entries.
-    a0 = property(lambda self: self._block(self.a1, self.a2))
-    b0 = property(lambda self: self._block(self.b1, self.b2))
-
-    def to_json_dict(self) -> dict:
-        def entries(block: tuple) -> list:
-            return [[[x.real, x.imag] for x in row] for row in block]
-
-        return {"a0": entries(self.a0), "b0": entries(self.b0), "eps": self.eps}
-
-
-def stabilizer_of_center(params: StabilizerParams) -> DiscMotion:
-    """Disc-model motion fixing the center of the bounded model.
-
-    Its factors are ``u -> xi u / conj(xi)``, so it rotates the two discs by
-    xi1^2 and xi2^2 (swapped when eps = -1); the parameters are two-to-one
-    onto the rotations.
-    """
-    return DiscMotion(params.xi1, 0j, params.xi2, 0j, params.eps)
-
-
 def stabilizer_of_iI(params: StabilizerParams) -> MotionMatrix:
     """Real motion fixing the base point iI: a rotation about i per factor.
 
     The factors are ``[[Re xi, Im xi], [-Im xi, Re xi]]`` for xi1 and xi2;
-    conjugated by the Cayley map they are the disc rotations of
-    ``stabilizer_of_center`` with the same parameters.
+    conjugated by the Cayley map they are the disc rotations ``u -> xi u / conj(xi)``
+    that ``stabilizer --model disc`` prints for the same parameters.
     """
     return _motion(_rotation(params.xi1), _rotation(params.xi2), params.eps)
 

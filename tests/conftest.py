@@ -1,8 +1,12 @@
+import contextlib
+import io
+import json
 import math
 import random
 
 import pytest
 
+from bisiegel.cli import main
 from bisiegel.domain import HPoint
 from bisiegel.errors import NumericalBreakdown
 from bisiegel.geometry import _chords
@@ -14,18 +18,35 @@ from bisiegel.group import (
     assemble,
     stabilizer_of_iI,
 )
-from bisiegel.hyperbolic import HalfPlanePoint
 from bisiegel.numkit import DEFAULT_TOL, Mat4R
+from bisiegel.verify import _path_speed, _simpson
 
 
-def hp(w: complex) -> HalfPlanePoint:
-    """Half-plane point from a complex number."""
-    return HalfPlanePoint(w.real, w.imag)
+def mobius(m, w: complex) -> complex:
+    """The half-plane oracle's action (a w + b) / (c w + d) of m = (a, b, c, d)."""
+    a, b, c, d = m
+    return (a * w + b) / (c * w + d)
 
 
 def entries(m) -> tuple[float, float, float, float]:
-    """A 2x2 factor as the (a, b, c, d) tuple the half-plane oracle takes."""
+    """A 2x2 factor as the (a, b, c, d) tuple ``mobius`` takes."""
     return (m.a, m.b, m.c, m.d)
+
+
+def path_length(curve, s_from: float, s_to: float, panels: int) -> float:
+    """Simpson-integrated metric length of a curve, with the step of verify's arc-length check."""
+    h = max(abs(s_to - s_from), 1.0) * 1e-5
+    return _simpson(lambda s: _path_speed(curve, s, h), s_from, s_to, panels)
+
+
+def disc_stabilizer(xi1: complex, xi2: complex, eps: int) -> dict:
+    """The JSON that ``stabilizer --model disc`` prints for these parameters."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["stabilizer", f"--xi1={xi1.real!r},{xi1.imag!r}",
+                     f"--xi2={xi2.real!r},{xi2.imag!r}", "--eps", str(eps), "--model", "disc"])
+    assert code == 0
+    return json.loads(out.getvalue())
 
 
 def point_gap(p: HPoint, q: HPoint) -> float:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -529,7 +530,45 @@ def test_volume_past_the_float_range_exits_3(files, capsys):
     point = files("p.json", '{"tau":[0,1e300],"z":[0,0.5]}')
     code, out, err = run(capsys, ["volume", "--point", point])
     assert (code, out) == (3, "")
-    assert err == "numerical error: squared factor heights 1e+300, 1e+300 overflow\n"
+    assert err == "numerical error: volume density at factor heights 1e+300, 1e+300 leaves the float range\n"
+
+
+#: Inputs whose moduli or squares overflow a float: a disc point with a part near
+#: -1.7e308, and a half-space point whose factor offsets from the near point do.
+FAR_DISC_JSON = '{"z1":[-1.7e308,-1.7e308],"z2":[0.5,0]}'
+NEAR_JSON, FAR_JSON = '{"tau":[0,1],"z":[0,0.5]}', '{"tau":[-1.7e308,1.7e308],"z":[-1,-1]}'
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["stabilizer", "--xi1", "1,0", "--xi2", "0.5,1.7e308"], 2),
+        (["stabilizer", "--xi1", "1.7e308,1.7e308", "--xi2", "1,0"], 2),
+        (["check", "point", "{disc}"], 0),
+        (["cayley", "--to", "halfspace", "--point", "{disc}"], 2),
+        (["distance", "--z1", "{near}", "--z2", "{far}"], 3),
+        (["geodesic", "--z1", "{near}", "--z2", "{far}", "--samples", "3"], 0),
+    ],
+    ids=["stabilizer_square", "stabilizer_modulus", "check_point", "cayley", "distance", "geodesic"],
+)
+def test_inputs_past_the_float_range_give_a_documented_exit(files, capsys, argv, code):
+    # Each input overflows a float inside the computation: a modulus, a square or
+    # a factor difference. None may end in a traceback (exit 1).
+    paths = {"disc": files("e.json", FAR_DISC_JSON), "near": files("a.json", NEAR_JSON),
+             "far": files("b.json", FAR_JSON)}
+    got, out, err = run(capsys, [arg.format(**paths) for arg in argv])
+    assert got == code
+    if code:
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: " if code == 2 else "numerical error: ")
+    else:
+        assert err == "" and out
+        numbers = re.findall(r"[-+]?(?:inf|nan|[0-9][0-9.]*(?:e[-+]?[0-9]+)?)", out)
+        assert all(math.isfinite(float(x)) for x in numbers)
+    if argv[0] == "check":
+        assert out == '{"model":"disc","member":false}\n'
+    if argv[0] == "stabilizer":
+        assert err in ("error: |xi2|=1.7e+308 is not 1\n", "error: |xi1|=inf is not 1\n")
 
 
 def test_cached_parser_carries_no_state_between_calls(capsys):
@@ -545,6 +584,27 @@ def test_cached_parser_carries_no_state_between_calls(capsys):
     capsys.readouterr()
     code, out, _ = run(capsys, ["random", "point", "--seed", "1"])
     assert code == 0 and out == alone
+
+
+def test_every_traced_layer_is_loaded_by_the_cli_with_a_resolving_all():
+    # perfbench/tracing.py wraps each name in __all__ of bisiegel.<layer>, for each
+    # layer in its LAYERS, after `import bisiegel.cli`: a layer module that the CLI
+    # no longer loads, or a stale __all__ name, breaks every traced benchmark run.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(root / "src"), str(root / "perfbench"))))
+    script = (
+        "import sys, bisiegel.cli\n"
+        "from tracing import LAYERS\n"
+        "for layer in LAYERS:\n"
+        "    module = sys.modules['bisiegel.' + layer]\n"
+        "    assert module.__all__, layer\n"
+        "    for name in module.__all__:\n"
+        "        getattr(module, name)\n"
+        "print(len(LAYERS))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert int(proc.stdout) > 0
 
 
 def test_import_does_not_load_numpy():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -19,19 +20,15 @@ from bisiegel.geometry import (
     distance,
     distance_params,
     geodesic,
-    geodesic_ode_residual,
     metric_form,
-    path_length,
-    path_speed,
-    simpson,
     volume_density,
 )
 from bisiegel.group import apply, random_motion
 from bisiegel.hyperbolic import hyp_distance
 from bisiegel.numkit import Tolerance
-from bisiegel.verify import _reference_cross_ratio
+from bisiegel.verify import _geodesic_ode_residual, _path_speed, _reference_cross_ratio, _simpson
 
-from conftest import extreme_pair, hp, point_gap
+from conftest import extreme_pair, path_length, point_gap
 
 I_H = HPoint(1j, 0.0)
 TWO_I = HPoint(2j, 0.0)
@@ -389,7 +386,7 @@ def test_distance_pythagoras_against_oracle(rng):
         a1, a2 = z1.factors()
         b1, b2 = z2.factors()
         lhs = distance(z1, z2) ** 2
-        rhs = hyp_distance(hp(a1), hp(b1)) ** 2 + hyp_distance(hp(a2), hp(b2)) ** 2
+        rhs = hyp_distance(a1, b1) ** 2 + hyp_distance(a2, b2) ** 2
         assert abs(lhs - rhs) <= 1e-9
 
 
@@ -483,7 +480,7 @@ def test_geodesic_invariant_under_motions(rng):
 
 def test_ode_residual_small_on_geodesics():
     spec = connect(I_H, MIXED)
-    res = geodesic_ode_residual(spec.line_point, spec.s0 / 2, 1e-3)
+    res = _geodesic_ode_residual(spec.line_point, spec.s0 / 2, 1e-3)
     assert res <= 1e-5
 
 
@@ -492,7 +489,7 @@ def test_ode_residual_nonzero_on_straight_segment():
         return HPoint(1j * (1.0 + s), 0.0)
 
     for h in (1e-2, 1e-3, 1e-4):
-        assert geodesic_ode_residual(straight, 0.5, h) > 0.1
+        assert _geodesic_ode_residual(straight, 0.5, h) > 0.1
 
 
 @pytest.mark.parametrize(
@@ -510,8 +507,8 @@ def test_ode_residual_second_order_decay(z1, z2):
     spec = connect(z1, z2)
     for frac in (0.2, 0.5, 0.8):
         s = frac * spec.s0
-        r_h = geodesic_ode_residual(spec.line_point, s, 1e-3)
-        r_half = geodesic_ode_residual(spec.line_point, s, 5e-4)
+        r_h = _geodesic_ode_residual(spec.line_point, s, 1e-3)
+        r_half = _geodesic_ode_residual(spec.line_point, s, 5e-4)
         assert r_h > 1e-8
         assert 3.5 <= r_h / r_half <= 4.5
 
@@ -535,7 +532,7 @@ def test_ode_residual_bounds_the_matrix_form(rng):
         def curve(t: float) -> HPoint:  # horizontal lines: residual v^2 / Im w per factor
             return HPoint.from_factors(w1 + t * v1, w2 + t * v2)
 
-        factor = geodesic_ode_residual(curve, 0.0, 1e-3)
+        factor = _geodesic_ode_residual(curve, 0.0, 1e-3)
         literal = literal_ode_residual(curve, 0.0, 1e-3)
         assert literal * (1.0 - 1e-6) <= factor <= 2.0 * literal * (1.0 + 1e-6)
 
@@ -543,7 +540,7 @@ def test_ode_residual_bounds_the_matrix_form(rng):
 def test_ode_residual_rejects_bad_step():
     spec = connect(I_H, MIXED)
     with pytest.raises(OutOfRange):
-        geodesic_ode_residual(spec.line_point, spec.s0 / 2, 0.0)
+        _geodesic_ode_residual(spec.line_point, spec.s0 / 2, 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -552,7 +549,7 @@ def test_ode_residual_rejects_bad_step():
 
 def test_simpson_on_polynomial():
     # Simpson is exact on cubics.
-    assert simpson(lambda x: x**3 - 2 * x + 1, 0.0, 2.0, 2) == pytest.approx(2.0, abs=1e-14)
+    assert _simpson(lambda x: x**3 - 2 * x + 1, 0.0, 2.0, 2) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_geodesic_length_matches_distance(rng):
@@ -573,7 +570,7 @@ def test_geodesic_is_arclength_parameterized(rng):
             s = frac * spec.s0
             partial = path_length(spec.line_point, 0.0, s, panels=2_000)
             assert abs(partial - s) / s <= 1e-6
-        assert path_speed(spec.line_point, spec.s0 / 3, 1e-6 * spec.s0) == pytest.approx(
+        assert _path_speed(spec.line_point, spec.s0 / 3, 1e-6 * spec.s0) == pytest.approx(
             1.0, rel=1e-8
         )
 
@@ -606,6 +603,18 @@ def test_geodesic_points_honour_the_callers_margin():
 def test_volume_density_values():
     assert volume_density(I_H) == 4.0
     assert volume_density(MIXED) == pytest.approx(4.0 / 9.0, abs=1e-15)
+
+
+def test_volume_density_where_the_squared_heights_leave_the_float_range():
+    # The square 1e320 of the larger factor height overflows; the density
+    # 4e-298 itself is representable.
+    assert volume_density(HPoint.from_factors(1e160j, 1e-11j)) == pytest.approx(4e-298, rel=1e-15)
+    # Past the float range: below the smallest subnormal (heights at 1e160) and
+    # above the largest float (heights below the default margin).
+    tiny = Tolerance(1e-10, 1e-300)
+    for h in (1e160, 1e-80, 1e-160, 1e-200):
+        with pytest.raises(NumericalBreakdown, match="^" + re.escape(f"volume density at factor heights {h!r}, {h!r} leaves")):
+            volume_density(HPoint.from_factors(complex(0.0, h), complex(1.0, h), tiny))
 
 
 def test_volume_density_jacobian_invariance(rng):

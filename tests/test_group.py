@@ -25,7 +25,6 @@ from bisiegel.errors import (
 )
 from bisiegel.geometry import distance
 from bisiegel.group import (
-    DiscMotion,
     MotionMatrix,
     Sl2Matrix,
     StabilizerParams,
@@ -36,10 +35,8 @@ from bisiegel.group import (
     random_sl2,
     reduce_pair,
     split,
-    stabilizer_of_center,
     stabilizer_of_iI,
 )
-from bisiegel.hyperbolic import HalfPlanePoint, mobius
 from bisiegel.numkit import DEFAULT_TOL, Mat4R, Tolerance
 from bisiegel.verify import _reference_apply
 
@@ -49,9 +46,11 @@ from conftest import (
     KERNEL_4,
     SYMPLECTIC_FORM,
     composed_reduce_pair,
+    disc_stabilizer,
     entries,
     gap4,
     max_abs4,
+    mobius,
     mul4,
     point_gap,
     scale4,
@@ -406,8 +405,8 @@ def test_factorwise_action_including_swap(rng):
         z = random_hpoint(rng)
         m1, m2 = split(m)
         f_plus, f_minus = z.factors()
-        g_plus = mobius(entries(m1), HalfPlanePoint(f_plus.real, f_plus.imag)).as_complex()
-        g_minus = mobius(entries(m2), HalfPlanePoint(f_minus.real, f_minus.imag)).as_complex()
+        g_plus = mobius(entries(m1), f_plus)
+        g_minus = mobius(entries(m2), f_minus)
         if m.eps == -1:
             g_plus, g_minus = g_minus, g_plus
         w_plus, w_minus = apply(m, z).factors()
@@ -425,8 +424,7 @@ def test_apply_keeps_the_smaller_factor_to_its_own_rounding(rng):
         small = complex(rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-1.0, 0.0))
         z = HPoint.from_factors(*((big, small) if rng.random() < 0.5 else (small, big)))
         m1, m2 = split(m)
-        images = [mobius(entries(f), HalfPlanePoint(w.real, w.imag)).as_complex()
-                  for f, w in zip((m1, m2), z.factors())]
+        images = [mobius(entries(f), w) for f, w in zip((m1, m2), z.factors())]
         if m.eps == -1:
             images.reverse()
         for got, want in zip(apply(m, z).factors(), images):
@@ -463,8 +461,8 @@ def test_factor_path_matches_4x4_reference(rng):
 
 
 def block(rows) -> np.ndarray:
-    """A derived block ``a0`` or ``b0`` of a disc motion as a 2x2 matrix."""
-    return np.array(rows, dtype=complex)
+    """A block ``a0`` or ``b0`` of ``stabilizer --model disc`` JSON ([re, im] entries) as a 2x2 matrix."""
+    return np.array([[complex(*x) for x in row] for row in rows], dtype=complex)
 
 
 def max_abs(x) -> float:
@@ -474,21 +472,23 @@ def max_abs(x) -> float:
 EYE_2 = np.eye(2, dtype=complex)
 
 
-def literal_disc_action(m: DiscMotion, p: EPoint) -> EPoint:
-    """The block action (A0 Z + B0)(conj(B0) Z + conj(A0))^-1, computed literally."""
-    a0, b0, zm = block(m.a0), block(m.b0), block(((p.z1, p.z2), (p.z2, p.z1)))
+def literal_disc_action(doc: dict, p: EPoint) -> EPoint:
+    """The block action (A0 Z + B0)(conj(B0) Z + conj(A0))^-1 of a disc motion's JSON,
+    computed literally."""
+    a0, b0 = block(doc["a0"]), block(doc["b0"])
+    zm = np.array(((p.z1, p.z2), (p.z2, p.z1)), dtype=complex)
     w = (a0 @ zm + b0) @ np.linalg.inv(b0.conj() @ zm + a0.conj())
     return EPoint((w[0, 0] + w[1, 1]) / 2.0, (w[0, 1] + w[1, 0]) / 2.0)
 
 
 def test_stabilizer_of_center_examples():
     tol = DEFAULT_TOL.abs_eps
-    a0 = block(stabilizer_of_center(StabilizerParams(1, 1, 1)).a0)
+    a0 = block(disc_stabilizer(1, 1, 1)["a0"])
     assert max_abs(a0 - EYE_2) <= tol
-    a0 = block(stabilizer_of_center(StabilizerParams(1j, 1j, 1)).a0)
+    a0 = block(disc_stabilizer(1j, 1j, 1)["a0"])
     assert max_abs(a0 - 1j * EYE_2) <= tol
-    a0 = block(stabilizer_of_center(StabilizerParams(1, -1, 1)).a0)
-    assert max_abs(a0 - block(((0, 1), (1, 0)))) <= tol
+    a0 = block(disc_stabilizer(1, -1, 1)["a0"])
+    assert max_abs(a0 - np.array(((0, 1), (1, 0)))) <= tol
 
 
 def test_stabilizer_params_validation():
@@ -500,10 +500,10 @@ def test_stabilizer_params_validation():
         StabilizerParams(1.00000000007, 1.0, 1)
     with pytest.raises(UnitModulusViolation):
         StabilizerParams(1.0, complex(float("nan"), 0.0), 1)
-    # A parameter the gate accepts builds factors both stabilizers accept.
+    # A parameter the gate accepts builds both stabilizers.
     for xi in (1.0 + 4.9e-11, 1.0 - 4.9e-11, complex(0.6, 0.8)):
         params = StabilizerParams(xi, 1.0, -1)
-        stabilizer_of_center(params)
+        assert disc_stabilizer(xi, 1.0, -1)["eps"] == -1
         assert split(stabilizer_of_iI(params))[0].a == xi.real
 
 
@@ -529,13 +529,13 @@ def test_stabilizer_of_center_fixes_center(rng):
         xi1 = complex(math.cos(a := rng.uniform(0, 2 * math.pi)), math.sin(a))
         xi2 = complex(math.cos(b := rng.uniform(0, 2 * math.pi)), math.sin(b))
         eps = 1 if rng.random() < 0.5 else -1
-        m0 = stabilizer_of_center(StabilizerParams(xi1, xi2, eps))
+        m0 = disc_stabilizer(xi1, xi2, eps)
         img = literal_disc_action(m0, center)
         assert abs(img.z1) < 1e-15 and abs(img.z2) < 1e-15
         # unitary block relation with vanishing translation part
-        a0 = block(m0.a0)
+        a0 = block(m0["a0"])
         assert max_abs(a0 @ a0.conj().T - EYE_2) <= DEFAULT_TOL.abs_eps
-        assert max_abs(block(m0.b0)) == 0.0
+        assert max_abs(block(m0["b0"])) == 0.0
 
 
 def test_stabilizer_of_iI_identity_case():
@@ -562,7 +562,7 @@ def test_stabilizer_of_iI_is_isometric_rotation():
 
 
 # --------------------------------------------------------------------------
-# disc motions, the sign gate and transports
+# the image margin, the sign gate and transports
 
 
 def test_image_inside_the_margin_is_a_numerical_breakdown():
@@ -591,25 +591,12 @@ def test_apply_image_inside_the_callers_margin_is_a_numerical_breakdown():
         cayley_to_halfspace(disc, tol)
 
 
-def test_disc_motion_rejects_non_su11_factors():
-    with pytest.raises(NotUnimodular):
-        DiscMotion(2.0, 0.0, 1.0, 0.0, 1)
-    with pytest.raises(NotUnimodular):
-        DiscMotion(1.0, 0.0, 1.0, 1.0, -1)  # |a|^2 - |b|^2 = 0
-    with pytest.raises(NotUnimodular):
-        DiscMotion(float("nan"), 0.0, 1.0, 0.0, 1)
-    # The gate scales with |a|^2 + |b|^2: an SU(1,1) factor with |b/a| = 1 - 1e-11 passes.
-    a = 1.0 / math.sqrt(1e-11 * (2.0 - 1e-11))
-    DiscMotion(a, -(1.0 - 1e-11) * a, 1.0, 0.0, 1)
-
-
 def test_every_constructor_passes_its_sign_through_the_one_gate():
-    # MotionMatrix (so assemble), StabilizerParams and DiscMotion share
-    # group._sign: exactly the int +1 or -1; bool and float signs are refused.
+    # MotionMatrix (so assemble) and StabilizerParams share group._sign:
+    # exactly the int +1 or -1; bool and float signs are refused.
     builders = (
         lambda e: MotionMatrix(I2, I2, e),
         lambda e: StabilizerParams(1.0, 1.0, e),
-        lambda e: DiscMotion(1.0, 0.0, 1.0, 0.0, e),
     )
     for build in builders:
         for eps in (1, -1):
@@ -790,7 +777,7 @@ def test_disc_and_halfspace_actions_commute_with_cayley(rng):
         xi1 = complex(math.cos(a := rng.uniform(0, 2 * math.pi)), math.sin(a))
         xi2 = complex(math.cos(b := rng.uniform(0, 2 * math.pi)), math.sin(b))
         params = StabilizerParams(xi1, xi2, 1 if rng.random() < 0.5 else -1)
-        disc = literal_disc_action(stabilizer_of_center(params), cayley_to_disc(z))
+        disc = literal_disc_action(disc_stabilizer(xi1, xi2, params.eps), cayley_to_disc(z))
         assert point_gap(cayley_to_halfspace(disc), apply(stabilizer_of_iI(params), z)) <= 1e-9
 
 
