@@ -112,14 +112,20 @@ class EPoint:
         return {"z1": [z1.real, z1.imag], "z2": [z2.real, z2.imag]}
 
 
+#: Bound once for ``_hpoint`` (the slot setters bypass the frozen __setattr__) and ``random_hpoint``.
+_inf, _isfinite, _new = math.inf, math.isfinite, object.__new__
+_set_w1, _set_w2 = HPoint.w1.__set__, HPoint.w2.__set__
+_LOG_LO, _LOG_SPAN = math.log(0.1), math.log(10.0) - math.log(0.1)
+
+
 def _hpoint(w1: complex, w2: complex, dom_eps: float) -> HPoint:
     """The point with complex factors w1, w2 (finite, Im w > dom_eps): the one membership test."""
-    if not (dom_eps < w1.imag < math.inf and dom_eps < w2.imag < math.inf
-            and math.isfinite(w1.real) and math.isfinite(w2.real)):
+    if not (dom_eps < w1.imag < _inf and dom_eps < w2.imag < _inf
+            and _isfinite(w1.real) and _isfinite(w2.real)):
         raise DomainViolation(f"factors ({w1!r}, {w2!r}) are outside the half-space model")
-    point = object.__new__(HPoint)
-    object.__setattr__(point, "w1", w1)
-    object.__setattr__(point, "w2", w2)
+    point = _new(HPoint)
+    _set_w1(point, w1)
+    _set_w2(point, w2)
     return point
 
 
@@ -191,9 +197,8 @@ def random_hpoint(rng: random.Random) -> HPoint:
     Draw order (documented so goldens stay stable): the two factor heights
     log-uniform in [0.1, 10], then the two factor offsets uniform in [-5, 5].
     """
-    lo, hi = math.log(0.1), math.log(10.0)
-    y_plus = math.exp(rng.uniform(lo, hi))
-    y_minus = math.exp(rng.uniform(lo, hi))
-    x_plus = rng.uniform(-5.0, 5.0)
-    x_minus = rng.uniform(-5.0, 5.0)
+    y_plus = math.exp(_LOG_LO + _LOG_SPAN * rng.random())  # a + (b - a) U, as Random.uniform does
+    y_minus = math.exp(_LOG_LO + _LOG_SPAN * rng.random())
+    x_plus = -5.0 + 10.0 * rng.random()
+    x_minus = -5.0 + 10.0 * rng.random()
     return HPoint.from_factors(complex(x_plus, y_plus), complex(x_minus, y_minus))

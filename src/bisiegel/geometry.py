@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from math import expm1
 
 from .domain import HPoint, _hpoint
 from .errors import DegeneratePair, DomainViolation, NumericalBreakdown, OutOfRange
@@ -67,11 +68,11 @@ def _chord(w1: complex, w2: complex) -> float:
 
 
 def _half_distance(w1: complex, w2: complex) -> float:
-    """d/2 = asinh(s) for the chord s; where s overflows, log(2 s) in logs."""
+    """d/2 = asinh(s) for the chord s; where s overflows, log(2 s) in logs, from |w1/4 - w2/4|."""
     s = _chord(w1, w2)
     if s < math.inf:
         return math.asinh(s)
-    return math.log(abs(w1 / 2.0 - w2 / 2.0)) + math.log(4.0 / (w1.imag * w2.imag)) / 2.0
+    return math.log(abs(w1 / 4.0 - w2 / 4.0)) + math.log(2.0) + math.log(4.0 / (w1.imag * w2.imag)) / 2.0
 
 
 def _chords(z1: HPoint, z2: HPoint) -> tuple[float, float]:
@@ -120,7 +121,7 @@ def _legs(f1: complex, f2: complex) -> tuple[tuple[float, ...], tuple[float, ...
     d, m = 2.0 * math.asinh(s), s + math.hypot(1.0, s)
     if m == math.inf:
         raise NumericalBreakdown(f"e^(d/2) overflows for the factor chord {s!r}")
-    shared = (d, -2.0 * d, math.expm1(-2.0 * d), m)
+    shared = (d, -2.0 * d, expm1(-2.0 * d), m)
     return ((f1.real, f1.imag, f2.real - f1.real, f2.imag) + shared,
             (f2.real, f2.imag, f1.real - f2.real, f1.imag) + shared)
 
@@ -146,8 +147,8 @@ def _leg_point(leg: tuple[float, ...], t: float) -> complex:
         a, b, c = 1.0 - t, t, 1.0
     else:
         # n = -2d, as -2.0 * d * (1 - t) evaluates it.
-        a = math.expm1(n * (1.0 - t)) / em
-        b = m ** (4.0 * t - 2.0) * math.expm1(n * t) / em
+        a = expm1(n * (1.0 - t)) / em
+        b = m ** (4.0 * t - 2.0) * expm1(n * t) / em
         c = m ** (2.0 * t)
     r = b * y / v
     if r == math.inf:
@@ -172,24 +173,27 @@ class GeodesicSpec:
     d2: float
     _legs: tuple = field(repr=False, compare=False)
 
+    def _factors(self, s: float) -> tuple[complex, complex]:
+        """Factors (w1, w2) of ``line_point(s)``, unchecked: each moves the fraction t = s / s0."""
+        t = s / self.s0
+        # Forward legs (from z1) serve t <= 1/2, backward legs (from z2) the rest.
+        fwd1, bwd1, fwd2, bwd2 = self._legs
+        if t <= 0.5:
+            return _leg_point(fwd1, t), _leg_point(fwd2, t)
+        return _leg_point(bwd1, 1.0 - t), _leg_point(bwd2, 1.0 - t)
+
     def line_point(self, s: float, tol: Tolerance = DEFAULT_TOL) -> HPoint:
         """Point on the full geodesic line at arc length s from the first
         endpoint (s may leave [0, s0]; the segment endpoints are at 0 and s0),
         a point above the ``tol.dom_eps`` margin.
 
-        Both factors move the same fraction t = s / s0 of their distance.  A point
-        inside the margin is bad input on the segment (an end is inside it) and a
+        A point inside the margin is bad input on the segment (an end is inside it) and a
         breakdown off it, as is a leg denominator that vanishes on a wide pair.
         """
-        t = s / self.s0
-        # Forward legs (from z1) serve t <= 1/2, backward legs (from z2) the rest.
-        fwd1, bwd1, fwd2, bwd2 = self._legs
         try:
-            if t <= 0.5:
-                return _hpoint(_leg_point(fwd1, t), _leg_point(fwd2, t), tol.dom_eps)
-            return _hpoint(_leg_point(bwd1, 1.0 - t), _leg_point(bwd2, 1.0 - t), tol.dom_eps)
+            return _hpoint(*self._factors(s), tol.dom_eps)
         except (ZeroDivisionError, DomainViolation) as exc:
-            if 0.0 <= t <= 1.0 and isinstance(exc, DomainViolation):
+            if 0.0 <= s / self.s0 <= 1.0 and isinstance(exc, DomainViolation):
                 raise
             raise NumericalBreakdown(f"point at s={s!r} of s0={self.s0!r} not resolved: {exc}") from exc
 

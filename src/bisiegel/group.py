@@ -428,9 +428,9 @@ def random_sl2(rng: random.Random) -> Sl2Matrix:
     Draw order: angle uniform in [0, 2pi), log-scale uniform in [-1, 1],
     shear uniform in [-2, 2].
     """
-    theta = rng.uniform(0.0, 2.0 * pi)
-    lam = exp(rng.uniform(-1.0, 1.0))
-    mu = rng.uniform(-2.0, 2.0)
+    theta = 2.0 * pi * rng.random()  # a + (b - a) U, as Random.uniform does
+    lam = exp(-1.0 + 2.0 * rng.random())
+    mu = -2.0 + 4.0 * rng.random()
     ct, st = cos(theta), sin(theta)
     # [[ct, st], [-st, ct]] @ [[lam, mu], [0, 1/lam]]
     return _sl2(ct * lam, ct * mu + st / lam, -st * lam, -st * mu + ct / lam)

@@ -34,7 +34,8 @@ def entries(m) -> tuple[float, float, float, float]:
 
 
 def path_length(curve, s_from: float, s_to: float, panels: int) -> float:
-    """Simpson-integrated metric length of a curve, with the step of verify's arc-length check."""
+    """Simpson-integrated metric length of a curve that returns the factor pair (w1, w2),
+    with the step of verify's arc-length check."""
     h = max(abs(s_to - s_from), 1.0) * 1e-5
     return _simpson(lambda s: _path_speed(curve, s, h), s_from, s_to, panels)
 

@@ -320,6 +320,28 @@ def test_verify_small_run_passes(capsys):
     assert all("FAIL" not in line for line in lines)
 
 
+def test_verify_reports_a_nan_residual_as_a_failure(capsys, monkeypatch):
+    # max(0.0, nan) is 0.0, so a fold through max would print 0.000e+00 and PASS.
+    monkeypatch.setattr("bisiegel.verify.distance", lambda z1, z2: math.nan)
+    code, out, _ = run(capsys, ["verify", "--seed", "42", "--trials", "20"])
+    assert code == 1 and out.endswith("16/19 checks passed\n")
+    failed = {line.split()[0] for line in out.splitlines() if line.endswith("FAIL")}
+    assert failed == {"isometry", "pythagoras", "triangle"}
+    assert all("max_residual=nan " in line for line in out.splitlines() if line.endswith("FAIL"))
+
+
+@pytest.mark.parametrize("name", ["ode_residual", "arc_length"])
+def test_geodesic_checks_keep_a_nan_from_the_unchecked_factors(monkeypatch, name):
+    # These checks read GeodesicSpec._factors, which no membership test guards.
+    from bisiegel.verify import SUITE, CheckResult, _rng
+
+    nan_pair = (complex(math.nan, 1.0),) * 2
+    monkeypatch.setattr("bisiegel.geometry.GeodesicSpec._factors", lambda self, s: nan_pair)
+    check, tolerance, _ = SUITE[name]
+    residual = check(_rng(42, name), 2)
+    assert math.isnan(residual) and not CheckResult(name, residual, tolerance, 2).passed
+
+
 def test_exit_code_validation_errors(files, capsys):
     garbage = files("g.json", "not json")
     code, out, err = run(capsys, ["volume", "--point", garbage])

@@ -217,22 +217,22 @@ def wide_pair(rng):
     )
 
 
-def exact_chords(z1, z2):
-    """sinh(d/2) per factor to 50 digits, from the factor coordinates the
+def exact_chords(z1, z2, prec=50):
+    """sinh(d/2) per factor to ``prec`` digits, from the factor coordinates the
     library works with."""
     out = []
     with localcontext() as ctx:
-        ctx.prec = 50
+        ctx.prec = prec
         for a, b in zip(z1.factors(), z2.factors()):
             dx, dy = Decimal(a.real) - Decimal(b.real), Decimal(a.imag) - Decimal(b.imag)
             out.append((dx * dx + dy * dy).sqrt() / (2 * (Decimal(a.imag) * Decimal(b.imag)).sqrt()))
     return out
 
 
-def exact_distance(z1, z2):
+def exact_distance(z1, z2, prec=50):
     with localcontext() as ctx:
-        ctx.prec = 50
-        ds = [2 * (s + (s * s + 1).sqrt()).ln() for s in exact_chords(z1, z2)]
+        ctx.prec = prec
+        ds = [2 * (s + (s * s + 1).sqrt()).ln() for s in exact_chords(z1, z2, prec)]
         return float((ds[0] ** 2 + ds[1] ** 2).sqrt())
 
 
@@ -294,6 +294,16 @@ def test_distance_where_the_chord_overflows():
             distance_params(z1, z2)
         with pytest.raises(NumericalBreakdown):
             connect(z1, z2)
+
+
+def test_distance_where_the_halved_factor_difference_overflows():
+    # |w1/2 - w2/2| itself overflows here; the quartered difference does not.
+    z1 = HPoint.from_factors(-1.7e308 + 1.7e308j, 1j)
+    z2 = HPoint.from_factors(1.7e308 + 1j, 1j)
+    want = exact_distance(z1, z2, prec=60)
+    assert want == pytest.approx(711.33627480566234, rel=1e-15)
+    assert abs(distance(z1, z2) - want) <= 8 * U * want
+    assert distance(z2, z1) == distance(z1, z2)
 
 
 def test_geodesic_with_an_underflowing_factor_chord():
@@ -367,6 +377,33 @@ def test_line_points_off_extreme_segments_raise_only_geometry_errors():
                 assert f"point at s={s!r} of s0={spec.s0!r} not resolved" in str(exc)
                 broke["margin" if "outside the half-space" in str(exc) else "denominator"] += 1
     assert broke["margin"] > 0 and broke["denominator"] > 0
+
+
+@pytest.mark.parametrize(
+    "recipe",
+    [lambda rng: (random_hpoint(rng), random_hpoint(rng)), near_pair, wide_pair],
+    ids=["sampler", "near", "wide"],
+)
+def test_unchecked_factors_are_the_line_points_bit_for_bit(recipe):
+    # verify's geodesic checks read GeodesicSpec._factors; line_point is the
+    # same two leg points behind the membership test, on and off the segment.
+    def bits(pair):
+        return [(w.real.hex(), w.imag.hex()) for w in pair]
+
+    rng = random.Random(21)
+    compared = 0
+    for _ in range(200):
+        spec = connect(*recipe(rng))
+        for frac in (-0.25, -1e-9, 0.0, 0.3, 0.5, 0.5 + 1e-12, 0.8, 1.0, 1.0 + 1e-9, 1.25):
+            s = frac * spec.s0
+            try:
+                want = spec.line_point(s).factors()
+            except NumericalBreakdown:  # off the segment of a wide pair
+                assert not 0.0 <= frac <= 1.0
+                continue
+            assert bits(spec._factors(s)) == bits(want)
+            compared += 1
+    assert compared >= 1900
 
 
 @pytest.mark.parametrize("recipe", [near_pair, wide_pair])
@@ -480,7 +517,7 @@ def test_geodesic_invariant_under_motions(rng):
 
 def test_ode_residual_small_on_geodesics():
     spec = connect(I_H, MIXED)
-    res = _geodesic_ode_residual(spec.line_point, spec.s0 / 2, 1e-3)
+    res = _geodesic_ode_residual(lambda s: spec.line_point(s).factors(), spec.s0 / 2, 1e-3)
     assert res <= 1e-5
 
 
@@ -489,7 +526,7 @@ def test_ode_residual_nonzero_on_straight_segment():
         return HPoint(1j * (1.0 + s), 0.0)
 
     for h in (1e-2, 1e-3, 1e-4):
-        assert _geodesic_ode_residual(straight, 0.5, h) > 0.1
+        assert _geodesic_ode_residual(lambda s: straight(s).factors(), 0.5, h) > 0.1
 
 
 @pytest.mark.parametrize(
@@ -507,8 +544,8 @@ def test_ode_residual_second_order_decay(z1, z2):
     spec = connect(z1, z2)
     for frac in (0.2, 0.5, 0.8):
         s = frac * spec.s0
-        r_h = _geodesic_ode_residual(spec.line_point, s, 1e-3)
-        r_half = _geodesic_ode_residual(spec.line_point, s, 5e-4)
+        r_h = _geodesic_ode_residual(lambda s: spec.line_point(s).factors(), s, 1e-3)
+        r_half = _geodesic_ode_residual(lambda s: spec.line_point(s).factors(), s, 5e-4)
         assert r_h > 1e-8
         assert 3.5 <= r_h / r_half <= 4.5
 
@@ -532,7 +569,7 @@ def test_ode_residual_bounds_the_matrix_form(rng):
         def curve(t: float) -> HPoint:  # horizontal lines: residual v^2 / Im w per factor
             return HPoint.from_factors(w1 + t * v1, w2 + t * v2)
 
-        factor = _geodesic_ode_residual(curve, 0.0, 1e-3)
+        factor = _geodesic_ode_residual(lambda t: curve(t).factors(), 0.0, 1e-3)
         literal = literal_ode_residual(curve, 0.0, 1e-3)
         assert literal * (1.0 - 1e-6) <= factor <= 2.0 * literal * (1.0 + 1e-6)
 
@@ -540,7 +577,7 @@ def test_ode_residual_bounds_the_matrix_form(rng):
 def test_ode_residual_rejects_bad_step():
     spec = connect(I_H, MIXED)
     with pytest.raises(OutOfRange):
-        _geodesic_ode_residual(spec.line_point, spec.s0 / 2, 0.0)
+        _geodesic_ode_residual(lambda s: spec.line_point(s).factors(), spec.s0 / 2, 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -557,7 +594,7 @@ def test_geodesic_length_matches_distance(rng):
         z1 = random_hpoint(rng)
         z2 = random_hpoint(rng)
         spec = connect(z1, z2)
-        length = path_length(spec.line_point, 0.0, spec.s0, panels=10_000)
+        length = path_length(lambda s: spec.line_point(s).factors(), 0.0, spec.s0, panels=10_000)
         assert abs(length - spec.s0) / spec.s0 <= 1e-6
 
 
@@ -568,11 +605,10 @@ def test_geodesic_is_arclength_parameterized(rng):
         spec = connect(z1, z2)
         for frac in (0.25, 0.6, 1.0):
             s = frac * spec.s0
-            partial = path_length(spec.line_point, 0.0, s, panels=2_000)
+            partial = path_length(lambda s: spec.line_point(s).factors(), 0.0, s, panels=2_000)
             assert abs(partial - s) / s <= 1e-6
-        assert _path_speed(spec.line_point, spec.s0 / 3, 1e-6 * spec.s0) == pytest.approx(
-            1.0, rel=1e-8
-        )
+        speed = _path_speed(lambda s: spec.line_point(s).factors(), spec.s0 / 3, 1e-6 * spec.s0)
+        assert speed == pytest.approx(1.0, rel=1e-8)
 
 
 # --------------------------------------------------------------------------

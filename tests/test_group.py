@@ -814,3 +814,39 @@ def test_motion_rows_beyond_the_float_range_meet_the_4x4_gate(eps, a1, a2, text)
     for read in (motion.to_json_dict, lambda: motion.m):
         with pytest.raises(NumericalBreakdown, match=f"^non-finite entry {text} in 4x4 matrix$"):
             read()
+
+
+# --------------------------------------------------------------------------
+# seeded samplers
+
+
+def uniform_hpoint(rng):
+    """``random_hpoint`` as written with ``Random.uniform``: the documented draw order."""
+    lo, hi = math.log(0.1), math.log(10.0)
+    y_plus, y_minus = math.exp(rng.uniform(lo, hi)), math.exp(rng.uniform(lo, hi))
+    x_plus, x_minus = rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
+    return (complex(x_plus, y_plus), complex(x_minus, y_minus))
+
+
+def uniform_sl2(rng):
+    """``random_sl2`` as written with ``Random.uniform``: angle, log-scale, shear."""
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    lam = math.exp(rng.uniform(-1.0, 1.0))
+    mu = rng.uniform(-2.0, 2.0)
+    ct, st = math.cos(theta), math.sin(theta)
+    return (ct * lam, ct * mu + st / lam, -st * lam, -st * mu + ct / lam)
+
+
+@pytest.mark.parametrize(
+    "sampler, reference",
+    [(lambda rng: random_hpoint(rng).factors(), uniform_hpoint),
+     (lambda rng: (lambda m: (m.a, m.b, m.c, m.d))(random_sl2(rng)), uniform_sl2)],
+    ids=["random_hpoint", "random_sl2"],
+)
+def test_samplers_draw_as_random_uniform_bit_for_bit(sampler, reference):
+    for seed in range(5):
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        got = [sampler(got_rng) for _ in range(10_000)]
+        want = [reference(want_rng) for _ in range(10_000)]
+        assert repr(got) == repr(want)  # repr tells -0.0 from 0.0 and every last bit
+        assert got_rng.getstate() == want_rng.getstate()
