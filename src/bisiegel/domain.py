@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainViolation, NumericalBreakdown, SingularMatrix
+from .errors import DomainViolation, NumericalBreakdown
 from .numkit import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -182,13 +182,10 @@ def cayley_to_disc(point: HPoint, tol: Tolerance = DEFAULT_TOL) -> EPoint:
 
 
 def cayley_to_halfspace(point: EPoint, tol: Tolerance = DEFAULT_TOL) -> HPoint:
-    """Inverse Cayley map, i(I + Z0)(I - Z0)^-1: i(1 + u)/(1 - u) per factor,
-    guarded on det(I - Z0) as the matrix inverse."""
+    """Inverse Cayley map, i(I + Z0)(I - Z0)^-1: i(1 + u)/(1 - u) per factor.
+    No guard: for |u| < 1, 1 - u is not 0; a high image is checked as a point."""
     u1, u2 = point.factors()
-    d1, d2 = 1.0 - u1, 1.0 - u2
-    if abs(d1 * d2) <= tol.dom_eps:
-        raise SingularMatrix(f"Cayley denominator |det|={abs(d1 * d2):.3e} <= {tol.dom_eps}")
-    return _image(_hpoint, 1j * (1.0 + u1) / d1, 1j * (1.0 + u2) / d2, tol)
+    return _image(_hpoint, 1j * (1.0 + u1) / (1.0 - u1), 1j * (1.0 + u2) / (1.0 - u2), tol)
 
 
 def random_hpoint(rng: random.Random) -> HPoint:

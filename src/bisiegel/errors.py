@@ -46,9 +46,5 @@ class DegeneratePair(ValidationError):
     """Two points coincide where distinct points are required."""
 
 
-class SingularMatrix(NumericalError):
-    """Matrix inverse requested below the singularity guard."""
-
-
 class NumericalBreakdown(NumericalError):
     """Values left the numerically trustworthy regime (overflow, boundary blowup)."""

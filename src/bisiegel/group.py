@@ -23,7 +23,8 @@ written only as JSON, by the CLI.
 Motions are validated once, at the boundary: ``classify`` (with the caller's
 ``Tolerance``) and the public constructors.  Values computed from validated
 ones, and the seeded samples, are built by ``_sl2`` and ``_motion`` and trusted;
-only products and transvections re-run the determinant gate, with a fixed bound.
+only products and transvections re-run the determinant gate, with a fixed bound
+(a ``NumericalBreakdown``: their inputs were valid).  Each operation checks what it returns.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .errors import (
     NotSymplectic,
     NotUnimodular,
     NumericalBreakdown,
-    SingularMatrix,
     UnitModulusViolation,
     ValidationError,
 )
@@ -175,9 +175,13 @@ def _sl2(a: float, b: float, c: float, d: float) -> Sl2Matrix:
     return m
 
 
-def _gated(a: float, b: float, c: float, d: float, floor: float = _FIXED_EPS) -> Sl2Matrix:
-    """A factor computed in floats, stored after the determinant gate."""
-    _check_det(a * d, b * c, floor)
+def _gated(a: float, b: float, c: float, d: float) -> Sl2Matrix:
+    """A factor computed in floats from valid ones, stored after the determinant gate:
+    the interior gate, whose failure is a numerical breakdown, not bad input."""
+    try:
+        _check_det(a * d, b * c)
+    except NotUnimodular as exc:
+        raise NumericalBreakdown(f"computed factor lost its determinant: {exc}") from None
     return _sl2(a, b, c, d)
 
 
@@ -247,32 +251,33 @@ def classify(m: Mat4R, tol: Tolerance = DEFAULT_TOL) -> MotionMatrix:
             f"commutation residuals ({commute:.3e}, {anticommute:.3e}) both exceed {tol.abs_eps}"
         )
     # Rows a and c hold the top rows of the blocks A, B and C, D.
+    factors = (a0 + a1, a2 + a3, c0 + c1, c2 + c3), (a0 - a1, a2 - a3, c0 - c1, c2 - c3)
     try:
-        m1 = _gated(a0 + a1, a2 + a3, c0 + c1, c2 + c3, tol.abs_eps)
-        m2 = _gated(a0 - a1, a2 - a3, c0 - c1, c2 - c3, tol.abs_eps)
+        for p, q, r, s in factors:
+            _check_det(p * s, q * r, tol.abs_eps)
     except NotUnimodular as exc:  # in this pattern: unimodular factors <=> symplectic
         raise NotSymplectic(f"factor of the patterned matrix: {exc}") from exc
-    return _motion(m1, m2, eps)
+    return _motion(_sl2(*factors[0]), _sl2(*factors[1]), eps)
 
 
 def apply(motion: MotionMatrix, point: HPoint, tol: Tolerance = DEFAULT_TOL) -> HPoint:
     """Act on a half-space point: one Moebius map per factor coordinate.
 
-    The product of the two denominators is det(CZ + D) of the 4x4 action up
-    to sign, and is guarded the same way.  An image inside the ``dom_eps``
-    margin is a numerical limit (``NumericalBreakdown``).
+    The one check is on the image: a point inside the ``dom_eps`` margin, or
+    not finite, is a numerical limit (``NumericalBreakdown``).
     """
-    g1, g2 = _mobius_pair(motion.m1, motion.m2, point.w1, point.w2, tol)
+    g1, g2 = _mobius_pair(motion.m1, motion.m2, point.w1, point.w2)
     return _image(_hpoint, g1, g2, tol) if motion.eps == 1 else _image(_hpoint, g2, g1, tol)
 
 
-def _mobius_pair(m1: Sl2Matrix, m2: Sl2Matrix, w1: complex, w2: complex, tol: Tolerance) -> tuple:
-    """The factor images ``m1 w1``, ``m2 w2`` behind the guard on det(CZ + D)."""
-    den1 = m1.c * w1 + m1.d
-    den2 = m2.c * w2 + m2.d
-    if abs(den1 * den2) <= tol.dom_eps:
-        raise SingularMatrix(f"action denominator |det|={abs(den1 * den2):.3e}")
-    return (m1.a * w1 + m1.b) / den1, (m2.a * w2 + m2.b) / den2
+def _mobius_pair(m1: Sl2Matrix, m2: Sl2Matrix, w1: complex, w2: complex) -> tuple:
+    """The factor images ``m1 w1``, ``m2 w2``, unchecked.  For Im w > 0 and det 1,
+    |cw + d|^2 = Im w / Im(mw) (Beardon, 1983): a denominator is small only where the
+    image is high, and 0 only where ``c w`` rounds onto ``-d``, an image at infinity."""
+    try:
+        return (m1.a * w1 + m1.b) / (m1.c * w1 + m1.d), (m2.a * w2 + m2.b) / (m2.c * w2 + m2.d)
+    except ZeroDivisionError:
+        raise NumericalBreakdown(f"image of ({w1!r}, {w2!r}) at infinity: a denominator is 0") from None
 
 
 def split(motion: MotionMatrix) -> tuple[Sl2Matrix, Sl2Matrix]:
@@ -360,7 +365,8 @@ class ReducedPair:
 
     def __post_init__(self) -> None:
         l1, l2 = float(self.lambda1), float(self.lambda2)
-        if l2 < -_FIXED_EPS or l1 < l2 + 1.0 - _FIXED_EPS:
+        slack = _FIXED_EPS + l1 * 2.0**-51  # lambda1 - lambda2 >= 1 to an ulp of lambda1
+        if not (-_FIXED_EPS <= l2 and 1.0 - slack <= l1 - l2 and l1 < inf):  # `not` rejects NaN
             raise ValidationError(f"invalid canonical pair (lambda1={l1!r}, lambda2={l2!r})")
         object.__setattr__(self, "lambda1", l1)
         object.__setattr__(self, "lambda2", l2)
@@ -379,7 +385,7 @@ def _half_conj_phase(w: complex) -> complex:
     return cmath.exp(-0.5j * cmath.phase(w))
 
 
-def reduce_pair(z_base: HPoint, z_other: HPoint, tol: Tolerance = DEFAULT_TOL) -> ReducedPair:
+def reduce_pair(z_base: HPoint, z_other: HPoint) -> ReducedPair:
     """Reduce an ordered pair of half-space points to canonical position.
 
     First transport ``z_base`` to iI, then rotate the two disc factors of
@@ -392,30 +398,28 @@ def reduce_pair(z_base: HPoint, z_other: HPoint, tol: Tolerance = DEFAULT_TOL) -
         lambda2 = (r1 - r2) / ((1 - r1)(1 - r2))   = (lam_big - lam_small)/2
 
     are computed from the dilations of the raw pair, which stay accurate
-    where 1 - r has cancelled to the last few bits; they are independent of
-    every internal choice.  The mover is ``stabilizer_of_iI(params) @ T``, with
-    ``T`` the motion of the two factor transvections of ``z_base`` to ``i``,
-    built per factor as one product ``R(xi) @ T`` from the entries of ``R(xi)``.  ``z_other`` is moved as its two factor images, under
-    ``apply``'s guard and membership test; no motion is built and no point kept.
+    where 1 - r has rounded to 0; they are independent of every internal
+    choice.  The mover is ``stabilizer_of_iI(params) @ T``, with ``T`` the
+    motion of the two factor transvections of ``z_base`` to ``i``, built per
+    factor as one product ``R(xi) @ T`` from the entries of ``R(xi)``.  The
+    raw factor images of ``z_other`` give the phases (a NaN one fails the mover's
+    gate).  The one check is that the lambdas are finite (``NumericalBreakdown``).
     """
     t1, t2 = _transvection_to_i(z_base.w1), _transvection_to_i(z_base.w2)
-    h1, h2 = _mobius_pair(t1, t2, z_other.w1, z_other.w2, tol)
-    _image(_hpoint, h1, h2, tol)  # apply's membership test; the point is not kept
-    # Scalar per-factor Cayley transform for the aligning phases; deliberately
-    # not routed through the bounded-model membership gate so near-boundary
-    # radii surface as a numerical breakdown rather than a domain violation.
+    h1, h2 = _mobius_pair(t1, t2, z_other.w1, z_other.w2)
+    # Scalar per-factor Cayley transform for the aligning phases: an image
+    # whose radius rounds to 1 still has its phase.
     xi1 = _half_conj_phase((h1 - 1j) / (h1 + 1j))
     xi2 = _half_conj_phase((h2 - 1j) / (h2 + 1j))
     s_plus, s_minus = _chords(z_base, z_other)
     swap = s_plus < s_minus
     s_big, s_small = (s_minus, s_plus) if swap else (s_plus, s_minus)
-    # For the chord s = sinh(d/2): r = tanh(d/2) and the dilation is e^d.
-    r_big = s_big / hypot(1.0, s_big)
-    if not r_big < 1.0 - tol.dom_eps:
-        raise NumericalBreakdown(f"factor radius {r_big!r} too close to the boundary")
-    lam_big, lam_small = ((s + hypot(1.0, s)) ** 2 for s in (s_big, s_small))
-    _check_unit("xi1", xi1)
-    _check_unit("xi2", xi2)
+    try:  # for the chord s = sinh(d/2) the dilation is e^d = (s + sqrt(1 + s^2))^2
+        lam_big, lam_small = ((s + hypot(1.0, s)) ** 2 for s in (s_big, s_small))
+    except OverflowError:
+        lam_big = lam_small = inf
+    if not lam_big + lam_small < inf:  # `not <` rejects NaN; lambda2 is finite with lambda1
+        raise NumericalBreakdown(f"lambdas of the chords ({s_big!r}, {s_small!r}) leave the float range")
     m1 = _product(xi1.real, xi1.imag, -xi1.imag, xi1.real, t1)  # _rotation(xi1) @ t1
     m2 = _product(xi2.real, xi2.imag, -xi2.imag, xi2.real, t2)
     mover = _motion(m1, m2, -1 if swap else 1)

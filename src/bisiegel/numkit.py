@@ -27,8 +27,7 @@ class Tolerance:
     """Comparison thresholds.
 
     ``abs_eps`` bounds entrywise residuals in approximate equalities;
-    ``dom_eps`` is the margin for strict inequalities and the singularity
-    guard for inverses.
+    ``dom_eps`` is the margin of the models' strict inequalities.
     """
 
     abs_eps: float = 1e-10

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -14,11 +15,11 @@ from bisiegel.group import (
     StabilizerParams,
     _half_conj_phase,
     _transvection_to_i,
-    apply,
     assemble,
+    split,
     stabilizer_of_iI,
 )
-from bisiegel.numkit import DEFAULT_TOL, Mat4R
+from bisiegel.numkit import Mat4R
 from bisiegel.verify import _path_speed, _simpson
 
 
@@ -124,16 +125,43 @@ def transport_to_iI(point: HPoint):
 
 
 def composed_reduce_pair(z_base: HPoint, z_other: HPoint):
-    """``reduce_pair`` through composed motions: the reference for its fused form."""
+    """``reduce_pair`` through composed motions: the reference for its fused form.
+    The factor images of ``z_other`` are taken raw, as ``reduce_pair`` takes them."""
     transport = transport_to_iI(z_base)
-    xi1, xi2 = (_half_conj_phase((h - 1j) / (h + 1j)) for h in apply(transport, z_other).factors())
+    images = (mobius(entries(m), w) for m, w in zip(split(transport), z_other.factors()))
+    xi1, xi2 = (_half_conj_phase((h - 1j) / (h + 1j)) for h in images)
     s_plus, s_minus = _chords(z_base, z_other)
-    r_big = max(s_plus, s_minus) / math.hypot(1.0, max(s_plus, s_minus))
-    if r_big >= 1.0 - DEFAULT_TOL.dom_eps:
-        raise NumericalBreakdown(f"factor radius {r_big!r} too close to the boundary")
-    params = StabilizerParams(xi1, xi2, -1 if s_plus < s_minus else 1)
-    lam_big, lam_small = sorted(((s + math.hypot(1.0, s)) ** 2 for s in (s_plus, s_minus)))[::-1]
+    swap = s_plus < s_minus
+    s_big, s_small = (s_minus, s_plus) if swap else (s_plus, s_minus)
+    try:
+        lam_big, lam_small = ((s + math.hypot(1.0, s)) ** 2 for s in (s_big, s_small))
+    except OverflowError:
+        lam_big = lam_small = math.inf
+    if not lam_big + lam_small < math.inf:
+        raise NumericalBreakdown(f"lambdas of the chords ({s_big!r}, {s_small!r}) leave the float range")
+    params = StabilizerParams(xi1, xi2, -1 if swap else 1)
     return stabilizer_of_iI(params) @ transport, (lam_big + lam_small) / 2, (lam_big - lam_small) / 2
+
+
+def exact_chords(z1: HPoint, z2: HPoint, prec: int = 50) -> list:
+    """sinh(d/2) per factor to ``prec`` digits, from the factor coordinates the
+    library works with."""
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = prec
+        for a, b in zip(z1.factors(), z2.factors()):
+            dx, dy = Decimal(a.real) - Decimal(b.real), Decimal(a.imag) - Decimal(b.imag)
+            out.append((dx * dx + dy * dy).sqrt() / (2 * (Decimal(a.imag) * Decimal(b.imag)).sqrt()))
+    return out
+
+
+def exact_lambdas(z1: HPoint, z2: HPoint, prec: int = 50) -> tuple:
+    """The canonical (lambda1, lambda2) of the pair to ``prec`` digits, as Decimals:
+    half the sum and difference of the factor dilations (s + sqrt(1 + s^2))^2."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        big, small = sorted(((s + (s * s + 1).sqrt()) ** 2 for s in exact_chords(z1, z2, prec)), reverse=True)
+        return (big + small) / 2, (big - small) / 2
 
 
 @pytest.fixture

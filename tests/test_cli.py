@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import io
 import json
@@ -12,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from bisiegel.cli import _build_parser, _to_json_text, main
-from bisiegel.errors import NumericalBreakdown
+from bisiegel.domain import e_contains, h_contains
+from bisiegel.errors import GeometryError, NumericalBreakdown
 from bisiegel.group import MotionMatrix, Sl2Matrix, random_motion
 
 I_JSON = '{"tau":[0,1],"z":[0,0]}'
@@ -411,10 +413,40 @@ def test_integer_beyond_the_float_range_is_validation_error(files, capsys):
 
 
 def test_exit_code_numerical_breakdown(files, capsys):
+    # Factor chords of 5e299: the dilations, and lambda1 (about 2.5e599 to
+    # 50 digits), are past the float range.
     z1 = files("z1.json", I_JSON)
-    far = files("far.json", '{"tau":[0,1e14],"z":[0,0]}')
-    code, _, err = run(capsys, ["reduce", "--z1", z1, "--z", far])
-    assert code == 3 and "boundary" in err
+    far = files("far.json", '{"tau":[1e300,1],"z":[0,0]}')
+    code, out, err = run(capsys, ["reduce", "--z1", z1, "--z", far])
+    assert (code, out) == (3, "")
+    assert err == "numerical error: lambdas of the chords (5e+299, 5e+299) leave the float range\n"
+
+
+@pytest.mark.parametrize(
+    "argv,doc,want",
+    [
+        # The glued diag(s, 1/s): the denominator guard passed s = 1e5 and refused 1e6.
+        (["act", "--matrix", "@m", "--point", I_JSON],
+         '{"m":[[1e5,0,0,0],[0,1e5,0,0],[0,0,1e-5,0],[0,0,0,1e-5]]}', '{"tau":[0,10000000000],"z":[0,0]}'),
+        (["act", "--matrix", "@m", "--point", I_JSON],
+         '{"m":[[1e6,0,0,0],[0,1e6,0,0],[0,0,1e-6,0],[0,0,0,1e-6]]}', '{"tau":[0,1000000000000],"z":[0,0]}'),
+        # The radius test passed a dilation of 1e12 and refused 1e14.
+        (["reduce", "--z1", I_JSON, "--z", "@m"], '{"tau":[0,1e12],"z":[0,0]}',
+         '{"lambda1":1000000000000,"lambda2":0,"mover":{"m":[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]],"eps":1}}'),
+        (["reduce", "--z1", I_JSON, "--z", "@m"], '{"tau":[0,1e14],"z":[0,0]}',
+         '{"lambda1":100000000000000,"lambda2":0,"mover":{"m":[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]],"eps":1}}'),
+        # The Cayley guard |det(I - Z0)| <= dom_eps passed 1 - u = 1e-5 and refused 1e-7.
+        (["cayley", "--to", "halfspace", "--point", "@m"], '{"z1":[0.99999,0],"z2":[0,0]}',
+         '{"tau":[0,199999.00000091],"z":[0,0]}'),
+        (["cayley", "--to", "halfspace", "--point", "@m"], '{"z1":[0.9999999,0],"z2":[0,0]}',
+         '{"tau":[0,19999999.0105271],"z":[0,0]}'),
+    ],
+    ids=["act_1e5", "act_1e6", "reduce_1e12", "reduce_1e14", "cayley_1e-5", "cayley_1e-7"],
+)
+def test_outputs_on_each_side_of_the_removed_guards(files, capsys, argv, doc, want):
+    paths = {"@m": files("m.json", doc), I_JSON: files("i.json", I_JSON)}
+    code, out, err = run(capsys, [paths.get(a, a) for a in argv])
+    assert (code, out, err) == (0, want + "\n", "")
 
 
 def test_reduce_of_a_point_past_the_transvection_range(files, capsys):
@@ -593,6 +625,162 @@ def test_inputs_past_the_float_range_give_a_documented_exit(files, capsys, argv,
         assert err in ("error: |xi2|=1.7e+308 is not 1\n", "error: |xi1|=inf is not 1\n")
 
 
+# --------------------------------------------------------------------------
+# Seeded fuzz over every input-reading command.  ``random.Random`` and this
+# generator, not hypothesis, so that it runs wherever the suite does.
+
+#: Adversarial JSON numbers: zeros, the smallest subnormal, the dom_eps margin
+#: and its neighbours, the edge of the float range, an int past it, NaN, +-inf.
+FUZZ_SPECIALS = (0, -0.0, 5e-324, 1e-12, 2e-12, 0.999999999999, 1.0, 1.7e308, -1.7e308,
+                 10**400, math.nan, math.inf, -math.inf)
+
+#: Scales k of the valid draws, whose heights and offsets are 10^U[-k, k].
+FUZZ_SCALES = (1.0, 6.0, 12.0, 30.0, 100.0, 300.0)
+
+
+class StdinDocs:
+    """A stdin that hands out one document per read, for argv items ``-``."""
+
+    def __init__(self, texts: list):
+        self.texts = texts
+
+    def read(self) -> str:
+        return self.texts.pop(0)
+
+
+class FuzzDocs:
+    """The documents of one seeded fuzz run.  Each point is valid with
+    probability 0.7, else its four numbers are adversarial; motions, factors
+    and unit parameters likewise.  Valid draws:
+
+    - half-space: ``tau = x + i y``, ``z = x' + i t y``, with ``x, x'`` signed and
+      ``y`` (at least 1e-11) in 10^[-k, k] for k in ``FUZZ_SCALES``, and
+      ``1 - |t|`` uniform in 10^U[-12, 0];
+    - disc: factors ``r e^(i theta)`` with ``1 - r`` uniform in 10^U[-11.9, 0];
+    - motion: the glued ``[[l, b], [0, 1/l]]`` per factor (``l``, ``b`` signed
+      in 10^[-k, k], ``k`` up to 12), or a product of up to 60 sampler motions;
+    - unit parameter: ``(cos theta, sin theta)``.
+
+    A draw in 10^[lo, hi] (``power``) has a uniform exponent half of the time
+    and one of the two ends otherwise, so that near and far pairs both occur.
+    """
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+        self.points = self.valid_points = 0
+
+    def number(self):
+        """A special, or +-10^U[-320, 308]: subnormals to near the float maximum."""
+        rng = self.rng
+        if rng.random() < 0.5:
+            return rng.choice(FUZZ_SPECIALS)
+        return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320.0, 308.0)
+
+    def power(self, lo: float, hi: float) -> float:
+        """10^E, E uniform in [lo, hi] half of the time, else one of its ends."""
+        return 10.0 ** self.rng.choice((lo, hi, self.rng.uniform(lo, hi), self.rng.uniform(lo, hi)))
+
+    def signed(self, k: float) -> float:
+        return self.rng.choice((-1.0, 1.0)) * self.power(-k, k)
+
+    def hpoint(self) -> dict:
+        rng = self.rng
+        self.points += 1
+        if rng.random() >= 0.7:
+            return {"tau": [self.number(), self.number()], "z": [self.number(), self.number()]}
+        k = rng.choice(FUZZ_SCALES)
+        y = self.power(max(-k, -11.0), k)
+        t = rng.choice((-1.0, 1.0)) * (1.0 - 10.0 ** rng.uniform(-12.0, 0.0))
+        tau, z = complex(self.signed(k), y), complex(self.signed(k), t * y)
+        self.valid_points += h_contains(tau, z)
+        return {"tau": [tau.real, tau.imag], "z": [z.real, z.imag]}
+
+    def epoint(self) -> dict:
+        rng = self.rng
+        self.points += 1
+        if rng.random() >= 0.7:
+            return {"z1": [self.number(), self.number()], "z2": [self.number(), self.number()]}
+        u1, u2 = (cmath.rect(1.0 - 10.0 ** rng.uniform(-11.9, 0.0), rng.uniform(-math.pi, math.pi))
+                  for _ in range(2))
+        z1, z2 = u1 / 2.0 + u2 / 2.0, u1 / 2.0 - u2 / 2.0
+        self.valid_points += e_contains(z1, z2)
+        return {"z1": [z1.real, z1.imag], "z2": [z2.real, z2.imag]}
+
+    def factor(self) -> dict:
+        if self.rng.random() >= 0.7:
+            return dict(zip("abcd", (self.number() for _ in range(4))))
+        return dict(zip("abcd", self.factor_entries()))
+
+    def motion(self) -> dict:
+        rng = self.rng
+        if rng.random() >= 0.7:
+            return {"m": [[self.number() for _ in range(4)] for _ in range(4)]}
+        if rng.random() < 0.5:
+            f1, f2 = (Sl2Matrix(*self.factor_entries()) for _ in range(2))
+            return MotionMatrix(f1, f2, rng.choice((1, -1))).to_json_dict()
+        chain = random_motion(rng)
+        for _ in range(rng.randrange(60)):
+            try:
+                chain = chain @ random_motion(rng)
+            except GeometryError:  # the product's determinant gate
+                break
+        return chain.to_json_dict()
+
+    def factor_entries(self) -> tuple:
+        k = self.rng.choice(FUZZ_SCALES[:3])
+        lam = self.signed(k)
+        return (lam, self.signed(k), 0.0, 1.0 / lam)
+
+    def unit(self) -> str:
+        rng = self.rng
+        if rng.random() >= 0.7:
+            return f"{self.number()!r},{self.number()!r}"
+        theta = rng.uniform(-math.pi, math.pi)
+        return f"{math.cos(theta)!r},{math.sin(theta)!r}"
+
+
+#: Each input-reading command, as an argv whose "@name" items are documents
+#: drawn by the named ``FuzzDocs`` method.
+FUZZ_COMMANDS = {
+    "check_point": lambda f: ["check", "point", f.hpoint() if f.rng.random() < 0.5 else f.epoint()],
+    "check_matrix": lambda f: ["check", "matrix", f.motion()],
+    "act": lambda f: ["act", "--matrix", f.motion(), "--point", f.hpoint()],
+    "cayley_disc": lambda f: ["cayley", "--to", "disc", "--point", f.hpoint()],
+    "cayley_halfspace": lambda f: ["cayley", "--to", "halfspace", "--point", f.epoint()],
+    "split": lambda f: ["split", "--matrix", f.motion()],
+    "assemble": lambda f: ["assemble", "--m1", f.factor(), "--m2", f.factor(), "--eps", f.rng.choice(("1", "-1"))],
+    "reduce": lambda f: ["reduce", "--z1", f.hpoint(), "--z", f.hpoint()],
+    "distance": lambda f: ["distance", "--z1", f.hpoint(), "--z2", f.hpoint()],
+    "geodesic": lambda f: ["geodesic", "--z1", f.hpoint(), "--z2", f.hpoint(), "--samples", "3"],
+    "volume": lambda f: ["volume", "--point", f.hpoint()],
+    "stabilizer": lambda f: ["stabilizer", f"--xi1={f.unit()}", f"--xi2={f.unit()}",
+                             "--eps", f.rng.choice(("1", "-1")), "--model", f.rng.choice(("halfspace", "disc"))],
+}
+
+
+def test_seeded_fuzz_of_every_input_reading_command(capsys, monkeypatch):
+    # Every call exits 0, 2 or 3; a failure is one stderr line starting
+    # "error:" or "numerical error:"; a success prints no inf or nan.  The
+    # documents are read from stdin (argv "-"), as JSON text.
+    docs = FuzzDocs(random.Random(9))
+    succeeded = set()
+    for n in range(3000):
+        name = list(FUZZ_COMMANDS)[n % len(FUZZ_COMMANDS)]
+        case = FUZZ_COMMANDS[name](docs)
+        texts = [json.dumps(arg) for arg in case if isinstance(arg, dict)]
+        monkeypatch.setattr(sys, "stdin", StdinDocs(texts))
+        code, out, err = run(capsys, ["-" if isinstance(arg, dict) else arg for arg in case])
+        assert code in (0, 2, 3), case
+        if code:
+            assert out == "" and err.count("\n") == 1, case
+            assert err.startswith("error: " if code == 2 else "numerical error: "), case
+        else:
+            assert err == "" and not re.search("inf|nan", out), (case, out)
+            succeeded.add(name)
+    assert succeeded == set(FUZZ_COMMANDS)  # every command's arithmetic is reached
+    assert docs.valid_points >= docs.points / 2, (docs.valid_points, docs.points)
+
+
 def test_cached_parser_carries_no_state_between_calls(capsys):
     assert _build_parser() is _build_parser()
     _, alone, _ = run(capsys, ["random", "point", "--seed", "1"])
@@ -686,7 +874,7 @@ def test_geodesic_output_bytes_are_pinned(files, capsys, kind, digest):
 REDUCE_PAIRS = {
     "sampler": GEODESIC_PAIRS["sampler"],
     "near": GEODESIC_PAIRS["near"],
-    # Factor chords near 5e6: the moved radius is inside the margin (exit 3).
+    # Factor chords near 5e6: lambda1 = 1e14, whose moved radius rounds to 1.
     "far": (I_JSON, '{"tau":[0,1e14],"z":[0,0]}'),
 }
 
@@ -696,7 +884,7 @@ REDUCE_PAIRS = {
     [
         ("sampler", 0, "f6ffc16e256932c40371490702536c8f0a9d165459566ff0e0bf04b282c6ba3c"),
         ("near", 0, "e4355bb7fd377129a7982acf764263883c1393d47b65767239e1c73d8b7e424b"),
-        ("far", 3, "6ceaf59d29d855ad3d5e25a22ade4a209594b2f95e3818fc3a01c0f1982ea4d2"),
+        ("far", 0, "00a7183895996f54d5fbb5367127d66ad768b8d0915d465da39dcc91fb898c98"),
     ],
 )
 def test_reduce_output_bytes_are_pinned(files, capsys, kind, code, digest):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -254,6 +255,21 @@ def test_cayley_to_disc_denominator_exceeds_one():
             cayley_to_disc(z)
         except NumericalBreakdown as exc:  # an image inside the margin, never a singularity
             assert "dom_eps margin" in str(exc)
+
+
+@pytest.mark.parametrize("gap", [1e-5, 1e-6, 1e-7, 1e-11])
+def test_cayley_to_halfspace_near_the_circle_is_its_value(gap):
+    # u1 = u2 = 1 - gap: the guard |det(I - Z0)| <= dom_eps on the product of
+    # the two denominators passed gap = 1e-5 and 1e-6 (products 1e-10, 1e-12
+    # in exact arithmetic) and refused 1e-7 and 1e-11.  The image is
+    # i (1 + u) / (1 - u) per factor, up to 2e11 i.
+    u = 1.0 - gap
+    w1, w2 = cayley_to_halfspace(EPoint(u, 0.0)).factors()
+    with localcontext() as ctx:
+        ctx.prec = 50
+        want = (1 + Decimal(u)) / (1 - Decimal(u))
+    assert w1 == w2 and w1.real == 0.0
+    assert abs(Decimal(w1.imag) - want) <= Decimal(2**-52) * want
 
 
 def test_cayley_to_halfspace_inside_the_margin_is_numerical():

@@ -28,7 +28,7 @@ from bisiegel.hyperbolic import hyp_distance
 from bisiegel.numkit import Tolerance
 from bisiegel.verify import _geodesic_ode_residual, _path_speed, _reference_cross_ratio, _simpson
 
-from conftest import extreme_pair, path_length, point_gap
+from conftest import exact_chords, extreme_pair, path_length, point_gap
 
 I_H = HPoint(1j, 0.0)
 TWO_I = HPoint(2j, 0.0)
@@ -215,18 +215,6 @@ def wide_pair(rng):
         )
         for _ in range(2)
     )
-
-
-def exact_chords(z1, z2, prec=50):
-    """sinh(d/2) per factor to ``prec`` digits, from the factor coordinates the
-    library works with."""
-    out = []
-    with localcontext() as ctx:
-        ctx.prec = prec
-        for a, b in zip(z1.factors(), z2.factors()):
-            dx, dy = Decimal(a.real) - Decimal(b.real), Decimal(a.imag) - Decimal(b.imag)
-            out.append((dx * dx + dy * dy).sqrt() / (2 * (Decimal(a.imag) * Decimal(b.imag)).sqrt()))
-    return out
 
 
 def exact_distance(z1, z2, prec=50):

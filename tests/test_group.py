@@ -2,6 +2,7 @@ import math
 import random
 import re
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from bisiegel.errors import (
 from bisiegel.geometry import distance
 from bisiegel.group import (
     MotionMatrix,
+    ReducedPair,
     Sl2Matrix,
     StabilizerParams,
     apply,
@@ -48,6 +50,8 @@ from conftest import (
     composed_reduce_pair,
     disc_stabilizer,
     entries,
+    exact_lambdas,
+    extreme_pair,
     gap4,
     max_abs4,
     mobius,
@@ -576,6 +580,37 @@ def test_image_inside_the_margin_is_a_numerical_breakdown():
         HPoint.from_factors(1e-13j, 1j)
 
 
+@pytest.mark.parametrize("scale", [1e5, 1e6, 1e7])
+def test_apply_of_a_high_image_is_its_value(scale):
+    # diag(scale, 1/scale) in both factors sends iI to scale^2 iI through the
+    # denominators 1/scale.  Their product was guarded at dom_eps = 1e-12:
+    # 1e5 (product 1e-10) passed, 1e6 (1e-12) and 1e7 (1e-14) were refused.
+    factor = Sl2Matrix(scale, 0.0, 0.0, 1.0 / scale)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        want = Decimal(scale) / Decimal(1.0 / scale)
+    for eps in (1, -1):
+        w1, w2 = apply(assemble(factor, factor, eps), I_H).factors()
+        assert w1 == w2 and w1.real == 0.0
+        assert abs(Decimal(w1.imag) - want) <= Decimal(U / 2) * want
+
+
+def test_apply_of_a_zero_denominator_is_an_image_at_infinity():
+    # A subnormal c whose product with w rounds onto -d: c w + d is exactly 0.
+    # The next subnormal leaves a denominator near 1e-20 and an image past the
+    # float range.  Both are numerical limits, never a ZeroDivisionError.
+    d = -(1e-320 * 1e300)
+    point = HPoint.from_factors(1e300 + 1e-11j, 1j)
+    zero = assemble(Sl2Matrix(1.0 / d, 0.0, 1e-320, d), I2, 1)
+    assert zero.m1.c * point.w1 + zero.m1.d == 0.0
+    with pytest.raises(NumericalBreakdown, match="at infinity: a denominator is 0"):
+        apply(zero, point)
+    tiny = assemble(Sl2Matrix(1.0 / d, 0.0, 2e-320, d), I2, 1)
+    assert tiny.m1.c * point.w1 + tiny.m1.d != 0.0
+    with pytest.raises(NumericalBreakdown, match="dom_eps margin"):
+        apply(tiny, point)
+
+
 def test_apply_image_inside_the_callers_margin_is_a_numerical_breakdown():
     # The identity keeps a factor at height 1e-8: a point at the default
     # margin, inside a dom_eps of 1e-6.
@@ -695,12 +730,115 @@ def test_unimodular_gate_rejects_singular_and_reflecting_factors():
     with pytest.raises(NotUnimodular):
         Sl2Matrix(1e10, 1e10 - 1.0, 1e10 + 1.0, 1e10)
 
+
+def assert_lambdas_exact(red: ReducedPair, z_base: HPoint, z_other: HPoint) -> None:
+    """Both lambdas within 1.1e-15 of lambda1 of a 60-digit reference."""
+    want1, want2 = exact_lambdas(z_base, z_other, prec=60)
+    assert abs(Decimal(red.lambda1) - want1) <= Decimal(1.1e-15) * want1
+    assert abs(Decimal(red.lambda2) - want2) <= Decimal(1.1e-15) * want1
+
+
 def test_reduce_pair_breaks_down_at_extreme_separation():
-    with pytest.raises(NumericalBreakdown):
-        reduce_pair(I_H, HPoint(1e14j, 0.0))
-    # The transport of 1e6 i moves 1e-7 i to height 1e-13, inside the margin.
-    with pytest.raises(NumericalBreakdown, match="dom_eps margin"):
-        reduce_pair(HPoint.from_factors(1e6j, 1e6j), HPoint.from_factors(1e-7j, 1j))
+    # Factor dilations past the float range: the square of the chord term
+    # overflows, and the 50-digit lambda1 is far past it too.
+    far = HPoint(1e300 + 1j, 0.0)
+    assert exact_lambdas(I_H, far)[0] > Decimal(sys.float_info.max)
+    with pytest.raises(NumericalBreakdown, match="leave the float range"):
+        reduce_pair(I_H, far)
+    # Dilations of 1e300, and the pairs the radius test and the image
+    # margin refused: lambda1 = 1e14, and the transport of 1e6 i moves
+    # 1e-7 i to height 1e-13.
+    pairs = [
+        (I_H, HPoint.from_factors(1e150 + 1j, 1e150 + 1j)),
+        (I_H, HPoint(1e14j, 0.0)),
+        (HPoint.from_factors(1e6j, 1e6j), HPoint.from_factors(1e-7j, 1j)),
+    ]
+    for p, q in pairs:
+        assert_lambdas_exact(reduce_pair(p, q), p, q)
+
+
+@pytest.mark.parametrize("height", [1e12, 1e13, 1e14])
+def test_reduce_pair_on_each_side_of_the_old_radius_test(height):
+    # The test tanh(d/2) < 1 - dom_eps refused factor dilations above about
+    # 2e12: height 1e12 passed, 1e13 and 1e14 were refused.
+    z = HPoint.from_factors(complex(0.0, height), 2j)
+    red = reduce_pair(I_H, z)
+    assert_lambdas_exact(red, I_H, z)
+    assert point_gap(apply(red.mover, I_H), I_H) <= 1e-12
+
+
+@pytest.mark.parametrize("height", [1e-5, 1e-6])
+def test_reduce_pair_keeps_no_membership_test_on_the_moved_point(height):
+    # The transport of 1000 + height i moves iI to about height^2 i, which
+    # apply's membership test refused at 1e-12 (height 1e-6) and passed at
+    # 1e-10 (height 1e-5).  The moved point is not kept.
+    z = HPoint.from_factors(1000 + height * 1j, 1j)
+    red = reduce_pair(z, I_H)
+    assert_lambdas_exact(red, z, I_H)
+    if height == 1e-6:
+        assert red.lambda1 == 500000500000.50006
+
+
+def test_reduce_pair_refuses_a_nan_phase_at_the_mover_gate(monkeypatch):
+    # A finite image has a unit phase; a NaN one (from an overflowing image)
+    # fails the determinant gate of the mover's product.
+    monkeypatch.setattr("bisiegel.group._half_conj_phase", lambda w: complex(math.nan, 0.0))
+    with pytest.raises(NumericalBreakdown, match="lost its determinant: det=nan"):
+        reduce_pair(I_H, HPoint(2j, 1j))
+
+
+@pytest.mark.parametrize("k", [6.0, 9.0])
+def test_reduce_pair_resolves_wide_pairs(k):
+    # Factor heights and signed offsets 10^U[-k, k]: the radius test and the
+    # moved-point test refused 275 (k = 6) and 620 (k = 9) of these 1000 pairs.
+    rng = random.Random(11)
+
+    def draw() -> complex:
+        sign = rng.choice((-1.0, 1.0))
+        return complex(sign * 10.0 ** rng.uniform(-k, k), 10.0 ** rng.uniform(-k, k))
+
+    for _ in range(1000):
+        p, q = HPoint.from_factors(draw(), draw()), HPoint.from_factors(draw(), draw())
+        assert_lambdas_exact(reduce_pair(p, q), p, q)
+
+
+def test_reduced_pair_refuses_non_finite_lambdas():
+    mover = reduce_pair(I_H, I_H).mover
+    for l1, l2 in ((math.nan, math.nan), (math.inf, 0.0), (2.0, math.nan), (math.inf, math.inf)):
+        with pytest.raises(ValidationError, match="invalid canonical pair"):
+            ReducedPair(mover, l1, l2)
+
+
+def test_reduced_pair_gate_allows_the_rounding_of_large_lambdas():
+    # From lambda1 = 2^52 on, the lambdas round by 1 or more, and
+    # (L + S) / 2, (L - S) / 2 can be equal for a smaller dilation S < 2.
+    mover = reduce_pair(I_H, I_H).mover
+    ReducedPair(mover, 2.0**52 + 2.0, 2.0**52 + 2.0)
+    with pytest.raises(ValidationError):
+        ReducedPair(mover, 1e6, 1e6)  # a gap of 1 is resolved here: refused
+    with pytest.raises(ValidationError):
+        ReducedPair(mover, 2.0, -1e-9)
+    # Factor dilations L near 1e16 and 1: both lambdas round to L / 2, and
+    # lambda2 + 1 rounds above lambda1, which the old gate refused.
+    for height in (2.0**53 + 4.0, 1e16):
+        z = HPoint.from_factors(complex(0.0, height), 1j)
+        red = reduce_pair(I_H, z)
+        assert red.lambda1 == red.lambda2 < red.lambda2 + 1.0 - 1e-10
+        assert_lambdas_exact(red, I_H, z)
+
+
+def test_sixty_factor_chains_break_down_numerically():
+    # Valid sampler motions: their products reach entries near 1e7 and
+    # fail the product's determinant gate after 58, 42 and 53 factors.
+    # That is a numerical breakdown (exit 3), not bad input.
+    for seed, n in ((0, 58), (1, 42), (2, 53)):
+        rng = random.Random(seed)
+        chain = random_motion(rng)
+        for _ in range(n - 1):
+            chain = chain @ random_motion(rng)
+        with pytest.raises(NumericalBreakdown, match="lost its determinant: det="):
+            for _ in range(60 - n):
+                chain = chain @ random_motion(rng)
 
 
 def reduction_outcome(f, z_base: HPoint, z_other: HPoint):
@@ -734,21 +872,27 @@ def test_fused_reduce_pair_matches_the_composed_motions():
         raised += isinstance(want, str)
     assert raised < 100
 
-    # Factor heights and offsets 10^U[-k, k]: far pairs, most of which raise
-    # at the image margin or the radius test.
+    # Factor heights and offsets 10^U[-k, k], which all resolve, and the
+    # extreme pairs (10^U[-11.5, 307.5]), most of which raise: at the
+    # transvection, the lambdas or the mover's determinant gate.
+    raised = 0
     for k in (9.0, 12.0):
 
         def far() -> complex:
             sign = rng.choice((-1.0, 1.0))
             return complex(sign * 10.0 ** rng.uniform(-k, k), 10.0 ** rng.uniform(-k, k))
 
-        raised = 0
         for _ in range(1000):
             p, q = HPoint.from_factors(far(), far()), HPoint.from_factors(far(), far())
             want = reduction_outcome(composed_reduce_pair, p, q)
             assert reduction_outcome(fused, p, q) == want  # bit for bit, messages too
             raised += isinstance(want, str)
-        assert 0 < raised < 1000
+    for _ in range(1000):
+        p, q = extreme_pair(rng)
+        want = reduction_outcome(composed_reduce_pair, p, q)
+        assert reduction_outcome(fused, p, q) == want
+        raised += isinstance(want, str)
+    assert 0 < raised < 3000
 
 
 def test_transvection_overflow_is_a_numerical_breakdown():
@@ -759,9 +903,12 @@ def test_transvection_overflow_is_a_numerical_breakdown():
     for p in (z, w):
         with pytest.raises(NumericalBreakdown, match="overflows"):
             transport_to_iI(p)
-    for p, q in ((z, w), (w, z), (z, I_H), (I_H, z)):
+    for p, q in ((z, w), (w, z), (z, I_H)):
         with pytest.raises(NumericalBreakdown):
             reduce_pair(p, q)
+    # From iI the transport is the identity, and the lambdas near 2e183 are
+    # finite: the radius test refused this pair.
+    assert_lambdas_exact(reduce_pair(I_H, z), I_H, z)
 
 
 # --------------------------------------------------------------------------
