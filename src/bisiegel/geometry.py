@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from math import expm1
+from math import expm1, inf
 
 from .domain import HPoint, _hpoint
 from .errors import DegeneratePair, DomainViolation, NumericalBreakdown, OutOfRange
@@ -88,8 +88,8 @@ def cross_ratio_eigenvalues(z: HPoint, z1: HPoint) -> tuple[float, float]:
     """Eigenvalues, descending, of the matrix cross ratio (Z-Z1)(Z-conj Z1)^-1
     (conj Z-conj Z1)(conj Z-Z1)^-1: the per-factor tanh^2(d/2), which lie in
     [0, 1) and classify the pair up to a motion."""
-    lo, hi = sorted(_tanh_sq(s) for s in _chords(z, z1))
-    return (hi, lo)
+    a, b = _tanh_sq(_chord(z.w1, z1.w1)), _tanh_sq(_chord(z.w2, z1.w2))
+    return (b, a) if b > a else (a, b)
 
 
 def metric_form(point: HPoint, d: Tangent) -> float:
@@ -151,7 +151,7 @@ def _leg_point(leg: tuple[float, ...], t: float) -> complex:
         b = m ** (4.0 * t - 2.0) * expm1(n * t) / em
         c = m ** (2.0 * t)
     r = b * y / v
-    if r == math.inf:
+    if r == inf:
         q = b / v
         k = a / y + q
         return complex(x + dx * (q / k), c / k)
@@ -191,7 +191,8 @@ class GeodesicSpec:
         breakdown off it, as is a leg denominator that vanishes on a wide pair.
         """
         try:
-            return _hpoint(*self._factors(s), tol.dom_eps)
+            w1, w2 = self._factors(s)
+            return _hpoint(w1, w2, tol.dom_eps)
         except (ZeroDivisionError, DomainViolation) as exc:
             if 0.0 <= s / self.s0 <= 1.0 and isinstance(exc, DomainViolation):
                 raise
@@ -199,10 +200,16 @@ class GeodesicSpec:
 
     def point(self, s: float, tol: Tolerance = DEFAULT_TOL) -> HPoint:
         """Point at arc length s of the segment: s within ``tol.abs_eps`` of
-        [0, s0], the point above the ``tol.dom_eps`` margin."""
+        [0, s0], the point above the ``tol.dom_eps`` margin.  ``line_point``'s
+        two steps, inline (the hottest call); on a failure ``line_point`` raises."""
         if not (-tol.abs_eps <= s <= self.s0 + tol.abs_eps):
             raise OutOfRange(f"arc length s={s!r} outside [0, {self.s0!r}]")
-        return self.line_point(s, tol)
+        try:
+            w1, w2 = self._factors(s)
+            return _hpoint(w1, w2, tol.dom_eps)
+        except (ZeroDivisionError, DomainViolation):
+            pass
+        return self.line_point(s, tol)  # fails the same way, outside the handler: no chained error
 
 
 def connect(z1: HPoint, z2: HPoint, tol: Tolerance = DEFAULT_TOL) -> GeodesicSpec:

@@ -416,14 +416,23 @@ def reduce_pair(z_base: HPoint, z_other: HPoint) -> ReducedPair:
     s_big, s_small = (s_minus, s_plus) if swap else (s_plus, s_minus)
     try:  # for the chord s = sinh(d/2) the dilation is e^d = (s + sqrt(1 + s^2))^2
         lam_big, lam_small = ((s + hypot(1.0, s)) ** 2 for s in (s_big, s_small))
+        lambda1, lambda2 = (lam_big + lam_small) / 2.0, (lam_big - lam_small) / 2.0
     except OverflowError:
-        lam_big = lam_small = inf
-    if not lam_big + lam_small < inf:  # `not <` rejects NaN; lambda2 is finite with lambda1
-        raise NumericalBreakdown(f"lambdas of the chords ({s_big!r}, {s_small!r}) leave the float range")
+        lambda1 = inf
+    if not lambda1 < inf:
+        # A dilation past the float range; lambda1, about half of it, may fit.  The halved
+        # dilations are taken only here: pow is not scale-exact, so they move last bits.
+        try:
+            half_big, half_small = (2.0 * ((s + hypot(1.0, s)) / 2.0) ** 2 for s in (s_big, s_small))
+            lambda1, lambda2 = half_big + half_small, half_big - half_small
+        except OverflowError:
+            pass  # the halved square overflows too: lambda1 stays inf
+        if not lambda1 < inf:  # `not <` rejects NaN; lambda2 is finite with lambda1
+            raise NumericalBreakdown(f"lambdas of the chords ({s_big!r}, {s_small!r}) leave the float range")
     m1 = _product(xi1.real, xi1.imag, -xi1.imag, xi1.real, t1)  # _rotation(xi1) @ t1
     m2 = _product(xi2.real, xi2.imag, -xi2.imag, xi2.real, t2)
     mover = _motion(m1, m2, -1 if swap else 1)
-    return ReducedPair(mover, (lam_big + lam_small) / 2.0, (lam_big - lam_small) / 2.0)
+    return ReducedPair(mover, lambda1, lambda2)
 
 
 def random_sl2(rng: random.Random) -> Sl2Matrix:

@@ -422,6 +422,20 @@ def test_exit_code_numerical_breakdown(files, capsys):
     assert err == "numerical error: lambdas of the chords (5e+299, 5e+299) leave the float range\n"
 
 
+def test_reduce_where_a_dilation_overflows(files, capsys):
+    # Factor chords of 7e153 and 0: the dilation 1.96e308 overflows, lambda1
+    # (9.8e307 to 50 digits) does not.  Chords of 9.5e153 put lambda1 past it.
+    z1 = files("z1.json", I_JSON)
+    near = files("near.json", '{"tau":[7e153,1],"z":[7e153,0]}')
+    code, out, err = run(capsys, ["reduce", "--z1", z1, "--z", near])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["lambda1"] == json.loads(out)["lambda2"] == 9.8e307
+    far = files("far.json", '{"tau":[9.5e153,1],"z":[9.5e153,0]}')
+    code, out, err = run(capsys, ["reduce", "--z1", z1, "--z", far])
+    assert (code, out) == (3, "")
+    assert err == "numerical error: lambdas of the chords (9.5e+153, 0.0) leave the float range\n"
+
+
 @pytest.mark.parametrize(
     "argv,doc,want",
     [

@@ -15,6 +15,8 @@ from bisiegel.errors import (
 )
 from bisiegel.geometry import (
     Tangent,
+    _chord,
+    _tanh_sq,
     connect,
     cross_ratio_eigenvalues,
     distance,
@@ -374,12 +376,13 @@ def test_line_points_off_extreme_segments_raise_only_geometry_errors():
 )
 def test_unchecked_factors_are_the_line_points_bit_for_bit(recipe):
     # verify's geodesic checks read GeodesicSpec._factors; line_point is the
-    # same two leg points behind the membership test, on and off the segment.
+    # same two leg points behind the membership test, on and off the segment,
+    # and so is point on it (t = 1/2 exactly at frac 0.5 takes the forward legs).
     def bits(pair):
         return [(w.real.hex(), w.imag.hex()) for w in pair]
 
     rng = random.Random(21)
-    compared = 0
+    compared = on_segment = 0
     for _ in range(200):
         spec = connect(*recipe(rng))
         for frac in (-0.25, -1e-9, 0.0, 0.3, 0.5, 0.5 + 1e-12, 0.8, 1.0, 1.0 + 1e-9, 1.25):
@@ -391,7 +394,56 @@ def test_unchecked_factors_are_the_line_points_bit_for_bit(recipe):
                 continue
             assert bits(spec._factors(s)) == bits(want)
             compared += 1
-    assert compared >= 1900
+            if 0.0 <= frac <= 1.0:
+                assert bits(spec.point(s).factors()) == bits(want)
+                on_segment += 1
+    assert compared >= 1900 and on_segment == 200 * 6
+
+
+def test_geodesic_point_keeps_its_error_classes():
+    # Arc lengths past abs_eps of either end are out of range.  On the segment,
+    # a point inside the caller's margin is bad input (an end is inside it);
+    # within abs_eps past an end, where the exact line point is not an end,
+    # it is a breakdown, as line_point has it.
+    z1 = HPoint.from_factors(1j, 1j)
+    z2 = HPoint.from_factors(2 + 1e-8j, -1 + 1e-8j)
+    spec, eps = connect(z1, z2), Tolerance().abs_eps
+    for s in (math.nextafter(spec.s0 + eps, math.inf), math.nextafter(-eps, -math.inf)):
+        with pytest.raises(OutOfRange, match="outside \\[0, "):
+            spec.point(s)
+    for s in (spec.s0 + eps, -eps):
+        assert spec.point(s) == spec.line_point(s)
+    tol = Tolerance(1e-6, 1e-6)
+    inside = [s for s in (k / 64 * spec.s0 for k in range(65)) if min(f.imag for f in spec.point(s).factors()) <= 1e-6]
+    assert len(inside) >= 2 and inside[-1] == spec.s0
+    for s in inside:
+        with pytest.raises(DomainViolation, match="outside the half-space model"):
+            spec.point(s, tol)
+    with pytest.raises(NumericalBreakdown, match=re.escape(f"point at s={spec.s0 + 1e-7!r} of s0={spec.s0!r} not resolved")):
+        spec.point(spec.s0 + 1e-7, tol)
+
+
+@pytest.mark.parametrize(
+    "recipe",
+    [lambda rng: (random_hpoint(rng), random_hpoint(rng)), near_pair, wide_pair],
+    ids=["sampler", "near", "wide"],
+)
+def test_cross_ratio_eigenvalues_are_the_sorted_factor_values(recipe):
+    def sorted_bits(z, w):
+        values = (_tanh_sq(_chord(z.w1, w.w1)), _tanh_sq(_chord(z.w2, w.w2)))
+        return [v.hex() for v in sorted(values, reverse=True)]
+
+    rng = random.Random(22)
+    pairs = [recipe(rng) for _ in range(500)]
+    # Equal factor chords (hi == lo), and chords past the float range.
+    far = (HPoint.from_factors(-1e300 + 1e-11j, -1e300 + 1e-11j), HPoint.from_factors(1e300 + 1e-11j, 1e300 + 1e-11j))
+    pairs += [(I_H, TWO_I), (TWO_I, I_H), far, (far[0], HPoint.from_factors(1e300 + 1e-11j, 1j))]
+    assert _chord(far[0].w1, far[1].w1) == math.inf
+    for z, w in pairs:
+        assert [v.hex() for v in cross_ratio_eigenvalues(z, w)] == sorted_bits(z, w)
+    assert cross_ratio_eigenvalues(*far) == (1.0, 1.0)
+    hi, lo = cross_ratio_eigenvalues(I_H, TWO_I)
+    assert hi == lo
 
 
 @pytest.mark.parametrize("recipe", [near_pair, wide_pair])

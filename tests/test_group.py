@@ -757,6 +757,31 @@ def test_reduce_pair_breaks_down_at_extreme_separation():
         assert_lambdas_exact(reduce_pair(p, q), p, q)
 
 
+@pytest.mark.parametrize(
+    "w1,w2,fits",
+    [
+        (1.4e154 + 1j, 1j, True),  # one dilation (s + hypot(1, s))^2 overflows
+        (1.2e154 + 1j, 1.1e154 + 1j, True),  # both fit, their sum does not
+        (1.9e154 + 1j, 1j, False),  # lambda1 about 1.805e308
+        (1e200 + 1j, 1j, False),  # the halved dilation overflows too
+    ],
+)
+def test_reduce_pair_halves_dilations_past_the_float_range(w1, w2, fits):
+    # Where the sum of the dilations leaves the float range, lambda1, half of
+    # it, may still fit: it is then the sum of the halved dilations.
+    z = HPoint.from_factors(w1, w2)
+    want1, want2 = exact_lambdas(I_H, z)
+    assert 2 * want1 > Decimal(sys.float_info.max)
+    if not fits:
+        assert want1 > Decimal(sys.float_info.max)
+        with pytest.raises(NumericalBreakdown, match="leave the float range"):
+            reduce_pair(I_H, z)
+        return
+    red = reduce_pair(I_H, z)
+    assert abs(Decimal(red.lambda1) - want1) <= Decimal(1.1e-15) * want1
+    assert abs(Decimal(red.lambda2) - want2) <= Decimal(1.1e-15) * want1
+
+
 @pytest.mark.parametrize("height", [1e12, 1e13, 1e14])
 def test_reduce_pair_on_each_side_of_the_old_radius_test(height):
     # The test tanh(d/2) < 1 - dom_eps refused factor dilations above about
