@@ -112,9 +112,10 @@ class EPoint:
         return {"z1": [z1.real, z1.imag], "z2": [z2.real, z2.imag]}
 
 
-#: Bound once for ``_hpoint`` (the slot setters bypass the frozen __setattr__) and ``random_hpoint``.
+#: Bound once for the point builders (slot setters bypass the frozen __setattr__) and ``random_hpoint``.
 _inf, _isfinite, _new = math.inf, math.isfinite, object.__new__
 _set_w1, _set_w2 = HPoint.w1.__set__, HPoint.w2.__set__
+_set_u1, _set_u2 = EPoint.u1.__set__, EPoint.u2.__set__
 _LOG_LO, _LOG_SPAN = math.log(0.1), math.log(10.0) - math.log(0.1)
 
 
@@ -138,9 +139,9 @@ def _epoint(u1: complex, u2: complex, dom_eps: float) -> EPoint:
         inside = False
     if not inside:
         raise DomainViolation(f"factors ({u1!r}, {u2!r}) are outside the bounded model")
-    point = object.__new__(EPoint)
-    object.__setattr__(point, "u1", u1)
-    object.__setattr__(point, "u2", u2)
+    point = _new(EPoint)
+    _set_u1(point, u1)
+    _set_u2(point, u2)
     return point
 
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from math import expm1, inf
 
-from .domain import HPoint, _hpoint
+from .domain import HPoint, _hpoint, _new
 from .errors import DegeneratePair, DomainViolation, NumericalBreakdown, OutOfRange
 from .numkit import DEFAULT_TOL, Tolerance
 
@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tangent:
     """Bi-symmetric displacement (dtau, dz) at a half-space point."""
 
@@ -159,7 +159,7 @@ def _leg_point(leg: tuple[float, ...], t: float) -> complex:
     return complex(x + dx * (r / k), y * (c / k))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class GeodesicSpec:
     """Endpoint data of a geodesic segment: points, length, factor distances.
 
@@ -212,6 +212,11 @@ class GeodesicSpec:
         return self.line_point(s, tol)  # fails the same way, outside the handler: no chained error
 
 
+#: Slot setters, bound once for ``connect``.
+_set_z1, _set_z2, _set_s0, _set_d1, _set_d2, _set_legs = (
+    getattr(GeodesicSpec, name).__set__ for name in ("z1", "z2", "s0", "d1", "d2", "_legs"))
+
+
 def connect(z1: HPoint, z2: HPoint, tol: Tolerance = DEFAULT_TOL) -> GeodesicSpec:
     """Geodesic segment data for a pair of distinct points: each factor chord
     is taken once."""
@@ -220,8 +225,13 @@ def connect(z1: HPoint, z2: HPoint, tol: Tolerance = DEFAULT_TOL) -> GeodesicSpe
     s0 = math.hypot(d1, d2)
     if s0 < tol.dom_eps:
         raise DegeneratePair("geodesic through coincident points is undetermined")
-    spec = object.__new__(GeodesicSpec)
-    vars(spec).update(z1=z1, z2=z2, s0=s0, d1=d1, d2=d2, _legs=legs)
+    spec = _new(GeodesicSpec)
+    _set_z1(spec, z1)
+    _set_z2(spec, z2)
+    _set_s0(spec, s0)
+    _set_d1(spec, d1)
+    _set_d2(spec, d2)
+    _set_legs(spec, legs)
     return spec
 
 

@@ -22,9 +22,10 @@ written only as JSON, by the CLI.
 
 Motions are validated once, at the boundary: ``classify`` (with the caller's
 ``Tolerance``) and the public constructors.  Values computed from validated
-ones, and the seeded samples, are built by ``_sl2`` and ``_motion`` and trusted;
-only products and transvections re-run the determinant gate, with a fixed bound
-(a ``NumericalBreakdown``: their inputs were valid).  Each operation checks what it returns.
+ones, and the seeded samples, are trusted: ``_sl2`` and ``_motion`` fill the slots
+through setters bound once; only products and transvections re-run the determinant
+gate, with a fixed bound (a ``NumericalBreakdown``: their inputs were valid).  Each
+operation checks what it returns.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from math import cos, exp, hypot, inf, isfinite, pi, sin, sqrt
 from operator import add, sub
 
-from .domain import HPoint, _hpoint, _image
+from .domain import HPoint, _hpoint, _image, _new
 from .errors import (
     NotInHatGroup,
     NotSymplectic,
@@ -90,7 +91,7 @@ def _sign(eps) -> int:
     return eps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sl2Matrix:
     """Real 2x2 matrix of determinant one (a Moebius factor)."""
 
@@ -100,9 +101,9 @@ class Sl2Matrix:
     d: float
 
     def __post_init__(self) -> None:
-        a, b, c, d = float(self.a), float(self.b), float(self.c), float(self.d)
-        vars(self).update(a=a, b=b, c=c, d=d)  # frozen: bypass __setattr__
-        _check_det(a * d, b * c)
+        for name in "abcd":  # frozen: bypass __setattr__
+            object.__setattr__(self, name, float(getattr(self, name)))
+        _check_det(self.a * self.d, self.b * self.c)
 
     def __matmul__(self, other: "Sl2Matrix") -> "Sl2Matrix":
         return _product(self.a, self.b, self.c, self.d, other)
@@ -114,7 +115,7 @@ class Sl2Matrix:
         return {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MotionMatrix:
     """A motion: two Moebius factors and the exchange sign.
 
@@ -127,6 +128,9 @@ class MotionMatrix:
     eps: int
 
     def __post_init__(self) -> None:
+        for name in ("m1", "m2"):
+            if type(factor := getattr(self, name)) is not Sl2Matrix:
+                raise ValidationError(f"{name} must be an Sl2Matrix, got {factor!r}")
         _sign(self.eps)
 
     @property
@@ -168,10 +172,42 @@ class MotionMatrix:
         return {"m": self._rows(), "eps": self.eps}
 
 
+@dataclass(frozen=True, slots=True)
+class ReducedPair:
+    """Canonical form of an ordered point pair: the motion taking the first
+    point to iI and the second to i*[[lambda1, lambda2], [lambda2, lambda1]]."""
+
+    mover: MotionMatrix
+    lambda1: float
+    lambda2: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "lambda1", float(self.lambda1))  # frozen: bypass __setattr__
+        object.__setattr__(self, "lambda2", float(self.lambda2))
+        _check_lambdas(self.lambda1, self.lambda2)
+
+
+def _check_lambdas(l1: float, l2: float) -> None:
+    """The one gate of a canonical pair: lambda2 >= 0, lambda1 - lambda2 >= 1, lambda1 finite."""
+    slack = _FIXED_EPS + l1 * 2.0**-51  # lambda1 - lambda2 >= 1 to an ulp of lambda1
+    if not (-_FIXED_EPS <= l2 and 1.0 - slack <= l1 - l2 and l1 < inf):  # `not` rejects NaN
+        raise ValidationError(f"invalid canonical pair (lambda1={l1!r}, lambda2={l2!r})")
+
+
+#: Slot setters, bound once for the trusted builders ``_sl2``, ``_motion`` and ``reduce_pair``.
+_set_a, _set_b, _set_c, _set_d = (getattr(Sl2Matrix, f).__set__ for f in "abcd")
+_set_m1, _set_m2, _set_eps = (getattr(MotionMatrix, f).__set__ for f in ("m1", "m2", "eps"))
+_set_mover, _set_lambda1, _set_lambda2 = (
+    getattr(ReducedPair, f).__set__ for f in ("mover", "lambda1", "lambda2"))
+
+
 def _sl2(a: float, b: float, c: float, d: float) -> Sl2Matrix:
     """Trusted factor: float entries computed from validated values, stored unchecked."""
-    m = object.__new__(Sl2Matrix)
-    vars(m).update(a=a, b=b, c=c, d=d)
+    m = _new(Sl2Matrix)
+    _set_a(m, a)
+    _set_b(m, b)
+    _set_c(m, c)
+    _set_d(m, d)
     return m
 
 
@@ -200,8 +236,10 @@ def _product(p: float, q: float, r: float, s: float, other: Sl2Matrix) -> Sl2Mat
 
 def _motion(m1: Sl2Matrix, m2: Sl2Matrix, eps: int) -> MotionMatrix:
     """Trusted motion: validated factors and an int sign of +1 or -1, stored unchecked."""
-    motion = object.__new__(MotionMatrix)
-    vars(motion).update(m1=m1, m2=m2, eps=eps)
+    motion = _new(MotionMatrix)
+    _set_m1(motion, m1)
+    _set_m2(motion, m2)
+    _set_eps(motion, eps)
     return motion
 
 
@@ -239,9 +277,9 @@ def classify(m: Mat4R, tol: Tolerance = DEFAULT_TOL) -> MotionMatrix:
         raise NumericalBreakdown("non-finite symplectic residual: the 4x4 products overflow")
     if not (sym_res := max(sym)) <= tol.abs_eps:
         raise NotSymplectic(f"symplectic residual {sym_res:.3e} exceeds {tol.abs_eps}")
-    # Entry k ^ 1 of row i against entry k of row i ^ 1, in row order.
-    xs = (a1, a0, a3, a2, b1, b0, b3, b2, c1, c0, c3, c2, d1, d0, d3, d2)
-    ys = b + a + d + c
+    # Entry k ^ 1 of row i against entry k of row i ^ 1, for rows a and c: the pairs of
+    # rows b and d are the same ones swapped, whose difference is negated exactly.
+    xs, ys = (a1, a0, a3, a2, c1, c0, c3, c2), b + d
     commute, anticommute = max(map(abs, map(sub, xs, ys))), max(map(abs, map(add, xs, ys)))
     if not isfinite(max(commute, anticommute)):
         raise NumericalBreakdown("non-finite commutation residual: the 4x4 entries overflow")
@@ -307,7 +345,7 @@ def _check_unit(name: str, xi: complex) -> None:
         raise UnitModulusViolation(f"|{name}|={r!r} is not 1") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StabilizerParams:
     """Two unit-circle rotation parameters and an exchange sign."""
 
@@ -354,24 +392,6 @@ def _transvection_to_i(w: complex) -> Sl2Matrix:
     return _gated((a11 + 1.0) / s, a12 / s, a12 / s, (a22 + 1.0) / s)
 
 
-@dataclass(frozen=True)
-class ReducedPair:
-    """Canonical form of an ordered point pair: the motion taking the first
-    point to iI and the second to i*[[lambda1, lambda2], [lambda2, lambda1]]."""
-
-    mover: MotionMatrix
-    lambda1: float
-    lambda2: float
-
-    def __post_init__(self) -> None:
-        l1, l2 = float(self.lambda1), float(self.lambda2)
-        slack = _FIXED_EPS + l1 * 2.0**-51  # lambda1 - lambda2 >= 1 to an ulp of lambda1
-        if not (-_FIXED_EPS <= l2 and 1.0 - slack <= l1 - l2 and l1 < inf):  # `not` rejects NaN
-            raise ValidationError(f"invalid canonical pair (lambda1={l1!r}, lambda2={l2!r})")
-        object.__setattr__(self, "lambda1", l1)
-        object.__setattr__(self, "lambda2", l2)
-
-
 def _half_conj_phase(w: complex) -> complex:
     """e^{-i arg(w) / 2}, defined as 1 at the origin.
 
@@ -415,7 +435,7 @@ def reduce_pair(z_base: HPoint, z_other: HPoint) -> ReducedPair:
     swap = s_plus < s_minus
     s_big, s_small = (s_minus, s_plus) if swap else (s_plus, s_minus)
     try:  # for the chord s = sinh(d/2) the dilation is e^d = (s + sqrt(1 + s^2))^2
-        lam_big, lam_small = ((s + hypot(1.0, s)) ** 2 for s in (s_big, s_small))
+        lam_big, lam_small = (s_big + hypot(1.0, s_big)) ** 2, (s_small + hypot(1.0, s_small)) ** 2
         lambda1, lambda2 = (lam_big + lam_small) / 2.0, (lam_big - lam_small) / 2.0
     except OverflowError:
         lambda1 = inf
@@ -431,8 +451,12 @@ def reduce_pair(z_base: HPoint, z_other: HPoint) -> ReducedPair:
             raise NumericalBreakdown(f"lambdas of the chords ({s_big!r}, {s_small!r}) leave the float range")
     m1 = _product(xi1.real, xi1.imag, -xi1.imag, xi1.real, t1)  # _rotation(xi1) @ t1
     m2 = _product(xi2.real, xi2.imag, -xi2.imag, xi2.real, t2)
-    mover = _motion(m1, m2, -1 if swap else 1)
-    return ReducedPair(mover, lambda1, lambda2)
+    _check_lambdas(lambda1, lambda2)
+    red = _new(ReducedPair)
+    _set_mover(red, _motion(m1, m2, -1 if swap else 1))
+    _set_lambda1(red, lambda1)
+    _set_lambda2(red, lambda2)
+    return red
 
 
 def random_sl2(rng: random.Random) -> Sl2Matrix:

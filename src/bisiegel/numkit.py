@@ -22,7 +22,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tolerance:
     """Comparison thresholds.
 
@@ -51,18 +51,18 @@ _FIXED_EPS = 1e-10
 _Row4 = tuple[float, float, float, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Mat4R:
     """4x4 real matrix stored as a tuple of four row tuples of finite floats."""
 
     rows: tuple[_Row4, _Row4, _Row4, _Row4]
 
-    def __post_init__(self) -> None:
-        rows = tuple([tuple(map(float, row)) for row in self.rows])
+    def __init__(self, rows) -> None:
+        rows = tuple([tuple(map(float, row)) for row in rows])
         if list(map(len, rows)) != [4, 4, 4, 4]:
             raise ValueError("Mat4R needs exactly 4 rows of 4 entries")
         _check_finite(rows[0] + rows[1] + rows[2] + rows[3])
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", rows)  # frozen: bypass __setattr__
 
 
 def _check_finite(entries: tuple) -> tuple:

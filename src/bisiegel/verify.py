@@ -54,7 +54,7 @@ from .numkit import DEFAULT_TOL, Mat4R
 __all__ = ["CheckResult", "run_suite", "SUITE"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     name: str
     max_residual: float

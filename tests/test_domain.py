@@ -19,8 +19,18 @@ from bisiegel.domain import (
     random_hpoint,
 )
 from bisiegel.errors import DomainViolation, NumericalBreakdown
-from bisiegel.numkit import DEFAULT_TOL, Tolerance
-from bisiegel.verify import _reference_cayley
+from bisiegel.geometry import GeodesicSpec, Tangent, connect
+from bisiegel.group import (
+    MotionMatrix,
+    ReducedPair,
+    Sl2Matrix,
+    StabilizerParams,
+    _motion,
+    _sl2,
+    reduce_pair,
+)
+from bisiegel.numkit import DEFAULT_TOL, Mat4R, Tolerance
+from bisiegel.verify import CheckResult, _reference_cayley
 
 from conftest import (
     EXCHANGE_4,
@@ -149,14 +159,38 @@ def test_disc_membership_on_each_side_of_the_margin(tol):
                 _epoint(*pair, tol.dom_eps)
 
 
-def test_points_are_slotted_and_frozen():
-    points = (HPoint(2j, 1j), HPoint.from_factors(1j, 2j),
-              EPoint(0.25, 0.1), EPoint.from_factors(0.1, 0.2j))
-    for p in points:
-        assert not hasattr(p, "__dict__")
-        for f in dataclasses.fields(p):
+def test_records_are_slotted_and_frozen():
+    z1, z2 = HPoint(2j, 1j), HPoint(1j, 0.5j)
+    i2, shear = Sl2Matrix(1.0, 0.0, 0.0, 1.0), Sl2Matrix(1.0, 2.0, 0.0, 1.0)
+    red, spec = reduce_pair(z1, z2), connect(z1, z2)
+    records = (
+        DEFAULT_TOL, Mat4R(IDENTITY_4.rows), z1, HPoint.from_factors(1j, 2j),
+        EPoint(0.25, 0.1), EPoint.from_factors(0.1, 0.2j), i2, _motion(i2, shear, -1),
+        StabilizerParams(1.0, 1j, -1), red, Tangent(1.0, 0.5j), spec, CheckResult("c", 0.0, 1.0, 1),
+    )
+    assert len({type(r) for r in records}) == 11
+    for r in records:
+        assert not hasattr(r, "__dict__")
+        for f in dataclasses.fields(r):
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(p, f.name, 0j)
+                setattr(r, f.name, 0j)
+    # Each trusted build (object.__new__ and the slot setters) equals, and hashes
+    # like, its checked twin; the sums and differences of these points are exact.
+    twins = (
+        (_sl2(1.0, 2.0, 0.0, 1.0), shear),
+        (_motion(i2, shear, -1), MotionMatrix(i2, shear, -1)),
+        (red, ReducedPair(red.mover, red.lambda1, red.lambda2)),
+        (_hpoint(3j, 1j, DEFAULT_TOL.dom_eps), z1),
+        (_epoint(0.5 + 0j, 0.25 + 0j, DEFAULT_TOL.dom_eps), EPoint(0.375, 0.125)),
+    )
+    for trusted, checked in twins:
+        assert type(trusted) is type(checked)
+        assert trusted == checked and hash(trusted) == hash(checked)
+    # GeodesicSpec has no checked constructor: connect's record compares and
+    # hashes by its five public fields, as the dataclass defines them.
+    key = (spec.z1, spec.z2, spec.s0, spec.d1, spec.d2)
+    assert type(spec) is GeodesicSpec and key[:2] == (z1, z2)
+    assert spec == connect(z1, z2) and hash(spec) == hash(key)
 
 
 def test_point_from_tau_z_equals_point_from_factors(rng):

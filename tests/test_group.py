@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -128,9 +129,7 @@ def literal_classify(m: Mat4R) -> MotionMatrix:
     sym_res = gap4(mul4(transpose(m), j, m), j)
     if sym_res > tol:
         raise NotSymplectic(f"symplectic residual {sym_res:.3e} exceeds {tol}")
-    mq, qm = mul4(m, EXCHANGE_4), mul4(EXCHANGE_4, m)
-    # mq - (-qm) rounds exactly as mq + qm.
-    commute, anticommute = gap4(mq, qm), gap4(mq, scale4(qm, -1.0))
+    commute, anticommute = literal_commutation(m)
     if min(commute, anticommute) > tol:
         raise NotInHatGroup(
             f"commutation residuals ({commute:.3e}, {anticommute:.3e}) both exceed {tol}"
@@ -142,6 +141,13 @@ def literal_classify(m: Mat4R) -> MotionMatrix:
     except NotUnimodular:
         raise NotSymplectic("unimodular factors are the symplectic condition") from None
     return MotionMatrix(m1, m2, 1 if commute <= anticommute else -1)
+
+
+def literal_commutation(m: Mat4R) -> tuple[float, float]:
+    """The residuals |MQ - QM| and |MQ + QM| through the literal products."""
+    mq, qm = mul4(m, EXCHANGE_4), mul4(EXCHANGE_4, m)
+    # mq - (-qm) rounds exactly as mq + qm.
+    return gap4(mq, qm), gap4(mq, scale4(qm, -1.0))
 
 
 def classify_outcome(f, m: Mat4R):
@@ -239,6 +245,67 @@ def test_closed_form_classify_edge_cases():
     for m in cases:
         assert classify_outcome(literal_classify, m)[0] is NumericalBreakdown
         assert classify_outcome(classify, m)[0] is NumericalBreakdown
+
+
+def off_pattern(rng: random.Random, scale: float) -> Mat4R:
+    """diag(A, A^-T), [[I, S], [0, I]] or [[I, 0], [S, I]] (S symmetric), entries of A, S
+    of size ``scale``: symplectic, and each family carries the commutation residual in
+    different pairs of rows a, b and c, d."""
+    u = [scale * rng.uniform(-1.0, 1.0) for _ in range(4)]
+    kind = rng.randrange(3)
+    if kind == 0:
+        a, b, c, d = u
+        det = a * d - b * c
+        return Mat4R(((a, b, 0, 0), (c, d, 0, 0), (0, 0, d / det, -c / det), (0, 0, -b / det, a / det)))
+    s0, s1, s2 = u[:3]
+    if kind == 1:
+        return Mat4R(((1, 0, s0, s1), (0, 1, s1, s2), (0, 0, 1, 0), (0, 0, 0, 1)))
+    return Mat4R(((1, 0, 0, 0), (0, 1, 0, 0), (s0, s1, 1, 0), (s1, s2, 0, 1)))
+
+
+def hat_gate_passes(m: Mat4R, abs_eps: float) -> bool:
+    """Whether ``classify``'s commutation gate lets m through at this threshold."""
+    try:
+        classify(m, Tolerance(abs_eps, min(abs_eps, 1e-12)))
+    except NotInHatGroup:
+        return False
+    except GeometryError:
+        pass
+    return True
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+def test_classify_commutation_residuals_are_the_literal_ones(scale):
+    # classify takes the 8 distinct commutation pairs of the 16 that MQ - QM and
+    # MQ + QM hold: its message is the literal products' one, and its gate passes at
+    # the smaller literal residual and fails one ulp below it.
+    rng = random.Random(21)
+    refused = pinned = 0
+    for _ in range(300):
+        m = off_pattern(rng, scale)
+        want = classify_outcome(literal_classify, m)
+        assert classify_outcome(classify, m) == want, m
+        refused += want[0] is NotInHatGroup
+        res = min(literal_commutation(m))
+        if 1e-300 < res < 1.0 and symplectic_gate_passes(m, res):
+            assert hat_gate_passes(m, res), m
+            assert not hat_gate_passes(m, math.nextafter(res, 0.0)), m
+            pinned += 1
+    assert refused >= 250 and (pinned >= 100 or scale > 1.0)
+
+
+def test_classify_eps_is_the_smaller_literal_residual(rng):
+    for _ in range(400):
+        m = random_motion(rng).m
+        commute, anticommute = literal_commutation(m)
+        assert classify(m).eps == (1 if commute <= anticommute else -1)
+    # An exact tie: in each pair of the commutation residuals one entry is 0, so both
+    # residuals are c.  A tie needs both within the threshold, met only at a loose one;
+    # the factors are c I, near the kernel.  It resolves to +1.
+    c = 1.0 - 2.0**-12
+    tie = scale4(Mat4R(((1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, -1, 0, 0))), c)
+    assert literal_commutation(tie) == (c, c)
+    assert classify(tie, Tolerance(0.9999, 1e-12)).eps == 1
 
 
 def test_classify_symplectic_and_determinant_gates_agree():
@@ -641,6 +708,17 @@ def test_every_constructor_passes_its_sign_through_the_one_gate():
                 build(eps)
 
 
+@pytest.mark.parametrize("slot", ["m1", "m2"])
+@pytest.mark.parametrize("bad", [(1.0, 0.0, 0.0, 1.0), None, IDENTITY], ids=["tuple", "None", "motion"])
+def test_motion_factors_pass_the_factor_gate(slot, bad):
+    # A factor that is not an Sl2Matrix would otherwise fail later, in apply, as an
+    # AttributeError.  The trusted _motion does not run this gate.
+    factors = {"m1": I2, "m2": I2, slot: bad}
+    for build in (MotionMatrix, assemble):
+        with pytest.raises(ValidationError, match=rf"^{slot} must be an Sl2Matrix, got {re.escape(repr(bad))}$"):
+            build(factors["m1"], factors["m2"], 1)
+
+
 def test_transport_to_iI_examples(rng):
     assert gap4(transport_to_iI(I_H).m, IDENTITY_4) < 1e-15
     for z in (HPoint(2j, 0.0), HPoint(2j, 1j)):
@@ -834,6 +912,18 @@ def test_reduced_pair_refuses_non_finite_lambdas():
             ReducedPair(mover, l1, l2)
 
 
+def test_reduced_pair_has_one_gate(rng):
+    # reduce_pair runs the checked constructor's gate, and dataclasses.replace runs it too.
+    with pytest.raises(ValidationError, match="invalid canonical pair"):
+        ReducedPair(reduce_pair(I_H, I_H).mover, 1.0, 0.5)
+    for _ in range(100):
+        red = reduce_pair(random_hpoint(rng), random_hpoint(rng))
+        assert red == ReducedPair(red.mover, red.lambda1, red.lambda2)
+        for change in ({"lambda1": math.nan}, {"lambda2": -1.0}):
+            with pytest.raises(ValidationError, match="invalid canonical pair"):
+                dataclasses.replace(red, **change)
+
+
 def test_reduced_pair_gate_allows_the_rounding_of_large_lambdas():
     # From lambda1 = 2^52 on, the lambdas round by 1 or more, and
     # (L + S) / 2, (L - S) / 2 can be equal for a smaller dilation S < 2.
@@ -954,8 +1044,6 @@ def test_disc_and_halfspace_actions_commute_with_cayley(rng):
 
 
 def test_motion_json_roundtrip_and_eps_check(rng):
-    import dataclasses
-
     for _ in range(100):
         m = random_motion(rng)
         doc = m.to_json_dict()
