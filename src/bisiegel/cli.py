@@ -102,15 +102,21 @@ def _read_doc(path: str):
         raise ValidationError(f"malformed JSON in {path!r}: {exc}") from exc
 
 
+def _number(value, what: str) -> float:
+    """A JSON int or float as a float.  ``float()`` alone would take a bool or a str: those
+    raise ``TypeError`` naming ``what``; ``float()`` raises for the rest (null, a big int)."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"{what} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _pair(doc, what: str) -> complex:
-    if (
-        not isinstance(doc, list)
-        or len(doc) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in doc)
-    ):
+    if not isinstance(doc, list) or len(doc) != 2:
         raise ValidationError(f"{what} must be a [re, im] pair of numbers")
     try:
-        return complex(float(doc[0]), float(doc[1]))
+        return complex(_number(doc[0], what), _number(doc[1], what))
+    except TypeError as exc:
+        raise ValidationError(f"{what} must be a [re, im] pair of numbers") from exc
     except OverflowError as exc:
         raise ValidationError(f"bad {what}: {exc}") from exc
 
@@ -136,8 +142,9 @@ def _parse_mat4(doc) -> Mat4R:
     ):
         raise ValidationError('"m" must be 4 rows of 4 numbers')
     try:
-        return Mat4R(rows)
-    except (TypeError, ValueError, OverflowError) as exc:
+        return Mat4R([[_number(x, f"m[{i}][{j}]") for j, x in enumerate(row)]
+                      for i, row in enumerate(rows)])
+    except (TypeError, OverflowError) as exc:
         raise ValidationError(f"bad matrix entries: {exc}") from exc
     except NumericalBreakdown as exc:
         raise ValidationError('"m" entries must be finite numbers') from exc
@@ -161,8 +168,8 @@ def _parse_sl2(doc) -> Sl2Matrix:
     if not isinstance(doc, dict) or any(k not in doc for k in "abcd"):
         raise ValidationError('2x2 factor JSON needs fields "a", "b", "c", "d"')
     try:
-        entries = [float(doc[k]) for k in "abcd"]
-    except (TypeError, ValueError, OverflowError) as exc:
+        entries = [_number(doc[k], f'"{k}"') for k in "abcd"]
+    except (TypeError, OverflowError) as exc:
         raise ValidationError(f"bad factor entries: {exc}") from exc
     return Sl2Matrix(*entries)
 

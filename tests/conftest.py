@@ -20,7 +20,6 @@ from bisiegel.group import (
     stabilizer_of_iI,
 )
 from bisiegel.numkit import Mat4R
-from bisiegel.verify import _path_speed, _simpson
 
 
 def mobius(m, w: complex) -> complex:
@@ -32,13 +31,6 @@ def mobius(m, w: complex) -> complex:
 def entries(m) -> tuple[float, float, float, float]:
     """A 2x2 factor as the (a, b, c, d) tuple ``mobius`` takes."""
     return (m.a, m.b, m.c, m.d)
-
-
-def path_length(curve, s_from: float, s_to: float, panels: int) -> float:
-    """Simpson-integrated metric length of a curve that returns the factor pair (w1, w2),
-    with the step of verify's arc-length check."""
-    h = max(abs(s_to - s_from), 1.0) * 1e-5
-    return _simpson(lambda s: _path_speed(curve, s, h), s_from, s_to, panels)
 
 
 def disc_stabilizer(xi1: complex, xi2: complex, eps: int) -> dict:

@@ -36,9 +36,9 @@ from bisiegel.group import (
     split,
 )
 from bisiegel.hyperbolic import hyp_distance
-from bisiegel.verify import _geodesic_ode_residual
+from bisiegel.verify import _geodesic_ode_residual, _path_length
 
-from conftest import KERNEL_4, entries, mobius, path_length, point_gap
+from conftest import KERNEL_4, entries, mobius, point_gap
 
 I_H = HPoint(1j, 0.0)
 TWO_I = HPoint(2j, 0.0)
@@ -225,7 +225,7 @@ def test_criterion_09_geodesics():
     length_rng = random.Random(17)  # well-separated pair, strong curvature
     za, zb = random_hpoint(length_rng), random_hpoint(length_rng)
     spec = connect(za, zb)
-    length = path_length(lambda s: spec.line_point(s).factors(), 0.0, spec.s0, panels=10_000)
+    length = _path_length(lambda s: spec.line_point(s).factors(), 0.0, spec.s0, panels=10_000)
     length_rel = abs(length - spec.s0) / spec.s0
 
     worst_res = 0.0

@@ -335,13 +335,14 @@ def test_verify_reports_a_nan_residual_as_a_failure(capsys, monkeypatch):
 @pytest.mark.parametrize("name", ["ode_residual", "arc_length"])
 def test_geodesic_checks_keep_a_nan_from_the_unchecked_factors(monkeypatch, name):
     # These checks read GeodesicSpec._factors, which no membership test guards.
-    from bisiegel.verify import SUITE, CheckResult, _rng
+    # run_suite folds the trials, so the suite is cut to this one check.
+    from bisiegel.verify import SUITE, run_suite
 
     nan_pair = (complex(math.nan, 1.0),) * 2
     monkeypatch.setattr("bisiegel.geometry.GeodesicSpec._factors", lambda self, s: nan_pair)
-    check, tolerance, _ = SUITE[name]
-    residual = check(_rng(42, name), 2)
-    assert math.isnan(residual) and not CheckResult(name, residual, tolerance, 2).passed
+    monkeypatch.setattr("bisiegel.verify.SUITE", {name: SUITE[name]})
+    [result] = run_suite(42, 2 * SUITE[name][2])
+    assert result.trials == 2 and math.isnan(result.max_residual) and not result.passed
 
 
 def test_exit_code_validation_errors(files, capsys):
@@ -410,6 +411,22 @@ def test_integer_beyond_the_float_range_is_validation_error(files, capsys):
     ):
         code, out, err = run(capsys, argv)
         assert code == 2 and out == "" and err.startswith("error:") and "too large" in err
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["assemble", "--m1", "{}", "--m2", "{}", "--eps", "1"], '{"a":"1","b":false,"c":0,"d":true}',
+     'bad factor entries: "a" must be a number, got "1"'),
+    (["split", "--matrix", "{}"], '{"m":[["1",0,0,0],[0,true,0,0],[0,0,1,0],[0,0,0,1]]}',
+     'bad matrix entries: m[0][0] must be a number, got "1"'),
+    (["check", "matrix", "{}"], '{"m":[[1,0,0,0],[0,true,0,0],[0,0,1,0],[0,0,0,1]]}',
+     "bad matrix entries: m[1][1] must be a number, got true"),
+])
+def test_numbers_are_json_ints_or_floats(files, capsys, argv, doc, message):
+    # float() takes "1" and true as numbers; the CLI's one number reader does not,
+    # and names the field (these identity entries once exited 0).
+    path = files("doc.json", doc)
+    code, out, err = run(capsys, [a.format(path) for a in argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_exit_code_numerical_breakdown(files, capsys):
@@ -944,10 +961,15 @@ def test_check_matrix_output_bytes_are_pinned(files, capsys, kind, digest):
 
 def test_verify_output_bytes_are_pinned(capsys):
     # SHA-256 of the report: every printed residual of the 19 checks stays
-    # the same however the group layer is built.
-    code, out, _ = run(capsys, ["verify", "--seed", "42", "--trials", "200"])
-    assert code == 0 and out.endswith("19/19 checks passed\n")
-    assert hashlib.sha256(out.encode()).hexdigest() == "ba204919482d2df9fcbc0159b9a285e6b5d909dd0b173599470e39626227ba68"
+    # the same however the group layer is built.  The one-trial report runs
+    # every check at its floor of max(1, trials // divisor).
+    for trials, digest in (
+        ("200", "ba204919482d2df9fcbc0159b9a285e6b5d909dd0b173599470e39626227ba68"),
+        ("1", "c3d85345da6f14f326f48732865f7cd7050413d52ed85d286bd59f73fb4f3961"),
+    ):
+        code, out, _ = run(capsys, ["verify", "--seed", "42", "--trials", trials])
+        assert code == 0 and out.endswith("19/19 checks passed\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 SEED5_DOCS = {

@@ -28,9 +28,15 @@ from bisiegel.geometry import (
 from bisiegel.group import apply, random_motion
 from bisiegel.hyperbolic import hyp_distance
 from bisiegel.numkit import Tolerance
-from bisiegel.verify import _geodesic_ode_residual, _path_speed, _reference_cross_ratio, _simpson
+from bisiegel.verify import (
+    _geodesic_ode_residual,
+    _path_length,
+    _path_speed,
+    _reference_cross_ratio,
+    _simpson,
+)
 
-from conftest import exact_chords, extreme_pair, path_length, point_gap
+from conftest import exact_chords, extreme_pair, point_gap
 
 I_H = HPoint(1j, 0.0)
 TWO_I = HPoint(2j, 0.0)
@@ -634,7 +640,7 @@ def test_geodesic_length_matches_distance(rng):
         z1 = random_hpoint(rng)
         z2 = random_hpoint(rng)
         spec = connect(z1, z2)
-        length = path_length(lambda s: spec.line_point(s).factors(), 0.0, spec.s0, panels=10_000)
+        length = _path_length(lambda s: spec.line_point(s).factors(), 0.0, spec.s0, panels=10_000)
         assert abs(length - spec.s0) / spec.s0 <= 1e-6
 
 
@@ -645,7 +651,7 @@ def test_geodesic_is_arclength_parameterized(rng):
         spec = connect(z1, z2)
         for frac in (0.25, 0.6, 1.0):
             s = frac * spec.s0
-            partial = path_length(lambda s: spec.line_point(s).factors(), 0.0, s, panels=2_000)
+            partial = _path_length(lambda s: spec.line_point(s).factors(), 0.0, s, panels=2_000)
             assert abs(partial - s) / s <= 1e-6
         speed = _path_speed(lambda s: spec.line_point(s).factors(), spec.s0 / 3, 1e-6 * spec.s0)
         assert speed == pytest.approx(1.0, rel=1e-8)

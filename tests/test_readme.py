@@ -1,9 +1,12 @@
 """The README's examples, run as written: the quick tour against its
-commented values, and the byte-exact CLI examples against their output."""
+commented values, and the byte-exact CLI examples against their output; and
+the private names of its module map, against the modules."""
 
 import ast
+import importlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -74,3 +77,20 @@ def test_byte_exact_cli_examples(tmp_path):
             ["bash", "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, expected, ""), command
+
+
+def test_module_map_private_names_resolve():
+    # Each backticked private name in a module map row (a leading underscore,
+    # optionally Class.-qualified, a trailing "()" dropped) is an attribute of
+    # that row's module, so the map cannot keep naming a helper that is gone.
+    text = README.read_text()
+    rows = re.findall(r"^\| `(\w+)` +\| (.*) \|$", text[text.index("Module map:"):], re.M)
+    assert len(rows) == 7
+    missing = []
+    for module_name, contents in rows:
+        module = importlib.import_module(f"bisiegel.{module_name}")
+        for name in re.findall(r"`((?:[A-Z]\w*\.)?_\w+)(?:\(\))?`", contents):
+            owner, _, attr = name.rpartition(".")
+            if not hasattr(getattr(module, owner, None) if owner else module, attr):
+                missing.append(f"{module_name}: {name}")
+    assert missing == []
