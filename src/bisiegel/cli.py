@@ -2,9 +2,10 @@
 
 All inputs are JSON documents (a path or ``-`` for stdin); all outputs go to
 stdout with floats rendered as ``%.15g`` so identical invocations are
-byte-identical.  Exit codes: 0 success, 2 domain/validation error, 3
-numerical breakdown; ``verify`` exits 1 when a check fails.  The argument
-parser is built once per process and reused by every ``main`` call.
+byte-identical.  Exit codes: 0 success (also when the reader closes stdout early:
+the rest of the output is dropped, with no traceback), 2 domain/validation error,
+3 numerical breakdown; ``verify`` exits 1 when a check fails.  The argument parser
+is built once per process and reused by every ``main`` call.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 
@@ -47,11 +49,8 @@ __all__ = ["main"]
 
 _quote = json.encoder.encode_basestring_ascii  # the bytes json.dumps gives a str
 
-#: A motion's 8 halves in one format call (+ 0.0 prints -0.0 as 0), and its to_json_dict()
-#: bytes: rows 0 and 2 are {0}-{7}; rows 1 and 3 are eps times them ({8}-{15}), pair-swapped.
+#: A motion's 8 half-sums in one format call (``MotionMatrix._halves()`` has no -0.0).
 _HALVES = "%.15g,%.15g,%.15g,%.15g,%.15g,%.15g,%.15g,%.15g"
-_MOTION = ('{{"m":[[{0},{1},{2},{3}],[{9},{8},{11},{10}],'
-           '[{4},{5},{6},{7}],[{13},{12},{15},{14}]],"eps":{16}}}')
 
 
 def _to_json_text(obj) -> str:
@@ -63,11 +62,19 @@ def _to_json_text(obj) -> str:
         return "[" + ",".join(items) + "]"  # float items formatted inline, as above
     if t is dict:
         return "{" + ",".join([_quote(k) + ":" + _to_json_text(v) for k, v in obj.items()]) + "}"
-    if t is MotionMatrix:
-        a1, a2, b1, b2, c1, c2, d1, d2 = obj._halves()
-        h = _HALVES % (a1 + 0.0, a2 + 0.0, b1 + 0.0, b2 + 0.0, c1 + 0.0, c2 + 0.0, d1 + 0.0, d2 + 0.0)
-        h = h.split(",")
-        return _MOTION.format(*h, *(h if obj.eps == 1 else map(_negated, h)), obj.eps)
+    if t is MotionMatrix:  # rows 1 and 3 are rows 0 and 2 swapped in pairs, times eps
+        a1, a2, b1, b2, c1, c2, d1, d2 = (_HALVES % obj._halves()).split(",")
+        if obj.eps == 1:
+            return (f'{{"m":[[{a1},{a2},{b1},{b2}],[{a2},{a1},{b2},{b1}],'
+                    f'[{c1},{c2},{d1},{d2}],[{c2},{c1},{d2},{d1}]],"eps":1}}')
+        # %.15g of -x: the "-" toggled, but "0" at either sign (x >= 0 prints a digit first,
+        # which sorts after "-", and after "0" unless the text is "0").
+        na1, na2 = "-" + a1 if a1 > "0" else a1[1:] or a1, "-" + a2 if a2 > "0" else a2[1:] or a2
+        nb1, nb2 = "-" + b1 if b1 > "0" else b1[1:] or b1, "-" + b2 if b2 > "0" else b2[1:] or b2
+        nc1, nc2 = "-" + c1 if c1 > "0" else c1[1:] or c1, "-" + c2 if c2 > "0" else c2[1:] or c2
+        nd1, nd2 = "-" + d1 if d1 > "0" else d1[1:] or d1, "-" + d2 if d2 > "0" else d2[1:] or d2
+        return (f'{{"m":[[{a1},{a2},{b1},{b2}],[{na2},{na1},{nb2},{nb1}],'
+                f'[{c1},{c2},{d1},{d2}],[{nc2},{nc1},{nd2},{nd1}]],"eps":-1}}')
     if t is bool:
         return "true" if obj else "false"
     if t is int:
@@ -77,13 +84,6 @@ def _to_json_text(obj) -> str:
     if t is str:
         return _quote(obj)
     raise TypeError(f"cannot serialize {t!r}")
-
-
-def _negated(text: str) -> str:
-    """%.15g of -x from %.15g of a finite x: "-" toggled, but a zero prints "0" at either sign."""
-    if text == "0":
-        return text
-    return text[1:] if text[0] == "-" else "-" + text
 
 
 def _emit(obj) -> None:
@@ -321,8 +321,10 @@ def _cmd_random(args) -> int:
     rng = random.Random(_parse_seed(args.seed))
     if args.count < 1:
         raise ValidationError("--count must be positive")
+    draw = random_motion if args.kind == "motion" else lambda r: random_hpoint(r).to_json_dict()
+    write = sys.stdout.write
     for _ in range(args.count):
-        _emit(random_motion(rng) if args.kind == "motion" else random_hpoint(rng).to_json_dict())
+        write(_to_json_text(draw(rng)) + "\n")
     return 0
 
 
@@ -420,7 +422,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not in the exit-time flush
+        return code
+    except BrokenPipeError:
+        # The reader stopped reading: not a failure.  Point fd 1 at devnull, so the
+        # interpreter's flush at exit has nowhere to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

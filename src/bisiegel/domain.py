@@ -189,8 +189,8 @@ def cayley_to_halfspace(point: EPoint, tol: Tolerance = DEFAULT_TOL) -> HPoint:
     return _image(_hpoint, 1j * (1.0 + u1) / (1.0 - u1), 1j * (1.0 + u2) / (1.0 - u2), tol)
 
 
-def random_hpoint(rng: random.Random) -> HPoint:
-    """Seeded half-space sample.
+def random_hpoint(rng: random.Random, tol: Tolerance = DEFAULT_TOL) -> HPoint:
+    """Seeded half-space sample, built as ``from_factors`` builds it.
 
     Draw order (documented so goldens stay stable): the two factor heights
     log-uniform in [0.1, 10], then the two factor offsets uniform in [-5, 5].
@@ -199,4 +199,4 @@ def random_hpoint(rng: random.Random) -> HPoint:
     y_minus = math.exp(_LOG_LO + _LOG_SPAN * rng.random())
     x_plus = -5.0 + 10.0 * rng.random()
     x_minus = -5.0 + 10.0 * rng.random()
-    return HPoint.from_factors(complex(x_plus, y_plus), complex(x_minus, y_minus))
+    return _hpoint(complex(x_plus, y_plus), complex(x_minus, y_minus), tol.dom_eps)

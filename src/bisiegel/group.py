@@ -140,12 +140,12 @@ class MotionMatrix:
 
     def _halves(self) -> tuple:
         """The 8 distinct 4x4 entries ``(a1, a2, b1, b2, c1, c2, d1, d2)``, rows 0 and 2,
-        behind the finiteness gate; ``x1 +- x2`` are the entries of ``m1``, ``m2``."""
+        behind the finiteness gate, none ``-0.0`` (``+ 0.0``); ``x1 +- x2`` are ``m1``, ``m2``."""
         m1, m2 = self.m1, self.m2
-        a1, a2 = (m1.a + m2.a) / 2.0, (m1.a - m2.a) / 2.0
-        b1, b2 = (m1.b + m2.b) / 2.0, (m1.b - m2.b) / 2.0
-        c1, c2 = (m1.c + m2.c) / 2.0, (m1.c - m2.c) / 2.0
-        d1, d2 = (m1.d + m2.d) / 2.0, (m1.d - m2.d) / 2.0
+        a1, a2 = (m1.a + m2.a) / 2.0 + 0.0, (m1.a - m2.a) / 2.0 + 0.0
+        b1, b2 = (m1.b + m2.b) / 2.0 + 0.0, (m1.b - m2.b) / 2.0 + 0.0
+        c1, c2 = (m1.c + m2.c) / 2.0 + 0.0, (m1.c - m2.c) / 2.0 + 0.0
+        d1, d2 = (m1.d + m2.d) / 2.0 + 0.0, (m1.d - m2.d) / 2.0 + 0.0
         return _check_finite((a1, a2, b1, b2, c1, c2, d1, d2))
 
     def _rows(self) -> tuple:

@@ -565,24 +565,53 @@ def test_assemble_beyond_the_float_range_exits_3(files, capsys):
 
 def test_motion_writer_gives_the_bytes_of_the_generic_writer():
     # The motion branch formats the 8 halves once and fills rows 1 and 3
-    # with the same strings, negated for eps = -1; the reference is the
-    # generic writer on to_json_dict(), at both signs.
+    # with the same strings, negated for eps = -1.  The reference is the
+    # generic writer on the 16 entries computed here from the factors, so a
+    # change to MotionMatrix._halves does not move both sides at once:
+    # (m1.x + m2.x) / 2 and (m1.x - m2.x) / 2, rows 1 and 3 times eps.
+    def reference(m1, m2, eps):
+        (a1, a2), (b1, b2), (c1, c2), (d1, d2) = (
+            ((x + y) / 2.0, (x - y) / 2.0) for x, y in ((m1.a, m2.a), (m1.b, m2.b), (m1.c, m2.c), (m1.d, m2.d)))
+        rows = [[a1, a2, b1, b2], [eps * a2, eps * a1, eps * b2, eps * b1],
+                [c1, c2, d1, d2], [eps * c2, eps * c1, eps * d2, eps * d1]]
+        return _to_json_text({"m": rows, "eps": eps})
+
     rng = random.Random(16)
     pairs = [(m.m1, m.m2) for m in (random_motion(rng) for _ in range(2000))]
-    # Entries whose halves are 0 and -0 (m1 = m2 gives x2 = 0), subnormal,
-    # near the float range, printed as "2" or with an "e-05" exponent.
+    # Entries, in each of a, b, c, d, whose halves are 0 and -0 (m1 = m2 gives
+    # x2 = 0), subnormal, near the float range, printed as "2" or with an
+    # "e-05" exponent.
     special = (0.0, -0.0, 5e-324, 1e300, -1e300, 2.0, 3.25e-05, -7e-06)
     factors = [Sl2Matrix(x, 1.0, -1.0, 0.0) for x in special]
     factors += [Sl2Matrix(1.0, 0.0, x, 1.0) for x in special]
+    factors += [Sl2Matrix(1.0, x, 0.0, 1.0) for x in special]
+    factors += [Sl2Matrix(0.0, -1.0, 1.0, x) for x in special]
     factors.append(Sl2Matrix(2.0, 0.0, 0.0, 0.5))
     pairs += [(f, g) for f in factors for g in factors]
     for m1, m2 in pairs:
         for eps in (1, -1):
             m = MotionMatrix(m1, m2, eps)
-            assert _to_json_text(m) == _to_json_text(m.to_json_dict())
+            assert _to_json_text(m) == reference(m1, m2, eps) == _to_json_text(m.to_json_dict())
     assert _to_json_text(MotionMatrix(factors[0], factors[0], -1)) == (
         '{"m":[[0,0,1,0],[0,0,0,-1],[-1,0,0,0],[0,1,0,0]],"eps":-1}'
     )
+
+
+@pytest.mark.parametrize("argv, lines_read", [
+    (["random", "motion", "--seed", "1", "--count", "200000"], 1),
+    # Closed before the one line is written or, if it is buffered first, before the exit flush.
+    (["random", "point", "--seed", "1", "--count", "1"], 0),
+], ids=["after_one_line", "before_any_line"])
+def test_reader_closing_stdout_early_exits_0_without_a_traceback(argv, lines_read):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with subprocess.Popen([sys.executable, "-m", "bisiegel", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        for _ in range(lines_read):
+            assert proc.stdout.readline().startswith(b"{")
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 def test_motion_writer_refuses_non_finite_halves_as_to_json_dict_does():
