@@ -189,14 +189,15 @@ def cayley_to_halfspace(point: EPoint, tol: Tolerance = DEFAULT_TOL) -> HPoint:
     return _image(_hpoint, 1j * (1.0 + u1) / (1.0 - u1), 1j * (1.0 + u2) / (1.0 - u2), tol)
 
 
-def random_hpoint(rng: random.Random, tol: Tolerance = DEFAULT_TOL) -> HPoint:
-    """Seeded half-space sample, built as ``from_factors`` builds it.
+def random_hpoint(rng: random.Random) -> HPoint:
+    """Seeded half-space sample.
 
     Draw order (documented so goldens stay stable): the two factor heights
     log-uniform in [0.1, 10], then the two factor offsets uniform in [-5, 5].
+    The heights are at least 0.1, so the membership test needs no margin.
     """
     y_plus = math.exp(_LOG_LO + _LOG_SPAN * rng.random())  # a + (b - a) U, as Random.uniform does
     y_minus = math.exp(_LOG_LO + _LOG_SPAN * rng.random())
     x_plus = -5.0 + 10.0 * rng.random()
     x_minus = -5.0 + 10.0 * rng.random()
-    return _hpoint(complex(x_plus, y_plus), complex(x_minus, y_minus), tol.dom_eps)
+    return _hpoint(complex(x_plus, y_plus), complex(x_minus, y_minus), 0.0)

@@ -140,7 +140,8 @@ class MotionMatrix:
 
     def _halves(self) -> tuple:
         """The 8 distinct 4x4 entries ``(a1, a2, b1, b2, c1, c2, d1, d2)``, rows 0 and 2,
-        behind the finiteness gate, none ``-0.0`` (``+ 0.0``); ``x1 +- x2`` are ``m1``, ``m2``."""
+        behind the finiteness gate, none ``-0.0`` (``+ 0.0``); ``x1 +- x2`` are ``m1``, ``m2``.
+        The CLI's motion writer prints these as they are, so this is what prints a zero as 0."""
         m1, m2 = self.m1, self.m2
         a1, a2 = (m1.a + m2.a) / 2.0 + 0.0, (m1.a - m2.a) / 2.0 + 0.0
         b1, b2 = (m1.b + m2.b) / 2.0 + 0.0, (m1.b - m2.b) / 2.0 + 0.0

@@ -614,6 +614,28 @@ def test_reader_closing_stdout_early_exits_0_without_a_traceback(argv, lines_rea
     assert (proc.wait(timeout=60), err) == (0, b"")
 
 
+def test_reader_closing_stdout_early_keeps_a_failed_verify_at_exit_1():
+    # verify's report sits in the stdout buffer (block-buffered into a pipe,
+    # so PYTHONUNBUFFERED is dropped) until main's flush, after the command
+    # has returned 1; the pipe's read end is closed before the child starts,
+    # so that flush is where the pipe breaks.
+    script = ("import sys\n"
+              "from bisiegel import cli, verify\n"
+              "verify.SUITE = {'fails': (lambda rng: (1.0,), 0.5, 1)}\n"
+              "sys.exit(cli.main(['verify', '--seed', '1', '--trials', '1']))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-c", script], env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 def test_motion_writer_refuses_non_finite_halves_as_to_json_dict_does():
     # The half-sums of entries near 1e308 overflow, in a1 or (first) in a2.
     big, neg = Sl2Matrix(1e308, 0.0, 0.0, 1e-308), Sl2Matrix(-1e308, 0.0, 0.0, -1e-308)
