@@ -4,9 +4,10 @@ All inputs are JSON documents (a path or ``-`` for stdin); all outputs go to
 stdout with floats rendered as ``%.15g`` so identical invocations are
 byte-identical.  Exit codes: 0 success, 2 domain/validation error, 3 numerical
 breakdown; ``verify`` exits 1 when a check fails.  A reader that closes stdout early
-drops the rest of the output, with no traceback, and leaves the status the command
-returned (0 if it was still writing).  The argument parser is built once per process
-and reused by every ``main`` call.
+drops the rest of the output, with no traceback, and leaves the command's status:
+``verify`` sets it on ``args.status`` before its report's first write, so a failed
+run exits 1 buffered or not; the other commands exit 0 if they were still writing.
+The argument parser is built once per process and reused by every ``main`` call.
 """
 
 from __future__ import annotations
@@ -335,16 +336,16 @@ def _cmd_verify(args) -> int:
         raise ValidationError("--trials must be positive")
     results = run_suite(_parse_seed(args.seed), args.trials)
     width = max(len(r.name) for r in results)
-    failures = 0
+    failures = sum(not r.passed for r in results)
+    args.status = 0 if failures == 0 else 1  # before the first write: a broken pipe keeps it
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        failures += 0 if r.passed else 1
         sys.stdout.write(
             f"{r.name:<{width}}  trials={r.trials:<6d} max_residual={r.max_residual:.3e}  "
             f"tol={r.tolerance:.3e}  {status}\n"
         )
     sys.stdout.write(f"{len(results) - failures}/{len(results)} checks passed\n")
-    return 0 if failures == 0 else 1
+    return args.status
 
 
 @functools.cache
@@ -423,19 +424,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    code = 0
+    args.status = 0  # a command that knows its status before it writes sets it here
     try:
-        code = args.func(args)
+        args.status = args.func(args)
         sys.stdout.flush()  # a reader that has gone shows here, not in the exit-time flush
-        return code
+        return args.status
     except BrokenPipeError:
         # The reader stopped reading: not a failure, so the command's own status stands
-        # (0 if the pipe broke while it ran).  Point fd 1 at devnull, so the
-        # interpreter's flush at exit has nowhere to fail.
+        # (verify's is set before its report; 0 if a command broke the pipe before it had
+        # one).  Point fd 1 at devnull, so the interpreter's flush at exit has nowhere to fail.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return code
+        return args.status
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

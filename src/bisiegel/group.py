@@ -13,7 +13,7 @@ entries (symplectic; commuting or anticommuting with the exchange involution),
 and reads the factors off the top rows of its blocks, which have the pattern
 ``[[x1, x2], [eps*x2, eps*x1]]`` with ``x1 +- x2`` the entries of ``m1`` and
 ``m2``; ``MotionMatrix._halves`` gives the 8 ``x1``, ``x2`` that the CLI prints,
-``_rows`` the 4x4, and ``.m`` its ``Mat4R``, for ``verify``'s literal action.
+``_rows`` the 4x4, which ``verify``'s literal action reads, and ``.m`` its ``Mat4R``.
 
 The stabilizer of the base point is given by two unit parameters ``xi1``,
 ``xi2`` and a sign (``StabilizerParams``): ``stabilizer_of_iI`` is its motion,
@@ -25,7 +25,8 @@ Motions are validated once, at the boundary: ``classify`` (with the caller's
 ones, and the seeded samples, are trusted: ``_sl2`` and ``_motion`` fill the slots
 through setters bound once; only products and transvections re-run the determinant
 gate, with a fixed bound (a ``NumericalBreakdown``: their inputs were valid).  Each
-operation checks what it returns.
+operation checks what it returns.  Composition calls ``_product``, the one factor
+product, once per factor.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import cmath
 import random
 from dataclasses import dataclass
 from math import cos, exp, hypot, inf, isfinite, pi, sin, sqrt
-from operator import add, sub
 
 from .domain import HPoint, _hpoint, _image, _new
 from .errors import (
@@ -135,7 +135,7 @@ class MotionMatrix:
 
     @property
     def m(self) -> Mat4R:
-        """The real symplectic 4x4 matrix as a ``Mat4R``: the verify reference."""
+        """The real symplectic 4x4 matrix as a ``Mat4R``, as ``classify`` reads it."""
         return Mat4R(self._rows())
 
     def _halves(self) -> tuple:
@@ -163,7 +163,8 @@ class MotionMatrix:
     def __matmul__(self, other: "MotionMatrix") -> "MotionMatrix":
         # Under an exchanging right factor, each left factor meets the other one.
         p1, p2 = (self.m1, self.m2) if other.eps == 1 else (self.m2, self.m1)
-        return _motion(p1 @ other.m1, p2 @ other.m2, self.eps * other.eps)
+        return _motion(_product(p1.a, p1.b, p1.c, p1.d, other.m1),
+                       _product(p2.a, p2.b, p2.c, p2.d, other.m2), self.eps * other.eps)
 
     def inverse(self) -> "MotionMatrix":
         i1, i2 = self.m1.inverse(), self.m2.inverse()
@@ -251,11 +252,11 @@ def classify(m: Mat4R, tol: Tolerance = DEFAULT_TOL) -> MotionMatrix:
     identity ``-(ci aj) - di bj + ai cj + bi dj - Jij``, written out and summed left to
     right as the tests' literal 4x4 products sum, so the residuals match theirs bit for
     bit (``J = [[0, I], [-I, 0]]``; subtracting its zeros is exact and left out).
-    ``MQ``, ``QM`` swap columns, rows, within pairs.  ``eps`` has the smaller
-    commutation residual (+1 on an exact tie, met only near the kernel).
+    ``MQ``, ``QM`` swap columns, rows, within pairs; their 8 distinct differences and
+    sums are written out too.  ``eps`` has the smaller commutation residual (+1 on an
+    exact tie, met only near the kernel).
     """
-    a, b, c, d = m.rows
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = a, b, c, d
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m.rows
     sym = (
         abs(-(c0 * a0) - d0 * b0 + a0 * c0 + b0 * d0),
         abs(-(c0 * a1) - d0 * b1 + a0 * c1 + b0 * d1),
@@ -280,8 +281,10 @@ def classify(m: Mat4R, tol: Tolerance = DEFAULT_TOL) -> MotionMatrix:
         raise NotSymplectic(f"symplectic residual {sym_res:.3e} exceeds {tol.abs_eps}")
     # Entry k ^ 1 of row i against entry k of row i ^ 1, for rows a and c: the pairs of
     # rows b and d are the same ones swapped, whose difference is negated exactly.
-    xs, ys = (a1, a0, a3, a2, c1, c0, c3, c2), b + d
-    commute, anticommute = max(map(abs, map(sub, xs, ys))), max(map(abs, map(add, xs, ys)))
+    commute = max(abs(a1 - b0), abs(a0 - b1), abs(a3 - b2), abs(a2 - b3),
+                  abs(c1 - d0), abs(c0 - d1), abs(c3 - d2), abs(c2 - d3))
+    anticommute = max(abs(a1 + b0), abs(a0 + b1), abs(a3 + b2), abs(a2 + b3),
+                      abs(c1 + d0), abs(c0 + d1), abs(c3 + d2), abs(c2 + d3))
     if not isfinite(max(commute, anticommute)):
         raise NumericalBreakdown("non-finite commutation residual: the 4x4 entries overflow")
     eps = 1 if commute <= anticommute else -1
@@ -290,13 +293,14 @@ def classify(m: Mat4R, tol: Tolerance = DEFAULT_TOL) -> MotionMatrix:
             f"commutation residuals ({commute:.3e}, {anticommute:.3e}) both exceed {tol.abs_eps}"
         )
     # Rows a and c hold the top rows of the blocks A, B and C, D.
-    factors = (a0 + a1, a2 + a3, c0 + c1, c2 + c3), (a0 - a1, a2 - a3, c0 - c1, c2 - c3)
+    p1, q1, r1, s1 = a0 + a1, a2 + a3, c0 + c1, c2 + c3
+    p2, q2, r2, s2 = a0 - a1, a2 - a3, c0 - c1, c2 - c3
     try:
-        for p, q, r, s in factors:
-            _check_det(p * s, q * r, tol.abs_eps)
+        _check_det(p1 * s1, q1 * r1, tol.abs_eps)
+        _check_det(p2 * s2, q2 * r2, tol.abs_eps)
     except NotUnimodular as exc:  # in this pattern: unimodular factors <=> symplectic
         raise NotSymplectic(f"factor of the patterned matrix: {exc}") from exc
-    return _motion(_sl2(*factors[0]), _sl2(*factors[1]), eps)
+    return _motion(_sl2(p1, q1, r1, s1), _sl2(p2, q2, r2, s2), eps)
 
 
 def apply(motion: MotionMatrix, point: HPoint, tol: Tolerance = DEFAULT_TOL) -> HPoint:

@@ -2,8 +2,9 @@
 
 The library computes in factor coordinates, so it carries no matrix algebra.
 ``Mat4R`` is only the validated record of a motion's real 4x4 matrix, the
-type that ``classify`` reads, the CLI parses and ``verify`` checks against;
-``_check_finite``, its finiteness gate, also guards a motion's JSON rows.
+type that ``classify`` reads and the CLI parses; it stores its rows through a
+slot setter bound once, as the other records do.  ``_check_finite``, its
+finiteness gate, also guards a motion's JSON rows.
 ``classify`` writes the symplectic condition out as scalar identities in the
 16 entries, and the literal matrix references live in ``verify``.
 """
@@ -62,7 +63,11 @@ class Mat4R:
         if list(map(len, rows)) != [4, 4, 4, 4]:
             raise ValueError("Mat4R needs exactly 4 rows of 4 entries")
         _check_finite(rows[0] + rows[1] + rows[2] + rows[3])
-        object.__setattr__(self, "rows", rows)  # frozen: bypass __setattr__
+        _set_rows(self, rows)
+
+
+#: The slot setter of ``rows``, bound once: frozen, so ``__init__`` bypasses ``__setattr__``.
+_set_rows = Mat4R.rows.__set__
 
 
 def _check_finite(entries: tuple) -> tuple:

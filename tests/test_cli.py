@@ -614,11 +614,12 @@ def test_reader_closing_stdout_early_exits_0_without_a_traceback(argv, lines_rea
     assert (proc.wait(timeout=60), err) == (0, b"")
 
 
-def test_reader_closing_stdout_early_keeps_a_failed_verify_at_exit_1():
-    # verify's report sits in the stdout buffer (block-buffered into a pipe,
-    # so PYTHONUNBUFFERED is dropped) until main's flush, after the command
-    # has returned 1; the pipe's read end is closed before the child starts,
-    # so that flush is where the pipe breaks.
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_reader_closing_stdout_early_keeps_a_failed_verify_at_exit_1(unbuffered):
+    # The pipe's read end is closed before the child starts.  Buffered (the default
+    # into a pipe), the report sits in the stdout buffer until main's flush, after
+    # the command has returned 1; unbuffered, the report's first write breaks the
+    # pipe, after verify has set its status.
     script = ("import sys\n"
               "from bisiegel import cli, verify\n"
               "verify.SUITE = {'fails': (lambda rng: (1.0,), 0.5, 1)}\n"
@@ -626,6 +627,8 @@ def test_reader_closing_stdout_early_keeps_a_failed_verify_at_exit_1():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:

@@ -392,6 +392,21 @@ def test_apply_group_law(rng):
         assert point_gap(apply(m1 @ m2, z), apply(m1, apply(m2, z))) <= 1e-9
 
 
+@pytest.mark.parametrize("eps_m, eps_n", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_composition_pairs_the_factors_bit_for_bit(eps_m, eps_n, rng):
+    # Under an exchanging right factor, each left factor meets the other one.
+    def bits(f: Sl2Matrix) -> tuple:
+        return tuple(map(float.hex, (f.a, f.b, f.c, f.d)))
+
+    for _ in range(200):
+        m = MotionMatrix(random_sl2(rng), random_sl2(rng), eps_m)
+        n = MotionMatrix(random_sl2(rng), random_sl2(rng), eps_n)
+        left1, left2 = (m.m1, m.m2) if eps_n == 1 else (m.m2, m.m1)
+        prod = m @ n
+        assert (bits(prod.m1), bits(prod.m2)) == (bits(left1 @ n.m1), bits(left2 @ n.m2))
+        assert prod.eps == eps_m * eps_n
+
+
 def test_apply_closure(rng):
     from bisiegel.domain import h_contains
 
@@ -519,7 +534,7 @@ def test_factor_path_matches_4x4_reference(rng):
         # -J M^T J only permutes and negates entries, as the adjugates do.
         assert gap4(p.inverse().m, scale4(mul4(j, transpose(p.m), j), -1.0)) == 0.0
         assert p.inverse().eps == p.eps
-        assert point_gap(apply(p, z), _reference_apply(p.m, z)) <= 1e-9
+        assert point_gap(apply(p, z), _reference_apply(p._rows(), z)) <= 1e-9
         back = classify(p.m)
         assert back.eps == p.eps
         for got, want in zip(split(back), split(p)):
