@@ -99,10 +99,10 @@ def _read_doc(path: str):
             return json.loads(sys.stdin.read())
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON in {path!r}: {exc}") from exc
+    except (OSError, ValueError, RecursionError) as exc:  # also invalid UTF-8, deep nesting
+        raise ValidationError(f"cannot read {path!r}: {exc}") from exc
 
 
 def _number(value, what: str) -> float:

@@ -8,11 +8,11 @@ are swapped.  Composition, inverse, the action, stabilizers and pair
 reduction are all 2x2 work on the stored factors.
 
 The real symplectic 4x4 matrix of a motion appears only at the boundary.
-``classify`` validates a raw 4x4 in closed form, as scalar identities in its 16
-entries (symplectic; commuting or anticommuting with the exchange involution),
-and reads the factors off the top rows of its blocks, which have the pattern
-``[[x1, x2], [eps*x2, eps*x1]]`` with ``x1 +- x2`` the entries of ``m1`` and
-``m2``; ``MotionMatrix._halves`` gives the 8 ``x1``, ``x2`` that the CLI prints,
+``classify`` checks each condition once: that a raw 4x4 commutes or anticommutes
+with the exchange involution, so its blocks have the pattern
+``[[x1, x2], [eps*x2, eps*x1]]`` with ``x1 +- x2`` the entries of ``m1`` and ``m2``;
+then that these two factors are unimodular, which in this pattern is the symplectic
+condition.  ``MotionMatrix._halves`` gives the 8 ``x1``, ``x2`` that the CLI prints,
 ``_rows`` the 4x4, which ``verify``'s literal action reads, and ``.m`` its ``Mat4R``.
 
 The stabilizer of the base point is given by two unit parameters ``xi1``,
@@ -246,39 +246,22 @@ def _motion(m1: Sl2Matrix, m2: Sl2Matrix, eps: int) -> MotionMatrix:
 
 
 def classify(m: Mat4R, tol: Tolerance = DEFAULT_TOL) -> MotionMatrix:
-    """Validate a raw 4x4 in closed form as a motion and read off its factors.
+    """Validate a raw 4x4 as a motion and read off its factors, each condition once.
 
-    For rows ``a, b, c, d`` of ``M``, entry (i, j) of ``M^T J M - J`` is the scalar
-    identity ``-(ci aj) - di bj + ai cj + bi dj - Jij``, written out and summed left to
-    right as the tests' literal 4x4 products sum, so the residuals match theirs bit for
-    bit (``J = [[0, I], [-I, 0]]``; subtracting its zeros is exact and left out).
-    ``MQ``, ``QM`` swap columns, rows, within pairs; their 8 distinct differences and
-    sums are written out too.  ``eps`` has the smaller commutation residual (+1 on an
-    exact tie, met only near the kernel).
+    ``M`` (rows ``a, b, c, d``) is accepted when rows b and d are rows a and c with each
+    pair of entries swapped, times one sign ``eps`` (``MQ = eps QM`` for the exchange
+    involution ``Q``), to ``tol.abs_eps``, and both factors read off rows a and c pass
+    ``_check_det`` with ``tol.abs_eps`` as its floor.  The motion's 4x4 equals ``M`` in
+    rows a and c, and is within ``abs_eps`` of it in rows b and d.  ``eps`` has the
+    smaller commutation residual (+1 on an exact tie, met only near the kernel).  That
+    gate is absolute: a 4x4 computed elsewhere with entries near 1e6 can trip it.
+
+    Only a refused pattern has its symplectic residual ``M^T J M - J`` taken, to choose
+    ``NotSymplectic`` or ``NotInHatGroup``.  Entry (i, j) is ``-(ci aj) - di bj + ai cj
+    + bi dj - Jij``, summed as the tests' literal 4x4 products sum, so the two match bit
+    for bit.  A residual or determinant past the float range is a ``NumericalBreakdown``.
     """
     (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m.rows
-    sym = (
-        abs(-(c0 * a0) - d0 * b0 + a0 * c0 + b0 * d0),
-        abs(-(c0 * a1) - d0 * b1 + a0 * c1 + b0 * d1),
-        abs(-(c0 * a2) - d0 * b2 + a0 * c2 + b0 * d2 - 1.0),
-        abs(-(c0 * a3) - d0 * b3 + a0 * c3 + b0 * d3),
-        abs(-(c1 * a0) - d1 * b0 + a1 * c0 + b1 * d0),
-        abs(-(c1 * a1) - d1 * b1 + a1 * c1 + b1 * d1),
-        abs(-(c1 * a2) - d1 * b2 + a1 * c2 + b1 * d2),
-        abs(-(c1 * a3) - d1 * b3 + a1 * c3 + b1 * d3 - 1.0),
-        abs(-(c2 * a0) - d2 * b0 + a2 * c0 + b2 * d0 + 1.0),
-        abs(-(c2 * a1) - d2 * b1 + a2 * c1 + b2 * d1),
-        abs(-(c2 * a2) - d2 * b2 + a2 * c2 + b2 * d2),
-        abs(-(c2 * a3) - d2 * b3 + a2 * c3 + b2 * d3),
-        abs(-(c3 * a0) - d3 * b0 + a3 * c0 + b3 * d0),
-        abs(-(c3 * a1) - d3 * b1 + a3 * c1 + b3 * d1 + 1.0),
-        abs(-(c3 * a2) - d3 * b2 + a3 * c2 + b3 * d2),
-        abs(-(c3 * a3) - d3 * b3 + a3 * c3 + b3 * d3),
-    )
-    if not all(map(isfinite, sym)):
-        raise NumericalBreakdown("non-finite symplectic residual: the 4x4 products overflow")
-    if not (sym_res := max(sym)) <= tol.abs_eps:
-        raise NotSymplectic(f"symplectic residual {sym_res:.3e} exceeds {tol.abs_eps}")
     # Entry k ^ 1 of row i against entry k of row i ^ 1, for rows a and c: the pairs of
     # rows b and d are the same ones swapped, whose difference is negated exactly.
     commute = max(abs(a1 - b0), abs(a0 - b1), abs(a3 - b2), abs(a2 - b3),
@@ -287,20 +270,30 @@ def classify(m: Mat4R, tol: Tolerance = DEFAULT_TOL) -> MotionMatrix:
                       abs(c1 + d0), abs(c0 + d1), abs(c3 + d2), abs(c2 + d3))
     if not isfinite(max(commute, anticommute)):
         raise NumericalBreakdown("non-finite commutation residual: the 4x4 entries overflow")
-    eps = 1 if commute <= anticommute else -1
     if not min(commute, anticommute) <= tol.abs_eps:
+        a, b, c, d = m.rows
+        j = ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
+        sym = [abs(-(c[i] * a[k]) - d[i] * b[k] + a[i] * c[k] + b[i] * d[k] - j[i][k])
+               for i in range(4) for k in range(4)]
+        if not all(map(isfinite, sym)):
+            raise NumericalBreakdown("non-finite symplectic residual: the 4x4 products overflow")
+        if not (sym_res := max(sym)) <= tol.abs_eps:
+            raise NotSymplectic(f"symplectic residual {sym_res:.3e} exceeds {tol.abs_eps}")
         raise NotInHatGroup(
             f"commutation residuals ({commute:.3e}, {anticommute:.3e}) both exceed {tol.abs_eps}"
         )
-    # Rows a and c hold the top rows of the blocks A, B and C, D.
+    # Rows a and c hold the top rows of the blocks A, B and C, D.  In this pattern the
+    # entries of M^T J M - J are (det1 - 1 +- (det2 - 1)) / 2: the factor determinants.
     p1, q1, r1, s1 = a0 + a1, a2 + a3, c0 + c1, c2 + c3
     p2, q2, r2, s2 = a0 - a1, a2 - a3, c0 - c1, c2 - c3
     try:
         _check_det(p1 * s1, q1 * r1, tol.abs_eps)
         _check_det(p2 * s2, q2 * r2, tol.abs_eps)
-    except NotUnimodular as exc:  # in this pattern: unimodular factors <=> symplectic
+    except NotUnimodular as exc:  # an overflowing determinant fails the gate too
+        if not (isfinite(p1 * s1 - q1 * r1) and isfinite(p2 * s2 - q2 * r2)):
+            raise NumericalBreakdown("non-finite symplectic residual: the 4x4 products overflow") from None
         raise NotSymplectic(f"factor of the patterned matrix: {exc}") from exc
-    return _motion(_sl2(p1, q1, r1, s1), _sl2(p2, q2, r2, s2), eps)
+    return _motion(_sl2(p1, q1, r1, s1), _sl2(p2, q2, r2, s2), 1 if commute <= anticommute else -1)
 
 
 def apply(motion: MotionMatrix, point: HPoint, tol: Tolerance = DEFAULT_TOL) -> HPoint:

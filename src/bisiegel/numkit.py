@@ -5,8 +5,9 @@ The library computes in factor coordinates, so it carries no matrix algebra.
 type that ``classify`` reads and the CLI parses; it stores its rows through a
 slot setter bound once, as the other records do.  ``_check_finite``, its
 finiteness gate, also guards a motion's JSON rows.
-``classify`` writes the symplectic condition out as scalar identities in the
-16 entries, and the literal matrix references live in ``verify``.
+``classify`` checks the exchange pattern on the entries and the symplectic
+condition as the two factor determinants; the literal matrix references live in
+``verify``.
 """
 
 from __future__ import annotations

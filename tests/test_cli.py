@@ -128,8 +128,9 @@ def test_check_point_and_matrix(files, capsys):
     code, out, _ = run(capsys, ["check", "matrix", outside])
     assert code == 0 and out == '{"symplectic":true,"motion":false,"eps":null}\n'
 
-    # Glued from diag(1 + 1.5e-10, 1) and I: the symplectic residual passes
-    # its gate, the first factor's determinant does not.  Both say the same.
+    # Glued from diag(1 + 1.5e-10, 1) and I: the symplectic residual (7.5e-11) is
+    # within abs_eps, but on a patterned matrix the factor gate decides, and the
+    # first factor's determinant is off by 1.5e-10.
     glued = files(
         "u.json",
         '{"m":[[1.000000000075,7.5e-11,0,0],[7.5e-11,1.000000000075,0,0],[0,0,1,0],[0,0,0,1]]}',
@@ -345,10 +346,24 @@ def test_geodesic_checks_keep_a_nan_from_the_unchecked_factors(monkeypatch, name
     assert result.trials == 2 and math.isnan(result.max_residual) and not result.passed
 
 
-def test_exit_code_validation_errors(files, capsys):
+def test_exit_code_validation_errors(files, capsys, monkeypatch, tmp_path):
     garbage = files("g.json", "not json")
     code, out, err = run(capsys, ["volume", "--point", garbage])
     assert code == 2 and out == "" and "malformed JSON" in err
+
+    # Unreadable documents: invalid UTF-8, nesting past the recursion limit, an int
+    # past the digit limit of int().  Each is one error line naming the path.
+    for name, data in (("u.json", b"\xff\xfe{}"), ("n.json", b"[" * 100000),
+                       ("i.json", b"1" * 5000)):
+        (tmp_path / name).write_bytes(data)
+        code, out, err = run(capsys, ["volume", "--point", str(tmp_path / name)])
+        assert (code, out) == (2, "") and err.startswith(f"error: cannot read '{tmp_path / name}': ")
+        assert err.count("\n") == 1
+    # The same invalid UTF-8 on stdin under a strict decoder.
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), encoding="utf-8"))
+    code, out, err = run(capsys, ["volume", "--point", "-"])
+    assert (code, out) == (2, "") and err.startswith("error: cannot read '-': ")
+    assert err.count("\n") == 1
 
     boundary = files("b.json", '{"tau":[0,1],"z":[0,1]}')
     code, _, err = run(capsys, ["volume", "--point", boundary])

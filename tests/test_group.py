@@ -124,20 +124,25 @@ def test_classify_rejects_symplectic_outside_subgroup():
 
 
 def literal_classify(m: Mat4R) -> MotionMatrix:
-    """``classify`` through the literal 4x4 products: the reference for its closed form."""
+    """``classify`` through the literal 4x4 products, in its order: the commutation
+    products first; the symplectic residual only for a refused pattern, where it picks
+    the error; then the factors read off rows a and c, through ``Sl2Matrix``."""
     j, tol = SYMPLECTIC_FORM, DEFAULT_TOL.abs_eps
-    sym_res = gap4(mul4(transpose(m), j, m), j)
-    if sym_res > tol:
-        raise NotSymplectic(f"symplectic residual {sym_res:.3e} exceeds {tol}")
     commute, anticommute = literal_commutation(m)
     if min(commute, anticommute) > tol:
+        sym_res = gap4(mul4(transpose(m), j, m), j)
+        if sym_res > tol:
+            raise NotSymplectic(f"symplectic residual {sym_res:.3e} exceeds {tol}")
         raise NotInHatGroup(
             f"commutation residuals ({commute:.3e}, {anticommute:.3e}) both exceed {tol}"
         )
     (a1, a2, b1, b2), _, (c1, c2, d1, d2), _ = m.rows
+    f1 = (a1 + a2, b1 + b2, c1 + c2, d1 + d2)
+    f2 = (a1 - a2, b1 - b2, c1 - c2, d1 - d2)
+    if not all(math.isfinite(a * d - b * c) for a, b, c, d in (f1, f2)):
+        raise NumericalBreakdown("a factor determinant overflows")
     try:
-        m1 = Sl2Matrix(a1 + a2, b1 + b2, c1 + c2, d1 + d2)
-        m2 = Sl2Matrix(a1 - a2, b1 - b2, c1 - c2, d1 - d2)
+        m1, m2 = Sl2Matrix(*f1), Sl2Matrix(*f2)
     except NotUnimodular:
         raise NotSymplectic("unimodular factors are the symplectic condition") from None
     return MotionMatrix(m1, m2, 1 if commute <= anticommute else -1)
@@ -215,10 +220,12 @@ def test_closed_form_classify_matches_literal_products(regime):
         seen.add(want.eps if isinstance(want, MotionMatrix) else want[0])
         try:
             res = gap4(mul4(transpose(m), SYMPLECTIC_FORM, m), SYMPLECTIC_FORM)
+            refused = min(literal_commutation(m)) > res
         except NumericalBreakdown:
             continue
-        # Bit for bit: the gate passes at the literal residual, fails one ulp below.
-        if 1e-300 < res < 1.0:
+        # Bit for bit where the pattern gate refuses, so that the residual decides: the
+        # gate passes at the literal residual, fails one ulp below.
+        if refused and 1e-300 < res < 1.0:
             assert symplectic_gate_passes(m, res), m
             assert not symplectic_gate_passes(m, math.nextafter(res, 0.0)), m
     # Each regime reaches the outcomes it is there for.
@@ -234,9 +241,9 @@ def test_closed_form_classify_matches_literal_products(regime):
 
 
 def test_closed_form_classify_edge_cases():
-    # The only non-finite symplectic residual is a NaN after finite ones,
-    # which max() skips; an overflowing commutation residual behind a passing
-    # symplectic gate.  Both break down on both paths.
+    # On a refused pattern, the only non-finite symplectic residual is a NaN after
+    # finite ones, which max() skips; an anticommuting pattern whose commutation
+    # residual overflows.  Both break down on both paths.
     big = 1.5e308
     cases = [
         Mat4R(((1, 1e160, 0, 0), (0, 1, 0, 0), (0, 1e160, 1, 0), (0, 0, 0, 1))),
@@ -287,11 +294,59 @@ def test_classify_commutation_residuals_are_the_literal_ones(scale):
         assert classify_outcome(classify, m) == want, m
         refused += want[0] is NotInHatGroup
         res = min(literal_commutation(m))
-        if 1e-300 < res < 1.0 and symplectic_gate_passes(m, res):
+        sym_res = gap4(mul4(transpose(m), SYMPLECTIC_FORM, m), SYMPLECTIC_FORM)
+        if 1e-300 < res < 1.0 and sym_res < res:
             assert hat_gate_passes(m, res), m
             assert not hat_gate_passes(m, math.nextafter(res, 0.0)), m
             pinned += 1
     assert refused >= 250 and (pinned >= 100 or scale > 1.0)
+
+
+def glue(f1: tuple, f2: tuple, eps: int) -> Mat4R:
+    """The 4x4 of the block pattern with factor entries f1, f2 (no determinant gate)."""
+    (a1, a2), (b1, b2), (c1, c2), (d1, d2) = (((x + y) / 2.0, (x - y) / 2.0) for x, y in zip(f1, f2))
+    return Mat4R(((a1, a2, b1, b2), (eps * a2, eps * a1, eps * b2, eps * b1),
+                  (c1, c2, d1, d2), (eps * c2, eps * c1, eps * d2, eps * d1)))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+def test_classify_gates_on_both_sides_at_each_entry_scale(scale):
+    # An exact motion glued from [[c, s], [-s, c]] diag(scale, 1/scale) and a sampler
+    # factor is a motion; the same with the first factor times 1.01 (det 1.0201) is not.
+    # At scale 1e6 the halves lose the smaller factor's determinant in some draws: each
+    # such refusal comes from the factor gate, not from a residual of the 4x4.
+    rng = random.Random(22)
+    refused = 0
+    for _ in range(300):
+        t = 2.0 * math.pi * rng.random()
+        big = (math.cos(t) * scale, math.sin(t) / scale, -math.sin(t) * scale, math.cos(t) / scale)
+        small = entries(random_sl2(rng))
+        eps = rng.choice((1, -1))
+        try:
+            assert classify(glue(big, small, eps)).eps == eps
+        except NotSymplectic as exc:
+            assert isinstance(exc.__cause__, NotUnimodular), exc
+            refused += 1
+        with pytest.raises(NotSymplectic):
+            classify(glue(tuple(1.01 * x for x in big), small, eps))
+    assert refused == 0 if scale < 1e6 else refused < 60
+
+
+def test_classify_reads_back_the_motions_the_library_composes():
+    # Chains of n sampler motions, read back from their 4x4 rows.  Up to n = 12 every
+    # chain reads back.  At n = 16 and 24 the factors differ in scale by up to about
+    # 1e4, and the halves (m1.x +- m2.x) / 2 lose the smaller factor's determinant: those
+    # refusals come from the factor gate, never from the pattern gate.
+    rng = random.Random(5)
+    for n in (6, 8, 12, 16, 24):
+        for _ in range(500):
+            m = random_motion(rng)
+            for _ in range(n - 1):
+                m = m @ random_motion(rng)
+            try:
+                assert classify(Mat4R(m._rows())).eps == m.eps
+            except NotSymplectic as exc:
+                assert n > 12 and isinstance(exc.__cause__, NotUnimodular), (n, exc)
 
 
 def test_classify_eps_is_the_smaller_literal_residual(rng):
