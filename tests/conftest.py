@@ -4,6 +4,7 @@ import json
 import math
 import random
 from decimal import Decimal, localcontext
+from typing import Callable
 
 import pytest
 
@@ -20,6 +21,7 @@ from bisiegel.group import (
     stabilizer_of_iI,
 )
 from bisiegel.numkit import Mat4R
+from bisiegel.verify import _Curve, _path_speed
 
 
 def mobius(m, w: complex) -> complex:
@@ -154,6 +156,29 @@ def exact_lambdas(z1: HPoint, z2: HPoint, prec: int = 50) -> tuple:
         ctx.prec = prec
         big, small = sorted(((s + (s * s + 1).sqrt()) ** 2 for s in exact_chords(z1, z2, prec)), reverse=True)
         return (big + small) / 2, (big - small) / 2
+
+
+# --------------------------------------------------------------------------
+# Arc-length quadrature: the reference lengths of the geodesic tests.  The
+# suite checks the unit speed pointwise; these integrate it.
+
+
+def _simpson(f: Callable[[float], float], a: float, b: float, panels: int) -> float:
+    """Composite Simpson rule with the given (even) number of panels."""
+    if panels < 2 or panels % 2 != 0:
+        raise ValueError("panels must be a positive even integer")
+    h = (b - a) / panels
+    total = f(a) + f(b)
+    for k in range(1, panels):
+        total += f(a + k * h) * (4.0 if k % 2 else 2.0)
+    return total * h / 3.0
+
+
+def _path_length(curve: _Curve, a: float, b: float, panels: int) -> float:
+    """Metric length over [a, b] of a curve that returns the factor pair (w1, w2): Simpson's
+    rule over ``_path_speed``, whose central-difference step is 1e-5 of the span (at least 1e-5)."""
+    h = max(abs(b - a), 1.0) * 1e-5
+    return _simpson(lambda s: _path_speed(curve, s, h), a, b, panels)
 
 
 @pytest.fixture

@@ -36,9 +36,9 @@ from bisiegel.group import (
     split,
 )
 from bisiegel.hyperbolic import hyp_distance
-from bisiegel.verify import _geodesic_ode_residual, _path_length
+from bisiegel.verify import _geodesic_ode_residual
 
-from conftest import KERNEL_4, entries, mobius, point_gap
+from conftest import KERNEL_4, _path_length, entries, mobius, point_gap
 
 I_H = HPoint(1j, 0.0)
 TWO_I = HPoint(2j, 0.0)

@@ -346,6 +346,21 @@ def test_geodesic_checks_keep_a_nan_from_the_unchecked_factors(monkeypatch, name
     assert result.trials == 2 and math.isnan(result.max_residual) and not result.passed
 
 
+def test_arc_length_check_catches_a_reparametrized_geodesic(monkeypatch):
+    # s -> s0 (t + a sin(2 pi t)), t = s / s0, keeps the endpoints and the total
+    # length, so an integral of the speed passes it; the speed 1 + 2 pi a cos(2 pi t)
+    # leaves 1 by up to 2 pi a, which the pointwise check reads.
+    from bisiegel.geometry import GeodesicSpec
+    from bisiegel.verify import SUITE, run_suite
+
+    a, factors = 1e-5, GeodesicSpec._factors
+    monkeypatch.setattr(GeodesicSpec, "_factors", lambda self, s: factors(
+        self, s + a * self.s0 * math.sin(2.0 * math.pi * s / self.s0)))
+    monkeypatch.setattr("bisiegel.verify.SUITE", {"arc_length": SUITE["arc_length"]})
+    [result] = run_suite(42, 20)
+    assert not result.passed and result.max_residual > 1e-5
+
+
 def test_exit_code_validation_errors(files, capsys, monkeypatch, tmp_path):
     garbage = files("g.json", "not json")
     code, out, err = run(capsys, ["volume", "--point", garbage])
@@ -1033,8 +1048,8 @@ def test_verify_output_bytes_are_pinned(capsys):
     # the same however the group layer is built.  The one-trial report runs
     # every check at its floor of max(1, trials // divisor).
     for trials, digest in (
-        ("200", "ba204919482d2df9fcbc0159b9a285e6b5d909dd0b173599470e39626227ba68"),
-        ("1", "c3d85345da6f14f326f48732865f7cd7050413d52ed85d286bd59f73fb4f3961"),
+        ("200", "1b5c143d72e815844c7aa29744fec366a28dc5b28ce29ae2c6057770a348194d"),
+        ("1", "3056c0544793bf121252240334bcaf0cd805bf0366622530f579113672f14600"),
     ):
         code, out, _ = run(capsys, ["verify", "--seed", "42", "--trials", trials])
         assert code == 0 and out.endswith("19/19 checks passed\n")

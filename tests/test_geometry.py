@@ -30,13 +30,11 @@ from bisiegel.hyperbolic import hyp_distance
 from bisiegel.numkit import Tolerance
 from bisiegel.verify import (
     _geodesic_ode_residual,
-    _path_length,
     _path_speed,
     _reference_cross_ratio,
-    _simpson,
 )
 
-from conftest import exact_chords, extreme_pair, point_gap
+from conftest import _path_length, _simpson, exact_chords, extreme_pair, point_gap
 
 I_H = HPoint(1j, 0.0)
 TWO_I = HPoint(2j, 0.0)
