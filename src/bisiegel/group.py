@@ -23,10 +23,11 @@ written only as JSON, by the CLI.
 Motions are validated once, at the boundary: ``classify`` (with the caller's
 ``Tolerance``) and the public constructors.  Values computed from validated
 ones, and the seeded samples, are trusted: ``_sl2`` and ``_motion`` fill the slots
-through setters bound once; only products and transvections re-run the determinant
-gate, with a fixed bound (a ``NumericalBreakdown``: their inputs were valid).  Each
-operation checks what it returns.  Composition calls ``_product``, the one factor
-product, once per factor.
+through setters bound once; only products re-run the determinant gate, with a fixed
+bound (a ``NumericalBreakdown``: their inputs were valid).  Each operation checks what
+it returns.  Composition calls ``_product``, the one factor product, once per factor;
+``reduce_pair`` builds its mover in steps, a triangular transport of the first point
+(determinant one by construction) and then one gated rotation product per factor.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ __all__ = [
 ]
 
 
-#: Determinant rounding allowed per unit of |ad| + |bc| (8 ulps; transvections
-#: and rescaled products measure up to 3), and its cap, hit at entries near 1e6.
+#: Determinant rounding allowed per unit of |ad| + |bc| (8 ulps; rescaled
+#: products measure up to 3), and its cap, hit at entries near 1e6.
 _DET_ULPS, _DET_CAP = 8.0 * 2.0**-53, 2.0**-10
 
 
@@ -213,18 +214,9 @@ def _sl2(a: float, b: float, c: float, d: float) -> Sl2Matrix:
     return m
 
 
-def _gated(a: float, b: float, c: float, d: float) -> Sl2Matrix:
-    """A factor computed in floats from valid ones, stored after the determinant gate:
-    the interior gate, whose failure is a numerical breakdown, not bad input."""
-    try:
-        _check_det(a * d, b * c)
-    except NotUnimodular as exc:
-        raise NumericalBreakdown(f"computed factor lost its determinant: {exc}") from None
-    return _sl2(a, b, c, d)
-
-
 def _product(p: float, q: float, r: float, s: float, other: Sl2Matrix) -> Sl2Matrix:
-    """``[[p, q], [r, s]] @ other``, rescaled to det 1 and gated: the one factor product."""
+    """``[[p, q], [r, s]] @ other``, rescaled to det 1 and gated: the one factor product.
+    Its gate is the interior one: a failure is a numerical breakdown, not bad input."""
     a = p * other.a + q * other.c
     b = p * other.b + q * other.d
     c = r * other.a + s * other.c
@@ -233,7 +225,12 @@ def _product(p: float, q: float, r: float, s: float, other: Sl2Matrix) -> Sl2Mat
     # the product's: rescale to det 1 (the Moebius map does not change).
     det = a * d - b * c
     k = 1.0 / sqrt(det) if det > 0.0 else 1.0
-    return _gated(a * k, b * k, c * k, d * k)
+    a, b, c, d = a * k, b * k, c * k, d * k
+    try:
+        _check_det(a * d, b * c)
+    except NotUnimodular as exc:
+        raise NumericalBreakdown(f"computed factor lost its determinant: {exc}") from None
+    return _sl2(a, b, c, d)
 
 
 def _motion(m1: Sl2Matrix, m2: Sl2Matrix, eps: int) -> MotionMatrix:
@@ -299,21 +296,17 @@ def classify(m: Mat4R, tol: Tolerance = DEFAULT_TOL) -> MotionMatrix:
 def apply(motion: MotionMatrix, point: HPoint, tol: Tolerance = DEFAULT_TOL) -> HPoint:
     """Act on a half-space point: one Moebius map per factor coordinate.
 
-    The one check is on the image: a point inside the ``dom_eps`` margin, or
-    not finite, is a numerical limit (``NumericalBreakdown``).
+    For Im w > 0 and det 1, |cw + d|^2 = Im w / Im(mw) (Beardon, 1983): a denominator
+    is small only where the image is high, and 0 only where ``c w`` rounds onto ``-d``,
+    an image at infinity.  That, and the one check on the image, a point inside the
+    ``dom_eps`` margin or not finite, are numerical limits (``NumericalBreakdown``).
     """
-    g1, g2 = _mobius_pair(motion.m1, motion.m2, point.w1, point.w2)
-    return _image(_hpoint, g1, g2, tol) if motion.eps == 1 else _image(_hpoint, g2, g1, tol)
-
-
-def _mobius_pair(m1: Sl2Matrix, m2: Sl2Matrix, w1: complex, w2: complex) -> tuple:
-    """The factor images ``m1 w1``, ``m2 w2``, unchecked.  For Im w > 0 and det 1,
-    |cw + d|^2 = Im w / Im(mw) (Beardon, 1983): a denominator is small only where the
-    image is high, and 0 only where ``c w`` rounds onto ``-d``, an image at infinity."""
+    m1, m2, w1, w2 = motion.m1, motion.m2, point.w1, point.w2
     try:
-        return (m1.a * w1 + m1.b) / (m1.c * w1 + m1.d), (m2.a * w2 + m2.b) / (m2.c * w2 + m2.d)
+        g1, g2 = (m1.a * w1 + m1.b) / (m1.c * w1 + m1.d), (m2.a * w2 + m2.b) / (m2.c * w2 + m2.d)
     except ZeroDivisionError:
         raise NumericalBreakdown(f"image of ({w1!r}, {w2!r}) at infinity: a denominator is 0") from None
+    return _image(_hpoint, g1, g2, tol) if motion.eps == 1 else _image(_hpoint, g2, g1, tol)
 
 
 def split(motion: MotionMatrix) -> tuple[Sl2Matrix, Sl2Matrix]:
@@ -375,19 +368,18 @@ def _rotation(xi: complex) -> Sl2Matrix:
     return _sl2(xi.real, xi.imag, -xi.imag, xi.real)
 
 
-def _transvection_to_i(w: complex) -> Sl2Matrix:
-    """The symmetric positive factor sending w = x + iy to i.
+def _transport_to_i(w: complex) -> Sl2Matrix:
+    """The factor sending w = x + iy to i in steps: translate by -x, then scale by 1/y.
 
-    It is the square root of A = [[1/y, -x/y], [-x/y, (x^2 + y^2)/y]], whose
-    determinant is one, so the root is (A + I) / sqrt(tr A + 2).  Its entry
-    products grow like x^2 / y, so the determinant gate runs on it.
+    It is stored as ``[[1/r, -x/r], [0, r]]`` with ``r = sqrt(y)``, whose determinant
+    ``(1/r) r`` is one to an ulp.  The sum of its squared entries, ``(1 + x^2 + y^2) / y``,
+    is 2 cosh d(w, i); where that overflows the transport is refused.
     """
     x, y = w.real, w.imag
-    a11, a12, a22 = 1.0 / y, -x / y, (x * x + y * y) / y
-    s = sqrt(a11 + a22 + 2.0)
-    if not isfinite(s):  # no entry of A exceeds tr A: all entries are finite with s
+    if not isfinite((1.0 + x * x + y * y) / y):  # every entry is finite where this sum is
         raise NumericalBreakdown(f"transvection of {w!r} to i overflows")
-    return _gated((a11 + 1.0) / s, a12 / s, a12 / s, (a22 + 1.0) / s)
+    r = sqrt(y)
+    return _sl2(1.0 / r, -x / r, 0.0, r)
 
 
 def _half_conj_phase(w: complex) -> complex:
@@ -415,16 +407,17 @@ def reduce_pair(z_base: HPoint, z_other: HPoint) -> ReducedPair:
         lambda1 = (1 - r1 r2) / ((1 - r1)(1 - r2)) = (lam_big + lam_small)/2,
         lambda2 = (r1 - r2) / ((1 - r1)(1 - r2))   = (lam_big - lam_small)/2
 
-    are computed from the dilations of the raw pair, which stay accurate
-    where 1 - r has rounded to 0; they are independent of every internal
-    choice.  The mover is ``stabilizer_of_iI(params) @ T``, with ``T`` the
-    motion of the two factor transvections of ``z_base`` to ``i``, built per
-    factor as one product ``R(xi) @ T`` from the entries of ``R(xi)``.  The
-    raw factor images of ``z_other`` give the phases (a NaN one fails the mover's
-    gate).  The one check is that the lambdas are finite (``NumericalBreakdown``).
+    are computed from the chords of the raw pair, which stay accurate where
+    1 - r has rounded to 0; they are independent of every internal choice.
+    The mover is built in steps per factor: the transport ``T`` of ``z_base``'s
+    factor ``x + iy`` to ``i`` (translate by -x, scale by 1/y), then the rotation
+    ``R(xi)`` by the half phase of ``z_other``'s factor image ``(w - x) / y``, as one
+    product ``R(xi) @ T`` from the entries of ``R(xi)`` (a NaN phase fails its gate).
+    The checks: ``T`` and the lambdas are finite (``NumericalBreakdown``).
     """
-    t1, t2 = _transvection_to_i(z_base.w1), _transvection_to_i(z_base.w2)
-    h1, h2 = _mobius_pair(t1, t2, z_other.w1, z_other.w2)
+    b1, b2 = z_base.w1, z_base.w2
+    t1, t2 = _transport_to_i(b1), _transport_to_i(b2)
+    h1, h2 = (z_other.w1 - b1.real) / b1.imag, (z_other.w2 - b2.real) / b2.imag
     # Scalar per-factor Cayley transform for the aligning phases: an image
     # whose radius rounds to 1 still has its phase.
     xi1 = _half_conj_phase((h1 - 1j) / (h1 + 1j))
@@ -432,21 +425,13 @@ def reduce_pair(z_base: HPoint, z_other: HPoint) -> ReducedPair:
     s_plus, s_minus = _chords(z_base, z_other)
     swap = s_plus < s_minus
     s_big, s_small = (s_minus, s_plus) if swap else (s_plus, s_minus)
-    try:  # for the chord s = sinh(d/2) the dilation is e^d = (s + sqrt(1 + s^2))^2
-        lam_big, lam_small = (s_big + hypot(1.0, s_big)) ** 2, (s_small + hypot(1.0, s_small)) ** 2
-        lambda1, lambda2 = (lam_big + lam_small) / 2.0, (lam_big - lam_small) / 2.0
-    except OverflowError:
-        lambda1 = inf
-    if not lambda1 < inf:
-        # A dilation past the float range; lambda1, about half of it, may fit.  The halved
-        # dilations are taken only here: pow is not scale-exact, so they move last bits.
-        try:
-            half_big, half_small = (2.0 * ((s + hypot(1.0, s)) / 2.0) ** 2 for s in (s_big, s_small))
-            lambda1, lambda2 = half_big + half_small, half_big - half_small
-        except OverflowError:
-            pass  # the halved square overflows too: lambda1 stays inf
-        if not lambda1 < inf:  # `not <` rejects NaN; lambda2 is finite with lambda1
-            raise NumericalBreakdown(f"lambdas of the chords ({s_big!r}, {s_small!r}) leave the float range")
+    # For the chord s = sinh(d/2) the dilation is e^d = m^2 with m = s + sqrt(1 + s^2):
+    # m * (m / 2) is e^d / 2 correctly rounded, and overflows only where e^d / 2 does.
+    m_big, m_small = s_big + hypot(1.0, s_big), s_small + hypot(1.0, s_small)
+    half_big, half_small = m_big * (m_big / 2.0), m_small * (m_small / 2.0)
+    lambda1, lambda2 = half_big + half_small, half_big - half_small
+    if not lambda1 < inf:  # `not <` rejects NaN; lambda2 is finite with lambda1
+        raise NumericalBreakdown(f"lambdas of the chords ({s_big!r}, {s_small!r}) leave the float range")
     m1 = _product(xi1.real, xi1.imag, -xi1.imag, xi1.real, t1)  # _rotation(xi1) @ t1
     m2 = _product(xi2.real, xi2.imag, -xi2.imag, xi2.real, t2)
     _check_lambdas(lambda1, lambda2)

@@ -15,9 +15,8 @@ from bisiegel.geometry import _chords
 from bisiegel.group import (
     StabilizerParams,
     _half_conj_phase,
-    _transvection_to_i,
+    _transport_to_i,
     assemble,
-    split,
     stabilizer_of_iI,
 )
 from bisiegel.numkit import Mat4R
@@ -113,28 +112,27 @@ SYMPLECTIC_FORM = Mat4R(((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0
 
 
 def transport_to_iI(point: HPoint):
-    """The motion sending ``point`` to iI: the two factor transvections that
+    """The motion sending ``point`` to iI: the two factor transports that
     ``reduce_pair`` applies, glued with eps = +1."""
-    return assemble(_transvection_to_i(point.w1), _transvection_to_i(point.w2), 1)
+    return assemble(_transport_to_i(point.w1), _transport_to_i(point.w2), 1)
 
 
 def composed_reduce_pair(z_base: HPoint, z_other: HPoint):
     """``reduce_pair`` through composed motions: the reference for its fused form.
-    The factor images of ``z_other`` are taken raw, as ``reduce_pair`` takes them."""
+    The factor images of ``z_other`` are taken in steps, ``(w - x) / y`` for the base
+    factor ``x + iy``, as ``reduce_pair`` takes them."""
     transport = transport_to_iI(z_base)
-    images = (mobius(entries(m), w) for m, w in zip(split(transport), z_other.factors()))
+    images = ((w - b.real) / b.imag for b, w in zip(z_base.factors(), z_other.factors()))
     xi1, xi2 = (_half_conj_phase((h - 1j) / (h + 1j)) for h in images)
     s_plus, s_minus = _chords(z_base, z_other)
     swap = s_plus < s_minus
     s_big, s_small = (s_minus, s_plus) if swap else (s_plus, s_minus)
-    try:
-        lam_big, lam_small = ((s + math.hypot(1.0, s)) ** 2 for s in (s_big, s_small))
-    except OverflowError:
-        lam_big = lam_small = math.inf
-    if not lam_big + lam_small < math.inf:
+    # Half of each dilation (s + sqrt(1 + s^2))^2, as m * (m / 2).
+    half_big, half_small = (m * (m / 2) for m in (s + math.hypot(1.0, s) for s in (s_big, s_small)))
+    if not half_big + half_small < math.inf:
         raise NumericalBreakdown(f"lambdas of the chords ({s_big!r}, {s_small!r}) leave the float range")
     params = StabilizerParams(xi1, xi2, -1 if swap else 1)
-    return stabilizer_of_iI(params) @ transport, (lam_big + lam_small) / 2, (lam_big - lam_small) / 2
+    return stabilizer_of_iI(params) @ transport, half_big + half_small, half_big - half_small
 
 
 def exact_chords(z1: HPoint, z2: HPoint, prec: int = 50) -> list:

@@ -997,8 +997,8 @@ REDUCE_PAIRS = {
 @pytest.mark.parametrize(
     "kind,code,digest",
     [
-        ("sampler", 0, "f6ffc16e256932c40371490702536c8f0a9d165459566ff0e0bf04b282c6ba3c"),
-        ("near", 0, "e4355bb7fd377129a7982acf764263883c1393d47b65767239e1c73d8b7e424b"),
+        ("sampler", 0, "093d41ef260efb1521673843e157113a8fd29842ae0f201a0274f481398ec80a"),
+        ("near", 0, "1e89686da90412b59cb0d267fe350f34cbb19b3b6045d786c99eb977eddab479"),
         ("far", 0, "00a7183895996f54d5fbb5367127d66ad768b8d0915d465da39dcc91fb898c98"),
     ],
 )
@@ -1048,8 +1048,8 @@ def test_verify_output_bytes_are_pinned(capsys):
     # the same however the group layer is built.  The one-trial report runs
     # every check at its floor of max(1, trials // divisor).
     for trials, digest in (
-        ("200", "1b5c143d72e815844c7aa29744fec366a28dc5b28ce29ae2c6057770a348194d"),
-        ("1", "3056c0544793bf121252240334bcaf0cd805bf0366622530f579113672f14600"),
+        ("200", "a9753873e22756046b36bf06e82036294511cdad047da5cdc208a852521de999"),
+        ("1", "10ae497c7b766833a8f5ddd7e99e017b31ea3e218de78d9dd92c2b45baa73bdd"),
     ):
         code, out, _ = run(capsys, ["verify", "--seed", "42", "--trials", trials])
         assert code == 0 and out.endswith("19/19 checks passed\n")

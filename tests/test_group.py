@@ -51,6 +51,7 @@ from conftest import (
     composed_reduce_pair,
     disc_stabilizer,
     entries,
+    exact_chords,
     exact_lambdas,
     extreme_pair,
     gap4,
@@ -852,12 +853,10 @@ def test_unimodular_gate_scales_with_the_entries():
     for _ in range(20):
         chain = chain @ random_motion(rng)
     assert max_abs4(chain.m) > 500.0
-    # The transvection of a factor at height 8e-9 has entry products near
-    # 1e8, so its determinant rounds by about 1e-8, beyond an absolute 1e-10.
+    # The transport of a factor at height 8e-9 has entries near 1e4, and the
+    # mover of this pair multiplies a rotation by it.
     z = HPoint.from_factors(complex(-1.0829920053445565, 8.360873858970653e-09), 1j)
     assert point_gap(apply(transport_to_iI(z), z), I_H) <= 1e-6
-    # The mover of this pair multiplies a rotation by that transvection: the
-    # product cancels to entries near 1 and keeps the operands' rounding.
     red = reduce_pair(z, I_H)
     assert red.lambda1 >= red.lambda2 + 1.0
     # A determinant off by far more than its rounding is still rejected.
@@ -916,7 +915,7 @@ def test_reduce_pair_breaks_down_at_extreme_separation():
 )
 def test_reduce_pair_halves_dilations_past_the_float_range(w1, w2, fits):
     # Where the sum of the dilations leaves the float range, lambda1, half of
-    # it, may still fit: it is then the sum of the halved dilations.
+    # it, may still fit: it is the sum of the halved dilations m * (m / 2).
     z = HPoint.from_factors(w1, w2)
     want1, want2 = exact_lambdas(I_H, z)
     assert 2 * want1 > Decimal(sys.float_info.max)
@@ -960,19 +959,60 @@ def test_reduce_pair_refuses_a_nan_phase_at_the_mover_gate(monkeypatch):
         reduce_pair(I_H, HPoint(2j, 1j))
 
 
-@pytest.mark.parametrize("k", [6.0, 9.0])
-def test_reduce_pair_resolves_wide_pairs(k):
-    # Factor heights and signed offsets 10^U[-k, k]: the radius test and the
-    # moved-point test refused 275 (k = 6) and 620 (k = 9) of these 1000 pairs.
+def wide_pairs(k: float, n: int) -> list:
+    """``n`` pairs from ``random.Random(11)`` with factor heights and signed offsets
+    10^U[-k, k] (the sign drawn first), the four factors of a pair in order."""
     rng = random.Random(11)
 
     def draw() -> complex:
         sign = rng.choice((-1.0, 1.0))
         return complex(sign * 10.0 ** rng.uniform(-k, k), 10.0 ** rng.uniform(-k, k))
 
-    for _ in range(1000):
-        p, q = HPoint.from_factors(draw(), draw()), HPoint.from_factors(draw(), draw())
+    return [(HPoint.from_factors(draw(), draw()), HPoint.from_factors(draw(), draw())) for _ in range(n)]
+
+
+@pytest.mark.parametrize("k", [6.0, 9.0])
+def test_reduce_pair_resolves_wide_pairs(k):
+    # The radius test and the moved-point test refused 275 (k = 6) and 620
+    # (k = 9) of these 1000 pairs.
+    for p, q in wide_pairs(k, 1000):
         assert_lambdas_exact(reduce_pair(p, q), p, q)
+
+
+def hyperbolic_gap(u: tuple, v: tuple) -> Decimal:
+    """Half-plane distance of two (re, im) Decimal points, as ln(x + sqrt(x^2 - 1))."""
+    x = 1 + ((u[0] - v[0]) ** 2 + (u[1] - v[1]) ** 2) / (2 * u[1] * v[1])
+    return (x + (x * x - 1).sqrt()).ln()
+
+
+def exact_image(m: Sl2Matrix, w: complex) -> tuple:
+    """(a w + b) / (c w + d) of the stored float entries, as (re, im) Decimals."""
+    a, b, c, d, x, y = map(Decimal, (m.a, m.b, m.c, m.d, w.real, w.imag))
+    num, den = (a * x + b, a * y), (c * x + d, c * y)
+    norm = den[0] ** 2 + den[1] ** 2
+    return (num[0] * den[0] + num[1] * den[1]) / norm, (num[1] * den[0] - num[0] * den[1]) / norm
+
+
+@pytest.mark.parametrize("k", [1.0, 3.0, 6.0])
+def test_reduce_pair_mover_images_match_a_decimal_reference(k):
+    # Per factor, the mover must put z_base's factor at i and z_other's at its
+    # canonical place i e^d, measured as 60-digit distances of the exact images
+    # of the stored float entries.  The first step translates by the offset x:
+    # for points of modulus |w| that rounds by u |w|, which at height y is
+    # u |w| / y hyperbolic units.  So the bound is a few roundings at the
+    # scale (|w_base| + |w_other|) / min(y_base, y_other) of each factor; the
+    # worst measured is 2.1 U of it (k = 3), under the 4 U allowed.
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for p, q in wide_pairs(k, 500):
+            red = reduce_pair(p, q)
+            movers = (red.mover.m1, red.mover.m2)
+            for m, wb, wo, s in zip(movers, p.factors(), q.factors(), exact_chords(p, q, prec=60)):
+                dilation = (s + (s * s + 1).sqrt()) ** 2
+                err = max(hyperbolic_gap(exact_image(m, wb), (0, 1)),
+                          hyperbolic_gap(exact_image(m, wo), (0, dilation)))
+                scale = 1.0 + (abs(wb) + abs(wo)) / min(wb.imag, wo.imag)
+                assert err <= Decimal(4.0 * U * scale), (k, wb, wo, float(err))
 
 
 def test_reduced_pair_refuses_non_finite_lambdas():
