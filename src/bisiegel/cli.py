@@ -3,10 +3,10 @@
 All inputs are JSON documents (a path or ``-`` for stdin); all outputs go to
 stdout with floats rendered as ``%.15g`` so identical invocations are
 byte-identical.  Exit codes: 0 success, 2 domain/validation error, 3 numerical
-breakdown; ``verify`` exits 1 when a check fails.  A reader that closes stdout early
-drops the rest of the output, with no traceback, and leaves the command's status:
-``verify`` sets it on ``args.status`` before its report's first write, so a failed
-run exits 1 buffered or not; the other commands exit 0 if they were still writing.
+breakdown; ``verify`` exits 1 when a check fails.  ``args.status`` is the one status
+channel: the commands return nothing, ``main`` returns it, and ``verify`` sets it before
+its report's first write.  A reader that closes stdout early drops the rest of the
+output, with no traceback, and leaves that status, so a failed run exits 1 buffered or not.
 The argument parser is built once per process and reused by every ``main`` call.
 """
 
@@ -60,8 +60,7 @@ def _to_json_text(obj) -> str:
     if t is float:
         return "%.15g" % (obj + 0.0)  # + 0.0 turns -0.0 into 0.0, for byte-stable output
     if t is list or t is tuple:
-        items = ["%.15g" % (x + 0.0) if type(x) is float else _to_json_text(x) for x in obj]
-        return "[" + ",".join(items) + "]"  # float items formatted inline, as above
+        return "[" + ",".join([_to_json_text(x) for x in obj]) + "]"
     if t is dict:
         return "{" + ",".join([_quote(k) + ":" + _to_json_text(v) for k, v in obj.items()]) + "}"
     if t is MotionMatrix:  # rows 1 and 3 are rows 0 and 2 swapped in pairs, times eps
@@ -201,7 +200,7 @@ def _parse_seed(text: str) -> int:
 # Subcommands
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> None:
     doc = _read_doc(args.file)
     if args.kind == "point":
         if isinstance(doc, dict) and "tau" in doc and "z" in doc:
@@ -212,7 +211,7 @@ def _cmd_check(args) -> int:
             _emit({"model": "disc", "member": member})
         else:
             raise ValidationError("point JSON needs tau/z or z1/z2 fields")
-        return 0
+        return
     m = _parse_mat4(doc)
     try:
         motion = classify(m)
@@ -220,40 +219,35 @@ def _cmd_check(args) -> int:
     except ValidationError as exc:
         symplectic = not isinstance(exc, NotSymplectic)
         _emit({"symplectic": symplectic, "motion": False, "eps": None})
-    return 0
 
 
-def _cmd_act(args) -> int:
+def _cmd_act(args) -> None:
     motion = _parse_motion(_read_doc(args.matrix))
     point = _parse_hpoint(_read_doc(args.point))
     _emit(apply(motion, point).to_json_dict())
-    return 0
 
 
-def _cmd_cayley(args) -> int:
+def _cmd_cayley(args) -> None:
     doc = _read_doc(args.point)
     if args.to == "disc":
         _emit(cayley_to_disc(_parse_hpoint(doc)).to_json_dict())
     else:
         _emit(cayley_to_halfspace(_parse_epoint(doc)).to_json_dict())
-    return 0
 
 
-def _cmd_split(args) -> int:
+def _cmd_split(args) -> None:
     motion = _parse_motion(_read_doc(args.matrix))
     m1, m2 = split(motion)
     _emit({"m1": m1.to_json_dict(), "m2": m2.to_json_dict(), "eps": motion.eps})
-    return 0
 
 
-def _cmd_assemble(args) -> int:
+def _cmd_assemble(args) -> None:
     m1 = _parse_sl2(_read_doc(args.m1))
     m2 = _parse_sl2(_read_doc(args.m2))
     _emit(assemble(m1, m2, args.eps))
-    return 0
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> None:
     z1 = _parse_hpoint(_read_doc(args.z1))
     z = _parse_hpoint(_read_doc(args.z))
     red = reduce_pair(z1, z)
@@ -264,18 +258,16 @@ def _cmd_reduce(args) -> int:
             "mover": red.mover,
         }
     )
-    return 0
 
 
-def _cmd_distance(args) -> int:
+def _cmd_distance(args) -> None:
     z1 = _parse_hpoint(_read_doc(args.z1))
     z2 = _parse_hpoint(_read_doc(args.z2))
     big_a, big_b = distance_params(z1, z2)
     _emit({"rho": distance(z1, z2), "A": big_a, "B": big_b})
-    return 0
 
 
-def _cmd_geodesic(args) -> int:
+def _cmd_geodesic(args) -> None:
     z1 = _parse_hpoint(_read_doc(args.z1))
     z2 = _parse_hpoint(_read_doc(args.z2))
     if args.samples < 2:
@@ -288,16 +280,14 @@ def _cmd_geodesic(args) -> int:
         tau, z = p.tau, p.z
         out.append(",".join(map(_to_json_text, (s, tau.real, tau.imag, z.real, z.imag))))
     sys.stdout.write("\n".join(out) + "\n")
-    return 0
 
 
-def _cmd_volume(args) -> int:
+def _cmd_volume(args) -> None:
     point = _parse_hpoint(_read_doc(args.point))
     _emit({"density": volume_density(point)})
-    return 0
 
 
-def _cmd_stabilizer(args) -> int:
+def _cmd_stabilizer(args) -> None:
     params = StabilizerParams(
         _parse_unit(args.xi1, "--xi1"), _parse_unit(args.xi2, "--xi2"), args.eps
     )
@@ -305,7 +295,6 @@ def _cmd_stabilizer(args) -> int:
         _emit(_disc_stabilizer(params))
     else:
         _emit(stabilizer_of_iI(params))
-    return 0
 
 
 def _disc_stabilizer(params: StabilizerParams) -> dict:
@@ -320,7 +309,7 @@ def _disc_stabilizer(params: StabilizerParams) -> dict:
             "b0": [zero, zero], "eps": e}
 
 
-def _cmd_random(args) -> int:
+def _cmd_random(args) -> None:
     rng = random.Random(_parse_seed(args.seed))
     if args.count < 1:
         raise ValidationError("--count must be positive")
@@ -328,10 +317,9 @@ def _cmd_random(args) -> int:
     write = sys.stdout.write
     for _ in range(args.count):
         write(_to_json_text(draw(rng)) + "\n")
-    return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> None:
     if args.trials < 1:
         raise ValidationError("--trials must be positive")
     results = run_suite(_parse_seed(args.seed), args.trials)
@@ -345,7 +333,6 @@ def _cmd_verify(args) -> int:
             f"tol={r.tolerance:.3e}  {status}\n"
         )
     sys.stdout.write(f"{len(results) - failures}/{len(results)} checks passed\n")
-    return args.status
 
 
 @functools.cache
@@ -424,9 +411,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    args.status = 0  # a command that knows its status before it writes sets it here
+    args.status = 0
     try:
-        args.status = args.func(args)
+        args.func(args)
         sys.stdout.flush()  # a reader that has gone shows here, not in the exit-time flush
         return args.status
     except BrokenPipeError:

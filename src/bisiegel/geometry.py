@@ -8,8 +8,9 @@ one quantity, the chord s = |w - w'| / (2 sqrt(y y')) = sinh(d/2) of the
 half-plane distance d: the distance is the root-sum-square of the two
 2 asinh(s), the matrix cross ratio has the eigenvalues tanh^2(d/2), and a
 geodesic is a pair of half-plane geodesics traversed with a common arc-length
-parameter.  The matrix cross ratio itself is computed only by the literal
-reference in ``verify``.
+parameter: ``GeodesicSpec`` holds its length and leg constants, and ``point``
+is its one reader (``verify`` reads the legs unchecked, through ``_factors``).
+The matrix cross ratio itself is computed only by the literal reference in ``verify``.
 """
 
 from __future__ import annotations
@@ -161,20 +162,17 @@ def _leg_point(leg: tuple[float, ...], t: float) -> complex:
 
 @dataclass(frozen=True, init=False, slots=True)
 class GeodesicSpec:
-    """Endpoint data of a geodesic segment: points, length, factor distances.
+    """A geodesic segment: its length and the constants of its four legs, which hold
+    both ends, so two specs are equal only for the same segment.
 
-    ``connect`` is its only builder; it takes ``d1``, ``d2`` from the legs.
+    ``connect`` is its only builder and ``point`` its one reader.
     """
 
-    z1: HPoint
-    z2: HPoint
     s0: float
-    d1: float
-    d2: float
-    _legs: tuple = field(repr=False, compare=False)
+    _legs: tuple = field(repr=False)
 
     def _factors(self, s: float) -> tuple[complex, complex]:
-        """Factors (w1, w2) of ``line_point(s)``, unchecked: each moves the fraction t = s / s0."""
+        """Factors (w1, w2) of ``point(s)``, unchecked: each moves the fraction t = s / s0."""
         t = s / self.s0
         # Forward legs (from z1) serve t <= 1/2, backward legs (from z2) the rest.
         fwd1, bwd1, fwd2, bwd2 = self._legs
@@ -182,14 +180,15 @@ class GeodesicSpec:
             return _leg_point(fwd1, t), _leg_point(fwd2, t)
         return _leg_point(bwd1, 1.0 - t), _leg_point(bwd2, 1.0 - t)
 
-    def line_point(self, s: float, tol: Tolerance = DEFAULT_TOL) -> HPoint:
-        """Point on the full geodesic line at arc length s from the first
-        endpoint (s may leave [0, s0]; the segment endpoints are at 0 and s0),
-        a point above the ``tol.dom_eps`` margin.
+    def point(self, s: float, tol: Tolerance = DEFAULT_TOL) -> HPoint:
+        """Point at arc length s of the segment: s within ``tol.abs_eps`` of
+        [0, s0], the point above the ``tol.dom_eps`` margin.
 
         A point inside the margin is bad input on the segment (an end is inside it) and a
-        breakdown off it, as is a leg denominator that vanishes on a wide pair.
+        breakdown within ``abs_eps`` past an end, as is a leg denominator that vanishes.
         """
+        if not (-tol.abs_eps <= s <= self.s0 + tol.abs_eps):
+            raise OutOfRange(f"arc length s={s!r} outside [0, {self.s0!r}]")
         try:
             w1, w2 = self._factors(s)
             return _hpoint(w1, w2, tol.dom_eps)
@@ -198,23 +197,9 @@ class GeodesicSpec:
                 raise
             raise NumericalBreakdown(f"point at s={s!r} of s0={self.s0!r} not resolved: {exc}") from exc
 
-    def point(self, s: float, tol: Tolerance = DEFAULT_TOL) -> HPoint:
-        """Point at arc length s of the segment: s within ``tol.abs_eps`` of
-        [0, s0], the point above the ``tol.dom_eps`` margin.  ``line_point``'s
-        two steps, inline (the hottest call); on a failure ``line_point`` raises."""
-        if not (-tol.abs_eps <= s <= self.s0 + tol.abs_eps):
-            raise OutOfRange(f"arc length s={s!r} outside [0, {self.s0!r}]")
-        try:
-            w1, w2 = self._factors(s)
-            return _hpoint(w1, w2, tol.dom_eps)
-        except (ZeroDivisionError, DomainViolation):
-            pass
-        return self.line_point(s, tol)  # fails the same way, outside the handler: no chained error
-
 
 #: Slot setters, bound once for ``connect``.
-_set_z1, _set_z2, _set_s0, _set_d1, _set_d2, _set_legs = (
-    getattr(GeodesicSpec, name).__set__ for name in ("z1", "z2", "s0", "d1", "d2", "_legs"))
+_set_s0, _set_legs = GeodesicSpec.s0.__set__, GeodesicSpec._legs.__set__
 
 
 def connect(z1: HPoint, z2: HPoint, tol: Tolerance = DEFAULT_TOL) -> GeodesicSpec:
@@ -222,16 +207,11 @@ def connect(z1: HPoint, z2: HPoint, tol: Tolerance = DEFAULT_TOL) -> GeodesicSpe
     chord is taken once.  A shorter segment is refused as coincident, since its points
     round at u |w| in the coordinates, which can exceed its length many times over."""
     legs = _legs(z1.w1, z2.w1) + _legs(z1.w2, z2.w2)
-    d1, d2 = legs[0][4], legs[2][4]
-    s0 = math.hypot(d1, d2)
+    s0 = math.hypot(legs[0][4], legs[2][4])  # the two factor lengths d
     if s0 < tol.dom_eps:
         raise DegeneratePair(f"geodesic length {s0!r} is below dom_eps={tol.dom_eps!r}: coincident points")
     spec = _new(GeodesicSpec)
-    _set_z1(spec, z1)
-    _set_z2(spec, z2)
     _set_s0(spec, s0)
-    _set_d1(spec, d1)
-    _set_d2(spec, d2)
     _set_legs(spec, legs)
     return spec
 

@@ -15,10 +15,10 @@ then that these two factors are unimodular, which in this pattern is the symplec
 condition.  ``MotionMatrix._halves`` gives the 8 ``x1``, ``x2`` that the CLI prints,
 ``_rows`` the 4x4, which ``verify``'s literal action reads, and ``.m`` its ``Mat4R``.
 
-The stabilizer of the base point is given by two unit parameters ``xi1``,
-``xi2`` and a sign (``StabilizerParams``): ``stabilizer_of_iI`` is its motion,
-and its Cayley conjugate, the disc rotations ``u -> xi u / conj(xi)``, is
-written only as JSON, by the CLI.
+The stabilizer of the base point is given by two unit parameters ``xi1``, ``xi2``
+and a sign (``StabilizerParams``, each parameter gated as its rotation factor's
+determinant): ``stabilizer_of_iI`` is its motion, and its Cayley conjugate, the disc
+rotations ``u -> xi u / conj(xi)``, is written only as JSON, by the CLI.
 
 Motions are validated once, at the boundary: ``classify`` (with the caller's
 ``Tolerance``) and the public constructors.  Values computed from validated
@@ -324,15 +324,15 @@ def assemble(m1: Sl2Matrix, m2: Sl2Matrix, eps: int) -> MotionMatrix:
 
 
 def _check_unit(name: str, xi: complex) -> None:
-    """|xi|^2 = 1 under the factor gate: it is the stabilizer factors' determinant.
-    A modulus or square past the float range is not 1 either."""
+    """|xi|^2 = 1 under the determinant gate of the rotation factor, with the products
+    that ``Sl2Matrix`` forms for ``_rotation(xi)``; the message names |xi|."""
     try:
-        r = abs(xi)
-    except OverflowError:
-        r = inf
-    try:
-        _check_det(r**2, 0.0)
-    except (NotUnimodular, OverflowError):
+        _check_det(xi.real * xi.real, -(xi.imag * xi.imag))
+    except NotUnimodular:
+        try:
+            r = abs(xi)
+        except OverflowError:
+            r = inf
         raise UnitModulusViolation(f"|{name}|={r!r} is not 1") from None
 
 

@@ -188,15 +188,15 @@ def test_criterion_09_geodesics():
     length_rng = random.Random(17)  # well-separated pair, strong curvature
     za, zb = random_hpoint(length_rng), random_hpoint(length_rng)
     spec = connect(za, zb)
-    length = _path_length(lambda s: spec.line_point(s).factors(), 0.0, spec.s0, panels=10_000)
+    length = _path_length(spec._factors, 0.0, spec.s0, panels=10_000)
     length_rel = abs(length - spec.s0) / spec.s0
 
     worst_res = 0.0
     worst_ratio_lo, worst_ratio_hi = 4.0, 4.0
     for k in range(1, 11):
         s = spec.s0 * k / 11.0
-        r_h = _geodesic_ode_residual(lambda s: spec.line_point(s).factors(), s, 1e-3)
-        r_half = _geodesic_ode_residual(lambda s: spec.line_point(s).factors(), s, 5e-4)
+        r_h = _geodesic_ode_residual(spec._factors, s, 1e-3)
+        r_half = _geodesic_ode_residual(spec._factors, s, 5e-4)
         worst_res = max(worst_res, r_h)
         ratio = r_h / r_half
         worst_ratio_lo = min(worst_ratio_lo, ratio)

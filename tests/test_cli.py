@@ -346,6 +346,23 @@ def test_geodesic_checks_keep_a_nan_from_the_unchecked_factors(monkeypatch, name
     assert result.trials == 2 and math.isnan(result.max_residual) and not result.passed
 
 
+def test_closure_check_fails_where_an_image_falls_inside_the_margin(capsys, monkeypatch):
+    # diag(1e-7, 1e7) in both factors scales every height by 1e-14, so each image
+    # lies inside the dom_eps margin: apply refuses it, and closure reports a FAIL
+    # row with exit 1, not a breakdown with exit 3 and no report.
+    from bisiegel.group import assemble
+    from bisiegel.verify import SUITE
+
+    shrink = Sl2Matrix(1e-7, 0.0, 0.0, 1e7)
+    monkeypatch.setattr("bisiegel.verify.random_motion", lambda rng: assemble(shrink, shrink, 1))
+    monkeypatch.setattr("bisiegel.verify.SUITE", {"closure": SUITE["closure"]})
+    code, out, err = run(capsys, ["verify", "--seed", "42", "--trials", "1"])
+    assert code == 1 and err == ""
+    row, total = out.splitlines()
+    assert row.split() == ["closure", "trials=1", "max_residual=1.000e+00", "tol=0.000e+00", "FAIL"]
+    assert total == "0/1 checks passed"
+
+
 def test_arc_length_check_catches_a_reparametrized_geodesic(monkeypatch):
     # s -> s0 (t + a sin(2 pi t)), t = s / s0, keeps the endpoints and the total
     # length, so an integral of the speed passes it; the speed 1 + 2 pi a cos(2 pi t)

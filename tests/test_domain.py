@@ -187,10 +187,12 @@ def test_records_are_slotted_and_frozen():
         assert type(trusted) is type(checked)
         assert trusted == checked and hash(trusted) == hash(checked)
     # GeodesicSpec has no checked constructor: connect's record compares and
-    # hashes by its five public fields, as the dataclass defines them.
-    key = (spec.z1, spec.z2, spec.s0, spec.d1, spec.d2)
-    assert type(spec) is GeodesicSpec and key[:2] == (z1, z2)
+    # hashes by its length and legs, as the dataclass defines them; the legs
+    # hold both ends, so the reversed segment is another record.
+    key = (spec.s0, spec._legs)
+    assert type(spec) is GeodesicSpec and spec.point(0.0) == z1
     assert spec == connect(z1, z2) and hash(spec) == hash(key)
+    assert spec != connect(z2, z1)
 
 
 def test_point_from_tau_z_equals_point_from_factors(rng):

@@ -647,14 +647,18 @@ def test_stabilizer_params_validation():
 def test_stabilizer_params_on_each_side_of_the_unit_gate():
     # |xi|^2 - 1 against the determinant gate's floor of 1e-10 (entries near 1
     # are far below its cap), along two directions, and non-finite parameters.
+    # Each parameter passes exactly where its rotation factor is an Sl2Matrix.
     for unit in (1.0, complex(0.6, 0.8)):
         for rel in (0.49e-10, -0.49e-10):
             xi = unit * (1.0 + rel)
             assert StabilizerParams(1.0, xi, 1).xi2 == xi
+            Sl2Matrix(xi.real, xi.imag, -xi.imag, xi.real)
         for rel in (0.51e-10, -0.51e-10):
             xi = unit * (1.0 + rel)
             with pytest.raises(UnitModulusViolation, match=rf"^\|xi2\|={re.escape(repr(abs(xi)))} is not 1$"):
                 StabilizerParams(1.0, xi, 1)
+            with pytest.raises(NotUnimodular):
+                Sl2Matrix(xi.real, xi.imag, -xi.imag, xi.real)
     for bad in (complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0)):
         with pytest.raises(UnitModulusViolation, match=r"^\|xi1\|="):
             StabilizerParams(bad, 1.0, -1)
