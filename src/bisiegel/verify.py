@@ -9,20 +9,21 @@ invariant, and the CLI renders a pass/fail table.  The tests fold the same check
 Points, motions and the geometry are computed per factor; the literal 4x4
 action ``(AZ + B)(CZ + D)^-1``, matrix cross ratio and matrix Cayley map live
 here only, as the references that the factor forms are checked against, in
-plain complex arithmetic on 2x2 matrices held as row-major 4-tuples, and the
-volume check's Jacobian determinant is a Laplace expansion: no NumPy.  The
-finite-difference helpers of the geodesic checks are private here too, and the
-half-plane oracle ``hyperbolic.hyp_distance`` is read only here.
-Those helpers take curves of factor pairs (w1, w2), which the checks read unchecked
-from ``GeodesicSpec._factors``; ``_worst`` keeps a NaN residual, so such a check fails.
+plain complex arithmetic on 2x2 matrices held as row-major 4-tuples: no NumPy.  The
+same arithmetic gives the literal pushforward ``dW = (CZ + D)^-T dZ (CZ + D)^-1`` of a
+motion's rows (Siegel, Symplectic Geometry, 1943), which the metric and volume checks
+read; nothing here takes a finite difference.  The geodesic checks read the segment
+unchecked through ``GeodesicSpec._factors`` and map it by ``reduce_pair``'s mover onto
+the reduced geodesic ``s -> (i L^(s/s0), i l^(s/s0))``; ``_worst`` keeps a NaN residual,
+so such a check fails.  The half-plane oracle ``hyperbolic.hyp_distance`` is read only here.
 ``closure`` counts an image that ``apply`` refuses at the margin as a residual of 1.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
+from math import log
 from typing import Callable
 
 from .domain import (
@@ -32,7 +33,7 @@ from .domain import (
     cayley_to_halfspace,
     random_hpoint,
 )
-from .errors import NumericalBreakdown, OutOfRange
+from .errors import NumericalBreakdown
 from .geometry import (
     Tangent,
     connect,
@@ -91,9 +92,6 @@ def _points_gap(p: HPoint, q: HPoint) -> float:
     return max(abs(p.tau - q.tau), abs(p.z - q.z))
 
 
-#: A curve s -> its factor pair (w1, w2), as ``GeodesicSpec._factors``.
-_Curve = Callable[[float], tuple[complex, complex]]
-
 #: A complex 2x2 matrix [[a, b], [c, d]] as the row-major tuple (a, b, c, d).
 _M2 = tuple[complex, complex, complex, complex]
 
@@ -114,20 +112,29 @@ def _sub(x: _M2, y: _M2) -> _M2:
     return (x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3])
 
 
+def _affine(rows: tuple, i: int, zm: _M2) -> _M2:
+    """X Z + Y for the 2x2 blocks [X Y] in rows i and i + 1 of a real 4x4: A Z + B for
+    i = 0, C Z + D for i = 2.  It is taken as X Z - (-Y): negation is exact."""
+    x = tuple(complex(rows[r][k]) for r in (i, i + 1) for k in (0, 1))
+    y = tuple(complex(-rows[r][k]) for r in (i, i + 1) for k in (2, 3))
+    return _sub(_mul(x, zm), y)
+
+
 def _reference_apply(rows: tuple, point: HPoint) -> HPoint:
     """The 4x4 action (A Z + B)(C Z + D)^-1 of the rows of a real 4x4, computed literally."""
-
-    def block(i: int, j: int, sign: float = 1.0) -> _M2:
-        return tuple(complex(sign * rows[r][k]) for r in (i, i + 1) for k in (j, j + 1))
-
     zm = (point.tau, point.z, point.z, point.tau)
-    # A Z + B as A Z - (-B): negation is exact.
-    num = _sub(_mul(block(0, 0), zm), block(0, 2, -1.0))
-    den = _sub(_mul(block(2, 0), zm), block(2, 2, -1.0))
-    w = _mul(num, _inv(den))
+    w = _mul(_affine(rows, 0, zm), _inv(_affine(rows, 2, zm)))
     # The image of a bi-symmetric point is bi-symmetric; averaging removes
     # the rounding skew.
     return HPoint((w[0] + w[3]) / 2.0, (w[1] + w[2]) / 2.0)
+
+
+def _pushforward(rows: tuple, point: HPoint, dtau: complex, dz: complex) -> Tangent:
+    """The image dW = (C Z + D)^-T dZ (C Z + D)^-1 of the tangent dZ = [[dtau, dz], [dz, dtau]]
+    under the action of the rows of a real symplectic 4x4 at Z, computed literally."""
+    k = _inv(_affine(rows, 2, (point.tau, point.z, point.z, point.tau)))
+    w = _mul(_mul((k[0], k[2], k[1], k[3]), (dtau, dz, dz, dtau)), k)  # k^T dZ k
+    return Tangent((w[0] + w[3]) / 2.0, (w[1] + w[2]) / 2.0)
 
 
 def _reference_cross_ratio(z: HPoint, z1: HPoint) -> _M2:
@@ -264,17 +271,11 @@ def _check_metric_base(rng: random.Random) -> tuple[float, ...]:
 
 
 def _check_metric_invariance(rng: random.Random) -> tuple[float, ...]:
-    h = 1e-6
     z = random_hpoint(rng)
     d = _random_tangent(rng)
     m = random_motion(rng)
-    w_plus = apply(m, HPoint(z.tau + h * d.dtau, z.z + h * d.dz))
-    w_minus = apply(m, HPoint(z.tau - h * d.dtau, z.z - h * d.dz))
-    pushed = Tangent(
-        (w_plus.tau - w_minus.tau) / (2.0 * h), (w_plus.z - w_minus.z) / (2.0 * h)
-    )
     before = metric_form(z, d)
-    after = metric_form(apply(m, z), pushed)
+    after = metric_form(apply(m, z), _pushforward(m._rows(), z, d.dtau, d.dz))
     return (abs(after - before) / before,)
 
 
@@ -294,72 +295,53 @@ def _check_geodesic_reversal(rng: random.Random) -> tuple[float, ...]:
     return tuple(_points_gap(fwd.point(s), bwd.point(fwd.s0 - s)) for s in steps)
 
 
-def _geodesic_ode_residual(curve: _Curve, s: float, h: float) -> float:
-    """Central-difference residual of the geodesic equation Z'' + i Z' Y^-1 Z' = 0,
-    which per factor is the half-plane equation w'' + i w'^2 / Im w = 0; the
-    larger of the two factor residuals.  ``curve`` returns the factor pair (w1, w2).
-
-    For a true geodesic this decays like h^2; for a non-geodesic it stays
-    bounded away from zero as h -> 0.
-    """
-    if not h > 0.0:
-        raise OutOfRange(f"step h={h!r} must be positive")
-    return _worst(*(abs((wp - 2.0 * w + wm) / (h * h) + 1j * ((wp - wm) / (2.0 * h)) ** 2 / w.imag)
-                    for wm, w, wp in zip(curve(s - h), curve(s), curve(s + h))))
+#: The fractions of a segment's length at which the geodesic checks read it.
+_NODES = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
-def _path_speed(curve: _Curve, s: float, h: float) -> float:
-    """Metric speed at s of a curve that returns the factor pair (w1, w2): per
-    factor |dw| / Im w, with dw taken by central differences."""
-    (p1, p2), (m1, m2), (w1, w2) = curve(s + h), curve(s - h), curve(s)
-    return math.hypot(abs(p1 - m1) / (2.0 * h) / w1.imag, abs(p2 - m2) / (2.0 * h) / w2.imag)
+def _reduced_geodesic(z1: HPoint, z2: HPoint) -> list[tuple[complex, float]]:
+    """The segment from z1 to z2 at the fractions f of its length in ``_NODES``, moved by
+    the mover of ``reduce_pair(z1, z2)``: per node and factor, the image g and the log
+    height f ln L (f ln l) that the unit-speed reduced geodesic (i L^f, i l^f) has there,
+    with L, l = lambda1 +- lambda2.  The factors are read unchecked and mapped as
+    (a w + b) / (c w + d), their images swapped where eps = -1, so a NaN factor gives a
+    NaN image.  The node at f = 0.5 straddles the switch from forward to backward legs."""
+    spec = connect(z1, z2)
+    red = reduce_pair(z1, z2)
+    m1, m2 = red.mover.m1, red.mover.m2
+    ln_big, ln_small = log(red.lambda1 + red.lambda2), log(red.lambda1 - red.lambda2)
+    out = []
+    for f in _NODES:
+        w1, w2 = spec._factors(f * spec.s0)
+        g1, g2 = (m1.a * w1 + m1.b) / (m1.c * w1 + m1.d), (m2.a * w2 + m2.b) / (m2.c * w2 + m2.d)
+        if red.mover.eps == -1:
+            g1, g2 = g2, g1
+        out += ((g1, f * ln_big), (g2, f * ln_small))
+    return out
 
 
 def _check_ode_residual(rng: random.Random) -> tuple[float, ...]:
+    # The reduced solution of Z'' + i Z' Y^-1 Z' = 0 lies on the imaginary axes.
     z1 = random_hpoint(rng)
     z2 = random_hpoint(rng)
-    spec = connect(z1, z2)
-    return tuple(_geodesic_ode_residual(spec._factors, frac * spec.s0, 1e-3)
-                 for frac in (0.2, 0.5, 0.8))
+    return tuple(abs(g.real) / g.imag for g, _ in _reduced_geodesic(z1, z2))
 
 
 def _check_arc_length(rng: random.Random) -> tuple[float, ...]:
-    # Metric speed 1 at each node; the one at 0.5 straddles the forward/backward leg switch.
+    # Unit speed: the log height of each image is its fraction of the factor length.
     z1 = random_hpoint(rng)
     z2 = random_hpoint(rng)
-    spec = connect(z1, z2)
-    h = max(spec.s0, 1.0) * 1e-5
-    return tuple(abs(_path_speed(spec._factors, frac * spec.s0, h) - 1.0)
-                 for frac in (0.1, 0.3, 0.5, 0.7, 0.9))
-
-
-def _det4(m: list) -> float:
-    """4x4 determinant by Laplace expansion over the 2x2 minors of rows (0, 1) and (2, 3)."""
-    def minor(r: int, i: int, j: int) -> float:
-        return m[r][i] * m[r + 1][j] - m[r][j] * m[r + 1][i]
-    return (minor(0, 0, 1) * minor(2, 2, 3) - minor(0, 0, 2) * minor(2, 1, 3)
-            + minor(0, 0, 3) * minor(2, 1, 2) + minor(0, 1, 2) * minor(2, 0, 3)
-            - minor(0, 1, 3) * minor(2, 0, 2) + minor(0, 2, 3) * minor(2, 0, 1))
+    return tuple(abs(log(g.imag) - h) for g, h in _reduced_geodesic(z1, z2))
 
 
 def _check_volume_jacobian(rng: random.Random) -> tuple[float, ...]:
-    h = 1e-6
+    # A holomorphic map's real Jacobian determinant is |det J|^2, with the columns of the
+    # complex Jacobian J in (tau, z) the pushforwards of dZ = I and dZ = [[0, 1], [1, 0]].
     z = random_hpoint(rng)
     m = random_motion(rng)
-
-    def coords(x1: float, x2: float, y1: float, y2: float) -> tuple[float, ...]:
-        w = apply(m, HPoint(complex(x1, y1), complex(x2, y2)))
-        return (w.tau.real, w.z.real, w.tau.imag, w.z.imag)
-
-    base = (z.tau.real, z.z.real, z.tau.imag, z.z.imag)
-    jac = [[0.0] * 4 for _ in range(4)]
-    for j in range(4):
-        f_plus = coords(*(x + h if k == j else x for k, x in enumerate(base)))
-        f_minus = coords(*(x - h if k == j else x for k, x in enumerate(base)))
-        for i in range(4):
-            jac[i][j] = (f_plus[i] - f_minus[i]) / (2.0 * h)
-    w = apply(m, z)
-    lhs = volume_density(w) * abs(_det4(jac))
+    rows = m._rows()
+    j1, j2 = _pushforward(rows, z, 1.0, 0.0), _pushforward(rows, z, 0.0, 1.0)
+    lhs = volume_density(apply(m, z)) * abs(j1.dtau * j2.dz - j2.dtau * j1.dz) ** 2
     rhs = volume_density(z)
     return (abs(lhs - rhs) / rhs,)
 
@@ -371,9 +353,9 @@ def _check_triangle(rng: random.Random) -> tuple[float, ...]:
     return (distance(z1, z3) - distance(z1, z2) - distance(z2, z3),)
 
 
-#: name -> (one-trial check, tolerance, trial divisor); divisors keep the expensive
-#: finite-difference checks proportionate when --trials is large.  arc_length takes
-#: five speeds per trial, about the cost of a cheap check, so it runs on every trial.
+#: name -> (one-trial check, tolerance, trial divisor); the divisors keep the suite's
+#: cost flat as --trials grows: the costlier checks run on every second, fifth or
+#: twentieth trial.  No check takes a finite difference.
 SUITE: dict[str, tuple[Callable[[random.Random], tuple[float, ...]], float, int]] = {
     "cayley_roundtrip": (_check_cayley_roundtrip, 1e-10, 1),
     "closure": (_check_closure, 0.0, 1),
@@ -387,12 +369,12 @@ SUITE: dict[str, tuple[Callable[[random.Random], tuple[float, ...]], float, int]
     "pythagoras": (_check_pythagoras, 1e-9, 1),
     "cross_ratio_invariance": (_check_cross_ratio_invariance, 1e-8, 1),
     "metric_base": (_check_metric_base, 1e-12, 1),
-    "metric_invariance": (_check_metric_invariance, 1e-5, 5),
+    "metric_invariance": (_check_metric_invariance, 1e-10, 5),
     "geodesic_endpoints": (_check_geodesic_endpoints, 1e-8, 1),
     "geodesic_reversal": (_check_geodesic_reversal, 1e-8, 2),
-    "ode_residual": (_check_ode_residual, 1e-5, 20),
-    "arc_length": (_check_arc_length, 1e-6, 1),
-    "volume_jacobian": (_check_volume_jacobian, 1e-4, 5),
+    "ode_residual": (_check_ode_residual, 1e-11, 20),
+    "arc_length": (_check_arc_length, 1e-10, 1),
+    "volume_jacobian": (_check_volume_jacobian, 1e-9, 5),
     "triangle": (_check_triangle, 1e-12, 1),
 }
 

@@ -23,7 +23,7 @@ from bisiegel.group import (
     stabilizer_of_iI,
 )
 from bisiegel.numkit import Mat4R
-from bisiegel.verify import _Curve, _path_speed
+from bisiegel.verify import _worst
 
 
 def mobius(m, w: complex) -> complex:
@@ -54,7 +54,8 @@ def extreme_pair(rng):
 
 def volume_jacobian_residual(rng) -> tuple:
     """``verify``'s volume_jacobian trial (a sampler point, then a motion) with NumPy's
-    determinant of the central-difference Jacobian, the reference to its Laplace ``_det4``."""
+    determinant of the central-difference Jacobian, the reference to its exact
+    ``|det J|^2`` from the literal pushforward."""
     z = random_hpoint(rng)
     m = random_motion(rng)
     h = 1e-6
@@ -148,8 +149,33 @@ def composed_reduce_pair(z_base: HPoint, z_other: HPoint):
 
 
 # --------------------------------------------------------------------------
-# Arc-length quadrature: the reference lengths of the geodesic tests.  The
-# suite checks the unit speed pointwise; these integrate it.
+# Finite differences on curves: the geodesic equation and the arc length as
+# the tests state them.  The suite reads the reduced geodesic instead; these
+# difference the curve and integrate its speed.
+
+#: A curve s -> its factor pair (w1, w2), as ``GeodesicSpec._factors``.
+_Curve = Callable[[float], tuple[complex, complex]]
+
+
+def _geodesic_ode_residual(curve: _Curve, s: float, h: float) -> float:
+    """Central-difference residual of the geodesic equation Z'' + i Z' Y^-1 Z' = 0,
+    which per factor is the half-plane equation w'' + i w'^2 / Im w = 0; the
+    larger of the two factor residuals.  ``curve`` returns the factor pair (w1, w2).
+
+    For a true geodesic this decays like h^2; for a non-geodesic it stays
+    bounded away from zero as h -> 0.
+    """
+    if not h > 0.0:
+        raise ValueError(f"step h={h!r} must be positive")
+    return _worst(*(abs((wp - 2.0 * w + wm) / (h * h) + 1j * ((wp - wm) / (2.0 * h)) ** 2 / w.imag)
+                     for wm, w, wp in zip(curve(s - h), curve(s), curve(s + h))))
+
+
+def _path_speed(curve: _Curve, s: float, h: float) -> float:
+    """Metric speed at s of a curve that returns the factor pair (w1, w2): per
+    factor |dw| / Im w, with dw taken by central differences."""
+    (p1, p2), (m1, m2), (w1, w2) = curve(s + h), curve(s - h), curve(s)
+    return math.hypot(abs(p1 - m1) / (2.0 * h) / w1.imag, abs(p2 - m2) / (2.0 * h) / w2.imag)
 
 
 def _simpson(f: Callable[[float], float], a: float, b: float, panels: int) -> float:

@@ -23,9 +23,16 @@ from bisiegel.group import (
     reduce_pair,
     split,
 )
-from bisiegel.verify import _geodesic_ode_residual, _points_gap
+from bisiegel.verify import _points_gap
 
-from conftest import KERNEL_4, _path_length, entries, mobius, volume_jacobian_residual
+from conftest import (
+    KERNEL_4,
+    _geodesic_ode_residual,
+    _path_length,
+    entries,
+    mobius,
+    volume_jacobian_residual,
+)
 
 I_H = HPoint(1j, 0.0)
 TWO_I = HPoint(2j, 0.0)

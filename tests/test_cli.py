@@ -1,5 +1,6 @@
 import cmath
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -12,10 +13,13 @@ from pathlib import Path
 
 import pytest
 
+from bisiegel import geometry, verify
 from bisiegel.cli import _build_parser, _to_json_text, main
-from bisiegel.domain import e_contains, h_contains
+from bisiegel.domain import HPoint, e_contains, h_contains
 from bisiegel.errors import GeometryError, NumericalBreakdown
-from bisiegel.group import MotionMatrix, Sl2Matrix, random_motion
+from bisiegel.geometry import GeodesicSpec
+from bisiegel.group import MotionMatrix, Sl2Matrix, apply, random_motion
+from bisiegel.numkit import DEFAULT_TOL
 
 I_JSON = '{"tau":[0,1],"z":[0,0]}'
 TWO_I_JSON = '{"tau":[0,2],"z":[0,0]}'
@@ -376,6 +380,83 @@ def test_arc_length_check_catches_a_reparametrized_geodesic(monkeypatch):
     monkeypatch.setattr("bisiegel.verify.SUITE", {"arc_length": SUITE["arc_length"]})
     [result] = run_suite(42, 20)
     assert not result.passed and result.max_residual > 1e-5
+
+
+def _mutated(module, name: str, old: str, new: str):
+    """``module.name`` rebuilt from its source with the one ``old`` replaced by ``new``,
+    in the module's namespace: a mutant that differs from the library only there."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1
+    namespace: dict = {}
+    exec(source.replace(old, new), vars(module), namespace)
+    return namespace[name]
+
+
+def _bend(monkeypatch):
+    # w1 + 1e-6 Im w1 sin(pi s / s0): the first factor leaves its geodesic sideways,
+    # its ends kept.
+    factors = GeodesicSpec._factors
+
+    def bent(self, s):
+        w1, w2 = factors(self, s)
+        return w1 + 1e-6 * w1.imag * math.sin(math.pi * s / self.s0), w2
+
+    monkeypatch.setattr(GeodesicSpec, "_factors", bent)
+
+
+def _leg(old: str, new: str):
+    return lambda monkeypatch: monkeypatch.setattr(geometry, "_leg_point", _mutated(geometry, "_leg_point", old, new))
+
+
+def _taller_image(monkeypatch):
+    # A relative 1e-7 error in the height of apply's first factor image.
+    def taller(m, z, tol=DEFAULT_TOL):
+        w = apply(m, z, tol)
+        return HPoint.from_factors(complex(w.w1.real, w.w1.imag * (1.0 + 1e-7)), w.w2)
+
+    monkeypatch.setattr("bisiegel.verify.apply", taller)
+
+
+CHECK_MUTANTS = {
+    "bend": _bend,
+    # A 1% error in b's expm1 argument, and a (0.5 - t) skew of c's exponent.
+    "b_expm1": _leg("expm1(n * t)", "expm1(1.01 * n * t)"),
+    "c_skew": _leg("c = m ** (2.0 * t)", "c = m ** (2.0 * t * (1.0 + 1e-3 * (0.5 - t)))"),
+    "taller_image": _taller_image,
+}
+
+
+@pytest.mark.parametrize("mutant,name", [
+    ("bend", "ode_residual"),
+    ("bend", "arc_length"),
+    ("b_expm1", "arc_length"),
+    ("b_expm1", "ode_residual"),
+    ("c_skew", "arc_length"),
+    ("c_skew", "ode_residual"),
+    ("taller_image", "metric_invariance"),
+    ("taller_image", "volume_jacobian"),
+])
+def test_rewritten_checks_fail_on_their_mutants(monkeypatch, mutant, name):
+    # Each check passes on seed 42, and fails there once one function is rebound.
+    check, tol, _ = verify.SUITE[name]
+    assert verify._fold(check, verify._rng(42, name), 20) <= tol
+    CHECK_MUTANTS[mutant](monkeypatch)
+    assert not verify._fold(check, verify._rng(42, name), 20) <= tol
+
+
+def test_reduced_geodesic_reads_a_vertical_leg(monkeypatch):
+    # The sampler draws no vertical leg (dx == 0), so the suite never runs that branch
+    # of _leg_point; the pair-taking core does.  Linear heights y + (v - y) t in place
+    # of y^(1-t) v^t leave the unit speed by about 0.3 in log height.
+    z1, z2 = HPoint.from_factors(1 + 1j, 2 + 3j), HPoint.from_factors(1 + 5j, 0.5 + 0.7j)
+
+    def heights():
+        return max(abs(math.log(g.imag) - h) for g, h in verify._reduced_geodesic(z1, z2))
+
+    assert heights() <= verify.SUITE["arc_length"][1]
+    monkeypatch.setattr(geometry, "_leg_point",
+                        _mutated(geometry, "_leg_point", "y ** (1.0 - t) * v**t", "y + (v - y) * t"))
+    assert heights() > 0.1
 
 
 def test_exit_code_validation_errors(files, capsys, monkeypatch, tmp_path):
@@ -1074,8 +1155,8 @@ def test_verify_output_bytes_are_pinned(capsys):
     # the same however the group layer is built.  The one-trial report runs
     # every check at its floor of max(1, trials // divisor).
     for trials, digest in (
-        ("200", "a9753873e22756046b36bf06e82036294511cdad047da5cdc208a852521de999"),
-        ("1", "10ae497c7b766833a8f5ddd7e99e017b31ea3e218de78d9dd92c2b45baa73bdd"),
+        ("200", "490fb8c99efe758a1c9ddc6f5ce816e45050db3313b1b31214e572b4340d01d2"),
+        ("1", "7fe5cd6df6a61c78865d2431a6b124a45a98b886ac9fccd14e87b815a694441f"),
     ):
         code, out, _ = run(capsys, ["verify", "--seed", "42", "--trials", trials])
         assert code == 0 and out.endswith("19/19 checks passed\n")
