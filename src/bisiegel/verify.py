@@ -14,8 +14,9 @@ same arithmetic gives the literal pushforward ``dW = (CZ + D)^-T dZ (CZ + D)^-1`
 motion's rows (Siegel, Symplectic Geometry, 1943), which the metric and volume checks
 read; nothing here takes a finite difference.  The geodesic checks read the segment
 unchecked through ``GeodesicSpec._factors`` and map it by ``reduce_pair``'s mover onto
-the reduced geodesic ``s -> (i L^(s/s0), i l^(s/s0))``; ``_worst`` keeps a NaN residual,
-so such a check fails.  The half-plane oracle ``hyperbolic.hyp_distance`` is read only here.
+the unit-speed reduced geodesic, whose factors at arc length s are ``i L^(s/r)`` and
+``i l^(s/r)`` with ``r = hypot(ln L, ln l)``; ``_worst`` keeps a NaN residual, so such a
+check fails.  The half-plane oracle ``hyperbolic.hyp_distance`` is read only here.
 ``closure`` counts an image that ``apply`` refuses at the margin as a residual of 1.
 """
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import log
+from math import atan2, exp, hypot, log
 from typing import Callable
 
 from .domain import (
@@ -129,12 +130,17 @@ def _reference_apply(rows: tuple, point: HPoint) -> HPoint:
     return HPoint((w[0] + w[3]) / 2.0, (w[1] + w[2]) / 2.0)
 
 
-def _pushforward(rows: tuple, point: HPoint, dtau: complex, dz: complex) -> Tangent:
-    """The image dW = (C Z + D)^-T dZ (C Z + D)^-1 of the tangent dZ = [[dtau, dz], [dz, dtau]]
-    under the action of the rows of a real symplectic 4x4 at Z, computed literally."""
+def _pushforward(rows: tuple, point: HPoint, *tangents: Tangent) -> list[Tangent]:
+    """The images dW = (C Z + D)^-T dZ (C Z + D)^-1 of the tangents dZ = [[dtau, dz], [dz, dtau]]
+    under the action of the rows of a real symplectic 4x4 at Z, computed literally;
+    C Z + D is inverted once for all of them."""
     k = _inv(_affine(rows, 2, (point.tau, point.z, point.z, point.tau)))
-    w = _mul(_mul((k[0], k[2], k[1], k[3]), (dtau, dz, dz, dtau)), k)  # k^T dZ k
-    return Tangent((w[0] + w[3]) / 2.0, (w[1] + w[2]) / 2.0)
+    kt = (k[0], k[2], k[1], k[3])
+    out = []
+    for d in tangents:
+        w = _mul(_mul(kt, (d.dtau, d.dz, d.dz, d.dtau)), k)  # k^T dZ k
+        out.append(Tangent((w[0] + w[3]) / 2.0, (w[1] + w[2]) / 2.0))
+    return out
 
 
 def _reference_cross_ratio(z: HPoint, z1: HPoint) -> _M2:
@@ -275,7 +281,8 @@ def _check_metric_invariance(rng: random.Random) -> tuple[float, ...]:
     d = _random_tangent(rng)
     m = random_motion(rng)
     before = metric_form(z, d)
-    after = metric_form(apply(m, z), _pushforward(m._rows(), z, d.dtau, d.dz))
+    [dw] = _pushforward(m._rows(), z, d)
+    after = metric_form(apply(m, z), dw)
     return (abs(after - before) / before,)
 
 
@@ -300,38 +307,45 @@ _NODES = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
 def _reduced_geodesic(z1: HPoint, z2: HPoint) -> list[tuple[complex, float]]:
-    """The segment from z1 to z2 at the fractions f of its length in ``_NODES``, moved by
-    the mover of ``reduce_pair(z1, z2)``: per node and factor, the image g and the log
-    height f ln L (f ln l) that the unit-speed reduced geodesic (i L^f, i l^f) has there,
-    with L, l = lambda1 +- lambda2.  The factors are read unchecked and mapped as
-    (a w + b) / (c w + d), their images swapped where eps = -1, so a NaN factor gives a
-    NaN image.  The node at f = 0.5 straddles the switch from forward to backward legs."""
+    """The segment from z1 to z2 at the arc lengths s = f s0 for the fractions f in
+    ``_NODES``, moved by the mover of ``reduce_pair(z1, z2)``: per node and factor, the
+    image g and the log height s ln L / r (s ln l / r) that the unit-speed reduced
+    geodesic has there, with L, l = lambda1 +- lambda2 and r = hypot(ln L, ln l) its
+    length.  r is read off the reduction, not off the segment's s0.  The factors are
+    read unchecked and mapped as (a w + b) / (c w + d), their images swapped where
+    eps = -1, so a NaN factor gives a NaN image.  The node at f = 0.5 straddles the
+    switch from forward to backward legs."""
     spec = connect(z1, z2)
     red = reduce_pair(z1, z2)
     m1, m2 = red.mover.m1, red.mover.m2
     ln_big, ln_small = log(red.lambda1 + red.lambda2), log(red.lambda1 - red.lambda2)
+    r = hypot(ln_big, ln_small)
     out = []
     for f in _NODES:
-        w1, w2 = spec._factors(f * spec.s0)
+        s = f * spec.s0
+        w1, w2 = spec._factors(s)
         g1, g2 = (m1.a * w1 + m1.b) / (m1.c * w1 + m1.d), (m2.a * w2 + m2.b) / (m2.c * w2 + m2.d)
         if red.mover.eps == -1:
             g1, g2 = g2, g1
-        out += ((g1, f * ln_big), (g2, f * ln_small))
+        out += ((g1, s * ln_big / r), (g2, s * ln_small / r))
     return out
 
 
 def _check_ode_residual(rng: random.Random) -> tuple[float, ...]:
-    # The reduced solution of Z'' + i Z' Y^-1 Z' = 0 lies on the imaginary axes.
+    # The reduced solution of Z'' + i Z' Y^-1 Z' = 0 lies on the imaginary axes: each
+    # image's angle off the positive imaginary axis, which is defined for every image
+    # (near pi below the real axis, NaN for a NaN image).
     z1 = random_hpoint(rng)
     z2 = random_hpoint(rng)
-    return tuple(abs(g.real) / g.imag for g, _ in _reduced_geodesic(z1, z2))
+    return tuple(atan2(abs(g.real), g.imag) for g, _ in _reduced_geodesic(z1, z2))
 
 
 def _check_arc_length(rng: random.Random) -> tuple[float, ...]:
-    # Unit speed: the log height of each image is its fraction of the factor length.
+    # Unit speed: the image at arc length s has the height e^h of the reduced geodesic
+    # there.  The ratio |g| e^-h is defined for every image (0 and inf read as FAIL).
     z1 = random_hpoint(rng)
     z2 = random_hpoint(rng)
-    return tuple(abs(log(g.imag) - h) for g, h in _reduced_geodesic(z1, z2))
+    return tuple(abs(abs(g) * exp(-h) - 1.0) for g, h in _reduced_geodesic(z1, z2))
 
 
 def _check_volume_jacobian(rng: random.Random) -> tuple[float, ...]:
@@ -339,8 +353,7 @@ def _check_volume_jacobian(rng: random.Random) -> tuple[float, ...]:
     # complex Jacobian J in (tau, z) the pushforwards of dZ = I and dZ = [[0, 1], [1, 0]].
     z = random_hpoint(rng)
     m = random_motion(rng)
-    rows = m._rows()
-    j1, j2 = _pushforward(rows, z, 1.0, 0.0), _pushforward(rows, z, 0.0, 1.0)
+    j1, j2 = _pushforward(m._rows(), z, Tangent(1.0, 0.0), Tangent(0.0, 1.0))
     lhs = volume_density(apply(m, z)) * abs(j1.dtau * j2.dz - j2.dtau * j1.dz) ** 2
     rhs = volume_density(z)
     return (abs(lhs - rhs) / rhs,)

@@ -417,8 +417,24 @@ def _taller_image(monkeypatch):
     monkeypatch.setattr("bisiegel.verify.apply", taller)
 
 
+def _conjugate(monkeypatch):
+    # The factors mirrored below the real axis: same heights, wrong half-plane.
+    factors = GeodesicSpec._factors
+    monkeypatch.setattr(GeodesicSpec, "_factors",
+                        lambda self, s: tuple(w.conjugate() for w in factors(self, s)))
+
+
+def _length(old: str, new: str):
+    # connect with a wrong length s0: _factors(f s0) still reads the fraction f, so
+    # every point stays on the segment; only the arc length at each point is wrong.
+    return lambda monkeypatch: monkeypatch.setattr(verify, "connect", _mutated(geometry, "connect", old, new))
+
+
 CHECK_MUTANTS = {
     "bend": _bend,
+    "conjugate": _conjugate,
+    "double_length": _length("s0 = math.hypot(", "s0 = 2.0 * math.hypot("),
+    "summed_length": _length("s0 = math.hypot(legs[0][4], legs[2][4])", "s0 = legs[0][4] + legs[2][4]"),
     # A 1% error in b's expm1 argument, and a (0.5 - t) skew of c's exponent.
     "b_expm1": _leg("expm1(n * t)", "expm1(1.01 * n * t)"),
     "c_skew": _leg("c = m ** (2.0 * t)", "c = m ** (2.0 * t * (1.0 + 1e-3 * (0.5 - t)))"),
@@ -429,6 +445,9 @@ CHECK_MUTANTS = {
 @pytest.mark.parametrize("mutant,name", [
     ("bend", "ode_residual"),
     ("bend", "arc_length"),
+    ("conjugate", "ode_residual"),
+    ("double_length", "arc_length"),
+    ("summed_length", "arc_length"),
     ("b_expm1", "arc_length"),
     ("b_expm1", "ode_residual"),
     ("c_skew", "arc_length"),
@@ -444,19 +463,30 @@ def test_rewritten_checks_fail_on_their_mutants(monkeypatch, mutant, name):
     assert not verify._fold(check, verify._rng(42, name), 20) <= tol
 
 
-def test_reduced_geodesic_reads_a_vertical_leg(monkeypatch):
+def test_geodesic_checks_report_an_image_below_the_axis_as_a_row(capsys, monkeypatch):
+    # Conjugated factors map below the real axis.  The locus check reads their angle
+    # off the positive imaginary axis (near pi) and fails; the height check reads |g|,
+    # which conjugation keeps, and passes.  Neither ends the report with a traceback.
+    _conjugate(monkeypatch)
+    monkeypatch.setattr(verify, "SUITE", {n: verify.SUITE[n] for n in ("ode_residual", "arc_length")})
+    code, out, err = run(capsys, ["verify", "--seed", "42", "--trials", "20"])
+    assert code == 1 and err == "" and out.endswith("1/2 checks passed\n")
+    rows = {line.split()[0]: line.split()[-1] for line in out.splitlines()[:-1]}
+    assert rows == {"ode_residual": "FAIL", "arc_length": "PASS"}
+
+
+def test_arc_length_check_reads_a_vertical_leg(monkeypatch):
     # The sampler draws no vertical leg (dx == 0), so the suite never runs that branch
-    # of _leg_point; the pair-taking core does.  Linear heights y + (v - y) t in place
-    # of y^(1-t) v^t leave the unit speed by about 0.3 in log height.
+    # of _leg_point; the check on a drawn vertical pair does.  Linear heights
+    # y + (v - y) t in place of y^(1-t) v^t leave the unit speed by about 0.3 in log height.
     z1, z2 = HPoint.from_factors(1 + 1j, 2 + 3j), HPoint.from_factors(1 + 5j, 0.5 + 0.7j)
-
-    def heights():
-        return max(abs(math.log(g.imag) - h) for g, h in verify._reduced_geodesic(z1, z2))
-
-    assert heights() <= verify.SUITE["arc_length"][1]
+    check, tol, _ = verify.SUITE["arc_length"]
+    points = iter((z1, z2, z1, z2))
+    monkeypatch.setattr(verify, "random_hpoint", lambda rng: next(points))
+    assert max(check(None)) <= tol
     monkeypatch.setattr(geometry, "_leg_point",
                         _mutated(geometry, "_leg_point", "y ** (1.0 - t) * v**t", "y + (v - y) * t"))
-    assert heights() > 0.1
+    assert max(check(None)) > 0.1
 
 
 def test_exit_code_validation_errors(files, capsys, monkeypatch, tmp_path):
@@ -1155,7 +1185,7 @@ def test_verify_output_bytes_are_pinned(capsys):
     # the same however the group layer is built.  The one-trial report runs
     # every check at its floor of max(1, trials // divisor).
     for trials, digest in (
-        ("200", "490fb8c99efe758a1c9ddc6f5ce816e45050db3313b1b31214e572b4340d01d2"),
+        ("200", "80d40dcb97966d0cb861ea3910d635df3935ac652ddab43e3ba41e0228a031b4"),
         ("1", "7fe5cd6df6a61c78865d2431a6b124a45a98b886ac9fccd14e87b815a694441f"),
     ):
         code, out, _ = run(capsys, ["verify", "--seed", "42", "--trials", trials])
