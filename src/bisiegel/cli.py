@@ -8,6 +8,7 @@ channel: the commands return nothing, ``main`` returns it, and ``verify`` sets i
 its report's first write.  A reader that closes stdout early drops the rest of the
 output, with no traceback, and leaves that status, so a failed run exits 1 buffered or not.
 The argument parser is built once per process and reused by every ``main`` call.
+Each kind of document has one reader, and ``check`` reads through the same ones.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from .domain import (
     HPoint,
     cayley_to_disc,
     cayley_to_halfspace,
-    e_contains,
-    h_contains,
     random_hpoint,
 )
-from .errors import NotSymplectic, NumericalBreakdown, NumericalError, ValidationError
+from .errors import (DomainViolation, NotInHatGroup, NotSymplectic, NumericalBreakdown,
+                     NumericalError, ValidationError)
 from .geometry import connect, distance, distance_params, volume_density
 from .group import (
     MotionMatrix,
@@ -158,7 +158,7 @@ def _parse_motion(doc) -> MotionMatrix:
         try:
             declared = _sign(doc["eps"])
         except ValidationError as exc:
-            raise ValidationError(f'"eps" must be 1 or -1, got {doc["eps"]!r}') from exc
+            raise ValidationError(f'"eps" must be 1 or -1, got {json.dumps(doc["eps"])}') from exc
         if declared != motion.eps:
             raise ValidationError(
                 f"declared eps={doc['eps']} contradicts detected eps={motion.eps}"
@@ -187,11 +187,14 @@ def _parse_unit(text: str, what: str) -> complex:
 
 
 def _parse_seed(text: str) -> int:
+    """ASCII digits only: ``int`` also takes a sign, spaces, ``_`` and other scripts' digits."""
     try:
-        seed = int(text, 10)
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(text)
+        seed = int(text)  # past its digit limit, int raises ValueError too
     except ValueError as exc:
         raise ValidationError(f"seed must be a decimal integer: {text!r}") from exc
-    if not 0 <= seed < 2**64:
+    if seed >= 2**64:
         raise ValidationError("seed must fit in an unsigned 64-bit integer")
     return seed
 
@@ -201,24 +204,29 @@ def _parse_seed(text: str) -> int:
 
 
 def _cmd_check(args) -> None:
+    """The other commands' readers answer: a point outside its model or a 4x4 that
+    ``classify`` refuses is a verdict, any other error exits as it does there."""
     doc = _read_doc(args.file)
     if args.kind == "point":
         if isinstance(doc, dict) and "tau" in doc and "z" in doc:
-            member = h_contains(_pair(doc["tau"], "tau"), _pair(doc["z"], "z"))
-            _emit({"model": "halfspace", "member": member})
+            model, parse = "halfspace", _parse_hpoint
         elif isinstance(doc, dict) and "z1" in doc and "z2" in doc:
-            member = e_contains(_pair(doc["z1"], "z1"), _pair(doc["z2"], "z2"))
-            _emit({"model": "disc", "member": member})
+            model, parse = "disc", _parse_epoint
         else:
             raise ValidationError("point JSON needs tau/z or z1/z2 fields")
+        try:
+            parse(doc)
+            member = True
+        except DomainViolation:
+            member = False
+        _emit({"model": model, "member": member})
         return
-    m = _parse_mat4(doc)
     try:
-        motion = classify(m)
-        _emit({"symplectic": True, "motion": True, "eps": motion.eps})
-    except ValidationError as exc:
-        symplectic = not isinstance(exc, NotSymplectic)
-        _emit({"symplectic": symplectic, "motion": False, "eps": None})
+        motion = _parse_motion(doc)
+    except (NotSymplectic, NotInHatGroup) as exc:
+        _emit({"symplectic": isinstance(exc, NotInHatGroup), "motion": False, "eps": None})
+        return
+    _emit({"symplectic": True, "motion": True, "eps": motion.eps})
 
 
 def _cmd_act(args) -> None:

@@ -16,6 +16,11 @@ references in ``verify``.  The Cayley maps ``Z -> (Z - iI)(Z + iI)^-1`` and
 ``Z0 -> i(I + Z0)(I - Z0)^-1`` are, per factor, ``w -> (w - i)/(w + i)`` and
 ``u -> i(1 + u)/(1 - u)``.  The image of a valid point that falls inside the
 other model's ``dom_eps`` margin is a numerical limit, not bad input.
+
+Each model has one membership test, in its private builder (``_hpoint``,
+``_epoint``), and every point is built through it: ``HPoint(tau, z)`` and
+``EPoint(z1, z2)`` through ``from_factors``.  Membership is asked by building
+the point; a ``DomainViolation`` is the answer no.
 """
 
 from __future__ import annotations
@@ -31,8 +36,6 @@ from .numkit import DEFAULT_TOL, Tolerance
 __all__ = [
     "HPoint",
     "EPoint",
-    "h_contains",
-    "e_contains",
     "cayley_to_disc",
     "cayley_to_halfspace",
     "random_hpoint",
@@ -58,10 +61,12 @@ class HPoint:
 
     def __init__(self, tau: complex, z: complex) -> None:
         tau, z = complex(tau), complex(z)
-        if not h_contains(tau, z):
-            raise DomainViolation(f"(tau={tau!r}, z={z!r}) is outside the half-space model")
-        object.__setattr__(self, "w1", tau + z)  # frozen: bypass __setattr__
-        object.__setattr__(self, "w2", tau - z)
+        try:
+            point = self.from_factors(tau + z, tau - z)
+        except DomainViolation:
+            raise DomainViolation(f"(tau={tau!r}, z={z!r}) is outside the half-space model") from None
+        _set_w1(self, point.w1)
+        _set_w2(self, point.w2)
 
     @classmethod
     def from_factors(cls, w1: complex, w2: complex, tol: Tolerance = DEFAULT_TOL) -> "HPoint":
@@ -93,10 +98,12 @@ class EPoint:
 
     def __init__(self, z1: complex, z2: complex) -> None:
         z1, z2 = complex(z1), complex(z2)
-        if not e_contains(z1, z2):
-            raise DomainViolation(f"(z1={z1!r}, z2={z2!r}) is outside the bounded model")
-        object.__setattr__(self, "u1", z1 + z2)  # frozen: bypass __setattr__
-        object.__setattr__(self, "u2", z1 - z2)
+        try:
+            point = self.from_factors(z1 + z2, z1 - z2)
+        except DomainViolation:
+            raise DomainViolation(f"(z1={z1!r}, z2={z2!r}) is outside the bounded model") from None
+        _set_u1(self, point.u1)
+        _set_u2(self, point.u2)
 
     @classmethod
     def from_factors(cls, u1: complex, u2: complex, tol: Tolerance = DEFAULT_TOL) -> "EPoint":
@@ -143,27 +150,6 @@ def _epoint(u1: complex, u2: complex, dom_eps: float) -> EPoint:
     _set_u1(point, u1)
     _set_u2(point, u2)
     return point
-
-
-def h_contains(tau: complex, z: complex, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Half-space membership: Im tau exceeds |Im z| by more than the margin,
-    that is both factors tau +- z lie above it (and are finite)."""
-    tau, z = complex(tau), complex(z)
-    try:
-        _hpoint(tau + z, tau - z, tol.dom_eps)
-    except DomainViolation:
-        return False
-    return True
-
-
-def e_contains(z1: complex, z2: complex, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Disc-model membership: both factor coordinates strictly inside the unit disc."""
-    z1, z2 = complex(z1), complex(z2)
-    try:
-        _epoint(z1 + z2, z1 - z2, tol.dom_eps)
-    except DomainViolation:
-        return False
-    return True
 
 
 def _image(make: Callable, f1: complex, f2: complex, tol: Tolerance):

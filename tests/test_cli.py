@@ -15,8 +15,8 @@ import pytest
 
 from bisiegel import geometry, verify
 from bisiegel.cli import _build_parser, _to_json_text, main
-from bisiegel.domain import HPoint, e_contains, h_contains
-from bisiegel.errors import GeometryError, NumericalBreakdown
+from bisiegel.domain import EPoint, HPoint
+from bisiegel.errors import DomainViolation, GeometryError, NumericalBreakdown
 from bisiegel.geometry import GeodesicSpec
 from bisiegel.group import MotionMatrix, Sl2Matrix, apply, random_motion
 from bisiegel.numkit import DEFAULT_TOL
@@ -539,7 +539,7 @@ def test_non_integer_eps_is_validation_error(files, capsys):
 
 
 @pytest.mark.parametrize(
-    "eps,shown", [("1.5", "1.5"), ("-1.5", "-1.5"), ("true", "True"), ('"1"', "'1'"), ("1.0", "1.0")]
+    "eps,shown", [("1.5", "1.5"), ("-1.5", "-1.5"), ("true", "true"), ('"1"', '"1"'), ("1.0", "1.0")]
 )
 def test_declared_eps_must_be_the_json_int_1_or_minus_1(files, capsys, eps, shown):
     # The identity motion has eps = 1: a declared 1.0, true or "1" is not the
@@ -652,6 +652,10 @@ def test_seed_and_count_validation(capsys):
     assert code == 2 and "64-bit" in err
     code, _, err = run(capsys, ["random", "point", "--seed", "nope"])
     assert code == 2
+    # int() takes each of these as 10; the seed reader takes ASCII digits only.
+    for text in ("1_0", " 10", "+10", "\uff11\uff10"):
+        code, out, err = run(capsys, ["random", "point", "--seed", text])
+        assert (code, out, err) == (2, "", f"error: seed must be a decimal integer: {text!r}\n")
     code, _, err = run(capsys, ["random", "point", "--seed", "1", "--count", "0"])
     assert code == 2
 
@@ -891,6 +895,15 @@ class StdinDocs:
         return self.texts.pop(0)
 
 
+def _builds(point_type, a: complex, b: complex) -> bool:
+    """Whether the constructor takes (a, b): the model's membership test."""
+    try:
+        point_type(a, b)
+    except DomainViolation:
+        return False
+    return True
+
+
 class FuzzDocs:
     """The documents of one seeded fuzz run.  Each point is valid with
     probability 0.7, else its four numbers are adversarial; motions, factors
@@ -935,7 +948,7 @@ class FuzzDocs:
         y = self.power(max(-k, -11.0), k)
         t = rng.choice((-1.0, 1.0)) * (1.0 - 10.0 ** rng.uniform(-12.0, 0.0))
         tau, z = complex(self.signed(k), y), complex(self.signed(k), t * y)
-        self.valid_points += h_contains(tau, z)
+        self.valid_points += _builds(HPoint, tau, z)
         return {"tau": [tau.real, tau.imag], "z": [z.real, z.imag]}
 
     def epoint(self) -> dict:
@@ -946,7 +959,7 @@ class FuzzDocs:
         u1, u2 = (cmath.rect(1.0 - 10.0 ** rng.uniform(-11.9, 0.0), rng.uniform(-math.pi, math.pi))
                   for _ in range(2))
         z1, z2 = u1 / 2.0 + u2 / 2.0, u1 / 2.0 - u2 / 2.0
-        self.valid_points += e_contains(z1, z2)
+        self.valid_points += _builds(EPoint, z1, z2)
         return {"z1": [z1.real, z1.imag], "z2": [z2.real, z2.imag]}
 
     def factor(self) -> dict:
@@ -1022,6 +1035,45 @@ def test_seeded_fuzz_of_every_input_reading_command(capsys, monkeypatch):
             succeeded.add(name)
     assert succeeded == set(FUZZ_COMMANDS)  # every command's arithmetic is reached
     assert docs.valid_points >= docs.points / 2, (docs.valid_points, docs.points)
+
+
+#: The stderr of ``classify``'s refusals (``NotSymplectic``, ``NotInHatGroup``), the one
+#: refusal of a motion document that ``check matrix`` reports as a verdict.
+CLASSIFY_REFUSAL = re.compile(r"error: (symplectic residual|factor of the patterned matrix|commutation residuals)")
+
+
+def test_check_matrix_gives_the_readers_verdict(capsys, monkeypatch):
+    # check matrix reads a motion as split does: "motion":true exactly where split exits 0.
+    # Where split refuses for a reason other than classify's refusal (a malformed document,
+    # a bad or contradicting declared eps, a breakdown), check exits with the same code and
+    # stderr.  Each accepted document is also read with its eps flipped or given as true,
+    # "1" or 1.0, which both refuse.
+    def answers(text: str) -> int:
+        (code, out, err), (check_code, check_out, check_err) = (
+            run_stdin(argv, text) for argv in (["split", "--matrix", "-"], ["check", "matrix", "-"])
+        )
+        assert ('"motion":true' in check_out) == (code == 0), text
+        if code and not check_code:
+            assert check_out.endswith('"motion":false,"eps":null}\n'), text
+            assert CLASSIFY_REFUSAL.match(err), (text, err)
+            return -code  # classify's refusal
+        assert (check_code, check_err) == (code, err), text
+        return code
+
+    def run_stdin(argv: list, text: str) -> tuple:
+        monkeypatch.setattr(sys, "stdin", StdinDocs([text]))
+        return run(capsys, argv)
+
+    docs = FuzzDocs(random.Random(33))
+    outcomes, accepted = set(), []
+    for text in [Q_JSON] + [json.dumps(docs.motion()) for _ in range(300)]:
+        outcomes.add(code := answers(text))
+        if code == 0:
+            accepted.append(json.loads(text))
+    for doc in accepted:
+        for eps in (-doc["eps"], True, "1", 1.0):
+            assert answers(json.dumps(dict(doc, eps=eps))) == 2
+    assert outcomes == {0, -2, 2, 3}  # accepted, classify's refusal, malformed, breakdown
 
 
 def test_cached_parser_carries_no_state_between_calls(capsys):

@@ -15,8 +15,6 @@ from bisiegel.domain import (
     _hpoint,
     cayley_to_disc,
     cayley_to_halfspace,
-    e_contains,
-    h_contains,
     random_hpoint,
 )
 from bisiegel.errors import DomainViolation, NumericalBreakdown
@@ -84,21 +82,27 @@ def test_block_constants_are_symplectic():
 
 
 def test_h_contains_examples():
-    assert h_contains(1j, 0)
-    assert h_contains(2j, 1j)
-    assert not h_contains(1j, 1j)
+    HPoint(1j, 0)
+    HPoint(2j, 1j)
+    with pytest.raises(DomainViolation) as exc:
+        HPoint(1j, 1j)
+    assert str(exc.value) == "(tau=1j, z=1j) is outside the half-space model"
 
 
 def test_e_contains_examples():
-    assert e_contains(0, 0)
-    assert e_contains(0.25, 0.25)
-    assert not e_contains(0.5, 0.5)
+    EPoint(0, 0)
+    EPoint(0.25, 0.25)
+    with pytest.raises(DomainViolation) as exc:
+        EPoint(0.5, 0.5)
+    assert str(exc.value) == "(z1=(0.5+0j), z2=(0.5+0j)) is outside the bounded model"
 
 
 def test_membership_rejects_nonfinite():
-    assert not h_contains(complex(0, float("inf")), 0)
-    assert not h_contains(float("nan"), 0)
-    assert not e_contains(float("nan"), 0)
+    for tau in (complex(0, float("inf")), float("nan")):
+        with pytest.raises(DomainViolation, match="outside the half-space model"):
+            HPoint(tau, 0)
+    with pytest.raises(DomainViolation, match="outside the bounded model"):
+        EPoint(float("nan"), 0)
 
 
 def test_point_constructors_enforce_membership():
@@ -124,13 +128,12 @@ NONFINITE_PARTS = [
 
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(1e-6, 1e-6)])
 def test_half_space_membership_on_each_side_of_the_margin(tol):
-    # h_contains, from_factors and the constructor answer through one test:
-    # a factor at Im w = dom_eps is out, the next float up is in.
+    # from_factors and the private builder answer through one test: a factor at
+    # Im w = dom_eps is out, the next float up is in.
     eps = tol.dom_eps
     cases = [(complex(0.5, eps), False), (complex(0.5, math.nextafter(eps, math.inf)), True)]
     for w, inside in cases + [(w, False) for w in NONFINITE_PARTS]:
-        assert h_contains(w, 0.0, tol) is inside  # both factors are w
-        for pair in ((w, 1j), (1j, w)):
+        for pair in ((w, w), (w, 1j), (1j, w)):
             if inside:
                 assert HPoint.from_factors(*pair, tol).factors() == pair
                 assert _hpoint(*pair, eps).factors() == pair
@@ -147,8 +150,7 @@ def test_disc_membership_on_each_side_of_the_margin(tol):
     edge = 1.0 - tol.dom_eps
     cases = [(complex(-edge, 0.0), False), (complex(-math.nextafter(edge, 0.0), 0.0), True)]
     for u, inside in cases + [(u, False) for u in NONFINITE_PARTS]:
-        assert e_contains(u, 0.0, tol) is inside  # both factors are u
-        for pair in ((u, 0.5j), (0.5j, u)):
+        for pair in ((u, u), (u, 0.5j), (0.5j, u)):
             if inside:
                 assert EPoint.from_factors(*pair, tol).factors() == pair
                 assert _epoint(*pair, tol.dom_eps).factors() == pair
@@ -254,10 +256,10 @@ def test_cayley_roundtrip_seeded():
 def test_cayley_preserves_membership(rng):
     for _ in range(300):
         z = random_hpoint(rng)
-        w = cayley_to_disc(z)  # EPoint constructor re-checks membership
-        assert e_contains(w.z1, w.z2)
+        w = cayley_to_disc(z)  # the builder checks membership; the constructors re-check it
+        EPoint(w.z1, w.z2)
         back = cayley_to_halfspace(w)
-        assert h_contains(back.tau, back.z)
+        HPoint(back.tau, back.z)
 
 
 def test_cayley_to_disc_inside_the_margin_is_numerical():
