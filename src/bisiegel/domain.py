@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import DomainViolation, NumericalBreakdown
 from .numkit import DEFAULT_TOL, Tolerance

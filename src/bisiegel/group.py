@@ -25,9 +25,9 @@ Motions are validated once, at the boundary: ``classify`` (with the caller's
 ones, and the seeded samples, are trusted: ``_sl2`` and ``_motion`` fill the slots
 through setters bound once; only products re-run the determinant gate, with a fixed
 bound (a ``NumericalBreakdown``: their inputs were valid).  Each operation checks what
-it returns.  Composition calls ``_product``, the one factor product, once per factor;
-``reduce_pair`` builds its mover in steps, a triangular transport of the first point
-(determinant one by construction) and then one gated rotation product per factor.
+it returns.  ``_product``, the one factor product, takes the entries of both factors; composition
+calls it once per factor, and ``reduce_pair`` once per factor on the entries of a rotation and
+of a triangular transport of the first point (determinant one by construction).
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class Sl2Matrix:
         _check_det(self.a * self.d, self.b * self.c)
 
     def __matmul__(self, other: "Sl2Matrix") -> "Sl2Matrix":
-        return _product(self.a, self.b, self.c, self.d, other)
+        return _product(self.a, self.b, self.c, self.d, other.a, other.b, other.c, other.d)
 
     def inverse(self) -> "Sl2Matrix":
         return _sl2(self.d, -self.b, -self.c, self.a)
@@ -164,8 +164,9 @@ class MotionMatrix:
     def __matmul__(self, other: "MotionMatrix") -> "MotionMatrix":
         # Under an exchanging right factor, each left factor meets the other one.
         p1, p2 = (self.m1, self.m2) if other.eps == 1 else (self.m2, self.m1)
-        return _motion(_product(p1.a, p1.b, p1.c, p1.d, other.m1),
-                       _product(p2.a, p2.b, p2.c, p2.d, other.m2), self.eps * other.eps)
+        o1, o2 = other.m1, other.m2
+        return _motion(_product(p1.a, p1.b, p1.c, p1.d, o1.a, o1.b, o1.c, o1.d),
+                       _product(p2.a, p2.b, p2.c, p2.d, o2.a, o2.b, o2.c, o2.d), self.eps * other.eps)
 
     def inverse(self) -> "MotionMatrix":
         i1, i2 = self.m1.inverse(), self.m2.inverse()
@@ -214,13 +215,13 @@ def _sl2(a: float, b: float, c: float, d: float) -> Sl2Matrix:
     return m
 
 
-def _product(p: float, q: float, r: float, s: float, other: Sl2Matrix) -> Sl2Matrix:
-    """``[[p, q], [r, s]] @ other``, rescaled to det 1 and gated: the one factor product.
-    Its gate is the interior one: a failure is a numerical breakdown, not bad input."""
-    a = p * other.a + q * other.c
-    b = p * other.b + q * other.d
-    c = r * other.a + s * other.c
-    d = r * other.b + s * other.d
+def _product(p: float, q: float, r: float, s: float, e: float, f: float, g: float, h: float) -> Sl2Matrix:
+    """``[[p, q], [r, s]] @ [[e, f], [g, h]]``, on entries, rescaled to det 1 and gated: the one
+    factor product.  Its gate is the interior one: a failure is a numerical breakdown, not bad input."""
+    a = p * e + q * g
+    b = p * f + q * h
+    c = r * e + s * g
+    d = r * f + s * h
     # Rounding is relative to the operands' entries, which may far exceed
     # the product's: rescale to det 1 (the Moebius map does not change).
     det = a * d - b * c
@@ -368,22 +369,21 @@ def _rotation(xi: complex) -> Sl2Matrix:
     return _sl2(xi.real, xi.imag, -xi.imag, xi.real)
 
 
-def _transport_to_i(w: complex) -> Sl2Matrix:
-    """The factor sending w = x + iy to i in steps: translate by -x, then scale by 1/y.
-
-    It is stored as ``[[1/r, -x/r], [0, r]]`` with ``r = sqrt(y)``, whose determinant
-    ``(1/r) r`` is one to an ulp.  The sum of its squared entries, ``(1 + x^2 + y^2) / y``,
-    is 2 cosh d(w, i); where that overflows the transport is refused.
-    """
+def _transport_to_i(w: complex) -> tuple:
+    """The entries ``(1/r, -x/r, 0.0, r)``, ``r = sqrt(y)``, of the factor sending w = x + iy to i:
+    translate by -x, then scale by 1/y.  Its determinant ``(1/r) r`` is one to an ulp; the float
+    ``0.0`` keeps a product's signed zeros.  The squared entries sum to ``(1 + x^2 + y^2) / y``,
+    2 cosh d(w, i); where that overflows the transport is refused."""
     x, y = w.real, w.imag
     if not isfinite((1.0 + x * x + y * y) / y):  # every entry is finite where this sum is
         raise NumericalBreakdown(f"transvection of {w!r} to i overflows")
     r = sqrt(y)
-    return _sl2(1.0 / r, -x / r, 0.0, r)
+    return 1.0 / r, -x / r, 0.0, r
 
 
-def _half_conj_phase(w: complex) -> complex:
-    """e^{-i arg(w) / 2}, defined as 1 at the origin.
+def _half_conj_phase(w: complex) -> tuple:
+    """``(cos h, sin h)`` for ``h = -arg(w) / 2``, and ``(1.0, 0.0)`` at the origin: bit for
+    bit the parts of e^{-i arg(w) / 2} as ``cmath.exp`` gives it (its exponent's real part is 0).
 
     The disc stabilizer with parameters (xi1, xi2) rotates the two disc
     factors by the squares xi1^2, xi2^2 (numerator and denominator of its
@@ -391,8 +391,9 @@ def _half_conj_phase(w: complex) -> complex:
     onto the positive real axis needs half its phase.
     """
     if abs(w) == 0.0:
-        return complex(1.0, 0.0)
-    return cmath.exp(-0.5j * cmath.phase(w))
+        return 1.0, 0.0
+    h = -0.5 * cmath.phase(w)
+    return cos(h), sin(h)
 
 
 def reduce_pair(z_base: HPoint, z_other: HPoint) -> ReducedPair:
@@ -411,17 +412,17 @@ def reduce_pair(z_base: HPoint, z_other: HPoint) -> ReducedPair:
     1 - r has rounded to 0; they are independent of every internal choice.
     The mover is built in steps per factor: the transport ``T`` of ``z_base``'s
     factor ``x + iy`` to ``i`` (translate by -x, scale by 1/y), then the rotation
-    ``R(xi)`` by the half phase of ``z_other``'s factor image ``(w - x) / y``, as one
-    product ``R(xi) @ T`` from the entries of ``R(xi)`` (a NaN phase fails its gate).
-    The checks: ``T`` and the lambdas are finite (``NumericalBreakdown``).
+    ``R(xi)`` by the half phase ``(cos h, sin h)`` of ``z_other``'s factor image ``(w - x) / y``,
+    as one ``_product`` ``R(xi) @ T`` on entries (a NaN phase fails its gate), so it builds only the
+    records it returns.  The checks: ``T`` and the lambdas are finite (``NumericalBreakdown``).
     """
     b1, b2 = z_base.w1, z_base.w2
     t1, t2 = _transport_to_i(b1), _transport_to_i(b2)
     h1, h2 = (z_other.w1 - b1.real) / b1.imag, (z_other.w2 - b2.real) / b2.imag
     # Scalar per-factor Cayley transform for the aligning phases: an image
     # whose radius rounds to 1 still has its phase.
-    xi1 = _half_conj_phase((h1 - 1j) / (h1 + 1j))
-    xi2 = _half_conj_phase((h2 - 1j) / (h2 + 1j))
+    c1, s1 = _half_conj_phase((h1 - 1j) / (h1 + 1j))
+    c2, s2 = _half_conj_phase((h2 - 1j) / (h2 + 1j))
     s_plus, s_minus = _chords(z_base, z_other)
     swap = s_plus < s_minus
     s_big, s_small = (s_minus, s_plus) if swap else (s_plus, s_minus)
@@ -432,8 +433,8 @@ def reduce_pair(z_base: HPoint, z_other: HPoint) -> ReducedPair:
     lambda1, lambda2 = half_big + half_small, half_big - half_small
     if not lambda1 < inf:  # `not <` rejects NaN; lambda2 is finite with lambda1
         raise NumericalBreakdown(f"lambdas of the chords ({s_big!r}, {s_small!r}) leave the float range")
-    m1 = _product(xi1.real, xi1.imag, -xi1.imag, xi1.real, t1)  # _rotation(xi1) @ t1
-    m2 = _product(xi2.real, xi2.imag, -xi2.imag, xi2.real, t2)
+    m1 = _product(c1, s1, -s1, c1, *t1)  # _rotation(xi1) @ T1
+    m2 = _product(c2, s2, -s2, c2, *t2)
     _check_lambdas(lambda1, lambda2)
     red = _new(ReducedPair)
     _set_mover(red, _motion(m1, m2, -1 if swap else 1))

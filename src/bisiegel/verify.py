@@ -23,9 +23,9 @@ check fails.  The half-plane oracle ``hyperbolic.hyp_distance`` is read only her
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import atan2, exp, hypot, log
-from typing import Callable
 
 from .domain import (
     EPoint,

@@ -14,6 +14,7 @@ from bisiegel.domain import HPoint, random_hpoint
 from bisiegel.errors import NumericalBreakdown
 from bisiegel.geometry import _chords, volume_density
 from bisiegel.group import (
+    Sl2Matrix,
     StabilizerParams,
     _half_conj_phase,
     _transport_to_i,
@@ -126,8 +127,8 @@ SYMPLECTIC_FORM = Mat4R(((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0
 
 def transport_to_iI(point: HPoint):
     """The motion sending ``point`` to iI: the two factor transports that
-    ``reduce_pair`` applies, glued with eps = +1."""
-    return assemble(_transport_to_i(point.w1), _transport_to_i(point.w2), 1)
+    ``reduce_pair`` applies, wrapped as checked factors and glued with eps = +1."""
+    return assemble(Sl2Matrix(*_transport_to_i(point.w1)), Sl2Matrix(*_transport_to_i(point.w2)), 1)
 
 
 def composed_reduce_pair(z_base: HPoint, z_other: HPoint):
@@ -136,7 +137,7 @@ def composed_reduce_pair(z_base: HPoint, z_other: HPoint):
     factor ``x + iy``, as ``reduce_pair`` takes them."""
     transport = transport_to_iI(z_base)
     images = ((w - b.real) / b.imag for b, w in zip(z_base.factors(), z_other.factors()))
-    xi1, xi2 = (_half_conj_phase((h - 1j) / (h + 1j)) for h in images)
+    xi1, xi2 = (complex(*_half_conj_phase((h - 1j) / (h + 1j))) for h in images)
     s_plus, s_minus = _chords(z_base, z_other)
     swap = s_plus < s_minus
     s_big, s_small = (s_minus, s_plus) if swap else (s_plus, s_minus)

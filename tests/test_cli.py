@@ -1128,6 +1128,13 @@ def test_import_does_not_load_numpy():
     )
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
     assert proc.returncode == 0
+    # Nor typing: annotations are strings, so no module imports it at run time.  -S
+    # keeps site's own imports (a .pth hook may load typing) out of the answer.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, bisiegel.cli; sys.exit('typing' in sys.modules)"],
+        env=env,
+    )
+    assert proc.returncode == 0
 
 
 def test_exact_references_load_no_library_module():

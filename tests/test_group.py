@@ -949,9 +949,40 @@ def test_reduce_pair_keeps_no_membership_test_on_the_moved_point(height):
 def test_reduce_pair_refuses_a_nan_phase_at_the_mover_gate(monkeypatch):
     # A finite image has a unit phase; a NaN one (from an overflowing image)
     # fails the determinant gate of the mover's product.
-    monkeypatch.setattr("bisiegel.group._half_conj_phase", lambda w: complex(math.nan, 0.0))
+    monkeypatch.setattr("bisiegel.group._half_conj_phase", lambda w: (math.nan, 0.0))
     with pytest.raises(NumericalBreakdown, match="lost its determinant: det=nan"):
         reduce_pair(I_H, HPoint(2j, 1j))
+
+
+def _built(op, monkeypatch) -> dict:
+    """The records ``op()`` builds through the library's trusted ``object.__new__``
+    (``_new`` in ``group`` and in ``domain``), counted per class name."""
+    built: dict = {}
+
+    def counted(cls):
+        built[cls.__name__] = built.get(cls.__name__, 0) + 1
+        return object.__new__(cls)
+
+    with monkeypatch.context() as patch:
+        for module in ("bisiegel.group", "bisiegel.domain"):
+            patch.setattr(f"{module}._new", counted)
+        op()
+    return built
+
+
+def test_hot_path_builds_only_the_records_it_returns(monkeypatch):
+    # No intermediate factor or point: reduce_pair's transports and rotations are
+    # entries passed to the factor product, not Sl2Matrix records.
+    rng = random.Random(34)
+    for _ in range(20):
+        m, n = random_motion(rng), random_motion(rng)
+        z, w = random_hpoint(rng), random_hpoint(rng)
+        raw = m.m
+        motion = {"Sl2Matrix": 2, "MotionMatrix": 1}
+        assert _built(lambda: classify(raw), monkeypatch) == motion
+        assert _built(lambda: m @ n, monkeypatch) == motion
+        assert _built(lambda: apply(m, z), monkeypatch) == {"HPoint": 1}
+        assert _built(lambda: reduce_pair(z, w), monkeypatch) == dict(motion, ReducedPair=1)
 
 
 def wide_pairs(k: float, n: int) -> list:

@@ -92,6 +92,37 @@ def test_nonfinite_entries_rejected():
         Mat4R(((1.0, 0.0, 0.0),) * 4)
 
 
+def _with(i: int, j: int, x) -> tuple:
+    """The 4x4 identity's rows with entry (i, j) replaced by ``x``."""
+    return tuple(tuple(x if (r, c) == (i, j) else float(r == c) for c in range(4)) for r in range(4))
+
+
+SHAPE = "Mat4R needs exactly 4 rows of 4 entries"
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("rows, exc, message", [
+    (IDENTITY_4.rows[:3], ValueError, SHAPE),
+    (IDENTITY_4.rows[:2] + ((0.0, 0.0, 1.0),) + IDENTITY_4.rows[3:], ValueError, SHAPE),
+    (IDENTITY_4.rows[:1] + ((0.0, 1.0, 0.0, 0.0, 0.0),) + IDENTITY_4.rows[2:], ValueError, SHAPE),
+    (IDENTITY_4.rows[:1] + (5,) + IDENTITY_4.rows[2:], TypeError, None),
+    (_with(2, 1, "x"), ValueError, None),
+    (_with(0, 0, INF), NumericalBreakdown, "non-finite entry inf in 4x4 matrix"),
+    (_with(3, 3, NAN), NumericalBreakdown, "non-finite entry nan in 4x4 matrix"),
+    (_with(1, 2, -INF), NumericalBreakdown, "non-finite entry -inf in 4x4 matrix"),
+    # The first non-finite entry in row-major order is the one named.
+    (((1, 0, 0, 0), (0, 1, 0, INF), (NAN, 0, 1, 0), (0, 0, 0, 1)), NumericalBreakdown,
+     "non-finite entry inf in 4x4 matrix"),
+    (((1, 0, 0, NAN), (0, INF, 0, 0), (0, 0, 1, 0), (0, 0, 0, -INF)), NumericalBreakdown,
+     "non-finite entry nan in 4x4 matrix"),
+])
+def test_mat4r_boundary_table(rows, exc, message):
+    with pytest.raises(exc) as info:
+        Mat4R(rows)
+    if message is not None:
+        assert str(info.value) == message
+
+
 def test_mat4r_product_and_transpose():
     rng = random.Random(303)
     a = Mat4R(tuple(tuple(rng.uniform(-1, 1) for _ in range(4)) for _ in range(4)))
