@@ -1,15 +1,13 @@
 """Tolerances and the 4x4 boundary record.
 
 The library computes in factor coordinates, so it carries no matrix algebra.
-``Mat4R`` is only the validated record of a motion's real 4x4 matrix, the
-type that ``classify`` reads and the CLI parses.  It reads its rows in one pass:
-it unpacks the 4x4 shape, converts the 16 entries into one tuple display (``tuple(map())``
-resizes its result, and its freed 16-tuples pile up on CPython's free list, +0.3 MB of
-peak memory), gates them, and stores four slices through a slot setter bound once, as
-the other records do.  ``_check_finite``, its finiteness gate, also guards a motion's JSON rows.
-``classify`` checks the exchange pattern on the entries and the symplectic
-condition as the two factor determinants; the literal matrix references live in
-``verify``.
+``Mat4R`` is only the validated record of a motion's real 4x4 matrix, the type that ``classify``
+reads and the CLI parses.  It unpacks the 4x4 shape once, converts the 16 entries into one tuple
+display (``tuple(map())`` resizes its result, and its freed 16-tuples pile up on CPython's free
+list, +0.3 MB of peak memory), gates them, and stores four slices through a slot setter bound
+once, as the other records do.  ``_check_finite``, its finiteness gate, also guards a motion's
+JSON rows.  ``classify`` checks the exchange pattern on the entries and the symplectic condition
+as the two factor determinants; the literal matrix references live in ``verify``.
 """
 
 from __future__ import annotations
@@ -64,7 +62,9 @@ class Mat4R:
     def __init__(self, rows) -> None:
         try:
             (a, b, c, d), (e, f, g, h), (p, q, r, s), (t, u, v, w) = rows
-        except ValueError:
+        except ValueError as exc:
+            if "values to unpack" not in str(exc):
+                raise
             raise ValueError("Mat4R needs exactly 4 rows of 4 entries") from None
         x = _check_finite((*map(float, (a, b, c, d, e, f, g, h, p, q, r, s, t, u, v, w)),))
         _set_rows(self, (x[0:4], x[4:8], x[8:12], x[12:16]))

@@ -97,6 +97,14 @@ def _with(i: int, j: int, x) -> tuple:
     return tuple(tuple(x if (r, c) == (i, j) else float(r == c) for c in range(4)) for r in range(4))
 
 
+class _Unreadable:
+    """A lazy row that fails while producing its entries."""
+
+    def __iter__(self):
+        yield 0.0
+        raise ValueError("unreadable entry")
+
+
 SHAPE = "Mat4R needs exactly 4 rows of 4 entries"
 INF, NAN = float("inf"), float("nan")
 
@@ -106,6 +114,8 @@ INF, NAN = float("inf"), float("nan")
     (IDENTITY_4.rows[:2] + ((0.0, 0.0, 1.0),) + IDENTITY_4.rows[3:], ValueError, SHAPE),
     (IDENTITY_4.rows[:1] + ((0.0, 1.0, 0.0, 0.0, 0.0),) + IDENTITY_4.rows[2:], ValueError, SHAPE),
     (IDENTITY_4.rows[:1] + (5,) + IDENTITY_4.rows[2:], TypeError, None),
+    # A row's own error while it is read passes through; only a wrong count is the shape error.
+    (IDENTITY_4.rows[:1] + (_Unreadable(),) + IDENTITY_4.rows[2:], ValueError, "unreadable entry"),
     (_with(2, 1, "x"), ValueError, None),
     (_with(0, 0, INF), NumericalBreakdown, "non-finite entry inf in 4x4 matrix"),
     (_with(3, 3, NAN), NumericalBreakdown, "non-finite entry nan in 4x4 matrix"),
