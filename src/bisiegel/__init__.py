@@ -30,11 +30,7 @@ from .group import (
     reduce_pair,
     split,
 )
-from .numkit import (
-    DEFAULT_TOL,
-    Mat4R,
-    Tolerance,
-)
+from .numkit import Mat4R
 
 __version__ = "0.1.0"
 
@@ -51,8 +47,6 @@ __all__ = [
     "split",
     "connect",
     "cross_ratio_eigenvalues",
-    "Tolerance",
-    "DEFAULT_TOL",
     "GeometryError",
     "ValidationError",
     "NumericalError",

@@ -15,12 +15,12 @@ two copies of a one-plane (or one-disc) formula.  ``(tau, z)`` and
 references in ``verify``.  The Cayley maps ``Z -> (Z - iI)(Z + iI)^-1`` and
 ``Z0 -> i(I + Z0)(I - Z0)^-1`` are, per factor, ``w -> (w - i)/(w + i)`` and
 ``u -> i(1 + u)/(1 - u)``.  The image of a valid point that falls inside the
-other model's ``dom_eps`` margin is a numerical limit, not bad input.
+other model's margin is a numerical limit, not bad input.
 
 Each model has one membership test, in its private builder (``_hpoint``,
-``_epoint``), and every point is built through it: ``HPoint(tau, z)`` and
-``EPoint(z1, z2)`` through ``from_factors``.  Membership is asked by building
-the point; a ``DomainViolation`` is the answer no.
+``_epoint``), with the one margin ``_DOM_EPS``, and every point is built
+through it: ``HPoint(tau, z)`` and ``EPoint(z1, z2)`` through ``from_factors``.
+Membership is asked by building the point; a ``DomainViolation`` is the answer no.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import DomainViolation, NumericalBreakdown
-from .numkit import DEFAULT_TOL, Tolerance
+from .numkit import _DOM_EPS
 
 __all__ = [
     "HPoint",
@@ -69,9 +69,9 @@ class HPoint:
         _set_w2(self, point.w2)
 
     @classmethod
-    def from_factors(cls, w1: complex, w2: complex, tol: Tolerance = DEFAULT_TOL) -> "HPoint":
-        """The point with these factor coordinates (each finite, Im w > dom_eps)."""
-        return _hpoint(complex(w1), complex(w2), tol.dom_eps)
+    def from_factors(cls, w1: complex, w2: complex) -> "HPoint":
+        """The point with these factor coordinates (each finite, Im w > ``_DOM_EPS``)."""
+        return _hpoint(complex(w1), complex(w2))
 
     def factors(self) -> tuple[complex, complex]:
         """Coordinates (tau + z, tau - z) in the two half-plane factors."""
@@ -106,9 +106,9 @@ class EPoint:
         _set_u2(self, point.u2)
 
     @classmethod
-    def from_factors(cls, u1: complex, u2: complex, tol: Tolerance = DEFAULT_TOL) -> "EPoint":
-        """The point with these factor coordinates (each of modulus below 1 - dom_eps)."""
-        return _epoint(complex(u1), complex(u2), tol.dom_eps)
+    def from_factors(cls, u1: complex, u2: complex) -> "EPoint":
+        """The point with these factor coordinates (each of modulus below 1 - ``_DOM_EPS``)."""
+        return _epoint(complex(u1), complex(u2))
 
     def factors(self) -> tuple[complex, complex]:
         """Coordinates (z1 + z2, z1 - z2) in the two disc factors."""
@@ -126,9 +126,9 @@ _set_u1, _set_u2 = EPoint.u1.__set__, EPoint.u2.__set__
 _LOG_LO, _LOG_SPAN = math.log(0.1), math.log(10.0) - math.log(0.1)
 
 
-def _hpoint(w1: complex, w2: complex, dom_eps: float) -> HPoint:
-    """The point with complex factors w1, w2 (finite, Im w > dom_eps): the one membership test."""
-    if not (dom_eps < w1.imag < _inf and dom_eps < w2.imag < _inf
+def _hpoint(w1: complex, w2: complex) -> HPoint:
+    """The point with complex factors w1, w2 (finite, Im w > ``_DOM_EPS``): the one membership test."""
+    if not (_DOM_EPS < w1.imag < _inf and _DOM_EPS < w2.imag < _inf
             and _isfinite(w1.real) and _isfinite(w2.real)):
         raise DomainViolation(f"factors ({w1!r}, {w2!r}) are outside the half-space model")
     point = _new(HPoint)
@@ -137,11 +137,11 @@ def _hpoint(w1: complex, w2: complex, dom_eps: float) -> HPoint:
     return point
 
 
-def _epoint(u1: complex, u2: complex, dom_eps: float) -> EPoint:
-    """The point with complex factors u1, u2 (|u| < 1 - dom_eps, which NaN and inf are not):
+def _epoint(u1: complex, u2: complex) -> EPoint:
+    """The point with complex factors u1, u2 (|u| < 1 - ``_DOM_EPS``, which NaN and inf are not):
     the one membership test.  A finite factor whose modulus overflows is outside too."""
     try:
-        inside = abs(u1) < 1.0 - dom_eps and abs(u2) < 1.0 - dom_eps
+        inside = abs(u1) < 1.0 - _DOM_EPS and abs(u2) < 1.0 - _DOM_EPS
     except OverflowError:
         inside = False
     if not inside:
@@ -152,27 +152,27 @@ def _epoint(u1: complex, u2: complex, dom_eps: float) -> EPoint:
     return point
 
 
-def _image(make: Callable, f1: complex, f2: complex, tol: Tolerance):
+def _image(make: Callable, f1: complex, f2: complex):
     """Build with ``make`` the image of a valid point under a map of the space
     (a Cayley map or a motion), which can fall inside the margin: a numerical limit."""
     try:
-        return make(f1, f2, tol.dom_eps)
+        return make(f1, f2)
     except DomainViolation as exc:
         raise NumericalBreakdown(f"image not resolved at the dom_eps margin: {exc}") from exc
 
 
-def cayley_to_disc(point: HPoint, tol: Tolerance = DEFAULT_TOL) -> EPoint:
+def cayley_to_disc(point: HPoint) -> EPoint:
     """Map the half-space model onto the bounded model, (Z - iI)(Z + iI)^-1:
     (w - i)/(w + i) per factor.  No guard: for Im w > 0, |w + i| > 1."""
     w1, w2 = point.factors()
-    return _image(_epoint, (w1 - 1j) / (w1 + 1j), (w2 - 1j) / (w2 + 1j), tol)
+    return _image(_epoint, (w1 - 1j) / (w1 + 1j), (w2 - 1j) / (w2 + 1j))
 
 
-def cayley_to_halfspace(point: EPoint, tol: Tolerance = DEFAULT_TOL) -> HPoint:
+def cayley_to_halfspace(point: EPoint) -> HPoint:
     """Inverse Cayley map, i(I + Z0)(I - Z0)^-1: i(1 + u)/(1 - u) per factor.
     No guard: for |u| < 1, 1 - u is not 0; a high image is checked as a point."""
     u1, u2 = point.factors()
-    return _image(_hpoint, 1j * (1.0 + u1) / (1.0 - u1), 1j * (1.0 + u2) / (1.0 - u2), tol)
+    return _image(_hpoint, 1j * (1.0 + u1) / (1.0 - u1), 1j * (1.0 + u2) / (1.0 - u2))
 
 
 def random_hpoint(rng: random.Random) -> HPoint:
@@ -180,10 +180,10 @@ def random_hpoint(rng: random.Random) -> HPoint:
 
     Draw order (documented so goldens stay stable): the two factor heights
     log-uniform in [0.1, 10], then the two factor offsets uniform in [-5, 5].
-    The heights are at least 0.1, so the membership test needs no margin.
+    The heights are at least 0.1, far above the membership test's margin.
     """
     y_plus = math.exp(_LOG_LO + _LOG_SPAN * rng.random())  # a + (b - a) U, as Random.uniform does
     y_minus = math.exp(_LOG_LO + _LOG_SPAN * rng.random())
     x_plus = -5.0 + 10.0 * rng.random()
     x_minus = -5.0 + 10.0 * rng.random()
-    return _hpoint(complex(x_plus, y_plus), complex(x_minus, y_minus), 0.0)
+    return _hpoint(complex(x_plus, y_plus), complex(x_minus, y_minus))

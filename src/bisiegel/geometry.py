@@ -21,7 +21,7 @@ from math import expm1, inf
 
 from .domain import HPoint, _hpoint, _new
 from .errors import DegeneratePair, DomainViolation, NumericalBreakdown, OutOfRange
-from .numkit import DEFAULT_TOL, Tolerance
+from .numkit import _ABS_EPS, _DOM_EPS
 
 __all__ = [
     "Tangent",
@@ -136,7 +136,7 @@ def _leg_point(leg: tuple[float, ...], t: float) -> complex:
     b = e^{dt} sig(t) in [0, 1] and e^{dt} / (a + b y / v) below 2 e^{d/2}:
     only r = b y / v can overflow, and only where y / v itself does.  There
     the same point is taken as (b / v, c) / (a / y + b / v), which stays in
-    range for heights above dom_eps.
+    range for heights above ``_DOM_EPS``.
     """
     x, y, dx, v, d, n, em, m = leg
     if dx == 0.0:
@@ -180,21 +180,19 @@ class GeodesicSpec:
             return _leg_point(fwd1, t), _leg_point(fwd2, t)
         return _leg_point(bwd1, 1.0 - t), _leg_point(bwd2, 1.0 - t)
 
-    def point(self, s: float, tol: Tolerance = DEFAULT_TOL) -> HPoint:
-        """Point at arc length s of the segment: s within ``tol.abs_eps`` of
-        [0, s0], the point above the ``tol.dom_eps`` margin.
+    def point(self, s: float) -> HPoint:
+        """Point at arc length s of the segment: s within ``_ABS_EPS`` of [0, s0].
 
-        A point inside the margin is bad input on the segment (an end is inside it) and a
-        breakdown within ``abs_eps`` past an end, as is a leg denominator that vanishes.
+        Both ends lie above the ``_DOM_EPS`` margin, and the height along a half-plane
+        geodesic has no interior minimum, so the exact segment does too: a point that is
+        not resolved above it, or a leg denominator that vanishes, is a numerical breakdown.
         """
-        if not (-tol.abs_eps <= s <= self.s0 + tol.abs_eps):
+        if not (-_ABS_EPS <= s <= self.s0 + _ABS_EPS):
             raise OutOfRange(f"arc length s={s!r} outside [0, {self.s0!r}]")
         try:
             w1, w2 = self._factors(s)
-            return _hpoint(w1, w2, tol.dom_eps)
+            return _hpoint(w1, w2)
         except (ZeroDivisionError, DomainViolation) as exc:
-            if 0.0 <= s / self.s0 <= 1.0 and isinstance(exc, DomainViolation):
-                raise
             raise NumericalBreakdown(f"point at s={s!r} of s0={self.s0!r} not resolved: {exc}") from exc
 
 
@@ -202,23 +200,23 @@ class GeodesicSpec:
 _set_s0, _set_legs = GeodesicSpec.s0.__set__, GeodesicSpec._legs.__set__
 
 
-def connect(z1: HPoint, z2: HPoint, tol: Tolerance = DEFAULT_TOL) -> GeodesicSpec:
-    """Geodesic segment data for two points at least ``dom_eps`` apart: each factor
+def connect(z1: HPoint, z2: HPoint) -> GeodesicSpec:
+    """Geodesic segment data for two points at least ``_DOM_EPS`` apart: each factor
     chord is taken once.  A shorter segment is refused as coincident, since its points
     round at u |w| in the coordinates, which can exceed its length many times over."""
     legs = _legs(z1.w1, z2.w1) + _legs(z1.w2, z2.w2)
     s0 = math.hypot(legs[0][4], legs[2][4])  # the two factor lengths d
-    if s0 < tol.dom_eps:
-        raise DegeneratePair(f"geodesic length {s0!r} is below dom_eps={tol.dom_eps!r}: coincident points")
+    if s0 < _DOM_EPS:
+        raise DegeneratePair(f"geodesic length {s0!r} is below dom_eps={_DOM_EPS!r}: coincident points")
     spec = _new(GeodesicSpec)
     _set_s0(spec, s0)
     _set_legs(spec, legs)
     return spec
 
 
-def geodesic(z1: HPoint, z2: HPoint, s: float, tol: Tolerance = DEFAULT_TOL) -> HPoint:
+def geodesic(z1: HPoint, z2: HPoint, s: float) -> HPoint:
     """Point at arc length s on the geodesic segment from z1 to z2."""
-    return connect(z1, z2, tol).point(s, tol)
+    return connect(z1, z2).point(s)
 
 
 def volume_density(point: HPoint) -> float:
@@ -231,7 +229,7 @@ def volume_density(point: HPoint) -> float:
     h1, h2 = point.w1.imag, point.w2.imag
     try:
         density = (2.0 / (h1 * h2)) ** 2
-    except (OverflowError, ZeroDivisionError):  # heights far below the default margin
+    except (OverflowError, ZeroDivisionError):  # heights far below the margin
         density = math.inf
     if not 0.0 < density < math.inf:
         raise NumericalBreakdown(f"volume density at factor heights {h1!r}, {h2!r} leaves the float range")

@@ -20,11 +20,11 @@ and a sign (``StabilizerParams``, each parameter gated as its rotation factor's
 determinant): ``stabilizer_of_iI`` is its motion, and its Cayley conjugate, the disc
 rotations ``u -> xi u / conj(xi)``, is written only as JSON, by the CLI.
 
-Motions are validated once, at the boundary: ``classify`` (with the caller's
-``Tolerance``) and the public constructors.  Values computed from validated
-ones, and the seeded samples, are trusted: ``_sl2`` and ``_motion`` fill the slots
-through setters bound once; only products re-run the determinant gate, with a fixed
-bound (a ``NumericalBreakdown``: their inputs were valid).  Each operation checks what
+Motions are validated once, at the boundary: ``classify`` and the public
+constructors.  Every gate reads the one threshold ``_ABS_EPS``.  Values computed from
+validated ones, and the seeded samples, are trusted: ``_sl2`` and ``_motion`` fill the
+slots through setters bound once; only products re-run the determinant gate
+(a ``NumericalBreakdown``: their inputs were valid).  Each operation checks what
 it returns.  ``_product``, the one factor product, takes the entries of both factors; composition
 calls it once per factor, and ``reduce_pair`` once per factor on the entries of a rotation and
 of a triangular transport of the first point (determinant one by construction).
@@ -47,7 +47,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import _chords
-from .numkit import _FIXED_EPS, DEFAULT_TOL, Mat4R, Tolerance, _check_finite
+from .numkit import _ABS_EPS, Mat4R, _check_finite
 
 __all__ = [
     "Sl2Matrix",
@@ -70,15 +70,15 @@ __all__ = [
 _DET_ULPS, _DET_CAP = 8.0 * 2.0**-53, 2.0**-10
 
 
-def _check_det(ad: float, bc: float, floor: float = _FIXED_EPS) -> None:
+def _check_det(ad: float, bc: float) -> None:
     """The one determinant gate: reject a factor whose ad - bc is not 1 to its rounding.
 
-    The bound grows with the rounding of |ad| + |bc| above the floor but stays far
-    below 1 (the cap), so det 0 or det < 0 never passes; a NaN scale takes the floor.
+    The bound grows with the rounding of |ad| + |bc| above the floor ``_ABS_EPS`` but stays
+    far below 1 (the cap), so det 0 or det < 0 never passes; a NaN scale takes the floor.
     """
     bound = _DET_ULPS * (abs(ad) + abs(bc))
-    if not bound > floor:
-        bound = floor
+    if not bound > _ABS_EPS:
+        bound = _ABS_EPS
     if bound > _DET_CAP:
         bound = _DET_CAP
     if not abs(ad - bc - 1.0) <= bound:  # `not <=` rejects NaN
@@ -193,8 +193,8 @@ class ReducedPair:
 
 def _check_lambdas(l1: float, l2: float) -> None:
     """The one gate of a canonical pair: lambda2 >= 0, lambda1 - lambda2 >= 1, lambda1 finite."""
-    slack = _FIXED_EPS + l1 * 2.0**-51  # lambda1 - lambda2 >= 1 to an ulp of lambda1
-    if not (-_FIXED_EPS <= l2 and 1.0 - slack <= l1 - l2 and l1 < inf):  # `not` rejects NaN
+    slack = _ABS_EPS + l1 * 2.0**-51  # lambda1 - lambda2 >= 1 to an ulp of lambda1
+    if not (-_ABS_EPS <= l2 and 1.0 - slack <= l1 - l2 and l1 < inf):  # `not` rejects NaN
         raise ValidationError(f"invalid canonical pair (lambda1={l1!r}, lambda2={l2!r})")
 
 
@@ -243,16 +243,16 @@ def _motion(m1: Sl2Matrix, m2: Sl2Matrix, eps: int) -> MotionMatrix:
     return motion
 
 
-def classify(m: Mat4R, tol: Tolerance = DEFAULT_TOL) -> MotionMatrix:
+def classify(m: Mat4R) -> MotionMatrix:
     """Validate a raw 4x4 as a motion and read off its factors, each condition once.
 
     ``M`` (rows ``a, b, c, d``) is accepted when rows b and d are rows a and c with each
     pair of entries swapped, times one sign ``eps`` (``MQ = eps QM`` for the exchange
-    involution ``Q``), to ``tol.abs_eps``, and both factors read off rows a and c pass
-    ``_check_det`` with ``tol.abs_eps`` as its floor.  The motion's 4x4 equals ``M`` in
-    rows a and c, and is within ``abs_eps`` of it in rows b and d.  ``eps`` has the
-    smaller commutation residual (+1 on an exact tie, met only near the kernel).  That
-    gate is absolute: a 4x4 computed elsewhere with entries near 1e6 can trip it.
+    involution ``Q``), to ``_ABS_EPS``, and both factors read off rows a and c pass
+    ``_check_det``.  The motion's 4x4 equals ``M`` in rows a and c, and is within
+    ``_ABS_EPS`` of it in rows b and d.  ``eps`` has the smaller commutation residual
+    (+1 on an exact tie, met only near the kernel).  That gate is absolute: a 4x4
+    computed elsewhere with entries near 1e6 can trip it.
 
     Only a refused pattern has its symplectic residual ``M^T J M - J`` taken, to choose
     ``NotSymplectic`` or ``NotInHatGroup``.  Entry (i, j) is ``-(ci aj) - di bj + ai cj
@@ -268,25 +268,23 @@ def classify(m: Mat4R, tol: Tolerance = DEFAULT_TOL) -> MotionMatrix:
                       abs(c1 + d0), abs(c0 + d1), abs(c3 + d2), abs(c2 + d3))
     if not isfinite(max(commute, anticommute)):
         raise NumericalBreakdown("non-finite commutation residual: the 4x4 entries overflow")
-    if not min(commute, anticommute) <= tol.abs_eps:
+    if not min(commute, anticommute) <= _ABS_EPS:
         a, b, c, d = m.rows
         j = ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
         sym = [abs(-(c[i] * a[k]) - d[i] * b[k] + a[i] * c[k] + b[i] * d[k] - j[i][k])
                for i in range(4) for k in range(4)]
         if not all(map(isfinite, sym)):
             raise NumericalBreakdown("non-finite symplectic residual: the 4x4 products overflow")
-        if not (sym_res := max(sym)) <= tol.abs_eps:
-            raise NotSymplectic(f"symplectic residual {sym_res:.3e} exceeds {tol.abs_eps}")
-        raise NotInHatGroup(
-            f"commutation residuals ({commute:.3e}, {anticommute:.3e}) both exceed {tol.abs_eps}"
-        )
+        if not (sym_res := max(sym)) <= _ABS_EPS:
+            raise NotSymplectic(f"symplectic residual {sym_res:.3e} exceeds {_ABS_EPS}")
+        raise NotInHatGroup(f"commutation residuals ({commute:.3e}, {anticommute:.3e}) both exceed {_ABS_EPS}")
     # Rows a and c hold the top rows of the blocks A, B and C, D.  In this pattern the
     # entries of M^T J M - J are (det1 - 1 +- (det2 - 1)) / 2: the factor determinants.
     p1, q1, r1, s1 = a0 + a1, a2 + a3, c0 + c1, c2 + c3
     p2, q2, r2, s2 = a0 - a1, a2 - a3, c0 - c1, c2 - c3
     try:
-        _check_det(p1 * s1, q1 * r1, tol.abs_eps)
-        _check_det(p2 * s2, q2 * r2, tol.abs_eps)
+        _check_det(p1 * s1, q1 * r1)
+        _check_det(p2 * s2, q2 * r2)
     except NotUnimodular as exc:  # an overflowing determinant fails the gate too
         if not (isfinite(p1 * s1 - q1 * r1) and isfinite(p2 * s2 - q2 * r2)):
             raise NumericalBreakdown("non-finite symplectic residual: the 4x4 products overflow") from None
@@ -294,20 +292,20 @@ def classify(m: Mat4R, tol: Tolerance = DEFAULT_TOL) -> MotionMatrix:
     return _motion(_sl2(p1, q1, r1, s1), _sl2(p2, q2, r2, s2), 1 if commute <= anticommute else -1)
 
 
-def apply(motion: MotionMatrix, point: HPoint, tol: Tolerance = DEFAULT_TOL) -> HPoint:
+def apply(motion: MotionMatrix, point: HPoint) -> HPoint:
     """Act on a half-space point: one Moebius map per factor coordinate.
 
     For Im w > 0 and det 1, |cw + d|^2 = Im w / Im(mw) (Beardon, 1983): a denominator
     is small only where the image is high, and 0 only where ``c w`` rounds onto ``-d``,
     an image at infinity.  That, and the one check on the image, a point inside the
-    ``dom_eps`` margin or not finite, are numerical limits (``NumericalBreakdown``).
+    ``_DOM_EPS`` margin or not finite, are numerical limits (``NumericalBreakdown``).
     """
     m1, m2, w1, w2 = motion.m1, motion.m2, point.w1, point.w2
     try:
         g1, g2 = (m1.a * w1 + m1.b) / (m1.c * w1 + m1.d), (m2.a * w2 + m2.b) / (m2.c * w2 + m2.d)
     except ZeroDivisionError:
         raise NumericalBreakdown(f"image of ({w1!r}, {w2!r}) at infinity: a denominator is 0") from None
-    return _image(_hpoint, g1, g2, tol) if motion.eps == 1 else _image(_hpoint, g2, g1, tol)
+    return _image(_hpoint, g1, g2) if motion.eps == 1 else _image(_hpoint, g2, g1)
 
 
 def split(motion: MotionMatrix) -> tuple[Sl2Matrix, Sl2Matrix]:

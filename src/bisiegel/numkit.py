@@ -1,4 +1,4 @@
-"""Tolerances and the 4x4 boundary record.
+"""The gates' two thresholds and the 4x4 boundary record.
 
 The library computes in factor coordinates, so it carries no matrix algebra.
 ``Mat4R`` is only the validated record of a motion's real 4x4 matrix, the type that ``classify``
@@ -8,6 +8,7 @@ list, +0.3 MB of peak memory), gates them, and stores four slices through a slot
 once, as the other records do.  ``_check_finite``, its finiteness gate, also guards a motion's
 JSON rows.  ``classify`` checks the exchange pattern on the entries and the symplectic condition
 as the two factor determinants; the literal matrix references live in ``verify``.
+``_ABS_EPS`` and ``_DOM_EPS`` stand in for the paper's exact conditions, each defined once here.
 """
 
 from __future__ import annotations
@@ -18,37 +19,13 @@ from dataclasses import dataclass
 from .errors import NumericalBreakdown
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
     "Mat4R",
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Tolerance:
-    """Comparison thresholds.
-
-    ``abs_eps`` bounds entrywise residuals in approximate equalities;
-    ``dom_eps`` is the margin of the models' strict inequalities.
-    """
-
-    abs_eps: float = 1e-10
-    dom_eps: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.dom_eps <= self.abs_eps < 1.0):
-            raise ValueError(
-                f"need 0 < dom_eps <= abs_eps < 1, got abs_eps={self.abs_eps}, dom_eps={self.dom_eps}"
-            )
-
-
-DEFAULT_TOL = Tolerance()
-
-#: Slack of the gates that take no caller tolerance: the public factor and
-#: parameter constructors, and the values the library computes itself
-#: (products, reductions, geodesic data).  It equals the default ``abs_eps``,
-#: so no result moves, but a caller's ``Tolerance`` does not change it.
-_FIXED_EPS = 1e-10
+#: The two thresholds of every gate: ``_ABS_EPS`` bounds entrywise residuals and the
+#: determinant gate's floor, ``_DOM_EPS`` is the margin of the models' strict inequalities.
+_ABS_EPS, _DOM_EPS = 1e-10, 1e-12
 
 _Row4 = tuple[float, float, float, float]
 

@@ -19,7 +19,6 @@ from bisiegel.domain import EPoint, HPoint
 from bisiegel.errors import DomainViolation, GeometryError, NumericalBreakdown
 from bisiegel.geometry import GeodesicSpec
 from bisiegel.group import MotionMatrix, Sl2Matrix, apply, random_motion
-from bisiegel.numkit import DEFAULT_TOL
 
 I_JSON = '{"tau":[0,1],"z":[0,0]}'
 TWO_I_JSON = '{"tau":[0,2],"z":[0,0]}'
@@ -410,8 +409,8 @@ def _leg(old: str, new: str):
 
 def _taller_image(monkeypatch):
     # A relative 1e-7 error in the height of apply's first factor image.
-    def taller(m, z, tol=DEFAULT_TOL):
-        w = apply(m, z, tol)
+    def taller(m, z):
+        w = apply(m, z)
         return HPoint.from_factors(complex(w.w1.real, w.w1.imag * (1.0 + 1e-7)), w.w2)
 
     monkeypatch.setattr("bisiegel.verify.apply", taller)
@@ -1214,7 +1213,7 @@ CHECK_MATRICES = {
     "[0.276381093035259,0.250599993241582,0.518367622510415,-0.579335687313521],"
     "[0.250599993241582,0.276381093035259,-0.579335687313521,0.518367622510415]]",
     # The same with entry (0, 0) moved by 1e-9: symplectic residuals near
-    # 1e-9, beyond the default abs_eps.
+    # 1e-9, beyond _ABS_EPS.
     "perturbed": "[[0.632350926418163,-0.309557300093464,-0.30932091860977,-1.62562538064157],"
     "[-0.309557300093464,0.632350925418163,-1.62562538064157,-0.30932091860977],"
     "[0.276381093035259,0.250599993241582,0.518367622510415,-0.579335687313521],"

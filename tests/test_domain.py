@@ -28,7 +28,7 @@ from bisiegel.group import (
     _sl2,
     reduce_pair,
 )
-from bisiegel.numkit import DEFAULT_TOL, Mat4R, Tolerance
+from bisiegel.numkit import _ABS_EPS, Mat4R
 from bisiegel.verify import CheckResult, _points_gap, _reference_cayley
 
 from conftest import (
@@ -65,7 +65,7 @@ def test_diag_rot_is_orthogonal_and_diagonalizes():
     # The 45-degree rotation behind the factor coordinates (tau + z, tau - z).
     r = 1.0 / math.sqrt(2.0)
     rot = np.array([[r, -r], [r, r]])
-    assert np.max(np.abs(rot @ rot.T - np.eye(2))) <= DEFAULT_TOL.abs_eps
+    assert np.max(np.abs(rot @ rot.T - np.eye(2))) <= _ABS_EPS
     z = np.array([[2j, 1j], [1j, 2j]])
     d = rot.T @ z @ rot
     assert abs(d[0, 1]) < 1e-15 and abs(d[1, 0]) < 1e-15
@@ -126,39 +126,44 @@ NONFINITE_PARTS = [
 ]
 
 
-@pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(1e-6, 1e-6)])
-def test_half_space_membership_on_each_side_of_the_margin(tol):
+#: The margin as the library sets it, and raised to 1e-6 through the module constant.
+MARGINS = pytest.mark.parametrize("eps", [1e-12, 1e-6], ids=["tol0", "tol1"])
+
+
+@MARGINS
+def test_half_space_membership_on_each_side_of_the_margin(eps, monkeypatch):
     # from_factors and the private builder answer through one test: a factor at
-    # Im w = dom_eps is out, the next float up is in.
-    eps = tol.dom_eps
+    # Im w = _DOM_EPS is out, the next float up is in.
+    monkeypatch.setattr("bisiegel.domain._DOM_EPS", eps)
     cases = [(complex(0.5, eps), False), (complex(0.5, math.nextafter(eps, math.inf)), True)]
     for w, inside in cases + [(w, False) for w in NONFINITE_PARTS]:
         for pair in ((w, w), (w, 1j), (1j, w)):
             if inside:
-                assert HPoint.from_factors(*pair, tol).factors() == pair
-                assert _hpoint(*pair, eps).factors() == pair
+                assert HPoint.from_factors(*pair).factors() == pair
+                assert _hpoint(*pair).factors() == pair
                 continue
             with pytest.raises(DomainViolation, match="outside the half-space model"):
-                HPoint.from_factors(*pair, tol)
+                HPoint.from_factors(*pair)
             with pytest.raises(DomainViolation, match="outside the half-space model"):
-                _hpoint(*pair, eps)
+                _hpoint(*pair)
 
 
-@pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(1e-6, 1e-6)])
-def test_disc_membership_on_each_side_of_the_margin(tol):
-    # A factor at |u| = 1 - dom_eps is out, the next float down is in.
-    edge = 1.0 - tol.dom_eps
+@MARGINS
+def test_disc_membership_on_each_side_of_the_margin(eps, monkeypatch):
+    # A factor at |u| = 1 - _DOM_EPS is out, the next float down is in.
+    monkeypatch.setattr("bisiegel.domain._DOM_EPS", eps)
+    edge = 1.0 - eps
     cases = [(complex(-edge, 0.0), False), (complex(-math.nextafter(edge, 0.0), 0.0), True)]
     for u, inside in cases + [(u, False) for u in NONFINITE_PARTS]:
         for pair in ((u, u), (u, 0.5j), (0.5j, u)):
             if inside:
-                assert EPoint.from_factors(*pair, tol).factors() == pair
-                assert _epoint(*pair, tol.dom_eps).factors() == pair
+                assert EPoint.from_factors(*pair).factors() == pair
+                assert _epoint(*pair).factors() == pair
                 continue
             with pytest.raises(DomainViolation, match="outside the bounded model"):
-                EPoint.from_factors(*pair, tol)
+                EPoint.from_factors(*pair)
             with pytest.raises(DomainViolation, match="outside the bounded model"):
-                _epoint(*pair, tol.dom_eps)
+                _epoint(*pair)
 
 
 def test_records_are_slotted_and_frozen():
@@ -166,11 +171,11 @@ def test_records_are_slotted_and_frozen():
     i2, shear = Sl2Matrix(1.0, 0.0, 0.0, 1.0), Sl2Matrix(1.0, 2.0, 0.0, 1.0)
     red, spec = reduce_pair(z1, z2), connect(z1, z2)
     records = (
-        DEFAULT_TOL, Mat4R(IDENTITY_4.rows), z1, HPoint.from_factors(1j, 2j),
+        Mat4R(IDENTITY_4.rows), z1, HPoint.from_factors(1j, 2j),
         EPoint(0.25, 0.1), EPoint.from_factors(0.1, 0.2j), i2, _motion(i2, shear, -1),
         StabilizerParams(1.0, 1j, -1), red, Tangent(1.0, 0.5j), spec, CheckResult("c", 0.0, 1.0, 1),
     )
-    assert len({type(r) for r in records}) == 11
+    assert len({type(r) for r in records}) == 10
     for r in records:
         assert not hasattr(r, "__dict__")
         for f in dataclasses.fields(r):
@@ -182,8 +187,8 @@ def test_records_are_slotted_and_frozen():
         (_sl2(1.0, 2.0, 0.0, 1.0), shear),
         (_motion(i2, shear, -1), MotionMatrix(i2, shear, -1)),
         (red, ReducedPair(red.mover, red.lambda1, red.lambda2)),
-        (_hpoint(3j, 1j, DEFAULT_TOL.dom_eps), z1),
-        (_epoint(0.5 + 0j, 0.25 + 0j, DEFAULT_TOL.dom_eps), EPoint(0.375, 0.125)),
+        (_hpoint(3j, 1j), z1),
+        (_epoint(0.5 + 0j, 0.25 + 0j), EPoint(0.375, 0.125)),
     )
     for trusted, checked in twins:
         assert type(trusted) is type(checked)

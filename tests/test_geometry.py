@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import exact
-from bisiegel import verify
+from bisiegel import geometry, verify
+from bisiegel.cli import main
 from bisiegel.domain import HPoint, random_hpoint
 from bisiegel.errors import (
     DegeneratePair,
@@ -27,7 +28,7 @@ from bisiegel.geometry import (
     volume_density,
 )
 from bisiegel.group import apply, random_motion
-from bisiegel.numkit import Tolerance
+from bisiegel.numkit import _ABS_EPS
 from bisiegel.verify import (
     _points_gap,
     _random_tangent,
@@ -333,27 +334,27 @@ def test_unchecked_factors_are_the_segment_points_bit_for_bit(recipe):
             assert bits(spec._factors(s)) == bits(spec.point(s).factors())
 
 
-def test_geodesic_point_keeps_its_error_classes():
-    # Arc lengths past abs_eps of either end are out of range.  On the segment,
-    # a point inside the caller's margin is bad input (an end is inside it);
-    # within abs_eps past an end, where the exact line point is not an end,
-    # it is a breakdown.
+def test_geodesic_point_keeps_its_error_classes(monkeypatch):
+    # Arc lengths past _ABS_EPS of either end are out of range.  Both ends lie above
+    # the one margin, and so does the exact segment: a point that the membership
+    # test refuses, on the segment or within _ABS_EPS past an end, is a breakdown.
+    # The thresholds are raised to 1e-6 here, above the far end's heights 1e-8.
     z1 = HPoint.from_factors(1j, 1j)
     z2 = HPoint.from_factors(2 + 1e-8j, -1 + 1e-8j)
-    spec, eps = connect(z1, z2), Tolerance().abs_eps
+    spec, eps = connect(z1, z2), _ABS_EPS
     for s in (math.nextafter(spec.s0 + eps, math.inf), math.nextafter(-eps, -math.inf)):
         with pytest.raises(OutOfRange, match="outside \\[0, "):
             spec.point(s)
     for s in (spec.s0 + eps, -eps):
         assert spec.point(s).factors() == spec._factors(s)
-    tol = Tolerance(1e-6, 1e-6)
     inside = [s for s in (k / 64 * spec.s0 for k in range(65)) if min(f.imag for f in spec.point(s).factors()) <= 1e-6]
     assert len(inside) >= 2 and inside[-1] == spec.s0
-    for s in inside:
-        with pytest.raises(DomainViolation, match="outside the half-space model"):
-            spec.point(s, tol)
-    with pytest.raises(NumericalBreakdown, match=re.escape(f"point at s={spec.s0 + 1e-7!r} of s0={spec.s0!r} not resolved")):
-        spec.point(spec.s0 + 1e-7, tol)
+    monkeypatch.setattr("bisiegel.geometry._ABS_EPS", 1e-6)
+    monkeypatch.setattr("bisiegel.domain._DOM_EPS", 1e-6)
+    for s in inside + [spec.s0 + 1e-7]:
+        with pytest.raises(NumericalBreakdown, match=re.escape(f"point at s={s!r} of s0={spec.s0!r} not resolved")) as info:
+            spec.point(s)
+        assert isinstance(info.value.__cause__, DomainViolation)
 
 
 def test_geodesic_point_with_a_vanishing_leg_denominator_is_a_breakdown(monkeypatch):
@@ -370,6 +371,26 @@ def test_geodesic_point_with_a_vanishing_leg_denominator_is_a_breakdown(monkeypa
         with pytest.raises(NumericalBreakdown, match=re.escape(f"point at s={s!r} of s0={spec.s0!r} not resolved: float division by zero")) as info:
             spec.point(s)
         assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+
+def test_geodesic_point_with_a_nan_leg_on_the_segment_is_a_breakdown(monkeypatch, tmp_path, capsys):
+    # A leg point that is not a number at t = 1/4: the segment's ends are valid points,
+    # so this is a breakdown naming s and s0 (exit 3), not bad input (exit 2).
+    spec, leg_point = connect(I_H, MIXED), geometry._leg_point
+
+    def nan_at_a_quarter(leg, t):
+        return complex(math.nan, 1.0) if t == 0.25 else leg_point(leg, t)
+
+    monkeypatch.setattr("bisiegel.geometry._leg_point", nan_at_a_quarter)
+    s = 0.25 * spec.s0
+    with pytest.raises(NumericalBreakdown, match=re.escape(f"point at s={s!r} of s0={spec.s0!r} not resolved: factors ((nan+1j), (nan+1j))")) as info:
+        spec.point(s)
+    assert isinstance(info.value.__cause__, DomainViolation)
+    (tmp_path / "z1.json").write_text('{"tau":[0,1],"z":[0,0]}')
+    (tmp_path / "z2.json").write_text('{"tau":[0,2],"z":[0,1]}')
+    code = main(["geodesic", "--z1", str(tmp_path / "z1.json"), "--z2", str(tmp_path / "z2.json"), "--samples", "5"])
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith(f"numerical error: point at s={s!r} of s0={spec.s0!r} not resolved"), err
 
 
 @pytest.mark.parametrize(
@@ -440,13 +461,14 @@ def test_geodesic_endpoints_and_range():
         geodesic(MIXED, MIXED, 0.0)
 
 
-def test_connect_refuses_a_segment_shorter_than_dom_eps():
+def test_connect_refuses_a_segment_shorter_than_dom_eps(monkeypatch):
     # Distinct points 1e-13 apart: the refusal names the segment length and the
-    # caller's threshold, and a smaller dom_eps takes the pair.
+    # threshold, and a smaller _DOM_EPS takes the pair.
     near = HPoint(complex(1e-13, 1.0), 0.0)
     with pytest.raises(DegeneratePair, match=r"^geodesic length 1\.414\d*e-13 is below dom_eps=1e-12: coincident"):
         connect(I_H, near)
-    assert connect(I_H, near, Tolerance(1e-10, 1e-14)).s0 == pytest.approx(2**0.5 * 1e-13, rel=1e-9)
+    monkeypatch.setattr("bisiegel.geometry._DOM_EPS", 1e-14)
+    assert connect(I_H, near).s0 == pytest.approx(2**0.5 * 1e-13, rel=1e-9)
 
 
 def test_geodesic_matches_central_on_canonical_pair():
@@ -600,16 +622,17 @@ def test_tangent_rejects_nonfinite():
         Tangent(float("nan"), 0.0)
 
 
-def test_geodesic_points_honour_the_callers_margin():
-    # The far end has factor heights 1e-8: a point at the default dom_eps,
-    # inside a dom_eps of 1e-6.
+def test_geodesic_points_honour_the_callers_margin(monkeypatch):
+    # The far end has factor heights 1e-8: a point above the margin of 1e-12,
+    # inside a margin of 1e-6, where the segment's point there is not resolved.
     z1 = HPoint.from_factors(1j, 1j)
     z2 = HPoint.from_factors(2 + 1e-8j, -1 + 1e-8j)
-    tol = Tolerance(1e-6, 1e-6)
     spec = connect(z1, z2)
-    assert spec.point(0.0, tol) == z1
-    with pytest.raises(DomainViolation, match="outside the half-space model"):
-        spec.point(spec.s0, tol)
+    with monkeypatch.context() as patch:
+        patch.setattr("bisiegel.domain._DOM_EPS", 1e-6)
+        assert spec.point(0.0) == z1
+        with pytest.raises(NumericalBreakdown, match="not resolved: factors .* are outside the half-space model"):
+            spec.point(spec.s0)
     assert spec.point(spec.s0) == z2
 
 
@@ -618,16 +641,16 @@ def test_volume_density_values():
     assert volume_density(MIXED) == pytest.approx(4.0 / 9.0, abs=1e-15)
 
 
-def test_volume_density_where_the_squared_heights_leave_the_float_range():
+def test_volume_density_where_the_squared_heights_leave_the_float_range(monkeypatch):
     # The square 1e320 of the larger factor height overflows; the density
     # 4e-298 itself is representable.
     assert volume_density(HPoint.from_factors(1e160j, 1e-11j)) == pytest.approx(4e-298, rel=1e-15)
     # Past the float range: below the smallest subnormal (heights at 1e160) and
-    # above the largest float (heights below the default margin).
-    tiny = Tolerance(1e-10, 1e-300)
+    # above the largest float (heights below the margin, lowered here to 1e-300).
+    monkeypatch.setattr("bisiegel.domain._DOM_EPS", 1e-300)
     for h in (1e160, 1e-80, 1e-160, 1e-200):
         with pytest.raises(NumericalBreakdown, match="^" + re.escape(f"volume density at factor heights {h!r}, {h!r} leaves")):
-            volume_density(HPoint.from_factors(complex(0.0, h), complex(1.0, h), tiny))
+            volume_density(HPoint.from_factors(complex(0.0, h), complex(1.0, h)))
 
 
 def test_volume_density_jacobian_invariance(rng):

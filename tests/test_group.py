@@ -42,7 +42,7 @@ from bisiegel.group import (
     split,
     stabilizer_of_iI,
 )
-from bisiegel.numkit import DEFAULT_TOL, Mat4R, Tolerance
+from bisiegel.numkit import _ABS_EPS, Mat4R
 from bisiegel.verify import _points_gap, _reference_apply
 
 from conftest import (
@@ -127,7 +127,7 @@ def literal_classify(m: Mat4R) -> MotionMatrix:
     """``classify`` through the literal 4x4 products, in its order: the commutation
     products first; the symplectic residual only for a refused pattern, where it picks
     the error; then the factors read off rows a and c, through ``Sl2Matrix``."""
-    j, tol = SYMPLECTIC_FORM, DEFAULT_TOL.abs_eps
+    j, tol = SYMPLECTIC_FORM, _ABS_EPS
     commute, anticommute = literal_commutation(m)
     if min(commute, anticommute) > tol:
         sym_res = gap4(mul4(transpose(m), j, m), j)
@@ -197,10 +197,12 @@ REGIMES = {
 }
 
 
-def symplectic_gate_passes(m: Mat4R, abs_eps: float) -> bool:
+def symplectic_gate_passes(m: Mat4R, abs_eps: float, monkeypatch) -> bool:
     """Whether ``classify``'s symplectic gate lets m through at this threshold."""
     try:
-        classify(m, Tolerance(abs_eps, min(abs_eps, 1e-12)))
+        with monkeypatch.context() as patch:
+            patch.setattr("bisiegel.group._ABS_EPS", abs_eps)
+            classify(m)
     except NotSymplectic as exc:
         return not str(exc).startswith("symplectic residual ")
     except GeometryError:
@@ -209,7 +211,7 @@ def symplectic_gate_passes(m: Mat4R, abs_eps: float) -> bool:
 
 
 @pytest.mark.parametrize("regime", sorted(REGIMES))
-def test_closed_form_classify_matches_literal_products(regime):
+def test_closed_form_classify_matches_literal_products(regime, monkeypatch):
     # Same motion, or same error class and gate message, as the literal products.
     rng = random.Random(f"classify:{regime}")
     seen = set()
@@ -226,8 +228,8 @@ def test_closed_form_classify_matches_literal_products(regime):
         # Bit for bit where the pattern gate refuses, so that the residual decides: the
         # gate passes at the literal residual, fails one ulp below.
         if refused and 1e-300 < res < 1.0:
-            assert symplectic_gate_passes(m, res), m
-            assert not symplectic_gate_passes(m, math.nextafter(res, 0.0)), m
+            assert symplectic_gate_passes(m, res, monkeypatch), m
+            assert not symplectic_gate_passes(m, math.nextafter(res, 0.0), monkeypatch), m
     # Each regime reaches the outcomes it is there for.
     expected = {
         "patterned": {1, -1},
@@ -270,10 +272,12 @@ def off_pattern(rng: random.Random, scale: float) -> Mat4R:
     return Mat4R(((1, 0, 0, 0), (0, 1, 0, 0), (s0, s1, 1, 0), (s1, s2, 0, 1)))
 
 
-def hat_gate_passes(m: Mat4R, abs_eps: float) -> bool:
+def hat_gate_passes(m: Mat4R, abs_eps: float, monkeypatch) -> bool:
     """Whether ``classify``'s commutation gate lets m through at this threshold."""
     try:
-        classify(m, Tolerance(abs_eps, min(abs_eps, 1e-12)))
+        with monkeypatch.context() as patch:
+            patch.setattr("bisiegel.group._ABS_EPS", abs_eps)
+            classify(m)
     except NotInHatGroup:
         return False
     except GeometryError:
@@ -282,7 +286,7 @@ def hat_gate_passes(m: Mat4R, abs_eps: float) -> bool:
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
-def test_classify_commutation_residuals_are_the_literal_ones(scale):
+def test_classify_commutation_residuals_are_the_literal_ones(scale, monkeypatch):
     # classify takes the 8 distinct commutation pairs of the 16 that MQ - QM and
     # MQ + QM hold: its message is the literal products' one, and its gate passes at
     # the smaller literal residual and fails one ulp below it.
@@ -296,8 +300,8 @@ def test_classify_commutation_residuals_are_the_literal_ones(scale):
         res = min(literal_commutation(m))
         sym_res = gap4(mul4(transpose(m), SYMPLECTIC_FORM, m), SYMPLECTIC_FORM)
         if 1e-300 < res < 1.0 and sym_res < res:
-            assert hat_gate_passes(m, res), m
-            assert not hat_gate_passes(m, math.nextafter(res, 0.0)), m
+            assert hat_gate_passes(m, res, monkeypatch), m
+            assert not hat_gate_passes(m, math.nextafter(res, 0.0), monkeypatch), m
             pinned += 1
     assert refused >= 250 and (pinned >= 100 or scale > 1.0)
 
@@ -349,7 +353,7 @@ def test_classify_reads_back_the_motions_the_library_composes():
                 assert n > 12 and isinstance(exc.__cause__, NotUnimodular), (n, exc)
 
 
-def test_classify_eps_is_the_smaller_literal_residual(rng):
+def test_classify_eps_is_the_smaller_literal_residual(rng, monkeypatch):
     for _ in range(400):
         m = random_motion(rng).m
         commute, anticommute = literal_commutation(m)
@@ -360,7 +364,8 @@ def test_classify_eps_is_the_smaller_literal_residual(rng):
     c = 1.0 - 2.0**-12
     tie = scale4(Mat4R(((1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, -1, 0, 0))), c)
     assert literal_commutation(tie) == (c, c)
-    assert classify(tie, Tolerance(0.9999, 1e-12)).eps == 1
+    monkeypatch.setattr("bisiegel.group._ABS_EPS", 0.9999)
+    assert classify(tie).eps == 1
 
 
 def test_classify_symplectic_and_determinant_gates_agree():
@@ -378,42 +383,51 @@ def test_classify_symplectic_and_determinant_gates_agree():
     assert classify(m).eps == 1
 
 
-def test_classify_honours_the_callers_tolerance_in_the_factor_gate():
+def test_classify_honours_the_callers_tolerance_in_the_factor_gate(monkeypatch):
     # Glued from diag(1 + 1e-8, 1) and I: the symplectic residual is 5e-9 and
-    # the first factor's determinant is off by 1e-8.
+    # the first factor's determinant is off by 1e-8.  The factor gate reads the
+    # same _ABS_EPS as the pattern gate.
     h = 1e-8 / 2.0
     m = Mat4R(((1 + h, h, 0, 0), (h, 1 + h, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
-    motion = classify(m, Tolerance(1e-6, 1e-12))
-    assert (motion.m1.a, motion.m1.d, motion.eps) == ((1 + h) + h, 1.0, 1)
     with pytest.raises(NotSymplectic):
         classify(m)
+    monkeypatch.setattr("bisiegel.group._ABS_EPS", 1e-6)
+    motion = classify(m)
+    assert (motion.m1.a, motion.m1.d, motion.eps) == ((1 + h) + h, 1.0, 1)
 
 
-def test_default_tolerance_is_read_only_as_a_default_argument():
-    # Gates either take the caller's Tolerance or a fixed rounding bound; a
-    # read of DEFAULT_TOL anywhere else would be a hidden global.
+def test_each_threshold_has_one_home():
+    # Every gate reads _ABS_EPS or _DOM_EPS, defined once in numkit: no public
+    # callable (nor a method of an exported class) takes a threshold, no module
+    # exports one, and no gate module spells one out.  verify's SUITE bounds are
+    # check tolerances, not gate thresholds, so verify.py is not walked.
     import ast
+    import importlib
+    import inspect
     import pathlib
 
     import bisiegel
 
     root = pathlib.Path(bisiegel.__file__).parent
+    modules = [bisiegel] + [importlib.import_module(f"bisiegel.{p.stem}")
+                            for p in sorted(root.glob("*.py")) if not p.stem.startswith("__")]
+    for module in modules:
+        exported = getattr(module, "__all__", [n for n in vars(module) if not n.startswith("_")])
+        assert not {"Tolerance", "DEFAULT_TOL"} & set(exported), module.__name__
+        for name in exported:
+            obj = getattr(module, name)
+            members = [obj] + ([getattr(obj, k) for k in vars(obj)] if isinstance(obj, type) else [])
+            for member in filter(callable, members):
+                try:
+                    params = inspect.signature(member).parameters
+                except (TypeError, ValueError):
+                    continue
+                assert "tol" not in params, (module.__name__, name, member)
     for name in ("group.py", "domain.py", "geometry.py"):
         tree = ast.parse((root / name).read_text())
-        defaults = {
-            id(d)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.arguments)
-            for d in node.defaults + node.kw_defaults
-        }
-        reads = [
-            node.lineno
-            for node in ast.walk(tree)
-            if (isinstance(node, ast.Name) and node.id == "DEFAULT_TOL")
-            or (isinstance(node, ast.Attribute) and node.attr == "DEFAULT_TOL")
-            if id(node) not in defaults
-        ]
-        assert reads == [], f"{name} reads DEFAULT_TOL at lines {reads}"
+        spelled = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and node.value in (1e-10, 1e-12)]
+        assert spelled == [], f"{name} spells a threshold at lines {spelled}"
 
 
 # --------------------------------------------------------------------------
@@ -514,7 +528,7 @@ def test_split_exchange_pinned_to_plus_branch():
 def test_assemble_shear_example():
     m = assemble(Sl2Matrix(1.0, 1.0, 0.0, 1.0), I2, 1)
     (_, _, *b_top), (_, _, *b_bottom), _, _ = m.m.rows
-    assert max(abs(x - 0.5) for x in b_top + b_bottom) <= DEFAULT_TOL.abs_eps
+    assert max(abs(x - 0.5) for x in b_top + b_bottom) <= _ABS_EPS
     j = SYMPLECTIC_FORM
     assert gap4(mul4(transpose(m.m), j, m.m), j) < 1e-15
 
@@ -617,7 +631,7 @@ def literal_disc_action(doc: dict, p: EPoint) -> EPoint:
 
 
 def test_stabilizer_of_center_examples():
-    tol = DEFAULT_TOL.abs_eps
+    tol = _ABS_EPS
     a0 = block(disc_stabilizer(1, 1, 1)["a0"])
     assert max_abs(a0 - EYE_2) <= tol
     a0 = block(disc_stabilizer(1j, 1j, 1)["a0"])
@@ -673,7 +687,7 @@ def test_stabilizer_of_center_fixes_center(rng):
         assert abs(img.z1) < 1e-15 and abs(img.z2) < 1e-15
         # unitary block relation with vanishing translation part
         a0 = block(m0["a0"])
-        assert max_abs(a0 @ a0.conj().T - EYE_2) <= DEFAULT_TOL.abs_eps
+        assert max_abs(a0 @ a0.conj().T - EYE_2) <= _ABS_EPS
         assert max_abs(block(m0["b0"])) == 0.0
 
 
@@ -744,19 +758,19 @@ def test_apply_of_a_zero_denominator_is_an_image_at_infinity():
         apply(tiny, point)
 
 
-def test_apply_image_inside_the_callers_margin_is_a_numerical_breakdown():
-    # The identity keeps a factor at height 1e-8: a point at the default
-    # margin, inside a dom_eps of 1e-6.
+def test_apply_image_inside_the_callers_margin_is_a_numerical_breakdown(monkeypatch):
+    # The identity keeps a factor at height 1e-8: a point above the margin
+    # of 1e-12, inside a margin of 1e-6.
     point = HPoint.from_factors(1j, 0.5 + 1e-8j)
-    tol = Tolerance(1e-6, 1e-6)
     assert apply(assemble(I2, I2, 1), point) == point
+    disc = cayley_to_disc(point)
+    monkeypatch.setattr("bisiegel.domain._DOM_EPS", 1e-6)
     for eps in (1, -1):
         with pytest.raises(NumericalBreakdown, match="dom_eps margin") as exc:
-            apply(assemble(I2, I2, eps), point, tol)
+            apply(assemble(I2, I2, eps), point)
         assert isinstance(exc.value.__cause__, DomainViolation)
-    disc = cayley_to_disc(point)
     with pytest.raises(NumericalBreakdown, match="dom_eps margin"):
-        cayley_to_halfspace(disc, tol)
+        cayley_to_halfspace(disc)
 
 
 def test_every_constructor_passes_its_sign_through_the_one_gate():

@@ -1,4 +1,4 @@
-"""Tolerances, the 4x4 record, and the literal matrix algebra of the
+"""The 4x4 record, and the literal matrix algebra of the
 references: ``verify``'s 2x2 helpers and the tests' 4x4 helpers."""
 
 import random
@@ -9,7 +9,7 @@ import pytest
 from bisiegel.domain import random_hpoint
 from bisiegel.errors import NumericalBreakdown
 from bisiegel.group import random_motion
-from bisiegel.numkit import DEFAULT_TOL, Mat4R, Tolerance
+from bisiegel.numkit import _ABS_EPS, Mat4R
 from bisiegel.verify import (
     _inv,
     _mul,
@@ -20,7 +20,7 @@ from bisiegel.verify import (
 
 from conftest import IDENTITY_4, gap4, mul4, scale4, transpose
 
-TOL = DEFAULT_TOL.abs_eps
+TOL = _ABS_EPS
 EYE = (1.0, 0.0, 0.0, 1.0)
 
 
@@ -30,15 +30,6 @@ def gap2(x, y) -> float:
 
 def det2(x) -> complex:
     return x[0] * x[3] - x[1] * x[2]
-
-
-def test_tolerance_defaults_and_validation():
-    tol = Tolerance()
-    assert tol.abs_eps == 1e-10 and tol.dom_eps == 1e-12
-    with pytest.raises(ValueError):
-        Tolerance(abs_eps=1e-12, dom_eps=1e-10)
-    with pytest.raises(ValueError):
-        Tolerance(abs_eps=2.0)
 
 
 def test_inverse_identity():
