@@ -4,8 +4,9 @@ In the factor coordinates ``(tau + z, tau - z)`` the space is a product of
 two upper half-planes, and a motion is a pair of real Moebius maps
 ``(m1, m2)`` together with an exchange sign ``eps``: for ``eps = +1`` the
 factors act on the two coordinates in order, for ``eps = -1`` the two images
-are swapped.  Composition, inverse, the action, stabilizers and pair
-reduction are all 2x2 work on the stored factors.
+are swapped.  A motion stores each factor as its entries ``(a, b, c, d)``; composition,
+inverse, the action, stabilizers and pair reduction are 2x2 work on them, and the factor
+record ``Sl2Matrix`` is built only at the boundary (``split``, ``random_sl2``, JSON).
 
 The real symplectic 4x4 matrix of a motion appears only at the boundary.
 ``classify`` checks each condition once: that a raw 4x4 commutes or anticommutes
@@ -22,10 +23,10 @@ rotations ``u -> xi u / conj(xi)``, is written only as JSON, by the CLI.
 
 Motions are validated once, at the boundary: ``classify`` and the public
 constructors.  Every gate reads the one threshold ``_ABS_EPS``.  Values computed from
-validated ones, and the seeded samples, are trusted: ``_sl2`` and ``_motion`` fill the
-slots through setters bound once; only products re-run the determinant gate
+validated ones, and the seeded samples, are trusted: ``_sl2`` and ``_motion`` (on entry
+tuples) fill the slots through setters bound once; only products re-run the determinant gate
 (a ``NumericalBreakdown``: their inputs were valid).  Each operation checks what
-it returns.  ``_product``, the one factor product, takes the entries of both factors; composition
+it returns.  ``_product``, the one factor product, takes and returns entry tuples; composition
 calls it once per factor, and ``reduce_pair`` once per factor on the entries of a rotation and
 of a triangular transport of the first point (determinant one by construction).
 """
@@ -106,33 +107,33 @@ class Sl2Matrix:
             object.__setattr__(self, name, float(getattr(self, name)))
         _check_det(self.a * self.d, self.b * self.c)
 
-    def __matmul__(self, other: "Sl2Matrix") -> "Sl2Matrix":
-        return _product(self.a, self.b, self.c, self.d, other.a, other.b, other.c, other.d)
-
-    def inverse(self) -> "Sl2Matrix":
-        return _sl2(self.d, -self.b, -self.c, self.a)
-
     def to_json_dict(self) -> dict:
         return {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MotionMatrix:
     """A motion: two Moebius factors and the exchange sign.
 
     On factor coordinates ``(w1, w2)`` it acts as ``(m1 w1, m2 w2)`` for
-    ``eps = +1`` and as ``(m2 w2, m1 w1)`` for ``eps = -1``.
+    ``eps = +1`` and as ``(m2 w2, m1 w1)`` for ``eps = -1``.  It stores each
+    factor's entries; ``m1`` and ``m2`` build its ``Sl2Matrix`` on each read.
     """
 
-    m1: Sl2Matrix
-    m2: Sl2Matrix
+    _e1: tuple
+    _e2: tuple
     eps: int
 
-    def __post_init__(self) -> None:
-        for name in ("m1", "m2"):
-            if type(factor := getattr(self, name)) is not Sl2Matrix:
+    def __init__(self, m1: Sl2Matrix, m2: Sl2Matrix, eps: int) -> None:
+        for name, factor in (("m1", m1), ("m2", m2)):
+            if type(factor) is not Sl2Matrix:
                 raise ValidationError(f"{name} must be an Sl2Matrix, got {factor!r}")
-        _sign(self.eps)
+        _set_e1(self, (m1.a, m1.b, m1.c, m1.d))
+        _set_e2(self, (m2.a, m2.b, m2.c, m2.d))
+        _set_eps(self, _sign(eps))
+
+    m1 = property(lambda self: _sl2(*self._e1))
+    m2 = property(lambda self: _sl2(*self._e2))
 
     @property
     def m(self) -> Mat4R:
@@ -143,11 +144,11 @@ class MotionMatrix:
         """The 8 distinct 4x4 entries ``(a1, a2, b1, b2, c1, c2, d1, d2)``, rows 0 and 2,
         behind the finiteness gate, none ``-0.0`` (``+ 0.0``); ``x1 +- x2`` are ``m1``, ``m2``.
         The CLI's motion writer prints these as they are, so this is what prints a zero as 0."""
-        m1, m2 = self.m1, self.m2
-        a1, a2 = (m1.a + m2.a) / 2.0 + 0.0, (m1.a - m2.a) / 2.0 + 0.0
-        b1, b2 = (m1.b + m2.b) / 2.0 + 0.0, (m1.b - m2.b) / 2.0 + 0.0
-        c1, c2 = (m1.c + m2.c) / 2.0 + 0.0, (m1.c - m2.c) / 2.0 + 0.0
-        d1, d2 = (m1.d + m2.d) / 2.0 + 0.0, (m1.d - m2.d) / 2.0 + 0.0
+        (p1, q1, r1, s1), (p2, q2, r2, s2) = self._e1, self._e2
+        a1, a2 = (p1 + p2) / 2.0 + 0.0, (p1 - p2) / 2.0 + 0.0
+        b1, b2 = (q1 + q2) / 2.0 + 0.0, (q1 - q2) / 2.0 + 0.0
+        c1, c2 = (r1 + r2) / 2.0 + 0.0, (r1 - r2) / 2.0 + 0.0
+        d1, d2 = (s1 + s2) / 2.0 + 0.0, (s1 - s2) / 2.0 + 0.0
         return _check_finite((a1, a2, b1, b2, c1, c2, d1, d2))
 
     def _rows(self) -> tuple:
@@ -163,13 +164,12 @@ class MotionMatrix:
 
     def __matmul__(self, other: "MotionMatrix") -> "MotionMatrix":
         # Under an exchanging right factor, each left factor meets the other one.
-        p1, p2 = (self.m1, self.m2) if other.eps == 1 else (self.m2, self.m1)
-        o1, o2 = other.m1, other.m2
-        return _motion(_product(p1.a, p1.b, p1.c, p1.d, o1.a, o1.b, o1.c, o1.d),
-                       _product(p2.a, p2.b, p2.c, p2.d, o2.a, o2.b, o2.c, o2.d), self.eps * other.eps)
+        p1, p2 = (self._e1, self._e2) if other.eps == 1 else (self._e2, self._e1)
+        return _motion(_product(p1, other._e1), _product(p2, other._e2), self.eps * other.eps)
 
     def inverse(self) -> "MotionMatrix":
-        i1, i2 = self.m1.inverse(), self.m2.inverse()
+        (a1, b1, c1, d1), (a2, b2, c2, d2) = self._e1, self._e2
+        i1, i2 = (d1, -b1, -c1, a1), (d2, -b2, -c2, a2)
         return _motion(i1, i2, 1) if self.eps == 1 else _motion(i2, i1, -1)
 
     def to_json_dict(self) -> dict:
@@ -198,9 +198,9 @@ def _check_lambdas(l1: float, l2: float) -> None:
         raise ValidationError(f"invalid canonical pair (lambda1={l1!r}, lambda2={l2!r})")
 
 
-#: Slot setters, bound once for the trusted builders ``_sl2``, ``_motion`` and ``reduce_pair``.
+#: Slot setters, bound once for ``MotionMatrix.__init__``, ``_sl2``, ``_motion`` and ``reduce_pair``.
 _set_a, _set_b, _set_c, _set_d = (getattr(Sl2Matrix, f).__set__ for f in "abcd")
-_set_m1, _set_m2, _set_eps = (getattr(MotionMatrix, f).__set__ for f in ("m1", "m2", "eps"))
+_set_e1, _set_e2, _set_eps = (getattr(MotionMatrix, f).__set__ for f in ("_e1", "_e2", "eps"))
 _set_mover, _set_lambda1, _set_lambda2 = (
     getattr(ReducedPair, f).__set__ for f in ("mover", "lambda1", "lambda2"))
 
@@ -215,9 +215,10 @@ def _sl2(a: float, b: float, c: float, d: float) -> Sl2Matrix:
     return m
 
 
-def _product(p: float, q: float, r: float, s: float, e: float, f: float, g: float, h: float) -> Sl2Matrix:
-    """``[[p, q], [r, s]] @ [[e, f], [g, h]]``, on entries, rescaled to det 1 and gated: the one
+def _product(m: tuple, n: tuple) -> tuple:
+    """The entries of ``m @ n`` for entry tuples ``m``, ``n``, rescaled to det 1 and gated: the one
     factor product.  Its gate is the interior one: a failure is a numerical breakdown, not bad input."""
+    (p, q, r, s), (e, f, g, h) = m, n
     a = p * e + q * g
     b = p * f + q * h
     c = r * e + s * g
@@ -231,14 +232,14 @@ def _product(p: float, q: float, r: float, s: float, e: float, f: float, g: floa
         _check_det(a * d, b * c)
     except NotUnimodular as exc:
         raise NumericalBreakdown(f"computed factor lost its determinant: {exc}") from None
-    return _sl2(a, b, c, d)
+    return a, b, c, d
 
 
-def _motion(m1: Sl2Matrix, m2: Sl2Matrix, eps: int) -> MotionMatrix:
-    """Trusted motion: validated factors and an int sign of +1 or -1, stored unchecked."""
+def _motion(e1: tuple, e2: tuple, eps: int) -> MotionMatrix:
+    """Trusted motion: the entry tuples of validated factors and an int sign of +-1, stored unchecked."""
     motion = _new(MotionMatrix)
-    _set_m1(motion, m1)
-    _set_m2(motion, m2)
+    _set_e1(motion, e1)
+    _set_e2(motion, e2)
     _set_eps(motion, eps)
     return motion
 
@@ -289,7 +290,7 @@ def classify(m: Mat4R) -> MotionMatrix:
         if not (isfinite(p1 * s1 - q1 * r1) and isfinite(p2 * s2 - q2 * r2)):
             raise NumericalBreakdown("non-finite symplectic residual: the 4x4 products overflow") from None
         raise NotSymplectic(f"factor of the patterned matrix: {exc}") from exc
-    return _motion(_sl2(p1, q1, r1, s1), _sl2(p2, q2, r2, s2), 1 if commute <= anticommute else -1)
+    return _motion((p1, q1, r1, s1), (p2, q2, r2, s2), 1 if commute <= anticommute else -1)
 
 
 def apply(motion: MotionMatrix, point: HPoint) -> HPoint:
@@ -300,9 +301,9 @@ def apply(motion: MotionMatrix, point: HPoint) -> HPoint:
     an image at infinity.  That, and the one check on the image, a point inside the
     ``_DOM_EPS`` margin or not finite, are numerical limits (``NumericalBreakdown``).
     """
-    m1, m2, w1, w2 = motion.m1, motion.m2, point.w1, point.w2
+    (a1, b1, c1, d1), (a2, b2, c2, d2), w1, w2 = motion._e1, motion._e2, point.w1, point.w2
     try:
-        g1, g2 = (m1.a * w1 + m1.b) / (m1.c * w1 + m1.d), (m2.a * w2 + m2.b) / (m2.c * w2 + m2.d)
+        g1, g2 = (a1 * w1 + b1) / (c1 * w1 + d1), (a2 * w2 + b2) / (c2 * w2 + d2)
     except ZeroDivisionError:
         raise NumericalBreakdown(f"image of ({w1!r}, {w2!r}) at infinity: a denominator is 0") from None
     return _image(_hpoint, g1, g2) if motion.eps == 1 else _image(_hpoint, g2, g1)
@@ -324,7 +325,7 @@ def assemble(m1: Sl2Matrix, m2: Sl2Matrix, eps: int) -> MotionMatrix:
 
 def _check_unit(name: str, xi: complex) -> None:
     """|xi|^2 = 1 under the determinant gate of the rotation factor, with the products
-    that ``Sl2Matrix`` forms for ``_rotation(xi)``; the message names |xi|."""
+    that ``Sl2Matrix`` forms for the rotation factor of xi; the message names |xi|."""
     try:
         _check_det(xi.real * xi.real, -(xi.imag * xi.imag))
     except NotUnimodular:
@@ -359,12 +360,8 @@ def stabilizer_of_iI(params: StabilizerParams) -> MotionMatrix:
     conjugated by the Cayley map they are the disc rotations ``u -> xi u / conj(xi)``
     that ``stabilizer --model disc`` prints for the same parameters.
     """
-    return _motion(_rotation(params.xi1), _rotation(params.xi2), params.eps)
-
-
-def _rotation(xi: complex) -> Sl2Matrix:
-    """The rotation about i with parameter xi; ``_check_unit`` gates its determinant."""
-    return _sl2(xi.real, xi.imag, -xi.imag, xi.real)
+    r1, r2 = ((xi.real, xi.imag, -xi.imag, xi.real) for xi in (params.xi1, params.xi2))
+    return _motion(r1, r2, params.eps)
 
 
 def _transport_to_i(w: complex) -> tuple:
@@ -431,8 +428,8 @@ def reduce_pair(z_base: HPoint, z_other: HPoint) -> ReducedPair:
     lambda1, lambda2 = half_big + half_small, half_big - half_small
     if not lambda1 < inf:  # `not <` rejects NaN; lambda2 is finite with lambda1
         raise NumericalBreakdown(f"lambdas of the chords ({s_big!r}, {s_small!r}) leave the float range")
-    m1 = _product(c1, s1, -s1, c1, *t1)  # _rotation(xi1) @ T1
-    m2 = _product(c2, s2, -s2, c2, *t2)
+    m1 = _product((c1, s1, -s1, c1), t1)  # R(xi1) @ T1
+    m2 = _product((c2, s2, -s2, c2), t2)
     _check_lambdas(lambda1, lambda2)
     red = _new(ReducedPair)
     _set_mover(red, _motion(m1, m2, -1 if swap else 1))
@@ -441,22 +438,25 @@ def reduce_pair(z_base: HPoint, z_other: HPoint) -> ReducedPair:
     return red
 
 
+def _draw_sl2(rng: random.Random) -> tuple:
+    """The entries of ``random_sl2``'s sample, drawn in its order."""
+    theta = 2.0 * pi * rng.random()  # a + (b - a) U, as Random.uniform does
+    lam = exp(-1.0 + 2.0 * rng.random())
+    mu = -2.0 + 4.0 * rng.random()
+    ct, st = cos(theta), sin(theta)
+    # [[ct, st], [-st, ct]] @ [[lam, mu], [0, 1/lam]]
+    return ct * lam, ct * mu + st / lam, -st * lam, -st * mu + ct / lam
+
+
 def random_sl2(rng: random.Random) -> Sl2Matrix:
     """Seeded unimodular sample: rotation times upper-triangular.
 
     Draw order: angle uniform in [0, 2pi), log-scale uniform in [-1, 1],
     shear uniform in [-2, 2].
     """
-    theta = 2.0 * pi * rng.random()  # a + (b - a) U, as Random.uniform does
-    lam = exp(-1.0 + 2.0 * rng.random())
-    mu = -2.0 + 4.0 * rng.random()
-    ct, st = cos(theta), sin(theta)
-    # [[ct, st], [-st, ct]] @ [[lam, mu], [0, 1/lam]]
-    return _sl2(ct * lam, ct * mu + st / lam, -st * lam, -st * mu + ct / lam)
+    return _sl2(*_draw_sl2(rng))
 
 
 def random_motion(rng: random.Random) -> MotionMatrix:
     """Seeded motion sample: two factors then a fair exchange sign, stored trusted."""
-    m1 = random_sl2(rng)
-    m2 = random_sl2(rng)
-    return _motion(m1, m2, 1 if rng.random() < 0.5 else -1)
+    return _motion(_draw_sl2(rng), _draw_sl2(rng), 1 if rng.random() < 0.5 else -1)

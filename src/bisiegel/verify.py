@@ -317,14 +317,14 @@ def _reduced_geodesic(z1: HPoint, z2: HPoint) -> list[tuple[complex, float]]:
     switch from forward to backward legs."""
     spec = connect(z1, z2)
     red = reduce_pair(z1, z2)
-    m1, m2 = red.mover.m1, red.mover.m2
+    (a1, b1, c1, d1), (a2, b2, c2, d2) = red.mover._e1, red.mover._e2
     ln_big, ln_small = log(red.lambda1 + red.lambda2), log(red.lambda1 - red.lambda2)
     r = hypot(ln_big, ln_small)
     out = []
     for f in _NODES:
         s = f * spec.s0
         w1, w2 = spec._factors(s)
-        g1, g2 = (m1.a * w1 + m1.b) / (m1.c * w1 + m1.d), (m2.a * w2 + m2.b) / (m2.c * w2 + m2.d)
+        g1, g2 = (a1 * w1 + b1) / (c1 * w1 + d1), (a2 * w2 + b2) / (c2 * w2 + d2)
         if red.mover.eps == -1:
             g1, g2 = g2, g1
         out += ((g1, s * ln_big / r), (g2, s * ln_small / r))

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -424,6 +425,27 @@ def test_geodesic_endpoints_within_rounding(recipe):
         spec = connect(z1, z2)
         for p, z in ((spec.point(0.0), z1), (spec.point(spec.s0), z2)):
             assert _points_gap(p, z) <= 8 * U * (abs(z.tau) + abs(z.z))
+
+
+def test_near_segment_interior_points_within_rounding():
+    # Interior points too: at fractions 1/4 and 1/2 of a near segment, d(z1, p) = s and
+    # d(p, z2) = s0 - s against 60-digit distances.  A coordinate that rounds by u |w|
+    # moves its factor by u |w| / Im w hyperbolic units, so the bound is a few roundings
+    # at the pair's largest |w| / Im w; the worst measured is 4.1 U of it.  Leg points
+    # that drop the d-dependence of sinh(d t) / sinh(d) for d < 1e-3 are off by up to
+    # 3.9e-5 of s0 here, over 1e7 times this bound.
+    rng = random.Random(5)
+    for _ in range(2000):
+        z1 = random_hpoint(rng)
+        z2 = _from_factors(*exact.near(rng, z1.factors(), -6.0, -3.5))
+        spec = connect(z1, z2)
+        scale = max(abs(w) / w.imag for w in z1.factors() + z2.factors())
+        for frac in (0.25, 0.5):
+            s = frac * spec.s0
+            p = spec.point(s).factors()
+            err = max(abs(exact.distance(z1.factors(), p) - Decimal(s)),
+                      abs(exact.distance(p, z2.factors()) - Decimal(spec.s0 - s)))
+            assert float(err) <= 8.0 * U * scale, (z1, z2, frac, float(err) / spec.s0)
 
 
 def test_distance_pythagoras_against_oracle(rng):

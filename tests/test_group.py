@@ -460,15 +460,23 @@ def test_apply_group_law(rng):
 @pytest.mark.parametrize("eps_m, eps_n", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
 def test_composition_pairs_the_factors_bit_for_bit(eps_m, eps_n, rng):
     # Under an exchanging right factor, each left factor meets the other one.
-    def bits(f: Sl2Matrix) -> tuple:
-        return tuple(map(float.hex, (f.a, f.b, f.c, f.d)))
+    def product(x: Sl2Matrix, y: Sl2Matrix) -> tuple:
+        """The literal 2x2 product rescaled to det 1: the reference for the factor product."""
+        (p, q, r, s), (e, f, g, h) = entries(x), entries(y)
+        a, b, c, d = p * e + q * g, p * f + q * h, r * e + s * g, r * f + s * h
+        k = 1.0 / math.sqrt(a * d - b * c)
+        return a * k, b * k, c * k, d * k
+
+    def bits(values: tuple) -> tuple:
+        return tuple(map(float.hex, values))
 
     for _ in range(200):
         m = MotionMatrix(random_sl2(rng), random_sl2(rng), eps_m)
         n = MotionMatrix(random_sl2(rng), random_sl2(rng), eps_n)
         left1, left2 = (m.m1, m.m2) if eps_n == 1 else (m.m2, m.m1)
         prod = m @ n
-        assert (bits(prod.m1), bits(prod.m2)) == (bits(left1 @ n.m1), bits(left2 @ n.m2))
+        assert (bits(entries(prod.m1)), bits(entries(prod.m2))) == (
+            bits(product(left1, n.m1)), bits(product(left2, n.m2)))
         assert prod.eps == eps_m * eps_n
 
 
@@ -483,6 +491,11 @@ def test_motion_inverse(rng):
         m = random_motion(rng)
         assert gap4((m @ m.inverse()).m, IDENTITY_4) < 1e-12
         assert m.inverse().eps == m.eps
+        # Per factor, the adjugate [[d, -b], [-c, a]] of the factor it undoes.
+        (a1, b1, c1, d1), (a2, b2, c2, d2) = entries(m.m1), entries(m.m2)
+        inv1, inv2 = (d1, -b1, -c1, a1), (d2, -b2, -c2, a2)
+        want = (inv1, inv2) if m.eps == 1 else (inv2, inv1)
+        assert (entries(m.inverse().m1), entries(m.inverse().m2)) == want
 
 
 def test_kernel_fixes_everything_nonkernel_does_not(rng):
@@ -887,6 +900,40 @@ def test_unimodular_gate_rejects_singular_and_reflecting_factors():
         Sl2Matrix(1e10, 1e10 - 1.0, 1e10 + 1.0, 1e10)
 
 
+@pytest.mark.parametrize(
+    "root, step, inside, outside",
+    [
+        # |ad| + |bc| near 1: the bound is the floor _ABS_EPS = 1e-10.
+        (1.0, 1e-11, 9, 11),
+        # Near 2^27: 8 ulps of it, 2^-23, between the floor and the cap.
+        (2.0**13, 2.0**-27, 15, 17),
+        # Near 3.125 * 2^40: 8 ulps would be 3.05e-3, so the cap 2^-10 holds.
+        (1.25 * 2.0**20, 2.0**-12, 3, 5),
+    ],
+    ids=["floor", "scaled", "cap"],
+)
+def test_determinant_gate_at_its_bound(root, step, inside, outside):
+    # The factor [[r, r^2 - 1 - delta], [1, r]] has det 1 + delta for delta = k step: exactly
+    # where step is an ulp of bc (Sterbenz), and to an ulp of 1 at the floor.
+    for k, passes in ((inside, True), (outside, False)):
+        entries = (root, root * root - 1.0 - k * step, 1.0, root)
+        if passes:
+            Sl2Matrix(*entries)
+        else:
+            with pytest.raises(NotUnimodular, match="differs from 1 by more than"):
+                Sl2Matrix(*entries)
+
+
+def test_reduced_pair_gate_at_its_slack():
+    # lambda1 - lambda2 >= 1 to 2^-51 lambda1: at lambda1 = 2^40 that is 2^-11, two ulps
+    # of lambda1, and a gap of 1 - delta is exact for delta in steps of 2^-13.
+    mover = reduce_pair(I_H, I_H).mover
+    big = 2.0**40
+    ReducedPair(mover, big, big - 1.0 + 3 * 2.0**-13)
+    with pytest.raises(ValidationError, match="invalid canonical pair"):
+        ReducedPair(mover, big, big - 1.0 + 5 * 2.0**-13)
+
+
 def assert_lambdas_exact(red: ReducedPair, z_base: HPoint, z_other: HPoint) -> None:
     """Both lambdas within 1.1e-15 of lambda1 of a 60-digit reference."""
     want1, want2 = exact.lambdas(z_base.factors(), z_other.factors())
@@ -985,17 +1032,21 @@ def _built(op, monkeypatch) -> dict:
 
 
 def test_hot_path_builds_only_the_records_it_returns(monkeypatch):
-    # No intermediate factor or point: reduce_pair's transports and rotations are
-    # entries passed to the factor product, not Sl2Matrix records.
+    # No intermediate factor or point: a motion stores its factors' entries, so
+    # only split (and a read of m1 or m2) builds Sl2Matrix records; reduce_pair's
+    # transports and rotations are entries passed to the factor product.
     rng = random.Random(34)
     for _ in range(20):
         m, n = random_motion(rng), random_motion(rng)
         z, w = random_hpoint(rng), random_hpoint(rng)
         raw = m.m
-        motion = {"Sl2Matrix": 2, "MotionMatrix": 1}
+        motion = {"MotionMatrix": 1}
         assert _built(lambda: classify(raw), monkeypatch) == motion
         assert _built(lambda: m @ n, monkeypatch) == motion
+        assert _built(lambda: m.inverse(), monkeypatch) == motion
+        assert _built(lambda: random_motion(rng), monkeypatch) == motion
         assert _built(lambda: apply(m, z), monkeypatch) == {"HPoint": 1}
+        assert _built(lambda: split(m), monkeypatch) == {"Sl2Matrix": 2}
         assert _built(lambda: reduce_pair(z, w), monkeypatch) == dict(motion, ReducedPair=1)
 
 
