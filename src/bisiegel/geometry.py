@@ -7,17 +7,17 @@ factor coordinates (tau + z, tau - z) it splits into two half-plane metrics
 one quantity, the chord s = |w - w'| / (2 sqrt(y y')) = sinh(d/2) of the
 half-plane distance d: the distance is the root-sum-square of the two
 2 asinh(s), the matrix cross ratio has the eigenvalues tanh^2(d/2), and a
-geodesic is a pair of half-plane geodesics traversed with a common arc-length
-parameter: ``GeodesicSpec`` holds its length and leg constants, and ``point``
-is its one reader (``verify`` reads the legs unchecked, through ``_factors``).
-The matrix cross ratio itself is computed only by the literal reference in ``verify``.
+geodesic is a pair of half-plane geodesics at a common arc-length parameter, each
+point from the sinh form of its legs: ``GeodesicSpec`` holds the length and leg
+constants, ``point`` is its one reader (``verify`` reads the legs unchecked, through
+``_factors``).  The matrix cross ratio itself is computed only by the literal reference in ``verify``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from math import expm1, inf
+from math import exp, expm1, inf, sinh
 
 from .domain import HPoint, _hpoint, _new
 from .errors import DegeneratePair, DomainViolation, NumericalBreakdown, OutOfRange
@@ -113,51 +113,51 @@ def distance(z1: HPoint, z2: HPoint) -> float:
     return math.hypot(2.0 * _half_distance(z1.w1, z2.w1), 2.0 * _half_distance(z1.w2, z2.w2))
 
 
-def _legs(f1: complex, f2: complex) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Constants of the half-plane geodesic between f1 and f2, one tuple from
-    each end: (x, y, dx, v, d, -2d, expm1(-2d), e^{d/2}) for the start x + iy,
-    the offset dx and height v of the other end, and the length d = 2 asinh(s),
-    with e^{d/2} = s + sqrt(1 + s^2) for the chord s."""
+def _legs(f1: complex, f2: complex) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
+    """The length d = 2 asinh(s) of the half-plane geodesic between f1 and f2, for the
+    chord s, and its constants from each end: (x, y, dx, yn, vn, vs, d) for the start
+    x + iy, the offset dx and height v of the other end, the heights over h = max(y, v)
+    and vs = vn sinh(d).  Where sinh(d) overflows (d >= 710), h = 1 and vs = inf for
+    ``_leg_point``'s scaled form.  A chord that underflows to 0 (ends within rounding)
+    gives the legs the least positive length, which keeps each at its own end.
+    """
     s = _chord(f1, f2)
-    d, m = 2.0 * math.asinh(s), s + math.hypot(1.0, s)
-    if m == math.inf:
+    d = 2.0 * math.asinh(s)
+    x1, y1, x2, y2 = f1.real, f1.imag, f2.real, f2.imag
+    dl = d or 5e-324
+    if dl < 710.0:
+        h, sd = max(y1, y2), sinh(dl)
+    elif d / 2.0 <= 709.782712893384:  # the log of the largest float
+        h, sd = 1.0, inf
+    else:
         raise NumericalBreakdown(f"e^(d/2) overflows for the factor chord {s!r}")
-    shared = (d, -2.0 * d, expm1(-2.0 * d), m)
-    return ((f1.real, f1.imag, f2.real - f1.real, f2.imag) + shared,
-            (f2.real, f2.imag, f1.real - f2.real, f1.imag) + shared)
+    yn, vn = y1 / h, y2 / h
+    return d, (x1, y1, x2 - x1, yn, vn, vn * sd, dl), (x2, y2, x1 - x2, vn, yn, yn * sd, dl)
 
 
 def _leg_point(leg: tuple[float, ...], t: float) -> complex:
     """Point at fraction t <= 1/2 of a half-plane geodesic leg.
 
-    With sig(t) = sinh(dt) / sinh(d) the point is x + y (dx sig(t) + i v) /
-    (y sig(t) + v sig(1 - t)).  Numerator and denominator are scaled by
-    e^{dt} = (e^{d/2})^{2t}, which keeps a = e^{dt} sig(1 - t) in [1/2, 1],
-    b = e^{dt} sig(t) in [0, 1] and e^{dt} / (a + b y / v) below 2 e^{d/2}:
-    only r = b y / v can overflow, and only where y / v itself does.  There
-    the same point is taken as (b / v, c) / (a / y + b / v), which stays in
-    range for heights above ``_DOM_EPS``.
+    With sig(t) = sinh(dt) / sinh(d) the point is x + y (dx sig(t) + i v) / (y sig(t)
+    + v sig(1 - t)), taken times sinh(d) / h: x + dx ys / k with ys / k in [0, 1], and
+    height y vs / k with vs / k <= sinh(d) / sinh(d/2).  No term overflows for heights
+    above ``_DOM_EPS`` or cancels as d -> 0, and a vertical leg needs no case of its own.
+    Where sinh(d) overflows, the form is taken times e^{dt}: a = e^{dt} sig(1 - t) ~ 1,
+    c = e^{dt}, and r = e^{dt} sig(t) y / v from one exponential, so that no subnormal
+    factor enters; where r overflows with y / v, the point is (q, c) / (a / y + q), q = r / y.
     """
-    x, y, dx, v, d, n, em, m = leg
-    if dx == 0.0:
-        # A vertical leg is y^(1-t) v^t, with fewer roundings.
-        return complex(x, y ** (1.0 - t) * v**t)
-    if d < 1e-16:
-        # The t-dependence of a and b beyond 1 - t and t is below rounding
-        # (and d = 0 would divide by expm1(0) = 0).
-        a, b, c = 1.0 - t, t, 1.0
-    else:
-        # n = -2d, as -2.0 * d * (1 - t) evaluates it.
-        a = expm1(n * (1.0 - t)) / em
-        b = m ** (4.0 * t - 2.0) * expm1(n * t) / em
-        c = m ** (2.0 * t)
-    r = b * y / v
-    if r == inf:
-        q = b / v
-        k = a / y + q
-        return complex(x + dx * (q / k), c / k)
-    k = a + r
-    return complex(x + dx * (r / k), y * (c / k))
+    x, y, dx, yn, vn, vs, d = leg
+    if vs < inf:
+        dt = d * t
+        ys = yn * sinh(dt)
+        k = ys + vn * sinh(d - dt)
+        return complex(x + dx * (ys / k), y * (vs / k))
+    a, f, c = -expm1(-2.0 * d * (1.0 - t)), -expm1(-2.0 * d * t), exp(d * t)
+    r = exp(d * (2.0 * t - 1.0) + math.log(y)) * f / vn  # vn is v itself here
+    if r < inf:
+        return complex(x + dx * (r / (a + r)), y * (c / (a + r)))
+    q = exp(d * (2.0 * t - 1.0)) * f / vn
+    return complex(x + dx * (q / (a / y + q)), c / (a / y + q))
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -204,13 +204,13 @@ def connect(z1: HPoint, z2: HPoint) -> GeodesicSpec:
     """Geodesic segment data for two points at least ``_DOM_EPS`` apart: each factor
     chord is taken once.  A shorter segment is refused as coincident, since its points
     round at u |w| in the coordinates, which can exceed its length many times over."""
-    legs = _legs(z1.w1, z2.w1) + _legs(z1.w2, z2.w2)
-    s0 = math.hypot(legs[0][4], legs[2][4])  # the two factor lengths d
+    (d1, fwd1, bwd1), (d2, fwd2, bwd2) = _legs(z1.w1, z2.w1), _legs(z1.w2, z2.w2)
+    s0 = math.hypot(d1, d2)
     if s0 < _DOM_EPS:
         raise DegeneratePair(f"geodesic length {s0!r} is below dom_eps={_DOM_EPS!r}: coincident points")
     spec = _new(GeodesicSpec)
     _set_s0(spec, s0)
-    _set_legs(spec, legs)
+    _set_legs(spec, (fwd1, bwd1, fwd2, bwd2))
     return spec
 
 

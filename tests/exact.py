@@ -81,3 +81,26 @@ def near(rng, factors, lo: float, hi: float) -> tuple:
     rel = 10.0 ** rng.uniform(lo, hi)
     turns = [rng.uniform(0.0, 2.0 * math.pi) for _ in factors]
     return tuple(w + rel * w.imag * complex(math.cos(t), math.sin(t)) for w, t in zip(factors, turns))
+
+
+def geodesic_point(f1: complex, f2: complex, t) -> tuple:
+    """The point at fraction t (a float or a Decimal) of the half-plane geodesic from f1
+    to f2, as an (re, im) pair: x + y (dx sig(t) + i v) / (y sig(t) + v sig(1 - t)) for
+    the start x + iy, the offset dx and height v of the end, and sig(t) = sinh(dt) /
+    sinh(d) of their distance d (Beardon, The Geometry of Discrete Groups, 1983, 7.2).
+    Past t = 1/2 it starts from f2 at 1 - t, so either end is returned as it was given."""
+    with localcontext(_CTX):
+        t = Decimal(t)
+        if t > Decimal(0.5):
+            f1, f2, t = f2, f1, 1 - t
+        x, y, x2, v = map(Decimal, (f1.real, f1.imag, f2.real, f2.imag))
+        d = hyp_distance((f1.real, f1.imag), (f2.real, f2.imag))
+        if d == 0 or t == 0:
+            return x, y
+
+        def sig(f):
+            return ((d * f).exp() - (-d * f).exp()) / (d.exp() - (-d).exp())
+
+        a, b = sig(t), sig(1 - t)
+        k = y * a + v * b
+        return x + y * (x2 - x) * a / k, y * v / k

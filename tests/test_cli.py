@@ -433,10 +433,11 @@ CHECK_MUTANTS = {
     "bend": _bend,
     "conjugate": _conjugate,
     "double_length": _length("s0 = math.hypot(", "s0 = 2.0 * math.hypot("),
-    "summed_length": _length("s0 = math.hypot(legs[0][4], legs[2][4])", "s0 = legs[0][4] + legs[2][4]"),
-    # A 1% error in b's expm1 argument, and a (0.5 - t) skew of c's exponent.
-    "b_expm1": _leg("expm1(n * t)", "expm1(1.01 * n * t)"),
-    "c_skew": _leg("c = m ** (2.0 * t)", "c = m ** (2.0 * t * (1.0 + 1e-3 * (0.5 - t)))"),
+    "summed_length": _length("s0 = math.hypot(d1, d2)", "s0 = d1 + d2"),
+    # A 1% error in the argument of the leg's sinh(dt), and a (0.5 - t) skew of the
+    # exponent of its height ratio.
+    "b_expm1": _leg("ys = yn * sinh(dt)", "ys = yn * sinh(1.01 * dt)"),
+    "c_skew": _leg("y * (vs / k)", "y * (vs / k) ** (1.0 + 1e-3 * (0.5 - t))"),
     "taller_image": _taller_image,
 }
 
@@ -475,16 +476,16 @@ def test_geodesic_checks_report_an_image_below_the_axis_as_a_row(capsys, monkeyp
 
 
 def test_arc_length_check_reads_a_vertical_leg(monkeypatch):
-    # The sampler draws no vertical leg (dx == 0), so the suite never runs that branch
-    # of _leg_point; the check on a drawn vertical pair does.  Linear heights
-    # y + (v - y) t in place of y^(1-t) v^t leave the unit speed by about 0.3 in log height.
+    # The sampler draws no vertical leg (dx == 0); the check on a drawn vertical pair
+    # reads one.  There the height y vs / k is y^(1-t) v^t; linear heights y + (v - y) t
+    # (v = y vn / yn) in its place leave the unit speed by about 0.3 in log height.
     z1, z2 = HPoint.from_factors(1 + 1j, 2 + 3j), HPoint.from_factors(1 + 5j, 0.5 + 0.7j)
     check, tol, _ = verify.SUITE["arc_length"]
     points = iter((z1, z2, z1, z2))
     monkeypatch.setattr(verify, "random_hpoint", lambda rng: next(points))
     assert max(check(None)) <= tol
     monkeypatch.setattr(geometry, "_leg_point",
-                        _mutated(geometry, "_leg_point", "y ** (1.0 - t) * v**t", "y + (v - y) * t"))
+                        _mutated(geometry, "_leg_point", "y * (vs / k)", "y + (y * vn / yn - y) * t"))
     assert max(check(None)) > 0.1
 
 
@@ -1167,9 +1168,9 @@ GEODESIC_PAIRS = {
 @pytest.mark.parametrize(
     "kind,digest",
     [
-        ("sampler", "07f1d174b5895477dcd09d0017846d2c2922b0a4e06c2f029cee11a12fe6a8e3"),
+        ("sampler", "620287aba322a7b88b55bd3dba65bac40fd44805abe6fb17f529495e63a3d653"),
         ("near", "52ee5e1b7e13e8b584c29ca4edec22cfae6239b3d700ac256f75c3e8be296343"),
-        ("wide", "71f5eac5a534365045b0b775c2714c841f298962b915295e33e3efe5a95b1ea3"),
+        ("wide", "4b2229583b23ab2db8bb9d47461992da39620d9f8ea1776d399b26ed4ece2e92"),
     ],
 )
 def test_geodesic_output_bytes_are_pinned(files, capsys, kind, digest):
@@ -1243,8 +1244,8 @@ def test_verify_output_bytes_are_pinned(capsys):
     # the same however the group layer is built.  The one-trial report runs
     # every check at its floor of max(1, trials // divisor).
     for trials, digest in (
-        ("200", "80d40dcb97966d0cb861ea3910d635df3935ac652ddab43e3ba41e0228a031b4"),
-        ("1", "7fe5cd6df6a61c78865d2431a6b124a45a98b886ac9fccd14e87b815a694441f"),
+        ("200", "a4795ffc16ffa0f38a56102599bd4450c96f5c2e0c46c569b7b5ff372b7e2f18"),
+        ("1", "41270015f5675d218fa9203a3c1d6eb205db7a9cc0ad5c572974d21d74a9f5a5"),
     ):
         code, out, _ = run(capsys, ["verify", "--seed", "42", "--trials", trials])
         assert code == 0 and out.endswith("19/19 checks passed\n")

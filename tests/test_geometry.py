@@ -1,7 +1,7 @@
 import math
 import random
 import re
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -446,6 +446,116 @@ def test_near_segment_interior_points_within_rounding():
             err = max(abs(exact.distance(z1.factors(), p) - Decimal(s)),
                       abs(exact.distance(p, z2.factors()) - Decimal(spec.s0 - s)))
             assert float(err) <= 8.0 * U * scale, (z1, z2, frac, float(err) / spec.s0)
+
+
+def signed_point(rng, k: float) -> HPoint:
+    """A point from ``exact.signed(rng, -k, k)``, redrawn until both factor heights clear the margin."""
+    while True:
+        factors = exact.signed(rng, -k, k)
+        if min(w.imag for w in factors) > 1e-12:
+            return HPoint.from_factors(*factors)
+
+
+GEODESIC_REGIMES = {
+    "sampler": lambda rng: (random_hpoint(rng), random_hpoint(rng)),
+    "near": near_pair,
+    "tall": wide_pair,
+    "signed6": lambda rng: (signed_point(rng, 6.0), signed_point(rng, 6.0)),
+    "signed30": lambda rng: (signed_point(rng, 30.0), signed_point(rng, 30.0)),
+}
+
+
+def point_error(z1: HPoint, z2: HPoint, frac: Decimal, factors) -> float:
+    """The worst over the two factors of the hyperbolic distance from the computed factor
+    to the exact point at fraction ``frac`` of the segment, over U ((|x1| + |x2|) / Im p
+    + 1 + d).
+
+    The bound, per factor of length d: the real part x + dx phi, phi in [0, 1], rounds by
+    a few u (|x1| + |x2|) in all (|dx| and |Re p| are at most that), which moves p by that
+    over Im p; the height rounds by a few u, which moves p by a few u; and t = s / s0 and
+    d round by a few u, which move p along the geodesic by a few u d.  So a few units of
+    this scale hold every point, however far the ends lie from the imaginary axis.
+    """
+    worst = 0.0
+    for a, b, w in zip(z1.factors(), z2.factors(), factors):
+        ref = exact.geodesic_point(a, b, frac)
+        d = float(exact.hyp_distance((a.real, a.imag), (b.real, b.imag)))
+        scale = (abs(a.real) + abs(b.real)) / float(ref[1]) + 1.0 + d
+        worst = max(worst, float(exact.hyp_distance((w.real, w.imag), ref)) / (U * scale))
+    return worst
+
+
+def arc_fractions(z1: HPoint, z2: HPoint, s0: float, fracs) -> list:
+    """(s, s / S0) for s = f s0 at each fraction f, with S0 the exact length of the segment:
+    the point at arc length s lies at that fraction of each factor geodesic."""
+    length = exact.distance(z1.factors(), z2.factors())
+    with localcontext(exact._CTX):
+        return [(f * s0, Decimal(f * s0) / length) for f in fracs]
+
+
+def test_exact_geodesic_point_keeps_the_arc_length():
+    # The reference lies at distance t d from its start and (1 - t) d from its end, to
+    # far below a float's rounding, and returns either end as given.
+    rng = random.Random(23)
+    for draw in (GEODESIC_REGIMES["sampler"], wide_pair, GEODESIC_REGIMES["signed6"]):
+        for _ in range(20):
+            f1, f2 = (z.w1 for z in draw(rng))
+            d = exact.hyp_distance((f1.real, f1.imag), (f2.real, f2.imag))
+            for t in (0.25, 0.5, 0.75):
+                p = exact.geodesic_point(f1, f2, t)
+                with localcontext(exact._CTX):
+                    scale = (abs(Decimal(f1.real)) + abs(Decimal(f2.real))) / p[1] + 1 + d
+                    assert abs(exact.hyp_distance((f1.real, f1.imag), p) - Decimal(t) * d) <= Decimal("1e-45") * scale
+                    assert abs(exact.hyp_distance(p, (f2.real, f2.imag)) - (1 - Decimal(t)) * d) <= Decimal("1e-45") * scale
+            assert exact.geodesic_point(f1, f2, 0.0) == (Decimal(f1.real), Decimal(f1.imag))
+            assert exact.geodesic_point(f1, f2, 1.0) == (Decimal(f2.real), Decimal(f2.imag))
+
+
+@pytest.mark.parametrize("regime", GEODESIC_REGIMES)
+def test_geodesic_points_within_the_derived_bound(regime):
+    # Every leg point, against the 60-digit point at the same arc length on the exact
+    # segment, in hyperbolic units (so an error across the geodesic shows as well as one
+    # along it), within 8 units of ``point_error``'s scale; the worst measured is 2.9
+    # units (near pairs).  The fraction 1/2 + 1e-12 takes the backward legs just past
+    # the switch.
+    rng = random.Random(5)
+    for _ in range(60):
+        z1, z2 = GEODESIC_REGIMES[regime](rng)
+        spec = connect(z1, z2)
+        for s, frac in arc_fractions(z1, z2, spec.s0, (0.25, 0.5, 0.75, 0.5 + 1e-12, 1.0)):
+            assert point_error(z1, z2, frac, spec._factors(s)) <= 8.0, (z1, z2, s)
+
+
+def test_geodesic_points_on_far_legs_within_the_derived_bound():
+    # First factors 710 or more apart, where sinh(d) overflows and the leg takes its
+    # e^{dt}-scaled form: one end at height 10^U[300, 308.2], the other at 10^U[-11.9, -9]
+    # and, three times in ten, straight below it, else at a signed offset 10^U[-10, 240].
+    # Near the high end of a nearly vertical leg e^{d(2t - 1)} is a subnormal, so it may
+    # not be rounded on its own: as a factor apart from y / v it put 22 of these 280
+    # points past the bound, the worst by 1.5e7 units.
+    rng = random.Random(7)
+    for _ in range(40):
+        high, low = 10.0 ** rng.uniform(300.0, 308.2), 10.0 ** rng.uniform(-11.9, -9.0)
+        dx = 0.0 if rng.random() < 0.3 else rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-10.0, 240.0)
+        f1, f2 = (complex(0.0, high), complex(dx, low))[::rng.choice((-1, 1))]
+        z1, z2 = HPoint.from_factors(f1, 1j), HPoint.from_factors(f2, 2 + 1j)
+        spec = connect(z1, z2)
+        assert spec._legs[0][5] == math.inf  # the scaled form
+        for s, frac in arc_fractions(z1, z2, spec.s0, (1e-3, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999)):
+            assert point_error(z1, z2, frac, spec.point(s).factors()) <= 8.0, (f1, f2, s)
+
+
+@pytest.mark.parametrize("k", [30.0, 100.0, 300.0])
+def test_geodesic_points_resolve_on_the_accepted_domain(k):
+    # Pairs with factor heights and signed offsets 10^U[-k, k] that the model accepts:
+    # connect and point refuse none of them, and every point holds the derived bound.  At
+    # k = 300, 12 of the 100 pairs have a factor length past 710, where sinh(d) overflows.
+    rng = random.Random(24)
+    for _ in range(100):
+        z1, z2 = signed_point(rng, k), signed_point(rng, k)
+        spec = connect(z1, z2)
+        for s, frac in arc_fractions(z1, z2, spec.s0, (0.25, 0.5, 0.75)):
+            assert point_error(z1, z2, frac, spec.point(s).factors()) <= 8.0, (z1, z2, s)
 
 
 def test_distance_pythagoras_against_oracle(rng):
