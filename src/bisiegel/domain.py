@@ -6,28 +6,26 @@ bi-symmetric matrices reads ``Im tau > |Im z|``.  The bounded (disc) model
 consists of bi-symmetric ``[[z1, z2], [z2, z1]]`` with ``I - Z0 conj(Z0)``
 positive definite, equivalently ``|z1 + z2| < 1`` and ``|z1 - z2| < 1``.
 
-Points of both models are stored by their factor coordinates, the two
-eigenvalues ``(tau + z, tau - z)`` and ``(z1 + z2, z1 - z2)``.  They identify
-the half-space with a product of two upper half-planes and the bounded model
-with a product of two unit discs, and every closed form in this package is
-two copies of a one-plane (or one-disc) formula.  ``(tau, z)`` and
-``(z1, z2)`` are derived from the factors, for JSON and the matrix
-references in ``verify``.  The Cayley maps ``Z -> (Z - iI)(Z + iI)^-1`` and
-``Z0 -> i(I + Z0)(I - Z0)^-1`` are, per factor, ``w -> (w - i)/(w + i)`` and
-``u -> i(1 + u)/(1 - u)``.  The image of a valid point that falls inside the
-other model's margin is a numerical limit, not bad input.
+Points of both models are stored by their factor coordinates, the two eigenvalues
+``(tau + z, tau - z)`` and ``(z1 + z2, z1 - z2)``.  They identify the half-space with a product
+of two upper half-planes and the bounded model with a product of two unit discs, and every closed
+form in this package is two copies of a one-plane (or one-disc) formula.  ``(tau, z)`` and
+``(z1, z2)`` are derived from the factors, for JSON and the matrix references in ``verify``.  The
+Cayley maps ``Z -> (Z - iI)(Z + iI)^-1`` and ``Z0 -> i(I + Z0)(I - Z0)^-1`` are, per factor,
+``w -> (w - i)/(w + i)`` and ``u -> i(1 + u)/(1 - u)``.  The image of a valid point that falls
+inside the other model's margin is a numerical limit, not bad input.
 
-Each model has one membership test, in its private builder (``_hpoint``,
-``_epoint``), with the one margin ``_DOM_EPS``, and every point is built
-through it: ``HPoint(tau, z)`` and ``EPoint(z1, z2)`` through ``from_factors``.
-Membership is asked by building the point; a ``DomainViolation`` is the answer no.
+Each model has one membership test, in its private builder, with the one margin ``_DOM_EPS``:
+``_hpoint`` tests the factors' parts as floats, which its callers hold or read once, and
+``_epoint`` the moduli.  Every point is built through it: ``HPoint(tau, z)`` and ``EPoint(z1, z2)``
+through ``from_factors``.  Membership is asked by building the point; a ``DomainViolation`` is
+the answer no.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import DomainViolation, NumericalBreakdown
@@ -71,7 +69,7 @@ class HPoint:
     @classmethod
     def from_factors(cls, w1: complex, w2: complex) -> "HPoint":
         """The point with these factor coordinates (each finite, Im w > ``_DOM_EPS``)."""
-        return _hpoint(complex(w1), complex(w2))
+        return _hpoint(w1 := complex(w1), w2 := complex(w2), w1.real, w1.imag, w2.real, w2.imag)
 
     def factors(self) -> tuple[complex, complex]:
         """Coordinates (tau + z, tau - z) in the two half-plane factors."""
@@ -126,10 +124,10 @@ _set_u1, _set_u2 = EPoint.u1.__set__, EPoint.u2.__set__
 _LOG_LO, _LOG_SPAN = math.log(0.1), math.log(10.0) - math.log(0.1)
 
 
-def _hpoint(w1: complex, w2: complex) -> HPoint:
-    """The point with complex factors w1, w2 (finite, Im w > ``_DOM_EPS``): the one membership test."""
-    if not (_DOM_EPS < w1.imag < _inf and _DOM_EPS < w2.imag < _inf
-            and _isfinite(w1.real) and _isfinite(w2.real)):
+def _hpoint(w1: complex, w2: complex, x1: float, y1: float, x2: float, y2: float) -> HPoint:
+    """The point with factors w1 = x1 + i y1, w2 = x2 + i y2: the one membership test (each finite,
+    y > ``_DOM_EPS``), on the parts, which each caller passes as the floats it holds or reads once."""
+    if not (_DOM_EPS < y1 < _inf and _DOM_EPS < y2 < _inf and _isfinite(x1) and _isfinite(x2)):
         raise DomainViolation(f"factors ({w1!r}, {w2!r}) are outside the half-space model")
     point = _new(HPoint)
     _set_w1(point, w1)
@@ -152,27 +150,30 @@ def _epoint(u1: complex, u2: complex) -> EPoint:
     return point
 
 
-def _image(make: Callable, f1: complex, f2: complex):
-    """Build with ``make`` the image of a valid point under a map of the space
-    (a Cayley map or a motion), which can fall inside the margin: a numerical limit."""
-    try:
-        return make(f1, f2)
-    except DomainViolation as exc:
-        raise NumericalBreakdown(f"image not resolved at the dom_eps margin: {exc}") from exc
+def _image_breakdown(exc: DomainViolation) -> NumericalBreakdown:
+    """An image of a valid point under a map (Cayley, a motion) inside the margin: a numerical limit."""
+    return NumericalBreakdown(f"image not resolved at the dom_eps margin: {exc}")
 
 
 def cayley_to_disc(point: HPoint) -> EPoint:
     """Map the half-space model onto the bounded model, (Z - iI)(Z + iI)^-1:
     (w - i)/(w + i) per factor.  No guard: for Im w > 0, |w + i| > 1."""
     w1, w2 = point.factors()
-    return _image(_epoint, (w1 - 1j) / (w1 + 1j), (w2 - 1j) / (w2 + 1j))
+    try:
+        return _epoint((w1 - 1j) / (w1 + 1j), (w2 - 1j) / (w2 + 1j))
+    except DomainViolation as exc:
+        raise _image_breakdown(exc) from exc
 
 
 def cayley_to_halfspace(point: EPoint) -> HPoint:
     """Inverse Cayley map, i(I + Z0)(I - Z0)^-1: i(1 + u)/(1 - u) per factor.
     No guard: for |u| < 1, 1 - u is not 0; a high image is checked as a point."""
     u1, u2 = point.factors()
-    return _image(_hpoint, 1j * (1.0 + u1) / (1.0 - u1), 1j * (1.0 + u2) / (1.0 - u2))
+    g1, g2 = 1j * (1.0 + u1) / (1.0 - u1), 1j * (1.0 + u2) / (1.0 - u2)
+    try:
+        return _hpoint(g1, g2, g1.real, g1.imag, g2.real, g2.imag)
+    except DomainViolation as exc:
+        raise _image_breakdown(exc) from exc
 
 
 def random_hpoint(rng: random.Random) -> HPoint:
@@ -186,4 +187,4 @@ def random_hpoint(rng: random.Random) -> HPoint:
     y_minus = math.exp(_LOG_LO + _LOG_SPAN * rng.random())
     x_plus = -5.0 + 10.0 * rng.random()
     x_minus = -5.0 + 10.0 * rng.random()
-    return _hpoint(complex(x_plus, y_plus), complex(x_minus, y_minus))
+    return _hpoint(complex(x_plus, y_plus), complex(x_minus, y_minus), x_plus, y_plus, x_minus, y_minus)

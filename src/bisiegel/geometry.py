@@ -1,16 +1,15 @@
-"""Metric structure: cross-ratio eigenvalues, invariant metric, distance,
-geodesics, volume density.
+"""Metric structure: cross-ratio eigenvalues, invariant metric, distance, geodesics, volume density.
 
-The invariant metric is tr(Y^-1 dZ Y^-1 d(conj Z)) at Z = X + iY.  In the
-factor coordinates (tau + z, tau - z) it splits into two half-plane metrics
-|dw|^2 / (Im w)^2, and every closed form below is computed per factor from
-one quantity, the chord s = |w - w'| / (2 sqrt(y y')) = sinh(d/2) of the
-half-plane distance d: the distance is the root-sum-square of the two
-2 asinh(s), the matrix cross ratio has the eigenvalues tanh^2(d/2), and a
-geodesic is a pair of half-plane geodesics at a common arc-length parameter, each
-point from the sinh form of its legs: ``GeodesicSpec`` holds the length and leg
-constants, ``point`` is its one reader (``verify`` reads the legs unchecked, through
-``_factors``).  The matrix cross ratio itself is computed only by the literal reference in ``verify``.
+The invariant metric is tr(Y^-1 dZ Y^-1 d(conj Z)) at Z = X + iY.  In the factor coordinates
+(tau + z, tau - z) it splits into two half-plane metrics |dw|^2 / (Im w)^2, and every closed form
+below is computed per factor from one quantity, the chord s = |w - w'| / (2 sqrt(y y')) = sinh(d/2)
+of the half-plane distance d: the distance is the root-sum-square of the two 2 asinh(s), the
+matrix cross ratio has the eigenvalues tanh^2(d/2), and a geodesic is a pair of half-plane
+geodesics at a common arc-length parameter.  ``GeodesicSpec`` holds the length and leg constants;
+``_leg_points`` takes both factors' points from the sinh form of their legs in one pass, and
+``point``, the record's one reader, builds the point from those floats (``verify`` reads them
+unchecked, through ``_factors``).  The matrix cross ratio itself is computed only by the literal
+reference in ``verify``.
 """
 
 from __future__ import annotations
@@ -76,10 +75,6 @@ def _half_distance(w1: complex, w2: complex) -> float:
     return math.log(abs(w1 / 4.0 - w2 / 4.0)) + math.log(2.0) + math.log(4.0 / (w1.imag * w2.imag)) / 2.0
 
 
-def _chords(z1: HPoint, z2: HPoint) -> tuple[float, float]:
-    return _chord(z1.w1, z2.w1), _chord(z1.w2, z2.w2)
-
-
 def _tanh_sq(s: float) -> float:
     """|w - w1|^2 / |w - conj w1|^2 = tanh^2(d/2) from the chord s = sinh(d/2)."""
     return (s / math.hypot(1.0, s)) ** 2 if s < math.inf else 1.0
@@ -102,7 +97,7 @@ def metric_form(point: HPoint, d: Tangent) -> float:
 
 def distance_params(z1: HPoint, z2: HPoint) -> tuple[float, ...]:
     """The two per-factor ratios 2 cosh d = 2 + 4 sinh^2(d/2) (each >= 2)."""
-    out = tuple(2.0 + 4.0 * s * s for s in _chords(z1, z2))
+    out = tuple(2.0 + 4.0 * s * s for s in (_chord(z1.w1, z2.w1), _chord(z1.w2, z2.w2)))
     if not max(out) < math.inf:
         raise NumericalBreakdown(f"2 cosh d overflows: {out!r}")
     return out
@@ -114,13 +109,11 @@ def distance(z1: HPoint, z2: HPoint) -> float:
 
 
 def _legs(f1: complex, f2: complex) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
-    """The length d = 2 asinh(s) of the half-plane geodesic between f1 and f2, for the
-    chord s, and its constants from each end: (x, y, dx, yn, vn, vs, d) for the start
-    x + iy, the offset dx and height v of the other end, the heights over h = max(y, v)
-    and vs = vn sinh(d).  Where sinh(d) overflows (d >= 710), h = 1 and vs = inf for
-    ``_leg_point``'s scaled form.  A chord that underflows to 0 (ends within rounding)
-    gives the legs the least positive length, which keeps each at its own end.
-    """
+    """The length d = 2 asinh(s) of the half-plane geodesic from f1 to f2 (chord s) and its leg
+    constants from each end: (x, y, dx, yn, vn, vs, d) for the start x + iy, the other end's
+    offset dx and height v, the heights over h = max(y, v), and vs = vn sinh(d); where sinh(d)
+    overflows (d >= 710), h = 1 and vs = inf.  A chord that underflows to 0 (ends within
+    rounding) gives the legs the least positive length, which keeps each at its own end."""
     s = _chord(f1, f2)
     d = 2.0 * math.asinh(s)
     x1, y1, x2, y2 = f1.real, f1.imag, f2.real, f2.imag
@@ -135,35 +128,51 @@ def _legs(f1: complex, f2: complex) -> tuple[float, tuple[float, ...], tuple[flo
     return d, (x1, y1, x2 - x1, yn, vn, vn * sd, dl), (x2, y2, x1 - x2, vn, yn, yn * sd, dl)
 
 
-def _leg_point(leg: tuple[float, ...], t: float) -> complex:
-    """Point at fraction t <= 1/2 of a half-plane geodesic leg.
+def _leg_points(legs: tuple, t: float) -> tuple[float, float, float, float]:
+    """Parts (x1, y1, x2, y2) of both factors' points at fraction t, unchecked: the forward
+    legs (from z1) serve t <= 1/2, the backward legs (from z2) the rest at 1 - t.  With
+    sig(t) = sinh(dt) / sinh(d) a leg's point is x + y (dx sig(t) + i v) / (y sig(t) + v sig(1 - t)),
+    here times sinh(d) / h: x + dx ys / k with ys / k in [0, 1], and height y vs / k with
+    vs / k <= sinh(d) / sinh(d/2).  No term overflows for heights above ``_DOM_EPS`` or cancels
+    as d -> 0, and a vertical leg needs no case of its own.  The form is written once per
+    factor.  A factor whose sinh(d) overflows takes it times e^{dt} instead (``_scaled_leg_point``,
+    its ``vn`` is v itself): a = e^{dt} sig(1 - t) ~ 1, c = e^{dt}, and r = e^{dt} sig(t) y / v from
+    one exponential, so no subnormal factor enters; where r overflows with y / v, the point is
+    (q, c) / (a / y + q), q = r / y."""
+    if t <= 0.5:
+        leg = legs[0]
+    else:
+        leg, t = legs[1], 1.0 - t
+    x1, y1, dx1, yn1, vn1, vs1, d1, x2, y2, dx2, yn2, vn2, vs2, d2 = leg
+    if vs1 < inf:
+        ys1 = yn1 * sinh(dt1 := d1 * t)
+        k1 = ys1 + vn1 * sinh(d1 - dt1)
+        x1, y1 = x1 + dx1 * (ys1 / k1), y1 * (vs1 / k1)
+    else:
+        x1, y1 = _scaled_leg_point(x1, y1, dx1, vn1, d1, t)
+    if vs2 < inf:
+        ys2 = yn2 * sinh(dt2 := d2 * t)
+        k2 = ys2 + vn2 * sinh(d2 - dt2)
+        x2, y2 = x2 + dx2 * (ys2 / k2), y2 * (vs2 / k2)
+    else:
+        x2, y2 = _scaled_leg_point(x2, y2, dx2, vn2, d2, t)
+    return x1, y1, x2, y2
 
-    With sig(t) = sinh(dt) / sinh(d) the point is x + y (dx sig(t) + i v) / (y sig(t)
-    + v sig(1 - t)), taken times sinh(d) / h: x + dx ys / k with ys / k in [0, 1], and
-    height y vs / k with vs / k <= sinh(d) / sinh(d/2).  No term overflows for heights
-    above ``_DOM_EPS`` or cancels as d -> 0, and a vertical leg needs no case of its own.
-    Where sinh(d) overflows, the form is taken times e^{dt}: a = e^{dt} sig(1 - t) ~ 1,
-    c = e^{dt}, and r = e^{dt} sig(t) y / v from one exponential, so that no subnormal
-    factor enters; where r overflows with y / v, the point is (q, c) / (a / y + q), q = r / y.
-    """
-    x, y, dx, yn, vn, vs, d = leg
-    if vs < inf:
-        dt = d * t
-        ys = yn * sinh(dt)
-        k = ys + vn * sinh(d - dt)
-        return complex(x + dx * (ys / k), y * (vs / k))
+
+def _scaled_leg_point(x: float, y: float, dx: float, v: float, d: float, t: float) -> tuple[float, float]:
+    """Parts of the point at fraction t <= 1/2 of a leg whose sinh(d) overflows (``_leg_points``)."""
     a, f, c = -expm1(-2.0 * d * (1.0 - t)), -expm1(-2.0 * d * t), exp(d * t)
-    r = exp(d * (2.0 * t - 1.0) + math.log(y)) * f / vn  # vn is v itself here
+    r = exp(d * (2.0 * t - 1.0) + math.log(y)) * f / v
     if r < inf:
-        return complex(x + dx * (r / (a + r)), y * (c / (a + r)))
-    q = exp(d * (2.0 * t - 1.0)) * f / vn
-    return complex(x + dx * (q / (a / y + q)), c / (a / y + q))
+        return x + dx * (r / (a + r)), y * (c / (a + r))
+    q = exp(d * (2.0 * t - 1.0)) * f / v
+    return x + dx * (q / (a / y + q)), c / (a / y + q)
 
 
 @dataclass(frozen=True, init=False, slots=True)
 class GeodesicSpec:
-    """A geodesic segment: its length and the constants of its four legs, which hold
-    both ends, so two specs are equal only for the same segment.
+    """A geodesic segment: its length and its legs' constants, forward and backward, each
+    of both factors, which hold both ends, so two specs are equal only for the same segment.
 
     ``connect`` is its only builder and ``point`` its one reader.
     """
@@ -173,12 +182,8 @@ class GeodesicSpec:
 
     def _factors(self, s: float) -> tuple[complex, complex]:
         """Factors (w1, w2) of ``point(s)``, unchecked: each moves the fraction t = s / s0."""
-        t = s / self.s0
-        # Forward legs (from z1) serve t <= 1/2, backward legs (from z2) the rest.
-        fwd1, bwd1, fwd2, bwd2 = self._legs
-        if t <= 0.5:
-            return _leg_point(fwd1, t), _leg_point(fwd2, t)
-        return _leg_point(bwd1, 1.0 - t), _leg_point(bwd2, 1.0 - t)
+        x1, y1, x2, y2 = _leg_points(self._legs, s / self.s0)
+        return complex(x1, y1), complex(x2, y2)
 
     def point(self, s: float) -> HPoint:
         """Point at arc length s of the segment: s within ``_ABS_EPS`` of [0, s0].
@@ -190,8 +195,8 @@ class GeodesicSpec:
         if not (-_ABS_EPS <= s <= self.s0 + _ABS_EPS):
             raise OutOfRange(f"arc length s={s!r} outside [0, {self.s0!r}]")
         try:
-            w1, w2 = self._factors(s)
-            return _hpoint(w1, w2)
+            x1, y1, x2, y2 = _leg_points(self._legs, s / self.s0)
+            return _hpoint(complex(x1, y1), complex(x2, y2), x1, y1, x2, y2)
         except (ZeroDivisionError, DomainViolation) as exc:
             raise NumericalBreakdown(f"point at s={s!r} of s0={self.s0!r} not resolved: {exc}") from exc
 
@@ -210,7 +215,7 @@ def connect(z1: HPoint, z2: HPoint) -> GeodesicSpec:
         raise DegeneratePair(f"geodesic length {s0!r} is below dom_eps={_DOM_EPS!r}: coincident points")
     spec = _new(GeodesicSpec)
     _set_s0(spec, s0)
-    _set_legs(spec, (fwd1, bwd1, fwd2, bwd2))
+    _set_legs(spec, (fwd1 + fwd2, bwd1 + bwd2))
     return spec
 
 

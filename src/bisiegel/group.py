@@ -38,8 +38,9 @@ import random
 from dataclasses import dataclass
 from math import cos, exp, hypot, inf, isfinite, pi, sin, sqrt
 
-from .domain import HPoint, _hpoint, _image, _new
+from .domain import HPoint, _hpoint, _image_breakdown, _new
 from .errors import (
+    DomainViolation,
     NotInHatGroup,
     NotSymplectic,
     NotUnimodular,
@@ -47,7 +48,7 @@ from .errors import (
     UnitModulusViolation,
     ValidationError,
 )
-from .geometry import _chords
+from .geometry import _chord
 from .numkit import _ABS_EPS, Mat4R, _check_finite
 
 __all__ = [
@@ -304,9 +305,13 @@ def apply(motion: MotionMatrix, point: HPoint) -> HPoint:
     (a1, b1, c1, d1), (a2, b2, c2, d2), w1, w2 = motion._e1, motion._e2, point.w1, point.w2
     try:
         g1, g2 = (a1 * w1 + b1) / (c1 * w1 + d1), (a2 * w2 + b2) / (c2 * w2 + d2)
+        if motion.eps == -1:
+            g1, g2 = g2, g1
+        return _hpoint(g1, g2, g1.real, g1.imag, g2.real, g2.imag)
     except ZeroDivisionError:
         raise NumericalBreakdown(f"image of ({w1!r}, {w2!r}) at infinity: a denominator is 0") from None
-    return _image(_hpoint, g1, g2) if motion.eps == 1 else _image(_hpoint, g2, g1)
+    except DomainViolation as exc:
+        raise _image_breakdown(exc) from exc
 
 
 def split(motion: MotionMatrix) -> tuple[Sl2Matrix, Sl2Matrix]:
@@ -418,7 +423,7 @@ def reduce_pair(z_base: HPoint, z_other: HPoint) -> ReducedPair:
     # whose radius rounds to 1 still has its phase.
     c1, s1 = _half_conj_phase((h1 - 1j) / (h1 + 1j))
     c2, s2 = _half_conj_phase((h2 - 1j) / (h2 + 1j))
-    s_plus, s_minus = _chords(z_base, z_other)
+    s_plus, s_minus = _chord(b1, z_other.w1), _chord(b2, z_other.w2)
     swap = s_plus < s_minus
     s_big, s_small = (s_minus, s_plus) if swap else (s_plus, s_minus)
     # For the chord s = sinh(d/2) the dilation is e^d = m^2 with m = s + sqrt(1 + s^2):

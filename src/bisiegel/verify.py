@@ -214,8 +214,7 @@ def _check_reduction(rng: random.Random) -> tuple[float, ...]:
     # Residuals are scale-normalized: moving a point to height lambda through
     # a float matrix cannot beat lambda^2 * eps absolutely, so the honest
     # conditioning measure divides by the canonical height.
-    z1 = random_hpoint(rng)
-    z2 = random_hpoint(rng)
+    z1, z2 = random_hpoint(rng), random_hpoint(rng)
     red = reduce_pair(z1, z2)
     img1 = apply(red.mover, z1)
     img2 = apply(red.mover, z2)
@@ -228,8 +227,7 @@ def _check_reduction(rng: random.Random) -> tuple[float, ...]:
 
 
 def _check_reduction_invariance(rng: random.Random) -> tuple[float, ...]:
-    z1 = random_hpoint(rng)
-    z2 = random_hpoint(rng)
+    z1, z2 = random_hpoint(rng), random_hpoint(rng)
     m = random_motion(rng)
     red = reduce_pair(z1, z2)
     red_moved = reduce_pair(apply(m, z1), apply(m, z2))
@@ -242,21 +240,18 @@ def _check_reduction_invariance(rng: random.Random) -> tuple[float, ...]:
 
 def _check_isometry(rng: random.Random) -> tuple[float, ...]:
     m = random_motion(rng)
-    z1 = random_hpoint(rng)
-    z2 = random_hpoint(rng)
+    z1, z2 = random_hpoint(rng), random_hpoint(rng)
     return (abs(distance(apply(m, z1), apply(m, z2)) - distance(z1, z2)),)
 
 
 def _check_pythagoras(rng: random.Random) -> tuple[float, ...]:
-    z1 = random_hpoint(rng)
-    z2 = random_hpoint(rng)
+    z1, z2 = random_hpoint(rng), random_hpoint(rng)
     d_plus, d_minus = (hyp_distance(a, b) for a, b in zip(z1.factors(), z2.factors()))
     return (abs(distance(z1, z2) ** 2 - d_plus**2 - d_minus**2),)
 
 
 def _check_cross_ratio_invariance(rng: random.Random) -> tuple[float, ...]:
-    z1 = random_hpoint(rng)
-    z2 = random_hpoint(rng)
+    z1, z2 = random_hpoint(rng), random_hpoint(rng)
     m = random_motion(rng)
     ev = cross_ratio_eigenvalues(z1, z2)
     ev_m = cross_ratio_eigenvalues(apply(m, z1), apply(m, z2))
@@ -287,15 +282,13 @@ def _check_metric_invariance(rng: random.Random) -> tuple[float, ...]:
 
 
 def _check_geodesic_endpoints(rng: random.Random) -> tuple[float, ...]:
-    z1 = random_hpoint(rng)
-    z2 = random_hpoint(rng)
+    z1, z2 = random_hpoint(rng), random_hpoint(rng)
     spec = connect(z1, z2)
     return _points_gap(spec.point(0.0), z1), _points_gap(spec.point(spec.s0), z2)
 
 
 def _check_geodesic_reversal(rng: random.Random) -> tuple[float, ...]:
-    z1 = random_hpoint(rng)
-    z2 = random_hpoint(rng)
+    z1, z2 = random_hpoint(rng), random_hpoint(rng)
     fwd = connect(z1, z2)
     bwd = connect(z2, z1)
     steps = [frac * fwd.s0 for frac in (0.25, 0.5, 0.75)]
@@ -335,16 +328,14 @@ def _check_ode_residual(rng: random.Random) -> tuple[float, ...]:
     # The reduced solution of Z'' + i Z' Y^-1 Z' = 0 lies on the imaginary axes: each
     # image's angle off the positive imaginary axis, which is defined for every image
     # (near pi below the real axis, NaN for a NaN image).
-    z1 = random_hpoint(rng)
-    z2 = random_hpoint(rng)
+    z1, z2 = random_hpoint(rng), random_hpoint(rng)
     return tuple(atan2(abs(g.real), g.imag) for g, _ in _reduced_geodesic(z1, z2))
 
 
 def _check_arc_length(rng: random.Random) -> tuple[float, ...]:
     # Unit speed: the image at arc length s has the height e^h of the reduced geodesic
     # there.  The ratio |g| e^-h is defined for every image (0 and inf read as FAIL).
-    z1 = random_hpoint(rng)
-    z2 = random_hpoint(rng)
+    z1, z2 = random_hpoint(rng), random_hpoint(rng)
     return tuple(abs(abs(g) * exp(-h) - 1.0) for g, h in _reduced_geodesic(z1, z2))
 
 
@@ -360,9 +351,7 @@ def _check_volume_jacobian(rng: random.Random) -> tuple[float, ...]:
 
 
 def _check_triangle(rng: random.Random) -> tuple[float, ...]:
-    z1 = random_hpoint(rng)
-    z2 = random_hpoint(rng)
-    z3 = random_hpoint(rng)
+    z1, z2, z3 = random_hpoint(rng), random_hpoint(rng), random_hpoint(rng)
     return (distance(z1, z3) - distance(z1, z2) - distance(z2, z3),)
 
 

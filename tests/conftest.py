@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -12,7 +13,7 @@ import exact
 from bisiegel.cli import main
 from bisiegel.domain import HPoint, random_hpoint
 from bisiegel.errors import NumericalBreakdown
-from bisiegel.geometry import _chords, volume_density
+from bisiegel.geometry import _chord, volume_density
 from bisiegel.group import (
     Sl2Matrix,
     StabilizerParams,
@@ -46,6 +47,16 @@ def disc_stabilizer(xi1: complex, xi2: complex, eps: int) -> dict:
                      f"--xi2={xi2.real!r},{xi2.imag!r}", "--eps", str(eps), "--model", "disc"])
     assert code == 0
     return json.loads(out.getvalue())
+
+
+def mutated(module, name: str, old: str, new: str):
+    """``module.name`` rebuilt from its source with the one ``old`` replaced by ``new``,
+    in the module's namespace: a mutant that differs from the library only there."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1
+    namespace: dict = {}
+    exec(source.replace(old, new), vars(module), namespace)
+    return namespace[name]
 
 
 def extreme_pair(rng):
@@ -138,7 +149,7 @@ def composed_reduce_pair(z_base: HPoint, z_other: HPoint):
     transport = transport_to_iI(z_base)
     images = ((w - b.real) / b.imag for b, w in zip(z_base.factors(), z_other.factors()))
     xi1, xi2 = (complex(*_half_conj_phase((h - 1j) / (h + 1j))) for h in images)
-    s_plus, s_minus = _chords(z_base, z_other)
+    s_plus, s_minus = _chord(z_base.w1, z_other.w1), _chord(z_base.w2, z_other.w2)
     swap = s_plus < s_minus
     s_big, s_small = (s_minus, s_plus) if swap else (s_plus, s_minus)
     # Half of each dilation (s + sqrt(1 + s^2))^2, as m * (m / 2).

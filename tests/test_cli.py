@@ -1,6 +1,5 @@
 import cmath
 import hashlib
-import inspect
 import io
 import json
 import math
@@ -19,6 +18,8 @@ from bisiegel.domain import EPoint, HPoint
 from bisiegel.errors import DomainViolation, GeometryError, NumericalBreakdown
 from bisiegel.geometry import GeodesicSpec
 from bisiegel.group import MotionMatrix, Sl2Matrix, apply, random_motion
+
+from conftest import mutated
 
 I_JSON = '{"tau":[0,1],"z":[0,0]}'
 TWO_I_JSON = '{"tau":[0,2],"z":[0,0]}'
@@ -381,16 +382,6 @@ def test_arc_length_check_catches_a_reparametrized_geodesic(monkeypatch):
     assert not result.passed and result.max_residual > 1e-5
 
 
-def _mutated(module, name: str, old: str, new: str):
-    """``module.name`` rebuilt from its source with the one ``old`` replaced by ``new``,
-    in the module's namespace: a mutant that differs from the library only there."""
-    source = inspect.getsource(getattr(module, name))
-    assert source.count(old) == 1
-    namespace: dict = {}
-    exec(source.replace(old, new), vars(module), namespace)
-    return namespace[name]
-
-
 def _bend(monkeypatch):
     # w1 + 1e-6 Im w1 sin(pi s / s0): the first factor leaves its geodesic sideways,
     # its ends kept.
@@ -404,7 +395,8 @@ def _bend(monkeypatch):
 
 
 def _leg(old: str, new: str):
-    return lambda monkeypatch: monkeypatch.setattr(geometry, "_leg_point", _mutated(geometry, "_leg_point", old, new))
+    # The evaluator writes the sinh form once per factor, so each text names one factor's leg.
+    return lambda monkeypatch: monkeypatch.setattr(geometry, "_leg_points", mutated(geometry, "_leg_points", old, new))
 
 
 def _taller_image(monkeypatch):
@@ -426,7 +418,7 @@ def _conjugate(monkeypatch):
 def _length(old: str, new: str):
     # connect with a wrong length s0: _factors(f s0) still reads the fraction f, so
     # every point stays on the segment; only the arc length at each point is wrong.
-    return lambda monkeypatch: monkeypatch.setattr(verify, "connect", _mutated(geometry, "connect", old, new))
+    return lambda monkeypatch: monkeypatch.setattr(verify, "connect", mutated(geometry, "connect", old, new))
 
 
 CHECK_MUTANTS = {
@@ -434,10 +426,12 @@ CHECK_MUTANTS = {
     "conjugate": _conjugate,
     "double_length": _length("s0 = math.hypot(", "s0 = 2.0 * math.hypot("),
     "summed_length": _length("s0 = math.hypot(d1, d2)", "s0 = d1 + d2"),
-    # A 1% error in the argument of the leg's sinh(dt), and a (0.5 - t) skew of the
-    # exponent of its height ratio.
-    "b_expm1": _leg("ys = yn * sinh(dt)", "ys = yn * sinh(1.01 * dt)"),
-    "c_skew": _leg("y * (vs / k)", "y * (vs / k) ** (1.0 + 1e-3 * (0.5 - t))"),
+    # A 1% error in the argument of a leg's sinh(dt), and a (0.5 - t) skew of the
+    # exponent of its height ratio: in the first factor, and (_2) in the second.
+    "b_expm1": _leg("sinh(dt1 := d1 * t)", "sinh(1.01 * (dt1 := d1 * t))"),
+    "c_skew": _leg("y1 * (vs1 / k1)", "y1 * (vs1 / k1) ** (1.0 + 1e-3 * (0.5 - t))"),
+    "b_expm1_2": _leg("sinh(dt2 := d2 * t)", "sinh(1.01 * (dt2 := d2 * t))"),
+    "c_skew_2": _leg("y2 * (vs2 / k2)", "y2 * (vs2 / k2) ** (1.0 + 1e-3 * (0.5 - t))"),
     "taller_image": _taller_image,
 }
 
@@ -452,6 +446,10 @@ CHECK_MUTANTS = {
     ("b_expm1", "ode_residual"),
     ("c_skew", "arc_length"),
     ("c_skew", "ode_residual"),
+    ("b_expm1_2", "arc_length"),
+    ("b_expm1_2", "ode_residual"),
+    ("c_skew_2", "arc_length"),
+    ("c_skew_2", "ode_residual"),
     ("taller_image", "metric_invariance"),
     ("taller_image", "volume_jacobian"),
 ])
@@ -477,15 +475,16 @@ def test_geodesic_checks_report_an_image_below_the_axis_as_a_row(capsys, monkeyp
 
 def test_arc_length_check_reads_a_vertical_leg(monkeypatch):
     # The sampler draws no vertical leg (dx == 0); the check on a drawn vertical pair
-    # reads one.  There the height y vs / k is y^(1-t) v^t; linear heights y + (v - y) t
-    # (v = y vn / yn) in its place leave the unit speed by about 0.3 in log height.
+    # reads one, here in the first factor.  There the height y vs / k is y^(1-t) v^t; linear
+    # heights y + (v - y) t (v = y vn / yn) in its place leave the unit speed by about 0.3
+    # in log height.
     z1, z2 = HPoint.from_factors(1 + 1j, 2 + 3j), HPoint.from_factors(1 + 5j, 0.5 + 0.7j)
     check, tol, _ = verify.SUITE["arc_length"]
     points = iter((z1, z2, z1, z2))
     monkeypatch.setattr(verify, "random_hpoint", lambda rng: next(points))
     assert max(check(None)) <= tol
-    monkeypatch.setattr(geometry, "_leg_point",
-                        _mutated(geometry, "_leg_point", "y * (vs / k)", "y + (y * vn / yn - y) * t"))
+    monkeypatch.setattr(geometry, "_leg_points",
+                        mutated(geometry, "_leg_points", "y1 * (vs1 / k1)", "y1 + (y1 * vn1 / yn1 - y1) * t"))
     assert max(check(None)) > 0.1
 
 

@@ -126,26 +126,31 @@ NONFINITE_PARTS = [
 ]
 
 
+def parts(pair) -> tuple[float, ...]:
+    """The parts (x1, y1, x2, y2) of a factor pair, as ``_hpoint`` takes them beside the factors."""
+    return tuple(p for w in pair for p in (w.real, w.imag))
+
+
 #: The margin as the library sets it, and raised to 1e-6 through the module constant.
 MARGINS = pytest.mark.parametrize("eps", [1e-12, 1e-6], ids=["tol0", "tol1"])
 
 
 @MARGINS
 def test_half_space_membership_on_each_side_of_the_margin(eps, monkeypatch):
-    # from_factors and the private builder answer through one test: a factor at
-    # Im w = _DOM_EPS is out, the next float up is in.
+    # from_factors and the private builder answer through one test, on the factors' parts:
+    # a factor at Im w = _DOM_EPS is out, the next float up is in.
     monkeypatch.setattr("bisiegel.domain._DOM_EPS", eps)
     cases = [(complex(0.5, eps), False), (complex(0.5, math.nextafter(eps, math.inf)), True)]
     for w, inside in cases + [(w, False) for w in NONFINITE_PARTS]:
         for pair in ((w, w), (w, 1j), (1j, w)):
             if inside:
                 assert HPoint.from_factors(*pair).factors() == pair
-                assert _hpoint(*pair).factors() == pair
+                assert _hpoint(*pair, *parts(pair)).factors() == pair
                 continue
             with pytest.raises(DomainViolation, match="outside the half-space model"):
                 HPoint.from_factors(*pair)
             with pytest.raises(DomainViolation, match="outside the half-space model"):
-                _hpoint(*pair)
+                _hpoint(*pair, *parts(pair))
 
 
 @MARGINS
@@ -190,7 +195,7 @@ def test_records_are_slotted_and_frozen():
         (_sl2(1.0, 2.0, 0.0, 1.0), shear),
         (_motion((1.0, 0.0, 0.0, 1.0), (1.0, 2.0, 0.0, 1.0), -1), MotionMatrix(i2, shear, -1)),
         (red, ReducedPair(red.mover, red.lambda1, red.lambda2)),
-        (_hpoint(3j, 1j), z1),
+        (_hpoint(3j, 1j, 0.0, 3.0, 0.0, 1.0), z1),
         (_epoint(0.5 + 0j, 0.25 + 0j), EPoint(0.375, 0.125)),
     )
     for trusted, checked in twins:

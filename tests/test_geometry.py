@@ -1,3 +1,5 @@
+import cmath
+import json
 import math
 import random
 import re
@@ -8,7 +10,7 @@ import pytest
 
 import exact
 from bisiegel import geometry, verify
-from bisiegel.cli import main
+from bisiegel.cli import _parse_hpoint, main
 from bisiegel.domain import HPoint, random_hpoint
 from bisiegel.errors import (
     DegeneratePair,
@@ -42,6 +44,7 @@ from conftest import (
     _path_speed,
     _simpson,
     extreme_pair,
+    mutated,
     volume_jacobian_residual,
 )
 
@@ -315,24 +318,47 @@ def test_geodesics_between_extreme_factor_pairs():
     assert done >= 2900
 
 
+def far_pair(rng):
+    """A sampler pair whose factors at one slot are moved to heights 10^U[300, 308.2] and
+    10^U[-11.9, -9], 710 or more apart: that factor's legs take the scaled form."""
+    slot = rng.choice((0, 1))
+    pair = []
+    for height in (10.0 ** rng.uniform(300.0, 308.2), 10.0 ** rng.uniform(-11.9, -9.0)):
+        factors = list(random_hpoint(rng).factors())
+        factors[slot] = complex(factors[slot].real, height)
+        pair.append(HPoint.from_factors(*factors))
+    return tuple(pair)
+
+
 @pytest.mark.parametrize(
-    "recipe",
-    [lambda rng: (random_hpoint(rng), random_hpoint(rng)), near_pair, wide_pair],
-    ids=["sampler", "near", "wide"],
+    "recipe,scaled",
+    [
+        (lambda rng: (random_hpoint(rng), random_hpoint(rng)), "never"),
+        (near_pair, "never"),
+        (wide_pair, "never"),
+        (far_pair, "always"),
+        (lambda rng: (signed_point(rng, 300.0), signed_point(rng, 300.0)), "sometimes"),
+    ],
+    ids=["sampler", "near", "wide", "far", "accepted300"],
 )
-def test_unchecked_factors_are_the_segment_points_bit_for_bit(recipe):
-    # verify's geodesic checks read GeodesicSpec._factors; point is the same two
-    # leg points behind the membership test (t = 1/2 exactly at frac 0.5 takes
-    # the forward legs).
+def test_unchecked_factors_are_the_segment_points_bit_for_bit(recipe, scaled):
+    # verify's geodesic checks read GeodesicSpec._factors and point builds its point;
+    # both wrap the one evaluator of the leg points (t = 1/2 exactly at frac 0.5 takes
+    # the forward legs), which must give them the same floats in either leg form.  The
+    # traffic's recipes (sampler, near, wide) never reach the scaled form; a far pair
+    # always does, and the accepted domain at k = 300 sometimes does.
     def bits(pair):
         return [(w.real.hex(), w.imag.hex()) for w in pair]
 
     rng = random.Random(21)
+    forms = set()
     for _ in range(200):
         spec = connect(*recipe(rng))
+        forms.add(math.inf in (spec._legs[0][5], spec._legs[0][12]))
         for frac in (0.0, 0.3, 0.5, 0.5 + 1e-12, 0.8, 1.0):
             s = frac * spec.s0
             assert bits(spec._factors(s)) == bits(spec.point(s).factors())
+    assert forms == {"never": {False}, "always": {True}, "sometimes": {False, True}}[scaled]
 
 
 def test_geodesic_point_keeps_its_error_classes(monkeypatch):
@@ -358,37 +384,72 @@ def test_geodesic_point_keeps_its_error_classes(monkeypatch):
         assert isinstance(info.value.__cause__, DomainViolation)
 
 
-def test_geodesic_point_with_a_vanishing_leg_denominator_is_a_breakdown(monkeypatch):
+#: Segments as the CLI reads them, whose first factor takes the sinh form (iI to MIXED) or
+#: the scaled form (height 5e-12 to 1e300, length 717, beside a leg of length 668 in the sinh
+#: form).  Negating z exchanges the factors.
+LEG_FORM_PAIRS = {
+    "sinh": ('{"tau":[0,1],"z":[0,0]}', '{"tau":[0,2],"z":[0,1]}'),
+    "scaled": ('{"tau":[0,0.5000000000025],"z":[0,-0.4999999999975]}',
+               '{"tau":[0,5.0000000005e299],"z":[0,4.9999999995e299]}'),
+}
+
+#: Each form's evaluator text, per factor, and the function that holds it: the scaled form
+#: is one function for both factors, which the segment's orientation picks.
+LEG_FORM_TEXTS = {
+    ("sinh", 1): ("_leg_points", "x1 + dx1 * (ys1 / k1)"),
+    ("sinh", 2): ("_leg_points", "x2 + dx2 * (ys2 / k2)"),
+    ("scaled", 1): ("_scaled_leg_point", "x + dx * (r / (a + r))"),
+    ("scaled", 2): ("_scaled_leg_point", "x + dx * (r / (a + r))"),
+}
+
+LEG_FAILURES = pytest.mark.parametrize("form,factor", sorted(LEG_FORM_TEXTS), ids=str)
+
+
+def leg_form_pair(form: str, factor: int) -> tuple[str, str]:
+    """``LEG_FORM_PAIRS[form]`` as JSON texts, with the form's leg in the given factor."""
+    if factor == 1:
+        return LEG_FORM_PAIRS[form]
+    return tuple(json.dumps({"tau": d["tau"], "z": [-d["z"][0], -d["z"][1]]})
+                 for d in map(json.loads, LEG_FORM_PAIRS[form]))
+
+
+def mutate_leg(monkeypatch, form: str, factor: int, new: str) -> None:
+    """Replace one factor's leg point in ``form`` by ``new``, a format of the old text."""
+    name, old = LEG_FORM_TEXTS[form, factor]
+    monkeypatch.setattr(geometry, name, mutated(geometry, name, old, new.format(old)))
+
+
+@LEG_FAILURES
+def test_geodesic_point_with_a_vanishing_leg_denominator_is_a_breakdown(monkeypatch, form, factor):
     # Past an end of a wide pair's segment a leg's scaled denominator can round
-    # to 0.  The segment joins valid points, so wherever that happens the point
-    # is a breakdown naming s and s0, never a bare ZeroDivisionError.
-    spec = connect(I_H, MIXED)
-
-    def vanishing(leg, t):
-        raise ZeroDivisionError("float division by zero")
-
-    monkeypatch.setattr("bisiegel.geometry._leg_point", vanishing)
+    # to 0.  The segment joins valid points, so wherever that happens, in either
+    # factor and either form, the point is a breakdown naming s and s0, never a
+    # bare ZeroDivisionError.
+    spec = connect(*(_parse_hpoint(json.loads(text)) for text in leg_form_pair(form, factor)))
+    assert (spec._legs[0][7 * factor - 2] == math.inf) == (form == "scaled")
+    mutate_leg(monkeypatch, form, factor, "{} / 0.0")
     for s in (0.0, spec.s0 / 2, spec.s0):
         with pytest.raises(NumericalBreakdown, match=re.escape(f"point at s={s!r} of s0={spec.s0!r} not resolved: float division by zero")) as info:
             spec.point(s)
         assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
-def test_geodesic_point_with_a_nan_leg_on_the_segment_is_a_breakdown(monkeypatch, tmp_path, capsys):
-    # A leg point that is not a number at t = 1/4: the segment's ends are valid points,
-    # so this is a breakdown naming s and s0 (exit 3), not bad input (exit 2).
-    spec, leg_point = connect(I_H, MIXED), geometry._leg_point
-
-    def nan_at_a_quarter(leg, t):
-        return complex(math.nan, 1.0) if t == 0.25 else leg_point(leg, t)
-
-    monkeypatch.setattr("bisiegel.geometry._leg_point", nan_at_a_quarter)
+@LEG_FAILURES
+def test_geodesic_point_with_a_nan_leg_on_the_segment_is_a_breakdown(monkeypatch, tmp_path, capsys, form, factor):
+    # A leg point that is not a number at t = 1/4, in either factor and either form: the
+    # segment's ends are valid points, so this is a breakdown naming s and s0 (exit 3),
+    # not bad input (exit 2).
+    texts = leg_form_pair(form, factor)
+    spec = connect(*(_parse_hpoint(json.loads(text)) for text in texts))
     s = 0.25 * spec.s0
-    with pytest.raises(NumericalBreakdown, match=re.escape(f"point at s={s!r} of s0={spec.s0!r} not resolved: factors ((nan+1j), (nan+1j))")) as info:
+    want = list(spec._factors(s))
+    want[factor - 1] = complex(math.nan, want[factor - 1].imag)
+    mutate_leg(monkeypatch, form, factor, "(math.nan if t == 0.25 else {})")
+    with pytest.raises(NumericalBreakdown, match=re.escape(f"point at s={s!r} of s0={spec.s0!r} not resolved: factors ({want[0]!r}, {want[1]!r})")) as info:
         spec.point(s)
     assert isinstance(info.value.__cause__, DomainViolation)
-    (tmp_path / "z1.json").write_text('{"tau":[0,1],"z":[0,0]}')
-    (tmp_path / "z2.json").write_text('{"tau":[0,2],"z":[0,1]}')
+    (tmp_path / "z1.json").write_text(texts[0])
+    (tmp_path / "z2.json").write_text(texts[1])
     code = main(["geodesic", "--z1", str(tmp_path / "z1.json"), "--z2", str(tmp_path / "z2.json"), "--samples", "5"])
     err = capsys.readouterr().err
     assert code == 3 and err.startswith(f"numerical error: point at s={s!r} of s0={spec.s0!r} not resolved"), err
@@ -532,17 +593,30 @@ def test_geodesic_points_on_far_legs_within_the_derived_bound():
     # and, three times in ten, straight below it, else at a signed offset 10^U[-10, 240].
     # Near the high end of a nearly vertical leg e^{d(2t - 1)} is a subnormal, so it may
     # not be rounded on its own: as a factor apart from y / v it put 22 of these 280
-    # points past the bound, the worst by 1.5e7 units.
-    rng = random.Random(7)
+    # points past the bound, the worst by 1.5e7 units.  The second factor takes the sinh
+    # form beside it, in the same pass: from 1j to 2 + 1j, or from a point w to itself
+    # (length 0, legs of the least positive length), to the next float up in height, or
+    # to w moved by 1e-9 of its height.
+    rng, other = random.Random(7), random.Random(8)
+    seconds = {
+        "apart": lambda w: (1j, 2 + 1j),
+        "coincident": lambda w: (w, w),
+        "ulp": lambda w: (w, complex(w.real, math.nextafter(w.imag, math.inf))),
+        "near": lambda w: (w, w + 1e-9 * w.imag * cmath.exp(1j * other.uniform(0.0, 2.0 * math.pi))),
+    }
     for _ in range(40):
         high, low = 10.0 ** rng.uniform(300.0, 308.2), 10.0 ** rng.uniform(-11.9, -9.0)
         dx = 0.0 if rng.random() < 0.3 else rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-10.0, 240.0)
         f1, f2 = (complex(0.0, high), complex(dx, low))[::rng.choice((-1, 1))]
-        z1, z2 = HPoint.from_factors(f1, 1j), HPoint.from_factors(f2, 2 + 1j)
-        spec = connect(z1, z2)
-        assert spec._legs[0][5] == math.inf  # the scaled form
-        for s, frac in arc_fractions(z1, z2, spec.s0, (1e-3, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999)):
-            assert point_error(z1, z2, frac, spec.point(s).factors()) <= 8.0, (f1, f2, s)
+        w = complex(other.uniform(-5.0, 5.0), 10.0 ** other.uniform(-1.0, 1.0))
+        for kind, second in seconds.items():
+            g1, g2 = second(w)
+            z1, z2 = HPoint.from_factors(f1, g1), HPoint.from_factors(f2, g2)
+            spec = connect(z1, z2)
+            assert spec._legs[0][5] == math.inf and spec._legs[0][12] < math.inf  # scaled, sinh
+            assert (spec._legs[0][13] == 5e-324) == (kind == "coincident")
+            for s, frac in arc_fractions(z1, z2, spec.s0, (1e-3, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999)):
+                assert point_error(z1, z2, frac, spec.point(s).factors()) <= 8.0, (kind, f1, f2, w, s)
 
 
 @pytest.mark.parametrize("k", [30.0, 100.0, 300.0])
