@@ -318,6 +318,11 @@ def test_geodesics_between_extreme_factor_pairs():
     assert done >= 2900
 
 
+def scaled_factors(spec) -> set:
+    """The factors (1, 2) whose legs take the scaled form: those whose vs = vn sinh(d) is inf."""
+    return {f for f, vs in ((1, spec._legs[0][5]), (2, spec._legs[0][12])) if vs == math.inf}
+
+
 def far_pair(rng):
     """A sampler pair whose factors at one slot are moved to heights 10^U[300, 308.2] and
     10^U[-11.9, -9], 710 or more apart: that factor's legs take the scaled form."""
@@ -354,7 +359,7 @@ def test_unchecked_factors_are_the_segment_points_bit_for_bit(recipe, scaled):
     forms = set()
     for _ in range(200):
         spec = connect(*recipe(rng))
-        forms.add(math.inf in (spec._legs[0][5], spec._legs[0][12]))
+        forms.add(bool(scaled_factors(spec)))
         for frac in (0.0, 0.3, 0.5, 0.5 + 1e-12, 0.8, 1.0):
             s = frac * spec.s0
             assert bits(spec._factors(s)) == bits(spec.point(s).factors())
@@ -426,7 +431,7 @@ def test_geodesic_point_with_a_vanishing_leg_denominator_is_a_breakdown(monkeypa
     # factor and either form, the point is a breakdown naming s and s0, never a
     # bare ZeroDivisionError.
     spec = connect(*(_parse_hpoint(json.loads(text)) for text in leg_form_pair(form, factor)))
-    assert (spec._legs[0][7 * factor - 2] == math.inf) == (form == "scaled")
+    assert scaled_factors(spec) == ({factor} if form == "scaled" else set())
     mutate_leg(monkeypatch, form, factor, "{} / 0.0")
     for s in (0.0, spec.s0 / 2, spec.s0):
         with pytest.raises(NumericalBreakdown, match=re.escape(f"point at s={s!r} of s0={spec.s0!r} not resolved: float division by zero")) as info:
@@ -613,8 +618,8 @@ def test_geodesic_points_on_far_legs_within_the_derived_bound():
             g1, g2 = second(w)
             z1, z2 = HPoint.from_factors(f1, g1), HPoint.from_factors(f2, g2)
             spec = connect(z1, z2)
-            assert spec._legs[0][5] == math.inf and spec._legs[0][12] < math.inf  # scaled, sinh
-            assert (spec._legs[0][13] == 5e-324) == (kind == "coincident")
+            assert scaled_factors(spec) == {1}
+            assert (spec._legs[0][13] == 5e-324) == (kind == "coincident")  # factor 2's d
             for s, frac in arc_fractions(z1, z2, spec.s0, (1e-3, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999)):
                 assert point_error(z1, z2, frac, spec.point(s).factors()) <= 8.0, (kind, f1, f2, w, s)
 
