@@ -285,7 +285,7 @@ def _cmd_geodesic(args) -> None:
     for k in range(args.samples):
         s = spec.s0 * k / (args.samples - 1)
         p = spec.point(s)
-        tau, z = p.tau, p.z
+        tau, z = p._readout()
         out.append(",".join(map(_to_json_text, (s, tau.real, tau.imag, z.real, z.imag))))
     sys.stdout.write("\n".join(out) + "\n")
 

@@ -17,9 +17,9 @@ inside the other model's margin is a numerical limit, not bad input.
 
 Each model has one membership test, in its private builder, with the one margin ``_DOM_EPS``:
 ``_hpoint`` tests the factors' parts as floats, which its callers hold or read once, and
-``_epoint`` the moduli.  Every point is built through it: ``HPoint(tau, z)`` and ``EPoint(z1, z2)``
-through ``from_factors``.  Membership is asked by building the point; a ``DomainViolation`` is
-the answer no.
+``_epoint`` the moduli.  Every point is built through it: the ``__new__`` of ``HPoint(tau, z)``
+and ``EPoint(z1, z2)`` returns the one record it builds.  Membership is asked by building the
+point; a ``DomainViolation`` is the answer no.
 """
 
 from __future__ import annotations
@@ -44,27 +44,32 @@ __all__ = [
 class HPoint:
     """Half-space point, stored by its factor coordinates (w1, w2) = (tau + z, tau - z).
 
-    ``HPoint(tau, z)`` converts once; ``from_factors`` stores its arguments
-    as given.  ``tau``, ``z`` and the JSON form are derived from the factors,
-    each halved first so that no readout overflows.  Each rounds by u = 2^-53
-    of the larger factor, so a JSON round trip moves the real (imaginary) part
-    of a factor by at most 2u times the larger real (imaginary) part of the two.
+    ``HPoint(tau, z)`` converts once and is the one record that ``_hpoint`` builds;
+    ``from_factors`` stores its arguments as given.  ``_readout()`` gives (tau, z) from
+    the factors, each halved once first so that no readout overflows; ``tau``, ``z``, the
+    JSON form and ``verify`` read it.  Each rounds by u = 2^-53 of the larger factor, so a
+    JSON round trip moves the real (imaginary) part of a factor by at most 2u times the
+    larger real (imaginary) part of the two.
     """
 
     w1: complex
     w2: complex
 
-    tau = property(lambda self: self.w1 / 2.0 + self.w2 / 2.0)
-    z = property(lambda self: self.w1 / 2.0 - self.w2 / 2.0)
+    tau = property(lambda self: self._readout()[0])
+    z = property(lambda self: self._readout()[1])
 
-    def __init__(self, tau: complex, z: complex) -> None:
+    def __new__(cls, tau: complex, z: complex) -> "HPoint":
         tau, z = complex(tau), complex(z)
+        w1, w2 = tau + z, tau - z
         try:
-            point = self.from_factors(tau + z, tau - z)
+            return _hpoint(w1, w2, w1.real, w1.imag, w2.real, w2.imag)
         except DomainViolation:
             raise DomainViolation(f"(tau={tau!r}, z={z!r}) is outside the half-space model") from None
-        _set_w1(self, point.w1)
-        _set_w2(self, point.w2)
+
+    def _readout(self) -> tuple[complex, complex]:
+        """(tau, z) = (w1/2 + w2/2, w1/2 - w2/2)."""
+        h1, h2 = self.w1 / 2.0, self.w2 / 2.0
+        return h1 + h2, h1 - h2
 
     @classmethod
     def from_factors(cls, w1: complex, w2: complex) -> "HPoint":
@@ -76,7 +81,7 @@ class HPoint:
         return (self.w1, self.w2)
 
     def to_json_dict(self) -> dict:
-        tau, z = self.tau, self.z
+        tau, z = self._readout()
         return {"tau": [tau.real, tau.imag], "z": [z.real, z.imag]}
 
 
@@ -84,8 +89,9 @@ class HPoint:
 class EPoint:
     """Bounded-model point, stored by its factor coordinates (u1, u2) = (z1 + z2, z1 - z2).
 
-    ``EPoint(z1, z2)`` converts once; ``from_factors`` stores its arguments
-    as given.  ``z1``, ``z2`` and the JSON form are derived, as for ``HPoint``.
+    ``EPoint(z1, z2)`` converts once and is the one record that ``_epoint`` builds;
+    ``from_factors`` stores its arguments as given.  ``z1``, ``z2`` and the JSON form are
+    derived, as for ``HPoint``.
     """
 
     u1: complex
@@ -94,14 +100,12 @@ class EPoint:
     z1 = property(lambda self: self.u1 / 2.0 + self.u2 / 2.0)
     z2 = property(lambda self: self.u1 / 2.0 - self.u2 / 2.0)
 
-    def __init__(self, z1: complex, z2: complex) -> None:
+    def __new__(cls, z1: complex, z2: complex) -> "EPoint":
         z1, z2 = complex(z1), complex(z2)
         try:
-            point = self.from_factors(z1 + z2, z1 - z2)
+            return _epoint(z1 + z2, z1 - z2)
         except DomainViolation:
             raise DomainViolation(f"(z1={z1!r}, z2={z2!r}) is outside the bounded model") from None
-        _set_u1(self, point.u1)
-        _set_u2(self, point.u2)
 
     @classmethod
     def from_factors(cls, u1: complex, u2: complex) -> "EPoint":
@@ -121,6 +125,8 @@ class EPoint:
 _inf, _isfinite, _new = math.inf, math.isfinite, object.__new__
 _set_w1, _set_w2 = HPoint.w1.__set__, HPoint.w2.__set__
 _set_u1, _set_u2 = EPoint.u1.__set__, EPoint.u2.__set__
+#: Copy and pickle rebuild a point from its factors: ``__new__`` takes (tau, z) or (z1, z2).
+HPoint.__reduce__ = EPoint.__reduce__ = lambda self: (type(self).from_factors, self.factors())
 _LOG_LO, _LOG_SPAN = math.log(0.1), math.log(10.0) - math.log(0.1)
 
 

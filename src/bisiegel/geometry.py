@@ -91,7 +91,8 @@ def cross_ratio_eigenvalues(z: HPoint, z1: HPoint) -> tuple[float, float]:
 def metric_form(point: HPoint, d: Tangent) -> float:
     """Squared length tr(Y^-1 dZ Y^-1 d(conj Z)) of a tangent displacement,
     summed over the factors as |dw|^2 / (Im w)^2."""
-    h = math.hypot(*(abs(dw) / w.imag for w, dw in zip(point.factors(), d.factors())))
+    d1, d2 = d.factors()
+    h = math.hypot(abs(d1) / point.w1.imag, abs(d2) / point.w2.imag)
     return h * h
 
 

@@ -320,7 +320,7 @@ def split(motion: MotionMatrix) -> tuple[Sl2Matrix, Sl2Matrix]:
     They act on the half-plane coordinates (tau + z, tau - z), in that order
     for eps = +1 and with the images swapped for eps = -1.
     """
-    return motion.m1, motion.m2
+    return _sl2(*motion._e1), _sl2(*motion._e2)
 
 
 def assemble(m1: Sl2Matrix, m2: Sl2Matrix, eps: int) -> MotionMatrix:

@@ -2,12 +2,12 @@
 
 The library computes in factor coordinates, so it carries no matrix algebra.
 ``Mat4R`` is only the validated record of a motion's real 4x4 matrix, the type that ``classify``
-reads and the CLI parses.  It unpacks the 4x4 shape once, converts the 16 entries into one tuple
-display (``tuple(map())`` resizes its result, and its freed 16-tuples pile up on CPython's free
-list, +0.3 MB of peak memory), gates them, and stores four slices through a slot setter bound
-once, as the other records do.  ``_check_finite``, its finiteness gate, also guards a motion's
-JSON rows.  ``classify`` checks the exchange pattern on the entries and the symplectic condition
-as the two factor determinants; the literal matrix references live in ``verify``.
+reads and the CLI parses.  It unpacks the 4x4 shape once, converts the 16 entries in one tuple
+display of ``float()`` calls, built once with no list or map in between (``tuple(map())`` resizes
+its result, +0.3 MB of peak memory), gates them, and stores four slices through a slot setter
+bound once, as the other records do.  ``_check_finite``, its finiteness gate, also guards a
+motion's JSON rows.  ``classify`` checks the exchange pattern on the entries and the symplectic
+condition as the two factor determinants; the literal matrix references live in ``verify``.
 ``_ABS_EPS`` and ``_DOM_EPS`` stand in for the paper's exact conditions, each defined once here.
 """
 
@@ -43,7 +43,8 @@ class Mat4R:
             if "values to unpack" not in str(exc):
                 raise
             raise ValueError("Mat4R needs exactly 4 rows of 4 entries") from None
-        x = _check_finite((*map(float, (a, b, c, d, e, f, g, h, p, q, r, s, t, u, v, w)),))
+        x = _check_finite((float(a), float(b), float(c), float(d), float(e), float(f), float(g), float(h),
+                           float(p), float(q), float(r), float(s), float(t), float(u), float(v), float(w)))
         _set_rows(self, (x[0:4], x[4:8], x[8:12], x[12:16]))
 
 

@@ -25,7 +25,7 @@ from bisiegel.group import (
     stabilizer_of_iI,
 )
 from bisiegel.numkit import Mat4R
-from bisiegel.verify import _worst
+from bisiegel.verify import _fold
 
 
 def mobius(m, w: complex) -> complex:
@@ -179,8 +179,9 @@ def _geodesic_ode_residual(curve: _Curve, s: float, h: float) -> float:
     """
     if not h > 0.0:
         raise ValueError(f"step h={h!r} must be positive")
-    return _worst(*(abs((wp - 2.0 * w + wm) / (h * h) + 1j * ((wp - wm) / (2.0 * h)) ** 2 / w.imag)
-                     for wm, w, wp in zip(curve(s - h), curve(s), curve(s + h))))
+    residuals = [abs((wp - 2.0 * w + wm) / (h * h) + 1j * ((wp - wm) / (2.0 * h)) ** 2 / w.imag)
+                 for wm, w, wp in zip(curve(s - h), curve(s), curve(s + h))]
+    return _fold(lambda _: residuals, None, 1)  # the suite's NaN-keeping max, over one trial
 
 
 def _path_speed(curve: _Curve, s: float, h: float) -> float:

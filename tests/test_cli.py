@@ -337,6 +337,28 @@ def test_verify_reports_a_nan_residual_as_a_failure(capsys, monkeypatch):
     assert all("max_residual=nan " in line for line in out.splitlines() if line.endswith("FAIL"))
 
 
+@pytest.mark.parametrize("trials,worst", [
+    ([[math.nan, 1.0]], math.nan),  # a NaN as the first residual
+    ([(2.0, math.nan)], math.nan),  # a NaN after a larger residual
+    ([[math.nan, 5.0], (math.inf,)], math.nan),  # residuals after a NaN, in its trial and later
+    ([(), [], ()], 0.0),  # empty trials, as a passing closure returns
+    ([(1.0,), [math.inf, 2.0]], math.inf),
+    ([(1.0, 3.0), [2.0], (0.5,)], 3.0),  # tuple and list returns
+])
+def test_fold_keeps_the_worst_residual_and_the_first_nan(trials, worst):
+    # The fold rule on stub checks: max, except that a NaN once seen stays, where
+    # max(3.0, nan) would drop it.  Each trial calls the check once, on the given stream.
+    rng, returns = random.Random(0), iter(trials)
+
+    def check(stream):
+        assert stream is rng
+        return next(returns)
+
+    got = verify._fold(check, rng, len(trials))
+    assert next(returns, None) is None
+    assert math.isnan(got) if math.isnan(worst) else got == worst
+
+
 @pytest.mark.parametrize("name", ["ode_residual", "arc_length"])
 def test_geodesic_checks_keep_a_nan_from_the_unchecked_factors(monkeypatch, name):
     # These checks read GeodesicSpec._factors, which no membership test guards.

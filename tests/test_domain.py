@@ -1,12 +1,16 @@
+import copy
 import dataclasses
 import math
+import pickle
 import random
+import struct
 from decimal import Decimal, localcontext
 
+import exact
 import numpy as np
 import pytest
 
-from bisiegel import verify
+from bisiegel import domain, verify
 from bisiegel.cli import _parse_epoint, _parse_hpoint
 from bisiegel.domain import (
     EPoint,
@@ -208,6 +212,57 @@ def test_records_are_slotted_and_frozen():
     assert type(spec) is GeodesicSpec and spec.point(0.0) == z1
     assert spec == connect(z1, z2) and hash(spec) == hash(key)
     assert spec != connect(z2, z1)
+
+
+def test_point_constructors_build_one_record_each(monkeypatch):
+    # Every point record comes from the builder's _new (object.__new__), or from
+    # type.__call__ when a constructor allocates its own: a point that is not the one
+    # _new returned is a second record.  Each constructor builds exactly one.
+    made, new = [], domain._new
+
+    def counting_new(cls):
+        made.append(new(cls))
+        return made[-1]
+
+    monkeypatch.setattr(domain, "_new", counting_new)
+    for build in (lambda: HPoint(2j, 1j), lambda: HPoint.from_factors(3j, 1j),
+                  lambda: EPoint(0.25, 0.1), lambda: EPoint.from_factors(0.35, 0.15)):
+        made.clear()
+        point = build()
+        assert len(made) == 1 and point is made[0]
+
+
+def test_points_copy_and_pickle_through_their_factors():
+    # __new__ takes (tau, z) or (z1, z2); a copy or an unpickled point is rebuilt from
+    # the factors as stored, not from the rounded readout.
+    for point in (HPoint.from_factors(0.1 + 3j, -0.0 + 1e-3j), EPoint.from_factors(0.1 - 0.0j, -0.3j)):
+        for back in (copy.copy(point), copy.deepcopy(point), pickle.loads(pickle.dumps(point))):
+            assert type(back) is type(point) and back == point
+            assert [struct.pack("<dd", f.real, f.imag) for f in back.factors()] == [
+                struct.pack("<dd", f.real, f.imag) for f in point.factors()]
+
+
+def test_readout_is_the_halved_sum_and_difference_bit_for_bit():
+    # _readout halves each factor once; it gives w1/2 + w2/2 and w1/2 - w2/2, the form
+    # with each factor halved per use, bit for bit (signed zeros too), and no part
+    # overflows for factors near the top of the float range.  tau, z and the JSON form
+    # read it.
+    def bits(*parts):
+        return struct.pack(f"<{len(parts)}d", *parts)
+
+    rng, big = random.Random(39), 1.7e308
+    points = [random_hpoint(rng) for _ in range(500)]
+    points += [HPoint.from_factors(*exact.signed(rng, -9, 9)) for _ in range(500)]
+    points += [HPoint.from_factors(complex(x1, y1), complex(x2, y2)) for x1, y1, x2, y2 in (
+        (big, big, big, big), (big, big, -big, big), (-big, 1.0, big, 1e-9), (0.0, big, -0.0, big))]
+    for p in points:
+        (w1, w2), (tau, z) = p.factors(), p._readout()
+        old_tau, old_z = w1 / 2.0 + w2 / 2.0, w1 / 2.0 - w2 / 2.0
+        assert bits(tau.real, tau.imag, z.real, z.imag) == bits(old_tau.real, old_tau.imag, old_z.real, old_z.imag)
+        assert all(map(math.isfinite, (tau.real, tau.imag, z.real, z.imag)))
+        assert bits(p.tau.real, p.tau.imag, p.z.real, p.z.imag) == bits(tau.real, tau.imag, z.real, z.imag)
+        doc = p.to_json_dict()
+        assert bits(*doc["tau"], *doc["z"]) == bits(tau.real, tau.imag, z.real, z.imag)
 
 
 def test_point_from_tau_z_equals_point_from_factors(rng):
