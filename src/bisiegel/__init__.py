@@ -21,7 +21,6 @@ from .geometry import (
     connect,
     cross_ratio_eigenvalues,
     distance,
-    geodesic,
 )
 from .group import (
     apply,
@@ -37,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "HPoint",
     "distance",
-    "geodesic",
     "reduce_pair",
     "apply",
     "random_motion",

@@ -30,7 +30,6 @@ __all__ = [
     "distance",
     "distance_params",
     "connect",
-    "geodesic",
     "volume_density",
 ]
 
@@ -83,7 +82,8 @@ def _tanh_sq(s: float) -> float:
 def cross_ratio_eigenvalues(z: HPoint, z1: HPoint) -> tuple[float, float]:
     """Eigenvalues, descending, of the matrix cross ratio (Z-Z1)(Z-conj Z1)^-1
     (conj Z-conj Z1)(conj Z-Z1)^-1: the per-factor tanh^2(d/2), which lie in
-    [0, 1) and classify the pair up to a motion."""
+    [0, 1].  They classify the pair up to a motion only while tanh^2(d/2) < 1: a
+    far factor pair rounds to 1.0."""
     a, b = _tanh_sq(_chord(z.w1, z1.w1)), _tanh_sq(_chord(z.w2, z1.w2))
     return (b, a) if b > a else (a, b)
 
@@ -218,11 +218,6 @@ def connect(z1: HPoint, z2: HPoint) -> GeodesicSpec:
     _set_s0(spec, s0)
     _set_legs(spec, (fwd1 + fwd2, bwd1 + bwd2))
     return spec
-
-
-def geodesic(z1: HPoint, z2: HPoint, s: float) -> HPoint:
-    """Point at arc length s on the geodesic segment from z1 to z2."""
-    return connect(z1, z2).point(s)
 
 
 def volume_density(point: HPoint) -> float:

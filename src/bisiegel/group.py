@@ -5,8 +5,10 @@ two upper half-planes, and a motion is a pair of real Moebius maps
 ``(m1, m2)`` together with an exchange sign ``eps``: for ``eps = +1`` the
 factors act on the two coordinates in order, for ``eps = -1`` the two images
 are swapped.  A motion stores each factor as its entries ``(a, b, c, d)``; composition,
-inverse, the action, stabilizers and pair reduction are 2x2 work on them, and the factor
-record ``Sl2Matrix`` is built only at the boundary (``split``, ``random_sl2``, JSON).
+the action, stabilizers and pair reduction are 2x2 work on them, and the factor record
+``Sl2Matrix`` is built only at the boundary (``assemble`` reads two, ``split`` builds two,
+``random_sl2``, JSON).  ``_images`` is the one factor map: ``apply`` and ``verify``'s geodesic
+checks both call it.
 
 The real symplectic 4x4 matrix of a motion appears only at the boundary.
 ``classify`` checks each condition once: that a raw 4x4 commutes or anticommutes
@@ -21,8 +23,8 @@ and a sign (``StabilizerParams``, each parameter gated as its rotation factor's
 determinant): ``stabilizer_of_iI`` is its motion, and its Cayley conjugate, the disc
 rotations ``u -> xi u / conj(xi)``, is written only as JSON, by the CLI.
 
-Motions are validated once, at the boundary: ``classify`` and the public
-constructors.  Every gate reads the one threshold ``_ABS_EPS``.  Values computed from
+Motions are validated once, at the boundary: ``classify`` and ``assemble``, the two
+checked builders.  Every gate reads the one threshold ``_ABS_EPS``.  Values computed from
 validated ones, and the seeded samples, are trusted: ``_sl2`` and ``_motion`` (on entry
 tuples) fill the slots through setters bound once; only products re-run the determinant gate
 (a ``NumericalBreakdown``: their inputs were valid).  Each operation checks what
@@ -118,23 +120,13 @@ class MotionMatrix:
 
     On factor coordinates ``(w1, w2)`` it acts as ``(m1 w1, m2 w2)`` for
     ``eps = +1`` and as ``(m2 w2, m1 w1)`` for ``eps = -1``.  It stores each
-    factor's entries; ``m1`` and ``m2`` build its ``Sl2Matrix`` on each read.
+    factor's entries and has no constructor: ``assemble`` and ``classify`` build
+    it checked, ``_motion`` trusted, and ``split`` reads its two ``Sl2Matrix``.
     """
 
     _e1: tuple
     _e2: tuple
     eps: int
-
-    def __init__(self, m1: Sl2Matrix, m2: Sl2Matrix, eps: int) -> None:
-        for name, factor in (("m1", m1), ("m2", m2)):
-            if type(factor) is not Sl2Matrix:
-                raise ValidationError(f"{name} must be an Sl2Matrix, got {factor!r}")
-        _set_e1(self, (m1.a, m1.b, m1.c, m1.d))
-        _set_e2(self, (m2.a, m2.b, m2.c, m2.d))
-        _set_eps(self, _sign(eps))
-
-    m1 = property(lambda self: _sl2(*self._e1))
-    m2 = property(lambda self: _sl2(*self._e2))
 
     @property
     def m(self) -> Mat4R:
@@ -168,11 +160,6 @@ class MotionMatrix:
         p1, p2 = (self._e1, self._e2) if other.eps == 1 else (self._e2, self._e1)
         return _motion(_product(p1, other._e1), _product(p2, other._e2), self.eps * other.eps)
 
-    def inverse(self) -> "MotionMatrix":
-        (a1, b1, c1, d1), (a2, b2, c2, d2) = self._e1, self._e2
-        i1, i2 = (d1, -b1, -c1, a1), (d2, -b2, -c2, a2)
-        return _motion(i1, i2, 1) if self.eps == 1 else _motion(i2, i1, -1)
-
     def to_json_dict(self) -> dict:
         return {"m": self._rows(), "eps": self.eps}
 
@@ -199,7 +186,7 @@ def _check_lambdas(l1: float, l2: float) -> None:
         raise ValidationError(f"invalid canonical pair (lambda1={l1!r}, lambda2={l2!r})")
 
 
-#: Slot setters, bound once for ``MotionMatrix.__init__``, ``_sl2``, ``_motion`` and ``reduce_pair``.
+#: Slot setters, bound once for ``_sl2``, ``_motion`` and ``reduce_pair``.
 _set_a, _set_b, _set_c, _set_d = (getattr(Sl2Matrix, f).__set__ for f in "abcd")
 _set_e1, _set_e2, _set_eps = (getattr(MotionMatrix, f).__set__ for f in ("_e1", "_e2", "eps"))
 _set_mover, _set_lambda1, _set_lambda2 = (
@@ -294,28 +281,33 @@ def classify(m: Mat4R) -> MotionMatrix:
     return _motion((p1, q1, r1, s1), (p2, q2, r2, s2), 1 if commute <= anticommute else -1)
 
 
+def _images(motion: MotionMatrix, w1: complex, w2: complex) -> tuple[complex, complex]:
+    """The one factor map, unchecked: ``(a w + b) / (c w + d)`` per factor, the images swapped
+    where eps = -1.  A NaN factor gives a NaN image, ``c w + d == 0`` a ``ZeroDivisionError``."""
+    (a1, b1, c1, d1), (a2, b2, c2, d2) = motion._e1, motion._e2
+    g1, g2 = (a1 * w1 + b1) / (c1 * w1 + d1), (a2 * w2 + b2) / (c2 * w2 + d2)
+    return (g2, g1) if motion.eps == -1 else (g1, g2)
+
+
 def apply(motion: MotionMatrix, point: HPoint) -> HPoint:
-    """Act on a half-space point: one Moebius map per factor coordinate.
+    """Act on a half-space point: one Moebius map per factor coordinate (``_images``).
 
     For Im w > 0 and det 1, |cw + d|^2 = Im w / Im(mw) (Beardon, 1983): a denominator
     is small only where the image is high, and 0 only where ``c w`` rounds onto ``-d``,
     an image at infinity.  That, and the one check on the image, a point inside the
     ``_DOM_EPS`` margin or not finite, are numerical limits (``NumericalBreakdown``).
     """
-    (a1, b1, c1, d1), (a2, b2, c2, d2), w1, w2 = motion._e1, motion._e2, point.w1, point.w2
     try:
-        g1, g2 = (a1 * w1 + b1) / (c1 * w1 + d1), (a2 * w2 + b2) / (c2 * w2 + d2)
-        if motion.eps == -1:
-            g1, g2 = g2, g1
+        g1, g2 = _images(motion, point.w1, point.w2)
         return _hpoint(g1, g2, g1.real, g1.imag, g2.real, g2.imag)
     except ZeroDivisionError:
-        raise NumericalBreakdown(f"image of ({w1!r}, {w2!r}) at infinity: a denominator is 0") from None
+        raise NumericalBreakdown(f"image of ({point.w1!r}, {point.w2!r}) at infinity: a denominator is 0") from None
     except DomainViolation as exc:
         raise _image_breakdown(exc) from exc
 
 
 def split(motion: MotionMatrix) -> tuple[Sl2Matrix, Sl2Matrix]:
-    """The two unimodular factors of a motion.
+    """The two unimodular factors of a motion: the one factor reader.
 
     They act on the half-plane coordinates (tau + z, tau - z), in that order
     for eps = +1 and with the images swapped for eps = -1.
@@ -324,8 +316,12 @@ def split(motion: MotionMatrix) -> tuple[Sl2Matrix, Sl2Matrix]:
 
 
 def assemble(m1: Sl2Matrix, m2: Sl2Matrix, eps: int) -> MotionMatrix:
-    """Glue two unimodular factors (and a sign) into a motion."""
-    return MotionMatrix(m1, m2, eps)
+    """Glue two unimodular factors (and a sign) into a motion: the one checked builder
+    from factors.  Each factor must be an ``Sl2Matrix`` and the sign pass ``_sign``."""
+    for name, factor in (("m1", m1), ("m2", m2)):
+        if type(factor) is not Sl2Matrix:
+            raise ValidationError(f"{name} must be an Sl2Matrix, got {factor!r}")
+    return _motion((m1.a, m1.b, m1.c, m1.d), (m2.a, m2.b, m2.c, m2.d), _sign(eps))
 
 
 def _check_unit(name: str, xi: complex) -> None:

@@ -13,9 +13,9 @@ matrices held as row-major 4-tuples, read off each point's one ``HPoint._readout
 The same arithmetic gives the literal pushforward ``dW = (CZ + D)^-T dZ (CZ + D)^-1`` of a
 motion's rows (Siegel, Symplectic Geometry, 1943), which the metric and volume checks read;
 nothing here takes a finite difference.  The geodesic checks read the segment unchecked through
-``GeodesicSpec._factors`` and map it by ``reduce_pair``'s mover onto the unit-speed reduced
-geodesic, whose factors at arc length s are ``i L^(s/r)`` and ``i l^(s/r)`` with
-``r = hypot(ln L, ln l)``; ``_fold`` keeps a NaN residual, so such a check fails.  The
+``GeodesicSpec._factors`` and map it by ``reduce_pair``'s mover through ``apply``'s factor map
+``group._images`` onto the unit-speed reduced geodesic, whose factors at arc length s are
+``i L^(s/r)`` and ``i l^(s/r)`` with ``r = hypot(ln L, ln l)``; ``_fold`` keeps a NaN residual, so such a check fails.  The
 half-plane oracle ``hyperbolic.hyp_distance`` is read only here.  ``closure`` counts an image
 that ``apply`` refuses at the margin as a residual of 1.
 """
@@ -44,6 +44,7 @@ from .geometry import (
     volume_density,
 )
 from .group import (
+    _images,
     apply,
     assemble,
     classify,
@@ -294,21 +295,17 @@ def _reduced_geodesic(z1: HPoint, z2: HPoint) -> list[tuple[complex, float]]:
     image g and the log height s ln L / r (s ln l / r) that the unit-speed reduced
     geodesic has there, with L, l = lambda1 +- lambda2 and r = hypot(ln L, ln l) its
     length.  r is read off the reduction, not off the segment's s0.  The factors are
-    read unchecked and mapped as (a w + b) / (c w + d), their images swapped where
-    eps = -1, so a NaN factor gives a NaN image.  The node at f = 0.5 straddles the
-    switch from forward to backward legs."""
+    read unchecked and mapped by ``apply``'s unchecked ``_images``, so a NaN factor gives
+    a NaN image.  The node at f = 0.5 straddles the switch from forward to backward legs."""
     spec = connect(z1, z2)
     red = reduce_pair(z1, z2)
-    (a1, b1, c1, d1), (a2, b2, c2, d2) = red.mover._e1, red.mover._e2
     ln_big, ln_small = log(red.lambda1 + red.lambda2), log(red.lambda1 - red.lambda2)
     r = hypot(ln_big, ln_small)
     out = []
     for f in _NODES:
         s = f * spec.s0
         w1, w2 = spec._factors(s)
-        g1, g2 = (a1 * w1 + b1) / (c1 * w1 + d1), (a2 * w2 + b2) / (c2 * w2 + d2)
-        if red.mover.eps == -1:
-            g1, g2 = g2, g1
+        g1, g2 = _images(red.mover, w1, w2)
         out += ((g1, s * ln_big / r), (g2, s * ln_small / r))
     return out
 

@@ -12,12 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from bisiegel import geometry, verify
+from bisiegel import geometry, group, verify
 from bisiegel.cli import _build_parser, _to_json_text, main
 from bisiegel.domain import EPoint, HPoint
 from bisiegel.errors import DomainViolation, GeometryError, NumericalBreakdown
 from bisiegel.geometry import GeodesicSpec
-from bisiegel.group import MotionMatrix, Sl2Matrix, apply, random_motion
+from bisiegel.group import Sl2Matrix, apply, assemble, random_motion, split
 
 from conftest import mutated
 
@@ -376,7 +376,6 @@ def test_closure_check_fails_where_an_image_falls_inside_the_margin(capsys, monk
     # diag(1e-7, 1e7) in both factors scales every height by 1e-14, so each image
     # lies inside the dom_eps margin: apply refuses it, and closure reports a FAIL
     # row with exit 1, not a breakdown with exit 3 and no report.
-    from bisiegel.group import assemble
     from bisiegel.verify import SUITE
 
     shrink = Sl2Matrix(1e-7, 0.0, 0.0, 1e7)
@@ -437,6 +436,14 @@ def _conjugate(monkeypatch):
                         lambda self, s: tuple(w.conjugate() for w in factors(self, s)))
 
 
+def _unswapped(monkeypatch):
+    # The one factor map with the eps = -1 swap dropped, in apply and in verify's
+    # geodesic checks alike: both read group._images.
+    images = mutated(group, "_images", "(g2, g1) if motion.eps == -1 else (g1, g2)", "(g1, g2)")
+    monkeypatch.setattr(group, "_images", images)
+    monkeypatch.setattr(verify, "_images", images)
+
+
 def _length(old: str, new: str):
     # connect with a wrong length s0: _factors(f s0) still reads the fraction f, so
     # every point stays on the segment; only the arc length at each point is wrong.
@@ -455,6 +462,7 @@ CHECK_MUTANTS = {
     "b_expm1_2": _leg("sinh(dt2 := d2 * t)", "sinh(1.01 * (dt2 := d2 * t))"),
     "c_skew_2": _leg("y2 * (vs2 / k2)", "y2 * (vs2 / k2) ** (1.0 + 1e-3 * (0.5 - t))"),
     "taller_image": _taller_image,
+    "unswapped": _unswapped,
 }
 
 
@@ -474,6 +482,8 @@ CHECK_MUTANTS = {
     ("c_skew_2", "ode_residual"),
     ("taller_image", "metric_invariance"),
     ("taller_image", "volume_jacobian"),
+    ("unswapped", "arc_length"),
+    ("unswapped", "factorization"),
 ])
 def test_rewritten_checks_fail_on_their_mutants(monkeypatch, mutant, name):
     # Each check passes on seed 42, and fails there once one function is rebound.
@@ -760,7 +770,7 @@ def test_motion_writer_gives_the_bytes_of_the_generic_writer():
         return _to_json_text({"m": rows, "eps": eps})
 
     rng = random.Random(16)
-    pairs = [(m.m1, m.m2) for m in (random_motion(rng) for _ in range(2000))]
+    pairs = [split(random_motion(rng)) for _ in range(2000)]
     # Entries, in each of a, b, c, d, whose halves are 0 and -0 (m1 = m2 gives
     # x2 = 0), subnormal, near the float range, printed as "2" or with an
     # "e-05" exponent.
@@ -773,9 +783,9 @@ def test_motion_writer_gives_the_bytes_of_the_generic_writer():
     pairs += [(f, g) for f in factors for g in factors]
     for m1, m2 in pairs:
         for eps in (1, -1):
-            m = MotionMatrix(m1, m2, eps)
+            m = assemble(m1, m2, eps)
             assert _to_json_text(m) == reference(m1, m2, eps) == _to_json_text(m.to_json_dict())
-    assert _to_json_text(MotionMatrix(factors[0], factors[0], -1)) == (
+    assert _to_json_text(assemble(factors[0], factors[0], -1)) == (
         '{"m":[[0,0,1,0],[0,0,0,-1],[-1,0,0,0],[0,1,0,0]],"eps":-1}'
     )
 
@@ -827,7 +837,7 @@ def test_motion_writer_refuses_non_finite_halves_as_to_json_dict_does():
     big, neg = Sl2Matrix(1e308, 0.0, 0.0, 1e-308), Sl2Matrix(-1e308, 0.0, 0.0, -1e-308)
     for m1, m2 in ((big, big), (big, neg), (neg, neg), (neg, big)):
         for eps in (1, -1):
-            m = MotionMatrix(m1, m2, eps)
+            m = assemble(m1, m2, eps)
             with pytest.raises(NumericalBreakdown) as expected:
                 m.to_json_dict()
             with pytest.raises(NumericalBreakdown) as got:
@@ -994,7 +1004,7 @@ class FuzzDocs:
             return {"m": [[self.number() for _ in range(4)] for _ in range(4)]}
         if rng.random() < 0.5:
             f1, f2 = (Sl2Matrix(*self.factor_entries()) for _ in range(2))
-            return MotionMatrix(f1, f2, rng.choice((1, -1))).to_json_dict()
+            return assemble(f1, f2, rng.choice((1, -1))).to_json_dict()
         chain = random_motion(rng)
         for _ in range(rng.randrange(60)):
             try:

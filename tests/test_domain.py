@@ -24,13 +24,14 @@ from bisiegel.domain import (
 from bisiegel.errors import DomainViolation, NumericalBreakdown
 from bisiegel.geometry import GeodesicSpec, Tangent, connect
 from bisiegel.group import (
-    MotionMatrix,
     ReducedPair,
     Sl2Matrix,
     StabilizerParams,
     _motion,
     _sl2,
+    assemble,
     reduce_pair,
+    split,
 )
 from bisiegel.numkit import _ABS_EPS, Mat4R
 from bisiegel.verify import CheckResult, _points_gap, _reference_cayley
@@ -181,7 +182,7 @@ def test_records_are_slotted_and_frozen():
     red, spec = reduce_pair(z1, z2), connect(z1, z2)
     records = (
         Mat4R(IDENTITY_4.rows), z1, HPoint.from_factors(1j, 2j),
-        EPoint(0.25, 0.1), EPoint.from_factors(0.1, 0.2j), i2, MotionMatrix(i2, shear, -1),
+        EPoint(0.25, 0.1), EPoint.from_factors(0.1, 0.2j), i2, assemble(i2, shear, -1),
         StabilizerParams(1.0, 1j, -1), red, Tangent(1.0, 0.5j), spec, CheckResult("c", 0.0, 1.0, 1),
     )
     assert len({type(r) for r in records}) == 10
@@ -190,14 +191,14 @@ def test_records_are_slotted_and_frozen():
         for f in dataclasses.fields(r):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(r, f.name, 0j)
-    # A motion stores its factors' entries; m1 and m2 rebuild records equal to the given ones.
-    motion = MotionMatrix(i2, shear, -1)
-    assert (motion.m1, motion.m2, motion.eps) == (i2, shear, -1)
+    # A motion stores its factors' entries; split rebuilds records equal to the given ones.
+    motion = assemble(i2, shear, -1)
+    assert (*split(motion), motion.eps) == (i2, shear, -1)
     # Each trusted build (object.__new__ and the slot setters) equals, and hashes
     # like, its checked twin; the sums and differences of these points are exact.
     twins = (
         (_sl2(1.0, 2.0, 0.0, 1.0), shear),
-        (_motion((1.0, 0.0, 0.0, 1.0), (1.0, 2.0, 0.0, 1.0), -1), MotionMatrix(i2, shear, -1)),
+        (_motion((1.0, 0.0, 0.0, 1.0), (1.0, 2.0, 0.0, 1.0), -1), assemble(i2, shear, -1)),
         (red, ReducedPair(red.mover, red.lambda1, red.lambda2)),
         (_hpoint(3j, 1j, 0.0, 3.0, 0.0, 1.0), z1),
         (_epoint(0.5 + 0j, 0.25 + 0j), EPoint(0.375, 0.125)),

@@ -26,7 +26,6 @@ from bisiegel.geometry import (
     cross_ratio_eigenvalues,
     distance,
     distance_params,
-    geodesic,
     metric_form,
     volume_density,
 )
@@ -472,13 +471,16 @@ def test_cross_ratio_eigenvalues_are_the_sorted_factor_values(recipe):
 
     rng = random.Random(22)
     pairs = [recipe(rng) for _ in range(500)]
-    # Equal factor chords (hi == lo), and chords past the float range.
+    # Equal factor chords (hi == lo), chords past the float range, and a finite
+    # chord of 5e19 whose tanh^2(d/2) rounds to 1.0: the upper end is closed.
     far = (HPoint.from_factors(-1e300 + 1e-11j, -1e300 + 1e-11j), HPoint.from_factors(1e300 + 1e-11j, 1e300 + 1e-11j))
-    pairs += [(I_H, TWO_I), (TWO_I, I_H), far, (far[0], HPoint.from_factors(1e300 + 1e-11j, 1j))]
+    rounded = (HPoint.from_factors(1j, 1j), HPoint.from_factors(1e20 + 1j, 2j))
+    pairs += [(I_H, TWO_I), (TWO_I, I_H), far, (far[0], HPoint.from_factors(1e300 + 1e-11j, 1j)), rounded]
     assert _chord(far[0].w1, far[1].w1) == math.inf
     for z, w in pairs:
         assert [v.hex() for v in cross_ratio_eigenvalues(z, w)] == sorted_bits(z, w)
     assert cross_ratio_eigenvalues(*far) == (1.0, 1.0)
+    assert cross_ratio_eigenvalues(*rounded) == (1.0, 1.0 / 9.0) and _chord(1j, 1e20 + 1j) < math.inf
     hi, lo = cross_ratio_eigenvalues(I_H, TWO_I)
     assert hi == lo
 
@@ -655,21 +657,21 @@ def test_distance_isometry(rng):
 
 def test_geodesic_midpoint_on_diagonal_ray():
     s0 = distance(I_H, TWO_I)
-    mid = geodesic(I_H, TWO_I, s0 / 2)
+    mid = connect(I_H, TWO_I).point(s0 / 2)
     assert abs(mid.tau - 1j * math.sqrt(2)) < 1e-12
     assert abs(mid.z) < 1e-15
 
 
 def test_geodesic_endpoints_and_range():
     s0 = distance(I_H, MIXED)
-    assert _points_gap(geodesic(I_H, MIXED, 0.0), I_H) < 1e-12
-    assert _points_gap(geodesic(I_H, MIXED, s0), MIXED) < 1e-12
+    assert _points_gap(connect(I_H, MIXED).point(0.0), I_H) < 1e-12
+    assert _points_gap(connect(I_H, MIXED).point(s0), MIXED) < 1e-12
     with pytest.raises(OutOfRange):
-        geodesic(I_H, MIXED, -0.1)
+        connect(I_H, MIXED).point(-0.1)
     with pytest.raises(OutOfRange):
-        geodesic(I_H, MIXED, s0 + 0.1)
+        connect(I_H, MIXED).point(s0 + 0.1)
     with pytest.raises(DegeneratePair):
-        geodesic(MIXED, MIXED, 0.0)
+        connect(MIXED, MIXED).point(0.0)
 
 
 def test_connect_refuses_a_segment_shorter_than_dom_eps(monkeypatch):

@@ -66,7 +66,7 @@ from conftest import (
 I_H = HPoint(1j, 0.0)
 U = sys.float_info.epsilon
 I2 = Sl2Matrix(1.0, 0.0, 0.0, 1.0)
-IDENTITY = MotionMatrix(I2, I2, 1)
+IDENTITY = assemble(I2, I2, 1)
 
 
 def sl2_gap(a: Sl2Matrix, b: Sl2Matrix) -> float:
@@ -145,7 +145,7 @@ def literal_classify(m: Mat4R) -> MotionMatrix:
         m1, m2 = Sl2Matrix(*f1), Sl2Matrix(*f2)
     except NotUnimodular:
         raise NotSymplectic("unimodular factors are the symplectic condition") from None
-    return MotionMatrix(m1, m2, 1 if commute <= anticommute else -1)
+    return assemble(m1, m2, 1 if commute <= anticommute else -1)
 
 
 def literal_commutation(m: Mat4R) -> tuple[float, float]:
@@ -393,7 +393,8 @@ def test_classify_honours_the_callers_tolerance_in_the_factor_gate(monkeypatch):
         classify(m)
     monkeypatch.setattr("bisiegel.group._ABS_EPS", 1e-6)
     motion = classify(m)
-    assert (motion.m1.a, motion.m1.d, motion.eps) == ((1 + h) + h, 1.0, 1)
+    m1, _ = split(motion)
+    assert (m1.a, m1.d, motion.eps) == ((1 + h) + h, 1.0, 1)
 
 
 def test_each_threshold_has_one_home():
@@ -471,12 +472,14 @@ def test_composition_pairs_the_factors_bit_for_bit(eps_m, eps_n, rng):
         return tuple(map(float.hex, values))
 
     for _ in range(200):
-        m = MotionMatrix(random_sl2(rng), random_sl2(rng), eps_m)
-        n = MotionMatrix(random_sl2(rng), random_sl2(rng), eps_n)
-        left1, left2 = (m.m1, m.m2) if eps_n == 1 else (m.m2, m.m1)
+        m = assemble(random_sl2(rng), random_sl2(rng), eps_m)
+        n = assemble(random_sl2(rng), random_sl2(rng), eps_n)
+        (m1, m2), (n1, n2) = split(m), split(n)
+        left1, left2 = (m1, m2) if eps_n == 1 else (m2, m1)
         prod = m @ n
-        assert (bits(entries(prod.m1)), bits(entries(prod.m2))) == (
-            bits(product(left1, n.m1)), bits(product(left2, n.m2)))
+        p1, p2 = split(prod)
+        assert (bits(entries(p1)), bits(entries(p2))) == (
+            bits(product(left1, n1)), bits(product(left2, n2)))
         assert prod.eps == eps_m * eps_n
 
 
@@ -484,18 +487,6 @@ def test_apply_closure(rng):
     for _ in range(500):
         w = apply(random_motion(rng), random_hpoint(rng))
         HPoint(w.tau, w.z)  # the constructor's membership test, from (tau, z)
-
-
-def test_motion_inverse(rng):
-    for _ in range(50):
-        m = random_motion(rng)
-        assert gap4((m @ m.inverse()).m, IDENTITY_4) < 1e-12
-        assert m.inverse().eps == m.eps
-        # Per factor, the adjugate [[d, -b], [-c, a]] of the factor it undoes.
-        (a1, b1, c1, d1), (a2, b2, c2, d2) = entries(m.m1), entries(m.m2)
-        inv1, inv2 = (d1, -b1, -c1, a1), (d2, -b2, -c2, a2)
-        want = (inv1, inv2) if m.eps == 1 else (inv2, inv1)
-        assert (entries(m.inverse().m1), entries(m.inverse().m2)) == want
 
 
 def test_kernel_fixes_everything_nonkernel_does_not(rng):
@@ -594,9 +585,8 @@ def test_apply_keeps_the_smaller_factor_to_its_own_rounding(rng):
 
 
 def test_factor_path_matches_4x4_reference(rng):
-    # Composition, inverse, action and factor read-off of the stored factors
+    # Composition, action and factor read-off of the stored factors
     # against the same operations on the 4x4 matrices, for every sign pair.
-    j = SYMPLECTIC_FORM
     signs = set()
     for _ in range(600):
         p = random_motion(rng)
@@ -607,9 +597,6 @@ def test_factor_path_matches_4x4_reference(rng):
         assert prod.eps == p.eps * o.eps
         # A 4x4 product entry sums four terms: error <= 4u * 4 |P|max |O|max.
         assert gap4(prod.m, mul4(p.m, o.m)) <= 16 * U * max_abs4(p.m) * max_abs4(o.m)
-        # -J M^T J only permutes and negates entries, as the adjugates do.
-        assert gap4(p.inverse().m, scale4(mul4(j, transpose(p.m), j), -1.0)) == 0.0
-        assert p.inverse().eps == p.eps
         assert _points_gap(apply(p, z), _reference_apply(p._rows(), z)) <= 1e-9
         back = classify(p.m)
         assert back.eps == p.eps
@@ -761,12 +748,12 @@ def test_apply_of_a_zero_denominator_is_an_image_at_infinity():
     # float range.  Both are numerical limits, never a ZeroDivisionError.
     d = -(1e-320 * 1e300)
     point = HPoint.from_factors(1e300 + 1e-11j, 1j)
-    zero = assemble(Sl2Matrix(1.0 / d, 0.0, 1e-320, d), I2, 1)
-    assert zero.m1.c * point.w1 + zero.m1.d == 0.0
+    zero = assemble(f := Sl2Matrix(1.0 / d, 0.0, 1e-320, d), I2, 1)
+    assert f.c * point.w1 + f.d == 0.0
     with pytest.raises(NumericalBreakdown, match="at infinity: a denominator is 0"):
         apply(zero, point)
-    tiny = assemble(Sl2Matrix(1.0 / d, 0.0, 2e-320, d), I2, 1)
-    assert tiny.m1.c * point.w1 + tiny.m1.d != 0.0
+    tiny = assemble(f := Sl2Matrix(1.0 / d, 0.0, 2e-320, d), I2, 1)
+    assert f.c * point.w1 + f.d != 0.0
     with pytest.raises(NumericalBreakdown, match="dom_eps margin"):
         apply(tiny, point)
 
@@ -787,10 +774,10 @@ def test_apply_image_inside_the_callers_margin_is_a_numerical_breakdown(monkeypa
 
 
 def test_every_constructor_passes_its_sign_through_the_one_gate():
-    # MotionMatrix (so assemble) and StabilizerParams share group._sign:
+    # assemble and StabilizerParams share group._sign:
     # exactly the int +1 or -1; bool and float signs are refused.
     builders = (
-        lambda e: MotionMatrix(I2, I2, e),
+        lambda e: assemble(I2, I2, e),
         lambda e: StabilizerParams(1.0, 1.0, e),
     )
     for build in builders:
@@ -807,9 +794,17 @@ def test_motion_factors_pass_the_factor_gate(slot, bad):
     # A factor that is not an Sl2Matrix would otherwise fail later, in apply, as an
     # AttributeError.  The trusted _motion does not run this gate.
     factors = {"m1": I2, "m2": I2, slot: bad}
-    for build in (MotionMatrix, assemble):
-        with pytest.raises(ValidationError, match=rf"^{slot} must be an Sl2Matrix, got {re.escape(repr(bad))}$"):
-            build(factors["m1"], factors["m2"], 1)
+    with pytest.raises(ValidationError, match=rf"^{slot} must be an Sl2Matrix, got {re.escape(repr(bad))}$"):
+        assemble(factors["m1"], factors["m2"], 1)
+
+
+def test_motions_are_built_only_by_assemble_classify_and_the_trusted_builders():
+    # MotionMatrix has no constructor and no factor properties: assemble is the one
+    # checked builder from factors, split the one factor reader.
+    with pytest.raises(TypeError):
+        MotionMatrix(I2, I2, 1)
+    for name in ("m1", "m2", "inverse"):
+        assert not hasattr(IDENTITY, name)
 
 
 def test_transport_to_iI_examples(rng):
@@ -1033,7 +1028,7 @@ def _built(op, monkeypatch) -> dict:
 
 def test_hot_path_builds_only_the_records_it_returns(monkeypatch):
     # No intermediate factor or point: a motion stores its factors' entries, so
-    # only split (and a read of m1 or m2) builds Sl2Matrix records; reduce_pair's
+    # only split builds Sl2Matrix records; reduce_pair's
     # transports and rotations are entries passed to the factor product.
     rng = random.Random(34)
     for _ in range(20):
@@ -1043,7 +1038,6 @@ def test_hot_path_builds_only_the_records_it_returns(monkeypatch):
         motion = {"MotionMatrix": 1}
         assert _built(lambda: classify(raw), monkeypatch) == motion
         assert _built(lambda: m @ n, monkeypatch) == motion
-        assert _built(lambda: m.inverse(), monkeypatch) == motion
         assert _built(lambda: random_motion(rng), monkeypatch) == motion
         assert _built(lambda: apply(m, z), monkeypatch) == {"HPoint": 1}
         assert _built(lambda: split(m), monkeypatch) == {"Sl2Matrix": 2}
@@ -1076,7 +1070,7 @@ def test_reduce_pair_mover_images_match_a_decimal_reference(k):
     # worst measured is 2.1 U of it (k = 3), under the 4 U allowed.
     for p, q in wide_pairs(k, 500):
         red = reduce_pair(p, q)
-        movers = (red.mover.m1, red.mover.m2)
+        movers = split(red.mover)
         for m, wb, wo, s in zip(movers, p.factors(), q.factors(), exact.chords(p.factors(), q.factors())):
             err = max(exact.hyp_distance(exact.image(entries(m), wb), (0, 1)),
                       exact.hyp_distance(exact.image(entries(m), wo), (0, exact.dilation(s))))
@@ -1141,7 +1135,8 @@ def reduction_outcome(f, z_base: HPoint, z_other: HPoint):
         mover, l1, l2 = f(z_base, z_other)
     except GeometryError as exc:
         return f"{type(exc).__name__}: {exc}"
-    return entries(mover.m1), entries(mover.m2), mover.eps, l1, l2
+    m1, m2 = split(mover)
+    return entries(m1), entries(m2), mover.eps, l1, l2
 
 
 def test_fused_reduce_pair_matches_the_composed_motions():
@@ -1217,7 +1212,7 @@ def test_motion_json_roundtrip_and_eps_check(rng):
         back = classify(Mat4R(tuple(tuple(row) for row in doc["m"])))
         assert back.eps == doc["eps"] == m.eps
         # Factors are read back as sums and differences of halved entries.
-        assert max(sl2_gap(back.m1, m.m1), sl2_gap(back.m2, m.m2)) <= 2 * U * max_abs4(m.m)
+        assert max(map(sl2_gap, split(back), split(m))) <= 2 * U * max_abs4(m.m)
         assert gap4(back.m, m.m) <= 2 * U * max_abs4(m.m)
     # The command-line reader is the one place a declared eps is checked.
     from bisiegel.cli import _parse_motion

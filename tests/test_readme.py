@@ -42,7 +42,7 @@ def test_quick_tour_gives_its_commented_values():
     assert red.lambda2 == pytest.approx(1.0, abs=1e-12)
     moved = values["apply(red.mover, z2)"]
     assert abs(moved.tau - 2j) <= 1e-12 and abs(moved.z - 1j) <= 1e-12
-    mid = values["geodesic(z1, z2, distance(z1, z2) / 2)"]
+    mid = values["connect(z1, z2).point(distance(z1, z2) / 2)"]
     for end in (names["z1"], names["z2"]):
         assert bisiegel.distance(mid, end) == pytest.approx(log3 / 2.0, abs=1e-12)
     assert values["distance(apply(m, z1), apply(m, z2))"] == pytest.approx(log3, abs=1e-12)
