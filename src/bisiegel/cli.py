@@ -33,7 +33,6 @@ from .geometry import connect, distance, distance_params, volume_density
 from .group import (
     MotionMatrix,
     Sl2Matrix,
-    StabilizerParams,
     _sign,
     apply,
     assemble,
@@ -296,20 +295,16 @@ def _cmd_volume(args) -> None:
 
 
 def _cmd_stabilizer(args) -> None:
-    params = StabilizerParams(
-        _parse_unit(args.xi1, "--xi1"), _parse_unit(args.xi2, "--xi2"), args.eps
-    )
-    if args.model == "disc":
-        _emit(_disc_stabilizer(params))
-    else:
-        _emit(stabilizer_of_iI(params))
+    motion = stabilizer_of_iI(_parse_unit(args.xi1, "--xi1"), _parse_unit(args.xi2, "--xi2"), args.eps)
+    _emit(_disc_stabilizer(motion) if args.model == "disc" else motion)
 
 
-def _disc_stabilizer(params: StabilizerParams) -> dict:
-    """The disc rotations u -> xi u / conj(xi) as the complex blocks of
-    [[A0, B0], [conj B0, conj A0]]: A0 = [[h1, h2], [eps*h2, eps*h1]] for
-    h1, h2 = (xi1 +- xi2) / 2, and B0 = 0."""
-    e, xi1, xi2 = params.eps, params.xi1, params.xi2
+def _disc_stabilizer(motion: MotionMatrix) -> dict:
+    """The disc rotations u -> xi u / conj(xi) of a stabilizer of iI as the blocks of [[A0, B0], [conj B0,
+    conj A0]]: A0 = [[h1, h2], [eps*h2, eps*h1]] for h1, h2 = (xi1 +- xi2) / 2, and B0 = 0, with each
+    xi read off its factor's first row (Re xi, Im xi), where ``stabilizer_of_iI`` stores it."""
+    (s1, s2), e = split(motion), motion.eps
+    xi1, xi2 = complex(s1.a, s1.b), complex(s2.a, s2.b)
     h1, h2 = (xi1 + xi2) / 2.0, (xi1 - xi2) / 2.0
     zero = [[0.0, 0.0], [0.0, 0.0]]
     return {"a0": [[[h1.real, h1.imag], [h2.real, h2.imag]],

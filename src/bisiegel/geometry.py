@@ -23,7 +23,6 @@ from .errors import DegeneratePair, DomainViolation, NumericalBreakdown, OutOfRa
 from .numkit import _ABS_EPS, _DOM_EPS
 
 __all__ = [
-    "Tangent",
     "GeodesicSpec",
     "cross_ratio_eigenvalues",
     "metric_form",
@@ -32,25 +31,6 @@ __all__ = [
     "connect",
     "volume_density",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class Tangent:
-    """Bi-symmetric displacement (dtau, dz) at a half-space point."""
-
-    dtau: complex
-    dz: complex
-
-    def __post_init__(self) -> None:
-        dtau, dz = complex(self.dtau), complex(self.dz)
-        for v in (dtau, dz):
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise DomainViolation(f"non-finite tangent component {v!r}")
-        object.__setattr__(self, "dtau", dtau)
-        object.__setattr__(self, "dz", dz)
-
-    def factors(self) -> tuple[complex, complex]:
-        return (self.dtau + self.dz, self.dtau - self.dz)
 
 
 def _chord(w1: complex, w2: complex) -> float:
@@ -88,11 +68,20 @@ def cross_ratio_eigenvalues(z: HPoint, z1: HPoint) -> tuple[float, float]:
     return (b, a) if b > a else (a, b)
 
 
-def metric_form(point: HPoint, d: Tangent) -> float:
-    """Squared length tr(Y^-1 dZ Y^-1 d(conj Z)) of a tangent displacement,
-    summed over the factors as |dw|^2 / (Im w)^2."""
-    d1, d2 = d.factors()
-    h = math.hypot(abs(d1) / point.w1.imag, abs(d2) / point.w2.imag)
+def metric_form(point: HPoint, dtau: complex, dz: complex) -> float:
+    """Squared length tr(Y^-1 dZ Y^-1 d(conj Z)) of dZ = [[dtau, dz], [dz, dtau]], summed over the
+    factors as |dw|^2 / (Im w)^2, dw = dtau +- dz.  The tangent's one gate runs only where that is
+    not finite: a non-finite component is a ``DomainViolation``, an overflow a ``NumericalBreakdown``."""
+    h1, h2 = point.w1.imag, point.w2.imag
+    try:
+        h = math.hypot(abs(dtau + dz) / h1, abs(dtau - dz) / h2)
+    except OverflowError:  # |dw| past the float range
+        h = inf
+    if not h * h < inf:  # `not <` rejects NaN
+        for v in (complex(dtau), complex(dz)):
+            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+                raise DomainViolation(f"non-finite tangent component {v!r}")
+        raise NumericalBreakdown(f"metric form of ({dtau!r}, {dz!r}) at heights {h1!r}, {h2!r} leaves the float range")
     return h * h
 
 
@@ -175,11 +164,15 @@ class GeodesicSpec:
     """A geodesic segment: its length and its legs' constants, forward and backward, each
     of both factors, which hold both ends, so two specs are equal only for the same segment.
 
-    ``connect`` is its only builder and ``point`` its one reader.
+    ``connect`` is its only builder (calling the class is a ``TypeError``) and ``point``
+    its one reader.
     """
 
     s0: float
     _legs: tuple = field(repr=False)
+
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError("GeodesicSpec has no constructor: connect(z1, z2) builds one")
 
     def _factors(self, s: float) -> tuple[complex, complex]:
         """Factors (w1, w2) of ``point(s)``, unchecked: each moves the fraction t = s / s0."""

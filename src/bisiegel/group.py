@@ -19,12 +19,12 @@ condition.  ``MotionMatrix._halves`` gives the 8 ``x1``, ``x2`` that the CLI pri
 ``_rows`` the 4x4, which ``verify``'s literal action reads, and ``.m`` its ``Mat4R``.
 
 The stabilizer of the base point is given by two unit parameters ``xi1``, ``xi2``
-and a sign (``StabilizerParams``, each parameter gated as its rotation factor's
-determinant): ``stabilizer_of_iI`` is its motion, and its Cayley conjugate, the disc
-rotations ``u -> xi u / conj(xi)``, is written only as JSON, by the CLI.
+and a sign: ``stabilizer_of_iI`` gates each parameter as its rotation factor's
+determinant and builds the motion, and its Cayley conjugate, the disc rotations
+``u -> xi u / conj(xi)``, is written only as JSON, by the CLI, from that motion.
 
-Motions are validated once, at the boundary: ``classify`` and ``assemble``, the two
-checked builders.  Every gate reads the one threshold ``_ABS_EPS``.  Values computed from
+Motions are validated once, at the boundary: ``classify``, ``assemble`` and ``stabilizer_of_iI``,
+the checked builders.  Every gate reads the one threshold ``_ABS_EPS``.  Values computed from
 validated ones, and the seeded samples, are trusted: ``_sl2`` and ``_motion`` (on entry
 tuples) fill the slots through setters bound once; only products re-run the determinant gate
 (a ``NumericalBreakdown``: their inputs were valid).  Each operation checks what
@@ -56,7 +56,6 @@ from .numkit import _ABS_EPS, Mat4R, _check_finite
 __all__ = [
     "Sl2Matrix",
     "MotionMatrix",
-    "StabilizerParams",
     "ReducedPair",
     "classify",
     "apply",
@@ -119,14 +118,17 @@ class MotionMatrix:
     """A motion: two Moebius factors and the exchange sign.
 
     On factor coordinates ``(w1, w2)`` it acts as ``(m1 w1, m2 w2)`` for
-    ``eps = +1`` and as ``(m2 w2, m1 w1)`` for ``eps = -1``.  It stores each
-    factor's entries and has no constructor: ``assemble`` and ``classify`` build
-    it checked, ``_motion`` trusted, and ``split`` reads its two ``Sl2Matrix``.
+    ``eps = +1`` and as ``(m2 w2, m1 w1)`` for ``eps = -1``.  It stores each factor's
+    entries and has no constructor (calling the class is a ``TypeError``): ``assemble`` and
+    ``classify`` build it checked, ``_motion`` trusted, and ``split`` reads its two ``Sl2Matrix``.
     """
 
     _e1: tuple
     _e2: tuple
     eps: int
+
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError("MotionMatrix has no constructor: assemble(m1, m2, eps) or classify(m) builds one")
 
     @property
     def m(self) -> Mat4R:
@@ -337,32 +339,18 @@ def _check_unit(name: str, xi: complex) -> None:
         raise UnitModulusViolation(f"|{name}|={r!r} is not 1") from None
 
 
-@dataclass(frozen=True, slots=True)
-class StabilizerParams:
-    """Two unit-circle rotation parameters and an exchange sign."""
-
-    xi1: complex
-    xi2: complex
-    eps: int = 1
-
-    def __post_init__(self) -> None:
-        xi1, xi2 = complex(self.xi1), complex(self.xi2)
-        _check_unit("xi1", xi1)
-        _check_unit("xi2", xi2)
-        _sign(self.eps)
-        object.__setattr__(self, "xi1", xi1)
-        object.__setattr__(self, "xi2", xi2)
-
-
-def stabilizer_of_iI(params: StabilizerParams) -> MotionMatrix:
+def stabilizer_of_iI(xi1: complex, xi2: complex, eps: int = 1) -> MotionMatrix:
     """Real motion fixing the base point iI: a rotation about i per factor.
 
-    The factors are ``[[Re xi, Im xi], [-Im xi, Re xi]]`` for xi1 and xi2;
-    conjugated by the Cayley map they are the disc rotations ``u -> xi u / conj(xi)``
-    that ``stabilizer --model disc`` prints for the same parameters.
+    The one gate of the parameters: each unit ``xi`` passes ``_check_unit``, then the sign
+    ``_sign``.  The factors are ``[[Re xi, Im xi], [-Im xi, Re xi]]``; conjugated by the Cayley
+    map they are the disc rotations ``u -> xi u / conj(xi)`` that ``stabilizer --model disc`` prints.
     """
-    r1, r2 = ((xi.real, xi.imag, -xi.imag, xi.real) for xi in (params.xi1, params.xi2))
-    return _motion(r1, r2, params.eps)
+    xi1, xi2 = complex(xi1), complex(xi2)
+    _check_unit("xi1", xi1)
+    _check_unit("xi2", xi2)
+    r1, r2 = ((xi.real, xi.imag, -xi.imag, xi.real) for xi in (xi1, xi2))
+    return _motion(r1, r2, _sign(eps))
 
 
 def _transport_to_i(w: complex) -> tuple:

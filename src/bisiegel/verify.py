@@ -36,7 +36,6 @@ from .domain import (
 )
 from .errors import NumericalBreakdown
 from .geometry import (
-    Tangent,
     connect,
     cross_ratio_eigenvalues,
     distance,
@@ -75,10 +74,10 @@ def _rng(seed: int, name: str) -> random.Random:
     return random.Random(f"{seed}:{name}")
 
 
-def _random_tangent(rng: random.Random) -> Tangent:
-    """Each part uniform in [-1, 1], drawn as -1 + 2 U: what Random.uniform(-1, 1) computes."""
-    return Tangent(complex(-1 + 2 * rng.random(), -1 + 2 * rng.random()),
-                   complex(-1 + 2 * rng.random(), -1 + 2 * rng.random()))
+def _random_tangent(rng: random.Random) -> tuple[complex, complex]:
+    """A tangent (dtau, dz), each part uniform in [-1, 1] as -1 + 2 U: what Random.uniform computes."""
+    return (complex(-1 + 2 * rng.random(), -1 + 2 * rng.random()),
+            complex(-1 + 2 * rng.random(), -1 + 2 * rng.random()))
 
 
 def _points_gap(p: HPoint, q: HPoint) -> float:
@@ -124,17 +123,17 @@ def _reference_apply(rows: tuple, point: HPoint) -> HPoint:
     return HPoint((w[0] + w[3]) / 2.0, (w[1] + w[2]) / 2.0)
 
 
-def _pushforward(rows: tuple, point: HPoint, *tangents: Tangent) -> list[Tangent]:
-    """The images dW = (C Z + D)^-T dZ (C Z + D)^-1 of the tangents dZ = [[dtau, dz], [dz, dtau]]
-    under the action of the rows of a real symplectic 4x4 at Z, computed literally;
-    C Z + D is inverted once for all of them."""
+def _pushforward(rows: tuple, point: HPoint, *tangents: tuple) -> list[tuple[complex, complex]]:
+    """The images dW = (C Z + D)^-T dZ (C Z + D)^-1 of the tangents dZ = [[dtau, dz], [dz, dtau]],
+    each given and returned as its pair (dtau, dz), under the action of the rows of a real
+    symplectic 4x4 at Z, computed literally; C Z + D is inverted once for all of them."""
     tau, z = point._readout()
     k = _inv(_affine(rows, 2, (tau, z, z, tau)))
     kt = (k[0], k[2], k[1], k[3])
     out = []
-    for d in tangents:
-        w = _mul(_mul(kt, (d.dtau, d.dz, d.dz, d.dtau)), k)  # k^T dZ k
-        out.append(Tangent((w[0] + w[3]) / 2.0, (w[1] + w[2]) / 2.0))
+    for dtau, dz in tangents:
+        w = _mul(_mul(kt, (dtau, dz, dz, dtau)), k)  # k^T dZ k
+        out.append(((w[0] + w[3]) / 2.0, (w[1] + w[2]) / 2.0))
     return out
 
 
@@ -256,18 +255,18 @@ def _check_cross_ratio_invariance(rng: random.Random) -> Sequence[float]:
 
 
 def _check_metric_base(rng: random.Random) -> Sequence[float]:
-    d = _random_tangent(rng)
-    expected = 2.0 * (d.dtau.real**2 + d.dtau.imag**2 + d.dz.real**2 + d.dz.imag**2)
-    return (abs(metric_form(_BASE, d) - expected),)
+    dtau, dz = _random_tangent(rng)
+    expected = 2.0 * (dtau.real**2 + dtau.imag**2 + dz.real**2 + dz.imag**2)
+    return (abs(metric_form(_BASE, dtau, dz) - expected),)
 
 
 def _check_metric_invariance(rng: random.Random) -> Sequence[float]:
     z = random_hpoint(rng)
     d = _random_tangent(rng)
     m = random_motion(rng)
-    before = metric_form(z, d)
+    before = metric_form(z, *d)
     [dw] = _pushforward(m._rows(), z, d)
-    after = metric_form(apply(m, z), dw)
+    after = metric_form(apply(m, z), *dw)
     return (abs(after - before) / before,)
 
 
@@ -330,8 +329,8 @@ def _check_volume_jacobian(rng: random.Random) -> Sequence[float]:
     # complex Jacobian J in (tau, z) the pushforwards of dZ = I and dZ = [[0, 1], [1, 0]].
     z = random_hpoint(rng)
     m = random_motion(rng)
-    j1, j2 = _pushforward(m._rows(), z, Tangent(1.0, 0.0), Tangent(0.0, 1.0))
-    lhs = volume_density(apply(m, z)) * abs(j1.dtau * j2.dz - j2.dtau * j1.dz) ** 2
+    (dtau1, dz1), (dtau2, dz2) = _pushforward(m._rows(), z, (1 + 0j, 0j), (0j, 1 + 0j))
+    lhs = volume_density(apply(m, z)) * abs(dtau1 * dz2 - dtau2 * dz1) ** 2
     rhs = volume_density(z)
     return (abs(lhs - rhs) / rhs,)
 

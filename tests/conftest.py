@@ -16,7 +16,6 @@ from bisiegel.errors import NumericalBreakdown
 from bisiegel.geometry import _chord, volume_density
 from bisiegel.group import (
     Sl2Matrix,
-    StabilizerParams,
     _half_conj_phase,
     _transport_to_i,
     apply,
@@ -156,8 +155,7 @@ def composed_reduce_pair(z_base: HPoint, z_other: HPoint):
     half_big, half_small = (m * (m / 2) for m in (s + math.hypot(1.0, s) for s in (s_big, s_small)))
     if not half_big + half_small < math.inf:
         raise NumericalBreakdown(f"lambdas of the chords ({s_big!r}, {s_small!r}) leave the float range")
-    params = StabilizerParams(xi1, xi2, -1 if swap else 1)
-    return stabilizer_of_iI(params) @ transport, half_big + half_small, half_big - half_small
+    return stabilizer_of_iI(xi1, xi2, -1 if swap else 1) @ transport, half_big + half_small, half_big - half_small
 
 
 # --------------------------------------------------------------------------

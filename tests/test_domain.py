@@ -10,7 +10,7 @@ import exact
 import numpy as np
 import pytest
 
-from bisiegel import domain, verify
+from bisiegel import cli, domain, geometry, group, hyperbolic, numkit, verify
 from bisiegel.cli import _parse_epoint, _parse_hpoint
 from bisiegel.domain import (
     EPoint,
@@ -22,11 +22,11 @@ from bisiegel.domain import (
     random_hpoint,
 )
 from bisiegel.errors import DomainViolation, NumericalBreakdown
-from bisiegel.geometry import GeodesicSpec, Tangent, connect
+from bisiegel.geometry import GeodesicSpec, connect
 from bisiegel.group import (
+    MotionMatrix,
     ReducedPair,
     Sl2Matrix,
-    StabilizerParams,
     _motion,
     _sl2,
     assemble,
@@ -183,9 +183,12 @@ def test_records_are_slotted_and_frozen():
     records = (
         Mat4R(IDENTITY_4.rows), z1, HPoint.from_factors(1j, 2j),
         EPoint(0.25, 0.1), EPoint.from_factors(0.1, 0.2j), i2, assemble(i2, shear, -1),
-        StabilizerParams(1.0, 1j, -1), red, Tangent(1.0, 0.5j), spec, CheckResult("c", 0.0, 1.0, 1),
+        red, spec, CheckResult("c", 0.0, 1.0, 1),
     )
-    assert len({type(r) for r in records}) == 10
+    # Every dataclass that a module exports is a record here, so none escapes the checks.
+    exported = [getattr(m, n) for m in (cli, domain, geometry, group, hyperbolic, numkit, verify) for n in m.__all__]
+    assert {type(r) for r in records} == {c for c in exported if isinstance(c, type) and dataclasses.is_dataclass(c)}
+    assert len({type(r) for r in records}) == 8
     for r in records:
         assert not hasattr(r, "__dict__")
         for f in dataclasses.fields(r):
@@ -213,6 +216,14 @@ def test_records_are_slotted_and_frozen():
     assert type(spec) is GeodesicSpec and spec.point(0.0) == z1
     assert spec == connect(z1, z2) and hash(spec) == hash(key)
     assert spec != connect(z2, z1)
+    # Neither record can be built hollow: calling the class names its builders.
+    builders = {MotionMatrix: r"assemble\(m1, m2, eps\) or classify\(m\)", GeodesicSpec: r"connect\(z1, z2\)"}
+    for cls, named in builders.items():
+        for args, kwargs in (((), {}), ((motion._e1, motion._e2, -1), {}), ((), {"s0": 1.0, "_legs": spec._legs})):
+            with pytest.raises(TypeError, match=rf"^{cls.__name__} has no constructor: {named} builds one$"):
+                cls(*args, **kwargs)
+    with pytest.raises(TypeError, match="^MotionMatrix has no constructor"):
+        dataclasses.replace(motion)
 
 
 def test_point_constructors_build_one_record_each(monkeypatch):
@@ -241,6 +252,14 @@ def test_points_copy_and_pickle_through_their_factors():
             assert type(back) is type(point) and back == point
             assert [struct.pack("<dd", f.real, f.imag) for f in back.factors()] == [
                 struct.pack("<dd", f.real, f.imag) for f in point.factors()]
+    # A motion and a segment, whose classes raise when called, copy and pickle through
+    # object.__new__ and their slots, as their builders fill them.
+    z1, z2 = HPoint(2j, 1j), HPoint(1j, 0.5j)
+    for record in (assemble(Sl2Matrix(1.0, 2.0, 0.0, 1.0), Sl2Matrix(2.0, 1.0, 1.0, 1.0), -1), connect(z1, z2)):
+        for back in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(back) is type(record) and back == record
+    assert dataclasses.asdict(_motion((1.0, 2.0, 0.0, 1.0), (1.0, 0.0, 0.0, 1.0), 1)) == {
+        "_e1": (1.0, 2.0, 0.0, 1.0), "_e2": (1.0, 0.0, 0.0, 1.0), "eps": 1}
 
 
 def test_readout_is_the_halved_sum_and_difference_bit_for_bit():

@@ -19,7 +19,6 @@ from bisiegel.errors import (
     OutOfRange,
 )
 from bisiegel.geometry import (
-    Tangent,
     _chord,
     _tanh_sq,
     connect,
@@ -114,21 +113,21 @@ def test_metric_base_point_closed_form(rng):
 
 
 def test_metric_simple_values():
-    assert metric_form(I_H, Tangent(1.0, 0.0)) == pytest.approx(2.0, abs=1e-15)
-    assert metric_form(MIXED, Tangent(0.0, 0.0)) == 0.0
+    assert metric_form(I_H, 1.0, 0.0) == pytest.approx(2.0, abs=1e-15)
+    assert metric_form(MIXED, 0.0, 0.0) == 0.0
 
 
 def test_metric_factor_decomposition(rng):
     # tr(Y^-1 dZ Y^-1 conj(dZ)) splits as |df|^2 / Im(f)^2 over both factors.
     for _ in range(200):
         z = random_hpoint(rng)
-        d = _random_tangent(rng)
+        dtau, dz = _random_tangent(rng)
         f_plus, f_minus = z.factors()
-        df_plus, df_minus = d.factors()
+        df_plus, df_minus = dtau + dz, dtau - dz
         expected = (
             abs(df_plus) ** 2 / f_plus.imag**2 + abs(df_minus) ** 2 / f_minus.imag**2
         )
-        assert metric_form(z, d) == pytest.approx(expected, rel=1e-12)
+        assert metric_form(z, dtau, dz) == pytest.approx(expected, rel=1e-12)
 
 
 def test_metric_form_matches_literal_trace(rng):
@@ -137,19 +136,19 @@ def test_metric_form_matches_literal_trace(rng):
         z = random_hpoint(rng)
         d = _random_tangent(rng)
         y_inv = np.linalg.inv(bisym(z.tau.imag, z.z.imag))
-        dz = bisym(d.dtau, d.dz)
+        dz = bisym(*d)
         literal = np.trace(y_inv @ dz @ y_inv @ dz.conj())
         assert abs(literal.imag) <= 1e-12 * abs(literal)
-        assert metric_form(z, d) == pytest.approx(literal.real, rel=1e-12)
+        assert metric_form(z, *d) == pytest.approx(literal.real, rel=1e-12)
 
 
 def test_metric_positivity(rng):
     for _ in range(1000):
         z = random_hpoint(rng)
-        d = _random_tangent(rng)
-        if max(abs(d.dtau), abs(d.dz)) < 1e-12:
+        dtau, dz = _random_tangent(rng)
+        if max(abs(dtau), abs(dz)) < 1e-12:
             continue
-        assert metric_form(z, d) > 0.0
+        assert metric_form(z, dtau, dz) > 0.0
 
 
 def test_metric_invariance_under_pushforward(rng):
@@ -831,8 +830,16 @@ def test_geodesic_is_arclength_parameterized(rng):
 
 
 def test_tangent_rejects_nonfinite():
-    with pytest.raises(DomainViolation):
-        Tangent(float("nan"), 0.0)
+    with pytest.raises(DomainViolation, match=r"^non-finite tangent component \(nan\+0j\)$"):
+        metric_form(I_H, float("nan"), 0.0)
+
+
+def test_metric_form_refuses_an_overflow():
+    # Finite tangents whose squared length leaves the float range: the first squares
+    # to inf, and the second's |dw| is itself past the float range, where abs() raises.
+    for dtau in (1e200, 1.7e308 + 1.7e308j):
+        with pytest.raises(NumericalBreakdown, match="leaves the float range"):
+            metric_form(I_H, dtau, 0)
 
 
 def test_geodesic_points_honour_the_callers_margin(monkeypatch):

@@ -32,7 +32,6 @@ from bisiegel.group import (
     MotionMatrix,
     ReducedPair,
     Sl2Matrix,
-    StabilizerParams,
     apply,
     assemble,
     classify,
@@ -642,18 +641,17 @@ def test_stabilizer_of_center_examples():
 
 def test_stabilizer_params_validation():
     with pytest.raises(UnitModulusViolation):
-        StabilizerParams(2.0, 1.0, 1)
+        stabilizer_of_iI(2.0, 1.0, 1)
     # |xi|^2 - 1 = 1.4e-10 is beyond the factor gate's bound of 1e-10, so the
     # parameter gate rejects it (it passed |xi| - 1 = 7e-11 before).
     with pytest.raises(UnitModulusViolation, match=r"\|xi1\|=1.00000000007 is not 1"):
-        StabilizerParams(1.00000000007, 1.0, 1)
+        stabilizer_of_iI(1.00000000007, 1.0, 1)
     with pytest.raises(UnitModulusViolation):
-        StabilizerParams(1.0, complex(float("nan"), 0.0), 1)
+        stabilizer_of_iI(1.0, complex(float("nan"), 0.0), 1)
     # A parameter the gate accepts builds both stabilizers.
     for xi in (1.0 + 4.9e-11, 1.0 - 4.9e-11, complex(0.6, 0.8)):
-        params = StabilizerParams(xi, 1.0, -1)
         assert disc_stabilizer(xi, 1.0, -1)["eps"] == -1
-        assert split(stabilizer_of_iI(params))[0].a == xi.real
+        assert split(stabilizer_of_iI(xi, 1.0, -1))[0].a == xi.real
 
 
 def test_stabilizer_params_on_each_side_of_the_unit_gate():
@@ -663,17 +661,18 @@ def test_stabilizer_params_on_each_side_of_the_unit_gate():
     for unit in (1.0, complex(0.6, 0.8)):
         for rel in (0.49e-10, -0.49e-10):
             xi = unit * (1.0 + rel)
-            assert StabilizerParams(1.0, xi, 1).xi2 == xi
+            r2 = split(stabilizer_of_iI(1.0, xi, 1))[1]
+            assert (r2.a, r2.b) == (xi.real, xi.imag)
             Sl2Matrix(xi.real, xi.imag, -xi.imag, xi.real)
         for rel in (0.51e-10, -0.51e-10):
             xi = unit * (1.0 + rel)
             with pytest.raises(UnitModulusViolation, match=rf"^\|xi2\|={re.escape(repr(abs(xi)))} is not 1$"):
-                StabilizerParams(1.0, xi, 1)
+                stabilizer_of_iI(1.0, xi, 1)
             with pytest.raises(NotUnimodular):
                 Sl2Matrix(xi.real, xi.imag, -xi.imag, xi.real)
     for bad in (complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0)):
         with pytest.raises(UnitModulusViolation, match=r"^\|xi1\|="):
-            StabilizerParams(bad, 1.0, -1)
+            stabilizer_of_iI(bad, 1.0, -1)
 
 
 def test_stabilizer_of_center_fixes_center(rng):
@@ -692,7 +691,7 @@ def test_stabilizer_of_center_fixes_center(rng):
 
 
 def test_stabilizer_of_iI_identity_case():
-    m = stabilizer_of_iI(StabilizerParams(1, 1, 1))
+    m = stabilizer_of_iI(1, 1, 1)
     assert gap4(m.m, IDENTITY_4) < 1e-15
 
 
@@ -701,14 +700,14 @@ def test_stabilizer_of_iI_fixes_base_point(rng):
         xi1 = complex(math.cos(a := rng.uniform(0, 2 * math.pi)), math.sin(a))
         xi2 = complex(math.cos(b := rng.uniform(0, 2 * math.pi)), math.sin(b))
         eps = 1 if rng.random() < 0.5 else -1
-        m = stabilizer_of_iI(StabilizerParams(xi1, xi2, eps))
+        m = stabilizer_of_iI(xi1, xi2, eps)
         assert _points_gap(apply(m, I_H), I_H) <= 1e-10
 
 
 def test_stabilizer_of_iI_is_isometric_rotation():
     theta = math.pi / 3
     xi = complex(math.cos(theta), math.sin(theta))
-    m = stabilizer_of_iI(StabilizerParams(xi, xi, 1))
+    m = stabilizer_of_iI(xi, xi, 1)
     far = HPoint(2j, 0.0)
     assert _points_gap(apply(m, I_H), I_H) <= 1e-12
     assert abs(distance(apply(m, I_H), apply(m, far)) - math.sqrt(2) * math.log(2)) <= 1e-12
@@ -774,11 +773,11 @@ def test_apply_image_inside_the_callers_margin_is_a_numerical_breakdown(monkeypa
 
 
 def test_every_constructor_passes_its_sign_through_the_one_gate():
-    # assemble and StabilizerParams share group._sign:
+    # assemble and stabilizer_of_iI share group._sign:
     # exactly the int +1 or -1; bool and float signs are refused.
     builders = (
         lambda e: assemble(I2, I2, e),
-        lambda e: StabilizerParams(1.0, 1.0, e),
+        lambda e: stabilizer_of_iI(1.0, 1.0, e),
     )
     for build in builders:
         for eps in (1, -1):
@@ -1200,9 +1199,9 @@ def test_disc_and_halfspace_actions_commute_with_cayley(rng):
         z = random_hpoint(rng)
         xi1 = complex(math.cos(a := rng.uniform(0, 2 * math.pi)), math.sin(a))
         xi2 = complex(math.cos(b := rng.uniform(0, 2 * math.pi)), math.sin(b))
-        params = StabilizerParams(xi1, xi2, 1 if rng.random() < 0.5 else -1)
-        disc = literal_disc_action(disc_stabilizer(xi1, xi2, params.eps), cayley_to_disc(z))
-        assert _points_gap(cayley_to_halfspace(disc), apply(stabilizer_of_iI(params), z)) <= 1e-9
+        eps = 1 if rng.random() < 0.5 else -1
+        disc = literal_disc_action(disc_stabilizer(xi1, xi2, eps), cayley_to_disc(z))
+        assert _points_gap(cayley_to_halfspace(disc), apply(stabilizer_of_iI(xi1, xi2, eps), z)) <= 1e-9
 
 
 def test_motion_json_roundtrip_and_eps_check(rng):
