@@ -71,14 +71,19 @@ def cross_ratio_eigenvalues(z: HPoint, z1: HPoint) -> tuple[float, float]:
 def metric_form(point: HPoint, dtau: complex, dz: complex) -> float:
     """Squared length tr(Y^-1 dZ Y^-1 d(conj Z)) of dZ = [[dtau, dz], [dz, dtau]], summed over the
     factors as |dw|^2 / (Im w)^2, dw = dtau +- dz.  The tangent's one gate runs only where that is
-    not finite: a non-finite component is a ``DomainViolation``, an overflow a ``NumericalBreakdown``."""
+    not finite: a component that is not finite, or is past the float range as an int can be, is a
+    ``DomainViolation`` naming it, an overflow of the form a ``NumericalBreakdown``."""
     h1, h2 = point.w1.imag, point.w2.imag
     try:
         h = math.hypot(abs(dtau + dz) / h1, abs(dtau - dz) / h2)
     except OverflowError:  # |dw| past the float range
         h = inf
     if not h * h < inf:  # `not <` rejects NaN
-        for v in (complex(dtau), complex(dz)):
+        for name, v in (("dtau", dtau), ("dz", dz)):
+            try:
+                v = complex(v)
+            except OverflowError:  # a number past the float range, as an int can be
+                raise DomainViolation(f"tangent component {name} is past the float range") from None
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise DomainViolation(f"non-finite tangent component {v!r}")
         raise NumericalBreakdown(f"metric form of ({dtau!r}, {dz!r}) at heights {h1!r}, {h2!r} leaves the float range")

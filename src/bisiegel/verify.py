@@ -6,6 +6,11 @@ the worst residual in its own loop, keeping a NaN; ``run_suite`` folds each chec
 deterministic stream (seed mixed with the check name), compares the worst against the tolerance
 pinned for the invariant, and the CLI renders a pass/fail table.  The tests fold the same checks.
 
+No check reads another's state, so ``run_suite`` folds them in one process per usable CPU, or in
+one alone without ``os.fork`` or with another thread alive, each process taking the next check
+off one pipe; a check left without a result is folded again in the caller, in ``SUITE`` order,
+so the report and the first error raised do not depend on the number of CPUs.
+
 Points, motions and the geometry are computed per factor; the literal 4x4 action
 ``(AZ + B)(CZ + D)^-1``, matrix cross ratio and matrix Cayley map live here only, as the
 references that the factor forms are checked against, in plain complex arithmetic on 2x2
@@ -22,7 +27,10 @@ that ``apply`` refuses at the margin as a residual of 1.
 
 from __future__ import annotations
 
+import os
 import random
+import struct
+import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from math import atan2, exp, hypot, log
@@ -377,10 +385,58 @@ def _fold(check: Callable[[random.Random], Sequence[float]], rng: random.Random,
     return worst
 
 
+def _workers() -> int:
+    """One process per usable CPU, at most one per check; 1 where forking is missing or unsafe."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:  # a threaded fork can deadlock
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, len(SUITE))
+
+
+def _drain(queue: int, outbox: int, seed: int, suite: list) -> None:
+    """Fold the check of each index read off the queue; write ``(index, worst)`` to the outbox."""
+    while index := os.read(queue, 1):
+        name, check, _, n = suite[index[0]]
+        try:
+            os.write(outbox, struct.pack("<Bd", index[0], _fold(check, _rng(seed, name), n)))
+        except Exception:
+            pass  # run_suite folds it again
+
+
 def run_suite(seed: int, trials: int) -> list[CheckResult]:
-    """Run every check with its own deterministic stream; order is fixed."""
-    results = []
-    for name, (check, tolerance, divisor) in SUITE.items():
-        n = max(1, trials // divisor)
-        results.append(CheckResult(name, _fold(check, _rng(seed, name), n), tolerance, n))
-    return results
+    """Fold every check on its own deterministic stream and report them in ``SUITE`` order.
+
+    ``_workers()`` processes share the checks, the caller one of them (with one, the same loop
+    runs here alone); a child's residual crosses exactly as a ``<Bd`` double, NaN and inf too.
+    A check without a result (it raised, or its process died) is folded again here once every
+    child is reaped; if the caller leaves by an exception, it kills its children first."""
+    suite = [(name, check, tolerance, max(1, trials // divisor))
+             for name, (check, tolerance, divisor) in SUITE.items()]
+    queue, fill = os.pipe()
+    os.write(fill, bytes(range(len(suite))))
+    os.close(fill)
+    inbox, outbox = os.pipe()
+    pids = []
+    try:
+        for _ in range(_workers() - 1):
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    _drain(queue, outbox, seed, suite)
+                finally:
+                    os._exit(0)  # never the parent's stdio flush or atexit handlers
+            pids.append(pid)
+        _drain(queue, outbox, seed, suite)
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, 9)  # SIGKILL, whose number POSIX fixes (os.fork is POSIX only)
+        raise
+    finally:
+        os.close(outbox)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        os.close(queue)
+        with open(inbox, "rb") as replies:
+            found = dict(struct.iter_unpack("<Bd", replies.read()))
+    return [CheckResult(name, found[i] if i in found else _fold(check, _rng(seed, name), n), tolerance, n)
+            for i, (name, check, tolerance, n) in enumerate(suite)]

@@ -8,6 +8,8 @@ import random
 import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -401,6 +403,138 @@ def test_arc_length_check_catches_a_reparametrized_geodesic(monkeypatch):
     monkeypatch.setattr("bisiegel.verify.SUITE", {"arc_length": SUITE["arc_length"]})
     [result] = run_suite(42, 20)
     assert not result.passed and result.max_residual > 1e-5
+
+
+def _serial_report(seed, trials):
+    # Every check folded in this process, in SUITE order, each residual as its exact bits.
+    report = []
+    for name, (check, tol, divisor) in verify.SUITE.items():
+        n = max(1, trials // divisor)
+        report.append((name, n, verify._fold(check, verify._rng(seed, name), n).hex(), tol))
+    return report
+
+
+def _report(results):
+    return [(r.name, r.trials, r.max_residual.hex(), r.tolerance) for r in results]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_run_suite_equals_the_serial_fold_bit_for_bit(monkeypatch, seed):
+    # However many processes fold the checks, each residual is the one this process folds:
+    # one per usable CPU, and eight, more than this host is likely to have, racing for the queue.
+    expected = _serial_report(seed, 200)
+    assert _report(verify.run_suite(seed, 200)) == expected
+    monkeypatch.setattr(verify, "_workers", lambda: 8)
+    assert _report(verify.run_suite(seed, 200)) == expected
+    _no_child_left()
+
+
+def _patch_every_check(monkeypatch, make):
+    monkeypatch.setattr(verify, "SUITE", {name: (make(name, check), tol, divisor)
+                                          for name, (check, tol, divisor) in verify.SUITE.items()})
+
+
+def test_verify_names_the_first_check_that_raises_whichever_process_ran_it(capsys, monkeypatch):
+    def breaks(name, check):
+        def broken(rng):
+            raise NumericalBreakdown(f"{name} broke")
+        return broken
+
+    _patch_every_check(monkeypatch, breaks)
+    code, out, err = run(capsys, ["verify", "--seed", "42", "--trials", "20"])
+    assert (code, out, err) == (3, "", "numerical error: cayley_roundtrip broke\n")
+    with pytest.raises(NumericalBreakdown, match="^cayley_roundtrip broke$"):
+        verify.run_suite(42, 20)
+    _no_child_left()
+
+
+def test_verify_fails_every_check_whose_residual_is_nan(capsys, monkeypatch):
+    # A NaN crosses from a child to the parent as a NaN, not as a passing number.
+    _patch_every_check(monkeypatch, lambda name, check: lambda rng: (math.nan,))
+    code, out, err = run(capsys, ["verify", "--seed", "42", "--trials", "20"])
+    rows = out.splitlines()
+    assert code == 1 and err == "" and rows[-1] == "0/19 checks passed"
+    assert [row.split()[0] for row in rows[:-1]] == list(verify.SUITE)
+    assert all("max_residual=nan " in row and row.endswith("FAIL") for row in rows[:-1])
+
+
+def test_run_suite_runs_in_this_process_alone_while_another_thread_lives(monkeypatch):
+    # Forking a threaded process can deadlock, so a live thread keeps every check here.
+    expected = _serial_report(42, 20)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("run_suite forked beside a live thread"))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert _report(verify.run_suite(42, 20)) == expected
+    finally:
+        stop.set()
+        thread.join(10)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("fault", ["child dies", "child raises", "parent raises once"])
+def test_a_check_without_a_result_is_folded_again_in_the_parent(monkeypatch, fault):
+    # Every check run outside the parent kills its process or raises, or every check
+    # raises the first time the parent runs it; the parent folds each check that came
+    # back without a result again, so the report is the serial one.
+    expected, parent, raised = _serial_report(42, 20), os.getpid(), set()
+
+    def lost(name, check):
+        def trial(rng):
+            if os.getpid() != parent and fault == "child dies":
+                os._exit(1)
+            if os.getpid() != parent and fault == "child raises" or (
+                    os.getpid() == parent and fault == "parent raises once" and name not in raised):
+                raised.add(name)
+                raise NumericalBreakdown(f"{name} lost")
+            return check(rng)
+        return trial
+
+    _patch_every_check(monkeypatch, lost)
+    assert _report(verify.run_suite(42, 20)) == expected
+    _no_child_left()
+
+
+def test_run_suite_kills_its_children_when_the_caller_is_interrupted(monkeypatch):
+    # The caller is interrupted while a child is still in its first check, which would
+    # take 15 s: the caller does not wait for it.
+    parent = os.getpid()
+
+    def stalls_or_stops(name, check):
+        def trial(rng):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(15)
+            os._exit(0)
+        return trial
+
+    _patch_every_check(monkeypatch, stalls_or_stops)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        verify.run_suite(42, 1)
+    assert time.monotonic() - start < 10
+    _no_child_left()
+
+
+def test_run_suite_returns_once_and_leaves_the_callers_stdio_and_exit_handlers_alone():
+    # Only the caller returns from run_suite: no other process prints after it, flushes
+    # what the caller has buffered, or runs its exit handlers.
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = ("import atexit\n"
+              "from bisiegel.verify import run_suite\n"
+              "atexit.register(print, 'exit')\n"
+              "print('before', end=' ')\n"
+              "run_suite(42, 20)\n"
+              "print('after')\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "before after\nexit\n", "")
 
 
 def _bend(monkeypatch):

@@ -834,6 +834,13 @@ def test_tangent_rejects_nonfinite():
         metric_form(I_H, float("nan"), 0.0)
 
 
+def test_tangent_rejects_a_component_past_the_float_range():
+    # complex() of such an int raises OverflowError; the gate names the component instead.
+    for dtau, dz, name in ((10**400, 0, "dtau"), (0, -(10**400), "dz"), (10**5000, 0.0, "dtau")):
+        with pytest.raises(DomainViolation, match=rf"^tangent component {name} is past the float range$"):
+            metric_form(I_H, dtau, dz)
+
+
 def test_metric_form_refuses_an_overflow():
     # Finite tangents whose squared length leaves the float range: the first squares
     # to inf, and the second's |dw| is itself past the float range, where abs() raises.
