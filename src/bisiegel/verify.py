@@ -7,9 +7,10 @@ deterministic stream (seed mixed with the check name), compares the worst agains
 pinned for the invariant, and the CLI renders a pass/fail table.  The tests fold the same checks.
 
 No check reads another's state, so ``run_suite`` folds them in one process per usable CPU, or in
-one alone without ``os.fork`` or with another thread alive, each process taking the next check
-off one pipe; a check left without a result is folded again in the caller, in ``SUITE`` order,
-so the report and the first error raised do not depend on the number of CPUs.
+one alone without ``os.fork`` or with another thread alive: the caller folds a fixed share of
+the heaviest checks, twice a child's, and every process then takes the next check off one pipe;
+a check left without a result is folded again in the caller, in ``SUITE`` order, so the report
+and the first error raised do not depend on the number of CPUs.
 
 Points, motions and the geometry are computed per factor; the literal 4x4 action
 ``(AZ + B)(CZ + D)^-1``, matrix cross ratio and matrix Cayley map live here only, as the
@@ -373,6 +374,18 @@ SUITE: dict[str, tuple[Callable[[random.Random], Sequence[float]], float, int]] 
     "triangle": (_check_triangle, 1e-12, 1),
 }
 
+#: Milliseconds one fold of each check takes at --trials 1000 (median of 15 on a 2-core Intel
+#: Xeon host, CPython 3.11).  ``run_suite`` reads it only to order and share out the checks;
+#: a check missing here costs 1.
+_COST_MS = {
+    "cayley_roundtrip": 6.7, "closure": 3.7, "kernel": 9.0, "group_law": 10.2,
+    "factorization": 11.6, "split_assemble": 10.4, "reduction": 5.6,
+    "reduction_invariance": 8.0, "isometry": 7.6, "pythagoras": 4.1,
+    "cross_ratio_invariance": 12.3, "metric_base": 1.7, "metric_invariance": 2.3,
+    "geodesic_endpoints": 8.8, "geodesic_reversal": 9.2, "ode_residual": 1.1,
+    "arc_length": 21.1, "volume_jacobian": 2.3, "triangle": 5.4,
+}
+
 
 def _fold(check: Callable[[random.Random], Sequence[float]], rng: random.Random, trials: int) -> float:
     """The one trial loop: the worst residual of ``trials`` runs of ``check`` on ``rng``, folded
@@ -393,32 +406,48 @@ def _workers() -> int:
     return min(cpus, len(SUITE))
 
 
+def _post(outbox: int, seed: int, suite: list, index: int) -> None:
+    """Fold the check at ``index`` and write ``(index, worst)`` to the outbox; one that raises
+    writes nothing."""
+    name, check, _, n = suite[index]
+    try:
+        os.write(outbox, struct.pack("<Bd", index, _fold(check, _rng(seed, name), n)))
+    except Exception:
+        pass  # run_suite folds it again
+
+
 def _drain(queue: int, outbox: int, seed: int, suite: list) -> None:
-    """Fold the check of each index read off the queue; write ``(index, worst)`` to the outbox."""
+    """``_post`` the check of each index read off the queue, until it is empty."""
     while index := os.read(queue, 1):
-        name, check, _, n = suite[index[0]]
-        try:
-            os.write(outbox, struct.pack("<Bd", index[0], _fold(check, _rng(seed, name), n)))
-        except Exception:
-            pass  # run_suite folds it again
+        _post(outbox, seed, suite, index[0])
 
 
 def run_suite(seed: int, trials: int) -> list[CheckResult]:
     """Fold every check on its own deterministic stream and report them in ``SUITE`` order.
 
     ``_workers()`` processes share the checks, the caller one of them (with one, the same loop
-    runs here alone); a child's residual crosses exactly as a ``<Bd`` double, NaN and inf too.
-    A check without a result (it raised, or its process died) is folded again here once every
-    child is reaped; if the caller leaves by an exception, it kills its children first."""
+    runs here alone).  Heaviest first by ``_COST_MS``, the caller folds the checks that fit in
+    ``2 / (workers + 1)`` of the cost, twice a child's share, then helps drain the queue that
+    holds the rest: the time is the caller's own unless a child runs at under half its speed.
+    A child's residual crosses exactly as a ``<Bd`` double, NaN and inf too.  A check without a
+    result (it raised, or its process died) is folded again here once every child is reaped;
+    if the caller leaves by an exception, it kills its children first."""
     suite = [(name, check, tolerance, max(1, trials // divisor))
              for name, (check, tolerance, divisor) in SUITE.items()]
+    workers = _workers()
+    cost = [_COST_MS.get(name, 1.0) for name, *_ in suite]
+    order = sorted(range(len(suite)), key=cost.__getitem__, reverse=True)
+    budget, own = 2.0 * sum(cost) / (workers + 1), 0
+    while own < len(order) and cost[order[own]] <= budget:
+        budget -= cost[order[own]]
+        own += 1
     queue, fill = os.pipe()
-    os.write(fill, bytes(range(len(suite))))
+    os.write(fill, bytes(order[own:]))
     os.close(fill)
     inbox, outbox = os.pipe()
     pids = []
     try:
-        for _ in range(_workers() - 1):
+        for _ in range(workers - 1):
             pid = os.fork()
             if pid == 0:
                 try:
@@ -426,6 +455,8 @@ def run_suite(seed: int, trials: int) -> list[CheckResult]:
                 finally:
                     os._exit(0)  # never the parent's stdio flush or atexit handlers
             pids.append(pid)
+        for index in order[:own]:
+            _post(outbox, seed, suite, index)
         _drain(queue, outbox, seed, suite)
     except BaseException:
         for pid in pids:

@@ -434,6 +434,16 @@ def test_run_suite_equals_the_serial_fold_bit_for_bit(monkeypatch, seed):
     _no_child_left()
 
 
+def test_every_check_has_a_cost_and_the_caller_keeps_twice_a_childs_share():
+    # _COST_MS orders and shares out the checks only; a check missing from it would cost 1
+    # and leave the split to chance.  With two processes the caller folds the heaviest checks
+    # up to two thirds of the cost, so a child at half the caller's speed ends first.
+    assert list(verify._COST_MS) == list(verify.SUITE)
+    costs = sorted(verify._COST_MS.values(), reverse=True)
+    own = next(k for k in range(len(costs) + 1) if sum(costs[:k + 1]) > 2 * sum(costs) / 3)
+    assert 0.6 < sum(costs[:own]) / sum(costs) <= 2 / 3
+
+
 def _patch_every_check(monkeypatch, make):
     monkeypatch.setattr(verify, "SUITE", {name: (make(name, check), tol, divisor)
                                           for name, (check, tol, divisor) in verify.SUITE.items()})
