@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DomainViolation, NumericalBreakdown
-from .numkit import _DOM_EPS
+from .numkit import _DOM_EPS, _past_float_range
 
 __all__ = [
     "HPoint",
@@ -59,7 +59,10 @@ class HPoint:
     z = property(lambda self: self._readout()[1])
 
     def __new__(cls, tau: complex, z: complex) -> "HPoint":
-        tau, z = complex(tau), complex(z)
+        try:
+            tau, z = complex(tau), complex(z)
+        except OverflowError:
+            raise _past_float_range(DomainViolation, tau=tau, z=z) from None
         w1, w2 = tau + z, tau - z
         try:
             return _hpoint(w1, w2, w1.real, w1.imag, w2.real, w2.imag)
@@ -74,7 +77,11 @@ class HPoint:
     @classmethod
     def from_factors(cls, w1: complex, w2: complex) -> "HPoint":
         """The point with these factor coordinates (each finite, Im w > ``_DOM_EPS``)."""
-        return _hpoint(w1 := complex(w1), w2 := complex(w2), w1.real, w1.imag, w2.real, w2.imag)
+        try:
+            w1, w2 = complex(w1), complex(w2)
+        except OverflowError:
+            raise _past_float_range(DomainViolation, w1=w1, w2=w2) from None
+        return _hpoint(w1, w2, w1.real, w1.imag, w2.real, w2.imag)
 
     def factors(self) -> tuple[complex, complex]:
         """Coordinates (tau + z, tau - z) in the two half-plane factors."""
@@ -101,7 +108,10 @@ class EPoint:
     z2 = property(lambda self: self.u1 / 2.0 - self.u2 / 2.0)
 
     def __new__(cls, z1: complex, z2: complex) -> "EPoint":
-        z1, z2 = complex(z1), complex(z2)
+        try:
+            z1, z2 = complex(z1), complex(z2)
+        except OverflowError:
+            raise _past_float_range(DomainViolation, z1=z1, z2=z2) from None
         try:
             return _epoint(z1 + z2, z1 - z2)
         except DomainViolation:
@@ -110,7 +120,11 @@ class EPoint:
     @classmethod
     def from_factors(cls, u1: complex, u2: complex) -> "EPoint":
         """The point with these factor coordinates (each of modulus below 1 - ``_DOM_EPS``)."""
-        return _epoint(complex(u1), complex(u2))
+        try:
+            u1, u2 = complex(u1), complex(u2)
+        except OverflowError:
+            raise _past_float_range(DomainViolation, u1=u1, u2=u2) from None
+        return _epoint(u1, u2)
 
     def factors(self) -> tuple[complex, complex]:
         """Coordinates (z1 + z2, z1 - z2) in the two disc factors."""

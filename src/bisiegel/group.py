@@ -51,7 +51,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import _chord
-from .numkit import _ABS_EPS, Mat4R, _check_finite
+from .numkit import _ABS_EPS, Mat4R, _check_finite, _past_float_range
 
 __all__ = [
     "Sl2Matrix",
@@ -105,8 +105,11 @@ class Sl2Matrix:
     d: float
 
     def __post_init__(self) -> None:
-        for name in "abcd":  # frozen: bypass __setattr__
-            object.__setattr__(self, name, float(getattr(self, name)))
+        try:
+            for name in "abcd":  # frozen: bypass __setattr__
+                object.__setattr__(self, name, float(getattr(self, name)))
+        except OverflowError:
+            raise NotUnimodular(f"entry {name} is past the float range") from None
         _check_det(self.a * self.d, self.b * self.c)
 
     def to_json_dict(self) -> dict:
@@ -346,7 +349,10 @@ def stabilizer_of_iI(xi1: complex, xi2: complex, eps: int = 1) -> MotionMatrix:
     ``_sign``.  The factors are ``[[Re xi, Im xi], [-Im xi, Re xi]]``; conjugated by the Cayley
     map they are the disc rotations ``u -> xi u / conj(xi)`` that ``stabilizer --model disc`` prints.
     """
-    xi1, xi2 = complex(xi1), complex(xi2)
+    try:
+        xi1, xi2 = complex(xi1), complex(xi2)
+    except OverflowError:
+        raise _past_float_range(UnitModulusViolation, xi1=xi1, xi2=xi2) from None
     _check_unit("xi1", xi1)
     _check_unit("xi2", xi2)
     r1, r2 = ((xi.real, xi.imag, -xi.imag, xi.real) for xi in (xi1, xi2))

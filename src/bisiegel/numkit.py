@@ -43,8 +43,13 @@ class Mat4R:
             if "values to unpack" not in str(exc):
                 raise
             raise ValueError("Mat4R needs exactly 4 rows of 4 entries") from None
-        x = _check_finite((float(a), float(b), float(c), float(d), float(e), float(f), float(g), float(h),
-                           float(p), float(q), float(r), float(s), float(t), float(u), float(v), float(w)))
+        try:
+            x = _check_finite((float(a), float(b), float(c), float(d), float(e), float(f), float(g), float(h),
+                               float(p), float(q), float(r), float(s), float(t), float(u), float(v), float(w)))
+        except OverflowError:
+            entries = (a, b, c, d, e, f, g, h, p, q, r, s, t, u, v, w)
+            raise _past_float_range(NumericalBreakdown, **{
+                f"4x4 entry ({k // 4}, {k % 4})": y for k, y in enumerate(entries)}) from None
         _set_rows(self, (x[0:4], x[4:8], x[8:12], x[12:16]))
 
 
@@ -58,3 +63,15 @@ def _check_finite(entries: tuple) -> tuple:
         x = next(x for x in entries if not math.isfinite(x))
         raise NumericalBreakdown(f"non-finite entry {x!r} in 4x4 matrix")
     return entries
+
+
+def _past_float_range(error: type, **args) -> Exception:
+    """The ``error`` for arguments whose conversion to a float overflowed: it names the first
+    that ``complex()`` cannot hold, an int past the float range, but not its digits, since
+    ``repr`` of an int past 4300 digits raises."""
+    for name, value in args.items():
+        try:
+            complex(value)
+        except OverflowError:
+            break
+    return error(f"{name} is past the float range")

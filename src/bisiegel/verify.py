@@ -7,10 +7,11 @@ deterministic stream (seed mixed with the check name), compares the worst agains
 pinned for the invariant, and the CLI renders a pass/fail table.  The tests fold the same checks.
 
 No check reads another's state, so ``run_suite`` folds them in one process per usable CPU, or in
-one alone without ``os.fork`` or with another thread alive: the caller folds a fixed share of
-the heaviest checks, twice a child's, and every process then takes the next check off one pipe;
-a check left without a result is folded again in the caller, in ``SUITE`` order, so the report
-and the first error raised do not depend on the number of CPUs.
+one alone without ``os.fork`` or with another thread alive.  One plan, fixed before forking by
+the cost of each check, gives every process its share: the caller the heaviest checks, twice a
+child's share, and the children the rest; a check left without a result is folded again in the
+caller, in ``SUITE`` order, so the report and the first error raised do not depend on the
+number of CPUs.
 
 Points, motions and the geometry are computed per factor; the literal 4x4 action
 ``(AZ + B)(CZ + D)^-1``, matrix cross ratio and matrix Cayley map live here only, as the
@@ -416,48 +417,44 @@ def _post(outbox: int, seed: int, suite: list, index: int) -> None:
         pass  # run_suite folds it again
 
 
-def _drain(queue: int, outbox: int, seed: int, suite: list) -> None:
-    """``_post`` the check of each index read off the queue, until it is empty."""
-    while index := os.read(queue, 1):
-        _post(outbox, seed, suite, index[0])
+def _shares(costs: list[float], workers: int) -> list[list[int]]:
+    """The plan: the check indices each of ``workers`` processes folds, the caller's first.
+    Heaviest first by cost, the caller keeps the checks that fit in ``2 / (workers + 1)`` of the
+    total, twice a child's share; the children are dealt the rest round-robin in that order."""
+    order = sorted(range(len(costs)), key=costs.__getitem__, reverse=True)
+    budget, own = 2.0 * sum(costs) / (workers + 1), 0
+    while own < len(order) and costs[order[own]] <= budget:
+        budget -= costs[order[own]]
+        own += 1
+    return [order[:own]] + [order[own + k::workers - 1] for k in range(workers - 1)]
 
 
 def run_suite(seed: int, trials: int) -> list[CheckResult]:
     """Fold every check on its own deterministic stream and report them in ``SUITE`` order.
 
-    ``_workers()`` processes share the checks, the caller one of them (with one, the same loop
-    runs here alone).  Heaviest first by ``_COST_MS``, the caller folds the checks that fit in
-    ``2 / (workers + 1)`` of the cost, twice a child's share, then helps drain the queue that
-    holds the rest: the time is the caller's own unless a child runs at under half its speed.
-    A child's residual crosses exactly as a ``<Bd`` double, NaN and inf too.  A check without a
-    result (it raised, or its process died) is folded again here once every child is reaped;
-    if the caller leaves by an exception, it kills its children first."""
+    ``_workers()`` processes share the checks, the caller one of them (with one, it folds them
+    all here), each folding the fixed share that ``_shares`` plans from ``_COST_MS``: the
+    caller's is twice a child's, so the time is the caller's own unless a child runs at under
+    half its speed.  A child's residual crosses exactly as a ``<Bd`` double, NaN and inf too.
+    A check without a result (it raised, or its process died) is folded again here once every
+    child is reaped; if the caller leaves by an exception, it kills its children first."""
     suite = [(name, check, tolerance, max(1, trials // divisor))
              for name, (check, tolerance, divisor) in SUITE.items()]
-    workers = _workers()
-    cost = [_COST_MS.get(name, 1.0) for name, *_ in suite]
-    order = sorted(range(len(suite)), key=cost.__getitem__, reverse=True)
-    budget, own = 2.0 * sum(cost) / (workers + 1), 0
-    while own < len(order) and cost[order[own]] <= budget:
-        budget -= cost[order[own]]
-        own += 1
-    queue, fill = os.pipe()
-    os.write(fill, bytes(order[own:]))
-    os.close(fill)
+    mine, *theirs = _shares([_COST_MS.get(name, 1.0) for name, *_ in suite], _workers())
     inbox, outbox = os.pipe()
     pids = []
     try:
-        for _ in range(workers - 1):
+        for share in theirs:
             pid = os.fork()
             if pid == 0:
                 try:
-                    _drain(queue, outbox, seed, suite)
+                    for index in share:
+                        _post(outbox, seed, suite, index)
                 finally:
                     os._exit(0)  # never the parent's stdio flush or atexit handlers
             pids.append(pid)
-        for index in order[:own]:
+        for index in mine:
             _post(outbox, seed, suite, index)
-        _drain(queue, outbox, seed, suite)
     except BaseException:
         for pid in pids:
             os.kill(pid, 9)  # SIGKILL, whose number POSIX fixes (os.fork is POSIX only)
@@ -466,7 +463,6 @@ def run_suite(seed: int, trials: int) -> list[CheckResult]:
         os.close(outbox)
         for pid in pids:
             os.waitpid(pid, 0)
-        os.close(queue)
         with open(inbox, "rb") as replies:
             found = dict(struct.iter_unpack("<Bd", replies.read()))
     return [CheckResult(name, found[i] if i in found else _fold(check, _rng(seed, name), n), tolerance, n)

@@ -426,7 +426,7 @@ def _no_child_left():
 @pytest.mark.parametrize("seed", [42, 7])
 def test_run_suite_equals_the_serial_fold_bit_for_bit(monkeypatch, seed):
     # However many processes fold the checks, each residual is the one this process folds:
-    # one per usable CPU, and eight, more than this host is likely to have, racing for the queue.
+    # one per usable CPU, and eight, more than this host is likely to have, each with its share.
     expected = _serial_report(seed, 200)
     assert _report(verify.run_suite(seed, 200)) == expected
     monkeypatch.setattr(verify, "_workers", lambda: 8)
@@ -439,9 +439,48 @@ def test_every_check_has_a_cost_and_the_caller_keeps_twice_a_childs_share():
     # and leave the split to chance.  With two processes the caller folds the heaviest checks
     # up to two thirds of the cost, so a child at half the caller's speed ends first.
     assert list(verify._COST_MS) == list(verify.SUITE)
-    costs = sorted(verify._COST_MS.values(), reverse=True)
-    own = next(k for k in range(len(costs) + 1) if sum(costs[:k + 1]) > 2 * sum(costs) / 3)
-    assert 0.6 < sum(costs[:own]) / sum(costs) <= 2 / 3
+    costs = list(verify._COST_MS.values())
+    order = sorted(range(len(costs)), key=costs.__getitem__, reverse=True)
+    for workers in range(1, len(costs) + 1):
+        shares = verify._shares(costs, workers)
+        assert len(shares) == workers
+        assert sorted(i for share in shares for i in share) == list(range(len(costs)))
+        assert shares[0] == order[:len(shares[0])]  # the caller's share is the heaviest checks
+    assert verify._shares(costs, 1) == [order]  # one process folds all 19, none left to a refold
+    mine = verify._shares(costs, 2)[0]
+    assert 0.6 < sum(costs[i] for i in mine) / sum(costs) <= 2 / 3
+
+
+@pytest.mark.parametrize("workers", [2, 8])
+def test_each_check_is_folded_once_by_the_process_the_plan_names(monkeypatch, workers):
+    # Every check writes its name and the pid of the process that runs it; with one trial
+    # each, a check folded twice or by another process than the plan names shows.
+    read, write = os.pipe()
+
+    def tells(name, check):
+        def trial(rng):
+            os.write(write, f"{name} {os.getpid()}\n".encode())
+            return check(rng)
+        return trial
+
+    monkeypatch.setattr(verify, "_workers", lambda: workers)
+    _patch_every_check(monkeypatch, tells)
+    try:
+        verify.run_suite(42, 1)
+    finally:
+        os.close(write)
+    with open(read) as lines:
+        folds = [line.split() for line in lines]
+    _no_child_left()
+    names = list(verify.SUITE)
+    assert sorted(name for name, _ in folds) == sorted(names)
+    by_pid = {}
+    for name, pid in folds:
+        by_pid.setdefault(int(pid), set()).add(name)
+    plan = verify._shares([verify._COST_MS[name] for name in names], workers)
+    shares = [{names[i] for i in share} for share in plan]
+    assert by_pid.pop(os.getpid(), set()) == shares[0]
+    assert sorted(map(sorted, by_pid.values())) == sorted(sorted(share) for share in shares[1:] if share)
 
 
 def _patch_every_check(monkeypatch, make):

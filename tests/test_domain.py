@@ -21,7 +21,7 @@ from bisiegel.domain import (
     cayley_to_halfspace,
     random_hpoint,
 )
-from bisiegel.errors import DomainViolation, NumericalBreakdown
+from bisiegel.errors import DomainViolation, NotUnimodular, NumericalBreakdown, UnitModulusViolation
 from bisiegel.geometry import GeodesicSpec, connect
 from bisiegel.group import (
     MotionMatrix,
@@ -32,6 +32,7 @@ from bisiegel.group import (
     assemble,
     reduce_pair,
     split,
+    stabilizer_of_iI,
 )
 from bisiegel.numkit import _ABS_EPS, Mat4R
 from bisiegel.verify import CheckResult, _points_gap, _reference_cayley
@@ -122,6 +123,33 @@ def test_point_constructors_enforce_membership():
             HPoint.from_factors(1j, w)
     with pytest.raises(DomainViolation):
         HPoint(complex(1e308, 1.0), complex(1e308, 0.0))  # tau + z overflows
+
+
+def _with_entry(v):
+    rows = [list(row) for row in IDENTITY_4.rows]
+    rows[2][1] = v
+    return rows
+
+
+@pytest.mark.parametrize("build, name, error", [
+    (lambda v: HPoint(v, 1j), "tau", DomainViolation),
+    (lambda v: HPoint(1j, v), "z", DomainViolation),
+    (lambda v: HPoint.from_factors(v, 1j), "w1", DomainViolation),
+    (lambda v: EPoint(v, 0), "z1", DomainViolation),
+    (lambda v: EPoint.from_factors(v, 0), "u1", DomainViolation),
+    (lambda v: stabilizer_of_iI(v, 1), "xi1", UnitModulusViolation),
+    (lambda v: Sl2Matrix(v, 0, 0, 1), "entry a", NotUnimodular),
+    (lambda v: Mat4R(_with_entry(v)), r"4x4 entry \(2, 1\)", NumericalBreakdown),
+], ids=["HPoint tau", "HPoint z", "HPoint.from_factors", "EPoint", "EPoint.from_factors",
+        "stabilizer_of_iI", "Sl2Matrix", "Mat4R"])
+def test_builders_refuse_an_int_past_the_float_range_as_they_refuse_inf(build, name, error):
+    # float() and complex() of such an int raise OverflowError; each builder raises the class
+    # that inf gets there, naming the argument without its digits (repr of 10**5000 raises).
+    with pytest.raises(error):
+        build(math.inf)
+    for v in (10**400, -(10**400), 10**5000):
+        with pytest.raises(error, match=rf"^{name} is past the float range$"):
+            build(v)
 
 
 NONFINITE_PARTS = [
