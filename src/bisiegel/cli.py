@@ -280,13 +280,12 @@ def _cmd_geodesic(args) -> None:
     if args.samples < 2:
         raise ValidationError("--samples must be at least 2")
     spec = connect(z1, z2)
-    out = ["s,tau_re,tau_im,z_re,z_im"]
+    write = sys.stdout.write  # each row as it is computed, so memory stays flat in --samples
+    write("s,tau_re,tau_im,z_re,z_im\n")
     for k in range(args.samples):
         s = spec.s0 * k / (args.samples - 1)
-        p = spec.point(s)
-        tau, z = p._readout()
-        out.append(",".join(map(_to_json_text, (s, tau.real, tau.imag, z.real, z.imag))))
-    sys.stdout.write("\n".join(out) + "\n")
+        tau, z = spec.point(s)._readout()
+        write(",".join(map(_to_json_text, (s, tau.real, tau.imag, z.real, z.imag))) + "\n")
 
 
 def _cmd_volume(args) -> None:

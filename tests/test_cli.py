@@ -1,5 +1,4 @@
 import cmath
-import hashlib
 import io
 import json
 import math
@@ -22,6 +21,7 @@ from bisiegel.geometry import GeodesicSpec
 from bisiegel.group import Sl2Matrix, apply, assemble, random_motion, split
 
 from conftest import mutated
+from pins import GOLDEN, PINS, run_pin
 
 I_JSON = '{"tau":[0,1],"z":[0,0]}'
 TWO_I_JSON = '{"tau":[0,2],"z":[0,0]}'
@@ -889,21 +889,6 @@ def test_degenerate_geodesic_is_validation_error(files, capsys):
     assert code == 2 and "coincident" in err
 
 
-@pytest.mark.parametrize(
-    "kind,digest",
-    [
-        ("motion", "300ad9a2d970eef33d195469168880c5f3eedea507af9b154eb36d72810c9467"),
-        ("point", "b19be85b1d4c3efe2f408aa468b8129b9dd8ed4a7dd5c073678361433f0415cc"),
-    ],
-)
-def test_random_output_bytes_are_pinned(capsys, kind, digest):
-    # SHA-256 of 100 seeded samples: the output bytes are part of the
-    # interface, however the JSON writer is built.
-    code, out, _ = run(capsys, ["random", kind, "--seed", "1", "--count", "100"])
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
 def test_json_writer_direct():
     doc = {
         "f": [-0.0, 0.1, 1e300, float("inf"), float("-inf")],
@@ -1360,164 +1345,68 @@ def test_exact_references_load_no_library_module():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
-GEODESIC_PAIRS = {
-    # The first two points of ``random point --seed 1``.
-    "sampler": (
-        '{"tau":[0.0942182235801787,2.56932729747079],"z":[2.54352796618596,-2.38366296169001]}',
-        '{"tau":[2.20158161929138,0.885832973257096],"z":[-0.685651892063751,0.0933642520840022]}',
-    ),
-    # The first point and a copy moved by 1e-9 in Re tau and Im z.
-    "near": (
-        '{"tau":[0.0942182235801787,2.56932729747079],"z":[2.54352796618596,-2.38366296169001]}',
-        '{"tau":[0.0942182245801787,2.56932729747079],"z":[2.54352796618596,-2.38366296069001]}',
-    ),
-    # Factor heights 1e-6 and 1e6 at each end.
-    "wide": (
-        '{"tau":[-1.625,500000.0000005],"z":[1.875,-499999.9999995]}',
-        '{"tau":[2.75,500000.0000005],"z":[1.25,499999.9999995]}',
-    ),
-}
+@pytest.mark.parametrize("name", PINS)
+def test_pinned_output_bytes(name):
+    # The output bytes are part of the interface: each pin's stdout is its committed file.
+    assert run_pin(name) == (0, (GOLDEN / f"{name}.out").read_bytes(), "")
 
 
-@pytest.mark.parametrize(
-    "kind,digest",
-    [
-        ("sampler", "620287aba322a7b88b55bd3dba65bac40fd44805abe6fb17f529495e63a3d653"),
-        ("near", "52ee5e1b7e13e8b584c29ca4edec22cfae6239b3d700ac256f75c3e8be296343"),
-        ("wide", "4b2229583b23ab2db8bb9d47461992da39620d9f8ea1776d399b26ed4ece2e92"),
-    ],
-)
-def test_geodesic_output_bytes_are_pinned(files, capsys, kind, digest):
-    # SHA-256 of 101 samples: the geodesic CSV stays byte-identical however
-    # the per-point path is built.
-    z1, z2 = (files(f"{name}.json", text) for name, text in zip(("z1", "z2"), GEODESIC_PAIRS[kind]))
-    code, out, _ = run(capsys, ["geodesic", "--z1", z1, "--z2", z2, "--samples", "101"])
-    assert code == 0 and len(out.splitlines()) == 102
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+def test_the_golden_set_is_closed():
+    # No pin without its output file, no output or input file that no pin names.
+    inputs = {a[1:] for argv in PINS.values() for a in argv if a.startswith("@")}
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(
+        [f"{name}.out" for name in PINS] + [f"{name}.json" for name in inputs])
 
 
-REDUCE_PAIRS = {
-    "sampler": GEODESIC_PAIRS["sampler"],
-    "near": GEODESIC_PAIRS["near"],
-    # Factor chords near 5e6: lambda1 = 1e14, whose moved radius rounds to 1.
-    "far": (I_JSON, '{"tau":[0,1e14],"z":[0,0]}'),
-}
+@pytest.mark.parametrize("name", ["random_motion", "assemble_plus", "assemble_minus",
+                                  "stabilizer_halfspace", "reduce_sampler", "reduce_near", "reduce_far"])
+def test_every_golden_motion_reads_back(files, capsys, name):
+    # Each motion the CLI printed is a motion to check matrix, and act and split take it.
+    point = str(GOLDEN / "seed5_z1.json")
+    for line in (GOLDEN / f"{name}.out").read_text().splitlines():
+        motion = json.loads(line)
+        motion = motion["mover"] if name.startswith("reduce_") else motion
+        m = files("m.json", json.dumps(motion))
+        verdict = '{"symplectic":true,"motion":true,"eps":%d}\n' % motion["eps"]
+        assert run(capsys, ["check", "matrix", m]) == (0, verdict, "")
+        assert run(capsys, ["act", "--matrix", m, "--point", point])[::2] == (0, "")
+        assert run(capsys, ["split", "--matrix", m])[::2] == (0, "")
 
 
-@pytest.mark.parametrize(
-    "kind,code,digest",
-    [
-        ("sampler", 0, "093d41ef260efb1521673843e157113a8fd29842ae0f201a0274f481398ec80a"),
-        ("near", 0, "1e89686da90412b59cb0d267fe350f34cbb19b3b6045d786c99eb977eddab479"),
-        ("far", 0, "00a7183895996f54d5fbb5367127d66ad768b8d0915d465da39dcc91fb898c98"),
-    ],
-)
-def test_reduce_output_bytes_are_pinned(files, capsys, kind, code, digest):
-    # SHA-256 of stdout and stderr: the lambdas, the mover and the error
-    # message stay byte-identical however reduce_pair is built.
-    z1, z = (files(f"{name}.json", text) for name, text in zip(("z1", "z"), REDUCE_PAIRS[kind]))
-    got, out, err = run(capsys, ["reduce", "--z1", z1, "--z", z])
-    assert got == code
-    assert hashlib.sha256((out + err).encode()).hexdigest() == digest
+@pytest.mark.parametrize("name, model", [("random_point", "halfspace"), ("act", "halfspace"),
+                                         ("cayley_halfspace", "halfspace"), ("cayley_disc", "disc")])
+def test_every_golden_point_is_a_member(files, capsys, name, model):
+    for line in (GOLDEN / f"{name}.out").read_text().splitlines():
+        verdict = '{"model":"%s","member":true}\n' % model
+        assert run(capsys, ["check", "point", files("p.json", line)]) == (0, verdict, "")
 
 
-CHECK_MATRICES = {
-    # The second motion of ``random motion --seed 3``.
-    "patterned": "[[0.632350925418163,-0.309557300093464,-0.30932091860977,-1.62562538064157],"
-    "[-0.309557300093464,0.632350925418163,-1.62562538064157,-0.30932091860977],"
-    "[0.276381093035259,0.250599993241582,0.518367622510415,-0.579335687313521],"
-    "[0.250599993241582,0.276381093035259,-0.579335687313521,0.518367622510415]]",
-    # The same with entry (0, 0) moved by 1e-9: symplectic residuals near
-    # 1e-9, beyond _ABS_EPS.
-    "perturbed": "[[0.632350926418163,-0.309557300093464,-0.30932091860977,-1.62562538064157],"
-    "[-0.309557300093464,0.632350925418163,-1.62562538064157,-0.30932091860977],"
-    "[0.276381093035259,0.250599993241582,0.518367622510415,-0.579335687313521],"
-    "[0.250599993241582,0.276381093035259,-0.579335687313521,0.518367622510415]]",
-    # diag(A, A^-T) for the shear A = [[1, 1], [0, 1]]: symplectic, unpatterned.
-    "unpatterned": "[[1,1,0,0],[0,1,0,0],[0,0,1,0],[0,0,-1,1]]",
-}
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP items 18 and 29: act refuses "
+                   "the printed mover, factor of the patterned matrix: det=1.0000000005848315")
+def test_the_mover_that_reduce_prints_reads_back(files, capsys):
+    z1 = files("z1.json", '{"tau": [483637.0365097738, 249605.83408518584], '
+               '"z": [-460086.14738777897, 249605.83408346568]}')
+    z = files("z.json", '{"tau": [-0.026933417182740976, 8943.197590504593], '
+              '"z": [-0.02693021612251522, 8943.197533448341]}')
+    code, out, _ = run(capsys, ["reduce", "--z1", z1, "--z", z])
+    assert code == 0
+    m = files("m.json", json.dumps(json.loads(out)["mover"]))
+    assert run(capsys, ["act", "--matrix", m, "--point", z1])[::2] == (0, "")
 
 
-@pytest.mark.parametrize(
-    "kind,digest",
-    [
-        ("patterned", "fd07531e8065622b92df9656b8c3c48b6aa410f92dd1edf013083b26100430bc"),
-        ("perturbed", "5e986ed171b153c550530e178ecbd32add40d595286445075b932e772444338c"),
-        ("unpatterned", "466ad6aa20a11ab32745367946a8c956b475a09f26c1d46d8b273ca4c4bd155b"),
-    ],
-)
-def test_check_matrix_output_bytes_are_pinned(files, capsys, kind, digest):
-    m = files("m.json", '{"m":%s}' % CHECK_MATRICES[kind])
-    code, out, err = run(capsys, ["check", "matrix", m])
-    assert code == 0 and err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+def test_geodesic_writes_each_row_as_it_is_computed(files, monkeypatch):
+    # A reader gone before the header: no point is computed for a row nobody reads.
+    points = []
+    point = GeodesicSpec.point
+    monkeypatch.setattr(GeodesicSpec, "point", lambda spec, s: points.append(s) or point(spec, s))
+    with open(os.devnull, "w") as devnull:
+        class Gone:
+            fileno = devnull.fileno  # main points this fd at devnull once the pipe breaks
 
+            def write(self, text):
+                raise BrokenPipeError
 
-def test_verify_output_bytes_are_pinned(capsys):
-    # SHA-256 of the report: every printed residual of the 19 checks stays
-    # the same however the group layer is built.  The one-trial report runs
-    # every check at its floor of max(1, trials // divisor).
-    for trials, digest in (
-        ("200", "a4795ffc16ffa0f38a56102599bd4450c96f5c2e0c46c569b7b5ff372b7e2f18"),
-        ("1", "41270015f5675d218fa9203a3c1d6eb205db7a9cc0ad5c572974d21d74a9f5a5"),
-    ):
-        code, out, _ = run(capsys, ["verify", "--seed", "42", "--trials", trials])
-        assert code == 0 and out.endswith("19/19 checks passed\n")
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-SEED5_DOCS = {
-    # ``random motion --seed 5``.
-    "motion": '{"m":[[0.174706862315017,-1.33655518313314,0.0425209139132008,-1.31858849350857],'
-    "[-1.33655518313314,0.174706862315017,-1.31858849350857,0.0425209139132008],"
-    "[0.851603710643193,0.280005818467514,0.779331731237856,-0.397173212863695],"
-    '[0.280005818467514,0.851603710643193,-0.397173212863695,0.779331731237856]],"eps":1}',
-    # The two points of ``random point --seed 5 --count 2``.
-    "z1": '{"tau":[3.68821924671374,2.40304259025311],"z":[-0.736283591056769,-0.641864030594509]}',
-    "z2": '{"tau":[-2.5268605866914,5.00566177677478],"z":[-2.18308713047245,-1.9871202878138]}',
-    # The first factor of ``split`` of that motion, and ``cayley --to disc`` of z1.
-    "factor": '{"a":-1.16184832081812,"b":-1.27606757959537,"c":1.13160952911071,"d":0.382158518374161}',
-    "disc": '{"z1":[0.718442921176878,-0.303795405361428],"z2":[-0.0564492003575012,-0.057562169236208]}',
-}
-
-STABILIZER_ARGS = ["stabilizer", "--xi1", "0.6,0.8", "--xi2", "0,1", "--eps", "-1", "--model"]
-
-OUTPUT_CASES = {
-    # With two equal factors the off-diagonal half-differences are 0.0, and
-    # eps = -1 turns them into -0.0, which must print as 0.
-    "assemble_plus": ["assemble", "--m1", "@factor", "--m2", "@factor", "--eps", "1"],
-    "assemble_minus": ["assemble", "--m1", "@factor", "--m2", "@factor", "--eps", "-1"],
-    "split": ["split", "--matrix", "@motion"],
-    "act": ["act", "--matrix", "@motion", "--point", "@z1"],
-    "cayley_disc": ["cayley", "--to", "disc", "--point", "@z1"],
-    "cayley_halfspace": ["cayley", "--to", "halfspace", "--point", "@disc"],
-    "stabilizer_halfspace": STABILIZER_ARGS + ["halfspace"],
-    "stabilizer_disc": STABILIZER_ARGS + ["disc"],
-    "distance": ["distance", "--z1", "@z1", "--z2", "@z2"],
-    "volume": ["volume", "--point", "@z1"],
-    "check_point": ["check", "point", "@z1"],
-}
-
-
-@pytest.mark.parametrize(
-    "kind,digest",
-    [
-        ("assemble_plus", "ff16a2f8c913e2aaa273f4d0416a7b9249358b8ce71e56f3d6aed5c3d52e1f1d"),
-        ("assemble_minus", "c87371fb35e558659f6c182d1e8543cbc711a325a172a3e2de47704370f2b969"),
-        ("split", "1bb16e895a8a3666b8520ce6099d3b061e70aa8e9123c0af2df4ec4d962e35f6"),
-        ("act", "cf58d7c5d443346b3fa58dc6056a29d131b54d082e55bdc5c30fbee8aea860b4"),
-        ("cayley_disc", "09db17018a2269ac2da75d5cf16b7f94dc8e647ba7d117052b4587fa97dafbb1"),
-        ("cayley_halfspace", "17e952959f20523f03d7bf53e6b2ed94053fd8b48e5df0aaabd30d74afdada27"),
-        ("stabilizer_halfspace", "7dac8f14cb6a1134fa92612aa87c9f0e67b73e25c1f1df66cc1d5d568257bc12"),
-        ("stabilizer_disc", "ab8c73a07d13aef5da9e15ca2199c1fd7b43da1108395e3426e9aecf933db1a9"),
-        ("distance", "52d83b66eb655878af1330734a1d2b160c49f622560afdbcbd907124b41475b1"),
-        ("volume", "cc348645b2253bd3e16fb2fe770f5a1c56ae2fb5aa420b1b60e66c4ca0f6f116"),
-        ("check_point", "4bc0899dc9a8624ab5df9303e10eb309af49c60b69df10b0a3aa3faae75143ed"),
-    ],
-)
-def test_command_output_bytes_are_pinned(files, capsys, kind, digest):
-    # SHA-256 of the exit code, stdout and stderr on the seeded inputs: the
-    # output bytes stay the same however the motion rows and the writer are built.
-    argv = [files(f"{a[1:]}.json", SEED5_DOCS[a[1:]]) if a.startswith("@") else a for a in OUTPUT_CASES[kind]]
-    code, out, err = run(capsys, argv)
-    assert hashlib.sha256(f"{code}\n{out}{err}".encode()).hexdigest() == digest
+        monkeypatch.setattr(sys, "stdout", Gone())
+        code = main(["geodesic", "--z1", files("z1.json", I_JSON), "--z2", files("z2.json", TWO_I_JSON),
+                     "--samples", "1000"])
+    assert code == 0 and len(points) <= 1
