@@ -55,8 +55,9 @@ def _half_distance(w1: complex, w2: complex) -> float:
 
 
 def _tanh_sq(s: float) -> float:
-    """|w - w1|^2 / |w - conj w1|^2 = tanh^2(d/2) from the chord s = sinh(d/2)."""
-    return (s / math.hypot(1.0, s)) ** 2 if s < math.inf else 1.0
+    """|w - w1|^2 / |w - conj w1|^2 = tanh^2(d/2) from the chord s = sinh(d/2), squared as one product."""
+    t = s / math.hypot(1.0, s)
+    return t * t if s < math.inf else 1.0
 
 
 def cross_ratio_eigenvalues(z: HPoint, z1: HPoint) -> tuple[float, float]:
@@ -222,14 +223,14 @@ def volume_density(point: HPoint) -> float:
     """Invariant volume density against dx1 dx2 dy1 dy2 at the point.
 
     Equal to 4 / ((y1 + y2)^2 (y1 - y2)^2) for y1 = Im tau, y2 = Im z; taken as
-    (2 / (h1 h2))^2 for the factor heights h1, h2, squared last so that it leaves
-    the float range only where the density itself does.
+    (2 / (h1 h2))^2 for the factor heights h1, h2, squared last, as one product, so
+    that it leaves the float range only where the density itself does.  h1 h2 is 0 only
+    where the product underflows, which a margin below 1e-162 allows.
     """
     h1, h2 = point.w1.imag, point.w2.imag
-    try:
-        density = (2.0 / (h1 * h2)) ** 2
-    except (OverflowError, ZeroDivisionError):  # heights far below the margin
-        density = math.inf
+    hh = h1 * h2
+    r = 2.0 / hh if hh else math.inf
+    density = r * r
     if not 0.0 < density < math.inf:
         raise NumericalBreakdown(f"volume density at factor heights {h1!r}, {h2!r} leaves the float range")
     return density
