@@ -8,7 +8,9 @@ channel: the commands return nothing, ``main`` returns it, and ``verify`` sets i
 its report's first write.  A reader that closes stdout early drops the rest of the
 output, with no traceback, and leaves that status, so a failed run exits 1 buffered or not.
 The argument parser is built once per process and reused by every ``main`` call.
-Each kind of document has one reader, and ``check`` reads through the same ones.
+Each kind of document has one reader, and ``check`` reads through the same ones.  The library
+reads and writes the disc model as its factors ``(u1, u2)``; the disc reader and writer here own
+its ``(z1, z2) = (u1/2 + u2/2, u1/2 - u2/2)`` view.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import random
 import sys
 
 from .domain import (
-    EPoint,
     HPoint,
+    _epoint,
     cayley_to_disc,
     cayley_to_halfspace,
     random_hpoint,
@@ -128,10 +130,21 @@ def _parse_hpoint(doc) -> HPoint:
     return HPoint(_pair(doc["tau"], "tau"), _pair(doc["z"], "z"))
 
 
-def _parse_epoint(doc) -> EPoint:
+def _parse_epoint(doc) -> tuple[complex, complex]:
+    """The disc factors (u1, u2) = (z1 + z2, z1 - z2) of a ``{"z1", "z2"}`` document."""
     if not isinstance(doc, dict) or "z1" not in doc or "z2" not in doc:
         raise ValidationError('disc point JSON needs fields "z1" and "z2"')
-    return EPoint(_pair(doc["z1"], "z1"), _pair(doc["z2"], "z2"))
+    z1, z2 = _pair(doc["z1"], "z1"), _pair(doc["z2"], "z2")
+    try:
+        return _epoint(z1 + z2, z1 - z2)
+    except DomainViolation:
+        raise DomainViolation(f"(z1={z1!r}, z2={z2!r}) is outside the bounded model") from None
+
+
+def _disc_json(u1: complex, u2: complex) -> dict:
+    """The ``{"z1", "z2"}`` document of the disc factors: (z1, z2) = (u1/2 + u2/2, u1/2 - u2/2)."""
+    z1, z2 = u1 / 2.0 + u2 / 2.0, u1 / 2.0 - u2 / 2.0
+    return {"z1": [z1.real, z1.imag], "z2": [z2.real, z2.imag]}
 
 
 def _parse_mat4(doc) -> Mat4R:
@@ -237,9 +250,9 @@ def _cmd_act(args) -> None:
 def _cmd_cayley(args) -> None:
     doc = _read_doc(args.point)
     if args.to == "disc":
-        _emit(cayley_to_disc(_parse_hpoint(doc)).to_json_dict())
+        _emit(_disc_json(*cayley_to_disc(_parse_hpoint(doc))))
     else:
-        _emit(cayley_to_halfspace(_parse_epoint(doc)).to_json_dict())
+        _emit(cayley_to_halfspace(*_parse_epoint(doc)).to_json_dict())
 
 
 def _cmd_split(args) -> None:

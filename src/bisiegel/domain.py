@@ -6,20 +6,21 @@ bi-symmetric matrices reads ``Im tau > |Im z|``.  The bounded (disc) model
 consists of bi-symmetric ``[[z1, z2], [z2, z1]]`` with ``I - Z0 conj(Z0)``
 positive definite, equivalently ``|z1 + z2| < 1`` and ``|z1 - z2| < 1``.
 
-Points of both models are stored by their factor coordinates, the two eigenvalues
-``(tau + z, tau - z)`` and ``(z1 + z2, z1 - z2)``.  They identify the half-space with a product
-of two upper half-planes and the bounded model with a product of two unit discs, and every closed
-form in this package is two copies of a one-plane (or one-disc) formula.  ``(tau, z)`` and
-``(z1, z2)`` are derived from the factors, for JSON and the matrix references in ``verify``.  The
-Cayley maps ``Z -> (Z - iI)(Z + iI)^-1`` and ``Z0 -> i(I + Z0)(I - Z0)^-1`` are, per factor,
+Half-space points are stored by their factor coordinates, the two eigenvalues
+``(tau + z, tau - z)``, and the bounded model is read and written as its factors
+``(u1, u2) = (z1 + z2, z1 - z2)``.  They identify the half-space with a product of two upper
+half-planes and the bounded model with a product of two unit discs, and every closed form in this
+package is two copies of a one-plane (or one-disc) formula.  ``(tau, z)`` is derived from the
+factors, for JSON and the matrix references in ``verify``; the CLI owns the disc view ``(z1, z2)``.
+The Cayley maps ``Z -> (Z - iI)(Z + iI)^-1`` and ``Z0 -> i(I + Z0)(I - Z0)^-1`` are, per factor,
 ``w -> (w - i)/(w + i)`` and ``u -> i(1 + u)/(1 - u)``.  The image of a valid point that falls
 inside the other model's margin is a numerical limit, not bad input.
 
 Each model has one membership test, in its private builder, with the one margin ``_DOM_EPS``:
-``_hpoint`` tests the factors' parts as floats, which its callers hold or read once, and
-``_epoint`` the moduli.  Every point is built through it: the ``__new__`` of ``HPoint(tau, z)``
-and ``EPoint(z1, z2)`` returns the one record it builds.  Membership is asked by building the
-point; a ``DomainViolation`` is the answer no.
+``_hpoint`` tests the factors' parts as floats, which its callers hold or read once, and builds
+every point (``HPoint(tau, z)``'s ``__new__`` returns that one record); ``_epoint`` tests the disc
+factors' moduli and returns the factors.  Membership is asked by building the point or passing
+the factors; a ``DomainViolation`` is the answer no.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .numkit import _DOM_EPS, _past_float_range
 
 __all__ = [
     "HPoint",
-    "EPoint",
     "cayley_to_disc",
     "cayley_to_halfspace",
     "random_hpoint",
@@ -92,55 +92,11 @@ class HPoint:
         return {"tau": [tau.real, tau.imag], "z": [z.real, z.imag]}
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class EPoint:
-    """Bounded-model point, stored by its factor coordinates (u1, u2) = (z1 + z2, z1 - z2).
-
-    ``EPoint(z1, z2)`` converts once and is the one record that ``_epoint`` builds;
-    ``from_factors`` stores its arguments as given.  ``z1``, ``z2`` and the JSON form are
-    derived, as for ``HPoint``.
-    """
-
-    u1: complex
-    u2: complex
-
-    z1 = property(lambda self: self.u1 / 2.0 + self.u2 / 2.0)
-    z2 = property(lambda self: self.u1 / 2.0 - self.u2 / 2.0)
-
-    def __new__(cls, z1: complex, z2: complex) -> "EPoint":
-        try:
-            z1, z2 = complex(z1), complex(z2)
-        except OverflowError:
-            raise _past_float_range(DomainViolation, z1=z1, z2=z2) from None
-        try:
-            return _epoint(z1 + z2, z1 - z2)
-        except DomainViolation:
-            raise DomainViolation(f"(z1={z1!r}, z2={z2!r}) is outside the bounded model") from None
-
-    @classmethod
-    def from_factors(cls, u1: complex, u2: complex) -> "EPoint":
-        """The point with these factor coordinates (each of modulus below 1 - ``_DOM_EPS``)."""
-        try:
-            u1, u2 = complex(u1), complex(u2)
-        except OverflowError:
-            raise _past_float_range(DomainViolation, u1=u1, u2=u2) from None
-        return _epoint(u1, u2)
-
-    def factors(self) -> tuple[complex, complex]:
-        """Coordinates (z1 + z2, z1 - z2) in the two disc factors."""
-        return (self.u1, self.u2)
-
-    def to_json_dict(self) -> dict:
-        z1, z2 = self.z1, self.z2
-        return {"z1": [z1.real, z1.imag], "z2": [z2.real, z2.imag]}
-
-
 #: Bound once for the point builders (slot setters bypass the frozen __setattr__) and ``random_hpoint``.
 _inf, _isfinite, _new = math.inf, math.isfinite, object.__new__
 _set_w1, _set_w2 = HPoint.w1.__set__, HPoint.w2.__set__
-_set_u1, _set_u2 = EPoint.u1.__set__, EPoint.u2.__set__
-#: Copy and pickle rebuild a point from its factors: ``__new__`` takes (tau, z) or (z1, z2).
-HPoint.__reduce__ = EPoint.__reduce__ = lambda self: (type(self).from_factors, self.factors())
+#: Copy and pickle rebuild a point from its factors: ``__new__`` takes (tau, z).
+HPoint.__reduce__ = lambda self: (HPoint.from_factors, self.factors())
 _LOG_LO, _LOG_SPAN = math.log(0.1), math.log(10.0) - math.log(0.1)
 
 
@@ -155,19 +111,20 @@ def _hpoint(w1: complex, w2: complex, x1: float, y1: float, x2: float, y2: float
     return point
 
 
-def _epoint(u1: complex, u2: complex) -> EPoint:
-    """The point with complex factors u1, u2 (|u| < 1 - ``_DOM_EPS``, which NaN and inf are not):
-    the one membership test.  A finite factor whose modulus overflows is outside too."""
+def _epoint(u1: complex, u2: complex) -> tuple[complex, complex]:
+    """The disc factors u1, u2 as complex numbers, if |u| < 1 - ``_DOM_EPS`` (which NaN and inf are
+    not): the one membership test.  A finite factor whose modulus overflows is outside too."""
+    try:
+        u1, u2 = complex(u1), complex(u2)
+    except OverflowError:
+        raise _past_float_range(DomainViolation, u1=u1, u2=u2) from None
     try:
         inside = abs(u1) < 1.0 - _DOM_EPS and abs(u2) < 1.0 - _DOM_EPS
     except OverflowError:
         inside = False
     if not inside:
         raise DomainViolation(f"factors ({u1!r}, {u2!r}) are outside the bounded model")
-    point = _new(EPoint)
-    _set_u1(point, u1)
-    _set_u2(point, u2)
-    return point
+    return u1, u2
 
 
 def _image_breakdown(exc: DomainViolation) -> NumericalBreakdown:
@@ -175,8 +132,8 @@ def _image_breakdown(exc: DomainViolation) -> NumericalBreakdown:
     return NumericalBreakdown(f"image not resolved at the dom_eps margin: {exc}")
 
 
-def cayley_to_disc(point: HPoint) -> EPoint:
-    """Map the half-space model onto the bounded model, (Z - iI)(Z + iI)^-1:
+def cayley_to_disc(point: HPoint) -> tuple[complex, complex]:
+    """Map the half-space model onto the bounded model, (Z - iI)(Z + iI)^-1: the disc factors
     (w - i)/(w + i) per factor.  No guard: for Im w > 0, |w + i| > 1."""
     w1, w2 = point.factors()
     try:
@@ -185,10 +142,11 @@ def cayley_to_disc(point: HPoint) -> EPoint:
         raise _image_breakdown(exc) from exc
 
 
-def cayley_to_halfspace(point: EPoint) -> HPoint:
-    """Inverse Cayley map, i(I + Z0)(I - Z0)^-1: i(1 + u)/(1 - u) per factor.
+def cayley_to_halfspace(u1: complex, u2: complex) -> HPoint:
+    """Inverse Cayley map, i(I + Z0)(I - Z0)^-1, of the disc factors u1, u2: i(1 + u)/(1 - u) per
+    factor.  ``_epoint`` gates the factors first, so bad input is a ``DomainViolation``.
     No guard: for |u| < 1, 1 - u is not 0; a high image is checked as a point."""
-    u1, u2 = point.factors()
+    u1, u2 = _epoint(u1, u2)
     g1, g2 = 1j * (1.0 + u1) / (1.0 - u1), 1j * (1.0 + u2) / (1.0 - u2)
     try:
         return _hpoint(g1, g2, g1.real, g1.imag, g2.real, g2.imag)

@@ -15,7 +15,8 @@ number of CPUs.
 
 Points, motions and the geometry are computed per factor; the literal 4x4 action
 ``(AZ + B)(CZ + D)^-1``, matrix cross ratio and matrix Cayley map live here only, as the
-references that the factor forms are checked against, in plain complex arithmetic on 2x2
+references that the factor forms are checked against (the Cayley reference as the disc factors
+``z1 +- z2`` of its matrix, the form ``cayley_to_disc`` returns), in plain complex arithmetic on 2x2
 matrices held as row-major 4-tuples, read off each point's one ``HPoint._readout()``: no NumPy.
 The same arithmetic gives the literal pushforward ``dW = (CZ + D)^-T dZ (CZ + D)^-1`` of a
 motion's rows (Siegel, Symplectic Geometry, 1943), which the metric and volume checks read;
@@ -38,7 +39,6 @@ from dataclasses import dataclass
 from math import atan2, exp, hypot, log
 
 from .domain import (
-    EPoint,
     HPoint,
     cayley_to_disc,
     cayley_to_halfspace,
@@ -156,12 +156,13 @@ def _reference_cross_ratio(z: HPoint, z1: HPoint) -> _M2:
     return _mul(_mul(_mul(_sub(a, b), _inv(_sub(a, bc))), _sub(ac, bc)), _inv(_sub(ac, b)))
 
 
-def _reference_cayley(z: HPoint) -> EPoint:
-    """The Cayley map (Z - iI)(Z + iI)^-1, computed literally."""
+def _reference_cayley(z: HPoint) -> tuple[complex, complex]:
+    """The Cayley map (Z - iI)(Z + iI)^-1, computed literally, as its disc factors z1 +- z2."""
     t, u = z._readout()
     zm = (t, u, u, t)
     w = _mul(_sub(zm, (1j, 0j, 0j, 1j)), _inv(_sub(zm, (-1j, 0j, 0j, -1j))))
-    return EPoint((w[0] + w[3]) / 2.0, (w[1] + w[2]) / 2.0)
+    z1, z2 = (w[0] + w[3]) / 2.0, (w[1] + w[2]) / 2.0
+    return z1 + z2, z1 - z2
 
 
 _EYE = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
@@ -173,9 +174,8 @@ _BASE = HPoint(1j, 0.0)  # iI
 
 def _check_cayley_roundtrip(rng: random.Random) -> Sequence[float]:
     z = random_hpoint(rng)
-    disc = cayley_to_disc(z)
-    back = cayley_to_halfspace(disc)
-    (u1, u2), (v1, v2) = disc.factors(), _reference_cayley(z).factors()
+    (u1, u2), (v1, v2) = cayley_to_disc(z), _reference_cayley(z)
+    back = cayley_to_halfspace(u1, u2)
     return _points_gap(z, back), max(abs(u1 - v1), abs(u2 - v2))
 
 

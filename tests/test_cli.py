@@ -15,7 +15,7 @@ import pytest
 
 from bisiegel import geometry, group, verify
 from bisiegel.cli import _build_parser, _to_json_text, main
-from bisiegel.domain import EPoint, HPoint
+from bisiegel.domain import HPoint, _epoint
 from bisiegel.errors import DomainViolation, GeometryError, NumericalBreakdown
 from bisiegel.geometry import GeodesicSpec
 from bisiegel.group import Sl2Matrix, apply, assemble, random_motion, split
@@ -1158,7 +1158,7 @@ class FuzzDocs:
         u1, u2 = (cmath.rect(1.0 - 10.0 ** rng.uniform(-11.9, 0.0), rng.uniform(-math.pi, math.pi))
                   for _ in range(2))
         z1, z2 = u1 / 2.0 + u2 / 2.0, u1 / 2.0 - u2 / 2.0
-        self.valid_points += _builds(EPoint, z1, z2)
+        self.valid_points += _builds(lambda a, b: _epoint(a + b, a - b), z1, z2)
         return {"z1": [z1.real, z1.imag], "z2": [z2.real, z2.imag]}
 
     def factor(self) -> dict:

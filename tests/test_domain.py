@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from bisiegel import cli, domain, geometry, group, hyperbolic, numkit, verify
-from bisiegel.cli import _parse_epoint, _parse_hpoint
+from bisiegel.cli import _disc_json, _parse_epoint, _parse_hpoint
 from bisiegel.domain import (
-    EPoint,
     HPoint,
     _epoint,
     _hpoint,
@@ -96,10 +95,11 @@ def test_h_contains_examples():
 
 
 def test_e_contains_examples():
-    EPoint(0, 0)
-    EPoint(0.25, 0.25)
+    # The disc reader takes (z1, z2) and returns the factors (z1 + z2, z1 - z2).
+    assert _parse_epoint({"z1": [0, 0], "z2": [0, 0]}) == (0j, 0j)
+    assert _parse_epoint({"z1": [0.25, 0], "z2": [0.25, 0]}) == (0.5, 0j)
     with pytest.raises(DomainViolation) as exc:
-        EPoint(0.5, 0.5)
+        _parse_epoint({"z1": [0.5, 0], "z2": [0.5, 0]})
     assert str(exc.value) == "(z1=(0.5+0j), z2=(0.5+0j)) is outside the bounded model"
 
 
@@ -108,16 +108,15 @@ def test_membership_rejects_nonfinite():
         with pytest.raises(DomainViolation, match="outside the half-space model"):
             HPoint(tau, 0)
     with pytest.raises(DomainViolation, match="outside the bounded model"):
-        EPoint(float("nan"), 0)
+        cayley_to_halfspace(float("nan"), 0)
 
 
 def test_point_constructors_enforce_membership():
     with pytest.raises(DomainViolation):
         HPoint(1j, 1j)
-    with pytest.raises(DomainViolation):
-        EPoint(0.6, 0.6)
-    with pytest.raises(DomainViolation):
-        EPoint.from_factors(1.0, 0.0)
+    for u in (1.2, 1.0, 1.0 - 1e-12, complex(0.6, 0.8)):  # |u| at or past 1 - _DOM_EPS
+        with pytest.raises(DomainViolation, match="outside the bounded model"):
+            cayley_to_halfspace(0.0, u)
     for w in (1e-13j, complex(math.inf, 1.0), complex(0.0, math.inf), complex(math.nan, 1.0)):
         with pytest.raises(DomainViolation):
             HPoint.from_factors(1j, w)
@@ -135,12 +134,12 @@ def _with_entry(v):
     (lambda v: HPoint(v, 1j), "tau", DomainViolation),
     (lambda v: HPoint(1j, v), "z", DomainViolation),
     (lambda v: HPoint.from_factors(v, 1j), "w1", DomainViolation),
-    (lambda v: EPoint(v, 0), "z1", DomainViolation),
-    (lambda v: EPoint.from_factors(v, 0), "u1", DomainViolation),
+    (lambda v: _epoint(v, 0), "u1", DomainViolation),
+    (lambda v: cayley_to_halfspace(0, v), "u2", DomainViolation),
     (lambda v: stabilizer_of_iI(v, 1), "xi1", UnitModulusViolation),
     (lambda v: Sl2Matrix(v, 0, 0, 1), "entry a", NotUnimodular),
     (lambda v: Mat4R(_with_entry(v)), r"4x4 entry \(2, 1\)", NumericalBreakdown),
-], ids=["HPoint tau", "HPoint z", "HPoint.from_factors", "EPoint", "EPoint.from_factors",
+], ids=["HPoint tau", "HPoint z", "HPoint.from_factors", "_epoint", "cayley_to_halfspace",
         "stabilizer_of_iI", "Sl2Matrix", "Mat4R"])
 def test_builders_refuse_an_int_past_the_float_range_as_they_refuse_inf(build, name, error):
     # float() and complex() of such an int raise OverflowError; each builder raises the class
@@ -188,18 +187,18 @@ def test_half_space_membership_on_each_side_of_the_margin(eps, monkeypatch):
 
 @MARGINS
 def test_disc_membership_on_each_side_of_the_margin(eps, monkeypatch):
-    # A factor at |u| = 1 - _DOM_EPS is out, the next float down is in.
+    # A factor at |u| = 1 - _DOM_EPS is out, the next float down is in; the inverse Cayley
+    # map gates its factors through the same test.
     monkeypatch.setattr("bisiegel.domain._DOM_EPS", eps)
     edge = 1.0 - eps
     cases = [(complex(-edge, 0.0), False), (complex(-math.nextafter(edge, 0.0), 0.0), True)]
     for u, inside in cases + [(u, False) for u in NONFINITE_PARTS]:
         for pair in ((u, u), (u, 0.5j), (0.5j, u)):
             if inside:
-                assert EPoint.from_factors(*pair).factors() == pair
-                assert _epoint(*pair).factors() == pair
+                assert _epoint(*pair) == pair
                 continue
             with pytest.raises(DomainViolation, match="outside the bounded model"):
-                EPoint.from_factors(*pair)
+                cayley_to_halfspace(*pair)
             with pytest.raises(DomainViolation, match="outside the bounded model"):
                 _epoint(*pair)
 
@@ -210,13 +209,13 @@ def test_records_are_slotted_and_frozen():
     red, spec = reduce_pair(z1, z2), connect(z1, z2)
     records = (
         Mat4R(IDENTITY_4.rows), z1, HPoint.from_factors(1j, 2j),
-        EPoint(0.25, 0.1), EPoint.from_factors(0.1, 0.2j), i2, assemble(i2, shear, -1),
+        i2, assemble(i2, shear, -1),
         red, spec, CheckResult("c", 0.0, 1.0, 1),
     )
     # Every dataclass that a module exports is a record here, so none escapes the checks.
     exported = [getattr(m, n) for m in (cli, domain, geometry, group, hyperbolic, numkit, verify) for n in m.__all__]
     assert {type(r) for r in records} == {c for c in exported if isinstance(c, type) and dataclasses.is_dataclass(c)}
-    assert len({type(r) for r in records}) == 8
+    assert len({type(r) for r in records}) == 7
     for r in records:
         assert not hasattr(r, "__dict__")
         for f in dataclasses.fields(r):
@@ -232,7 +231,6 @@ def test_records_are_slotted_and_frozen():
         (_motion((1.0, 0.0, 0.0, 1.0), (1.0, 2.0, 0.0, 1.0), -1), assemble(i2, shear, -1)),
         (red, ReducedPair(red.mover, red.lambda1, red.lambda2)),
         (_hpoint(3j, 1j, 0.0, 3.0, 0.0, 1.0), z1),
-        (_epoint(0.5 + 0j, 0.25 + 0j), EPoint(0.375, 0.125)),
     )
     for trusted, checked in twins:
         assert type(trusted) is type(checked)
@@ -265,21 +263,20 @@ def test_point_constructors_build_one_record_each(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(domain, "_new", counting_new)
-    for build in (lambda: HPoint(2j, 1j), lambda: HPoint.from_factors(3j, 1j),
-                  lambda: EPoint(0.25, 0.1), lambda: EPoint.from_factors(0.35, 0.15)):
+    for build in (lambda: HPoint(2j, 1j), lambda: HPoint.from_factors(3j, 1j)):
         made.clear()
         point = build()
         assert len(made) == 1 and point is made[0]
 
 
 def test_points_copy_and_pickle_through_their_factors():
-    # __new__ takes (tau, z) or (z1, z2); a copy or an unpickled point is rebuilt from
-    # the factors as stored, not from the rounded readout.
-    for point in (HPoint.from_factors(0.1 + 3j, -0.0 + 1e-3j), EPoint.from_factors(0.1 - 0.0j, -0.3j)):
-        for back in (copy.copy(point), copy.deepcopy(point), pickle.loads(pickle.dumps(point))):
-            assert type(back) is type(point) and back == point
-            assert [struct.pack("<dd", f.real, f.imag) for f in back.factors()] == [
-                struct.pack("<dd", f.real, f.imag) for f in point.factors()]
+    # __new__ takes (tau, z); a copy or an unpickled point is rebuilt from the factors
+    # as stored, not from the rounded readout.
+    point = HPoint.from_factors(0.1 + 3j, -0.0 + 1e-3j)
+    for back in (copy.copy(point), copy.deepcopy(point), pickle.loads(pickle.dumps(point))):
+        assert type(back) is type(point) and back == point
+        assert [struct.pack("<dd", f.real, f.imag) for f in back.factors()] == [
+            struct.pack("<dd", f.real, f.imag) for f in point.factors()]
     # A motion and a segment, whose classes raise when called, copy and pickle through
     # object.__new__ and their slots, as their builders fill them.
     z1, z2 = HPoint(2j, 1j), HPoint(1j, 0.5j)
@@ -319,9 +316,6 @@ def test_point_from_tau_z_equals_point_from_factors(rng):
         z = complex(rng.uniform(-5.0, 5.0), rng.uniform(-1.0, 1.0))
         p, q = HPoint(tau, z), HPoint.from_factors(tau + z, tau - z)
         assert p == q and hash(p) == hash(q)
-        u1, u2 = complex(rng.uniform(-0.3, 0.3), 0.1), complex(0.2, rng.uniform(-0.3, 0.3))
-        e, f = EPoint(u1, u2), EPoint.from_factors(u1 + u2, u1 - u2)
-        assert e == f and hash(e) == hash(f)
 
 
 # --------------------------------------------------------------------------
@@ -329,30 +323,24 @@ def test_point_from_tau_z_equals_point_from_factors(rng):
 
 
 def test_cayley_base_points():
-    assert point_gap_e(cayley_to_disc(HPoint(1j, 0)), EPoint(0, 0)) == 0.0
-    assert _points_gap(cayley_to_halfspace(EPoint(0, 0)), HPoint(1j, 0)) == 0.0
-
-
-def point_gap_e(p: EPoint, q: EPoint) -> float:
-    return max(abs(p.z1 - q.z1), abs(p.z2 - q.z2))
+    assert cayley_to_disc(HPoint(1j, 0)) == (0j, 0j)
+    assert _points_gap(cayley_to_halfspace(0, 0), HPoint(1j, 0)) == 0.0
 
 
 def test_cayley_scalar_diagonal():
-    got = cayley_to_disc(HPoint(2j, 0))
-    assert abs(got.z1 - 1.0 / 3.0) < 1e-15 and abs(got.z2) < 1e-15
-    back = cayley_to_halfspace(EPoint(1.0 / 3.0, 0))
+    u1, u2 = cayley_to_disc(HPoint(2j, 0))
+    assert abs(u1 - 1.0 / 3.0) < 1e-15 and abs(u2 - 1.0 / 3.0) < 1e-15
+    back = cayley_to_halfspace(1.0 / 3.0, 1.0 / 3.0)
     assert _points_gap(back, HPoint(2j, 0)) < 1e-15
 
 
 def test_cayley_derived_value_against_factor_oracle():
     z = HPoint(2j, 1j)
     plus, minus = z.factors()
-    w_plus, w_minus = scalar_cayley(plus), scalar_cayley(minus)
-    expected = EPoint((w_plus + w_minus) / 2, (w_plus - w_minus) / 2)
-    got = cayley_to_disc(z)
-    assert point_gap_e(got, expected) < 1e-15
-    assert abs(got.z1 - 0.25) < 1e-15 and abs(got.z2 - 0.25) < 1e-15
-    assert _points_gap(cayley_to_halfspace(EPoint(0.25, 0.25)), z) < 1e-14
+    u1, u2 = cayley_to_disc(z)
+    assert abs(u1 - scalar_cayley(plus)) < 1e-15 and abs(u2 - scalar_cayley(minus)) < 1e-15
+    assert abs(u1 - 0.5) < 1e-15 and abs(u2) < 1e-15  # (z1, z2) = (0.25, 0.25)
+    assert _points_gap(cayley_to_halfspace(0.5, 0.0), z) < 1e-14
 
 
 def test_cayley_matches_factor_oracle_randomly(rng):
@@ -361,7 +349,7 @@ def test_cayley_matches_factor_oracle_randomly(rng):
     for _ in range(300):
         z = random_hpoint(rng)
         got, want = cayley_to_disc(z), _reference_cayley(z)
-        for g, w in zip(got.factors(), want.factors()):
+        for g, w in zip(got, want):
             assert abs(g - w) < 1e-12
 
 
@@ -372,9 +360,9 @@ def test_cayley_roundtrip_seeded():
 def test_cayley_preserves_membership(rng):
     for _ in range(300):
         z = random_hpoint(rng)
-        w = cayley_to_disc(z)  # the builder checks membership; the constructors re-check it
-        EPoint(w.z1, w.z2)
-        back = cayley_to_halfspace(w)
+        u = cayley_to_disc(z)  # the map checks membership; the reader re-checks its JSON
+        _parse_epoint(_disc_json(*u))
+        back = cayley_to_halfspace(*u)
         HPoint(back.tau, back.z)
 
 
@@ -413,7 +401,7 @@ def test_cayley_to_halfspace_near_the_circle_is_its_value(gap):
     # in exact arithmetic) and refused 1e-7 and 1e-11.  The image is
     # i (1 + u) / (1 - u) per factor, up to 2e11 i.
     u = 1.0 - gap
-    w1, w2 = cayley_to_halfspace(EPoint(u, 0.0)).factors()
+    w1, w2 = cayley_to_halfspace(u, u).factors()
     with localcontext() as ctx:
         ctx.prec = 50
         want = (1 + Decimal(u)) / (1 - Decimal(u))
@@ -423,11 +411,10 @@ def test_cayley_to_halfspace_near_the_circle_is_its_value(gap):
 
 def test_cayley_to_halfspace_inside_the_margin_is_numerical():
     # A factor at radius 1 - 1.5e-12 maps to height 7.5e-13, below dom_eps.
-    z = -(1.0 - 1.5e-12) / 2.0
     with pytest.raises(NumericalBreakdown, match="dom_eps margin"):
-        cayley_to_halfspace(EPoint(z, z))
+        cayley_to_halfspace(-(1.0 - 1.5e-12), 0.0)
     with pytest.raises(DomainViolation):
-        EPoint(0.5, 0.5)  # invalid input stays a validation error
+        cayley_to_halfspace(1.0, 0.0)  # invalid input stays a validation error
 
 
 # --------------------------------------------------------------------------
@@ -443,21 +430,18 @@ def test_cayley_to_halfspace_inside_the_margin_is_numerical():
     ],
 )
 def test_disc_factor_examples(z1, z2, w1, w2):
-    w = EPoint(z1, z2).factors()
+    w = _parse_epoint({"z1": [z1, 0], "z2": [z2, 0]})
     assert w[0] == pytest.approx(w1, abs=1e-15)
     assert w[1] == pytest.approx(w2, abs=1e-15)
-    back = EPoint.from_factors(w1, w2)
-    assert abs(back.z1 - z1) < 1e-15 and abs(back.z2 - z2) < 1e-15
+    back = _disc_json(complex(w1), complex(w2))
+    assert abs(complex(*back["z1"]) - z1) < 1e-15 and abs(complex(*back["z2"]) - z2) < 1e-15
 
 
 def test_disc_factors_roundtrip(rng):
     for _ in range(200):
-        z = cayley_to_disc(random_hpoint(rng))
-        there = z.factors()
-        assert EPoint.from_factors(*there) == z
-        back = EPoint(z.z1, z.z2)
-        assert abs(back.z1 - z.z1) < 1e-15 and abs(back.z2 - z.z2) < 1e-15
-        again = back.factors()
+        there = cayley_to_disc(random_hpoint(rng))
+        assert _epoint(*there) == there
+        again = _parse_epoint(_disc_json(*there))
         assert abs(again[0] - there[0]) < 1e-15 and abs(again[1] - there[1]) < 1e-15
 
 
@@ -471,7 +455,7 @@ def test_from_factors_stores_its_arguments():
         for pair in ((w1, w2), (w2, w1)):
             assert HPoint.from_factors(*pair).factors() == pair
     u = (complex(0.3, 1e-17), complex(-0.9, 0.1))
-    assert EPoint.from_factors(*u).factors() == u
+    assert _epoint(*u) == u
 
 
 # --------------------------------------------------------------------------
@@ -483,8 +467,8 @@ def test_json_roundtrip():
     z = HPoint(complex(0.5, 2.0), complex(-0.25, 1.0))
     assert _parse_hpoint(z.to_json_dict()) == z
     # Exact where z1 +- z2 round to nothing; otherwise see the next test.
-    w = EPoint(complex(0.125, -0.25), complex(0.0625, 0.1875))
-    assert _parse_epoint(w.to_json_dict()) == w
+    u = (complex(0.1875, -0.0625), complex(0.0625, -0.4375))  # (z1, z2) = (0.125 - 0.25i, 0.0625 + 0.1875i)
+    assert _parse_epoint(_disc_json(*u)) == u
 
 
 def test_json_roundtrip_moves_factors_by_rounding_only():
@@ -499,12 +483,11 @@ def test_json_roundtrip_moves_factors_by_rounding_only():
             for _ in range(2)
         ]
         p = HPoint.from_factors(*w)
-        e = EPoint.from_factors(*(f / (1.0 + abs(f)) for f in w))
-        for q, parse in ((p, _parse_hpoint), (e, _parse_epoint)):
-            back = parse(q.to_json_dict()).factors()
-            re_max = max(abs(f.real) for f in q.factors())
-            im_max = max(abs(f.imag) for f in q.factors())
-            for got, want in zip(back, q.factors()):
+        e = tuple(f / (1.0 + abs(f)) for f in w)
+        for q, back in ((p.factors(), _parse_hpoint(p.to_json_dict()).factors()), (e, _parse_epoint(_disc_json(*e)))):
+            re_max = max(abs(f.real) for f in q)
+            im_max = max(abs(f.imag) for f in q)
+            for got, want in zip(back, q):
                 assert abs(got.real - want.real) <= 2 * u * re_max
                 assert abs(got.imag - want.imag) <= 2 * u * im_max
 

@@ -11,7 +11,6 @@ import pytest
 import exact
 from bisiegel import verify
 from bisiegel.domain import (
-    EPoint,
     HPoint,
     cayley_to_disc,
     cayley_to_halfspace,
@@ -620,13 +619,15 @@ def max_abs(x) -> float:
 EYE_2 = np.eye(2, dtype=complex)
 
 
-def literal_disc_action(doc: dict, p: EPoint) -> EPoint:
-    """The block action (A0 Z + B0)(conj(B0) Z + conj(A0))^-1 of a disc motion's JSON,
-    computed literally."""
+def literal_disc_action(doc: dict, u1: complex, u2: complex) -> tuple:
+    """The block action (A0 Z + B0)(conj(B0) Z + conj(A0))^-1 of a disc motion's JSON on the point
+    with disc factors u1, u2, computed literally on Z = [[z1, z2], [z2, z1]], z1, z2 = (u1 +- u2) / 2."""
     a0, b0 = block(doc["a0"]), block(doc["b0"])
-    zm = np.array(((p.z1, p.z2), (p.z2, p.z1)), dtype=complex)
+    z1, z2 = u1 / 2.0 + u2 / 2.0, u1 / 2.0 - u2 / 2.0
+    zm = np.array(((z1, z2), (z2, z1)), dtype=complex)
     w = (a0 @ zm + b0) @ np.linalg.inv(b0.conj() @ zm + a0.conj())
-    return EPoint((w[0, 0] + w[1, 1]) / 2.0, (w[0, 1] + w[1, 0]) / 2.0)
+    z1, z2 = (w[0, 0] + w[1, 1]) / 2.0, (w[0, 1] + w[1, 0]) / 2.0
+    return z1 + z2, z1 - z2
 
 
 def test_stabilizer_of_center_examples():
@@ -676,14 +677,13 @@ def test_stabilizer_params_on_each_side_of_the_unit_gate():
 
 
 def test_stabilizer_of_center_fixes_center(rng):
-    center = EPoint(0, 0)
     for _ in range(50):
         xi1 = complex(math.cos(a := rng.uniform(0, 2 * math.pi)), math.sin(a))
         xi2 = complex(math.cos(b := rng.uniform(0, 2 * math.pi)), math.sin(b))
         eps = 1 if rng.random() < 0.5 else -1
         m0 = disc_stabilizer(xi1, xi2, eps)
-        img = literal_disc_action(m0, center)
-        assert abs(img.z1) < 1e-15 and abs(img.z2) < 1e-15
+        u1, u2 = literal_disc_action(m0, 0j, 0j)
+        assert abs(u1) < 1e-15 and abs(u2) < 1e-15
         # unitary block relation with vanishing translation part
         a0 = block(m0["a0"])
         assert max_abs(a0 @ a0.conj().T - EYE_2) <= _ABS_EPS
@@ -768,8 +768,12 @@ def test_apply_image_inside_the_callers_margin_is_a_numerical_breakdown(monkeypa
         with pytest.raises(NumericalBreakdown, match="dom_eps margin") as exc:
             apply(assemble(I2, I2, eps), point)
         assert isinstance(exc.value.__cause__, DomainViolation)
+    # The inverse Cayley map gates its factors at the caller's margin first: the point's disc
+    # factors lie within 1e-6 of the circle, and a factor 1.5e-6 inside maps to height 7.5e-7.
+    with pytest.raises(DomainViolation, match="outside the bounded model"):
+        cayley_to_halfspace(*disc)
     with pytest.raises(NumericalBreakdown, match="dom_eps margin"):
-        cayley_to_halfspace(disc)
+        cayley_to_halfspace(-(1.0 - 1.5e-6), 0.0)
 
 
 def test_every_constructor_passes_its_sign_through_the_one_gate():
@@ -1200,8 +1204,8 @@ def test_disc_and_halfspace_actions_commute_with_cayley(rng):
         xi1 = complex(math.cos(a := rng.uniform(0, 2 * math.pi)), math.sin(a))
         xi2 = complex(math.cos(b := rng.uniform(0, 2 * math.pi)), math.sin(b))
         eps = 1 if rng.random() < 0.5 else -1
-        disc = literal_disc_action(disc_stabilizer(xi1, xi2, eps), cayley_to_disc(z))
-        assert _points_gap(cayley_to_halfspace(disc), apply(stabilizer_of_iI(xi1, xi2, eps), z)) <= 1e-9
+        disc = literal_disc_action(disc_stabilizer(xi1, xi2, eps), *cayley_to_disc(z))
+        assert _points_gap(cayley_to_halfspace(*disc), apply(stabilizer_of_iI(xi1, xi2, eps), z)) <= 1e-9
 
 
 def test_motion_json_roundtrip_and_eps_check(rng):

@@ -16,7 +16,7 @@ import random
 
 import exact
 
-from bisiegel.domain import EPoint, HPoint, cayley_to_disc, cayley_to_halfspace, random_hpoint
+from bisiegel.domain import HPoint, cayley_to_disc, cayley_to_halfspace, random_hpoint
 from bisiegel.errors import DomainViolation, NumericalBreakdown
 from bisiegel.geometry import volume_density
 
@@ -33,14 +33,6 @@ def _draws() -> list:
 POINTS = _draws()
 
 
-def to_disc(point: HPoint) -> tuple:
-    return cayley_to_disc(point).factors()
-
-
-def to_halfspace(u1: complex, u2: complex) -> HPoint:
-    return cayley_to_halfspace(EPoint.from_factors(u1, u2))
-
-
 def outcome(f, *args):
     """``f(*args)``, or ``NumericalBreakdown`` where an image falls inside the margin."""
     try:
@@ -53,9 +45,9 @@ def test_cayley_to_disc_commutes_with_the_swap_and_the_reflection():
     # (w - i)/(w + i) of -conj(w) is conj of that of w: the disc sees the reflection as u -> conj(u).
     refused = 0
     for p in POINTS:
-        u = outcome(to_disc, p)
-        swapped = outcome(to_disc, HPoint.from_factors(p.w2, p.w1))
-        mirrored = outcome(to_disc, HPoint.from_factors(-p.w1.conjugate(), -p.w2.conjugate()))
+        u = outcome(cayley_to_disc, p)
+        swapped = outcome(cayley_to_disc, HPoint.from_factors(p.w2, p.w1))
+        mirrored = outcome(cayley_to_disc, HPoint.from_factors(-p.w1.conjugate(), -p.w2.conjugate()))
         if u is NumericalBreakdown:
             assert swapped is mirrored is NumericalBreakdown, p
             refused += 1
@@ -67,15 +59,15 @@ def test_cayley_to_disc_commutes_with_the_swap_and_the_reflection():
 
 def test_cayley_to_halfspace_commutes_with_the_swap_and_the_reflection():
     # The images of the draws, then factors 10^U[-11.9, 0] inside the unit circle.
-    discs = [u for u in map(lambda p: outcome(to_disc, p), POINTS) if u is not NumericalBreakdown]
+    discs = [u for u in map(lambda p: outcome(cayley_to_disc, p), POINTS) if u is not NumericalBreakdown]
     rng = random.Random(6)
     discs += [tuple(cmath.rect(1.0 - 10.0 ** rng.uniform(-11.9, 0.0), rng.uniform(-math.pi, math.pi))
                     for _ in range(2)) for _ in range(2000)]
     refused = 0
     for u1, u2 in discs:
-        p = outcome(to_halfspace, u1, u2)
-        swapped = outcome(to_halfspace, u2, u1)
-        mirrored = outcome(to_halfspace, u1.conjugate(), u2.conjugate())
+        p = outcome(cayley_to_halfspace, u1, u2)
+        swapped = outcome(cayley_to_halfspace, u2, u1)
+        mirrored = outcome(cayley_to_halfspace, u1.conjugate(), u2.conjugate())
         if p is NumericalBreakdown:
             assert swapped is mirrored is NumericalBreakdown, (u1, u2)
             refused += 1
