@@ -31,7 +31,7 @@ class NotInHatGroup(ValidationError):
 
 
 class NotUnimodular(ValidationError):
-    """A 2x2 factor (real Moebius or SU(1,1)) does not have determinant one."""
+    """A real 2x2 Moebius factor does not have determinant one."""
 
 
 class UnitModulusViolation(ValidationError):

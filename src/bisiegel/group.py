@@ -27,8 +27,9 @@ Motions are validated once, at the boundary: ``classify``, ``assemble`` and ``st
 the checked builders.  Every gate reads the one threshold ``_ABS_EPS``.  Values computed from
 validated ones, and the seeded samples, are trusted: ``_sl2`` and ``_motion`` (on entry
 tuples) fill the slots through setters bound once; only products re-run the determinant gate
-(a ``NumericalBreakdown``: their inputs were valid).  Each operation checks what
-it returns.  ``_product``, the one factor product, takes and returns entry tuples; composition
+(a ``NumericalBreakdown``: their inputs were valid).  Each operation gates the values it
+returns, not a quantity derived from them: ``_transport_to_i`` refuses only where its entry
+``-x/r`` overflows.  ``_product``, the one factor product, takes and returns entry tuples; composition
 calls it once per factor, and ``reduce_pair`` once per factor on the entries of a rotation and
 of a triangular transport of the first point (determinant one by construction).
 """
@@ -362,13 +363,12 @@ def stabilizer_of_iI(xi1: complex, xi2: complex, eps: int = 1) -> MotionMatrix:
 def _transport_to_i(w: complex) -> tuple:
     """The entries ``(1/r, -x/r, 0.0, r)``, ``r = sqrt(y)``, of the factor sending w = x + iy to i:
     translate by -x, then scale by 1/y.  Its determinant ``(1/r) r`` is one to an ulp; the float
-    ``0.0`` keeps a product's signed zeros.  The squared entries sum to ``(1 + x^2 + y^2) / y``,
-    2 cosh d(w, i); where that overflows the transport is refused."""
-    x, y = w.real, w.imag
-    if not isfinite((1.0 + x * x + y * y) / y):  # every entry is finite where this sum is
+    ``0.0`` keeps a product's signed zeros.  The gate is on the entries it returns: for every
+    height above ``_DOM_EPS``, ``r`` and ``1/r`` are finite, so only ``-x/r`` can overflow."""
+    r = sqrt(w.imag)
+    if not isfinite(b := -w.real / r):
         raise NumericalBreakdown(f"transvection of {w!r} to i overflows")
-    r = sqrt(y)
-    return 1.0 / r, -x / r, 0.0, r
+    return 1.0 / r, b, 0.0, r
 
 
 def _half_conj_phase(w: complex) -> tuple:

@@ -1,10 +1,10 @@
 """The byte pins: the stdout of each pinned command, kept as ``golden/<name>.out``.
 
 The bytes the CLI prints are part of its interface.  ``PINS`` maps a pin's name to its
-argv; an ``@name`` argument is the committed input ``golden/<name>.json``.
-``test_cli.test_pinned_output_bytes`` runs every pin and CI ``cmp``s the verify reports
-and the installed console script's output against the same files.  Rewrite every
-``.out`` file from its command with::
+argv, and is the one list of pinned commands; ``argv(name)`` resolves each ``@name``
+argument to the committed input ``golden/<name>.json``.  ``test_cli.test_pinned_output_bytes``
+runs every pin in process, and CI reads this table to run every pin through the installed
+console script against the same files.  Rewrite every ``.out`` file from its command with::
 
     PYTHONPATH=src python tests/pins.py
 
@@ -20,6 +20,8 @@ second motion of ``random motion --seed 3``, ``matrix_perturbed`` the same with 
 ``seed5_motion`` is ``random motion --seed 5``, ``seed5_z1`` and ``seed5_z2`` the two
 points of ``random point --seed 5 --count 2``, ``seed5_factor`` the first factor of
 ``split`` of that motion and ``seed5_disc`` ``cayley --to disc`` of ``seed5_z1``.
+``scaled_z1`` and ``scaled_z2`` have both factors at heights 5e-12 and 1e300 over 0: each
+leg is past length 710, where it takes the e^{dt}-scaled form.
 """
 
 import contextlib
@@ -39,6 +41,7 @@ PINS = {
     "geodesic_sampler": ["geodesic", "--z1", "@sampler_z1", "--z2", "@sampler_z2", "--samples", "101"],
     "geodesic_near": ["geodesic", "--z1", "@sampler_z1", "--z2", "@near_z2", "--samples", "101"],
     "geodesic_wide": ["geodesic", "--z1", "@wide_z1", "--z2", "@wide_z2", "--samples", "101"],
+    "geodesic_scaled": ["geodesic", "--z1", "@scaled_z1", "--z2", "@scaled_z2", "--samples", "5"],
     "reduce_sampler": ["reduce", "--z1", "@sampler_z1", "--z", "@sampler_z2"],
     "reduce_near": ["reduce", "--z1", "@sampler_z1", "--z", "@near_z2"],
     "reduce_far": ["reduce", "--z1", "@far_z1", "--z", "@far_z2"],
@@ -66,13 +69,17 @@ PINS = {
 }
 
 
+def argv(name: str) -> list[str]:
+    """The arguments of pin ``name``, each ``@input`` the path of ``golden/<input>.json``."""
+    return [str(GOLDEN / f"{a[1:]}.json") if a.startswith("@") else a for a in PINS[name]]
+
+
 def run_pin(name: str) -> tuple[int, bytes, str]:
     """Pin ``name`` run in this process: its exit code, stdout bytes and stderr."""
-    argv = [str(GOLDEN / f"{a[1:]}.json") if a.startswith("@") else a for a in PINS[name]]
     out, err = io.BytesIO(), io.StringIO()
     stdout = io.TextIOWrapper(out, encoding="utf-8", newline="")  # no newline translation
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
-        code = main(argv)
+        code = main(argv(name))
     stdout.flush()
     return code, out.getvalue(), err.getvalue()
 

@@ -853,9 +853,9 @@ def test_outputs_on_each_side_of_the_removed_guards(files, capsys, argv, doc, wa
 
 
 def test_reduce_of_a_point_past_the_transvection_range(files, capsys):
-    # Factor coordinates near 1e183 overflow the transport's entries: a
-    # numerical failure (exit 3), not bad input, and no traceback.
-    z1 = files("z1.json", '{"tau":[1.5e183,1e183],"z":[-5e182,0]}')
+    # A translation near 1e308 over a height of 1e-6 overflows the transport's
+    # entry -x / sqrt(y): a numerical failure (exit 3), not bad input, and no traceback.
+    z1 = files("z1.json", '{"tau":[1e308,1e-6],"z":[0,0]}')
     z = files("z.json", I_JSON)
     code, out, err = run(capsys, ["reduce", "--z1", z1, "--z", z])
     assert code == 3 and out == "" and err.startswith("numerical error:") and "overflows" in err

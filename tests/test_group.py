@@ -1176,19 +1176,20 @@ def test_fused_reduce_pair_matches_the_composed_motions():
 
 
 def test_transvection_overflow_is_a_numerical_breakdown():
-    # Factor coordinates past about 1e154: x*x + y*y overflows, which made the
-    # determinant NaN and the failure a NotUnimodular (bad input).
-    z = HPoint.from_factors(1e183 + 1e183j, 2e183 + 1e183j)
-    w = HPoint.from_factors(1e160 + 1e150j, 1e160 + 2e150j)
-    for p in (z, w):
-        with pytest.raises(NumericalBreakdown, match="overflows"):
-            transport_to_iI(p)
-    for p, q in ((z, w), (w, z), (z, I_H)):
+    # A translation past the float range: the entry -x / sqrt(y) of the transport
+    # overflows, a numerical failure, never a NotUnimodular (bad input).
+    p = HPoint.from_factors(1e308 + 1e-6j, 1j)
+    with pytest.raises(NumericalBreakdown, match=re.escape("transvection of (1e+308+1e-06j) to i overflows")):
+        transport_to_iI(p)
+    for q in (p, I_H):
         with pytest.raises(NumericalBreakdown):
             reduce_pair(p, q)
-    # From iI the transport is the identity, and the lambdas near 2e183 are
-    # finite: the radius test refused this pair.
-    assert_lambdas_exact(reduce_pair(I_H, z), I_H, z)
+    # Factor coordinates past about 1e154, where x*x + y*y overflows but no entry of
+    # the transport does: the pairs resolve (the mover's accuracy here is its own bound's).
+    z = HPoint.from_factors(1e183 + 1e183j, 2e183 + 1e183j)
+    w = HPoint.from_factors(1e160 + 1e150j, 1e160 + 2e150j)
+    for a, b in ((z, w), (w, z), (z, I_H), (I_H, z)):
+        assert_lambdas_exact(reduce_pair(a, b), a, b)
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,9 @@ with a power of two round nothing while the result stays in the normal range.  A
 operation whose formula is symmetric and homogeneous maps them to bit-identical results,
 so each relation is an oracle with a tolerance of 0 and no reference arithmetic.  The
 draws are the sampler's and ``exact``'s named regimes; a refusal agrees only with the
-same refusal.
+same refusal.  The pair operations (``distance``, ``distance_params``, whose pair the swap
+reverses, the cross ratio, a geodesic point and ``reduce_pair``'s lambdas) are also carried
+by dilations out to the edges of the float range, keeping those that scale exactly.
 """
 
 import cmath
@@ -18,7 +20,8 @@ import exact
 
 from bisiegel.domain import HPoint, cayley_to_disc, cayley_to_halfspace, random_hpoint
 from bisiegel.errors import DomainViolation, NumericalBreakdown
-from bisiegel.geometry import volume_density
+from bisiegel.geometry import connect, cross_ratio_eigenvalues, distance, distance_params, volume_density
+from bisiegel.group import reduce_pair
 
 
 def _draws() -> list:
@@ -31,6 +34,7 @@ def _draws() -> list:
 
 
 POINTS = _draws()
+PAIRS = list(zip(POINTS[::2], POINTS[1::2]))
 
 
 def outcome(f, *args):
@@ -92,3 +96,81 @@ def test_volume_density_scales_exactly_under_the_factor_dilations():
         kept += 1
         assert volume_density(q) == math.ldexp(volume_density(p), -2 * a - 2 * b), (p, a, b)
     assert kept > 19000
+
+
+def _scale(w: complex, a: int) -> complex:
+    """w * 2^a, part by part; an ``OverflowError`` past the float range."""
+    return complex(math.ldexp(w.real, a), math.ldexp(w.imag, a))
+
+
+def _dilated(p: HPoint, a: int, b: int):
+    """``p`` with its factors dilated by 2^a and 2^b, or None where that is not exact: a
+    part overflows or loses bits below the normal range, or a height enters the margin."""
+    try:
+        w1, w2 = _scale(p.w1, a), _scale(p.w2, b)
+        if (_scale(w1, -a), _scale(w2, -b)) == (p.w1, p.w2):
+            return HPoint.from_factors(w1, w2)
+    except (OverflowError, DomainViolation):
+        pass
+    return None
+
+
+def _pair_ops(p: HPoint, q: HPoint) -> tuple:
+    """``distance``, ``distance_params``, the cross ratio, the factors of the point at 0.37 of
+    the geodesic and ``reduce_pair``'s lambdas (``NumericalBreakdown`` where it refuses)."""
+    spec = connect(p, q)
+    x = spec.point(0.37 * spec.s0)
+    red = outcome(reduce_pair, p, q)
+    lambdas = red if red is NumericalBreakdown else (red.lambda1, red.lambda2)
+    return distance(p, q), distance_params(p, q), cross_ratio_eigenvalues(p, q), (x.w1, x.w2), lambdas
+
+
+def _carried(ops: tuple, move, swaps: bool = False) -> tuple:
+    """``ops`` of a pair as the isometry ``move`` (on factor pairs) carries them."""
+    dist, params, cross, (w1, w2), lambdas = ops
+    return dist, params[::-1] if swaps else params, cross, move(w1, w2), lambdas
+
+
+def _swap(w1: complex, w2: complex) -> tuple:
+    return w2, w1
+
+
+def _mirror(w1: complex, w2: complex) -> tuple:
+    return -w1.conjugate(), -w2.conjugate()
+
+
+def _dilation(a: int, b: int):
+    return lambda w1, w2: (_scale(w1, a), _scale(w2, b))
+
+
+def test_pair_operations_commute_with_the_swap_the_reflection_and_the_dilations():
+    rng, dilated = random.Random(8), 0
+    for p, q in PAIRS:
+        ops = _pair_ops(p, q)
+        for move, swaps in ((_swap, True), (_mirror, False)):
+            moved = _pair_ops(HPoint.from_factors(*move(p.w1, p.w2)), HPoint.from_factors(*move(q.w1, q.w2)))
+            assert moved == _carried(ops, move, swaps), (p, q, move)
+        a, b = 2 * rng.randint(-20, 20), 2 * rng.randint(-20, 20)
+        pd, qd = _dilated(p, a, b), _dilated(q, a, b)
+        if pd is None or qd is None:  # a height dilated into the margin
+            continue
+        dilated += 1
+        assert _pair_ops(pd, qd) == _carried(ops, _dilation(a, b)), (p, q, a, b)
+    assert dilated > 0.8 * len(PAIRS)  # the tall draws' lowest heights dilate into the margin
+
+
+def test_pair_operations_hold_under_far_dilations():
+    # Past |w| near 2^512 the transport's derived sum (1 + x^2 + y^2) / y overflows; its
+    # entries do not, so reduce_pair resolves every pair here, with the undilated lambdas.
+    rng, kept = random.Random(7), 0
+    for _ in range(4000):
+        p, q = random_hpoint(rng), random_hpoint(rng)
+        a, b = 2 * rng.randint(-500, 500), 2 * rng.randint(-500, 500)
+        pd, qd = _dilated(p, a, b), _dilated(q, a, b)
+        if pd is None or qd is None:
+            continue
+        kept += 1
+        ops = _pair_ops(p, q)
+        assert ops[4] is not NumericalBreakdown
+        assert _pair_ops(pd, qd) == _carried(ops, _dilation(a, b)), (p, q, a, b)
+    assert kept == 1071
