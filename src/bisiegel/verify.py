@@ -7,11 +7,10 @@ deterministic stream (seed mixed with the check name), compares the worst agains
 pinned for the invariant, and the CLI renders a pass/fail table.  The tests fold the same checks.
 
 No check reads another's state, so ``run_suite`` folds them in one process per usable CPU, or in
-one alone without ``os.fork`` or with another thread alive.  One plan, fixed before forking by
-the cost of each check, gives every process its share: the caller the heaviest checks, twice a
-child's share, and the children the rest; a check left without a result is folded again in the
-caller, in ``SUITE`` order, so the report and the first error raised do not depend on the
-number of CPUs.
+one alone without ``os.fork`` or with another thread alive.  Every process takes the next check
+off one queue, heaviest first, so the caller stays busy whatever speed a child gets; a check
+left without a result is folded again in the caller, in ``SUITE`` order, so the report and the
+first error raised do not depend on the number of CPUs.
 
 Points, motions and the geometry are computed per factor; the literal 4x4 action
 ``(AZ + B)(CZ + D)^-1``, matrix cross ratio and matrix Cayley map live here only, as the
@@ -377,7 +376,7 @@ SUITE: dict[str, tuple[Callable[[random.Random], Sequence[float]], float, int]] 
 }
 
 #: Milliseconds one fold of each check takes at --trials 1000 (median of 15 on a 2-core Intel
-#: Xeon host, CPython 3.11).  ``run_suite`` reads it only to order and share out the checks;
+#: Xeon host, CPython 3.11).  ``run_suite`` reads it only to order its queue, heaviest first;
 #: a check missing here costs 1.
 _COST_MS = {
     "cayley_roundtrip": 6.7, "closure": 3.7, "kernel": 9.0, "group_law": 10.2,
@@ -408,60 +407,52 @@ def _workers() -> int:
     return min(cpus, len(SUITE))
 
 
-def _post(outbox: int, seed: int, suite: list, index: int) -> None:
-    """Fold the check at ``index`` and write ``(index, worst)`` to the outbox; one that raises
-    writes nothing."""
-    name, check, _, n = suite[index]
-    try:
-        os.write(outbox, struct.pack("<Bd", index, _fold(check, _rng(seed, name), n)))
-    except Exception:
-        pass  # run_suite folds it again
-
-
-def _shares(costs: list[float], workers: int) -> list[list[int]]:
-    """The plan: the check indices each of ``workers`` processes folds, the caller's first.
-    Heaviest first by cost, the caller keeps the checks that fit in ``2 / (workers + 1)`` of the
-    total, twice a child's share; the children are dealt the rest round-robin in that order."""
-    order = sorted(range(len(costs)), key=costs.__getitem__, reverse=True)
-    budget, own = 2.0 * sum(costs) / (workers + 1), 0
-    while own < len(order) and costs[order[own]] <= budget:
-        budget -= costs[order[own]]
-        own += 1
-    return [order[:own]] + [order[own + k::workers - 1] for k in range(workers - 1)]
+def _drain(todo: int, outbox: int, seed: int, suite: list) -> None:
+    """Take check indices off the queue one at a time until it is empty; fold each and write
+    ``(index, worst)`` to the outbox.  A check that raises writes nothing."""
+    while index := os.read(todo, 1):
+        name, check, _, n = suite[index[0]]
+        try:
+            os.write(outbox, struct.pack("<Bd", index[0], _fold(check, _rng(seed, name), n)))
+        except Exception:
+            pass  # run_suite folds it again
 
 
 def run_suite(seed: int, trials: int) -> list[CheckResult]:
     """Fold every check on its own deterministic stream and report them in ``SUITE`` order.
 
-    ``_workers()`` processes share the checks, the caller one of them (with one, it folds them
-    all here), each folding the fixed share that ``_shares`` plans from ``_COST_MS``: the
-    caller's is twice a child's, so the time is the caller's own unless a child runs at under
-    half its speed.  A child's residual crosses exactly as a ``<Bd`` double, NaN and inf too.
-    A check without a result (it raised, or its process died) is folded again here once every
-    child is reaped; if the caller leaves by an exception, it kills its children first."""
+    The check indices, heaviest first by ``_COST_MS``, fill a pipe whose write end is closed
+    before ``_workers()`` processes, the caller one of them, drain it (with one, the caller
+    drains it alone).  Each process takes the next check as it finishes one, so the caller keeps
+    folding whatever speed a child gets, and a slow child holds the run up by at most the one
+    check it is folding.  A child's residual crosses exactly as a ``<Bd`` double, NaN and inf
+    too.  A check without a result (it raised, or its process died) is folded again here once
+    every child is reaped; if the caller leaves by an exception, it kills its children first."""
     suite = [(name, check, tolerance, max(1, trials // divisor))
              for name, (check, tolerance, divisor) in SUITE.items()]
-    mine, *theirs = _shares([_COST_MS.get(name, 1.0) for name, *_ in suite], _workers())
+    todo, fill = os.pipe()
+    costs = [_COST_MS.get(name, 1.0) for name, *_ in suite]
+    os.write(fill, bytes(sorted(range(len(suite)), key=costs.__getitem__, reverse=True)))
+    os.close(fill)
     inbox, outbox = os.pipe()
     pids = []
     try:
-        for share in theirs:
+        for _ in range(_workers() - 1):
             pid = os.fork()
             if pid == 0:
                 try:
-                    for index in share:
-                        _post(outbox, seed, suite, index)
+                    _drain(todo, outbox, seed, suite)
                 finally:
                     os._exit(0)  # never the parent's stdio flush or atexit handlers
             pids.append(pid)
-        for index in mine:
-            _post(outbox, seed, suite, index)
+        _drain(todo, outbox, seed, suite)
     except BaseException:
         for pid in pids:
             os.kill(pid, 9)  # SIGKILL, whose number POSIX fixes (os.fork is POSIX only)
         raise
     finally:
         os.close(outbox)
+        os.close(todo)
         for pid in pids:
             os.waitpid(pid, 0)
         with open(inbox, "rb") as replies:

@@ -5,6 +5,7 @@ import math
 import os
 import random
 import re
+import select
 import subprocess
 import sys
 import threading
@@ -426,7 +427,7 @@ def _no_child_left():
 @pytest.mark.parametrize("seed", [42, 7])
 def test_run_suite_equals_the_serial_fold_bit_for_bit(monkeypatch, seed):
     # However many processes fold the checks, each residual is the one this process folds:
-    # one per usable CPU, and eight, more than this host is likely to have, each with its share.
+    # one per usable CPU, and eight, more than this host is likely to have, racing for the queue.
     expected = _serial_report(seed, 200)
     assert _report(verify.run_suite(seed, 200)) == expected
     monkeypatch.setattr(verify, "_workers", lambda: 8)
@@ -434,31 +435,15 @@ def test_run_suite_equals_the_serial_fold_bit_for_bit(monkeypatch, seed):
     _no_child_left()
 
 
-def test_every_check_has_a_cost_and_the_caller_keeps_twice_a_childs_share():
-    # _COST_MS orders and shares out the checks only; a check missing from it would cost 1
-    # and leave the split to chance.  With two processes the caller folds the heaviest checks
-    # up to two thirds of the cost, so a child at half the caller's speed ends first.
-    assert list(verify._COST_MS) == list(verify.SUITE)
-    costs = list(verify._COST_MS.values())
-    order = sorted(range(len(costs)), key=costs.__getitem__, reverse=True)
-    for workers in range(1, len(costs) + 1):
-        shares = verify._shares(costs, workers)
-        assert len(shares) == workers
-        assert sorted(i for share in shares for i in share) == list(range(len(costs)))
-        assert shares[0] == order[:len(shares[0])]  # the caller's share is the heaviest checks
-    assert verify._shares(costs, 1) == [order]  # one process folds all 19, none left to a refold
-    mine = verify._shares(costs, 2)[0]
-    assert 0.6 < sum(costs[i] for i in mine) / sum(costs) <= 2 / 3
-
-
-@pytest.mark.parametrize("workers", [2, 8])
-def test_each_check_is_folded_once_by_the_process_the_plan_names(monkeypatch, workers):
-    # Every check writes its name and the pid of the process that runs it; with one trial
-    # each, a check folded twice or by another process than the plan names shows.
+def _who_folds(monkeypatch, workers, trials, stall=lambda: None):
+    # run_suite(42, trials) on ``workers`` processes, every trial of every check wrapped to call
+    # ``stall`` and write its name and the pid of the process that runs it: the results, and
+    # the (name, pid) of each trial in the order they were written.
     read, write = os.pipe()
 
     def tells(name, check):
         def trial(rng):
+            stall()
             os.write(write, f"{name} {os.getpid()}\n".encode())
             return check(rng)
         return trial
@@ -466,21 +451,57 @@ def test_each_check_is_folded_once_by_the_process_the_plan_names(monkeypatch, wo
     monkeypatch.setattr(verify, "_workers", lambda: workers)
     _patch_every_check(monkeypatch, tells)
     try:
-        verify.run_suite(42, 1)
+        results = verify.run_suite(42, trials)
     finally:
         os.close(write)
     with open(read) as lines:
-        folds = [line.split() for line in lines]
+        folds = [(name, int(pid)) for name, pid in map(str.split, lines)]
     _no_child_left()
-    names = list(verify.SUITE)
-    assert sorted(name for name, _ in folds) == sorted(names)
+    return results, folds
+
+
+def test_every_check_has_a_cost_and_the_queue_is_written_heaviest_first(monkeypatch):
+    # _COST_MS only orders the queue; a check missing from it would cost 1 and be taken last.
+    # With one process the caller drains the queue alone, so it folds in the queue's order.
+    assert list(verify._COST_MS) == list(verify.SUITE)
+    heaviest_first = sorted(verify.SUITE, key=verify._COST_MS.__getitem__, reverse=True)
+    _, folds = _who_folds(monkeypatch, 1, 1)
+    assert folds == [(name, os.getpid()) for name in heaviest_first]
+
+
+@pytest.mark.parametrize("workers", [2, 8])
+def test_each_check_is_folded_exactly_once(monkeypatch, workers):
+    # With one trial each, a check folded twice, or by none of the processes, shows.
+    _, folds = _who_folds(monkeypatch, workers, 1)
+    assert sorted(name for name, _ in folds) == sorted(verify.SUITE)
+    assert len({pid for _, pid in folds}) <= workers
+
+
+def test_a_stalled_child_folds_one_check_and_the_caller_the_other_18(monkeypatch):
+    # The child stalls 1 s in each check it takes; once it has taken one, the caller folds all
+    # the others meanwhile, as a plan fixed before forking would not.  The caller waits for
+    # that first take (at most 30 s), so the test does not depend on which process runs first.
+    expected, parent = _serial_report(42, 1), os.getpid()
+    taken, take = os.pipe()
+
+    def stall():
+        if os.getpid() != parent:
+            os.write(take, b"1")
+            time.sleep(1)
+        else:
+            assert select.select([taken], [], [], 30)[0], "the child took no check"
+
+    try:
+        results, folds = _who_folds(monkeypatch, 2, 1, stall)
+    finally:
+        os.close(taken)
+        os.close(take)
+    assert _report(results) == expected
     by_pid = {}
     for name, pid in folds:
-        by_pid.setdefault(int(pid), set()).add(name)
-    plan = verify._shares([verify._COST_MS[name] for name in names], workers)
-    shares = [{names[i] for i in share} for share in plan]
-    assert by_pid.pop(os.getpid(), set()) == shares[0]
-    assert sorted(map(sorted, by_pid.values())) == sorted(sorted(share) for share in shares[1:] if share)
+        by_pid.setdefault(pid, []).append(name)
+    assert len(by_pid.pop(parent)) == 18
+    assert [len(names) for names in by_pid.values()] == [1]
 
 
 def _patch_every_check(monkeypatch, make):

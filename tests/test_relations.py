@@ -9,7 +9,9 @@ so each relation is an oracle with a tolerance of 0 and no reference arithmetic.
 draws are the sampler's and ``exact``'s named regimes; a refusal agrees only with the
 same refusal.  The pair operations (``distance``, ``distance_params``, whose pair the swap
 reverses, the cross ratio, a geodesic point and ``reduce_pair``'s lambdas) are also carried
-by dilations out to the edges of the float range, keeping those that scale exactly.
+by dilations out to the edges of the float range, keeping those that scale exactly.  A
+motion is carried by conjugation: the swap exchanges its factors, the reflection negates
+each factor's off-diagonal entries, and a dilation scales them by powers of two.
 """
 
 import cmath
@@ -20,8 +22,16 @@ import exact
 
 from bisiegel.domain import HPoint, cayley_to_disc, cayley_to_halfspace, random_hpoint
 from bisiegel.errors import DomainViolation, NumericalBreakdown
-from bisiegel.geometry import connect, cross_ratio_eigenvalues, distance, distance_params, volume_density
-from bisiegel.group import reduce_pair
+from bisiegel.geometry import (
+    connect,
+    cross_ratio_eigenvalues,
+    distance,
+    distance_params,
+    metric_form,
+    volume_density,
+)
+from bisiegel.group import Sl2Matrix, apply, assemble, random_motion, reduce_pair, split
+from bisiegel.verify import _random_tangent
 
 
 def _draws() -> list:
@@ -174,3 +184,76 @@ def test_pair_operations_hold_under_far_dilations():
         assert ops[4] is not NumericalBreakdown
         assert _pair_ops(pd, qd) == _carried(ops, _dilation(a, b)), (p, q, a, b)
     assert kept == 1071
+
+
+def _motion_draws() -> list:
+    """3000 draws of two sampler motions and a sampler point, in that order."""
+    rng = random.Random(3)
+    return [(random_motion(rng), random_motion(rng), random_hpoint(rng)) for _ in range(3000)]
+
+
+MOTIONS = _motion_draws()
+
+
+def _swapped(m):
+    """The motion (m2, m1, eps): ``m`` conjugated by the factor swap."""
+    f1, f2 = split(m)
+    return assemble(f2, f1, m.eps)
+
+
+def _mirrored(m):
+    """Each factor (a, -b, -c, d): ``m`` conjugated by the reflection."""
+    return assemble(*(Sl2Matrix(f.a, -f.b, -f.c, f.d) for f in split(m)), m.eps)
+
+
+def _conjugated(f, t: int, s: int) -> Sl2Matrix:
+    """diag(2^(t/2), 2^(-t/2)) f diag(2^(-s/2), 2^(s/2)) for even t and s: the factor that
+    takes a point dilated by 2^s to its image under ``f`` dilated by 2^t."""
+    return Sl2Matrix(math.ldexp(f.a, (t - s) // 2), math.ldexp(f.b, (t + s) // 2),
+                     math.ldexp(f.c, -(t + s) // 2), math.ldexp(f.d, (s - t) // 2))
+
+
+def _dilated_motion(m, a: int, b: int):
+    """``m`` conjugated by the factor dilations 2^a and 2^b; where eps = -1 each factor lands
+    in the other slot, so its two scales cross."""
+    f1, f2 = split(m)
+    (t1, s1), (t2, s2) = ((a, a), (b, b)) if m.eps == 1 else ((b, a), (a, b))
+    return assemble(_conjugated(f1, t1, s1), _conjugated(f2, t2, s2), m.eps)
+
+
+def test_apply_and_compose_commute_with_the_swap_and_the_reflection():
+    for m1, m2, p in MOTIONS:
+        image, product = apply(m1, p), m1 @ m2  # no sampler draw's image is refused
+        for move, carry in ((_swap, _swapped), (_mirror, _mirrored)):
+            moved = apply(carry(m1), HPoint.from_factors(*move(p.w1, p.w2)))
+            assert moved == HPoint.from_factors(*move(image.w1, image.w2)), (m1, p, move)
+            assert carry(m1) @ carry(m2) == carry(product), (m1, m2, move)
+
+
+def test_apply_and_compose_commute_with_the_dilations():
+    # apply refuses a dilated image exactly where the dilated exact image is inside the margin.
+    rng, kept, refused = random.Random(4), 0, 0
+    for m1, m2, p in MOTIONS:
+        a, b = 2 * rng.randint(-20, 20), 2 * rng.randint(-20, 20)
+        pd = _dilated(p, a, b)
+        if pd is None:  # a height dilated into the margin
+            continue
+        kept += 1
+        d1, d2 = _dilated_motion(m1, a, b), _dilated_motion(m2, a, b)
+        image = _dilated(apply(m1, p), a, b)
+        refused += image is None
+        assert outcome(apply, d1, pd) == (NumericalBreakdown if image is None else image), (m1, p, a, b)
+        assert d1 @ d2 == _dilated_motion(m1 @ m2, a, b), (m1, m2, a, b)
+    assert kept > 0.95 * len(MOTIONS) and 0 < refused < kept / 10
+
+
+def test_metric_form_commutes_with_the_swap_and_the_reflection():
+    # The swap (tau, z) -> (tau, -z) carries the tangent (dtau, dz) to (dtau, -dz); the
+    # reflection Z -> -conj(Z) carries it to (-conj(dtau), -conj(dz)).
+    rng = random.Random(9)
+    for p in POINTS + [random_hpoint(rng) for _ in range(10000)]:
+        dtau, dz = _random_tangent(rng)
+        form = metric_form(p, dtau, dz)
+        assert metric_form(HPoint.from_factors(p.w2, p.w1), dtau, -dz) == form, (p, dtau, dz)
+        mirrored = HPoint.from_factors(-p.w1.conjugate(), -p.w2.conjugate())
+        assert metric_form(mirrored, -dtau.conjugate(), -dz.conjugate()) == form, (p, dtau, dz)
